@@ -20,6 +20,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark module =="
+# bench/ is a separate Go module (repro/bench, replacing repro with the
+# checkout), so the root build and tests never compile it: vet and test
+# it here, so that deleting core or study API it still calls fails CI.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== trace smoke (-race) =="
 # The flight recorder must survive full pool parallelism: record a
 # tiny-scale study under the race detector, then parse and summarize
@@ -402,132 +408,6 @@ dpid=""
 leftovers=$(find "$servedir" -name '.*.tmp*')
 if [ -n "$leftovers" ]; then
     echo "orphaned atomic-write temporaries after daemon resume:" >&2
-    echo "$leftovers" >&2
-    exit 1
-fi
-
-echo "== fleet smoke (-race) =="
-# Distributed study fleet (DESIGN §3h): figures must be byte-identical
-# whether one worker or three execute the suite, survive a worker
-# killed -9 mid-study (lease expiry → reassignment), and survive a
-# coordinator kill-and-resume from its state directory.
-go build -race -o "$tmpdir/inipfleet" ./cmd/inipfleet
-fleetdir="$tmpdir/fleet"
-mkdir -p "$fleetdir"
-fleetpids=""
-trap 'kill $fleetpids 2> /dev/null || true; rm -rf "$tmpdir"' EXIT
-
-start_coord() { # suffix extra-args...
-    _sfx=$1
-    shift
-    "$tmpdir/inipfleet" -mode coordinator -addr 127.0.0.1:0 \
-        -addrfile "$fleetdir/addr$_sfx" -scale 0.001 -bench gzip,swim,mcf \
-        -figjson "$fleetdir/figs$_sfx.json" -linger 1s "$@" \
-        2> "$fleetdir/c$_sfx.err" &
-    cpid=$!
-    fleetpids="$fleetpids $cpid"
-    wait_file "$fleetdir/addr$_sfx" 200
-    base="http://$(cat "$fleetdir/addr$_sfx")"
-}
-start_worker() { # id extra-args...
-    _wid=$1
-    shift
-    "$tmpdir/inipfleet" -mode worker -coordinator "$base" -id "$_wid" \
-        -cache "$fleetdir/cache" -scratch "$fleetdir/$_wid" \
-        -poll 10ms -maxoffline 60s "$@" 2> "$fleetdir/$_wid.err" &
-    wpid=$!
-    fleetpids="$fleetpids $wpid"
-}
-wait_ok() { # pid what
-    if ! wait "$1"; then
-        echo "$2 exited nonzero" >&2
-        cat "$fleetdir"/*.err >&2
-        exit 1
-    fi
-}
-
-# One worker, cold shared cache: the reference figures.
-start_coord 1
-start_worker w1
-wait_ok "$wpid" "worker w1"
-wait_ok "$cpid" "coordinator 1"
-grep -q "3 completions" "$fleetdir/c1.err"
-
-# Three workers over the same (now warm) cache: byte-identical figures.
-start_coord 2
-start_worker w2a
-w2apid=$wpid
-start_worker w2b
-w2bpid=$wpid
-start_worker w2c
-wait_ok "$wpid" "worker w2c"
-wait_ok "$w2bpid" "worker w2b"
-wait_ok "$w2apid" "worker w2a"
-wait_ok "$cpid" "coordinator 2"
-cmp "$fleetdir/figs1.json" "$fleetdir/figs2.json"
-
-# Kill -9 a worker mid-study: its injected fault stalls every ref unit
-# for an hour while heartbeats keep the lease alive; SIGKILL silences
-# the heartbeats, the lease expires, and a healthy worker started after
-# the kill finishes the suite. Figures still byte-identical.
-start_coord 3 -leasettl 500ms -maxattempts 5
-start_worker w3stall -inject 'slow:*/ref:1h'
-stallpid=$wpid
-_i=0
-while ! curl -s "$base/v1/fleet/metrics" \
-    | grep -q '^fleet_lease_grants_total [1-9]'; do
-    _i=$((_i + 1))
-    if [ "$_i" -gt 200 ]; then
-        echo "stalled worker never took a lease" >&2
-        cat "$fleetdir/c3.err" >&2
-        exit 1
-    fi
-    sleep 0.05
-done
-kill -9 "$stallpid"
-start_worker w3ok
-wait_ok "$wpid" "worker w3ok"
-wait_ok "$cpid" "coordinator 3"
-cmp "$fleetdir/figs1.json" "$fleetdir/figs3.json"
-# The coordinator's exit summary carries the lease counters.
-expiries=$(sed -n 's/.*, \([0-9]*\) expiries.*/\1/p' "$fleetdir/c3.err")
-reassigns=$(sed -n 's/.*, \([0-9]*\) reassignments.*/\1/p' "$fleetdir/c3.err")
-if [ -z "$expiries" ] || [ "$expiries" -lt 1 ] \
-    || [ -z "$reassigns" ] || [ "$reassigns" -lt 1 ]; then
-    echo "killed worker produced no expiry/reassignment (got '$expiries'/'$reassigns')" >&2
-    cat "$fleetdir/c3.err" >&2
-    exit 1
-fi
-
-# Coordinator kill-and-resume: stop after one settled benchmark (exit
-# 130, checkpoint flushed), then a fresh coordinator with -resume
-# restores it and leases only the remainder.
-start_coord 4 -state "$fleetdir/state" -stopafter 1
-start_worker w4a
-code=0
-wait "$cpid" || code=$?
-if [ "$code" -ne 130 ]; then
-    echo "stopped coordinator exited $code, want 130" >&2
-    cat "$fleetdir/c4.err" >&2
-    exit 1
-fi
-test -s "$fleetdir/state/study.ckpt.jsonl"
-kill "$wpid" 2> /dev/null
-wait "$wpid" || true
-start_coord 5 -state "$fleetdir/state" -resume
-start_worker w5a
-wait_ok "$wpid" "worker w5a"
-wait_ok "$cpid" "coordinator 5"
-cmp "$fleetdir/figs1.json" "$fleetdir/figs5.json"
-# The resumed run restored at least one benchmark from the checkpoint,
-# so it settled strictly fewer than the suite's three.
-grep -Eq '^inipfleet: [0-2] completions' "$fleetdir/c5.err"
-
-# No orphaned atomic-write temporaries anywhere in the fleet's state,
-# cache, scratch, or figure files after all the kills above.
-leftovers=$(find "$fleetdir" -name '.*.tmp*')
-if [ -n "$leftovers" ]; then
-    echo "orphaned atomic-write temporaries after fleet smoke:" >&2
     echo "$leftovers" >&2
     exit 1
 fi

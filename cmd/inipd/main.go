@@ -43,6 +43,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sig))
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers.
+const readHeaderTimeout = 10 * time.Second
+
 // run is main with its environment made explicit for the tests and the
 // CI smoke: args, output streams, and the shutdown-signal channel.
 func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
@@ -121,7 +125,9 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 			return 1
 		}
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that never finishes its request headers must not pin a
+	// connection forever; bodies are bounded by the handlers.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(stderr, "inipd: listening on %s\n", bound)

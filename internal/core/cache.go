@@ -37,8 +37,8 @@ import (
 // interrupted or failed units (no clean completion, no store).
 
 // runOutput is the cached outcome of one profiled execution: the unit of
-// reuse for training runs and independent INIP(T)/AVEP runs, and the
-// per-follower element of a shared-trace reference bundle.
+// reuse for training runs, and the per-follower element of a reference
+// bundle.
 type runOutput struct {
 	// T is the effective retranslation threshold (0 for AVEP/train).
 	T uint64 `json:"t"`
@@ -50,7 +50,7 @@ type runOutput struct {
 	Cycles float64 `json:"cycles"`
 }
 
-// refEntry is the cached output of a shared-trace reference unit: the
+// refEntry is the cached output of a reference unit: the
 // AVEP profile plus one runOutput per distinct effective threshold, in
 // ladder (config) order.
 type refEntry struct {
@@ -83,7 +83,7 @@ type bpEntry struct {
 // the reference trace: every static branch site with its feature vector
 // and outcome tallies. Like bp it is threshold-independent — the trace
 // is fully determined by image and tape — and shared across ladder
-// shapes and run modes. The fingerprint pins the feature schema (and,
+// shapes. The fingerprint pins the feature schema (and,
 // via the key's engine component, the model config it will feed).
 type lsEntry struct {
 	Fingerprint string            `json:"fingerprint"`
@@ -204,7 +204,7 @@ func refEntryMatches(ent *refEntry, cfgs []dbt.Config) bool {
 	return true
 }
 
-// refCacheKey keys the shared-trace reference bundle: one entry covers
+// refCacheKey keys the reference bundle: one entry covers
 // the AVEP run and every distinct-threshold follower, so the engine
 // component joins all follower fingerprints in config order.
 func (b *benchRun) refCacheKey(imgHash string, cfgs []dbt.Config) resultcache.Key {
@@ -281,9 +281,7 @@ func spEntryMatches(ent *spEntry, period uint64, cfgs []dbt.Config) bool {
 // spCacheKey keys one sampled-profiling ladder. Each config's
 // fingerprint already carries the period and seed (";sample=..."), so
 // the joined engine component pins the whole bundle; T carries the
-// period to keep entries of one sweep distinguishable in traces. The
-// key is identical in shared-trace and independent-runs mode, so the
-// modes warm each other.
+// period to keep entries of one sweep distinguishable in traces.
 func (b *benchRun) spCacheKey(imgHash string, period uint64, cfgs []dbt.Config) resultcache.Key {
 	engines := make([]byte, 0, 64*len(cfgs))
 	for i, cfg := range cfgs {
@@ -295,15 +293,13 @@ func (b *benchRun) spCacheKey(imgHash string, period uint64, cfgs []dbt.Config) 
 	return b.cacheKey("sp", imgHash, b.t.TapeID("ref"), string(engines), period)
 }
 
-// runCacheKey keys one profiled execution (train, or an independent
-// AVEP/INIP(T) run).
+// runCacheKey keys one profiled execution: the training run.
 func (b *benchRun) runCacheKey(imgHash, input string, cfg dbt.Config) resultcache.Key {
 	return b.cacheKey("run", imgHash, b.t.TapeID(input), cfg.Fingerprint(), cfg.Threshold)
 }
 
 // cmpCacheKey keys one INIP(T)-vs-AVEP comparison. Both sides' configs
-// participate, so the entry is shared between shared-trace and
-// independent-runs mode (their results are defined to be identical).
+// participate.
 func (b *benchRun) cmpCacheKey(t uint64) resultcache.Key {
 	inip := b.dbtConfig("ref", t, true).Fingerprint()
 	avep := b.dbtConfig("ref", 0, false).Fingerprint()

@@ -87,25 +87,6 @@ func TestCacheDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-func TestCacheIndependentRunsMode(t *testing.T) {
-	dir := t.TempDir()
-	target := BuildFromAsm("phased", phasedSrc(4000, 1000, 7782, 819))
-
-	opts, _ := cacheOpts(t, dir)
-	opts.IndependentRuns = true
-	cold := runCached(t, target, opts)
-
-	opts2, tm2 := cacheOpts(t, dir)
-	opts2.IndependentRuns = true
-	warm := runCached(t, target, opts2)
-	if n := tm2.BlocksExecuted.Load(); n != 0 {
-		t.Fatalf("warm independent-runs run executed %d blocks, want 0", n)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("warm independent-runs result differs from cold")
-	}
-}
-
 func TestCachePoisonedEntriesReExecute(t *testing.T) {
 	dir := t.TempDir()
 	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))

@@ -131,30 +131,24 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 
 // TestLadderCollapseDedup: duplicate effective thresholds (a heavily
 // scaled-down ladder clamps several rungs to the same value) must run
-// one follower per distinct threshold in shared-trace mode, with the
-// shared result fanned out to every collapsed rung under its own label.
+// one follower per distinct threshold, with the shared result fanned out
+// to every collapsed rung under its own label.
 func TestLadderCollapseDedup(t *testing.T) {
 	target := BuildFromAsm("collapse", counterProgram())
 	collapsed := []uint64{50, 50, 50, 100}
 	distinct := []uint64{50, 100}
 
-	runWith := func(ladder []uint64, independent bool) (*BenchmarkResult, *Timing) {
+	runWith := func(ladder []uint64) (*BenchmarkResult, *Timing) {
 		var tm Timing
-		res, err := RunBenchmark(target, Options{
-			Thresholds:      ladder,
-			Perf:            true,
-			IndependentRuns: independent,
-			Timing:          &tm,
-		})
+		res, err := RunBenchmark(target, Options{Thresholds: ladder, Perf: true, Timing: &tm})
 		if err != nil {
-			t.Fatalf("ladder %v independent=%v: %v", ladder, independent, err)
+			t.Fatalf("ladder %v: %v", ladder, err)
 		}
 		return res, &tm
 	}
 
-	dup, dupTm := runWith(collapsed, false)
-	ded, dedTm := runWith(distinct, false)
-	indep, indepTm := runWith(collapsed, true)
+	dup, dupTm := runWith(collapsed)
+	ded, dedTm := runWith(distinct)
 
 	// Every collapsed rung carries the shared result under its own label.
 	for i, wantT := range collapsed {
@@ -171,20 +165,15 @@ func TestLadderCollapseDedup(t *testing.T) {
 		t.Fatal("collapsed ladder results differ from the distinct ladder")
 	}
 
-	// Dedup is real work saved: the duplicated shared-trace ladder
-	// executes exactly as many blocks as the distinct one, while
-	// independent mode pays for every duplicate rung again.
+	// Dedup is real work saved: the duplicated ladder executes exactly
+	// as many blocks as the distinct one.
 	if got, want := dupTm.BlocksExecuted.Load(), dedTm.BlocksExecuted.Load(); got != want {
 		t.Fatalf("deduped ladder executed %d blocks, distinct ladder %d", got, want)
 	}
-	if indepTm.BlocksExecuted.Load() <= dupTm.BlocksExecuted.Load() {
-		t.Fatalf("independent mode (%d blocks) should exceed deduped shared mode (%d)",
-			indepTm.BlocksExecuted.Load(), dupTm.BlocksExecuted.Load())
-	}
 
-	// And determinism still holds: independent duplicate runs produce the
-	// values the fan-out copied.
-	if !reflect.DeepEqual(indep, dup) {
-		t.Fatal("independent-run results differ from deduped shared-trace results")
+	// And determinism still holds: the serial-run oracle's genuine
+	// repeat runs produce the values the fan-out copied.
+	if !reflect.DeepEqual(serialOracle(t, target, Options{Thresholds: collapsed, Perf: true}), dup) {
+		t.Fatal("serial-run oracle differs from the deduped shared-trace result")
 	}
 }

@@ -123,29 +123,6 @@ func (s *Scheduler) fail(err error) {
 	})
 }
 
-// Fail cancels the pool with err as its first error — the exported
-// entry for drivers outside the unit machinery (an executor-mode study
-// propagating a remote hard error into the pool). First error wins,
-// exactly as for unit failures; a nil err is ignored.
-func (s *Scheduler) Fail(err error) {
-	if err != nil {
-		s.fail(err)
-	}
-}
-
-// Err returns the error that cancelled the pool, or nil while it is
-// still running. Unlike Wait it does not block: callers woken by Done
-// use it to learn why (fail sets err before closing done, so the read
-// is ordered).
-func (s *Scheduler) Err() error {
-	select {
-	case <-s.done:
-		return s.err
-	default:
-		return nil
-	}
-}
-
 // Stop cancels the pool cooperatively: pending units are dropped,
 // in-flight translator runs are interrupted through Done, and Wait
 // returns ErrStopped (unless a unit failure already won the race).

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/guest"
 	"repro/internal/interp"
+	"repro/internal/learned"
 )
 
 func TestSchedulerRunsAllUnits(t *testing.T) {
@@ -112,29 +114,23 @@ hot:
 
 // TestBuildCacheBuildsOncePerInput: with a tape factory the scheduler
 // must invoke Build once per (benchmark, input) regardless of ladder
-// width or run mode.
+// width.
 func TestBuildCacheBuildsOncePerInput(t *testing.T) {
-	for _, independent := range []bool{false, true} {
-		var builds atomic.Int64
-		base := BuildFromAsm("cached", counterProgram())
-		target := Target{
-			Name: "cached",
-			Build: func(input string) (*guest.Image, interp.Tape, error) {
-				builds.Add(1)
-				return base.Build(input)
-			},
-			NewTape: base.NewTape,
-		}
-		opts := Options{
-			Thresholds:      []uint64{50, 100, 200, 400},
-			IndependentRuns: independent,
-		}
-		if _, err := RunBenchmark(target, opts); err != nil {
-			t.Fatalf("independent=%v: %v", independent, err)
-		}
-		if got := builds.Load(); got != 2 {
-			t.Fatalf("independent=%v: Build called %d times, want 2 (ref+train)", independent, got)
-		}
+	var builds atomic.Int64
+	base := BuildFromAsm("cached", counterProgram())
+	target := Target{
+		Name: "cached",
+		Build: func(input string) (*guest.Image, interp.Tape, error) {
+			builds.Add(1)
+			return base.Build(input)
+		},
+		NewTape: base.NewTape,
+	}
+	if _, err := RunBenchmark(target, Options{Thresholds: []uint64{50, 100, 200, 400}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("Build called %d times, want 2 (ref+train)", got)
 	}
 }
 
@@ -156,30 +152,39 @@ taken:
 `
 }
 
-// TestScheduledModesAgree: the shared-trace pipeline, the
-// independent-run pipeline, and any worker count must all produce the
-// identical benchmark result.
+// TestScheduledModesAgree: the scheduled shared-trace pipeline at 1 and
+// GOMAXPROCS workers must produce exactly the result of the serial-run
+// oracle — one translator run per config, nothing shared — with every
+// study axis riding the trace: dynamic predictors, the learned
+// collection, and sampled ladders (period 1 is full instrumentation by
+// definition, period 4 is not).
 func TestScheduledModesAgree(t *testing.T) {
-	// The duplicate rung exercises the shared-trace dedup fan-out, which
-	// must be invisible next to independent mode's genuine repeat runs.
-	target := BuildFromAsm("modes", counterProgram())
-	opts := Options{Thresholds: []uint64{20, 50, 50, 100}, Perf: true, KeepNormalized: true}
-
-	ref, err := RunBenchmark(target, opts)
-	if err != nil {
-		t.Fatal(err)
+	// The duplicate rung exercises the dedup fan-out, which must be
+	// invisible next to the oracle's genuine repeat run.
+	opts := Options{
+		Thresholds:     []uint64{20, 50, 50, 100},
+		Perf:           true,
+		KeepNormalized: true,
+		KeepSnapshots:  true,
+		Predictors:     []string{"2bit", "gshare"},
+		Learned:        &learned.Config{Model: learned.ModelLogReg},
+		SamplePeriods:  []uint64{1, 4},
+		SampleSeed:     9,
 	}
-	for _, workers := range []int{1, 4} {
-		for _, independent := range []bool{false, true} {
+	for _, target := range []Target{
+		BuildFromAsm("modes", counterProgram()),
+		BuildFromAsm("phased", phasedSrc(4000, 1000, 7782, 819)),
+	} {
+		want := serialOracle(t, target, opts)
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			o := opts
 			o.Workers = workers
-			o.IndependentRuns = independent
 			got, err := RunBenchmark(target, o)
 			if err != nil {
-				t.Fatalf("workers=%d independent=%v: %v", workers, independent, err)
+				t.Fatalf("%s workers=%d: %v", target.Name, workers, err)
 			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("workers=%d independent=%v: results differ from reference", workers, independent)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: scheduled result differs from the serial-run oracle", target.Name, workers)
 			}
 		}
 	}

@@ -27,22 +27,6 @@
 // "train" (default: any); <unit> is a pipeline unit name (ref, train,
 // compare, train_compare) or "*"; <T> is an effective retranslation
 // threshold (default: any).
-//
-// Network faults target the fleet protocol's HTTP calls (see
-// internal/fleet): the client consults the plan once per call, keyed
-// by endpoint name (lease, heartbeat, complete, or "*"):
-//
-//	net:drop:<endpoint>[@<n|auto>][*<k>]      response lost after delivery
-//	net:delay:<endpoint>[@<n|auto>]:<dur>[*<k>] delay the call by <dur>
-//	net:dup:<endpoint>[@<n|auto>][*<k>]       send the request twice
-//	net:sever:<endpoint>[@<n|auto>][*<k>]     partition: call never sent
-//
-// @<n> arms the fault at the Nth matching call (default: the first);
-// @auto derives the point from the seed. drop models a lost response —
-// the server processed the request, the caller sees a failure (the
-// sharp case for completion idempotency); sever models a partition —
-// the request is never delivered, persistently from its armed point on
-// unless bounded with *<k>.
 package faultinject
 
 import (
@@ -67,25 +51,7 @@ const (
 	KindSlow
 	// KindPanic panics inside a unit body.
 	KindPanic
-	// KindNetDrop loses the response of a fleet HTTP call after the
-	// server has processed it.
-	KindNetDrop
-	// KindNetDelay delays a fleet HTTP call.
-	KindNetDelay
-	// KindNetDup sends a fleet HTTP request twice.
-	KindNetDup
-	// KindNetSever partitions an endpoint: calls are never delivered.
-	KindNetSever
 )
-
-// netKind reports whether the kind is a fleet network fault.
-func netKind(k Kind) bool {
-	switch k {
-	case KindNetDrop, KindNetDelay, KindNetDup, KindNetSever:
-		return true
-	}
-	return false
-}
 
 // String names the kind as it appears in specs.
 func (k Kind) String() string {
@@ -98,14 +64,6 @@ func (k Kind) String() string {
 		return "slow"
 	case KindPanic:
 		return "panic"
-	case KindNetDrop:
-		return "net:drop"
-	case KindNetDelay:
-		return "net:delay"
-	case KindNetDup:
-		return "net:dup"
-	case KindNetSever:
-		return "net:sever"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -121,28 +79,18 @@ type Fault struct {
 	Unit string
 	// T restricts slow/panic faults to one effective threshold (0 = any).
 	T uint64
-	// Endpoint restricts net faults to one fleet endpoint ("*" = any).
-	Endpoint string
-	// N is the dynamic block count a trap fires at; for net faults it
-	// is the 1-based matching-call index the fault arms at.
+	// N is the dynamic block count a trap fires at.
 	N uint64
-	// Delay is the slow/net-delay fault's injected latency.
+	// Delay is the slow fault's injected latency.
 	Delay time.Duration
 	// Times is how many matches remain before the fault disarms
 	// (negative = unlimited).
 	Times int
-	// calls counts matching fleet calls seen so far (net faults only),
-	// so @<n> points fire at an exact call index.
-	calls uint64
 }
 
 // autoTrapRange bounds @auto trap points: early enough to fire on
 // tiny-scale runs, late enough that the run is demonstrably under way.
 const autoTrapRange = 4096
-
-// autoNetRange bounds @auto net fault points: fleet protocol calls per
-// endpoint number in the handfuls, not the thousands.
-const autoNetRange = 8
 
 // Plan is a set of armed faults. All methods are safe for concurrent
 // use and safe on a nil receiver (a nil *Plan injects nothing), so the
@@ -157,7 +105,7 @@ type Plan struct {
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{}
 	seed := uint64(1)
-	var autos, netAutos []*Fault
+	var autos []*Fault
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -211,11 +159,6 @@ func Parse(spec string) (*Plan, error) {
 		case "panic":
 			f.Kind = KindPanic
 			err = parseUnitSite(f, body)
-		case "net":
-			var auto bool
-			if auto, err = parseNetSite(f, body); auto {
-				netAutos = append(netAutos, f)
-			}
 		default:
 			err = fmt.Errorf("unknown kind %q", kind)
 		}
@@ -225,72 +168,12 @@ func Parse(spec string) (*Plan, error) {
 		p.faults = append(p.faults, f)
 	}
 	// Seeded auto points: derived after the whole spec is read so the
-	// seed entry's position does not matter. Trap and net points draw
-	// from separate streams so adding a net fault never shifts an
-	// existing plan's trap points.
+	// seed entry's position does not matter.
 	src := rng.New(seed)
 	for _, f := range autos {
 		f.N = uint64(src.Intn(autoTrapRange)) + 1
 	}
-	netSrc := rng.New(seed + 1)
-	for _, f := range netAutos {
-		f.N = uint64(netSrc.Intn(autoNetRange)) + 1
-	}
 	return p, nil
-}
-
-// parseNetSite parses "<op>:<endpoint>[@<n|auto>][:<dur>]" (the repeat
-// suffix is already cut) and reports whether the call index must be
-// derived from the seed.
-func parseNetSite(f *Fault, body string) (auto bool, err error) {
-	op, site, ok := strings.Cut(body, ":")
-	if !ok {
-		return false, fmt.Errorf("want net:<op>:<endpoint>")
-	}
-	switch op {
-	case "drop":
-		f.Kind = KindNetDrop
-	case "delay":
-		f.Kind = KindNetDelay
-		head, dur, ok := cutLast(site, ":")
-		if !ok {
-			return false, fmt.Errorf("missing duration (want net:delay:<endpoint>:<dur>)")
-		}
-		if f.Delay, err = time.ParseDuration(dur); err != nil {
-			return false, err
-		}
-		site = head
-	case "dup":
-		f.Kind = KindNetDup
-	case "sever":
-		f.Kind = KindNetSever
-	default:
-		return false, fmt.Errorf("unknown net op %q (want drop, delay, dup or sever)", op)
-	}
-	f.N = 1
-	if head, at, ok := cutLast(site, "@"); ok {
-		site = head
-		if at == "auto" {
-			auto = true
-		} else {
-			n, err := strconv.ParseUint(at, 10, 64)
-			if err != nil || n == 0 {
-				return false, fmt.Errorf("bad call index %q (want a positive count or auto)", at)
-			}
-			f.N = n
-		}
-	}
-	if site == "" {
-		return false, fmt.Errorf("missing endpoint name")
-	}
-	if err := checkName("endpoint name", site); err != nil {
-		return false, err
-	}
-	if strings.ContainsAny(site, ":@/") {
-		return false, fmt.Errorf("endpoint name %q may not contain %q", site, ":@/")
-	}
-	f.Endpoint = site
-	return auto, nil
 }
 
 // cutLast splits s around the final occurrence of sep.
@@ -383,20 +266,6 @@ func (p *Plan) String() string {
 	defer p.mu.Unlock()
 	parts := make([]string, 0, len(p.faults))
 	for _, f := range p.faults {
-		if netKind(f.Kind) {
-			s := f.Kind.String() + ":" + f.Endpoint
-			if f.N != 1 {
-				s += fmt.Sprintf("@%d", f.N)
-			}
-			if f.Kind == KindNetDelay {
-				s += ":" + f.Delay.String()
-			}
-			if f.Times >= 0 {
-				s += fmt.Sprintf("*%d", f.Times)
-			}
-			parts = append(parts, s)
-			continue
-		}
 		s := f.Kind.String() + ":" + f.Bench
 		if f.Input != "" {
 			s += "/" + f.Input
@@ -491,59 +360,6 @@ func (p *Plan) Delay(bench, unit string, t uint64) time.Duration {
 		return 0
 	}
 	return f.Delay
-}
-
-// NetVerdict is the injected behavior for one fleet HTTP call: the
-// fields compose (a call can be delayed and duplicated and have its
-// response dropped), and the zero value means the call proceeds
-// untouched.
-type NetVerdict struct {
-	// Drop: deliver the request but lose the response — the caller
-	// sees a transport error after the server has processed the call.
-	Drop bool
-	// Delay the call by this much before sending.
-	Delay time.Duration
-	// Duplicate: send the request twice.
-	Duplicate bool
-	// Sever: the request is never delivered (partition).
-	Sever bool
-}
-
-// NetCall consults the plan for one call to the named fleet endpoint
-// and returns the injected behavior. Each armed net fault keeps its
-// own per-fault count of matching calls: a fault fires from its @<n>
-// point on, bounded by its *<k> budget (sever defaults to persistent —
-// a partition, not a blip).
-func (p *Plan) NetCall(endpoint string) NetVerdict {
-	var v NetVerdict
-	if p == nil {
-		return v
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, f := range p.faults {
-		if !netKind(f.Kind) || !(f.Endpoint == "*" || f.Endpoint == endpoint) {
-			continue
-		}
-		f.calls++
-		if f.calls < f.N || f.Times == 0 {
-			continue
-		}
-		if f.Times > 0 {
-			f.Times--
-		}
-		switch f.Kind {
-		case KindNetDrop:
-			v.Drop = true
-		case KindNetDelay:
-			v.Delay += f.Delay
-		case KindNetDup:
-			v.Duplicate = true
-		case KindNetSever:
-			v.Sever = true
-		}
-	}
-	return v
 }
 
 // PanicMessage returns the message to panic with inside the unit at

@@ -16,10 +16,10 @@ func FuzzFaultSpec(f *testing.F) {
 	f.Add("seed:41,trap:*@auto*3")
 	f.Add("slow:a:1h2m3s")
 	f.Add("build:x*00")
-	f.Add("net:drop:complete*1")
-	f.Add("net:delay:lease@2:50ms")
-	f.Add("net:dup:*@auto,seed:9")
-	f.Add("net:sever:heartbeat@3*4")
+	f.Add("build:*/train*1")
+	f.Add("slow:*/compare@50:2ms")
+	f.Add("trap:gzip/train@auto,seed:9")
+	f.Add("panic:*/*@3*4")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := Parse(spec)
 		if err != nil {

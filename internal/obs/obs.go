@@ -39,8 +39,8 @@ const (
 	UnitCacheStore   = "cache_store"   // a result-cache entry write (Err set when it failed)
 
 	// Sampled-profiling spans (core.Options.SamplePeriods). T carries
-	// the sample period, not a threshold.
-	UnitSample        = "sample"         // an independent-mode sampled ladder execution
+	// the sample period, not a threshold; the sampled runs themselves
+	// ride the reference run's own span.
 	UnitSampleCompare = "sample_compare" // one period's sampled-vs-AVEP comparison sweep
 
 	// Learned-predictor spans (core.Options.Learned). Collection is
@@ -50,16 +50,6 @@ const (
 	// "suite".
 	UnitLearnedCollect = "learned_collect" // static branch-site feature extraction
 	UnitLearnedFit     = "learned_fit"     // suite-level cross-validated training
-
-	// Fleet-protocol spans (internal/fleet): the coordinator's lease
-	// lifecycle. Worker is always 0 — leases belong to remote workers,
-	// not pool slots — and Err names the remote worker or carries the
-	// failure detail.
-	UnitLeaseGrant    = "lease_grant"    // a unit leased to a worker
-	UnitLeaseExpire   = "lease_expire"   // a lease passed its deadline and was revoked
-	UnitLeaseComplete = "lease_complete" // a completion settled its unit
-	UnitLeaseReject   = "lease_reject"   // a duplicate/stale completion was dropped
-	UnitFleetFail     = "fleet_fail"     // a unit exhausted its lease attempts
 )
 
 // validUnits gates ReadEvents: an unknown unit name means the producer
@@ -77,17 +67,10 @@ var validUnits = map[string]bool{
 	UnitCacheMiss:    true,
 	UnitCacheStore:   true,
 
-	UnitSample:        true,
 	UnitSampleCompare: true,
 
 	UnitLearnedCollect: true,
 	UnitLearnedFit:     true,
-
-	UnitLeaseGrant:    true,
-	UnitLeaseExpire:   true,
-	UnitLeaseComplete: true,
-	UnitLeaseReject:   true,
-	UnitFleetFail:     true,
 }
 
 // Event is one flight-recorder record: a completed span of pipeline

@@ -62,8 +62,6 @@ type studyRequest struct {
 	// kill-and-resume smoke use. It is a one-shot interruption aid:
 	// a resumed job ignores it and runs to completion.
 	StopAfter int `json:"stop_after,omitempty"`
-	// IndependentRuns disables the shared-trace reference execution.
-	IndependentRuns bool `json:"independent_runs,omitempty"`
 }
 
 // jobRecord is the persisted job state (StateDir/jobs.json).
@@ -449,17 +447,16 @@ func (s *Server) runJob(j *job) {
 		scale = s.cfg.Scale
 	}
 	cfg := study.Config{
-		Scale:           scale,
-		Parallelism:     s.cfg.Workers,
-		Policy:          core.Degrade,
-		IndependentRuns: req.IndependentRuns,
-		StopAfter:       req.StopAfter,
-		Stop:            j.stop,
-		Progress:        j,
-		Cache:           s.cfg.Cache,
-		Trace:           s.cfg.Trace,
-		Checkpoint:      s.jobs.checkpointPath(rec.ID),
-		Resume:          rec.Resumed && s.jobs.dir != "",
+		Scale:       scale,
+		Parallelism: s.cfg.Workers,
+		Policy:      core.Degrade,
+		StopAfter:   req.StopAfter,
+		Stop:        j.stop,
+		Progress:    j,
+		Cache:       s.cfg.Cache,
+		Trace:       s.cfg.Trace,
+		Checkpoint:  s.jobs.checkpointPath(rec.ID),
+		Resume:      rec.Resumed && s.jobs.dir != "",
 	}
 	for _, name := range req.Benches {
 		b := spec.ByName(strings.TrimSpace(name))
@@ -505,8 +502,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req studyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	for _, name := range req.Benches {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func httpGetBody(t *testing.T, url string) string {
@@ -149,5 +151,35 @@ func TestJobRecordsDroppedMetric(t *testing.T) {
 	body := httpGetBody(t, srv.URL+"/v1/metrics")
 	if !strings.Contains(body, "inipd_job_records_dropped_total 1") {
 		t.Fatalf("metrics missing dropped-records counter:\n%s", body)
+	}
+}
+
+// TestIndependentRunsFieldIgnored: the study has one run mode, but
+// job records persisted by older daemons and clients written against
+// them may still carry "independent_runs". Both must keep working with
+// the field ignored: a resumable record loads and runs to completion,
+// and a new request carrying the field is accepted and runs.
+func TestIndependentRunsFieldIgnored(t *testing.T) {
+	dir := t.TempDir()
+	old := `[{"id":"job-1","state":"queued","request":{"benches":["gzip"],"independent_runs":true},"created_unix":100}]` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Scale: 0.001, Workers: 1, StateDir: dir, Resume: true}, nil, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if rec := waitJob(t, ts.URL, "job-1", JobDone); rec.Error != "" {
+		t.Fatalf("persisted job failed: %q", rec.Error)
+	}
+
+	id := startJob(t, ts.URL, `{"benches":["gzip"],"independent_runs":true}`)
+	if rec := waitJob(t, ts.URL, id, JobDone); rec.Error != "" {
+		t.Fatalf("new job failed: %q", rec.Error)
+	}
+	if !bytes.Equal(getFigures(t, ts.URL, "job-1"), getFigures(t, ts.URL, id)) {
+		t.Fatal("the two jobs of the same study produced different figures")
+	}
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

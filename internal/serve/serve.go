@@ -32,6 +32,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -270,6 +271,27 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody bounds a request body. The largest legitimate body —
+// a study request naming every suite benchmark — is well under 1 KiB.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxRequestBody
+// bytes into v. An oversize body is answered with 413 and a malformed
+// one with 400; it reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		errorJSON(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBody)
+	default:
+		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // admit applies the admission layer: an immediate inflight slot if one
 // is free, a bounded wait otherwise, 429 when the wait line is full,
 // 504 when the request's deadline expires first. On success the
@@ -475,8 +497,7 @@ type flight struct {
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.m.compareRequests.Add(1)
 	var req compareRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	bench := spec.ByName(strings.TrimSpace(req.Bench))
@@ -486,6 +507,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.T <= 0 {
 		errorJSON(w, http.StatusBadRequest, "threshold t must be positive, got %v", req.T)
+		return
+	}
+	if req.Scale < 0 || req.TimeoutMS < 0 {
+		errorJSON(w, http.StatusBadRequest, "scale and timeout_ms must be non-negative")
 		return
 	}
 	if len(req.Predictors) > 0 {

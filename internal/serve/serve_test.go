@@ -60,17 +60,65 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCompareValidation: malformed requests are rejected up front.
+// oversizeBody is a request body one byte past the daemon's limit; its
+// JSON stays open so the decoder must read past the limit.
+var oversizeBody = `{"bench":"` + strings.Repeat("a", maxRequestBody)
+
+// TestCompareValidation: malformed requests are rejected up front with
+// a JSON error, before admission.
 func TestCompareValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1}, nil, nil)
-	for name, body := range map[string]string{
-		"bad json":      "{",
-		"unknown bench": `{"bench":"nope","t":2000}`,
-		"bad threshold": `{"bench":"gzip","t":-1}`,
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"bad json", "{", http.StatusBadRequest},
+		{"unknown bench", `{"bench":"nope","t":2000}`, http.StatusBadRequest},
+		{"bad threshold", `{"bench":"gzip","t":-1}`, http.StatusBadRequest},
+		{"negative scale", `{"bench":"gzip","t":2000,"scale":-0.5}`, http.StatusBadRequest},
+		{"negative timeout", `{"bench":"gzip","t":2000,"timeout_ms":-1}`, http.StatusBadRequest},
+		{"oversize body", oversizeBody, http.StatusRequestEntityTooLarge},
 	} {
-		if w := postCompare(s, body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, w.Code)
+		w := postCompare(s, tc.body)
+		if w.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, w.Code, tc.want)
 		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not a JSON error", tc.name, w.Body.String())
+		}
+	}
+}
+
+// TestStudyValidation: malformed study requests are rejected with a
+// JSON error and never create a job.
+func TestStudyValidation(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1}, nil, nil)
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"bad json", "{", http.StatusBadRequest},
+		{"unknown bench", `{"benches":["nope"]}`, http.StatusBadRequest},
+		{"negative scale", `{"scale":-1}`, http.StatusBadRequest},
+		{"negative stop_after", `{"stop_after":-1}`, http.StatusBadRequest},
+		{"oversize body", oversizeBody, http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest("POST", "/v1/study", strings.NewReader(tc.body))
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, w.Code, tc.want)
+		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not a JSON error", tc.name, w.Body.String())
+		}
+	}
+	if jobs := s.jobs.list(); len(jobs) != 0 {
+		t.Fatalf("rejected requests created %d job(s)", len(jobs))
 	}
 }
 

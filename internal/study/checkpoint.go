@@ -19,19 +19,20 @@ import (
 
 // checkpointVersion is bumped whenever the on-disk schema changes; a
 // version mismatch is a hard resume error, never a silent reinterpret.
-const checkpointVersion = 1
+//
+// v2: the header lost its run-mode flag (the study has one run mode).
+const checkpointVersion = 2
 
 // checkpointHeader is the first line of a checkpoint file: the
 // fingerprint of the study configuration that produced it. A resumed
 // run must match it exactly — mixing series from different scales,
-// ladders, run modes or suite selections would corrupt the figures
+// ladders, study axes or suite selections would corrupt the figures
 // silently, which is worse than rerunning.
 type checkpointHeader struct {
-	Version         int       `json:"version"`
-	Scale           float64   `json:"scale"`
-	PaperT          []float64 `json:"paper_t"`
-	IndependentRuns bool      `json:"independent_runs"`
-	Benchmarks      []string  `json:"benchmarks"`
+	Version    int       `json:"version"`
+	Scale      float64   `json:"scale"`
+	PaperT     []float64 `json:"paper_t"`
+	Benchmarks []string  `json:"benchmarks"`
 	// Predictors is the requested dynamic-predictor list; omitted when
 	// empty so predictor-less checkpoints are byte-identical to files
 	// written before the field existed (strict unmarshal keeps reading
@@ -83,14 +84,13 @@ func openCheckpoint(cfg *Config, paperT []float64) (*checkpointer, map[string]Be
 	c := &checkpointer{
 		path: cfg.Checkpoint,
 		header: checkpointHeader{
-			Version:         checkpointVersion,
-			Scale:           cfg.Scale,
-			PaperT:          paperT,
-			IndependentRuns: cfg.IndependentRuns,
-			Benchmarks:      names,
-			Predictors:      cfg.Predictors,
-			SamplePeriods:   cfg.SamplePeriods,
-			Learned:         learnedFingerprint(cfg.Learned),
+			Version:       checkpointVersion,
+			Scale:         cfg.Scale,
+			PaperT:        paperT,
+			Benchmarks:    names,
+			Predictors:    cfg.Predictors,
+			SamplePeriods: cfg.SamplePeriods,
+			Learned:       learnedFingerprint(cfg.Learned),
 		},
 		order: order,
 		done:  make(map[string]BenchmarkSeries),
@@ -138,6 +138,18 @@ func readCheckpoint(r io.Reader, want checkpointHeader) (map[string]BenchmarkSer
 		}
 		return nil, errors.New("empty checkpoint (no header)")
 	}
+	// The version is read on its own first: a header of another
+	// version may carry fields this build does not know, and the reader
+	// must name the version mismatch rather than the first such field.
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
+	}
+	if v.Version != want.Version {
+		return nil, fmt.Errorf("checkpoint version %d, this build reads only version %d", v.Version, want.Version)
+	}
 	var h checkpointHeader
 	if err := strictUnmarshal(sc.Bytes(), &h); err != nil {
 		return nil, fmt.Errorf("header: %w", err)
@@ -183,19 +195,14 @@ func strictUnmarshal(data []byte, v any) error {
 }
 
 // matchHeader verifies the stored fingerprint against this run's,
-// naming the first difference.
+// naming the first difference (readCheckpoint has already matched the
+// version).
 func matchHeader(got, want checkpointHeader) error {
-	if got.Version != want.Version {
-		return fmt.Errorf("checkpoint version %d, this build writes %d", got.Version, want.Version)
-	}
 	if got.Scale != want.Scale {
 		return fmt.Errorf("checkpoint scale %v, this run uses %v", got.Scale, want.Scale)
 	}
 	if !equalFloats(got.PaperT, want.PaperT) {
 		return fmt.Errorf("checkpoint ladder %v, this run uses %v", got.PaperT, want.PaperT)
-	}
-	if got.IndependentRuns != want.IndependentRuns {
-		return fmt.Errorf("checkpoint independent_runs=%v, this run uses %v", got.IndependentRuns, want.IndependentRuns)
 	}
 	if !equalStrings(got.Benchmarks, want.Benchmarks) {
 		return fmt.Errorf("checkpoint benchmarks %v, this run selects %v", got.Benchmarks, want.Benchmarks)

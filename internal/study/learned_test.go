@@ -16,13 +16,12 @@ import (
 // learnedConfig runs the full spec suite with the learned class on. One
 // threshold suffices: the collected tallies are a property of the
 // reference trace, which no ladder shapes.
-func learnedConfig(parallelism int, independent bool) Config {
+func learnedConfig(parallelism int) Config {
 	return Config{
-		Scale:           0.001,
-		Thresholds:      []float64{100},
-		Parallelism:     parallelism,
-		IndependentRuns: independent,
-		Learned:         &learned.Config{Model: learned.ModelLogReg},
+		Scale:       0.001,
+		Thresholds:  []float64{100},
+		Parallelism: parallelism,
+		Learned:     &learned.Config{Model: learned.ModelLogReg},
 	}
 }
 
@@ -46,11 +45,11 @@ func learnedArtifacts(t *testing.T, res *Results) []byte {
 
 // TestLearnedDeterminismAcrossWorkersAndModes is the satellite
 // determinism requirement: the cross-validated fit and figl1/figl2 are
-// byte-identical between repeat runs, between a 1-worker and a
-// GOMAXPROCS-worker run, and between shared-trace and independent-runs
-// mode.
+// byte-identical between repeat runs and between a 1-worker and a
+// GOMAXPROCS-worker run. (The serial-run oracle in internal/core checks
+// the collection against per-config runs.)
 func TestLearnedDeterminismAcrossWorkersAndModes(t *testing.T) {
-	ref, err := Run(learnedConfig(1, false))
+	ref, err := Run(learnedConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +70,8 @@ func TestLearnedDeterminismAcrossWorkersAndModes(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"repeat run", learnedConfig(1, false)},
-		{"maxprocs workers", learnedConfig(runtime.GOMAXPROCS(0), false)},
-		{"independent runs", learnedConfig(runtime.GOMAXPROCS(0), true)},
+		{"repeat run", learnedConfig(1)},
+		{"maxprocs workers", learnedConfig(runtime.GOMAXPROCS(0))},
 	} {
 		got, err := Run(alt.cfg)
 		if err != nil {
@@ -89,7 +87,7 @@ func TestLearnedDeterminismAcrossWorkersAndModes(t *testing.T) {
 // level: over the full suite, the leave-one-benchmark-out mispredict
 // rate must be strictly better than the always-taken baseline.
 func TestLearnedHeldOutBeatsAlwaysTaken(t *testing.T) {
-	res, err := Run(learnedConfig(0, false))
+	res, err := Run(learnedConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,13 @@ import (
 )
 
 // runDeterminism executes a reduced study with the given knobs.
-func runDeterminism(t *testing.T, parallelism int, independent bool) *Results {
+func runDeterminism(t *testing.T, parallelism int) *Results {
 	t.Helper()
 	res, err := Run(Config{
-		Scale:           0.001,
-		Thresholds:      []float64{1, 100, 1e3, 1e5},
-		Benchmarks:      []*spec.Benchmark{spec.ByName("gzip"), spec.ByName("mesa"), spec.ByName("vpr")},
-		Parallelism:     parallelism,
-		IndependentRuns: independent,
+		Scale:       0.001,
+		Thresholds:  []float64{1, 100, 1e3, 1e5},
+		Benchmarks:  []*spec.Benchmark{spec.ByName("gzip"), spec.ByName("mesa"), spec.ByName("vpr")},
+		Parallelism: parallelism,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,17 +26,12 @@ func runDeterminism(t *testing.T, parallelism int, independent bool) *Results {
 
 // TestRunDeterministicAcrossParallelism: the run-level scheduler must
 // not change any result — every series is identical whatever the worker
-// count and whether INIP runs share the reference trace or execute
-// independently.
+// count.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	ref := runDeterminism(t, 1, false)
+	ref := runDeterminism(t, 1)
 	for _, parallelism := range []int{2, 8} {
-		for _, independent := range []bool{false, true} {
-			got := runDeterminism(t, parallelism, independent)
-			if !reflect.DeepEqual(got.Series, ref.Series) {
-				t.Fatalf("parallelism=%d independent=%v: series differ from serial shared-trace run",
-					parallelism, independent)
-			}
+		if got := runDeterminism(t, parallelism); !reflect.DeepEqual(got.Series, ref.Series) {
+			t.Fatalf("parallelism=%d: series differ from the 1-worker run", parallelism)
 		}
 	}
 }
@@ -70,7 +64,7 @@ func TestRunProgressLines(t *testing.T) {
 // TestRunReportsPerf: the perf summary must carry wall-clock and run
 // volume for the benchjson emitter.
 func TestRunReportsPerf(t *testing.T) {
-	res := runDeterminism(t, 2, false)
+	res := runDeterminism(t, 2)
 	p := res.Perf
 	if p.WallSeconds <= 0 || p.BlocksExecuted == 0 || p.BlocksPerSec <= 0 {
 		t.Fatalf("perf summary incomplete: %+v", p)

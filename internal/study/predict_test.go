@@ -15,24 +15,23 @@ import (
 // predictorConfig runs the full spec suite with every registered
 // predictor observing. One threshold suffices: predictor tallies are a
 // property of the reference trace, which no ladder shapes.
-func predictorConfig(parallelism int, independent bool) Config {
+func predictorConfig(parallelism int) Config {
 	return Config{
-		Scale:           0.001,
-		Thresholds:      []float64{100},
-		Parallelism:     parallelism,
-		IndependentRuns: independent,
-		Predictors:      predict.Names(),
+		Scale:       0.001,
+		Thresholds:  []float64{100},
+		Parallelism: parallelism,
+		Predictors:  predict.Names(),
 	}
 }
 
 // TestPredictorDeterminismAcrossWorkersAndModes is the satellite
 // determinism requirement: per-predictor mispredict counts over the
 // full spec suite are identical between a 1-worker and a
-// GOMAXPROCS-worker run, and between shared-trace and independent-runs
-// mode — the branch stream is the reference trace, which none of those
-// knobs shape.
+// GOMAXPROCS-worker run — the branch stream is the reference trace,
+// which the worker count does not shape. (The serial-run oracle in
+// internal/core checks the tallies against per-config runs.)
 func TestPredictorDeterminismAcrossWorkersAndModes(t *testing.T) {
-	ref, err := Run(predictorConfig(1, false))
+	ref, err := Run(predictorConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +48,7 @@ func TestPredictorDeterminismAcrossWorkersAndModes(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"maxprocs workers", predictorConfig(runtime.GOMAXPROCS(0), false)},
-		{"independent runs", predictorConfig(runtime.GOMAXPROCS(0), true)},
+		{"maxprocs workers", predictorConfig(runtime.GOMAXPROCS(0))},
 	} {
 		got, err := Run(alt.cfg)
 		if err != nil {

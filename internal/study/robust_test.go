@@ -3,6 +3,7 @@ package study
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -223,7 +224,6 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 		{"scale", func(c *Config) { c.Scale = 0.002 }, "scale"},
 		{"ladder", func(c *Config) { c.Thresholds = []float64{1, 100} }, "ladder"},
 		{"benchmarks", func(c *Config) { c.Benchmarks = c.Benchmarks[:1] }, "benchmarks"},
-		{"runmode", func(c *Config) { c.IndependentRuns = true }, "independent_runs"},
 	}
 	for _, tc := range cases {
 		cfg := robustConfig("gzip", "swim")
@@ -245,6 +245,33 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 	cfg.Resume = true
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("corrupted checkpoint accepted")
+	}
+}
+
+// TestResumeRejectsVersionOneCheckpoint: a checkpoint written before
+// the header lost independent_runs must fail closed, with an error that
+// names both versions — not the strict decoder's complaint about the
+// field it no longer knows.
+func TestResumeRejectsVersionOneCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "state.jsonl")
+	v1 := `{"version":1,"scale":0.001,"paper_t":[1,100,1000,1000000],"independent_runs":false,"benchmarks":["gzip","swim"]}` + "\n"
+	if err := os.WriteFile(ckpt, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := robustConfig("gzip", "swim")
+	cfg.Checkpoint = ckpt
+	cfg.Resume = true
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("version-1 checkpoint accepted")
+	}
+	for _, want := range []string{"version 1", fmt.Sprintf("version %d", checkpointVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want mention of %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("err = %v, want the version mismatch, not a decode error", err)
 	}
 }
 

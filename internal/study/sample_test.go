@@ -16,18 +16,17 @@ import (
 // samplingConfig is the small fixed configuration the sampling
 // determinism tests run: two benchmarks (one INT, one FP) over a short
 // accuracy ladder with the given sampled-profiling periods.
-func samplingConfig(parallelism int, independent bool, periods []uint64) Config {
+func samplingConfig(parallelism int, periods []uint64) Config {
 	var benches []*spec.Benchmark
 	for _, n := range []string{"gzip", "swim"} {
 		benches = append(benches, spec.ByName(n))
 	}
 	return Config{
-		Scale:           0.001,
-		Thresholds:      []float64{100, 1e3},
-		Benchmarks:      benches,
-		Parallelism:     parallelism,
-		IndependentRuns: independent,
-		SamplePeriods:   periods,
+		Scale:         0.001,
+		Thresholds:    []float64{100, 1e3},
+		Benchmarks:    benches,
+		Parallelism:   parallelism,
+		SamplePeriods: periods,
 	}
 }
 
@@ -102,13 +101,14 @@ func TestSamplingDoesNotPerturbStudyResults(t *testing.T) {
 
 // TestSamplingDeterminismAcrossWorkersAndModes is the satellite
 // determinism requirement at the study level: the same periods produce
-// byte-identical figs1/figs2 across repeat runs, worker counts, and the
-// shared-trace vs independent-runs execution modes — the sampling
-// stride depends only on each engine's own block-event count, which
-// none of those knobs shape.
+// byte-identical figs1/figs2 across repeat runs, worker counts and
+// follower counts — the sampling stride depends only on each engine's
+// own block-event count, which none of those knobs shape. (The
+// serial-run oracle in internal/core checks the sampled ladders against
+// per-config runs.)
 func TestSamplingDeterminismAcrossWorkersAndModes(t *testing.T) {
 	periods := []uint64{1, 4, 16}
-	ref, err := Run(samplingConfig(1, false, periods))
+	ref, err := Run(samplingConfig(1, periods))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +117,8 @@ func TestSamplingDeterminismAcrossWorkersAndModes(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"repeat run", samplingConfig(1, false, periods)},
-		{"maxprocs workers", samplingConfig(runtime.GOMAXPROCS(0), false, periods)},
-		{"independent runs", samplingConfig(runtime.GOMAXPROCS(0), true, periods)},
+		{"repeat run", samplingConfig(1, periods)},
+		{"maxprocs workers", samplingConfig(runtime.GOMAXPROCS(0), periods)},
 	} {
 		got, err := Run(alt.cfg)
 		if err != nil {
@@ -135,12 +134,11 @@ func TestSamplingDeterminismAcrossWorkersAndModes(t *testing.T) {
 		}
 	}
 
-	// Follower-count variation: in shared-trace mode every period adds
-	// followers to the one reference execution, so running period 4
+	// Follower-count variation: every period adds followers to the one reference execution, so running period 4
 	// alone and running it inside a larger ladder are different
 	// follower counts over the same trace. The period's results must
 	// not notice.
-	alone, err := Run(samplingConfig(runtime.GOMAXPROCS(0), false, []uint64{4}))
+	alone, err := Run(samplingConfig(runtime.GOMAXPROCS(0), []uint64{4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +154,7 @@ func TestSamplingDeterminismAcrossWorkersAndModes(t *testing.T) {
 // the exact summary, profiling-op count and model cycles of the
 // full-instrumentation rung it shadows.
 func TestSamplePeriodOneEqualsFull(t *testing.T) {
-	cfg := samplingConfig(0, false, []uint64{1, 16})
+	cfg := samplingConfig(0, []uint64{1, 16})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +194,7 @@ func TestSamplePeriodOneEqualsFull(t *testing.T) {
 // study.Perf: sampled units report their sampled (not raw) counter
 // updates, and every derived rate is finite at the period boundaries.
 func TestSampledPerfCounters(t *testing.T) {
-	res, err := Run(samplingConfig(0, false, []uint64{1, 16}))
+	res, err := Run(samplingConfig(0, []uint64{1, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +281,7 @@ func TestGoldenSamplingFigures(t *testing.T) {
 func TestSamplingCacheWarmRerun(t *testing.T) {
 	dir := t.TempDir()
 	withCache := func(periods []uint64) Config {
-		cfg := samplingConfig(0, false, periods)
+		cfg := samplingConfig(0, periods)
 		store, err := resultcache.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -356,14 +354,14 @@ func TestSamplingCacheWarmRerun(t *testing.T) {
 // silently drop or fabricate sampled figures.
 func TestSamplingCheckpointCompatibility(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	cfg := samplingConfig(0, false, []uint64{1, 16})
+	cfg := samplingConfig(0, []uint64{1, 16})
 	cfg.Checkpoint = path
 	first, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	resumeCfg := samplingConfig(0, false, []uint64{1, 16})
+	resumeCfg := samplingConfig(0, []uint64{1, 16})
 	resumeCfg.Checkpoint = path
 	resumeCfg.Resume = true
 	resumed, err := Run(resumeCfg)
@@ -380,7 +378,7 @@ func TestSamplingCheckpointCompatibility(t *testing.T) {
 		t.Fatal("figs1/figs2 are not byte-identical across kill-and-resume")
 	}
 
-	mismatch := samplingConfig(0, false, []uint64{4})
+	mismatch := samplingConfig(0, []uint64{4})
 	mismatch.Checkpoint = path
 	mismatch.Resume = true
 	if _, err := Run(mismatch); err == nil {

@@ -65,11 +65,6 @@ type Config struct {
 	// benchmark. Write failures do not stop the study; they are counted
 	// in Perf.ProgressWriteErrors.
 	Progress io.Writer
-	// IndependentRuns disables the shared-trace reference execution:
-	// every INIP(T) run executes the guest itself, as a cross-check
-	// (results are identical) and for machines with more cores than
-	// thresholds.
-	IndependentRuns bool
 	// Trace, when non-nil, receives one flight-recorder event per
 	// completed pipeline span (see internal/obs). Tracing never alters
 	// results: figure output is byte-identical with it on or off.
@@ -96,7 +91,7 @@ type Config struct {
 	Checkpoint string
 	// Resume loads Checkpoint before running and schedules only the
 	// benchmarks without a stored series. The checkpoint must match
-	// this config's scale, ladder, run mode and benchmark set.
+	// this config's scale, ladder, benchmark set and study axes.
 	Resume bool
 	// Cache, when non-nil, memoizes expensive unit outputs in an
 	// on-disk content-addressed store keyed by image hash, tape
@@ -120,9 +115,9 @@ type Config struct {
 	// SamplePeriods is the ladder of sampled-profiling periods to sweep
 	// (dbt.Config.SamplePeriod): each period reruns the whole threshold
 	// ladder with counters updated only every Nth block event, feeding
-	// the accuracy-vs-cost frontier figures (figs1/figs2). In the
-	// default shared-trace mode the sampled runs replay the reference
-	// trace, so each benchmark's guest still executes exactly once.
+	// the accuracy-vs-cost frontier figures (figs1/figs2). The sampled
+	// runs replay the reference trace, so each benchmark's guest still
+	// executes exactly once.
 	// Empty (the default) runs no sampled ladders and leaves every
 	// figure byte-identical. Periods of 1 exercise the sampling
 	// machinery but are full instrumentation by definition.
@@ -139,14 +134,6 @@ type Config struct {
 	// pinned in checkpoint headers — resuming under a different model
 	// config is refused.
 	Learned *learned.Config
-	// Executor, when non-nil, runs each benchmark unit through it
-	// instead of scheduling directly on the study's pool — the seam the
-	// distributed fleet plugs into (internal/fleet's coordinator is a
-	// UnitExecutor). A *core.LocalExecutor with a nil scheduler is
-	// bound to the study's own shared pool, which reproduces the
-	// default path's concurrency structure exactly and is pinned
-	// byte-identical by TestLocalExecutorEquivalence.
-	Executor core.UnitExecutor
 	// Stop, when non-nil, triggers a graceful drain when it is closed:
 	// in-flight guest runs are interrupted, completed series stay
 	// checkpointed, and Run returns the partial results with ErrStopped.
@@ -171,12 +158,6 @@ func (c *Config) defaults() {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 }
-
-// Normalize applies the configuration defaults in place without
-// running. Callers that lower the config into another form before Run
-// sees it — the fleet coordinator serializing unit specs — use it so
-// derived values match what Run will resolve.
-func (c *Config) Normalize() { c.defaults() }
 
 // ErrStopped re-exports the scheduler's cooperative-stop sentinel:
 // Run returns it (wrapped) together with the partial results when the
@@ -265,9 +246,8 @@ func EffectiveThreshold(paperT, scale float64) uint64 {
 }
 
 // EffectiveLadder sorts a paper-unit threshold ladder and converts it
-// to the effective values passed to the translator. Run and the fleet
-// worker both build their ladders here, so a distributed unit executes
-// with exactly the thresholds the in-process study would use.
+// to the effective values passed to the translator, exactly as Run
+// builds its ladder.
 func EffectiveLadder(paperT []float64, scale float64) (sorted []float64, effective []uint64) {
 	sorted = append([]float64(nil), paperT...)
 	sort.Float64s(sorted)
@@ -278,26 +258,23 @@ func EffectiveLadder(paperT []float64, scale float64) (sorted []float64, effecti
 	return sorted, effective
 }
 
-// UnitOptions builds the core.Options one benchmark unit of this study
-// runs with. It is the single place study configuration is lowered to
-// unit configuration — shared by Run and the fleet worker so that a
-// unit executed on a remote worker is bit-exact with the local path.
-func (c *Config) UnitOptions(thresholds []uint64, timing *core.Timing) core.Options {
+// unitOptions lowers the study configuration to the core.Options every
+// benchmark of the study runs with.
+func (c *Config) unitOptions(thresholds []uint64, timing *core.Timing) core.Options {
 	return core.Options{
-		Thresholds:      thresholds,
-		PoolTrigger:     c.PoolTrigger,
-		Perf:            true,
-		IndependentRuns: c.IndependentRuns,
-		Timing:          timing,
-		Trace:           c.Trace,
-		Faults:          c.Faults,
-		MaxAttempts:     c.MaxAttempts,
-		RetryBackoff:    c.RetryBackoff,
-		Cache:           c.Cache,
-		CacheVerify:     c.CacheVerify,
-		Predictors:      c.Predictors,
-		SamplePeriods:   c.SamplePeriods,
-		Learned:         c.Learned,
+		Thresholds:    thresholds,
+		PoolTrigger:   c.PoolTrigger,
+		Perf:          true,
+		Timing:        timing,
+		Trace:         c.Trace,
+		Faults:        c.Faults,
+		MaxAttempts:   c.MaxAttempts,
+		RetryBackoff:  c.RetryBackoff,
+		Cache:         c.Cache,
+		CacheVerify:   c.CacheVerify,
+		Predictors:    c.Predictors,
+		SamplePeriods: c.SamplePeriods,
+		Learned:       c.Learned,
 		// Scale is the one study parameter that shapes results
 		// without being visible in image, tape or engine config
 		// (it clamps the effective ladder), so it anchors the key
@@ -341,12 +318,10 @@ type BenchmarkSeries struct {
 	Learned *learned.BenchData `json:",omitempty"`
 }
 
-// SeriesFromResult converts one benchmark's completed unit result into
+// seriesFromResult converts one benchmark's completed unit result into
 // its study series, sorting absorbed failures into their deterministic
-// order. Run's completion callback and the fleet worker share this
-// conversion, so a series that crossed the wire is byte-identical to
-// one recorded in-process.
-func SeriesFromResult(b *spec.Benchmark, out *core.BenchmarkResult) BenchmarkSeries {
+// order.
+func seriesFromResult(b *spec.Benchmark, out *core.BenchmarkResult) BenchmarkSeries {
 	sortFailures(out.Failures)
 	return BenchmarkSeries{
 		Name:         b.Name,
@@ -511,15 +486,6 @@ func Run(cfg Config) (*Results, error) {
 			progressErrs.Add(1)
 		}
 	}
-	// An executor-mode study routes each benchmark through the
-	// configured UnitExecutor instead of scheduling directly; a
-	// LocalExecutor with no pool of its own is bound to this study's
-	// shared scheduler, making the two paths structurally identical.
-	executor := cfg.Executor
-	if le, ok := executor.(*core.LocalExecutor); ok && le.S == nil {
-		executor = &core.LocalExecutor{S: sched}
-	}
-	var execWG sync.WaitGroup
 	var completions atomic.Int64
 	for i, b := range cfg.Benchmarks {
 		i, b := i, b
@@ -529,9 +495,9 @@ func Run(cfg Config) (*Results, error) {
 			progress(fmt.Sprintf("skip %-8s (%s): restored from checkpoint\n", b.Name, b.Class))
 			continue
 		}
-		opts := cfg.UnitOptions(thresholds, &timing)
-		record := func(out *core.BenchmarkResult) {
-			res.Series[i] = SeriesFromResult(b, out)
+		opts := cfg.unitOptions(thresholds, &timing)
+		core.ScheduleBenchmark(sched, b.Target(cfg.Scale), opts, func(out *core.BenchmarkResult) {
+			res.Series[i] = seriesFromResult(b, out)
 			if len(out.Failures) == 0 {
 				ckpt.commit(res.Series[i], cfg.Trace)
 				progress(fmt.Sprintf("done %-8s (%s): train Sd.BP=%.3f mismatch=%.1f%%\n",
@@ -543,29 +509,8 @@ func Run(cfg Config) (*Results, error) {
 			if n := cfg.StopAfter; n > 0 && completions.Add(1) == int64(n) {
 				sched.Stop()
 			}
-		}
-		if executor == nil {
-			core.ScheduleBenchmark(sched, b.Target(cfg.Scale), opts, record)
-			continue
-		}
-		execWG.Add(1)
-		go func() {
-			defer execWG.Done()
-			out, err := executor.ExecuteUnit(b.Target(cfg.Scale), opts, sched.Done())
-			if err != nil {
-				// A cancelled unit is the expected shape of a study
-				// stop or another unit's fail-fast error — not a new
-				// failure. Anything else cancels the pool (first
-				// error wins, like a direct unit failure).
-				if !errors.Is(err, core.ErrStopped) {
-					sched.Fail(fmt.Errorf("executor: %s: %w", b.Name, err))
-				}
-				return
-			}
-			record(out)
-		}()
+		})
 	}
-	execWG.Wait()
 	werr := sched.Wait()
 	if werr != nil && !errors.Is(werr, core.ErrStopped) {
 		return nil, fmt.Errorf("study: %w", werr)
