@@ -254,6 +254,9 @@ micro_base=$(sed -n 's/.*"exec_block_loop_heavy_blocks_per_sec": *\([0-9.]*\).*/
 study_base=$(sed -n 's/.*"study_race_scale001_blocks_per_sec": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
 go test -run='^$' -bench 'BenchmarkExecBlock|BenchmarkExecGeneric|BenchmarkRunMulti' \
     -benchtime=0.3s ./internal/dbt/ > "$tmpdir/bench.txt"
+# Predictor observers ride the same trace; one pass of their benchmark
+# keeps it building and running (no floor: BENCH_floor.json gates dbt).
+go test -run='^$' -bench 'BenchmarkSuiteRecord' -benchtime=1x ./internal/predict/ > /dev/null
 micro=$(awk '/^BenchmarkExecBlock\/loop_heavy/ {
     for (i = 2; i <= NF; i++) if ($i == "blocks/s") print $(i - 1) }' "$tmpdir/bench.txt")
 awk -v got="$micro" -v base="$micro_base" -v frac="$frac" 'BEGIN {

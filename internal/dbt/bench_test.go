@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/interp"
+	"repro/internal/perfmodel"
 )
 
 // Hot-loop microbenchmarks: the block dispatch paths (arena fast path
@@ -125,17 +126,26 @@ func BenchmarkExecGeneric(b *testing.B) {
 
 // benchRunMulti measures shared-trace throughput with one driver plus
 // followers at a ladder of thresholds, the study's actual execution
-// shape. Reported blocks/s sums over every profiling context advanced
-// (driver + followers), matching how the study's Perf aggregates.
-func benchRunMulti(b *testing.B, img *guest.Image, followers int) {
+// shape: every config carries a perf accumulator, as the study's do, and
+// each follower i samples at periods[i % len(periods)] (nil: full
+// instrumentation). Reported blocks/s sums over every profiling context
+// advanced (driver + followers), matching how the study's Perf
+// aggregates.
+func benchRunMulti(b *testing.B, img *guest.Image, followers int, periods []uint64) {
 	b.ReportAllocs()
 	cfgs := make([]Config, 1+followers)
 	cfgs[0] = Config{Optimize: false} // AVEP driver
 	for i := 1; i < len(cfgs); i++ {
 		cfgs[i] = Config{Optimize: true, Threshold: uint64(64 << (uint(i-1) % 8))}
+		if len(periods) > 0 {
+			cfgs[i].SamplePeriod = periods[(i-1)%len(periods)]
+		}
 	}
 	var blocks uint64
 	for i := 0; i < b.N; i++ {
+		for j := range cfgs {
+			cfgs[j].Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
+		}
 		_, statss, err := RunMulti(img, interp.NewUniformTape("bench/ref"), cfgs)
 		if err != nil {
 			b.Fatal(err)
@@ -147,17 +157,20 @@ func benchRunMulti(b *testing.B, img *guest.Image, followers int) {
 	b.ReportMetric(float64(blocks)/b.Elapsed().Seconds(), "blocks/s")
 }
 
-// BenchmarkRunMulti measures batched follower replay at the follower
-// counts the ISSUE tracks: 1, 4 and 16 profiling contexts behind one
-// driver, for both guest shapes.
+// BenchmarkRunMulti measures batched follower replay at 1, 4 and 16
+// profiling contexts behind one driver, for both guest shapes, plus a
+// sampled ladder: 8 followers alternating sample periods 4 and 16.
 func BenchmarkRunMulti(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		n := n
 		b.Run("loop_heavy/followers_"+itoa(int32(n)), func(b *testing.B) {
-			benchRunMulti(b, buildLoopHeavy(b, 50_000), n)
+			benchRunMulti(b, buildLoopHeavy(b, 50_000), n, nil)
 		})
 		b.Run("branch_heavy/followers_"+itoa(int32(n)), func(b *testing.B) {
-			benchRunMulti(b, buildBranchHeavy(b, 25_000), n)
+			benchRunMulti(b, buildBranchHeavy(b, 25_000), n, nil)
 		})
 	}
+	b.Run("sampled/followers_8", func(b *testing.B) {
+		benchRunMulti(b, buildBranchHeavy(b, 25_000), 8, []uint64{4, 16})
+	})
 }

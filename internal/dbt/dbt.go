@@ -151,8 +151,8 @@ type Config struct {
 const convergeCheckEvery = 32
 
 // tblock is a translated block in the code cache. Field order is
-// deliberate: everything postExec touches per dynamic execution sits at
-// the front so the per-block working set is one or two cache lines;
+// deliberate: everything the run loops touch per dynamic execution sits
+// at the front so the per-block working set is one or two cache lines;
 // translate-time and snapshot-only fields trail. The lowered execution
 // records themselves live off-struct, in the engine's arena and flat
 // block table (see lower.go), indexed by id.
@@ -169,7 +169,8 @@ type tblock struct {
 	// code-cache lookup. Entries are validated against the actual next
 	// pc before use (indirect terminators can change targets) and cache
 	// pointers stay valid for the engine's lifetime: translated blocks
-	// are never replaced, only their counters change.
+	// are never replaced, only their counters change. Only executing
+	// engines chain; shared-trace followers leave these nil.
 	takenBlk *tblock
 	fallBlk  *tblock
 	// itab is the per-block indirect-target table (jr/ret terminators
@@ -189,12 +190,13 @@ type tblock struct {
 	// touch the cold slice header.
 	ninsts uint32
 	// id is the block's row in the engine's flat block table (and the
-	// owner of its arena span); dense in translation order.
+	// owner of its arena span), assigned when the block is lowered.
 	id        int32
 	hasBranch bool
 	frozen    bool
 	// lowered is false for blocks the lowerer declined, which then run
-	// through the generic interp.Exec path.
+	// through the generic interp.Exec path. Followers, which build no
+	// lowered code, set it from the same lowerable predicate.
 	lowered bool
 	// indirect marks jr/ret terminators: the successor is data-driven,
 	// so chaining maintains itab instead of a single edge pointer.
@@ -352,9 +354,9 @@ type Engine struct {
 	cache []*tblock
 	// arena is the engine's lowered-code arena: the bodies of all
 	// lowered blocks, contiguous in translation order. hot is the flat
-	// block table, one packed row per translated block (indexed by
+	// block table, one packed row per lowered block (indexed by
 	// tblock.id) holding the arena span and terminator record the fast
-	// path reads. See lower.go.
+	// path reads. See lower.go. Both stay empty on followers.
 	arena  []lop
 	hot    []hotrec
 	pool   []int
@@ -382,6 +384,13 @@ type Engine struct {
 	converge  bool
 	fastPath  bool
 	perf      *perfmodel.Accumulator
+
+	// follower marks a shared-trace follower (RunMulti): it never
+	// executes guest code, so it builds no lowered code and keeps no
+	// chain state. traceLookups counts the successor probes of the last
+	// fillBatch; the driver hands it to every follower (see drainBatch).
+	follower     bool
+	traceLookups uint64
 
 	// Sampled-profiling state (Config.SamplePeriod > 1; see sampling.go).
 	// samplePeriod caches the period, sampleGap is the countdown to the
@@ -526,9 +535,11 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 		pc++
 	}
 	tb.ninsts = uint32(len(tb.insts))
-	tb.id = int32(len(e.hot))
-	e.hot = append(e.hot, hotrec{})
-	tb.lowered = e.lower(tb)
+	if e.follower {
+		tb.lowered = lowerable(tb)
+	} else {
+		tb.lowered = e.lower(tb)
+	}
 	tb.nextRegister = e.regThreshold
 	e.cache[addr] = tb
 	e.stats.BlocksTranslated++
@@ -641,38 +652,6 @@ func (e *Engine) optimizeWave() {
 	}
 }
 
-// trackRegion advances the region execution cursor given that the block
-// at tb was just executed and control moves to nextPC (takenEdge tells
-// which terminator edge fired). It also feeds the perf model's side-exit
-// accounting.
-func (e *Engine) trackRegion(tb *tblock, takenEdge bool) {
-	if e.curRegion != nil {
-		node := e.curNode
-		if node == nil || node.addr != tb.addr {
-			// The cursor went stale (should not happen); treat as exit.
-			e.leaveRegion(false)
-			return
-		}
-		var next *rtNode
-		if takenEdge {
-			next = node.taken
-		} else {
-			next = node.fall
-		}
-		switch {
-		case next == nil:
-			completed := e.curRegion.r.Kind == profile.RegionTrace && node == e.curRegion.last
-			e.leaveRegion(completed)
-		case next == e.curRegion.entry:
-			e.stats.RegionLoopBacks++
-			e.curRegion.loopBacks++
-			e.curNode = next
-		default:
-			e.curNode = next
-		}
-	}
-}
-
 // leaveRegion closes out the current region execution and, in adaptive
 // mode, dissolves regions whose side-exit rate shows the profile they
 // were built from no longer describes the program.
@@ -776,31 +755,6 @@ func (e *Engine) start() error {
 	return nil
 }
 
-// preExec accounts for the upcoming execution of the cursor block and
-// enforces the budget and interrupt checks, exactly where the serial
-// loop always performed them: before the block runs. The cold paths are
-// outlined so the check itself inlines into the run loops.
-func (e *Engine) preExec() error {
-	e.stats.BlocksExecuted++
-	if e.budget > 0 && e.stats.BlocksExecuted > e.budget {
-		return e.budgetExhausted()
-	}
-	if e.trapAfter > 0 && e.stats.BlocksExecuted >= e.trapAfter {
-		return e.trapped()
-	}
-	if e.stats.BlocksExecuted&interruptCheckMask == 0 {
-		// Checkpoints count on every engine — with or without an
-		// interrupt channel — so shared-trace followers (whose channel
-		// is stripped; the driver polls for them) report the same
-		// counter a serial run would.
-		e.stats.InterruptPolls++
-		if e.interrupt != nil {
-			return e.pollInterrupt()
-		}
-	}
-	return nil
-}
-
 //go:noinline
 func (e *Engine) budgetExhausted() error {
 	return fmt.Errorf("dbt: block execution budget %d exhausted", e.budget)
@@ -818,151 +772,6 @@ func (e *Engine) pollInterrupt() error {
 		return ErrInterrupted
 	default:
 	}
-	return nil
-}
-
-// postExec advances the profiling state machine past the cursor block,
-// given the architectural outcome of executing it (the next pc and the
-// halt flag). It performs everything a run does besides executing guest
-// instructions — counters, registration, optimization waves, perf
-// charges and region tracking — and moves the cursor to the successor
-// block. Because profiling never feeds back into guest execution, the
-// outcome may equally come from this engine's own execBlock or from a
-// different engine that executed the same trace (see RunMulti).
-//
-// drainBatch (multi.go) inlines this body together with preExec's into
-// the follower replay loop; any behavioural change here must be
-// mirrored there.
-func (e *Engine) postExec(nextPC int, halted bool) error {
-	tb := e.cur
-	e.stats.Instructions += uint64(tb.ninsts)
-	// Dispatch accounting mirrors the run loops' path choice. Followers
-	// never execute guest code themselves, but counting here — from the
-	// follower's own cache and config — keeps their statistics
-	// bit-identical to a serial run's.
-	if e.fastPath && tb.lowered {
-		e.stats.FastDispatches++
-	} else {
-		e.stats.GenericDispatches++
-	}
-
-	takenEdge := tb.hasBranch && nextPC == tb.takenTarget
-	if !tb.hasBranch {
-		takenEdge = true // unconditional transfers use the taken edge
-	}
-
-	// Sampling stride: the countdown ticks on every block event (frozen
-	// or not), so the sampled-event set depends only on the engine's own
-	// event count — the determinism contract of sampling.go.
-	sampledEvent := true
-	if e.samplePeriod > 1 {
-		e.sampleGap--
-		if e.sampleGap == 0 {
-			e.sampleGap = e.samplePeriod
-		} else {
-			sampledEvent = false
-		}
-	}
-
-	// Profiling phase instrumentation.
-	if !tb.frozen && sampledEvent {
-		tb.use++
-		e.profOps++
-		if tb.hasBranch && takenEdge {
-			tb.taken++
-			e.profOps++
-		}
-		if e.optimize {
-			// Fixed-threshold registration reduces to an equality
-			// test against the precomputed next multiple; the
-			// convergence heuristic keeps the full check.
-			var ready bool
-			if e.converge {
-				ready = e.shouldRegister(tb)
-			} else if tb.use == tb.nextRegister {
-				ready = true
-				tb.nextRegister += e.regThreshold
-			}
-			if ready {
-				if e.register(tb) {
-					e.optimizeWave()
-				}
-			}
-		}
-	}
-
-	// Resolve the successor block through the chained edge pointers —
-	// most-recent edge first, then the indirect-target table — falling
-	// back to the code-cache lookup (translation of a new block waits
-	// until after the region bookkeeping, matching the cache state the
-	// region-entry check always observed).
-	var next *tblock
-	if takenEdge {
-		if nb := tb.takenBlk; nb != nil && nb.addr == nextPC {
-			next = nb
-		}
-	} else if nb := tb.fallBlk; nb != nil && nb.addr == nextPC {
-		next = nb
-	}
-	if next == nil && tb.itab != nil {
-		if nb := tb.itab[nextPC&(indirectWays-1)]; nb != nil && nb.addr == nextPC {
-			next = nb
-			tb.takenBlk = nb // refresh the most-recent entry
-		}
-	}
-	if next == nil {
-		if next = e.lookup(nextPC); next != nil {
-			e.chain(tb, takenEdge, next)
-		}
-	}
-
-	// Perf accounting and region tracking. A frozen block executes
-	// at full optimized speed only when control is following one of
-	// its regions' expected paths (the cursor is on it); frozen
-	// code reached outside a region context was retranslated for a
-	// different path and gets no scheduling benefit.
-	if e.perf != nil {
-		switch {
-		case tb.frozen && e.curNode != nil && e.curNode.addr == tb.addr:
-			e.perf.ChargeOptimizedBlock(int(tb.costSum))
-		case tb.frozen:
-			e.perf.ChargeOffTraceBlock(int(tb.costSum))
-		case sampledEvent:
-			e.perf.ChargeQuickBlock(int(tb.costSum))
-		default:
-			// Unfrozen block on an unsampled event: quick-translated
-			// execution without the counter-update overhead — the cost
-			// saving sampling exists to buy.
-			e.perf.ChargeQuickBlockUnprofiled(int(tb.costSum))
-		}
-	}
-	if e.optimize {
-		if e.curRegion != nil {
-			e.trackRegion(tb, takenEdge)
-		}
-		// If control is about to arrive at a region entry while no
-		// region is active, open it.
-		if next != nil && e.curRegion == nil && next.regionEntry != nil {
-			e.curRegion = next.regionEntry
-			e.curRegion.entries++
-			e.curNode = next.regionEntry.entry
-			e.stats.RegionEntries++
-		}
-	}
-
-	if halted {
-		e.halted = true
-		return nil
-	}
-	if next == nil {
-		var err error
-		next, err = e.translate(nextPC)
-		if err != nil {
-			return err
-		}
-		e.chain(tb, takenEdge, next)
-	}
-	e.cur = next
 	return nil
 }
 
@@ -997,11 +806,10 @@ func (e *Engine) finish() (*profile.Snapshot, *RunStats, error) {
 }
 
 // Run executes the guest to completion and returns the profile snapshot
-// and run statistics. Execution goes through the same specialized
-// batched loop RunMulti's driver uses (fillBatch in multi.go): the
-// fast/generic path choice is per block inside it, and the recorded
-// outcomes are simply discarded. Bit-for-bit equivalent to the
-// per-block preExec / exec / postExec sequence.
+// and run statistics. Execution goes through the same batched loop
+// RunMulti's driver uses (fillBatch in multi.go): the fast/generic path
+// choice is per block inside it, and the recorded outcomes are simply
+// discarded.
 func (e *Engine) Run() (*profile.Snapshot, *RunStats, error) {
 	if err := e.start(); err != nil {
 		return nil, nil, err

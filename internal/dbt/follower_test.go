@@ -1,0 +1,214 @@
+package dbt
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/guest"
+	"repro/internal/interp"
+	"repro/internal/isa"
+	"repro/internal/perfmodel"
+)
+
+// Shared-trace followers do only profiling work: no lowered code, no
+// chain state, successors from the dense code cache and the trace-path
+// CacheLookups count from the driver. These tests pin that they still
+// report exactly a serial run's statistics.
+
+// buildCallHeavy returns a guest whose one leaf function returns to
+// four call sites, one of them reached only on a tape-driven branch, so
+// the leaf's ret resolves a data-driven successor that its chain's
+// single edge pointer keeps missing and its itab catches.
+func buildCallHeavy(tb testing.TB, iters int32) *guest.Image {
+	tb.Helper()
+	src := `
+.entry main
+main:
+	loadi r14, 0
+	loadi r6, 4096
+	loadi r10, ` + itoa(iters) + `
+loop:
+	call leaf
+	addi r1, r1, 1
+	call leaf
+	addi r2, r2, 1
+	call leaf
+	in r5
+	blt r5, r6, skip
+	call leaf
+skip:
+	addi r14, r14, 1
+	blt r14, r10, loop
+	halt
+leaf:
+	addi r4, r4, 1
+	ret
+`
+	img, err := guest.Assemble(src)
+	if err != nil {
+		tb.Fatalf("Assemble: %v", err)
+	}
+	return img
+}
+
+// withPerf gives every config a fresh perf accumulator, as the study's
+// configs carry one.
+func withPerf(cfgs []Config) []Config {
+	out := append([]Config(nil), cfgs...)
+	for i := range out {
+		out[i].Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
+	}
+	return out
+}
+
+// checkFollowersMatchSerial runs cfgs over one shared trace and requires
+// every engine's snapshot and statistics, CacheLookups included, to be
+// reflect.DeepEqual to a serial run of its config. It returns the
+// engines for case-specific checks.
+func checkFollowersMatchSerial(t *testing.T, img *guest.Image, seed string, cfgs []Config) []*Engine {
+	t.Helper()
+	engines, err := runEngines(img, interp.NewUniformTape(seed), withPerf(cfgs), nil)
+	if err != nil {
+		t.Fatalf("runEngines: %v", err)
+	}
+	for i, e := range engines {
+		gotSnap, gotStats, _ := e.finish()
+		wantSnap, wantStats, err := Run(img, interp.NewUniformTape(seed), withPerf(cfgs[i : i+1])[0])
+		if err != nil {
+			t.Fatalf("serial run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Errorf("config %d: stats differ from serial\n got: %+v\nwant: %+v", i, gotStats, wantStats)
+		}
+		snapEqual(t, "config "+itoa(int32(i)), gotSnap, wantSnap)
+	}
+	return engines
+}
+
+// TestFollowerStatsMatchSerialOptimizingDriver: the driver's own waves
+// probe the code cache, and those probes must not reach the followers'
+// CacheLookups — only the trace-path ones do.
+func TestFollowerStatsMatchSerialOptimizingDriver(t *testing.T) {
+	img := buildLooper(t, 3000, 1800)
+	engines := checkFollowersMatchSerial(t, img, "follow-opt", []Config{
+		{Input: "ref", Optimize: true, Threshold: 5, PoolTrigger: 2, RegisterTwice: true},
+		{Input: "ref", Optimize: false},
+		{Input: "ref", Optimize: true, Threshold: 200, RegisterTwice: true},
+	})
+	if engines[0].stats.OptimizationWaves == 0 {
+		t.Fatal("driver ran no optimization wave; the case does not test wave lookups")
+	}
+	if engines[0].stats.CacheLookups == engines[1].stats.CacheLookups {
+		t.Fatal("driver and AVEP follower report equal CacheLookups; the driver's wave probes are not exercised")
+	}
+}
+
+// TestFollowerStatsMatchSerialCallHeavy: a call-heavy guest whose driver
+// resolves returns through itab.
+func TestFollowerStatsMatchSerialCallHeavy(t *testing.T) {
+	img := buildCallHeavy(t, 3000)
+	engines := checkFollowersMatchSerial(t, img, "follow-call", []Config{
+		{Input: "ref", Optimize: false},
+		{Input: "ref", Optimize: true, Threshold: 10, RegisterTwice: true},
+		{Input: "ref", Optimize: true, Threshold: 100, RegisterTwice: true, Adaptive: true, AdaptiveMinEntries: 16},
+	})
+	itabs := 0
+	for _, tb := range engines[0].cache {
+		if tb != nil && tb.itab != nil {
+			itabs++
+		}
+	}
+	if itabs == 0 {
+		t.Fatal("driver built no itab; the case does not exercise indirect chaining")
+	}
+}
+
+// TestFollowerStatsMatchSerialSampledLadder: a ladder at full
+// instrumentation and at sample periods 4 and 16.
+func TestFollowerStatsMatchSerialSampledLadder(t *testing.T) {
+	img := buildBranchHeavy(t, 3000)
+	var cfgs []Config
+	cfgs = append(cfgs, Config{Input: "ref", Optimize: false})
+	for _, p := range []uint64{0, 4, 16} {
+		for _, th := range []uint64{8, 64, 512} {
+			cfgs = append(cfgs, Config{Input: "ref", Optimize: true, Threshold: th, RegisterTwice: true,
+				SamplePeriod: p, SampleSeed: 3})
+		}
+	}
+	checkFollowersMatchSerial(t, img, "follow-sampled", cfgs)
+}
+
+// TestFollowersKeepNoCodeOrChains: after a shared-trace run every
+// follower has an empty arena and block table and no chain state, and
+// every block's dispatch flag is the lowerable predicate's answer.
+func TestFollowersKeepNoCodeOrChains(t *testing.T) {
+	for _, img := range []*guest.Image{buildCallHeavy(t, 500), buildLooper(t, 500, 300)} {
+		cfgs := []Config{
+			{Input: "ref", Optimize: false},
+			{Input: "ref", Optimize: true, Threshold: 10, RegisterTwice: true},
+			{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true, SamplePeriod: 4},
+			{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true, DisableFastPath: true},
+		}
+		engines, err := runEngines(img, interp.NewUniformTape("follow-bare"), withPerf(cfgs), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(engines[0].arena) == 0 {
+			t.Fatal("driver built no lowered code")
+		}
+		for i, e := range engines[1:] {
+			if len(e.arena) != 0 || len(e.hot) != 0 {
+				t.Errorf("follower %d: arena %d ops, block table %d rows; want none", i+1, len(e.arena), len(e.hot))
+			}
+			for _, tb := range e.cache {
+				if tb == nil {
+					continue
+				}
+				if tb.takenBlk != nil || tb.fallBlk != nil || tb.itab != nil {
+					t.Errorf("follower %d: block %d keeps chain state", i+1, tb.addr)
+				}
+				if tb.lowered != lowerable(tb) {
+					t.Errorf("follower %d: block %d lowered=%v, lowerable=%v", i+1, tb.addr, tb.lowered, lowerable(tb))
+				}
+			}
+		}
+	}
+}
+
+// checkLowerableAgrees requires lowerable(tb) to equal what lower
+// returned (tb.lowered) for every block the engine translated.
+func checkLowerableAgrees(t *testing.T, e *Engine, label string) {
+	t.Helper()
+	for _, tb := range e.cache {
+		if tb != nil && lowerable(tb) != tb.lowered {
+			t.Fatalf("%s: block %d: lowerable=%v, lower=%v", label, tb.addr, lowerable(tb), tb.lowered)
+		}
+	}
+}
+
+// TestLowerableDeclinesWhatLowerDeclines: no decodable opcode lacks a
+// lowered form today, so a block with an unknown opcode stands in for a
+// future one: both must decline it, and lower must leave the arena and
+// block table untouched.
+func TestLowerableDeclinesWhatLowerDeclines(t *testing.T) {
+	e, err := New(buildLooper(t, 1, 1), interp.NewUniformTape("x"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, insts := range [][]isa.Inst{
+		{{Op: isa.Op(200)}, {Op: isa.OpHalt}},
+		{{Op: isa.OpNop}, {Op: isa.Op(200)}},
+	} {
+		tb := &tblock{insts: insts}
+		if lowerable(tb) || e.lower(tb) {
+			t.Fatalf("%v: lowerable=%v, lower accepted an unknown opcode", insts, lowerable(tb))
+		}
+		if len(e.arena) != 0 || len(e.hot) != 0 {
+			t.Fatalf("%v: declined lowering left %d arena ops, %d table rows", insts, len(e.arena), len(e.hot))
+		}
+	}
+	tb := &tblock{insts: []isa.Inst{{Op: isa.OpAddi, Rd: 1, Rs: 1, Imm: 2}, {Op: isa.OpHalt}}}
+	if !lowerable(tb) || !e.lower(tb) || len(e.arena) != 1 || len(e.hot) != 1 {
+		t.Fatalf("known block: lowerable=%v, arena %d, table %d", lowerable(tb), len(e.arena), len(e.hot))
+	}
+}

@@ -149,6 +149,8 @@ func checkExecPaths(t *testing.T, data []byte) {
 	}
 	fast, fastErr := runPath(t, img, false)
 	gen, genErr := runPath(t, img, true)
+	checkLowerableAgrees(t, fast, "fast path")
+	checkLowerableAgrees(t, gen, "generic path")
 
 	if fastErr != genErr {
 		t.Fatalf("fault mismatch:\nfast: %q\ngeneric: %q\nprogram:\n%s", fastErr, genErr, img.Disassemble())

@@ -17,7 +17,8 @@
 // translated (≈ consecutively executed) blocks are adjacent in memory.
 // Spans are {off,len} indexes, so arena growth (append reallocation)
 // never invalidates them, and translated blocks are never replaced, so
-// the arena only grows.
+// the arena only grows. Shared-trace followers never execute guest code,
+// so they build neither array (see lowerable).
 //
 // The fast path is required to be bit-for-bit equivalent to the
 // reference interpreter. Semantics are copied verbatim from interp.Exec,
@@ -172,28 +173,39 @@ func lowerTermKind(op isa.Op) (tkind, bool) {
 	return 0, false
 }
 
-// lower appends the block's body to the engine's lowered-op arena and
-// fills its row of the flat block table, reporting success. A block
-// that cannot be lowered (an opcode unknown to the lowerer) leaves the
-// arena untouched and its table row zeroed; it stays on the generic
-// interp.Exec path.
-func (e *Engine) lower(tb *tblock) bool {
-	term := tb.insts[len(tb.insts)-1]
-	tk, ok := lowerTermKind(term.Op)
-	if !ok {
+// lowerable reports whether every instruction of tb has a lowered
+// form. lower builds code exactly for these blocks, and shared-trace
+// followers, which build none, take their dispatch flag from it.
+func lowerable(tb *tblock) bool {
+	if _, ok := lowerTermKind(tb.insts[len(tb.insts)-1].Op); !ok {
 		return false
 	}
+	for _, in := range tb.insts[:len(tb.insts)-1] {
+		if _, ok := lowerBodyKind(in.Op); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// lower appends the block's body to the engine's lowered-op arena and
+// its row to the flat block table, reporting success. A block that
+// cannot be lowered (an opcode unknown to the lowerer) gets neither; it
+// stays on the generic interp.Exec path.
+func (e *Engine) lower(tb *tblock) bool {
+	if !lowerable(tb) {
+		return false
+	}
+	term := tb.insts[len(tb.insts)-1]
+	tk, _ := lowerTermKind(term.Op)
 	body := tb.insts[:len(tb.insts)-1]
 	start := len(e.arena)
 	for _, in := range body {
-		k, ok := lowerBodyKind(in.Op)
-		if !ok {
-			e.arena = e.arena[:start]
-			return false
-		}
+		k, _ := lowerBodyKind(in.Op)
 		e.arena = append(e.arena, lop{kind: k, rd: in.Rd, rs: in.Rs, rt: in.Rt, imm: in.Imm})
 	}
-	e.hot[tb.id] = hotrec{
+	tb.id = int32(len(e.hot))
+	e.hot = append(e.hot, hotrec{
 		off:   uint32(start),
 		n:     uint32(len(body)),
 		taken: int32(tb.takenTarget),
@@ -202,7 +214,7 @@ func (e *Engine) lower(tb *tblock) bool {
 		tkind: tk,
 		brs:   term.Rs,
 		brt:   term.Rt,
-	}
+	})
 	return true
 }
 

@@ -7,20 +7,22 @@
 // engines, so an AVEP run and a whole INIP(T) ladder cost one execution
 // plus N bookkeeping passes instead of N full runs.
 //
-// Each follower engine steps through exactly the code path a serial run
-// would (preExec, postExec), with its own code cache, counters, region
-// former and perf accumulator, so its snapshot, statistics and cycle
-// totals are bit-for-bit what a serial Run with the same Config would
-// have produced. Tests cross-validate this for every configuration
-// class.
+// Each follower engine keeps its own code cache, counters, region
+// former and perf accumulator and performs exactly the profiling a
+// serial run would, so its snapshot, statistics and cycle totals are
+// bit-for-bit what a serial Run with the same Config would have
+// produced. Tests cross-validate this for every configuration class.
+// A follower does only that profiling work: it executes no guest code,
+// so it builds no lowered code, and it resolves successors straight
+// from its dense code cache instead of chaining, taking the trace-path
+// CacheLookups count from the driver (see drainBatch).
 //
 // Replay is batched: the driver records (nextPC, halted) outcomes into
 // a fixed buffer of replayBatch entries, and each follower then drains
-// the whole batch in one tight specialized loop (drainBatch) that
-// reproduces the exact serial per-entry sequence (preExec, then
-// postExec), so nothing observable changes versus per-block
-// interleaving — counters, wave timing and interrupt-poll cadence are
-// all driven by each engine's own block count. What changes is locality: one follower's caches, counters and
+// the whole batch in one tight loop (drainBatch), so nothing observable
+// changes versus per-block interleaving — counters, wave timing and
+// interrupt-poll cadence are all driven by each engine's own block
+// count. What changes is locality: one follower's caches, counters and
 // region state stay hot across thousands of entries instead of 1+N
 // engines evicting each other every block. The only semantic skew is
 // error ordering across engines — the driver executes up to replayBatch
@@ -68,8 +70,24 @@ func RunMulti(img *guest.Image, tape interp.Tape, cfgs []Config) ([]*profile.Sna
 // the walk reads only recorded outcomes and static block properties, so
 // execution, profiling and statistics are untouched by it.
 func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []TraceObserver) ([]*profile.Snapshot, []*RunStats, error) {
+	engines, err := runEngines(img, tape, cfgs, observers)
+	if err != nil {
+		return nil, nil, err
+	}
+	snaps := make([]*profile.Snapshot, len(engines))
+	statss := make([]*RunStats, len(engines))
+	for i, e := range engines {
+		snaps[i], statss[i], _ = e.finish()
+	}
+	return snaps, statss, nil
+}
+
+// runEngines builds one engine per configuration, the first as driver
+// and the rest as followers, and runs them over the shared trace to the
+// guest's halt.
+func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []TraceObserver) ([]*Engine, error) {
 	if len(cfgs) == 0 {
-		return nil, nil, fmt.Errorf("dbt: RunMulti needs at least one config")
+		return nil, fmt.Errorf("dbt: RunMulti needs at least one config")
 	}
 	engines := make([]*Engine, len(cfgs))
 	for i, cfg := range cfgs {
@@ -84,14 +102,15 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 		}
 		e, err := New(img, tp, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		e.follower = i > 0
 		engines[i] = e
 	}
 	driver := engines[0]
 	for _, e := range engines {
 		if err := e.start(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	followers := engines[1:]
@@ -111,7 +130,7 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 		var err error
 		batch, done, err = driver.fillBatch(buf[:0])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(observers) > 0 {
 			events = appendBranchEvents(events[:0], driver, startPC, batch)
@@ -119,38 +138,35 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 				o.ObserveBranches(events)
 			}
 		}
-		// Drain it through each follower: per entry the exact serial
-		// accounting + bookkeeping sequence, over thousands of entries
-		// per engine switch.
+		// Drain it through each follower: per entry the serial run's
+		// profiling, over thousands of entries per engine switch.
 		for _, e := range followers {
-			if err := e.drainBatch(batch); err != nil {
-				return nil, nil, err
+			if err := e.drainBatch(batch, driver.traceLookups); err != nil {
+				return nil, err
 			}
 		}
 	}
-	snaps := make([]*profile.Snapshot, len(engines))
-	statss := make([]*RunStats, len(engines))
-	for i, e := range engines {
-		snaps[i], statss[i], _ = e.finish()
-	}
-	return snaps, statss, nil
+	return engines, nil
 }
 
 // fillBatch executes the guest until the appended outcome batch reaches
 // its capacity, the guest halts (done=true), or the engine stops with an
-// error. It is the execution twin of drainBatch: the per-block
-// preExec / exec / postExec sequence of the serial run loop, inlined so
-// the block count, poll tick, sum counters and the block/region cursors
-// live in registers across the batch and are written back once. Both
-// the serial Run loop and RunMulti's driver use it — the serial caller
-// just discards the recorded outcomes.
+// error. Per block it checks the budget, trap and interrupt, executes,
+// profiles, and resolves the successor through its chain; the block
+// count, poll tick, sum counters and the block/region cursors live in
+// registers across the batch and are written back once. Both the serial
+// Run loop and RunMulti's driver use it — the serial caller just
+// discards the recorded outcomes. traceLookups receives the batch's
+// successor probes: chaining depends only on the trace, so they are
+// exactly the probes any engine's serial run makes over these blocks.
 //
-// Any behavioural edit to preExec or postExec MUST be mirrored here and
-// in drainBatch; the serial-vs-follower equivalence tests and
-// FuzzExecPaths pin the contract bit-for-bit.
+// Its profiling (counters, registration, perf charges, region cursor)
+// MUST mirror drainBatch's, the follower loop that only profiles; the
+// serial-vs-follower equivalence tests and FuzzExecPaths pin the
+// contract bit-for-bit.
 func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 	count := e.stats.BlocksExecuted
-	var instr, fastN, genN, polls uint64
+	var instr, fastN, genN, polls, lookups uint64
 	budget, trapAfter, interrupt := e.budget, e.trapAfter, e.interrupt
 	fastPath, optimize, conv := e.fastPath, e.optimize, e.converge
 	samplePeriod, gap := e.samplePeriod, e.sampleGap
@@ -162,9 +178,9 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 	var retErr error
 
 	for len(batch) < cap(batch) {
-		// preExec, inlined: count first, budget before trap, poll tick
-		// before the channel read — erroring paths flush the count they
-		// already incremented but never reach the later checks.
+		// Count first, budget before trap, poll tick before the channel
+		// read — erroring paths flush the count they already incremented
+		// but never reach the later checks.
 		count++
 		if budget > 0 && count > budget {
 			kind = 1
@@ -200,7 +216,6 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 			break
 		}
 
-		// postExec, inlined (same body as drainBatch's replay loop).
 		instr += uint64(tb.ninsts)
 		if fastPath && tb.lowered {
 			fastN++
@@ -252,6 +267,7 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 			}
 		}
 		if next == nil {
+			lookups++
 			if next = e.lookup(nextPC); next != nil {
 				e.chain(tb, takenEdge, next)
 			}
@@ -331,6 +347,7 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 	e.stats.Instructions += instr
 	e.stats.FastDispatches += fastN
 	e.stats.GenericDispatches += genN
+	e.traceLookups = lookups
 	switch kind {
 	case 1:
 		return batch, false, e.budgetExhausted()
@@ -343,39 +360,28 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 }
 
 // drainBatch replays one recorded batch through a follower engine,
-// producing exactly the state the per-entry preExec/postExec sequence
-// would. It is the study's hottest loop — one call per follower per
-// 4096 blocks instead of two calls per follower per block — so the
-// serial code path is restructured, never changed:
+// performing exactly the profiling a serial run would over the same
+// blocks. It is the study's hottest loop — one call per follower per
+// 4096 blocks — so everything but the profiling is arithmetic or gone:
 //
 //   - budget/trap checks compare the block count against fixed values,
-//     so the first entry (if any) whose preExec would error is computed
-//     up front, in the serial order (count first, budget before trap);
+//     so the first entry (if any) at which a serial run would stop is
+//     computed up front, in the serial order (count first, budget before
+//     trap);
 //   - the interrupt-poll counter ticks on 4096-boundary crossings of
 //     the block count, so a batch's ticks are pure arithmetic (follower
-//     channels are stripped by RunMulti, so there is nothing to poll —
-//     an engine with a live channel takes the per-entry path instead);
+//     channels are stripped by RunMulti; the driver polls for them);
 //   - the pure-sum counters (instructions, dispatch split, block count)
-//     accumulate in locals flushed on every exit path, and the postExec
-//     state machine is inlined so engine-invariant fields stay in
-//     registers across the batch.
+//     accumulate in locals flushed on every exit path;
+//   - successors come from one load of the dense code cache at the
+//     recorded nextPC. A serial run's chain hit always names that same
+//     block (blocks are never replaced) and its miss is a lookup of it,
+//     so no chain state is kept; the run's probe count is the driver's,
+//     lookups, because chaining depends only on the trace.
 //
-// Any behavioural edit to preExec or postExec MUST be mirrored here;
-// the serial-vs-follower equivalence tests and FuzzExecPaths pin the
-// contract bit-for-bit.
-func (e *Engine) drainBatch(batch []outcome) error {
-	if e.interrupt != nil {
-		for _, o := range batch {
-			if err := e.preExec(); err != nil {
-				return err
-			}
-			if err := e.postExec(int(o.nextPC), o.halted); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+// Its profiling MUST mirror fillBatch's; the serial-vs-follower
+// equivalence tests and FuzzExecPaths pin the contract bit-for-bit.
+func (e *Engine) drainBatch(batch []outcome, lookups uint64) error {
 	start := e.stats.BlocksExecuted
 	n := uint64(len(batch))
 	stop, errKind := n, 0 // errKind: 0 clean, 1 budget, 2 trap
@@ -402,6 +408,7 @@ func (e *Engine) drainBatch(batch []outcome) error {
 	fastPath, optimize, conv := e.fastPath, e.optimize, e.converge
 	samplePeriod, gap := e.samplePeriod, e.sampleGap
 	perf := e.perf
+	cache := e.cache
 	cur := e.cur
 	// The region cursor also lives in locals across the batch: it is read
 	// on every entry (the perf charge class tests it) but leaves a region
@@ -420,8 +427,13 @@ func (e *Engine) drainBatch(batch []outcome) error {
 			genN++
 		}
 
+		// Unconditional transfers use the taken edge.
 		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
 
+		// Sampling stride: the countdown ticks on every block event
+		// (frozen or not), so the sampled-event set depends only on the
+		// engine's own event count — the determinism contract of
+		// sampling.go.
 		sampledEvent := true
 		if samplePeriod > 1 {
 			gap--
@@ -439,6 +451,9 @@ func (e *Engine) drainBatch(batch []outcome) error {
 				e.profOps++
 			}
 			if optimize {
+				// Fixed-threshold registration reduces to an equality
+				// test against the precomputed next multiple; the
+				// convergence heuristic keeps the full check.
 				var ready bool
 				if conv {
 					ready = e.shouldRegister(tb)
@@ -452,26 +467,20 @@ func (e *Engine) drainBatch(batch []outcome) error {
 			}
 		}
 
+		// A block missing from the cache is translated only after the
+		// region bookkeeping, matching the cache state the region-entry
+		// check always observed.
 		var next *tblock
-		if takenEdge {
-			if nb := tb.takenBlk; nb != nil && nb.addr == nextPC {
-				next = nb
-			}
-		} else if nb := tb.fallBlk; nb != nil && nb.addr == nextPC {
-			next = nb
-		}
-		if next == nil && tb.itab != nil {
-			if nb := tb.itab[nextPC&(indirectWays-1)]; nb != nil && nb.addr == nextPC {
-				next = nb
-				tb.takenBlk = nb
-			}
-		}
-		if next == nil {
-			if next = e.lookup(nextPC); next != nil {
-				e.chain(tb, takenEdge, next)
-			}
+		if uint(nextPC) < uint(len(cache)) {
+			next = cache[nextPC]
 		}
 
+		// A frozen block runs at full optimized speed only while control
+		// follows one of its regions' expected paths (the cursor is on
+		// it); frozen code reached outside a region context was
+		// retranslated for a different path and gets no scheduling
+		// benefit. An unfrozen block on an unsampled event runs without
+		// the counter-update overhead — the saving sampling buys.
 		if perf != nil {
 			switch {
 			case tb.frozen && curNode != nil && curNode.addr == tb.addr:
@@ -486,8 +495,8 @@ func (e *Engine) drainBatch(batch []outcome) error {
 		}
 		if optimize {
 			if rt := curRegion; rt != nil {
-				// trackRegion, inlined: advance the cursor along the
-				// fired edge; leaving the region is the cold path.
+				// Advance the region cursor along the fired edge;
+				// leaving the region is the cold path.
 				node := curNode
 				if node == nil || node.addr != tb.addr {
 					e.curRegion = rt
@@ -536,13 +545,14 @@ func (e *Engine) drainBatch(batch []outcome) error {
 				processed, retErr = i+1, err
 				break
 			}
-			e.chain(tb, takenEdge, next)
 		}
 		cur = next
 	}
-	// Flush: processed entries are the fully pre-counted blocks; an
-	// erroring preExec increments the block count afterwards but never
-	// reaches the poll tick, exactly like preExec's early returns.
+	// Flush: processed entries are the fully pre-counted blocks; a stop
+	// increments the block count afterwards but never reaches the poll
+	// tick, exactly like fillBatch's early breaks. The probe count is the
+	// whole batch's; a follower that stops inside it errors the run, whose
+	// results are discarded.
 	const period = uint64(interruptCheckMask + 1)
 	e.cur = cur
 	e.curRegion, e.curNode = curRegion, curNode
@@ -550,6 +560,7 @@ func (e *Engine) drainBatch(batch []outcome) error {
 	e.stats.Instructions += instr
 	e.stats.FastDispatches += fastN
 	e.stats.GenericDispatches += genN
+	e.stats.CacheLookups += lookups
 	e.stats.BlocksExecuted = start + processed
 	e.stats.InterruptPolls += (start+processed)/period - start/period
 	if retErr != nil {

@@ -1,12 +1,10 @@
 package dbt
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/perfmodel"
 	"repro/internal/profile"
 )
 
@@ -14,8 +12,8 @@ import (
 // RunMulti must replay faithfully: AVEP, a threshold ladder, freezing
 // off, register-twice off, adaptive dissolution, continuous trip counts
 // and convergence-based registration.
-func multiConfigs(perf bool) []Config {
-	cfgs := []Config{
+func multiConfigs() []Config {
+	return []Config{
 		{Input: "ref", Optimize: false},
 		{Input: "ref", Optimize: true, Threshold: 5, RegisterTwice: true},
 		{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true},
@@ -26,12 +24,6 @@ func multiConfigs(perf bool) []Config {
 		{Input: "ref", Optimize: true, Threshold: 25, RegisterTwice: true, ContinuousTripCount: true},
 		{Input: "ref", Optimize: true, Threshold: 500, RegisterTwice: true, ConvergeRegister: true},
 	}
-	if perf {
-		for i := range cfgs {
-			cfgs[i].Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
-		}
-	}
-	return cfgs
 }
 
 func snapEqual(t *testing.T, label string, got, want *profile.Snapshot) {
@@ -46,26 +38,7 @@ func snapEqual(t *testing.T, label string, got, want *profile.Snapshot) {
 // cycle totals of a serial run with the same configuration over an
 // identical tape.
 func TestRunMultiMatchesSerialRuns(t *testing.T) {
-	img := buildLooper(t, 4000, 2400)
-	cfgs := multiConfigs(true)
-
-	snaps, stats, err := RunMulti(img, interp.NewUniformTape("multi/ref"), cfgs)
-	if err != nil {
-		t.Fatalf("RunMulti: %v", err)
-	}
-	for i, cfg := range multiConfigs(true) {
-		wantSnap, wantStats, err := Run(img, interp.NewUniformTape("multi/ref"), cfg)
-		if err != nil {
-			t.Fatalf("serial run %d: %v", i, err)
-		}
-		snapEqual(t, cfg.Input, snaps[i], wantSnap)
-		if !reflect.DeepEqual(stats[i], wantStats) {
-			t.Errorf("config %d: stats differ\n got: %+v\nwant: %+v", i, stats[i], wantStats)
-		}
-		if math.Abs(stats[i].Cycles-wantStats.Cycles) != 0 {
-			t.Errorf("config %d: cycles %v != %v", i, stats[i].Cycles, wantStats.Cycles)
-		}
-	}
+	checkFollowersMatchSerial(t, buildLooper(t, 4000, 2400), "multi/ref", multiConfigs())
 }
 
 // TestRunMultiDriverPathsAgree cross-validates the two execution paths
@@ -73,11 +46,11 @@ func TestRunMultiMatchesSerialRuns(t *testing.T) {
 // must hand every follower the same outcomes.
 func TestRunMultiDriverPathsAgree(t *testing.T) {
 	img := buildLooper(t, 2000, 4000)
-	fastSnaps, _, err := RunMulti(img, interp.NewUniformTape("multi/x"), multiConfigs(false))
+	fastSnaps, _, err := RunMulti(img, interp.NewUniformTape("multi/x"), multiConfigs())
 	if err != nil {
 		t.Fatalf("fast RunMulti: %v", err)
 	}
-	slowCfgs := multiConfigs(false)
+	slowCfgs := multiConfigs()
 	slowCfgs[0].DisableFastPath = true
 	slowSnaps, _, err := RunMulti(img, interp.NewUniformTape("multi/x"), slowCfgs)
 	if err != nil {

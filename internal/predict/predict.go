@@ -273,6 +273,13 @@ const (
 type perceptron struct {
 	hist    uint32 // low percHistBits bits, newest outcome in bit 0
 	weights [percRows][percHistBits + 1]int16
+	// Predict caches its dot product for the Update of the same branch,
+	// so each branch computes it once. sumOK is cleared by every Update,
+	// which changes weights or history; an Update of another pc, or with
+	// no Predict before it, recomputes.
+	sumPC int32
+	sum   int32
+	sumOK bool
 }
 
 func newPerceptron() *perceptron { return &perceptron{} }
@@ -280,30 +287,31 @@ func newPerceptron() *perceptron { return &perceptron{} }
 func (p *perceptron) Name() string { return "perceptron" }
 
 // output computes the dot product for pc under the current history.
+// Each ±w term is (w ^ m) - m with m = 0 for a set history bit and -1
+// for a clear one, which is w or -w without a data-dependent branch.
 func (p *perceptron) output(pc int32) int32 {
 	w := &p.weights[int(uint32(pc))&percRowMask]
 	sum := int32(w[0])
 	h := p.hist
 	for i := 1; i <= percHistBits; i++ {
-		if h&1 != 0 {
-			sum += int32(w[i])
-		} else {
-			sum -= int32(w[i])
-		}
+		m := int32(h&1) - 1
+		sum += (int32(w[i]) ^ m) - m
 		h >>= 1
 	}
 	return sum
 }
 
 func (p *perceptron) Predict(pc int32) bool {
-	return p.output(pc) >= 0
+	p.sumPC, p.sum, p.sumOK = pc, p.output(pc), true
+	return p.sum >= 0
 }
 
 func (p *perceptron) Update(pc int32, taken bool) {
-	// Predict and Update bracket one branch with no state change in
-	// between, so recomputing the dot product here sees exactly the
-	// value Predict used.
-	sum := p.output(pc)
+	sum := p.sum
+	if !p.sumOK || p.sumPC != pc {
+		sum = p.output(pc)
+	}
+	p.sumOK = false
 	pred := sum >= 0
 	// Train on a mispredict or while |output| has not cleared theta.
 	// The comparison is inclusive — |output| == theta still trains —
