@@ -226,15 +226,16 @@ if [ -n "$leftovers" ]; then
 fi
 
 echo "== coverage floors =="
-# Statement-coverage floors for the two packages the sampling test net
-# leans on hardest: comfortably below the measured values (79%/90% at
-# the time the floors were set) so flaky skips cannot trip them, high
-# enough that deleting a test suite does.
-go test -cover ./internal/dbt/ ./internal/study/ > "$tmpdir/cover.txt"
+# Statement-coverage floors for the packages the sampling and caching
+# test nets lean on hardest: comfortably below the measured values
+# (dbt 79%, study 90%, core 88% at the time the floors were set) so
+# flaky skips cannot trip them, high enough that deleting a test suite
+# does.
+go test -cover ./internal/dbt/ ./internal/study/ ./internal/core/ > "$tmpdir/cover.txt"
 awk '{
     for (i = 1; i <= NF; i++) if ($i == "coverage:") {
         split($(i + 1), a, "%"); cov = a[1] + 0
-        floor = ($2 ~ /internal\/dbt$/) ? 75 : 85
+        floor = ($2 ~ /internal\/dbt$/) ? 75 : ($2 ~ /internal\/core$/) ? 78 : 85
         if (cov < floor) {
             printf "%s coverage %.1f%% below floor %d%%\n", $2, cov, floor > "/dev/stderr"
             exit 1

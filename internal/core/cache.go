@@ -17,19 +17,28 @@ import (
 )
 
 // This file threads the result cache (internal/resultcache) through the
-// unit pipeline. The contract with the scheduler in core.go:
+// unit pipeline. Every cached unit output — the seven entry kinds ref,
+// run, cmp, traincmp, bp, ls and sp — goes through one slot (below):
 //
 //   - lookup happens before a unit's expensive body runs; a validated
-//     hit replays the unit's outputs without executing any guest block
-//     (addRunStats is never called on a warm path, so the study's
-//     BlocksExecuted stays at zero for fully cached benchmarks);
-//   - store happens only on the unit's clean completion path. Failed,
-//     interrupted or faulted runs never reach a Put, so the cache can
-//     only ever hold results the uncached pipeline would have reported;
+//     hit outside verify mode is warm and replays the unit's outputs
+//     without executing any guest block (addRunStats is never called on
+//     a warm path, so the study's BlocksExecuted stays at zero for fully
+//     cached benchmarks);
+//   - settle happens only on the unit's clean completion path: a miss
+//     stores the computed value, a hit (verify mode, or a cold reference
+//     run forced by another entry's miss) checks it against the cached
+//     one. Failed, interrupted or faulted runs never reach a settle, so
+//     the cache can only ever hold results the uncached pipeline would
+//     have reported;
 //   - in verify mode (Options.CacheVerify) a hit does not short-circuit:
 //     the unit executes anyway and a divergence between the computed and
 //     cached values is a hard unit error — the differential self-check
-//     of both the cache and the engine's determinism.
+//     of both the cache and the engine's determinism;
+//   - a unit settles every slot before it spawns a dependent unit, so a
+//     settle failure fails the unit while it still owns every work item
+//     it would have handed on, and the failure policy retires each of
+//     them exactly once.
 //
 // What is never cached: benchmarks with an armed fault plan (their runs
 // are deliberately perturbed), targets without a TapeID (the input
@@ -122,26 +131,60 @@ func (b *benchRun) cacheKey(kind, imgHash, tape, engine string, t uint64) result
 	}
 }
 
-// cacheLookup consults the store and emits the matching flight-recorder
-// event, so traces show where warm runs got their data.
-func (b *benchRun) cacheLookup(k resultcache.Key, v any, worker int) bool {
-	start := time.Now()
-	hit := b.opts.Cache.Lookup(k, v)
-	unit := obs.UnitCacheMiss
-	if hit {
-		unit = obs.UnitCacheHit
-	}
-	b.opts.Trace.Record(b.t.Name, unit, k.T, worker, start, time.Since(start), 0, nil)
-	return hit
+// slot is one cache entry a unit body consults: looked up before the
+// body runs, settled with the computed value after. A slot that is off
+// (cache unusable, or the entry's axis not requested) never hits and
+// settles nothing.
+type slot[E any] struct {
+	b      *benchRun
+	key    resultcache.Key
+	on     bool
+	hit    bool // a stored entry decoded and passed its validator
+	cached E
 }
 
-// cacheStore publishes one clean unit output. A failed write is traced
-// and counted by the store but never fails the unit — the computed
-// result is correct either way, only its reuse is lost.
-func (b *benchRun) cacheStore(k resultcache.Key, v any, worker int) {
+// lookupSlot consults the store for one entry when on is set. keyFn is
+// only called then, so an uncached run never pays for key building;
+// valid, when non-nil, sanity-checks the decoded entry (a failure is a
+// miss). The lookup emits a flight-recorder event, so traces show where
+// warm runs got their data.
+func lookupSlot[E any](b *benchRun, on bool, keyFn func() resultcache.Key, valid func(*E) bool, worker int) slot[E] {
+	s := slot[E]{b: b, on: on}
+	if !on {
+		return s
+	}
+	s.key = keyFn()
 	start := time.Now()
-	err := b.opts.Cache.Put(k, v)
-	b.opts.Trace.Record(b.t.Name, obs.UnitCacheStore, k.T, worker, start, time.Since(start), 0, err)
+	s.hit = b.opts.Cache.Lookup(s.key, &s.cached)
+	unit := obs.UnitCacheMiss
+	if s.hit {
+		unit = obs.UnitCacheHit
+	}
+	b.opts.Trace.Record(b.t.Name, unit, s.key.T, worker, start, time.Since(start), 0, nil)
+	s.hit = s.hit && (valid == nil || valid(&s.cached))
+	return s
+}
+
+// warm reports whether the cached entry may be served as-is: a
+// validated hit outside verify mode.
+func (s *slot[E]) warm() bool { return s.hit && !s.b.opts.CacheVerify }
+
+// settle closes the slot with the unit's freshly computed value: stored
+// on a miss, checked against the entry on a hit (cacheVerify), nothing
+// when the slot is off. A failed write is traced and counted by the
+// store but never fails the unit — the computed result is correct
+// either way, only its reuse is lost.
+func (s *slot[E]) settle(computed E, worker int) error {
+	switch {
+	case !s.on:
+		return nil
+	case s.hit:
+		return s.b.cacheVerify(s.key, computed, s.cached)
+	}
+	start := time.Now()
+	err := s.b.opts.Cache.Put(s.key, computed)
+	s.b.opts.Trace.Record(s.b.t.Name, obs.UnitCacheStore, s.key.T, worker, start, time.Since(start), 0, err)
+	return nil
 }
 
 // cacheVerify compares a freshly computed unit output against the
@@ -165,18 +208,6 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 		return fmt.Errorf("core: cache verify: %s entry of %s (t=%d) diverges from recomputed result (entry %s)",
 			k.Kind, b.t.Name, k.T, k.Hash())
 	}
-	return nil
-}
-
-// cacheSettle is the shared tail of every caching unit body: on a miss
-// the computed value is stored; on a verify-mode hit the computed value
-// is checked against the cached one. (A non-verify hit never reaches
-// the computation, so it never reaches here either.)
-func (b *benchRun) cacheSettle(k resultcache.Key, hit bool, computed, cached any, worker int) error {
-	if hit {
-		return b.cacheVerify(k, computed, cached)
-	}
-	b.cacheStore(k, computed, worker)
 	return nil
 }
 
@@ -208,6 +239,12 @@ func refEntryMatches(ent *refEntry, cfgs []dbt.Config) bool {
 // the AVEP run and every distinct-threshold follower, so the engine
 // component joins all follower fingerprints in config order.
 func (b *benchRun) refCacheKey(imgHash string, cfgs []dbt.Config) resultcache.Key {
+	return b.cacheKey("ref", imgHash, b.t.TapeID("ref"), joinFingerprints(cfgs), 0)
+}
+
+// joinFingerprints is the engine component of a multi-run entry: every
+// config's fingerprint in config order, joined with '|'.
+func joinFingerprints(cfgs []dbt.Config) string {
 	engines := make([]byte, 0, 64*len(cfgs))
 	for i, cfg := range cfgs {
 		if i > 0 {
@@ -215,7 +252,7 @@ func (b *benchRun) refCacheKey(imgHash string, cfgs []dbt.Config) resultcache.Ke
 		}
 		engines = append(engines, cfg.Fingerprint()...)
 	}
-	return b.cacheKey("ref", imgHash, b.t.TapeID("ref"), string(engines), 0)
+	return string(engines)
 }
 
 // bpEntryMatches sanity-checks a decoded predictor entry against the
@@ -283,14 +320,7 @@ func spEntryMatches(ent *spEntry, period uint64, cfgs []dbt.Config) bool {
 // the joined engine component pins the whole bundle; T carries the
 // period to keep entries of one sweep distinguishable in traces.
 func (b *benchRun) spCacheKey(imgHash string, period uint64, cfgs []dbt.Config) resultcache.Key {
-	engines := make([]byte, 0, 64*len(cfgs))
-	for i, cfg := range cfgs {
-		if i > 0 {
-			engines = append(engines, '|')
-		}
-		engines = append(engines, cfg.Fingerprint()...)
-	}
-	return b.cacheKey("sp", imgHash, b.t.TapeID("ref"), string(engines), period)
+	return b.cacheKey("sp", imgHash, b.t.TapeID("ref"), joinFingerprints(cfgs), period)
 }
 
 // runCacheKey keys one profiled execution: the training run.

@@ -21,12 +21,14 @@ import (
 
 var updateKeys = flag.Bool("update", false, "rewrite the golden cache-key corpus")
 
-// goldenKey is one result-cache key of the pinned run: its kind, its
-// threshold component and its content address.
+// goldenKey is one result-cache entry of the pinned run: its kind, its
+// threshold component, its content address and the checksum of the
+// value stored under it.
 type goldenKey struct {
 	Kind string `json:"kind"`
 	T    uint64 `json:"t"`
 	Hash string `json:"hash"`
+	Sum  string `json:"sum"`
 }
 
 // TestGoldenCacheKeys pins every result-cache key a cold scheduled
@@ -36,9 +38,12 @@ type goldenKey struct {
 // lookup and stores each miss once, so the stored entries are exactly
 // the keys looked up. Any change to a key's kind, threshold, engine
 // fingerprint, tape identity, image hash or context moves a hash here
-// and orphans every cache filled before it — regenerate with
+// and orphans every cache filled before it. Each entry's envelope sum
+// pins the stored payload too, so a change that keeps the keys but
+// alters what is written under them (a field, an order, a value) is
+// caught as well — regenerate with
 // `go test ./internal/core -run GoldenCacheKeys -update` only for a
-// deliberate key change.
+// deliberate key or payload change.
 func TestGoldenCacheKeys(t *testing.T) {
 	const scale = 0.01
 	dir := t.TempDir()
@@ -77,11 +82,14 @@ func TestGoldenCacheKeys(t *testing.T) {
 		}
 		var env struct {
 			Key string `json:"key"`
+			Sum string `json:"sum"`
 		}
 		if err := json.Unmarshal(data, &env); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		keys = append(keys, parseGoldenKey(t, env.Key, strings.TrimSuffix(filepath.Base(path), ".json")))
+		k := parseGoldenKey(t, env.Key, strings.TrimSuffix(filepath.Base(path), ".json"))
+		k.Sum = env.Sum
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Kind != keys[j].Kind {

@@ -729,20 +729,6 @@ func newPredictSuite(names []string) (*predict.Suite, []dbt.TraceObserver, error
 	return suite, []dbt.TraceObserver{suiteObserver{suite}}, nil
 }
 
-// settlePredictors publishes the predictor tallies of a cold reference
-// run and settles their cache entry (store on miss, differential check
-// on a verify-mode hit). No-op without predictors.
-func (b *benchRun) settlePredictors(suite *predict.Suite, useCache, bpHit bool, bpKey resultcache.Key, bpCached bpEntry, worker int) error {
-	if suite == nil {
-		return nil
-	}
-	b.out.Predictors = suite.Results()
-	if useCache {
-		return b.cacheSettle(bpKey, bpHit, bpEntry{Results: b.out.Predictors}, bpCached, worker)
-	}
-	return nil
-}
-
 // newLearnedCollector extracts the static branch-site features and
 // builds the tally observer for the learned predictor class. It returns
 // no observer when the class is off. Extraction is pure static analysis
@@ -760,21 +746,6 @@ func (b *benchRun) newLearnedCollector(img *guest.Image, worker int) (*learned.C
 	}
 	col := learned.NewCollector(sites)
 	return col, []dbt.TraceObserver{col}, nil
-}
-
-// settleLearned publishes the learned collection of a cold reference
-// run and settles its cache entry. No-op when the class is off.
-func (b *benchRun) settleLearned(col *learned.Collector, useCache, lsHit bool, lsKey resultcache.Key, lsCached lsEntry, worker int) error {
-	if col == nil {
-		return nil
-	}
-	data := col.BenchData(b.t.Name)
-	b.out.Learned = &data
-	if useCache {
-		computed := lsEntry{Fingerprint: b.opts.Learned.Fingerprint(), Data: data}
-		return b.cacheSettle(lsKey, lsHit, computed, lsCached, worker)
-	}
-	return nil
 }
 
 // distinctRungs deduplicates the threshold ladder: a ladder scaled far
@@ -833,33 +804,17 @@ func (b *benchRun) refBody(worker int) error {
 		b.refImgHash = img.ContentHash()
 	}
 
-	// Dynamic predictors observe the reference trace; their tally is
-	// threshold-independent and lives under its own cache entry, so a
-	// warm rerun replays it without executing a guest block. A bp miss
-	// with a warm reference entry falls back to the cold path — the
-	// trace must be re-executed once to feed the predictors.
-	preds := b.opts.Predictors
-	var bpKey resultcache.Key
-	var bpCached bpEntry
-	bpHit := false
-	if useCache && len(preds) > 0 {
-		bpKey = b.bpCacheKey(b.refImgHash)
-		bpHit = b.cacheLookup(bpKey, &bpCached, worker) && bpEntryMatches(&bpCached, preds)
-	}
-
-	// The learned-predictor collection rides the same trace under its
-	// own threshold-independent entry, exactly like bp: a warm rerun
-	// replays it, a miss forces the cold path so the tallies can be
-	// re-observed.
-	var lsKey resultcache.Key
-	var lsCached lsEntry
-	lsHit := false
-	if useCache && b.opts.Learned != nil {
-		lsKey = b.lsCacheKey(b.refImgHash)
-		lsHit = b.cacheLookup(lsKey, &lsCached, worker) &&
-			lsEntryMatches(&lsCached, b.opts.Learned.Fingerprint(), b.t.Name)
-	}
-	lsWarm := b.opts.Learned == nil || lsHit
+	// Dynamic predictors and the learned-predictor collection observe the
+	// reference trace; each tally is threshold-independent and lives
+	// under its own cache entry, so a warm rerun replays it without
+	// executing a guest block. A miss on either with a warm reference
+	// entry falls back to the cold path — the trace must be re-executed
+	// once to feed the observers.
+	preds, lcfg := b.opts.Predictors, b.opts.Learned
+	bp := lookupSlot(b, useCache && len(preds) > 0, func() resultcache.Key { return b.bpCacheKey(b.refImgHash) },
+		func(e *bpEntry) bool { return bpEntryMatches(e, preds) }, worker)
+	ls := lookupSlot(b, useCache && lcfg != nil, func() resultcache.Key { return b.lsCacheKey(b.refImgHash) },
+		func(e *lsEntry) bool { return lsEntryMatches(e, lcfg.Fingerprint(), b.t.Name) }, worker)
 
 	// Deduplicate the ladder (see distinctRungs): one follower per
 	// distinct threshold, shared results fanned out to every collapsed
@@ -878,117 +833,109 @@ func (b *benchRun) refBody(worker int) error {
 	// run without sampling.
 	periods := b.opts.SamplePeriods
 	spCfgs := make([][]dbt.Config, len(periods))
-	spKeys := make([]resultcache.Key, len(periods))
-	spCached := make([]spEntry, len(periods))
-	spHits := make([]bool, len(periods))
-	allSpHit := true
+	sps := make([]slot[spEntry], len(periods))
 	for pi, period := range periods {
 		spCfgs[pi] = b.sampleConfigs(period, distinct)
-		if useCache {
-			spKeys[pi] = b.spCacheKey(b.refImgHash, period, spCfgs[pi])
-			spHits[pi] = b.cacheLookup(spKeys[pi], &spCached[pi], worker) && spEntryMatches(&spCached[pi], period, spCfgs[pi])
-		}
-		if !spHits[pi] {
-			allSpHit = false
-		}
+		sps[pi] = lookupSlot(b, useCache,
+			func() resultcache.Key { return b.spCacheKey(b.refImgHash, period, spCfgs[pi]) },
+			func(e *spEntry) bool { return spEntryMatches(e, period, spCfgs[pi]) }, worker)
 	}
-	var key resultcache.Key
-	var cached refEntry
-	hit := false
-	if useCache {
-		key = b.refCacheKey(b.refImgHash, cfgs)
-		hit = b.cacheLookup(key, &cached, worker) && refEntryMatches(&cached, cfgs)
-	}
-	if hit && (len(preds) == 0 || bpHit) && lsWarm && allSpHit && !b.opts.CacheVerify {
-		// Warm path: replay the whole reference bundle without executing
-		// a single guest block. addRunStats is deliberately not called —
-		// a fully cached benchmark reports zero blocks.
-		if len(preds) > 0 {
-			b.out.Predictors = bpCached.Results
-		}
-		if b.opts.Learned != nil {
-			data := lsCached.Data
-			b.out.Learned = &data
-		}
-		b.recordAVEP(cached.AVEP, cached.AVEPCycles)
-		for j := range rungs {
-			idxs, ro := rungs[j], cached.Runs[j]
-			b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
-		}
-		for pi := range periods {
-			pi, outs := pi, spCached[pi].Runs
-			b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, outs, w) })
-		}
-		b.maybeCompareTrain(worker)
-		b.finishItem()
-		return nil
-	}
+	ref := lookupSlot(b, useCache, func() resultcache.Key { return b.refCacheKey(b.refImgHash, cfgs) },
+		func(e *refEntry) bool { return refEntryMatches(e, cfgs) }, worker)
 
-	// Cold path: one guest execution drives AVEP, every distinct rung
-	// and every sampled rung as followers, with the predictor and
-	// learned observers on the same branch stream.
-	suite, observers, err := newPredictSuite(preds)
-	if err != nil {
-		return err
+	// Warm path: take every output from its slot without executing a
+	// single guest block. addRunStats is deliberately not called — a
+	// fully cached benchmark reports zero blocks. An axis that is off
+	// never forces the cold path.
+	warm := ref.warm() && (!bp.on || bp.warm()) && (!ls.on || ls.warm())
+	entry, bpOut, lsOut := ref.cached, bp.cached, ls.cached
+	spOuts := make([]spEntry, len(periods))
+	for pi := range sps {
+		warm = warm && sps[pi].warm()
+		spOuts[pi] = sps[pi].cached
 	}
-	col, lobs, err := b.newLearnedCollector(img, worker)
-	if err != nil {
-		return err
-	}
-	observers = append(observers, lobs...)
-	runCfgs := cfgs
-	for _, sc := range spCfgs {
-		runCfgs = append(runCfgs, sc...)
-	}
-	start = time.Now()
-	snaps, stats, err := dbt.RunMultiObserved(img, tape, runCfgs, observers)
-	if err != nil {
-		err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
-		b.record(obs.UnitRef, 0, worker, start, 0, err)
-		return err
-	}
-	for _, st := range stats {
-		b.addRunStats(st)
-	}
-	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	outs := make([]runOutput, len(rungs))
-	for j := range rungs {
-		cfg := cfgs[j+1]
-		outs[j] = runOutput{T: cfg.Threshold, Snapshot: snaps[j+1], Stats: *stats[j+1], Cycles: cyclesOf(cfg)}
-	}
-	if useCache {
-		computed := refEntry{AVEP: snaps[0], AVEPStats: *stats[0], AVEPCycles: cyclesOf(avepCfg), Runs: outs}
-		if err := b.cacheSettle(key, hit, computed, cached, worker); err != nil {
+	if !warm {
+		// Cold path: one guest execution drives AVEP, every distinct rung
+		// and every sampled rung as followers, with the predictor and
+		// learned observers on the same branch stream.
+		suite, observers, err := newPredictSuite(preds)
+		if err != nil {
 			return err
 		}
-	}
-	if err := b.settlePredictors(suite, useCache, bpHit, bpKey, bpCached, worker); err != nil {
-		return err
-	}
-	if err := b.settleLearned(col, useCache, lsHit, lsKey, lsCached, worker); err != nil {
-		return err
-	}
-	b.recordAVEP(snaps[0], cyclesOf(avepCfg))
-	for j := range rungs {
-		idxs, ro := rungs[j], outs[j]
-		b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
-	}
-	base := 1 + len(rungs)
-	for pi, period := range periods {
-		spOuts := make([]runOutput, len(rungs))
-		for j := range rungs {
-			k := base + pi*len(rungs) + j
-			cfg := runCfgs[k]
-			spOuts[j] = runOutput{T: cfg.Threshold, Snapshot: snaps[k], Stats: *stats[k], Cycles: cyclesOf(cfg)}
-			b.addSampleStats(snaps[k])
+		col, lobs, err := b.newLearnedCollector(img, worker)
+		if err != nil {
+			return err
 		}
-		if useCache {
-			if err := b.cacheSettle(spKeys[pi], spHits[pi], spEntry{Period: period, Runs: spOuts}, spCached[pi], worker); err != nil {
+		observers = append(observers, lobs...)
+		runCfgs := cfgs
+		for _, sc := range spCfgs {
+			runCfgs = append(runCfgs, sc...)
+		}
+		start = time.Now()
+		snaps, stats, err := dbt.RunMultiObserved(img, tape, runCfgs, observers)
+		if err != nil {
+			err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
+			b.record(obs.UnitRef, 0, worker, start, 0, err)
+			return err
+		}
+		for _, st := range stats {
+			b.addRunStats(st)
+		}
+		b.recordRun(obs.UnitRef, 0, worker, start, stats...)
+		outputs := func(first int) []runOutput {
+			outs := make([]runOutput, len(rungs))
+			for j := range outs {
+				k := first + j
+				outs[j] = runOutput{T: runCfgs[k].Threshold, Snapshot: snaps[k], Stats: *stats[k], Cycles: cyclesOf(runCfgs[k])}
+			}
+			return outs
+		}
+		entry = refEntry{AVEP: snaps[0], AVEPStats: *stats[0], AVEPCycles: cyclesOf(avepCfg), Runs: outputs(1)}
+		if suite != nil {
+			bpOut = bpEntry{Results: suite.Results()}
+		}
+		if col != nil {
+			lsOut = lsEntry{Fingerprint: lcfg.Fingerprint(), Data: col.BenchData(b.t.Name)}
+		}
+		for pi, period := range periods {
+			spOuts[pi] = spEntry{Period: period, Runs: outputs(1 + (pi+1)*len(rungs))}
+			for _, ro := range spOuts[pi].Runs {
+				b.addSampleStats(ro.Snapshot)
+			}
+		}
+		// Settle every slot before anything is spawned: a settle failure
+		// then fails this unit while it still owns every dependent item,
+		// and cancelRef retires each of them exactly once.
+		if err := ref.settle(entry, worker); err != nil {
+			return err
+		}
+		if err := bp.settle(bpOut, worker); err != nil {
+			return err
+		}
+		if err := ls.settle(lsOut, worker); err != nil {
+			return err
+		}
+		for pi := range sps {
+			if err := sps[pi].settle(spOuts[pi], worker); err != nil {
 				return err
 			}
 		}
-		pi, spOuts := pi, spOuts
-		b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, spOuts, w) })
+	}
+
+	// Publish: the predictor and learned tallies, the AVEP memo, then the
+	// dependent comparisons.
+	b.out.Predictors = bpOut.Results
+	if lcfg != nil {
+		b.out.Learned = &lsOut.Data
+	}
+	b.recordAVEP(entry.AVEP, entry.AVEPCycles)
+	for j := range rungs {
+		idxs, ro := rungs[j], entry.Runs[j]
+		b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
+	}
+	for pi := range periods {
+		outs := spOuts[pi].Runs
+		b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, outs, w) })
 	}
 	b.maybeCompareTrain(worker)
 	b.finishItem()
@@ -1029,17 +976,11 @@ func (b *benchRun) compareUnit(idxs []int, ro runOutput, worker int) error {
 // the caller wants the normalized rows (KeepNormalized), which the
 // cache does not carry.
 func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
-	useCache := b.cacheUsable() && !b.opts.KeepNormalized
-	var key resultcache.Key
-	var cached cmpEntry
-	hit := false
-	if useCache {
-		key = b.cmpCacheKey(ro.T)
-		hit = b.cacheLookup(key, &cached, worker)
-		if hit && !b.opts.CacheVerify {
-			b.publishThresholdResults(idxs, ro, cached.Summary, nil)
-			return nil
-		}
+	cmp := lookupSlot[cmpEntry](b, b.cacheUsable() && !b.opts.KeepNormalized,
+		func() resultcache.Key { return b.cmpCacheKey(ro.T) }, nil, worker)
+	if cmp.warm() {
+		b.publishThresholdResults(idxs, ro, cmp.cached.Summary, nil)
+		return nil
 	}
 	start := time.Now()
 	summary, norm, err := Compare(ro.Snapshot, b.out.AVEP)
@@ -1049,10 +990,8 @@ func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
 		return err
 	}
 	b.record(obs.UnitCompare, ro.T, worker, start, 0, nil)
-	if useCache {
-		if err := b.cacheSettle(key, hit, cmpEntry{Summary: summary}, cached, worker); err != nil {
-			return err
-		}
+	if err := cmp.settle(cmpEntry{Summary: summary}, worker); err != nil {
+		return err
 	}
 	b.publishThresholdResults(idxs, ro, summary, norm)
 	return nil
@@ -1139,18 +1078,13 @@ func (b *benchRun) trainBody(worker int) error {
 	}
 	cfg := b.dbtConfig("train", 0, false)
 	useCache := b.cacheUsable()
-	var key resultcache.Key
-	var cached runOutput
-	hit := false
 	if useCache {
 		b.trainImgHash = img.ContentHash()
-		key = b.runCacheKey(b.trainImgHash, "train", cfg)
-		hit = b.cacheLookup(key, &cached, worker) && cached.Snapshot != nil
 	}
-	var train *profile.Snapshot
-	if hit && !b.opts.CacheVerify {
-		train = cached.Snapshot
-	} else {
+	run := lookupSlot(b, useCache, func() resultcache.Key { return b.runCacheKey(b.trainImgHash, "train", cfg) },
+		func(e *runOutput) bool { return e.Snapshot != nil }, worker)
+	train := run.cached.Snapshot
+	if !run.warm() {
 		start = time.Now()
 		var stats *dbt.RunStats
 		train, stats, err = dbt.Run(img, tape, cfg)
@@ -1161,11 +1095,8 @@ func (b *benchRun) trainBody(worker int) error {
 		}
 		b.addRunStats(stats)
 		b.recordRun(obs.UnitTrain, 0, worker, start, stats)
-		if useCache {
-			computed := runOutput{Snapshot: train, Stats: *stats, Cycles: cyclesOf(cfg)}
-			if err := b.cacheSettle(key, hit, computed, cached, worker); err != nil {
-				return err
-			}
+		if err := run.settle(runOutput{Snapshot: train, Stats: *stats, Cycles: cyclesOf(cfg)}, worker); err != nil {
+			return err
 		}
 	}
 	b.out.TrainOps = train.ProfilingOps
@@ -1211,18 +1142,10 @@ func (b *benchRun) maybeCompareTrain(worker int) {
 const trainRegionThreshold = 2000
 
 func (b *benchRun) compareTrain(train *profile.Snapshot, worker int) error {
-	useCache := b.cacheUsable()
-	var key resultcache.Key
-	var cached trainCmpEntry
-	hit := false
-	if useCache {
-		key = b.trainCmpCacheKey()
-		hit = b.cacheLookup(key, &cached, worker)
-		if hit && !b.opts.CacheVerify {
-			b.out.Train = cached.Train
-			b.out.TrainRegions = cached.TrainRegions
-			return nil
-		}
+	tc := lookupSlot[trainCmpEntry](b, b.cacheUsable(), b.trainCmpCacheKey, nil, worker)
+	if tc.warm() {
+		b.out.Train, b.out.TrainRegions = tc.cached.Train, tc.cached.TrainRegions
+		return nil
 	}
 	start := time.Now()
 	var err error
@@ -1238,10 +1161,7 @@ func (b *benchRun) compareTrain(train *profile.Snapshot, worker int) error {
 		return err
 	}
 	b.record(obs.UnitTrainCompare, 0, worker, start, 0, nil)
-	if useCache {
-		return b.cacheSettle(key, hit, trainCmpEntry{Train: b.out.Train, TrainRegions: b.out.TrainRegions}, cached, worker)
-	}
-	return nil
+	return tc.settle(trainCmpEntry{Train: b.out.Train, TrainRegions: b.out.TrainRegions}, worker)
 }
 
 // RunBenchmark executes the full three-way study for one target: AVEP
@@ -1280,18 +1200,13 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 		return nil, err
 	}
 	useCache := b.cacheUsable()
-	var lsKey resultcache.Key
-	var lsCached lsEntry
-	lsHit := false
 	if useCache {
 		b.refImgHash = img.ContentHash()
-		lsKey = b.lsCacheKey(b.refImgHash)
-		lsHit = b.cacheLookup(lsKey, &lsCached, worker) &&
-			lsEntryMatches(&lsCached, lcfg.Fingerprint(), t.Name)
-		if lsHit && !opts.CacheVerify {
-			data := lsCached.Data
-			return &data, nil
-		}
+	}
+	ls := lookupSlot(b, useCache, func() resultcache.Key { return b.lsCacheKey(b.refImgHash) },
+		func(e *lsEntry) bool { return lsEntryMatches(e, lcfg.Fingerprint(), t.Name) }, worker)
+	if ls.warm() {
+		return &ls.cached.Data, nil
 	}
 	col, observers, err := b.newLearnedCollector(img, worker)
 	if err != nil {
@@ -1313,10 +1228,11 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 	}
 	b.addRunStats(stats[0])
 	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	if err := b.settleLearned(col, useCache, lsHit, lsKey, lsCached, worker); err != nil {
+	computed := lsEntry{Fingerprint: lcfg.Fingerprint(), Data: col.BenchData(t.Name)}
+	if err := ls.settle(computed, worker); err != nil {
 		return nil, err
 	}
-	return b.out.Learned, nil
+	return &computed.Data, nil
 }
 
 // BuildFromAsm is a convenience Target builder for fixed assembler

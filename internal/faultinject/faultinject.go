@@ -185,19 +185,24 @@ func cutLast(s, sep string) (before, after string, found bool) {
 	return s[:i], s[i+len(sep):], true
 }
 
-// parseBuildSite parses "<bench>[/<input>]".
-// checkName rejects "*" embedded in a site component: a bare "*" is
-// the wildcard, and any other "*" would collide with the repeat-count
-// suffix when the plan's canonical String form is re-parsed (an
-// optional component rendered away can expose a trailing "*<digits>"
-// of the name to the repeat cutter).
+// checkName rejects site components the plan's canonical String form
+// would not re-parse to. An embedded "*" (a bare "*" is the wildcard)
+// would collide with the repeat-count suffix: an optional component
+// rendered away can expose a trailing "*<digits>" of the name to the
+// repeat cutter. Surrounding whitespace would be trimmed away with the
+// entry: "build: /" names the benchmark " ", whose canonical form
+// "build: " has no name at all.
 func checkName(what, name string) error {
 	if name != "*" && strings.Contains(name, "*") {
 		return fmt.Errorf("%s %q may not contain %q (a bare %q matches any)", what, name, "*", "*")
 	}
+	if strings.TrimSpace(name) != name {
+		return fmt.Errorf("%s %q has surrounding whitespace", what, name)
+	}
 	return nil
 }
 
+// parseBuildSite parses "<bench>[/<input>]".
 func parseBuildSite(f *Fault, site string) error {
 	f.Bench, f.Input, _ = strings.Cut(site, "/")
 	if f.Bench == "" {

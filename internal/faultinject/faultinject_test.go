@@ -127,7 +127,10 @@ func TestParseErrors(t *testing.T) {
 		//	its canonical String form "build:*0" re-parses the name's
 		//	tail as a repeat count)
 		"panic:gzip/u*nit@5", // "*" embedded in a unit name
-		"net:drop:x",         // network faults are not a fault kind
+		"build: /",           // whitespace bench name (fuzz find: its
+		//	canonical String form "build: " has no bench name)
+		"panic:gzip/ unit", // whitespace around a unit name
+		"net:drop:x",       // network faults are not a fault kind
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)

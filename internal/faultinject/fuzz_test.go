@@ -20,6 +20,7 @@ func FuzzFaultSpec(f *testing.F) {
 	f.Add("slow:*/compare@50:2ms")
 	f.Add("trap:gzip/train@auto,seed:9")
 	f.Add("panic:*/*@3*4")
+	f.Add("build: /")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := Parse(spec)
 		if err != nil {
