@@ -424,5 +424,7 @@ go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s ./internal/study/
 go test -run='^$' -fuzz='^FuzzExecPaths$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzPredictReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSampledReplay$' -fuzztime=10s ./internal/dbt/
+go test -run='^$' -fuzz='^FuzzSnapshotBinary$' -fuzztime=10s ./internal/profile/
+go test -run='^$' -fuzz='^FuzzStoreLookup$' -fuzztime=10s ./internal/resultcache/
 
 echo "CI OK"

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -52,7 +53,7 @@ type runOutput struct {
 	// T is the effective retranslation threshold (0 for AVEP/train).
 	T uint64 `json:"t"`
 	// Snapshot is the run's profile snapshot.
-	Snapshot *profile.Snapshot `json:"snapshot"`
+	Snapshot cachedSnapshot `json:"snapshot"`
 	// Stats are the engine counters of this run's profiling context.
 	Stats dbt.RunStats `json:"stats"`
 	// Cycles is the perf-model total (0 when the model is off).
@@ -63,10 +64,55 @@ type runOutput struct {
 // AVEP profile plus one runOutput per distinct effective threshold, in
 // ladder (config) order.
 type refEntry struct {
-	AVEP       *profile.Snapshot `json:"avep"`
-	AVEPStats  dbt.RunStats      `json:"avep_stats"`
-	AVEPCycles float64           `json:"avep_cycles"`
-	Runs       []runOutput       `json:"runs"`
+	AVEP       cachedSnapshot `json:"avep"`
+	AVEPStats  dbt.RunStats   `json:"avep_stats"`
+	AVEPCycles float64        `json:"avep_cycles"`
+	Runs       []runOutput    `json:"runs"`
+}
+
+// cachedSnapshot is a profile snapshot as a cache entry field: a JSON
+// string holding the base64 of its binary encoding, or null for nil.
+// Snapshots are nearly all of an entry's bytes, and the binary form
+// decodes several times faster than a map of seven-field JSON objects.
+// The rest of each entry stays JSON, so the entries remain readable and
+// the forging tests can still edit them.
+type cachedSnapshot struct{ *profile.Snapshot }
+
+func (c cachedSnapshot) MarshalJSON() ([]byte, error) {
+	if c.Snapshot == nil {
+		return []byte("null"), nil
+	}
+	raw, err := c.Snapshot.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, base64.StdEncoding.EncodedLen(len(raw))+2)
+	out = append(out, '"')
+	out = base64.StdEncoding.AppendEncode(out, raw)
+	return append(out, '"'), nil
+}
+
+// UnmarshalJSON decodes the quoted base64 in place. It is called with
+// the field's raw bytes, so each snapshot is scanned by the JSON
+// decoder only as the string it is.
+func (c *cachedSnapshot) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		c.Snapshot = nil
+		return nil
+	}
+	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
+		return fmt.Errorf("core: cached snapshot is not a JSON string")
+	}
+	raw, err := base64.StdEncoding.AppendDecode(nil, data[1:len(data)-1])
+	if err != nil {
+		return fmt.Errorf("core: cached snapshot: %w", err)
+	}
+	snap := new(profile.Snapshot)
+	if err := snap.UnmarshalBinary(raw); err != nil {
+		return err
+	}
+	c.Snapshot = snap
+	return nil
 }
 
 // cmpEntry is the cached output of one INIP(T)-vs-AVEP comparison.
@@ -146,8 +192,9 @@ type slot[E any] struct {
 // lookupSlot consults the store for one entry when on is set. keyFn is
 // only called then, so an uncached run never pays for key building;
 // valid, when non-nil, sanity-checks the decoded entry (a failure is a
-// miss). The lookup emits a flight-recorder event, so traces show where
-// warm runs got their data.
+// miss). The lookup emits a flight-recorder event for the validated
+// outcome, so traces show where warm runs got their data, and an entry
+// the validator rejected is a cache_miss whose error says so.
 func lookupSlot[E any](b *benchRun, on bool, keyFn func() resultcache.Key, valid func(*E) bool, worker int) slot[E] {
 	s := slot[E]{b: b, on: on}
 	if !on {
@@ -156,12 +203,19 @@ func lookupSlot[E any](b *benchRun, on bool, keyFn func() resultcache.Key, valid
 	s.key = keyFn()
 	start := time.Now()
 	s.hit = b.opts.Cache.Lookup(s.key, &s.cached)
-	unit := obs.UnitCacheMiss
-	if s.hit {
-		unit = obs.UnitCacheHit
+	var err error
+	if s.hit && valid != nil && !valid(&s.cached) {
+		s.hit = false
+		err = fmt.Errorf("core: %s cache entry of %s (t=%d) rejected by its sanity check (entry %s)",
+			s.key.Kind, b.t.Name, s.key.T, s.key.Hash())
 	}
-	b.opts.Trace.Record(b.t.Name, unit, s.key.T, worker, start, time.Since(start), 0, nil)
-	s.hit = s.hit && (valid == nil || valid(&s.cached))
+	unit := obs.UnitCacheHit
+	if !s.hit {
+		unit = obs.UnitCacheMiss
+		var zero E
+		s.cached = zero // a rejected or partly decoded entry is not data
+	}
+	b.opts.Trace.Record(b.t.Name, unit, s.key.T, worker, start, time.Since(start), 0, err)
 	return s
 }
 
@@ -224,11 +278,11 @@ func cyclesOf(cfg dbt.Config) float64 {
 // already encodes the config set, so a mismatch indicates a damaged or
 // hand-edited entry; the caller treats it as a miss.
 func refEntryMatches(ent *refEntry, cfgs []dbt.Config) bool {
-	if ent.AVEP == nil || len(ent.Runs) != len(cfgs)-1 {
+	if ent.AVEP.Snapshot == nil || len(ent.Runs) != len(cfgs)-1 {
 		return false
 	}
 	for j, ro := range ent.Runs {
-		if ro.Snapshot == nil || ro.T != cfgs[j+1].Threshold {
+		if ro.Snapshot.Snapshot == nil || ro.T != cfgs[j+1].Threshold {
 			return false
 		}
 	}
@@ -308,7 +362,7 @@ func spEntryMatches(ent *spEntry, period uint64, cfgs []dbt.Config) bool {
 		return false
 	}
 	for j, ro := range ent.Runs {
-		if ro.Snapshot == nil || ro.T != cfgs[j].Threshold {
+		if ro.Snapshot.Snapshot == nil || ro.T != cfgs[j].Threshold {
 			return false
 		}
 	}

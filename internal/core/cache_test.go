@@ -21,8 +21,10 @@ import (
 // cacheOpts is the option baseline of the caching tests: a couple of
 // ladder rungs, the perf model on (so cached Cycles are exercised), a
 // predictor, a sample period and the learned collector riding the
-// reference trace (so every entry kind is written), and a Timing
-// aggregate to observe guest-block volume.
+// reference trace (so every entry kind is written), the INIP(T)
+// snapshots kept in the result (so comparisons of cold and warm results
+// cover every snapshot the cache carries), and a Timing aggregate to
+// observe guest-block volume.
 func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 	t.Helper()
 	store, err := resultcache.Open(dir)
@@ -38,6 +40,7 @@ func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 		Learned:       &learned.Config{Model: learned.ModelTree},
 		Cache:         store,
 		CacheContext:  "test",
+		KeepSnapshots: true,
 		Timing:        tm,
 	}, tm
 }
@@ -79,6 +82,26 @@ func TestCacheColdThenWarm(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("warm result differs from cold:\ncold %+v\nwarm %+v", cold, warm)
+	}
+	// Name the snapshots the whole-result comparison covers, so a cache
+	// codec that loses a field, or turns a nil collection into an empty
+	// one, fails on the snapshot it damaged.
+	if !reflect.DeepEqual(cold.AVEP, warm.AVEP) {
+		t.Fatal("warm AVEP snapshot differs from cold")
+	}
+	regions := 0
+	for i := range cold.Results {
+		c, w := cold.Results[i].Snapshot, warm.Results[i].Snapshot
+		if c == nil || w == nil {
+			t.Fatalf("T=%d: KeepSnapshots left no INIP snapshot (cold %v, warm %v)", cold.Results[i].T, c != nil, w != nil)
+		}
+		if !reflect.DeepEqual(c, w) {
+			t.Fatalf("T=%d: warm INIP snapshot differs from cold:\ncold %+v\nwarm %+v", cold.Results[i].T, c, w)
+		}
+		regions += len(c.Regions)
+	}
+	if regions == 0 {
+		t.Fatal("no INIP snapshot formed a region; the test would not cover them")
 	}
 }
 
@@ -330,12 +353,42 @@ func TestCacheInvalidEntriesReExecute(t *testing.T) {
 			target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
 			opts, _ := cacheOpts(t, dir)
 			cold := runCached(t, target, opts)
-			forgeEntry(t, cacheEntryPath(t, dir, tc.kind), tc.edit)
+			path := cacheEntryPath(t, dir, tc.kind)
+			forgeEntry(t, path, tc.edit)
 
 			opts2, tm2 := cacheOpts(t, dir)
+			var trace bytes.Buffer
+			opts2.Trace = obs.NewRecorder(&trace)
 			got := runCached(t, target, opts2)
+			if _, err := opts2.Trace.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if tm2.BlocksExecuted.Load() == 0 {
 				t.Fatalf("invalid %s entry was served instead of re-executing", tc.kind)
+			}
+			// The trace records the validated outcome: the store found a
+			// checksummed entry, but the lookup is a miss naming the
+			// rejection, and every other store hit is a traced hit.
+			events, err := obs.ReadEvents(&trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash := strings.TrimSuffix(filepath.Base(path), ".json")
+			var hits, rejected uint64
+			for _, ev := range events {
+				switch {
+				case ev.Unit == obs.UnitCacheHit:
+					hits++
+				case ev.Unit == obs.UnitCacheMiss && ev.Err != "":
+					rejected++
+					if !strings.Contains(ev.Err, tc.kind+" cache entry") || !strings.Contains(ev.Err, hash) {
+						t.Fatalf("rejection traced as %q, want it to name the %s entry %s", ev.Err, tc.kind, hash)
+					}
+				}
+			}
+			if c := opts2.Cache.Counters(); rejected != 1 || hits != c.Hits-1 {
+				t.Fatalf("trace has %d hits and %d rejected misses over %d store hits, want %d and 1",
+					hits, rejected, c.Hits, c.Hits-1)
 			}
 			if c := opts2.Cache.Counters(); c.Stores == 0 {
 				t.Fatalf("counters %+v, want the invalid entry rewritten", c)

@@ -886,11 +886,11 @@ func (b *benchRun) refBody(worker int) error {
 			outs := make([]runOutput, len(rungs))
 			for j := range outs {
 				k := first + j
-				outs[j] = runOutput{T: runCfgs[k].Threshold, Snapshot: snaps[k], Stats: *stats[k], Cycles: cyclesOf(runCfgs[k])}
+				outs[j] = runOutput{T: runCfgs[k].Threshold, Snapshot: cachedSnapshot{snaps[k]}, Stats: *stats[k], Cycles: cyclesOf(runCfgs[k])}
 			}
 			return outs
 		}
-		entry = refEntry{AVEP: snaps[0], AVEPStats: *stats[0], AVEPCycles: cyclesOf(avepCfg), Runs: outputs(1)}
+		entry = refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cyclesOf(avepCfg), Runs: outputs(1)}
 		if suite != nil {
 			bpOut = bpEntry{Results: suite.Results()}
 		}
@@ -900,7 +900,7 @@ func (b *benchRun) refBody(worker int) error {
 		for pi, period := range periods {
 			spOuts[pi] = spEntry{Period: period, Runs: outputs(1 + (pi+1)*len(rungs))}
 			for _, ro := range spOuts[pi].Runs {
-				b.addSampleStats(ro.Snapshot)
+				b.addSampleStats(ro.Snapshot.Snapshot)
 			}
 		}
 		// Settle every slot before anything is spawned: a settle failure
@@ -928,7 +928,7 @@ func (b *benchRun) refBody(worker int) error {
 	if lcfg != nil {
 		b.out.Learned = &lsOut.Data
 	}
-	b.recordAVEP(entry.AVEP, entry.AVEPCycles)
+	b.recordAVEP(entry.AVEP.Snapshot, entry.AVEPCycles)
 	for j := range rungs {
 		idxs, ro := rungs[j], entry.Runs[j]
 		b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
@@ -983,7 +983,7 @@ func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
 		return nil
 	}
 	start := time.Now()
-	summary, norm, err := Compare(ro.Snapshot, b.out.AVEP)
+	summary, norm, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
 	if err != nil {
 		err = fmt.Errorf("core: INIP(%d) comparison of %s: %w", ro.T, b.t.Name, err)
 		b.record(obs.UnitCompare, ro.T, worker, start, 0, err)
@@ -1013,7 +1013,7 @@ func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary met
 			tr.Normalized = norm
 		}
 		if b.opts.KeepSnapshots {
-			tr.Snapshot = ro.Snapshot
+			tr.Snapshot = ro.Snapshot.Snapshot
 		}
 		b.out.Results[i] = tr
 		b.finishItem()
@@ -1039,7 +1039,7 @@ func (b *benchRun) sampleCompareBody(pi int, period uint64, rungs [][]int, outs 
 	start := time.Now()
 	perT := make([]SampleThresholdResult, len(b.opts.Thresholds))
 	for j, ro := range outs {
-		summary, _, err := Compare(ro.Snapshot, b.out.AVEP)
+		summary, _, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
 		if err != nil {
 			err = fmt.Errorf("core: sampled INIP(%d) comparison (period %d) of %s: %w", ro.T, period, b.t.Name, err)
 			b.record(obs.UnitSampleCompare, period, worker, start, 0, err)
@@ -1082,8 +1082,8 @@ func (b *benchRun) trainBody(worker int) error {
 		b.trainImgHash = img.ContentHash()
 	}
 	run := lookupSlot(b, useCache, func() resultcache.Key { return b.runCacheKey(b.trainImgHash, "train", cfg) },
-		func(e *runOutput) bool { return e.Snapshot != nil }, worker)
-	train := run.cached.Snapshot
+		func(e *runOutput) bool { return e.Snapshot.Snapshot != nil }, worker)
+	train := run.cached.Snapshot.Snapshot
 	if !run.warm() {
 		start = time.Now()
 		var stats *dbt.RunStats
@@ -1095,7 +1095,7 @@ func (b *benchRun) trainBody(worker int) error {
 		}
 		b.addRunStats(stats)
 		b.recordRun(obs.UnitTrain, 0, worker, start, stats)
-		if err := run.settle(runOutput{Snapshot: train, Stats: *stats, Cycles: cyclesOf(cfg)}, worker); err != nil {
+		if err := run.settle(runOutput{Snapshot: cachedSnapshot{train}, Stats: *stats, Cycles: cyclesOf(cfg)}, worker); err != nil {
 			return err
 		}
 	}

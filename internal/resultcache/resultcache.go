@@ -24,12 +24,14 @@
 package resultcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -44,7 +46,11 @@ import (
 // v2: RunStats.CacheLookups semantics changed (the indirect-target
 // table resolves jr/ret successors without a code-cache probe), so v1
 // entries' stats would fail -cacheverify against a fresh run.
-const SchemaVersion = 2
+//
+// v3: the profile snapshots inside ref, run and sp entries are stored
+// as base64 strings of their binary encoding (profile.MarshalBinary)
+// instead of JSON objects, so a v2 value no longer decodes.
+const SchemaVersion = 3
 
 // Key identifies one cached unit output. Every field participates in
 // the canonical fingerprint; the zero value is not a usable key (Lookup
@@ -53,7 +59,8 @@ type Key struct {
 	// Kind is the unit flavour: "ref" (shared-trace reference bundle),
 	// "run" (one profiled execution), "cmp" (one INIP(T)-vs-AVEP
 	// comparison), "traincmp" (the training comparison pair), "bp"
-	// (dynamic-predictor tallies over the reference trace), "sp" (one
+	// (dynamic-predictor tallies over the reference trace), "ls" (the
+	// learned-predictor collection over the reference trace), "sp" (one
 	// sampled-profiling ladder).
 	Kind string
 	// Bench is the benchmark name — informational for humans listing
@@ -181,20 +188,33 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// envelope is the on-disk entry wrapper: everything Lookup needs to
-// decide whether the value bytes are trustworthy before decoding them.
-type envelope struct {
-	// Schema is the cache schema version the entry was written under.
-	Schema int `json:"schema"`
-	// Key is the full canonical fingerprint — stored verbatim so a
-	// hash collision (or a mangled filename) can never serve a value
-	// for the wrong key.
-	Key string `json:"key"`
-	// Sum is the hex SHA-256 over the exact Value bytes.
-	Sum string `json:"sum"`
-	// Value is the cached unit output, opaque to the store.
-	Value json.RawMessage `json:"value"`
+// An entry file is one JSON object, always in this exact layout
+// (field order, no whitespace) plus a newline:
+//
+//	{"schema":N,"key":"<fingerprint>","sum":"<64 hex>","value":<value>}
+//
+// schema is the SchemaVersion the entry was written under; key is the
+// full canonical fingerprint, stored verbatim so a hash collision (or a
+// mangled file name) can never serve a value for the wrong key; sum is
+// the hex SHA-256 over the exact value bytes; value is the cached unit
+// output, opaque to the store. Put writes the layout by concatenation
+// and Lookup reads it back with one strict split, so the value bytes
+// are neither re-compacted on write nor scanned as part of the wrapper
+// on read: the only JSON pass over them is the final decode.
+
+// appendEntryHead appends everything an entry for k holds before the
+// value's sum: the schema version and the quoted key fingerprint.
+func appendEntryHead(dst []byte, k Key) []byte {
+	key, _ := json.Marshal(k.Fingerprint()) // a string always encodes
+	dst = append(dst, `{"schema":`...)
+	dst = strconv.AppendInt(dst, SchemaVersion, 10)
+	dst = append(dst, `,"key":`...)
+	dst = append(dst, key...)
+	return append(dst, `,"sum":"`...)
 }
+
+// envValue separates an entry's sum from its value.
+const envValue = `","value":`
 
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.Hash()+".json") }
 
@@ -231,26 +251,30 @@ func (s *Store) Lookup(k Key, v any) bool {
 	return true
 }
 
-// decodeEntry validates the envelope and decodes the value. Every
-// failure mode collapses to an error — the caller treats them all as
-// a miss — but the checks are ordered so the cheapest guards run
-// first.
+// decodeEntry splits the envelope, checks it against k and decodes the
+// value. Every failure mode collapses to an error — the caller treats
+// them all as a miss — and the cheapest guards run first. A file that
+// is not in the exact layout Put writes (a trailing newline is
+// optional) is malformed, even if it is valid JSON; a stale schema or
+// another key's fingerprint fails the same header comparison.
 func decodeEntry(data []byte, k Key, v any) error {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("resultcache: entry %s: %w", k.Hash(), err)
+	rest, ok := bytes.CutPrefix(data, appendEntryHead(nil, k))
+	if !ok || len(rest) < 2*sha256.Size {
+		return fmt.Errorf("resultcache: entry %s: header does not match schema %d and the key", k.Hash(), SchemaVersion)
 	}
-	if env.Schema != SchemaVersion {
-		return fmt.Errorf("resultcache: entry %s: schema %d, want %d", k.Hash(), env.Schema, SchemaVersion)
+	sumHex := rest[:2*sha256.Size]
+	rest, ok = bytes.CutPrefix(rest[2*sha256.Size:], []byte(envValue))
+	value, closed := bytes.CutSuffix(bytes.TrimSuffix(rest, []byte("\n")), []byte("}"))
+	if !ok || !closed {
+		return fmt.Errorf("resultcache: entry %s: malformed envelope", k.Hash())
 	}
-	if env.Key != k.Fingerprint() {
-		return fmt.Errorf("resultcache: entry %s: key fingerprint mismatch", k.Hash())
-	}
-	sum := sha256.Sum256(env.Value)
-	if hex.EncodeToString(sum[:]) != env.Sum {
+	sum := sha256.Sum256(value)
+	var want [2 * sha256.Size]byte
+	hex.Encode(want[:], sum[:])
+	if !bytes.Equal(want[:], sumHex) {
 		return fmt.Errorf("resultcache: entry %s: value checksum mismatch", k.Hash())
 	}
-	if err := json.Unmarshal(env.Value, v); err != nil {
+	if err := json.Unmarshal(value, v); err != nil {
 		return fmt.Errorf("resultcache: entry %s: value: %w", k.Hash(), err)
 	}
 	return nil
@@ -282,17 +306,12 @@ func (s *Store) Put(k Key, v any) error {
 		return fmt.Errorf("resultcache: encode %s: %w", k.Hash(), err)
 	}
 	sum := sha256.Sum256(value)
-	data, err := json.Marshal(envelope{
-		Schema: SchemaVersion,
-		Key:    k.Fingerprint(),
-		Sum:    hex.EncodeToString(sum[:]),
-		Value:  value,
-	})
-	if err != nil {
-		s.errs.Add(1)
-		return fmt.Errorf("resultcache: encode %s: %w", k.Hash(), err)
-	}
-	if err := atomicio.WriteFile(s.path(k), append(data, '\n'), 0o644); err != nil {
+	data := appendEntryHead(make([]byte, 0, len(value)+512), k)
+	data = hex.AppendEncode(data, sum[:])
+	data = append(data, envValue...)
+	data = append(data, value...)
+	data = append(data, "}\n"...)
+	if err := atomicio.WriteFile(s.path(k), data, 0o644); err != nil {
 		s.healFails.Add(1)
 		if s.readOnly.CompareAndSwap(false, true) {
 			// First failure wins the race to report; latecomers that

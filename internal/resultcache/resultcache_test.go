@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -230,36 +233,60 @@ func entryPath(t *testing.T, s *Store, k Key) string {
 	return p
 }
 
-// Corruption matrix: every damaged shape must read as a miss (counted
-// as an error), never a panic and never wrong data — and a subsequent
-// Put must restore the entry.
+// corruptions are the damaged shapes of a valid entry file (written
+// for testKey) that must each read as a counted miss, never a panic and
+// never wrong data. FuzzStoreLookup starts from them too.
+var corruptions = []struct {
+	name string
+	mut  func(data []byte) []byte
+}{
+	{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
+	{"empty", func(d []byte) []byte { return nil }},
+	{"garbage", func(d []byte) []byte { return []byte("not json at all") }},
+	{"bitflip", func(d []byte) []byte {
+		out := append([]byte(nil), d...)
+		// Flip a bit inside the value region: the envelope still
+		// parses, only the checksum can catch it.
+		i := strings.Index(string(out), `"value"`) + len(`"value"`) + 10
+		out[i] ^= 0x01
+		return out
+	}},
+	{"wrong-version", func(d []byte) []byte {
+		cur := fmt.Sprintf(`{"schema":%d,`, SchemaVersion)
+		return []byte(strings.Replace(string(d), cur, `{"schema":999,`, 1))
+	}},
+	{"wrong-key", func(d []byte) []byte {
+		return []byte(strings.Replace(string(d), "bench=gzip", "bench=mcf", 1))
+	}},
+	// Valid JSON holding the right key, sum and value, but not in the
+	// layout Put writes: the reader does not parse JSON envelopes.
+	{"reordered", func(d []byte) []byte {
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(d, &env); err != nil {
+			panic(err)
+		}
+		return []byte(fmt.Sprintf(`{"value":%s,"sum":%s,"key":%s,"schema":%s}`,
+			env["value"], env["sum"], env["key"], env["schema"]))
+	}},
+	{"indented", func(d []byte) []byte {
+		var out bytes.Buffer
+		if err := json.Indent(&out, d, "", "  "); err != nil {
+			panic(err)
+		}
+		return out.Bytes()
+	}},
+	{"key-escaped-differently", func(d []byte) []byte {
+		return []byte(strings.Replace(string(d), "bench=gzip", `bench=\u0067zip`, 1))
+	}},
+	{"trailing-bytes", func(d []byte) []byte { return append(append([]byte(nil), d...), "{}\n"...) }},
+}
+
+// TestCorruptEntriesAreMisses: every corruption reads as a miss counted
+// in Errors, and a subsequent Put restores the entry.
 func TestCorruptEntriesAreMisses(t *testing.T) {
 	k := testKey()
 	want := payload{Name: "x", N: 7, Xs: []float64{3.25}}
 
-	corruptions := []struct {
-		name string
-		mut  func(data []byte) []byte
-	}{
-		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
-		{"empty", func(d []byte) []byte { return nil }},
-		{"garbage", func(d []byte) []byte { return []byte("not json at all") }},
-		{"bitflip", func(d []byte) []byte {
-			out := append([]byte(nil), d...)
-			// Flip a bit inside the value region: the envelope still
-			// parses, only the checksum can catch it.
-			i := strings.Index(string(out), `"value"`) + len(`"value"`) + 10
-			out[i] ^= 0x01
-			return out
-		}},
-		{"wrong-version", func(d []byte) []byte {
-			cur := fmt.Sprintf(`{"schema":%d,`, SchemaVersion)
-			return []byte(strings.Replace(string(d), cur, `{"schema":999,`, 1))
-		}},
-		{"wrong-key", func(d []byte) []byte {
-			return []byte(strings.Replace(string(d), "bench=gzip", "bench=mcf", 1))
-		}},
-	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(t.TempDir())
@@ -346,8 +373,9 @@ func TestFloat64RoundTripExact(t *testing.T) {
 }
 
 func TestEnvelopeShapeStable(t *testing.T) {
-	// The envelope field names are part of the on-disk contract; a
-	// rename would orphan every existing cache. Pin them.
+	// The envelope layout is part of the on-disk contract: Lookup reads
+	// exactly this shape, so a change would orphan every existing cache.
+	// Pin it byte for byte.
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -360,13 +388,101 @@ func TestEnvelopeShapeStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(data, &env); err != nil {
+	value := `{"name":"x","n":0,"xs":null,"Inner":null}`
+	sum := sha256.Sum256([]byte(value))
+	want := fmt.Sprintf(`{"schema":%d,"key":%q,"sum":"%s","value":%s}`+"\n",
+		SchemaVersion, k.Fingerprint(), hex.EncodeToString(sum[:]), value)
+	if string(data) != want {
+		t.Fatalf("entry file\n%s\nwant\n%s", data, want)
+	}
+
+	// The trailing newline is optional on read.
+	if err := os.WriteFile(entryPath(t, s, k), bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"schema", "key", "sum", "value"} {
-		if _, ok := env[field]; !ok {
-			t.Errorf("envelope lacks %q field", field)
-		}
+	var got payload
+	if !s.Lookup(k, &got) || got.Name != "x" {
+		t.Fatal("entry without its trailing newline missed")
 	}
+}
+
+// escapeKey is testKey with a context that JSON must escape: quotes, a
+// backslash, HTML-sensitive characters and a control character.
+func escapeKey() Key {
+	k := testKey()
+	k.Context = "scale=\"0.001\" <a&b> \\ \t"
+	return k
+}
+
+func TestKeyNeedingEscapesRoundTrips(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := escapeKey()
+	if err := s.Put(k, payload{Name: "esc"}); err != nil {
+		t.Fatal(err)
+	}
+	var got payload
+	if !s.Lookup(k, &got) || got.Name != "esc" {
+		t.Fatalf("lookup under a key needing escapes: %+v, counters %+v", got, s.Counters())
+	}
+}
+
+// FuzzStoreLookup: whatever bytes an entry file holds, Lookup returns
+// either a hit whose envelope really is valid for the key (checked here
+// with encoding/json as an independent reader) and whose value is the
+// one stored, or a miss counted in Errors — never a panic. The key needs
+// JSON escaping, so the valid seed exercises the escaped key match; the
+// other seeds are the corruption matrix applied to it.
+func FuzzStoreLookup(f *testing.F) {
+	k := escapeKey()
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put(k, payload{Name: "x", N: 7, Xs: []float64{3.25, 0.1}, Inner: map[string]int{"a": 1}}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(s.path(k))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, c := range corruptions {
+		f.Add(c.mut(valid))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(s.path(k), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Counters()
+		var got payload
+		hit := s.Lookup(k, &got)
+		c := s.Counters()
+		if !hit {
+			if c.Misses != before.Misses+1 || c.Errors != before.Errors+1 {
+				t.Fatalf("miss not counted as an error: %+v -> %+v", before, c)
+			}
+			return
+		}
+		var env struct {
+			Schema int             `json:"schema"`
+			Key    string          `json:"key"`
+			Sum    string          `json:"sum"`
+			Value  json.RawMessage `json:"value"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatalf("hit on an entry that is not JSON: %v", err)
+		}
+		sum := sha256.Sum256(env.Value)
+		if env.Schema != SchemaVersion || env.Key != k.Fingerprint() || env.Sum != hex.EncodeToString(sum[:]) {
+			t.Fatalf("hit on an invalid envelope: schema %d key %q sum %s", env.Schema, env.Key, env.Sum)
+		}
+		var want payload
+		if err := json.Unmarshal(env.Value, &want); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("hit served %+v, the stored value is %+v (%v)", got, want, err)
+		}
+	})
 }
