@@ -8,11 +8,6 @@
 //	inipstudy -trace t.jsonl -benchjson b.json   # observability outputs
 //	                                             # (-benchjson appends a dated entry
 //	                                             # to the trajectory array in b.json)
-//	inipstudy -benchjson b.json -benchbase prior.json  # speedup vs a prior record
-//	                                             # (prior.json: trajectory or old
-//	                                             # single-record format)
-//	                                             # (or -benchbase 12.5 for raw seconds;
-//	                                             # a degenerate baseline exits 3)
 //	inipstudy -tracesum t.jsonl                  # summarize a recorded trace
 //	inipstudy -checkpoint state.jsonl            # persist finished benchmarks
 //	inipstudy -checkpoint state.jsonl -resume    # continue an interrupted run
@@ -70,48 +65,6 @@ type benchReport struct {
 	Benchmarks int     `json:"benchmarks"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	study.Perf
-	// BaselineWallSeconds/Speedup are filled when -benchbase supplies
-	// the wall-clock of a reference binary over the same invocation.
-	// When a baseline was requested but is degenerate (zero or absent),
-	// SpeedupNote records why no ratio was computed instead of the
-	// record silently carrying a division by zero or no field at all.
-	BaselineWallSeconds float64 `json:"baseline_wall_seconds,omitempty"`
-	Speedup             float64 `json:"speedup_vs_baseline,omitempty"`
-	SpeedupNote         string  `json:"speedup_note,omitempty"`
-}
-
-// parseBenchBase interprets the -benchbase value: a number is the
-// baseline wall-clock in seconds verbatim; anything else is the path of
-// a prior -benchjson file whose wall_seconds supplies it — either
-// format: a trajectory array (the latest entry is the baseline) or the
-// prior single-object record. A degenerate baseline (zero, negative, or
-// a record without the field) is not an error here — writeBenchJSON
-// reports it as "n/a" — but an unreadable or unparsable file is.
-func parseBenchBase(v string) (float64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		return secs, nil
-	}
-	data, err := os.ReadFile(v)
-	if err != nil {
-		return 0, err
-	}
-	var rec struct {
-		WallSeconds float64 `json:"wall_seconds"`
-	}
-	var arr []json.RawMessage
-	if json.Unmarshal(data, &arr) == nil {
-		if len(arr) == 0 {
-			return 0, nil
-		}
-		data = arr[len(arr)-1]
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return 0, fmt.Errorf("%s: %w", v, err)
-	}
-	return rec.WallSeconds, nil
 }
 
 // readBenchTrajectory loads an existing -benchjson file as a list of
@@ -139,43 +92,26 @@ func readBenchTrajectory(path string) ([]json.RawMessage, error) {
 }
 
 // writeBenchJSON appends the run's perf record to the trajectory file.
-// It reports na=true when a baseline was requested but no meaningful
-// speedup could be computed — the entry then carries a speedup_note
-// instead of a ratio.
-func writeBenchJSON(path string, res *study.Results, nbench int, base float64, haveBase bool) (na bool, err error) {
-	rep := benchReport{
+func writeBenchJSON(path string, res *study.Results, nbench int) error {
+	entry, err := json.Marshal(benchReport{
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		Scale:      res.Scale,
 		Benchmarks: nbench,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Perf:       res.Perf,
-	}
-	switch {
-	case !haveBase:
-	case base > 0 && rep.WallSeconds > 0:
-		rep.BaselineWallSeconds = base
-		rep.Speedup = base / rep.WallSeconds
-	default:
-		na = true
-		if base > 0 {
-			rep.BaselineWallSeconds = base
-		}
-		rep.SpeedupNote = "n/a: baseline or measured wall-clock is zero or absent"
-	}
-	entry, err := json.Marshal(rep)
+	})
 	if err != nil {
-		return na, err
+		return err
 	}
 	traj, err := readBenchTrajectory(path)
 	if err != nil {
-		return na, err
+		return err
 	}
-	traj = append(traj, entry)
-	data, err := json.MarshalIndent(traj, "", "  ")
+	data, err := json.MarshalIndent(append(traj, entry), "", "  ")
 	if err != nil {
-		return na, err
+		return err
 	}
-	return na, atomicio.WriteFile(path, append(data, '\n'), 0o644)
+	return atomicio.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // parseSamplePeriods parses the -sampleperiods flag: a comma-separated
@@ -233,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		conv    = fs.Bool("conv", false, "run the threshold-selection (convergence) experiment instead of the figures")
 
 		benchJSON = fs.String("benchjson", "", "append suite wall-clock, blocks/sec, per-phase timing and engine counters as a dated entry to the trajectory array in this file")
-		benchBase = fs.String("benchbase", "", "baseline for the -benchjson speedup: wall-clock seconds, or the path of a prior -benchjson record (its wall_seconds is used)")
 		par       = fs.Int("par", 0, "worker-pool size for run units (default: GOMAXPROCS)")
 
 		traceFile  = fs.String("trace", "", "write a flight-recorder event per pipeline unit as JSONL to this file")
@@ -257,14 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	// Resolve the baseline up front so a bad -benchbase file fails
-	// before the study runs, not after minutes of work.
-	baseSecs, baseErr := parseBenchBase(*benchBase)
-	if baseErr != nil {
-		fmt.Fprintf(stderr, "inipstudy: -benchbase: %v\n", baseErr)
-		return 1
 	}
 
 	// Sweep atomic-write temporaries a killed previous invocation may
@@ -526,23 +453,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// okExit is what success paths below return: 0, or 3 when the run
-	// completed but the requested speedup-vs-baseline was degenerate.
-	okExit := 0
 	if *benchJSON != "" {
 		nbench := len(cfg.Benchmarks)
 		if nbench == 0 {
 			nbench = len(spec.Suite())
 		}
-		na, err := writeBenchJSON(*benchJSON, res, nbench, baseSecs, *benchBase != "")
-		if err != nil {
+		if err := writeBenchJSON(*benchJSON, res, nbench); err != nil {
 			fmt.Fprintf(stderr, "inipstudy: %v\n", err)
 			return 1
-		}
-		if na {
-			fmt.Fprintf(stderr, "inipstudy: warning: speedup vs baseline is n/a (-benchbase %q gives %g s against %g s measured)\n",
-				*benchBase, baseSecs, res.Perf.WallSeconds)
-			okExit = 3
 		}
 		fmt.Fprintf(stderr, "wrote %s (wall %.1fs, %.2fM blocks/s)\n",
 			*benchJSON, res.Perf.WallSeconds, res.Perf.BlocksPerSec/1e6)
@@ -572,7 +490,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stderr, "wrote %s\n", *asMD)
-		return okExit
+		return 0
 	}
 
 	want := map[string]bool{}
@@ -600,7 +518,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "inipstudy: %v\n", err)
 			return 1
 		}
-		return okExit
+		return 0
 	}
 
 	for _, f := range out {
@@ -621,5 +539,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 	}
-	return okExit
+	return 0
 }

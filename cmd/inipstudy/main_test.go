@@ -323,86 +323,28 @@ func TestCacheVerifyRequiresCache(t *testing.T) {
 	}
 }
 
-// TestBenchBaseSpeedup covers the -benchbase ladder: a numeric baseline
-// and a prior -benchjson record both yield a positive speedup ratio; a
-// degenerate baseline (zero seconds, or a record without wall_seconds)
-// yields a speedup_note of "n/a" plus exit 3 instead of a silent or
-// divided-by-zero record; an unreadable baseline file fails before the
-// study runs.
+// TestBenchBaseSpeedup: the -benchbase speedup claim path is gone —
+// paired sets of the repository benchmark replaced it — so the flag is
+// an unknown-flag error, and a -benchjson entry carries no speedup
+// fields (readBenchFile rejects unknown fields).
 func TestBenchBaseSpeedup(t *testing.T) {
-	dir := t.TempDir()
 	base := []string{"-scale", "0.001", "-bench", "gzip", "-fig", "fig8"}
-
-	record := func(t *testing.T, path string) benchReport {
-		t.Helper()
-		traj := readBenchFile(t, path)
-		return traj[len(traj)-1]
-	}
-
-	// Numeric seconds, the long-standing form.
-	numJSON := filepath.Join(dir, "num.json")
-	args := append([]string{"-benchjson", numJSON, "-benchbase", "1000"}, base...)
-	if code := run(args, new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
-		t.Fatalf("numeric -benchbase exited %d", code)
-	}
-	if rep := record(t, numJSON); rep.BaselineWallSeconds != 1000 || rep.Speedup <= 0 || rep.SpeedupNote != "" {
-		t.Fatalf("numeric baseline record wrong: %+v", rep)
-	}
-
-	// A prior -benchjson record as the baseline.
-	fileJSON := filepath.Join(dir, "file.json")
-	args = append([]string{"-benchjson", fileJSON, "-benchbase", numJSON}, base...)
-	if code := run(args, new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
-		t.Fatalf("file -benchbase exited %d", code)
-	}
-	if rep := record(t, fileJSON); rep.BaselineWallSeconds <= 0 || rep.Speedup <= 0 || rep.SpeedupNote == "n/a" {
-		t.Fatalf("file baseline record wrong: %+v", rep)
-	}
-
-	// Degenerate: a baseline record without a usable wall_seconds.
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	naJSON := filepath.Join(dir, "na.json")
 	var errBuf bytes.Buffer
-	args = append([]string{"-benchjson", naJSON, "-benchbase", empty}, base...)
-	if code := run(args, new(bytes.Buffer), &errBuf); code != 3 {
-		t.Fatalf("absent baseline exited %d, want 3\n%s", code, errBuf.String())
+	if code := run(append([]string{"-benchbase", "1000"}, base...), new(bytes.Buffer), &errBuf); code != 2 {
+		t.Fatalf("-benchbase exited %d, want 2\n%s", code, errBuf.String())
 	}
-	if !strings.Contains(errBuf.String(), "n/a") {
-		t.Fatalf("no n/a warning on stderr:\n%s", errBuf.String())
+	path := filepath.Join(t.TempDir(), "b.json")
+	if code := run(append([]string{"-benchjson", path}, base...), new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
+		t.Fatalf("-benchjson run exited %d", code)
 	}
-	rep := record(t, naJSON)
-	if rep.Speedup != 0 || rep.BaselineWallSeconds != 0 || !strings.Contains(rep.SpeedupNote, "n/a") {
-		t.Fatalf("degenerate baseline record wrong: %+v", rep)
-	}
-
-	// Degenerate: an explicit zero-seconds baseline.
-	zeroJSON := filepath.Join(dir, "zero.json")
-	args = append([]string{"-benchjson", zeroJSON, "-benchbase", "0"}, base...)
-	if code := run(args, new(bytes.Buffer), new(bytes.Buffer)); code != 3 {
-		t.Fatalf("zero baseline exited %d, want 3", code)
-	}
-	if rep := record(t, zeroJSON); !strings.Contains(rep.SpeedupNote, "n/a") {
-		t.Fatalf("zero baseline record wrong: %+v", rep)
-	}
-
-	// Unreadable baseline file: fail fast, before any benchmark runs.
-	var fastErr bytes.Buffer
-	args = append([]string{"-benchjson", filepath.Join(dir, "x.json"), "-benchbase", filepath.Join(dir, "missing.json")}, base...)
-	if code := run(args, new(bytes.Buffer), &fastErr); code != 1 {
-		t.Fatalf("missing baseline file exited %d, want 1", code)
-	}
-	if !strings.Contains(fastErr.String(), "-benchbase") {
-		t.Fatalf("error does not name the flag:\n%s", fastErr.String())
-	}
+	readBenchFile(t, path)
 }
 
 // TestBenchTrajectory covers the append-only -benchjson format: each
 // run appends a dated entry; a file in the prior single-object format
-// is absorbed as the trajectory's first entry, stays byte-identical
-// through the conversion, and still works as a -benchbase baseline.
+// is absorbed as the trajectory's first entry and stays byte-identical
+// (modulo indentation) through the conversion, fields this binary no
+// longer writes included.
 func TestBenchTrajectory(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-scale", "0.001", "-bench", "gzip", "-fig", "fig8"}
@@ -418,44 +360,49 @@ func TestBenchTrajectory(t *testing.T) {
 		}
 	}
 
-	// Legacy single-object file: entry zero survives verbatim (modulo
-	// re-indentation), the new entry lands behind it.
+	// Legacy single-object file, carrying the speedup fields older
+	// binaries wrote: entry zero survives verbatim, the new entry lands
+	// behind it.
 	legacy := filepath.Join(dir, "legacy.json")
-	seed := benchReport{Date: "2026-01-01", Scale: 0.5, Benchmarks: 26}
-	seed.WallSeconds = 123.5
-	seed.BlocksExecuted = 42
-	raw, err := json.MarshalIndent(seed, "", "  ")
-	if err != nil {
+	seed := `{
+  "date": "2026-01-01",
+  "scale": 0.5,
+  "benchmarks": 26,
+  "wall_seconds": 123.5,
+  "blocks_executed": 42,
+  "baseline_wall_seconds": 302,
+  "speedup_vs_baseline": 2.445
+}
+`
+	if err := os.WriteFile(legacy, []byte(seed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(legacy, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	args := append([]string{"-benchjson", legacy, "-benchbase", legacy}, base...)
+	args := append([]string{"-benchjson", legacy}, base...)
 	if code := run(args, new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
 		t.Fatalf("legacy-append run exited %d", code)
 	}
-	entries := readBenchFile(t, legacy)
-	if len(entries) != 2 {
-		t.Fatalf("legacy file has %d entries after append, want 2", len(entries))
+	raw, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if entries[0].Date != "2026-01-01" || entries[0].WallSeconds != 123.5 || entries[0].BlocksExecuted != 42 {
-		t.Fatalf("legacy entry not preserved: %+v", entries[0])
+	var entries []json.RawMessage
+	if err := json.Unmarshal(raw, &entries); err != nil || len(entries) != 2 {
+		t.Fatalf("legacy file after append: %d entries, err %v\n%s", len(entries), err, raw)
 	}
-	// The baseline came from the legacy record's wall_seconds, so the
-	// appended entry carries a speedup against it.
-	if got := entries[1]; got.BaselineWallSeconds != 123.5 || got.Speedup <= 0 {
-		t.Fatalf("appended entry has no speedup vs the legacy baseline: %+v", got)
+	var got, want bytes.Buffer
+	if err := json.Compact(&got, entries[0]); err != nil {
+		t.Fatal(err)
 	}
-
-	// A trajectory file as -benchbase uses its latest entry.
-	args = append([]string{"-benchjson", filepath.Join(dir, "next.json"), "-benchbase", legacy}, base...)
-	if code := run(args, new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
-		t.Fatalf("trajectory-baseline run exited %d", code)
+	if err := json.Compact(&want, []byte(seed)); err != nil {
+		t.Fatal(err)
 	}
-	next := readBenchFile(t, filepath.Join(dir, "next.json"))
-	if next[0].BaselineWallSeconds != entries[1].WallSeconds {
-		t.Fatalf("baseline %.6f is not the trajectory's latest wall_seconds %.6f",
-			next[0].BaselineWallSeconds, entries[1].WallSeconds)
+	if got.String() != want.String() {
+		t.Fatalf("legacy entry not preserved:\n got: %s\nwant: %s", got.String(), want.String())
+	}
+	var appended benchReport
+	dec := json.NewDecoder(bytes.NewReader(entries[1]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&appended); err != nil || appended.WallSeconds <= 0 {
+		t.Fatalf("appended entry %s: %v", entries[1], err)
 	}
 }

@@ -195,8 +195,8 @@ type tblock struct {
 	hasBranch bool
 	frozen    bool
 	// lowered is false for blocks the lowerer declined, which then run
-	// through the generic interp.Exec path. Followers, which build no
-	// lowered code, set it from the same lowerable predicate.
+	// through the generic interp.Exec path. Followers build no lowered
+	// code and leave it false.
 	lowered bool
 	// indirect marks jr/ret terminators: the successor is data-driven,
 	// so chaining maintains itab instead of a single edge pointer.
@@ -387,10 +387,8 @@ type Engine struct {
 
 	// follower marks a shared-trace follower (RunMulti): it never
 	// executes guest code, so it builds no lowered code and keeps no
-	// chain state. traceLookups counts the successor probes of the last
-	// fillBatch; the driver hands it to every follower (see drainBatch).
-	follower     bool
-	traceLookups uint64
+	// chain state.
+	follower bool
 
 	// Sampled-profiling state (Config.SamplePeriod > 1; see sampling.go).
 	// samplePeriod caches the period, sampleGap is the countdown to the
@@ -535,9 +533,7 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 		pc++
 	}
 	tb.ninsts = uint32(len(tb.insts))
-	if e.follower {
-		tb.lowered = lowerable(tb)
-	} else {
+	if !e.follower {
 		tb.lowered = e.lower(tb)
 	}
 	tb.nextRegister = e.regThreshold
@@ -547,6 +543,101 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 		e.cfg.Perf.ChargeTranslate(len(tb.insts))
 	}
 	return tb, nil
+}
+
+// step advances the engine's profiling state machine past one executed
+// block: tb ran, left through its taken edge if takenEdge, and reached
+// next (nil while untranslated; the caller translates it afterwards, so
+// translation charges follow this block's). It is the one copy of the
+// per-block profiling that both run loops call (see multi.go):
+//
+//   - the sampling stride ticks on every block event, frozen or not, so
+//     the sampled-event set depends only on the engine's own event
+//     count — the determinism contract of sampling.go;
+//   - an unfrozen block's counters advance on a sampled event, and it
+//     registers at the precomputed next multiple of the threshold (or
+//     when the convergence heuristic says so), which may run a wave;
+//   - the perf model charges the block by class: a frozen block runs at
+//     full optimized speed only while control follows one of its
+//     regions' expected paths (the cursor is on it), since frozen code
+//     reached outside a region context was retranslated for a different
+//     path; an unfrozen block on an unsampled event runs without the
+//     counter-update overhead, the saving sampling buys;
+//   - the region cursor follows the fired edge, leaving the region (the
+//     cold path) when it runs off it, and enters next's region if next
+//     is a region entry.
+func (e *Engine) step(tb *tblock, takenEdge bool, next *tblock) {
+	sampled := true
+	if e.samplePeriod > 1 {
+		e.sampleGap--
+		if e.sampleGap == 0 {
+			e.sampleGap = e.samplePeriod
+		} else {
+			sampled = false
+		}
+	}
+	if !tb.frozen && sampled {
+		tb.use++
+		e.profOps++
+		if tb.hasBranch && takenEdge {
+			tb.taken++
+			e.profOps++
+		}
+		if e.optimize {
+			var ready bool
+			if e.converge {
+				ready = e.shouldRegister(tb)
+			} else if tb.use == tb.nextRegister {
+				ready = true
+				tb.nextRegister += e.regThreshold
+			}
+			if ready && e.register(tb) {
+				e.optimizeWave()
+			}
+		}
+	}
+	if perf := e.perf; perf != nil {
+		switch {
+		case tb.frozen && e.curNode != nil && e.curNode.addr == tb.addr:
+			perf.ChargeOptimizedBlock(int(tb.costSum))
+		case tb.frozen:
+			perf.ChargeOffTraceBlock(int(tb.costSum))
+		case sampled:
+			perf.ChargeQuickBlock(int(tb.costSum))
+		default:
+			perf.ChargeQuickBlockUnprofiled(int(tb.costSum))
+		}
+	}
+	if !e.optimize {
+		return
+	}
+	if rt := e.curRegion; rt != nil {
+		node := e.curNode
+		if node == nil || node.addr != tb.addr {
+			e.leaveRegion(false)
+		} else {
+			nn := node.fall
+			if takenEdge {
+				nn = node.taken
+			}
+			switch {
+			case nn == nil:
+				e.leaveRegion(rt.r.Kind == profile.RegionTrace && node == rt.last)
+			case nn == rt.entry:
+				e.stats.RegionLoopBacks++
+				rt.loopBacks++
+				e.curNode = nn
+			default:
+				e.curNode = nn
+			}
+		}
+	}
+	if next != nil && e.curRegion == nil && next.regionEntry != nil {
+		rt := next.regionEntry
+		rt.entries++
+		e.curRegion, e.curNode = rt, rt.entry
+		e.stats.RegionEntries++
+	}
 }
 
 // shouldRegister decides whether the block's profile is ready for the
@@ -808,20 +899,16 @@ func (e *Engine) finish() (*profile.Snapshot, *RunStats, error) {
 // Run executes the guest to completion and returns the profile snapshot
 // and run statistics. Execution goes through the same batched loop
 // RunMulti's driver uses (fillBatch in multi.go): the fast/generic path
-// choice is per block inside it, and the recorded outcomes are simply
+// choice is per block inside it, and the recorded batches are simply
 // discarded.
 func (e *Engine) Run() (*profile.Snapshot, *RunStats, error) {
 	if err := e.start(); err != nil {
 		return nil, nil, err
 	}
 	buf := make([]outcome, 0, replayBatch)
-	for {
-		_, done, err := e.fillBatch(buf[:0])
-		if err != nil {
+	for !e.halted {
+		if _, err := e.fillBatch(buf[:0]); err != nil {
 			return nil, nil, err
-		}
-		if done {
-			break
 		}
 	}
 	return e.finish()

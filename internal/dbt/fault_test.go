@@ -31,9 +31,9 @@ func TestTrapAfterAbortsDeterministically(t *testing.T) {
 	}
 }
 
-// TestTrapAfterInRunMulti: the shared-trace driver enforces the trap
-// before any follower advances, so the whole batch aborts with the
-// driver's diagnostic.
+// TestTrapAfterInRunMulti: when the driver and a follower trap at the
+// same block, the shared run returns the trap of the lowest index, the
+// driver's, which is also each configuration's serial diagnostic.
 func TestTrapAfterInRunMulti(t *testing.T) {
 	img := buildLooper(t, 500, interp.ProbScale/2)
 	cfgs := []Config{

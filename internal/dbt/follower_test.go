@@ -11,8 +11,9 @@ import (
 )
 
 // Shared-trace followers do only profiling work: no lowered code, no
-// chain state, successors from the dense code cache and the trace-path
-// CacheLookups count from the driver. These tests pin that they still
+// chain state, successors from the dense code cache, and the batch sums
+// (instructions, lowered-block dispatches, trace-path CacheLookups) from
+// the driver. These tests pin that they still
 // report exactly a serial run's statistics.
 
 // buildCallHeavy returns a guest whose one leaf function returns to
@@ -139,8 +140,7 @@ func TestFollowerStatsMatchSerialSampledLadder(t *testing.T) {
 }
 
 // TestFollowersKeepNoCodeOrChains: after a shared-trace run every
-// follower has an empty arena and block table and no chain state, and
-// every block's dispatch flag is the lowerable predicate's answer.
+// follower has an empty arena and block table and no chain state.
 func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 	for _, img := range []*guest.Image{buildCallHeavy(t, 500), buildLooper(t, 500, 300)} {
 		cfgs := []Config{
@@ -167,29 +167,15 @@ func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 				if tb.takenBlk != nil || tb.fallBlk != nil || tb.itab != nil {
 					t.Errorf("follower %d: block %d keeps chain state", i+1, tb.addr)
 				}
-				if tb.lowered != lowerable(tb) {
-					t.Errorf("follower %d: block %d lowered=%v, lowerable=%v", i+1, tb.addr, tb.lowered, lowerable(tb))
-				}
 			}
-		}
-	}
-}
-
-// checkLowerableAgrees requires lowerable(tb) to equal what lower
-// returned (tb.lowered) for every block the engine translated.
-func checkLowerableAgrees(t *testing.T, e *Engine, label string) {
-	t.Helper()
-	for _, tb := range e.cache {
-		if tb != nil && lowerable(tb) != tb.lowered {
-			t.Fatalf("%s: block %d: lowerable=%v, lower=%v", label, tb.addr, lowerable(tb), tb.lowered)
 		}
 	}
 }
 
 // TestLowerableDeclinesWhatLowerDeclines: no decodable opcode lacks a
 // lowered form today, so a block with an unknown opcode stands in for a
-// future one: both must decline it, and lower must leave the arena and
-// block table untouched.
+// future one: lower must decline it and leave the arena and block table
+// untouched.
 func TestLowerableDeclinesWhatLowerDeclines(t *testing.T) {
 	e, err := New(buildLooper(t, 1, 1), interp.NewUniformTape("x"), Config{})
 	if err != nil {
@@ -200,15 +186,15 @@ func TestLowerableDeclinesWhatLowerDeclines(t *testing.T) {
 		{{Op: isa.OpNop}, {Op: isa.Op(200)}},
 	} {
 		tb := &tblock{insts: insts}
-		if lowerable(tb) || e.lower(tb) {
-			t.Fatalf("%v: lowerable=%v, lower accepted an unknown opcode", insts, lowerable(tb))
+		if e.lower(tb) {
+			t.Fatalf("%v: lower accepted an unknown opcode", insts)
 		}
 		if len(e.arena) != 0 || len(e.hot) != 0 {
 			t.Fatalf("%v: declined lowering left %d arena ops, %d table rows", insts, len(e.arena), len(e.hot))
 		}
 	}
 	tb := &tblock{insts: []isa.Inst{{Op: isa.OpAddi, Rd: 1, Rs: 1, Imm: 2}, {Op: isa.OpHalt}}}
-	if !lowerable(tb) || !e.lower(tb) || len(e.arena) != 1 || len(e.hot) != 1 {
-		t.Fatalf("known block: lowerable=%v, arena %d, table %d", lowerable(tb), len(e.arena), len(e.hot))
+	if !e.lower(tb) || len(e.arena) != 1 || len(e.hot) != 1 {
+		t.Fatalf("known block: arena %d, table %d", len(e.arena), len(e.hot))
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"repro/internal/isa"
 )
 
-// Differential testing of the two dispatch paths: random small guest
+// Differential testing of the execution paths: random small guest
 // programs run through both the arena fast path and the generic
 // interp.Exec dispatch, which must agree on everything — architectural
-// state, profile snapshot, run statistics and faults. FuzzExecPaths
+// state, profile snapshot, run statistics and faults — and through
+// shared-trace followers, which must match a serial run. FuzzExecPaths
 // explores the program space under the fuzzer; TestExecPathsRandom
 // pins 300 seeded programs of the same generator as a deterministic
 // regression suite.
@@ -116,32 +117,73 @@ func buildFuzzProgram(data []byte) *guest.Image {
 	return img
 }
 
-// runPath executes the image under one dispatch path with a tight
-// optimization configuration (low threshold and pool trigger, so waves,
-// freezing and region tracking all fire even in tiny programs) and a
-// block budget bounding divergent programs.
+// fuzzBudget bounds divergent random programs.
+const fuzzBudget = 20_000
+
+// fuzzConfig is the tight optimization configuration the random
+// programs run under: a low threshold and pool trigger, so waves,
+// freezing and region tracking all fire even in tiny programs.
+func fuzzConfig() Config {
+	return Config{
+		Optimize:      true,
+		Threshold:     8,
+		PoolTrigger:   2,
+		RegisterTwice: true,
+		MaxBlockExecs: fuzzBudget,
+	}
+}
+
+// errString is err's message, or "" for nil.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// runPath executes the image under one dispatch path with fuzzConfig.
 func runPath(tb testing.TB, img *guest.Image, disableFast bool) (*Engine, string) {
 	tb.Helper()
-	e, err := New(img, interp.NewUniformTape("fuzz/ref"), Config{
-		Optimize:        true,
-		Threshold:       8,
-		PoolTrigger:     2,
-		RegisterTwice:   true,
-		MaxBlockExecs:   20_000,
-		DisableFastPath: disableFast,
-	})
+	cfg := fuzzConfig()
+	cfg.DisableFastPath = disableFast
+	e, err := New(img, interp.NewUniformTape("fuzz/ref"), cfg)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
 	_, _, rerr := e.Run()
-	msg := ""
-	if rerr != nil {
-		msg = rerr.Error()
-	}
-	return e, msg
+	return e, errString(rerr)
 }
 
-// checkExecPaths runs the program both ways and asserts full agreement.
+// checkFollowerPaths replays the program through shared-trace followers:
+// behind an AVEP driver with the same block budget, the optimizing
+// config, a sampled one and an adaptive one must each report exactly
+// what a serial run of that config reports — snapshot, statistics and
+// error.
+func checkFollowerPaths(t *testing.T, img *guest.Image) {
+	sampled, adaptive := fuzzConfig(), fuzzConfig()
+	sampled.SamplePeriod, sampled.SampleSeed = 4, 1
+	adaptive.Adaptive, adaptive.AdaptiveMinEntries = true, 4
+	for i, cfg := range []Config{fuzzConfig(), sampled, adaptive} {
+		cfgs := withPerf([]Config{{MaxBlockExecs: fuzzBudget}, cfg})
+		snaps, statss, err := RunMulti(img, interp.NewUniformTape("fuzz/ref"), cfgs)
+		wantSnap, wantStats, wantErr := Run(img, interp.NewUniformTape("fuzz/ref"), withPerf(cfgs[1:])[0])
+		if errString(err) != errString(wantErr) {
+			t.Fatalf("follower config %d: error %q, serial %q\nprogram:\n%s", i, errString(err), errString(wantErr), img.Disassemble())
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(statss[1], wantStats) {
+			t.Fatalf("follower config %d: stats differ from serial\n got: %+v\nwant: %+v\nprogram:\n%s", i, statss[1], wantStats, img.Disassemble())
+		}
+		if !reflect.DeepEqual(snaps[1], wantSnap) {
+			t.Fatalf("follower config %d: snapshot differs from serial\nprogram:\n%s", i, img.Disassemble())
+		}
+	}
+}
+
+// checkExecPaths runs the program both ways and asserts full agreement,
+// then replays it through shared-trace followers (checkFollowerPaths).
 func checkExecPaths(t *testing.T, data []byte) {
 	img := buildFuzzProgram(data)
 	if img == nil {
@@ -149,9 +191,6 @@ func checkExecPaths(t *testing.T, data []byte) {
 	}
 	fast, fastErr := runPath(t, img, false)
 	gen, genErr := runPath(t, img, true)
-	checkLowerableAgrees(t, fast, "fast path")
-	checkLowerableAgrees(t, gen, "generic path")
-
 	if fastErr != genErr {
 		t.Fatalf("fault mismatch:\nfast: %q\ngeneric: %q\nprogram:\n%s", fastErr, genErr, img.Disassemble())
 	}
@@ -165,6 +204,7 @@ func checkExecPaths(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(fs.Ret, gs.Ret) {
 		t.Fatalf("return-stack mismatch:\nfast: %v\ngeneric: %v\nprogram:\n%s", fs.Ret, gs.Ret, img.Disassemble())
 	}
+	checkFollowerPaths(t, img)
 	if fastErr != "" {
 		return // errored runs publish no snapshot or stats
 	}

@@ -18,7 +18,7 @@
 // Spans are {off,len} indexes, so arena growth (append reallocation)
 // never invalidates them, and translated blocks are never replaced, so
 // the arena only grows. Shared-trace followers never execute guest code,
-// so they build neither array (see lowerable).
+// so they build neither array.
 //
 // The fast path is required to be bit-for-bit equivalent to the
 // reference interpreter. Semantics are copied verbatim from interp.Exec,
@@ -173,32 +173,22 @@ func lowerTermKind(op isa.Op) (tkind, bool) {
 	return 0, false
 }
 
-// lowerable reports whether every instruction of tb has a lowered
-// form. lower builds code exactly for these blocks, and shared-trace
-// followers, which build none, take their dispatch flag from it.
-func lowerable(tb *tblock) bool {
-	if _, ok := lowerTermKind(tb.insts[len(tb.insts)-1].Op); !ok {
-		return false
-	}
-	for _, in := range tb.insts[:len(tb.insts)-1] {
-		if _, ok := lowerBodyKind(in.Op); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // lower appends the block's body to the engine's lowered-op arena and
 // its row to the flat block table, reporting success. A block that
 // cannot be lowered (an opcode unknown to the lowerer) gets neither; it
 // stays on the generic interp.Exec path.
 func (e *Engine) lower(tb *tblock) bool {
-	if !lowerable(tb) {
+	term := tb.insts[len(tb.insts)-1]
+	tk, ok := lowerTermKind(term.Op)
+	if !ok {
 		return false
 	}
-	term := tb.insts[len(tb.insts)-1]
-	tk, _ := lowerTermKind(term.Op)
 	body := tb.insts[:len(tb.insts)-1]
+	for _, in := range body {
+		if _, ok := lowerBodyKind(in.Op); !ok {
+			return false
+		}
+	}
 	start := len(e.arena)
 	for _, in := range body {
 		k, _ := lowerBodyKind(in.Op)

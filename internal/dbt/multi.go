@@ -7,29 +7,32 @@
 // engines, so an AVEP run and a whole INIP(T) ladder cost one execution
 // plus N bookkeeping passes instead of N full runs.
 //
-// Each follower engine keeps its own code cache, counters, region
-// former and perf accumulator and performs exactly the profiling a
-// serial run would, so its snapshot, statistics and cycle totals are
+// Every engine profiles through one method, step (dbt.go), which two
+// loops call once per block: fillBatch executes the guest and steps its
+// own context inline (the serial Run, and RunMulti's driver), and
+// drainBatch replays a recorded batch through a follower. Each follower
+// keeps its own code cache, counters, region former and perf
+// accumulator, so its snapshot, statistics and cycle totals are
 // bit-for-bit what a serial Run with the same Config would have
-// produced. Tests cross-validate this for every configuration class.
-// A follower does only that profiling work: it executes no guest code,
-// so it builds no lowered code, and it resolves successors straight
-// from its dense code cache instead of chaining, taking the trace-path
-// CacheLookups count from the driver (see drainBatch).
+// produced. Tests cross-validate this for every configuration class. A
+// follower executes no guest code, so it builds no lowered code, and it
+// resolves successors straight from its dense code cache instead of
+// chaining.
 //
 // Replay is batched: the driver records (nextPC, halted) outcomes into
-// a fixed buffer of replayBatch entries, and each follower then drains
-// the whole batch in one tight loop (drainBatch), so nothing observable
-// changes versus per-block interleaving — counters, wave timing and
-// interrupt-poll cadence are all driven by each engine's own block
-// count. What changes is locality: one follower's caches, counters and
-// region state stay hot across thousands of entries instead of 1+N
-// engines evicting each other every block. The only semantic skew is
-// error ordering across engines — the driver executes up to replayBatch
-// blocks ahead, so a driver-side fault at block k+j can surface before
-// a follower's budget/trap error at block k. Errored RunMulti results
-// are discarded wholesale by every caller, and in practice all configs
-// share TrapAfter/MaxBlockExecs, so the first error wins identically.
+// a fixed buffer of replayBatch entries, together with the batch's sums
+// that depend on the trace alone — instructions, lowered-block
+// dispatches and successor probes — so no context recomputes them per
+// block. Each follower then drains the whole batch in one tight loop.
+// Nothing observable changes versus per-block interleaving: counters,
+// wave timing and interrupt-poll cadence are all driven by each engine's
+// own block count. What changes is locality: one follower's caches,
+// counters and region state stay hot across thousands of entries
+// instead of 1+N engines evicting each other every block. A batch that
+// ends in an error is still drained by every follower, and RunMulti
+// returns the error of the configuration that stops first in the trace
+// (the lowest index on a tie): exactly what that configuration's serial
+// run returns.
 package dbt
 
 import (
@@ -52,14 +55,27 @@ type outcome struct {
 	halted bool
 }
 
+// batch is one stretch of the shared trace as fillBatch recorded it:
+// the outcomes, plus the sums every context takes whole instead of
+// recomputing them per block. All three depend on the trace alone:
+// instructions and lowered-block dispatches on the executed blocks, and
+// the successor probes on chaining, which a serial run of any config
+// does identically over these blocks.
+type batch struct {
+	outs                           []outcome
+	instructions, lowered, lookups uint64
+}
+
 // RunMulti executes the guest once and produces one profile snapshot
 // and one statistics record per configuration, as if each configuration
 // had been run serially with Run over an identical tape. The first
-// configuration drives execution: its Input, DisableFastPath, Interrupt
-// and MaxBlockExecs settings govern the shared trace, and the tape is
-// consumed by it alone. All configurations must agree on what the guest
-// does — they may differ in profiling settings (Threshold, Optimize,
-// Perf, adaptive/convergence knobs) but not in anything architectural.
+// configuration drives execution: its DisableFastPath and Interrupt
+// settings govern the shared trace, and the tape is consumed by it
+// alone. Every configuration's MaxBlockExecs and TrapAfter apply; the
+// run returns the error of the one that stops first. All configurations
+// must agree on what the guest does — they may differ in profiling
+// settings (Threshold, Optimize, Perf, adaptive/convergence knobs) but
+// not in anything architectural.
 func RunMulti(img *guest.Image, tape interp.Tape, cfgs []Config) ([]*profile.Snapshot, []*RunStats, error) {
 	return runMulti(img, tape, cfgs, nil)
 }
@@ -119,92 +135,66 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 	if len(observers) > 0 {
 		events = make([]BranchEvent, 0, replayBatch)
 	}
-	done := false
-	for !done {
-		// Fill one batch: the driver's budget/interrupt check runs
-		// before each block, exactly as in a serial run. The batch's
-		// first block is the driver's cursor, which the observer walk
-		// needs before fillBatch advances it.
+	for !driver.halted {
+		// The batch's first block is the driver's cursor, which the
+		// observer walk needs before fillBatch advances it.
 		startPC := driver.cur.addr
-		var batch []outcome
-		var err error
-		batch, done, err = driver.fillBatch(buf[:0])
-		if err != nil {
-			return nil, err
-		}
+		b, stopErr := driver.fillBatch(buf[:0])
+		stopAt := driver.stats.BlocksExecuted
 		if len(observers) > 0 {
-			events = appendBranchEvents(events[:0], driver, startPC, batch)
+			events = appendBranchEvents(events[:0], driver, startPC, b.outs)
 			for _, o := range observers {
 				o.ObserveBranches(events)
 			}
 		}
-		// Drain it through each follower: per entry the serial run's
-		// profiling, over thousands of entries per engine switch.
+		// Drain it through each follower, even after a driver error: a
+		// follower may stop earlier in the trace, and its serial run
+		// would report that stop. The earliest stop wins, the lowest
+		// index on a tie.
 		for _, e := range followers {
-			if err := e.drainBatch(batch, driver.traceLookups); err != nil {
-				return nil, err
+			if err := e.drainBatch(&b); err != nil && (stopErr == nil || e.stats.BlocksExecuted < stopAt) {
+				stopErr, stopAt = err, e.stats.BlocksExecuted
 			}
+		}
+		if stopErr != nil {
+			return nil, stopErr
 		}
 	}
 	return engines, nil
 }
 
-// fillBatch executes the guest until the appended outcome batch reaches
-// its capacity, the guest halts (done=true), or the engine stops with an
-// error. Per block it checks the budget, trap and interrupt, executes,
-// profiles, and resolves the successor through its chain; the block
-// count, poll tick, sum counters and the block/region cursors live in
-// registers across the batch and are written back once. Both the serial
-// Run loop and RunMulti's driver use it — the serial caller just
-// discards the recorded outcomes. traceLookups receives the batch's
-// successor probes: chaining depends only on the trace, so they are
-// exactly the probes any engine's serial run makes over these blocks.
-//
-// Its profiling (counters, registration, perf charges, region cursor)
-// MUST mirror drainBatch's, the follower loop that only profiles; the
-// serial-vs-follower equivalence tests and FuzzExecPaths pin the
-// contract bit-for-bit.
-func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
-	count := e.stats.BlocksExecuted
-	var instr, fastN, genN, polls, lookups uint64
-	budget, trapAfter, interrupt := e.budget, e.trapAfter, e.interrupt
-	fastPath, optimize, conv := e.fastPath, e.optimize, e.converge
-	samplePeriod, gap := e.samplePeriod, e.sampleGap
-	perf := e.perf
+// fillBatch executes the guest, recording outcomes into outs, until
+// outs is full, the guest halts (e.halted), or the engine stops with an
+// error. Per block it executes, resolves the successor through its
+// chain and steps the engine's own profiling. Both the serial Run loop
+// and RunMulti's driver use it; the serial caller just discards the
+// recorded batch.
+func (e *Engine) fillBatch(outs []outcome) (batch, error) {
+	limit := uint64(cap(outs))
+	stop := e.batchStop(limit)
+	// The interrupt channel is polled before the block whose count is a
+	// multiple of the poll period; n never reaches a poll of 0.
+	poll := uint64(0)
+	if e.interrupt != nil {
+		poll = interruptCheckMask + 1 - e.stats.BlocksExecuted&interruptCheckMask
+	}
+	var instr, lowered, lookups uint64
+	fastPath := e.fastPath
+	cache := e.cache
 	cur := e.cur
-	curRegion, curNode := e.curRegion, e.curNode
-	done := false
-	kind := 0 // 0 clean, 1 budget, 2 trap, 3 raw error
-	var retErr error
-
-	for len(batch) < cap(batch) {
-		// Count first, budget before trap, poll tick before the channel
-		// read — erroring paths flush the count they already incremented
-		// but never reach the later checks.
-		count++
-		if budget > 0 && count > budget {
-			kind = 1
-			break
-		}
-		if trapAfter > 0 && count >= trapAfter {
-			kind = 2
-			break
-		}
-		if count&interruptCheckMask == 0 {
-			polls++
-			if interrupt != nil {
-				if err := e.pollInterrupt(); err != nil {
-					kind, retErr = 3, err
-					break
-				}
+	var n uint64
+	var err error
+	for n < stop {
+		n++
+		if n == poll {
+			if err = e.pollInterrupt(); err != nil {
+				break
 			}
 		}
-
 		tb := cur
 		var (
 			nextPC int
 			halted bool
-			err    error
 		)
 		if fastPath && tb.lowered {
 			nextPC, halted, err = e.execBlock(tb)
@@ -212,46 +202,17 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 			nextPC, halted, err = e.execBlockGeneric(tb)
 		}
 		if err != nil {
-			kind, retErr = 3, err
 			break
 		}
-
 		instr += uint64(tb.ninsts)
-		if fastPath && tb.lowered {
-			fastN++
-		} else {
-			genN++
+		if tb.lowered {
+			lowered++
 		}
+
+		// Resolve the successor through the chain before stepping:
+		// waves never translate or replace blocks, so the result is the
+		// block the step would have found afterwards.
 		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
-		sampledEvent := true
-		if samplePeriod > 1 {
-			gap--
-			if gap == 0 {
-				gap = samplePeriod
-			} else {
-				sampledEvent = false
-			}
-		}
-		if !tb.frozen && sampledEvent {
-			tb.use++
-			e.profOps++
-			if tb.hasBranch && takenEdge {
-				tb.taken++
-				e.profOps++
-			}
-			if optimize {
-				var ready bool
-				if conv {
-					ready = e.shouldRegister(tb)
-				} else if tb.use == tb.nextRegister {
-					ready = true
-					tb.nextRegister += e.regThreshold
-				}
-				if ready && e.register(tb) {
-					e.optimizeWave()
-				}
-			}
-		}
 		var next *tblock
 		if takenEdge {
 			if nb := tb.takenBlk; nb != nil && nb.addr == nextPC {
@@ -268,313 +229,124 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 		}
 		if next == nil {
 			lookups++
-			if next = e.lookup(nextPC); next != nil {
+			if uint(nextPC) < uint(len(cache)) {
+				next = cache[nextPC]
+			}
+			if next != nil {
 				e.chain(tb, takenEdge, next)
 			}
 		}
-		if perf != nil {
-			switch {
-			case tb.frozen && curNode != nil && curNode.addr == tb.addr:
-				perf.ChargeOptimizedBlock(int(tb.costSum))
-			case tb.frozen:
-				perf.ChargeOffTraceBlock(int(tb.costSum))
-			case sampledEvent:
-				perf.ChargeQuickBlock(int(tb.costSum))
-			default:
-				perf.ChargeQuickBlockUnprofiled(int(tb.costSum))
-			}
-		}
-		if optimize {
-			if rt := curRegion; rt != nil {
-				node := curNode
-				if node == nil || node.addr != tb.addr {
-					e.curRegion = rt
-					e.leaveRegion(false)
-					curRegion, curNode = nil, nil
-				} else {
-					var nn *rtNode
-					if takenEdge {
-						nn = node.taken
-					} else {
-						nn = node.fall
-					}
-					switch {
-					case nn == nil:
-						e.curRegion = rt
-						e.leaveRegion(rt.r.Kind == profile.RegionTrace && node == rt.last)
-						curRegion, curNode = nil, nil
-					case nn == rt.entry:
-						e.stats.RegionLoopBacks++
-						rt.loopBacks++
-						curNode = nn
-					default:
-						curNode = nn
-					}
-				}
-			}
-			if next != nil && curRegion == nil && next.regionEntry != nil {
-				curRegion = next.regionEntry
-				curRegion.entries++
-				curNode = curRegion.entry
-				e.stats.RegionEntries++
-			}
-		}
+		e.step(tb, takenEdge, next)
 
-		batch = append(batch, outcome{nextPC: int32(nextPC), halted: halted})
+		outs = append(outs, outcome{nextPC: int32(nextPC), halted: halted})
 		if halted {
 			e.halted = true
-			done = true
 			break
 		}
 		if next == nil {
-			next, err = e.translate(nextPC)
-			if err != nil {
-				kind, retErr = 3, err
+			if next, err = e.translate(nextPC); err != nil {
 				break
 			}
 			e.chain(tb, takenEdge, next)
 		}
 		cur = next
 	}
-
-	// Flush, then materialize any stop error: trapped() formats the
-	// flushed block count into its message.
-	e.cur = cur
-	e.curRegion, e.curNode = curRegion, curNode
-	e.sampleGap = gap
-	e.stats.BlocksExecuted = count
-	e.stats.InterruptPolls += polls
-	e.stats.Instructions += instr
-	e.stats.FastDispatches += fastN
-	e.stats.GenericDispatches += genN
-	e.traceLookups = lookups
-	switch kind {
-	case 1:
-		return batch, false, e.budgetExhausted()
-	case 2:
-		return batch, false, e.trapped()
-	case 3:
-		return batch, false, retErr
-	}
-	return batch, done, nil
+	b := batch{outs: outs, instructions: instr, lowered: lowered, lookups: lookups}
+	return b, e.endBatch(cur, &b, n, n == stop && stop < limit, err)
 }
 
 // drainBatch replays one recorded batch through a follower engine,
-// performing exactly the profiling a serial run would over the same
+// stepping exactly the profiling a serial run would over the same
 // blocks. It is the study's hottest loop — one call per follower per
-// 4096 blocks — so everything but the profiling is arithmetic or gone:
-//
-//   - budget/trap checks compare the block count against fixed values,
-//     so the first entry (if any) at which a serial run would stop is
-//     computed up front, in the serial order (count first, budget before
-//     trap);
-//   - the interrupt-poll counter ticks on 4096-boundary crossings of
-//     the block count, so a batch's ticks are pure arithmetic (follower
-//     channels are stripped by RunMulti; the driver polls for them);
-//   - the pure-sum counters (instructions, dispatch split, block count)
-//     accumulate in locals flushed on every exit path;
-//   - successors come from one load of the dense code cache at the
-//     recorded nextPC. A serial run's chain hit always names that same
-//     block (blocks are never replaced) and its miss is a lookup of it,
-//     so no chain state is kept; the run's probe count is the driver's,
-//     lookups, because chaining depends only on the trace.
-//
-// Its profiling MUST mirror fillBatch's; the serial-vs-follower
-// equivalence tests and FuzzExecPaths pin the contract bit-for-bit.
-func (e *Engine) drainBatch(batch []outcome, lookups uint64) error {
+// 4096 blocks — so everything but the step is one load: the successor
+// comes from the dense code cache at the recorded nextPC. A serial
+// run's chain hit always names that same block (blocks are never
+// replaced) and its miss is a lookup of it, so no chain state is kept.
+func (e *Engine) drainBatch(b *batch) error {
+	limit := uint64(len(b.outs))
+	stop := e.batchStop(limit)
+	cache := e.cache
+	cur := e.cur
+	var n uint64
+	var err error
+	for n < stop {
+		o := b.outs[n]
+		n++
+		nextPC := int(o.nextPC)
+		tb := cur
+		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
+		var next *tblock
+		if uint(nextPC) < uint(len(cache)) {
+			next = cache[nextPC]
+		}
+		e.step(tb, takenEdge, next)
+		if o.halted {
+			// A halt is always the batch's final entry.
+			e.halted = true
+			break
+		}
+		if next == nil {
+			if next, err = e.translate(nextPC); err != nil {
+				break
+			}
+		}
+		cur = next
+	}
+	return e.endBatch(cur, b, n, n == stop && stop < limit, err)
+}
+
+// batchStop returns how many of the next limit blocks the engine may
+// run before its budget or trap stops it (limit when neither does).
+// Both compare the block count against fixed values, so a serial run's
+// stop point is arithmetic, in the serial order: count first, budget
+// before trap.
+func (e *Engine) batchStop(limit uint64) uint64 {
 	start := e.stats.BlocksExecuted
-	n := uint64(len(batch))
-	stop, errKind := n, 0 // errKind: 0 clean, 1 budget, 2 trap
-	if e.budget > 0 && start+n > e.budget {
-		stop, errKind = e.budget-start, 1
+	stop := limit
+	if e.budget > 0 && start+limit > e.budget {
+		stop = e.budget - start
 	}
 	if e.trapAfter > 0 {
 		var at uint64
 		if e.trapAfter > start {
 			at = e.trapAfter - start - 1
 		}
-		if at < stop {
-			stop, errKind = at, 2
-		}
+		stop = min(stop, at)
 	}
+	return stop
+}
 
-	// The sum counters accumulate in locals and the cursor stays in a
-	// register; both are written back in the single flush block below.
-	// No closure: captured accumulators would be forced into memory and
-	// cost a load/store per entry.
-	var instr, fastN, genN uint64
-	processed := stop
-	var retErr error
-	fastPath, optimize, conv := e.fastPath, e.optimize, e.converge
-	samplePeriod, gap := e.samplePeriod, e.sampleGap
-	perf := e.perf
-	cache := e.cache
-	cur := e.cur
-	// The region cursor also lives in locals across the batch: it is read
-	// on every entry (the perf charge class tests it) but leaves a region
-	// rarely. leaveRegion is the one callee that touches the engine
-	// fields, so the cold paths sync e.curRegion before the call and null
-	// the locals after; the flush writes the final cursor back.
-	curRegion, curNode := e.curRegion, e.curNode
-	for i := uint64(0); i < stop; i++ {
-		o := batch[i]
-		nextPC := int(o.nextPC)
-		tb := cur
-		instr += uint64(tb.ninsts)
-		if fastPath && tb.lowered {
-			fastN++
-		} else {
-			genN++
-		}
-
-		// Unconditional transfers use the taken edge.
-		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
-
-		// Sampling stride: the countdown ticks on every block event
-		// (frozen or not), so the sampled-event set depends only on the
-		// engine's own event count — the determinism contract of
-		// sampling.go.
-		sampledEvent := true
-		if samplePeriod > 1 {
-			gap--
-			if gap == 0 {
-				gap = samplePeriod
-			} else {
-				sampledEvent = false
-			}
-		}
-		if !tb.frozen && sampledEvent {
-			tb.use++
-			e.profOps++
-			if tb.hasBranch && takenEdge {
-				tb.taken++
-				e.profOps++
-			}
-			if optimize {
-				// Fixed-threshold registration reduces to an equality
-				// test against the precomputed next multiple; the
-				// convergence heuristic keeps the full check.
-				var ready bool
-				if conv {
-					ready = e.shouldRegister(tb)
-				} else if tb.use == tb.nextRegister {
-					ready = true
-					tb.nextRegister += e.regThreshold
-				}
-				if ready && e.register(tb) {
-					e.optimizeWave()
-				}
-			}
-		}
-
-		// A block missing from the cache is translated only after the
-		// region bookkeeping, matching the cache state the region-entry
-		// check always observed.
-		var next *tblock
-		if uint(nextPC) < uint(len(cache)) {
-			next = cache[nextPC]
-		}
-
-		// A frozen block runs at full optimized speed only while control
-		// follows one of its regions' expected paths (the cursor is on
-		// it); frozen code reached outside a region context was
-		// retranslated for a different path and gets no scheduling
-		// benefit. An unfrozen block on an unsampled event runs without
-		// the counter-update overhead — the saving sampling buys.
-		if perf != nil {
-			switch {
-			case tb.frozen && curNode != nil && curNode.addr == tb.addr:
-				perf.ChargeOptimizedBlock(int(tb.costSum))
-			case tb.frozen:
-				perf.ChargeOffTraceBlock(int(tb.costSum))
-			case sampledEvent:
-				perf.ChargeQuickBlock(int(tb.costSum))
-			default:
-				perf.ChargeQuickBlockUnprofiled(int(tb.costSum))
-			}
-		}
-		if optimize {
-			if rt := curRegion; rt != nil {
-				// Advance the region cursor along the fired edge;
-				// leaving the region is the cold path.
-				node := curNode
-				if node == nil || node.addr != tb.addr {
-					e.curRegion = rt
-					e.leaveRegion(false)
-					curRegion, curNode = nil, nil
-				} else {
-					var nn *rtNode
-					if takenEdge {
-						nn = node.taken
-					} else {
-						nn = node.fall
-					}
-					switch {
-					case nn == nil:
-						e.curRegion = rt
-						e.leaveRegion(rt.r.Kind == profile.RegionTrace && node == rt.last)
-						curRegion, curNode = nil, nil
-					case nn == rt.entry:
-						e.stats.RegionLoopBacks++
-						rt.loopBacks++
-						curNode = nn
-					default:
-						curNode = nn
-					}
-				}
-			}
-			if next != nil && curRegion == nil && next.regionEntry != nil {
-				curRegion = next.regionEntry
-				curRegion.entries++
-				curNode = curRegion.entry
-				e.stats.RegionEntries++
-			}
-		}
-
-		if o.halted {
-			// A halt is always the batch's final entry, so no budget or
-			// trap stop can sit beyond it: fall through to the flush.
-			e.halted = true
-			processed = i + 1
-			break
-		}
-		if next == nil {
-			var err error
-			next, err = e.translate(nextPC)
-			if err != nil {
-				processed, retErr = i+1, err
-				break
-			}
-		}
-		cur = next
-	}
-	// Flush: processed entries are the fully pre-counted blocks; a stop
-	// increments the block count afterwards but never reaches the poll
-	// tick, exactly like fillBatch's early breaks. The probe count is the
-	// whole batch's; a follower that stops inside it errors the run, whose
-	// results are discarded.
+// endBatch is both loops' flush and error tail. n counts the batch
+// blocks the engine counted, a block that failed included; cur is the
+// block to run next, and atStop reports that the loop ran into its
+// batchStop. The block a budget or trap stops is counted too, as a
+// serial run counts before it checks, and the trap's message formats
+// the flushed count. An errored run's statistics are discarded, so only
+// the block count is kept on the error paths; a clean batch adds the
+// poll ticks (pure arithmetic on the block count) and the batch's sums.
+func (e *Engine) endBatch(cur *tblock, b *batch, n uint64, atStop bool, err error) error {
 	const period = uint64(interruptCheckMask + 1)
+	start := e.stats.BlocksExecuted
 	e.cur = cur
-	e.curRegion, e.curNode = curRegion, curNode
-	e.sampleGap = gap
-	e.stats.Instructions += instr
-	e.stats.FastDispatches += fastN
-	e.stats.GenericDispatches += genN
-	e.stats.CacheLookups += lookups
-	e.stats.BlocksExecuted = start + processed
-	e.stats.InterruptPolls += (start+processed)/period - start/period
-	if retErr != nil {
-		return retErr
-	}
-	if processed == stop {
-		switch errKind {
-		case 1:
-			e.stats.BlocksExecuted++
+	e.stats.BlocksExecuted = start + n
+	switch {
+	case err != nil:
+		return err
+	case atStop && !e.halted:
+		e.stats.BlocksExecuted++
+		if e.budget > 0 && e.stats.BlocksExecuted > e.budget {
 			return e.budgetExhausted()
-		case 2:
-			e.stats.BlocksExecuted++
-			return e.trapped()
 		}
+		return e.trapped()
 	}
+	e.stats.InterruptPolls += (start+n)/period - start/period
+	e.stats.Instructions += b.instructions
+	if e.fastPath {
+		e.stats.FastDispatches += b.lowered
+		e.stats.GenericDispatches += n - b.lowered
+	} else {
+		e.stats.GenericDispatches += n
+	}
+	e.stats.CacheLookups += b.lookups
 	return nil
 }

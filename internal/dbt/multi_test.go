@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/interp"
 	"repro/internal/profile"
 )
@@ -72,6 +73,50 @@ func TestRunMultiBudget(t *testing.T) {
 	_, _, err := RunMulti(img, interp.NewUniformTape("multi/b"), cfgs)
 	if err == nil {
 		t.Fatalf("RunMulti ignored follower block budget")
+	}
+}
+
+// TestRunMultiErrorsInTraceOrder: a shared-trace run that errors
+// returns the error of the configuration that stops first in the trace
+// (the lowest index on a tie), which is that configuration's serial
+// error — even when the driver's own error comes later in the same
+// batch.
+func TestRunMultiErrorsInTraceOrder(t *testing.T) {
+	// About 200 blocks of loop, then a ret with an empty call stack.
+	img, err := guest.Assemble(`
+.entry main
+main:
+	loadi r14, 0
+	loadi r10, 200
+loop:
+	addi r14, r14, 1
+	blt r14, r10, loop
+	ret
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		fault  = "interp: fault at pc 4 (ret): ret with empty call stack"
+		budget = "dbt: block execution budget 50 exhausted"
+	)
+	for _, c := range []struct {
+		name string
+		cfgs []Config
+		want string
+	}{
+		{"driver fault", []Config{{}}, fault},
+		{"follower budget before driver fault", []Config{{}, {MaxBlockExecs: 50}}, budget},
+		{"follower budget before driver trap", []Config{{TrapAfter: 60}, {MaxBlockExecs: 50}}, budget},
+		{"driver budget before follower trap", []Config{{MaxBlockExecs: 50}, {TrapAfter: 60}}, budget},
+		{"later follower stops first", []Config{{}, {TrapAfter: 60}, {MaxBlockExecs: 50}}, budget},
+		{"tie, budget has the lower index", []Config{{}, {MaxBlockExecs: 50}, {TrapAfter: 51}}, budget},
+		{"tie, trap has the lower index", []Config{{}, {TrapAfter: 51}, {MaxBlockExecs: 50}}, "dbt: injected guest trap at block 51"},
+	} {
+		_, _, err := RunMulti(img, interp.NewUniformTape("order"), c.cfgs)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 
