@@ -63,29 +63,29 @@ grep -v "^gap: " "$tmpdir/degrade.txt" > "$tmpdir/degrade-stripped.txt"
 cmp "$tmpdir/clean.txt" "$tmpdir/degrade-stripped.txt"
 
 echo "== kill-and-resume smoke (-race) =="
-# Stop the study after one benchmark, then resume from the checkpoint:
-# the resumed run restores the finished benchmark and its figure output
-# is byte-identical to an uninterrupted run.
+# Stop the study after one benchmark, then rerun it over the same
+# result cache: the rerun serves the finished units from the cache and
+# its figure output is byte-identical to an uninterrupted run.
 "$tmpdir/inipstudy" -scale 0.001 -bench gzip,swim -fig fig8 \
     > "$tmpdir/full.txt"
 code=0
 "$tmpdir/inipstudy" -scale 0.001 -bench gzip,swim -fig fig8 \
-    -checkpoint "$tmpdir/state.jsonl" -stopafter 1 \
+    -cache "$tmpdir/resume-cache" -stopafter 1 \
     > /dev/null 2> "$tmpdir/stop.err" || code=$?
 if [ "$code" -ne 130 ]; then
     echo "stopped run exited $code, want 130" >&2
     cat "$tmpdir/stop.err" >&2
     exit 1
 fi
-test -s "$tmpdir/state.jsonl"
+grep -q -- "-cache $tmpdir/resume-cache" "$tmpdir/stop.err"
 "$tmpdir/inipstudy" -scale 0.001 -bench gzip,swim -fig fig8 \
-    -checkpoint "$tmpdir/state.jsonl" -resume > "$tmpdir/resumed.txt"
+    -cache "$tmpdir/resume-cache" > "$tmpdir/resumed.txt"
 cmp "$tmpdir/full.txt" "$tmpdir/resumed.txt"
 # Atomic-write temporaries (".<base>.tmp*") never outlive the cycle:
 # anything a killed run left behind is swept on the next startup.
 leftovers=$(find "$tmpdir" -name '.*.tmp*')
 if [ -n "$leftovers" ]; then
-    echo "orphaned atomic-write temporaries after stop/resume:" >&2
+    echo "orphaned atomic-write temporaries after stop/rerun:" >&2
     echo "$leftovers" >&2
     exit 1
 fi
@@ -288,8 +288,8 @@ awk -v got="$studybps" -v base="$study_base" -v frac="$frac" 'BEGIN {
 echo "== serve smoke (-race) =="
 # Boot the daemon, hit it cold and warm (byte-identical bodies, zero
 # guest blocks warm), overload it (429 + Retry-After), stop a study job
-# mid-run, drain with SIGTERM, and resume the job on a fresh daemon to
-# byte-identical figures.
+# mid-run, drain with SIGTERM, and resume the job on a fresh daemon
+# over the same cache to byte-identical figures.
 go build -race -o "$tmpdir/inipd" ./cmd/inipd
 servedir="$tmpdir/serve"
 mkdir -p "$servedir"
@@ -369,8 +369,9 @@ fi
 wait "$slowpid"
 
 # A study job stopped after one benchmark survives a SIGTERM drain and
-# a daemon restart: -resume re-enqueues it, and the finished job's
-# figures are byte-identical to an uninterrupted job's.
+# a daemon restart: -resume re-enqueues it, the rerun serves its
+# finished units from the shared -cache, and the finished job's figures
+# are byte-identical to an uninterrupted job's.
 curl -sf -o "$servedir/job.json" \
     -d '{"scale":0.001,"benches":["gzip","swim"],"stop_after":1}' \
     "$base/v1/study"
@@ -420,7 +421,7 @@ echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz='^FuzzISADecode$' -fuzztime=10s ./internal/isa/
 go test -run='^$' -fuzz='^FuzzImageLoad$' -fuzztime=10s ./internal/guest/
 go test -run='^$' -fuzz='^FuzzFaultSpec$' -fuzztime=10s ./internal/faultinject/
-go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s ./internal/study/
+go test -run='^$' -fuzz='^FuzzFlowSolve$' -fuzztime=10s ./internal/markov/
 go test -run='^$' -fuzz='^FuzzExecPaths$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzPredictReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSampledReplay$' -fuzztime=10s ./internal/dbt/

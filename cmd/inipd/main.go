@@ -14,8 +14,9 @@
 // scheduler for comparisons, an optional content-addressed result
 // cache (warm compares execute zero guest blocks), and a
 // server-lifetime flight recorder. SIGTERM/SIGINT drains gracefully —
-// running jobs stop cooperatively and flush their checkpoints, so a
-// restart with -resume completes them with byte-identical figures.
+// running jobs stop cooperatively with their finished units in the
+// cache, so a restart with -resume over the same -cache completes them
+// with byte-identical figures, recomputing only the missing units.
 package main
 
 import (
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		maxJobs  = fs.Int("maxjobs", 1, "max concurrently-running study jobs")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "default per-request deadline")
 		cacheDir = fs.String("cache", "", "content-addressed result cache directory (warm compares execute zero guest blocks)")
-		stateDir = fs.String("state", "", "job state directory (records, per-job checkpoints, results); enables -resume")
+		stateDir = fs.String("state", "", "job state directory (job records and results); enables -resume, which reruns unfinished jobs against -cache")
 		resume   = fs.Bool("resume", false, "re-enqueue unfinished jobs found in -state at startup")
 		trace    = fs.String("trace", "", "write a server-lifetime flight-recorder trace (JSONL) to this file on shutdown")
 		drainFor = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
@@ -137,13 +138,13 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintf(stderr, "inipd: %v\n", err)
 		return 1
 	case s := <-sig:
-		fmt.Fprintf(stderr, "inipd: %v — draining (in-flight work finishes, jobs checkpoint)\n", s)
+		fmt.Fprintf(stderr, "inipd: %v — draining (in-flight work finishes, jobs stop)\n", s)
 	}
 
-	// Drain order matters: stop admitting and checkpoint the jobs
-	// first, then let the HTTP server wait out in-flight handlers, then
-	// close the trace — late emitters after the recorder closes are the
-	// counted no-ops the obs close gate guarantees.
+	// Drain order matters: stop admitting and stop the jobs first, then
+	// let the HTTP server wait out in-flight handlers, then close the
+	// trace — late emitters after the recorder closes are the counted
+	// no-ops the obs close gate guarantees.
 	code := 0
 	if err := srv.Drain(*drainFor); err != nil {
 		fmt.Fprintf(stderr, "inipd: %v\n", err)

@@ -9,10 +9,9 @@
 //	                                             # (-benchjson appends a dated entry
 //	                                             # to the trajectory array in b.json)
 //	inipstudy -tracesum t.jsonl                  # summarize a recorded trace
-//	inipstudy -checkpoint state.jsonl            # persist finished benchmarks
-//	inipstudy -checkpoint state.jsonl -resume    # continue an interrupted run
 //	inipstudy -failpolicy degrade -retry 3       # survive benchmark failures
-//	inipstudy -cache results.cache               # memoize unit results on disk
+//	inipstudy -cache results.cache               # memoize unit results on disk;
+//	                                             # rerun with it to resume a stopped study
 //	inipstudy -cache results.cache -cacheverify  # differential cache self-check
 //	inipstudy -predictors all                    # dynamic-predictor zoo (figp1/figp2)
 //	inipstudy -sampleperiods 1,4,16,64           # sampled-profiling frontier (figs1/figs2)
@@ -22,8 +21,10 @@
 // The default scale of 1.0 runs the paper's actual threshold ladder
 // 100..4M (a few minutes); -scale 0.1 gives a quick low-resolution pass.
 //
-// SIGINT drains in-flight work, flushes the checkpoint and trace, and
-// exits 130; a second SIGINT aborts immediately.
+// SIGINT drains in-flight work, flushes the trace, and exits 130; the
+// units that finished are kept only in the -cache store, so rerunning
+// with the same -cache resumes the study. A second SIGINT aborts
+// immediately.
 package main
 
 import (
@@ -180,9 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retry         = fs.Int("retry", 0, "max attempts per pipeline unit before its failure is permanent (0 or 1 = no retry)")
 		retryBackoff  = fs.Duration("retrybackoff", 0, "wait before the second attempt of a failed unit, doubling each further attempt")
 		inject        = fs.String("inject", "", "deterministic fault-injection spec for robustness testing, e.g. 'build:gzip/ref' or 'trap:mcf/train@1000' (see internal/faultinject)")
-		checkpoint    = fs.String("checkpoint", "", "persist completed benchmarks to this JSONL file as they finish")
-		resume        = fs.Bool("resume", false, "restore completed benchmarks from -checkpoint and run only the remainder")
-		stopAfter     = fs.Int("stopafter", 0, "stop gracefully after this many benchmark completions (testing hook for resume)")
+		stopAfter     = fs.Int("stopafter", 0, "stop gracefully after this many benchmark completions (testing hook for resume through -cache)")
 		cacheDir      = fs.String("cache", "", "memoize unit results in this content-addressed directory; a warm rerun of an unchanged study executes zero guest blocks")
 		cacheVerify   = fs.Bool("cacheverify", false, "execute every unit despite cache hits and hard-error if a cached value diverges (requires -cache)")
 		predictors    = fs.String("predictors", "", "comma-separated dynamic branch predictors to run over each reference trace (taken,nottaken,1bit,2bit,gshare,perceptron, 'learned', or 'all'); adds figp1/figp2 without touching the paper figures")
@@ -195,9 +194,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Sweep atomic-write temporaries a killed previous invocation may
-	// have orphaned next to our output targets (the checkpoint's are
-	// swept when it is opened). Startup is the one moment no write of
-	// this process can be in flight.
+	// have orphaned next to our output targets. Startup is the one
+	// moment no write of this process can be in flight.
 	for _, p := range []string{*benchJSON, *asMD, *traceFile, *learnedJSON} {
 		if p != "" {
 			atomicio.SweepTempsFor(p)
@@ -259,8 +257,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Parallelism:  *par,
 		MaxAttempts:  *retry,
 		RetryBackoff: *retryBackoff,
-		Checkpoint:   *checkpoint,
-		Resume:       *resume,
 		StopAfter:    *stopAfter,
 	}
 	pol, perr := core.ParseFailurePolicy(*failPolicy)
@@ -341,8 +337,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// SIGINT requests a graceful drain: in-flight units finish, the
-	// checkpoint and trace are flushed, and the run reports ErrStopped.
+	// SIGINT requests a graceful drain: in-flight units stop, the trace
+	// is flushed, and the run reports ErrStopped.
 	// A second SIGINT aborts on the spot.
 	stop := make(chan struct{})
 	cfg.Stop = stop
@@ -432,8 +428,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintf(stderr, "inipstudy: stopped with %d of %d benchmarks finished\n", done, len(res.Series))
-		if *checkpoint != "" {
-			fmt.Fprintf(stderr, "inipstudy: resume with: -checkpoint %s -resume\n", *checkpoint)
+		if *cacheDir != "" {
+			fmt.Fprintf(stderr, "inipstudy: resume by rerunning with: -cache %s\n", *cacheDir)
+		} else {
+			fmt.Fprintln(stderr, "inipstudy: nothing was kept; run with -cache to make a stopped study resumable")
 		}
 		return 130
 	}

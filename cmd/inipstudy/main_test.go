@@ -233,11 +233,12 @@ func TestDegradeCLI(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeCLI: -stopafter ends the run with exit 130 and a
-// resume hint; a -resume rerun restores the finished benchmark and its
-// output is byte-identical to an uninterrupted run.
-func TestCheckpointResumeCLI(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "state.jsonl")
+// TestStopRerunCLI: -stopafter ends the run with exit 130 and a hint
+// naming -cache; rerunning with the same -cache completes the study
+// with output byte-identical to an uninterrupted run. Without -cache
+// the hint says nothing was kept, and -checkpoint is an unknown flag.
+func TestStopRerunCLI(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
 	base := []string{"-scale", "0.001", "-bench", "gzip,swim", "-fig", "fig8"}
 
 	var full bytes.Buffer
@@ -246,22 +247,35 @@ func TestCheckpointResumeCLI(t *testing.T) {
 	}
 
 	var errBuf bytes.Buffer
-	args := append([]string{"-checkpoint", ckpt, "-stopafter", "1"}, base...)
+	args := append([]string{"-cache", cacheDir, "-stopafter", "1"}, base...)
 	if code := run(args, new(bytes.Buffer), &errBuf); code != 130 {
 		t.Fatalf("stopped run exited %d, want 130:\n%s", code, errBuf.String())
 	}
-	if !strings.Contains(errBuf.String(), "-resume") {
-		t.Fatalf("stop message has no resume hint:\n%s", errBuf.String())
+	if !strings.Contains(errBuf.String(), "-cache "+cacheDir) {
+		t.Fatalf("stop message has no -cache resume hint:\n%s", errBuf.String())
 	}
 
 	var resumed bytes.Buffer
-	args = append([]string{"-checkpoint", ckpt, "-resume"}, base...)
+	args = append([]string{"-cache", cacheDir}, base...)
 	if code := run(args, &resumed, new(bytes.Buffer)); code != 0 {
-		t.Fatalf("resumed run exited %d", code)
+		t.Fatalf("rerun exited %d", code)
 	}
 	if !bytes.Equal(full.Bytes(), resumed.Bytes()) {
-		t.Fatalf("resumed output differs from the uninterrupted run:\nfull:\n%s\nresumed:\n%s",
+		t.Fatalf("rerun output differs from the uninterrupted run:\nfull:\n%s\nrerun:\n%s",
 			full.String(), resumed.String())
+	}
+
+	errBuf.Reset()
+	args = append([]string{"-stopafter", "1"}, base...)
+	if code := run(args, new(bytes.Buffer), &errBuf); code != 130 {
+		t.Fatalf("uncached stopped run exited %d, want 130", code)
+	}
+	if !strings.Contains(errBuf.String(), "nothing was kept") {
+		t.Fatalf("uncached stop message does not say nothing was kept:\n%s", errBuf.String())
+	}
+
+	if code := run([]string{"-checkpoint", "x"}, new(bytes.Buffer), new(bytes.Buffer)); code != 2 {
+		t.Fatalf("-checkpoint exited %d, want 2 (unknown flag)", code)
 	}
 }
 

@@ -3,7 +3,7 @@
 // only when complete, so an interrupted run can truncate at worst the
 // temporary — never a published artifact. The study pipeline uses it
 // for every on-disk output a consumer might parse (benchmark records,
-// flight-recorder traces, checkpoints, reports).
+// flight-recorder traces, cache entries, job results, reports).
 package atomicio
 
 import (
@@ -129,8 +129,8 @@ func SweepTemps(dir string) (int, error) {
 // SweepTempsFor removes stale temporaries of one specific destination
 // path ("<dir>/.<base>.tmp*"), leaving every other file — including
 // other targets' in-flight temporaries — untouched. Use it when the
-// directory is shared with concurrent writers (e.g. per-job checkpoint
-// files in a common state directory).
+// directory is shared with concurrent writers (e.g. an output file
+// next to files another process is writing).
 func SweepTempsFor(path string) (int, error) {
 	dir := filepath.Dir(path)
 	prefix := "." + filepath.Base(path) + ".tmp"

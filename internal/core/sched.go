@@ -56,8 +56,8 @@ func ParseFailurePolicy(s string) (FailurePolicy, error) {
 
 // ErrStopped is the first error of a scheduler cancelled with Stop: a
 // cooperative shutdown (SIGINT drain, a unit quota), distinct from a
-// unit failure. Callers that checkpoint partial results test for it
-// with errors.Is.
+// unit failure. Callers that keep partial results test for it with
+// errors.Is.
 var ErrStopped = errors.New("core: study stopped")
 
 // Scheduler is a bounded worker pool with first-error fail-fast. Units

@@ -8,7 +8,7 @@
 //
 // Every fault is deterministic: it fires at an exact, configured point,
 // the same way on every run, so the executor's failure paths — retry,
-// degrade, checkpoint/resume — are exercised by reproducible tests
+// degrade, stop-and-rerun — are exercised by reproducible tests
 // instead of being trusted. A fault may be bounded ("*k": fire k times,
 // then disarm), which is how transient failures are modelled for the
 // retry machinery. The only randomness is the explicit seed entry,

@@ -50,7 +50,7 @@ type Config struct {
 }
 
 // Default hyperparameters. They are part of the model fingerprint:
-// changing them invalidates cached learned results and checkpoints.
+// changing them invalidates cached learned results.
 const (
 	defaultEpochs    = 200
 	defaultLearnRate = 2.0
@@ -107,13 +107,13 @@ func (c Config) Validate() error {
 
 // featureVersion names the feature extractor's schema. Bump it whenever
 // the feature set, order or scaling changes: the version is part of
-// Fingerprint, which keys cache entries and checkpoint headers.
+// Fingerprint, which keys cache entries.
 const featureVersion = 1
 
 // Fingerprint identifies the model configuration plus the feature
 // schema. Equal fingerprints guarantee bit-equal training results on
-// equal data; it keys the `ls` result-cache entries, the study
-// checkpoint header, and the daemon's request-coalescing flight keys.
+// equal data; it keys the `ls` result-cache entries and the daemon's
+// request-coalescing flight keys.
 func (c Config) Fingerprint() string {
 	d := c.withDefaults()
 	switch d.Model {
@@ -171,9 +171,8 @@ type Site struct {
 
 // BenchData is one benchmark's training/evaluation data: every static
 // branch site (ascending PC) with its reference-trace tallies. It is
-// the payload of the `ls` result-cache entry kind and rides the study
-// checkpoint, so it must marshal deterministically — it does: fixed
-// slice orders, no maps.
+// the payload of the `ls` result-cache entry kind, so it must marshal
+// deterministically — it does: fixed slice orders, no maps.
 type BenchData struct {
 	Bench string `json:"bench"`
 	Sites []Site `json:"sites"`

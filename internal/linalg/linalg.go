@@ -69,7 +69,8 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // SolveDense solves A·x = b by Gaussian elimination with partial
 // pivoting, destroying neither input. It returns ErrSingular when no
-// unique solution exists.
+// unique solution exists, and an error when the solution is not
+// finite (overflow, or a NaN or infinite input).
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -121,9 +122,14 @@ func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 			s -= m.At(i, j) * x[j]
 		}
 		x[i] = s / m.At(i, i)
+		if !finite(x[i]) {
+			return nil, fmt.Errorf("linalg: non-finite solution component %d", i)
+		}
 	}
 	return x, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Sparse is a square sparse matrix in per-row coordinate form, suited to
 // the flow systems (a handful of non-zeros per row).
@@ -204,7 +210,8 @@ type GaussSeidelOptions struct {
 // diagonal entries and converges for the diagonally dominant /
 // substochastic systems produced by flow conservation. When convergence
 // stalls it returns the best iterate along with a wrapped error so
-// callers can fall back to the dense solver.
+// callers can fall back to the dense solver; an iterate that stops
+// being finite is divergence, reported as an error with no iterate.
 func SolveGaussSeidel(a *Sparse, b []float64, opts GaussSeidelOptions) ([]float64, error) {
 	n := a.N
 	if len(b) != n {
@@ -238,6 +245,11 @@ func SolveGaussSeidel(a *Sparse, b []float64, opts GaussSeidelOptions) ([]float6
 				}
 			}
 			next := sum / diag[i]
+			if !finite(next) {
+				// Past this point every delta is NaN, which no
+				// comparison sees: stop before it reads as converged.
+				return nil, fmt.Errorf("linalg: Gauss–Seidel diverged in sweep %d", iter+1)
+			}
 			if d := math.Abs(next - x[i]); d > maxDelta {
 				maxDelta = d
 			}

@@ -175,6 +175,29 @@ func TestGaussSeidelZeroDiagonal(t *testing.T) {
 	}
 }
 
+// TestGaussSeidelDivergenceIsNotConvergence: a cyclic system whose
+// iterate overflows to +Inf must not read as converged once every
+// delta turns NaN; SolveFlow must fall back to the finite dense
+// solution a = -1/3, b = -2/3 of a = 1 + 2b, b = 2a.
+func TestGaussSeidelDivergenceIsNotConvergence(t *testing.T) {
+	s := NewSparse(2)
+	s.Add(0, 0, 1)
+	s.Add(0, 1, -2)
+	s.Add(1, 1, 1)
+	s.Add(1, 0, -2)
+	b := []float64{1, 0}
+	if x, err := SolveGaussSeidel(s, b, GaussSeidelOptions{}); err == nil {
+		t.Fatalf("divergent Gauss–Seidel reported convergence at %v", x)
+	}
+	x, err := SolveFlow(s, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(x[0]+1.0/3) > 1e-12 || math.Abs(x[1]+2.0/3) > 1e-12 {
+		t.Fatalf("x = %v, want [-1/3 -2/3]", x)
+	}
+}
+
 func TestSolveFlowFallsBackToDense(t *testing.T) {
 	// An anti-diagonal permutation system: Gauss–Seidel cannot run
 	// (zero diagonal), the dense path must solve it.

@@ -21,6 +21,7 @@ package markov
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/linalg"
 )
@@ -79,8 +80,20 @@ func (s *System) setKind(id int, k eqKind) error {
 	return nil
 }
 
+// checkFinite rejects a NaN or infinite coefficient, which would
+// otherwise flow into the solve and out as a NaN frequency.
+func checkFinite(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("markov: non-finite %s %v", what, v)
+	}
+	return nil
+}
+
 // Pin fixes the node's frequency to a known value.
 func (s *System) Pin(id int, freq float64) error {
+	if err := checkFinite("pinned frequency", freq); err != nil {
+		return err
+	}
 	if err := s.setKind(id, eqPin); err != nil {
 		return err
 	}
@@ -97,6 +110,9 @@ func (s *System) Inflow(id int) error {
 // Remainder declares that the node's frequency is total minus the sum of
 // the frequencies of the other nodes in its duplication group.
 func (s *System) Remainder(id int, total float64, others []int) error {
+	if err := checkFinite("remainder total", total); err != nil {
+		return err
+	}
 	if err := s.setKind(id, eqRemainder); err != nil {
 		return err
 	}
@@ -112,6 +128,9 @@ func (s *System) AddEdge(dst, src int, prob float64) error {
 	if dst < 0 || dst >= len(s.nodes) || src < 0 || src >= len(s.nodes) {
 		return fmt.Errorf("markov: edge %d<-%d out of range", dst, src)
 	}
+	if err := checkFinite("edge probability", prob); err != nil {
+		return err
+	}
 	if prob < 0 {
 		return fmt.Errorf("markov: negative edge probability %v", prob)
 	}
@@ -122,10 +141,31 @@ func (s *System) AddEdge(dst, src int, prob float64) error {
 // Solve computes all node frequencies. Every node must have been
 // constrained with exactly one of Pin, Inflow or Remainder.
 func (s *System) Solve() ([]float64, error) {
-	n := len(s.nodes)
-	if n == 0 {
+	if len(s.nodes) == 0 {
 		return nil, nil
 	}
+	a, b, err := s.assemble()
+	if err != nil {
+		return nil, err
+	}
+	x, err := linalg.SolveFlow(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("markov: %w", err)
+	}
+	// Frequencies are physically non-negative; clamp the tiny negative
+	// values that the remainder approximation can produce.
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
+		}
+	}
+	return x, nil
+}
+
+// assemble lowers the system to A·x = b: one row per node, with the
+// Inflow edges as negative coefficients.
+func (s *System) assemble() (*linalg.Sparse, []float64, error) {
+	n := len(s.nodes)
 	a := linalg.NewSparse(n)
 	b := make([]float64, n)
 	for i, nd := range s.nodes {
@@ -146,7 +186,7 @@ func (s *System) Solve() ([]float64, error) {
 			}
 			b[i] = nd.total
 		default:
-			return nil, fmt.Errorf("markov: node %q has no equation", nd.name)
+			return nil, nil, fmt.Errorf("markov: node %q has no equation", nd.name)
 		}
 	}
 	for _, e := range s.edges {
@@ -155,16 +195,5 @@ func (s *System) Solve() ([]float64, error) {
 		}
 		a.Add(e.dst, e.src, -e.prob)
 	}
-	x, err := linalg.SolveFlow(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("markov: %w", err)
-	}
-	// Frequencies are physically non-negative; clamp the tiny negative
-	// values that the remainder approximation can produce.
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-	return x, nil
+	return a, b, nil
 }

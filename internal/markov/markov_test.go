@@ -206,6 +206,17 @@ func TestErrors(t *testing.T) {
 	if err := sys.AddEdge(0, 0, -1); err == nil {
 		t.Fatal("negative probability accepted")
 	}
+	if err := sys.AddEdge(0, 0, math.NaN()); err == nil {
+		t.Fatal("NaN probability accepted")
+	}
+	sys3 := NewSystem()
+	m := sys3.AddNode("m")
+	if err := sys3.Pin(m, math.Inf(1)); err == nil {
+		t.Fatal("infinite pin accepted")
+	}
+	if err := sys3.Remainder(m, math.NaN(), nil); err == nil {
+		t.Fatal("NaN remainder total accepted")
+	}
 	sys2 := NewSystem()
 	sys2.AddNode("unconstrained")
 	if _, err := sys2.Solve(); err == nil {

@@ -33,7 +33,6 @@ const (
 	UnitTrainCompare = "train_compare" // the INIP(train)-vs-AVEP comparison
 	UnitRun          = "run"           // a standalone translator run (cmd/dbtrun)
 	UnitRetry        = "retry"         // a failed unit attempt about to be retried
-	UnitCheckpoint   = "checkpoint"    // one checkpoint write (Err set when it failed)
 	UnitCacheHit     = "cache_hit"     // a result-cache lookup that served a validated entry
 	UnitCacheMiss    = "cache_miss"    // a result-cache lookup that found nothing usable
 	UnitCacheStore   = "cache_store"   // a result-cache entry write (Err set when it failed)
@@ -62,7 +61,6 @@ var validUnits = map[string]bool{
 	UnitTrainCompare: true,
 	UnitRun:          true,
 	UnitRetry:        true,
-	UnitCheckpoint:   true,
 	UnitCacheHit:     true,
 	UnitCacheMiss:    true,
 	UnitCacheStore:   true,

@@ -28,9 +28,9 @@ const (
 	JobRunning JobState = "running"
 	// JobDone: completed; figures and perf are available.
 	JobDone JobState = "done"
-	// JobStopped: drained cooperatively mid-run (stop_after); the
-	// checkpoint holds the finished benchmarks and a -resume restart
-	// re-enqueues it.
+	// JobStopped: drained cooperatively mid-run (stop_after); a -resume
+	// restart re-enqueues it, and the rerun recomputes only the units
+	// missing from the server's shared cache.
 	JobStopped JobState = "stopped"
 	// JobInterrupted: the daemon went down (drain or kill) before the
 	// job finished; resumable like JobStopped.
@@ -71,12 +71,9 @@ type jobRecord struct {
 	Request studyRequest `json:"request"`
 	Error   string       `json:"error,omitempty"`
 	// Resumed marks a job re-enqueued from a previous daemon's state.
-	Resumed bool `json:"resumed,omitempty"`
-	// Benchmarks restored from the checkpoint instead of re-executed
-	// (filled on completion of a resumed job).
-	ResumedSeries int   `json:"resumed_series,omitempty"`
-	CreatedUnix   int64 `json:"created_unix"`
-	FinishedUnix  int64 `json:"finished_unix,omitempty"`
+	Resumed      bool  `json:"resumed,omitempty"`
+	CreatedUnix  int64 `json:"created_unix"`
+	FinishedUnix int64 `json:"finished_unix,omitempty"`
 }
 
 // jobResult is the persisted outcome of a finished job
@@ -180,8 +177,8 @@ type jobTable struct {
 
 // openJobTable loads (or initializes) the job table. Startup is the
 // safe moment to sweep stale atomic-write temporaries out of the state
-// directory: a previous daemon killed mid-publication of jobs.json, a
-// checkpoint or a result file leaves exactly such orphans behind.
+// directory: a previous daemon killed mid-publication of jobs.json or
+// a result file leaves exactly such orphans behind.
 func openJobTable(dir string, maxJobs int) (*jobTable, error) {
 	t := &jobTable{
 		byID:  make(map[string]*job),
@@ -354,13 +351,6 @@ func (t *jobTable) stopAll() {
 	}
 }
 
-func (t *jobTable) checkpointPath(id string) string {
-	if t.dir == "" {
-		return ""
-	}
-	return filepath.Join(t.dir, id+".ckpt.jsonl")
-}
-
 func (t *jobTable) resultPath(id string) string {
 	if t.dir == "" {
 		return ""
@@ -420,10 +410,35 @@ func (s *Server) spawnJob(j *job) {
 	go s.runJob(j)
 }
 
+// studyConfig builds the study a request asks for. handleStudy calls
+// it to answer a bad request with 400 before any job exists, and
+// runJob calls it again to run the job, so both judge the same config.
+func (s *Server) studyConfig(req studyRequest) (study.Config, error) {
+	cfg := study.Config{
+		Scale:       req.Scale,
+		Parallelism: s.cfg.Workers,
+		Policy:      core.Degrade,
+		StopAfter:   req.StopAfter,
+		Cache:       s.cfg.Cache,
+		Trace:       s.cfg.Trace,
+	}
+	if cfg.Scale == 0 {
+		cfg.Scale = s.cfg.Scale
+	}
+	for _, name := range req.Benches {
+		b := spec.ByName(strings.TrimSpace(name))
+		if b == nil {
+			return cfg, fmt.Errorf("unknown benchmark %q", name)
+		}
+		cfg.Benchmarks = append(cfg.Benchmarks, b)
+	}
+	return cfg, cfg.Validate()
+}
+
 // runJob takes a job through its lifecycle: wait for a slot, run the
-// study with the server's shared cache/trace and a per-job checkpoint,
-// classify the outcome. A cooperative stop during drain leaves the job
-// interrupted-but-resumable with its checkpoint flushed.
+// study with the server's shared cache and trace, classify the outcome.
+// A cooperative stop during drain leaves the job interrupted and
+// resumable; its finished units are in the shared cache.
 func (s *Server) runJob(j *job) {
 	defer s.jobs.wg.Done()
 	select {
@@ -442,32 +457,13 @@ func (s *Server) runJob(j *job) {
 		// resumed one completes the remainder.
 		req.StopAfter = 0
 	}
-	scale := req.Scale
-	if scale <= 0 {
-		scale = s.cfg.Scale
+	var res *study.Results
+	cfg, err := s.studyConfig(req)
+	if err == nil {
+		cfg.Stop = j.stop
+		cfg.Progress = j
+		res, err = study.Run(cfg)
 	}
-	cfg := study.Config{
-		Scale:       scale,
-		Parallelism: s.cfg.Workers,
-		Policy:      core.Degrade,
-		StopAfter:   req.StopAfter,
-		Stop:        j.stop,
-		Progress:    j,
-		Cache:       s.cfg.Cache,
-		Trace:       s.cfg.Trace,
-		Checkpoint:  s.jobs.checkpointPath(rec.ID),
-		Resume:      rec.Resumed && s.jobs.dir != "",
-	}
-	for _, name := range req.Benches {
-		b := spec.ByName(strings.TrimSpace(name))
-		if b == nil {
-			s.jobs.transition(j, JobFailed, fmt.Sprintf("unknown benchmark %q", name))
-			return
-		}
-		cfg.Benchmarks = append(cfg.Benchmarks, b)
-	}
-
-	res, err := study.Run(cfg)
 	switch {
 	case err == nil:
 		out := &jobResult{Figures: res.Figures(), Perf: res.Perf, Failures: res.Failures}
@@ -478,7 +474,6 @@ func (s *Server) runJob(j *job) {
 		}
 		j.mu.Lock()
 		j.result = out
-		j.rec.ResumedSeries = res.Perf.ResumedSeries
 		j.mu.Unlock()
 		s.recordJobPerf(res.Perf)
 		s.jobs.transition(j, JobDone, "")
@@ -505,14 +500,8 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	for _, name := range req.Benches {
-		if spec.ByName(strings.TrimSpace(name)) == nil {
-			errorJSON(w, http.StatusBadRequest, "unknown benchmark %q", name)
-			return
-		}
-	}
-	if req.Scale < 0 || req.StopAfter < 0 {
-		errorJSON(w, http.StatusBadRequest, "scale and stop_after must be non-negative")
+	if _, err := s.studyConfig(req); err != nil {
+		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	j := s.jobs.create(req)

@@ -20,7 +20,6 @@ type perfTotals struct {
 	blocksExecuted uint64
 	unitFailures   uint64
 	unitRetries    uint64
-	resumedSeries  uint64
 	// Hot-loop engine counters (see dbt.RunStats): the fast/generic
 	// dispatch split, translation-cache probes, and the wall-clock the
 	// jobs spent inside run units — the denominator of the exported
@@ -46,7 +45,6 @@ func (s *Server) recordJobPerf(p study.Perf) {
 	t.blocksExecuted += p.BlocksExecuted
 	t.unitFailures += uint64(p.UnitFailures)
 	t.unitRetries += uint64(p.UnitRetries)
-	t.resumedSeries += uint64(p.ResumedSeries)
 	t.fastDispatches += p.FastDispatches
 	t.genericDispatches += p.GenericDispatches
 	t.cacheLookups += p.CacheLookups
@@ -91,7 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	s.perf.mu.Lock()
 	jobs, wall, blocks := s.perf.jobs, s.perf.wallSeconds, s.perf.blocksExecuted
-	fails, retries, resumed := s.perf.unitFailures, s.perf.unitRetries, s.perf.resumedSeries
+	fails, retries := s.perf.unitFailures, s.perf.unitRetries
 	fast, generic, lookups := s.perf.fastDispatches, s.perf.genericDispatches, s.perf.cacheLookups
 	runSecs := s.perf.runSeconds
 	sampledUnits, sampledStudyOps := s.perf.sampledUnits, s.perf.sampledProfilingOps
@@ -101,7 +99,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("inipd_study_guest_blocks_total", "guest blocks executed by finished study jobs", blocks)
 	counter("inipd_study_unit_failures_total", "absorbed unit failures across finished jobs", fails)
 	counter("inipd_study_unit_retries_total", "unit retry attempts across finished jobs", retries)
-	counter("inipd_study_resumed_series_total", "benchmark series restored from checkpoints instead of re-executed", resumed)
 	counter("inipd_study_fast_dispatches_total", "blocks executed through the pre-lowered arena fast path", fast)
 	counter("inipd_study_generic_dispatches_total", "blocks executed through the generic interp dispatch", generic)
 	counter("inipd_study_cache_lookups_total", "translation-cache probes (successor threading keeps this below the block count)", lookups)

@@ -74,13 +74,13 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline when the request does
 	// not set timeout_ms (default 2 minutes).
 	DefaultTimeout time.Duration
-	// StateDir, when non-empty, persists job records, per-job
-	// checkpoints and finished results, making jobs resumable across
-	// daemon restarts. Empty means jobs live and die with the process.
+	// StateDir, when non-empty, persists job records and finished
+	// results, making jobs resumable across daemon restarts. Empty
+	// means jobs live and die with the process.
 	StateDir string
 	// Resume re-enqueues the non-terminal jobs found in StateDir at
-	// startup; each resumed study restores its checkpoint and runs only
-	// the missing benchmarks.
+	// startup; each resumed study reruns against Cache and recomputes
+	// only the units missing from it (all of them without a Cache).
 	Resume bool
 	// Cache, when non-nil, memoizes unit results; warm compares execute
 	// zero guest blocks.
@@ -244,10 +244,10 @@ func (s *Server) routes() {
 
 // Drain begins a graceful shutdown: readiness drops, new work is
 // rejected, running study jobs are stopped through their cooperative
-// Stop channels (flushing their checkpoints), and Drain blocks until
-// every job goroutine has retired or the deadline passes. In-flight
-// compare requests are left to finish; the HTTP server's own Shutdown
-// waits for those handlers.
+// Stop channels (their finished units stay in the cache), and Drain
+// blocks until every job goroutine has retired or the deadline passes.
+// In-flight compare requests are left to finish; the HTTP server's own
+// Shutdown waits for those handlers.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.draining.Store(true)
 	s.jobs.stopAll()

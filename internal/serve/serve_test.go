@@ -102,6 +102,7 @@ func TestStudyValidation(t *testing.T) {
 	}{
 		{"bad json", "{", http.StatusBadRequest},
 		{"unknown bench", `{"benches":["nope"]}`, http.StatusBadRequest},
+		{"duplicate bench", `{"benches":["gzip"," gzip"]}`, http.StatusBadRequest},
 		{"negative scale", `{"scale":-1}`, http.StatusBadRequest},
 		{"negative stop_after", `{"stop_after":-1}`, http.StatusBadRequest},
 		{"oversize body", oversizeBody, http.StatusRequestEntityTooLarge},
@@ -455,8 +456,9 @@ func TestStudyJobLifecycle(t *testing.T) {
 
 // TestJobInterruptResume: a job stopped mid-run (stop_after) is
 // re-enqueued by a second server over the same state directory and
-// completes with figures byte-identical to an uninterrupted run of the
-// same study.
+// cache. The rerun serves the stopped run's finished units from the
+// cache, so it executes fewer guest blocks than an uncached run of the
+// same study, and its figures are byte-identical to that run's.
 func TestJobInterruptResume(t *testing.T) {
 	state := t.TempDir()
 	cache, err := resultcache.Open(t.TempDir())
@@ -484,20 +486,29 @@ func TestJobInterruptResume(t *testing.T) {
 	if !rec.Resumed {
 		t.Fatalf("completed job not marked resumed: %+v", rec)
 	}
-	if rec.ResumedSeries != 1 {
-		t.Fatalf("resumed job restored %d series from its checkpoint, want 1", rec.ResumedSeries)
-	}
+	_, resumed := jobStatus(t, ts2.URL, id)
 	resumedFigs := getFigures(t, ts2.URL, id)
 
-	// An uninterrupted run of the same study must agree byte-for-byte.
-	fresh := startJob(t, ts2.URL, `{"benches":["gzip","swim"]}`)
-	waitJob(t, ts2.URL, fresh, JobDone)
-	if freshFigs := getFigures(t, ts2.URL, fresh); !bytes.Equal(resumedFigs, freshFigs) {
-		t.Fatalf("resumed figures differ from a fresh run's:\n%s\n%s", resumedFigs, freshFigs)
+	// An uninterrupted, uncached run of the same study must agree
+	// byte-for-byte and execute more guest blocks.
+	s3 := newTestServer(t, Config{Scale: 0.001, Workers: 1}, nil, nil)
+	ts3 := httptest.NewServer(s3.Handler())
+	defer ts3.Close()
+	fresh := startJob(t, ts3.URL, `{"benches":["gzip","swim"]}`)
+	waitJob(t, ts3.URL, fresh, JobDone)
+	_, uncached := jobStatus(t, ts3.URL, fresh)
+	if resumed.Perf.BlocksExecuted >= uncached.Perf.BlocksExecuted {
+		t.Fatalf("resumed job executed %d guest blocks, an uncached run %d: the rerun did not reuse the stopped run's units",
+			resumed.Perf.BlocksExecuted, uncached.Perf.BlocksExecuted)
+	}
+	if freshFigs := getFigures(t, ts3.URL, fresh); !bytes.Equal(resumedFigs, freshFigs) {
+		t.Fatalf("resumed figures differ from an uncached run's:\n%s\n%s", resumedFigs, freshFigs)
 	}
 
-	if err := s2.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
+	for _, s := range []*Server{s2, s3} {
+		if err := s.Drain(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -218,53 +218,6 @@ func TestLearnedCacheWarmRerun(t *testing.T) {
 	}
 }
 
-// TestLearnedCheckpointCompatibility: learned runs checkpoint and
-// resume like any other, and a checkpoint written with one model
-// fingerprint refuses to resume a run with another — the per-site
-// feature vectors it carries are only meaningful under the fingerprint
-// that produced them.
-func TestLearnedCheckpointCompatibility(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	cfg := goldenConfig(t)
-	cfg.Learned = &learned.Config{Model: learned.ModelLogReg}
-	cfg.Checkpoint = path
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resumeCfg := goldenConfig(t)
-	resumeCfg.Learned = &learned.Config{Model: learned.ModelLogReg}
-	resumeCfg.Checkpoint = path
-	resumeCfg.Resume = true
-	resumed, err := Run(resumeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Perf.ResumedSeries != len(resumed.Series) {
-		t.Fatalf("resumed %d of %d series", resumed.Perf.ResumedSeries, len(resumed.Series))
-	}
-	if !reflect.DeepEqual(first.Series, resumed.Series) {
-		t.Fatal("resumed series (including learned collections) differ")
-	}
-	if !reflect.DeepEqual(learnedArtifacts(t, first), learnedArtifacts(t, resumed)) {
-		t.Fatal("resumed learned fit differs from the original run")
-	}
-
-	for name, alt := range map[string]*learned.Config{
-		"different model": {Model: learned.ModelTree},
-		"learned off":     nil,
-	} {
-		mismatch := goldenConfig(t)
-		mismatch.Learned = alt
-		mismatch.Checkpoint = path
-		mismatch.Resume = true
-		if _, err := Run(mismatch); err == nil {
-			t.Errorf("resume with %s must be rejected", name)
-		}
-	}
-}
-
 // TestValidateRejectsBadLearned covers the config-level gate.
 func TestValidateRejectsBadLearned(t *testing.T) {
 	for _, lc := range []learned.Config{

@@ -2,7 +2,6 @@ package study
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -170,44 +169,6 @@ func TestPredictorCacheWarmRerun(t *testing.T) {
 					altRes.Series[i].Name, p, got[0])
 			}
 		}
-	}
-}
-
-// TestPredictorCheckpointCompatibility: predictor runs checkpoint and
-// resume like any other, and a checkpoint written with one predictor
-// selection refuses to resume a run with another — mixing them would
-// silently drop or fabricate tallies.
-func TestPredictorCheckpointCompatibility(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	cfg := goldenConfig(t)
-	cfg.Predictors = predict.Names()
-	cfg.Checkpoint = path
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resumeCfg := goldenConfig(t)
-	resumeCfg.Predictors = predict.Names()
-	resumeCfg.Checkpoint = path
-	resumeCfg.Resume = true
-	resumed, err := Run(resumeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Perf.ResumedSeries != len(resumed.Series) {
-		t.Fatalf("resumed %d of %d series", resumed.Perf.ResumedSeries, len(resumed.Series))
-	}
-	if !reflect.DeepEqual(first.Series, resumed.Series) {
-		t.Fatal("resumed series (including predictor tallies) differ")
-	}
-
-	mismatch := goldenConfig(t)
-	mismatch.Predictors = []string{"2bit"}
-	mismatch.Checkpoint = path
-	mismatch.Resume = true
-	if _, err := Run(mismatch); err == nil {
-		t.Fatal("resume with a different predictor selection must be rejected")
 	}
 }
 

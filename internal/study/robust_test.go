@@ -3,16 +3,15 @@ package study
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/predict"
+	"repro/internal/resultcache"
 	"repro/internal/spec"
 )
 
@@ -110,18 +109,30 @@ func TestFailFastUnchangedByDefault(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeByteIdentical is the resume acceptance test: a
-// study stopped mid-run and resumed must produce byte-identical
-// figures while re-executing only the unfinished benchmarks.
-func TestCheckpointResumeByteIdentical(t *testing.T) {
+// openCache opens the result cache in dir; each call stands for a new
+// process over the same directory, so Perf's cumulative cache counters
+// cover exactly one Run.
+func openCache(t *testing.T, dir string) *resultcache.Store {
+	t.Helper()
+	store, err := resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestStopRerunByteIdentical is the resume acceptance test: a study
+// stopped mid-run and rerun over the same cache must produce
+// byte-identical figures, and a further rerun executes nothing.
+func TestStopRerunByteIdentical(t *testing.T) {
 	full, err := Run(robustConfig("gzip", "swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "state.jsonl")
+	dir := t.TempDir()
 	first := robustConfig("gzip", "swim")
-	first.Checkpoint = ckpt
+	first.Cache = openCache(t, dir)
 	first.StopAfter = 1
 	partial, err := Run(first)
 	if !errors.Is(err, ErrStopped) {
@@ -130,163 +141,104 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if partial == nil {
 		t.Fatal("stopped study returned no partial results")
 	}
-
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatalf("no checkpoint written before stop: %v", err)
-	}
-	stored := strings.Count(strings.TrimSpace(string(data)), "\n") // header + series
-	if stored < 1 {
-		t.Fatalf("checkpoint holds no series:\n%s", data)
+	if partial.Perf.ResultCacheStores == 0 {
+		t.Fatal("stopped study stored no finished unit")
 	}
 
 	second := robustConfig("gzip", "swim")
-	second.Checkpoint = ckpt
-	second.Resume = true
+	second.Cache = openCache(t, dir)
 	res, err := Run(second)
 	if err != nil {
-		t.Fatalf("resume failed: %v", err)
+		t.Fatalf("rerun failed: %v", err)
 	}
-	if res.Perf.ResumedSeries != stored {
-		t.Fatalf("ResumedSeries = %d, checkpoint held %d", res.Perf.ResumedSeries, stored)
+	if res.Perf.ResultCacheHits == 0 {
+		t.Fatal("rerun served nothing from the stopped study's entries")
 	}
 	if got, want := figureJSON(t, res), figureJSON(t, full); got != want {
-		t.Fatal("resumed figures are not byte-identical to the uninterrupted run")
+		t.Fatal("rerun figures are not byte-identical to the uninterrupted run")
 	}
 
-	// A second resume restores everything and re-executes nothing.
 	third := robustConfig("gzip", "swim")
-	third.Checkpoint = ckpt
-	third.Resume = true
+	third.Cache = openCache(t, dir)
 	res3, err := Run(third)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.Perf.ResumedSeries != 2 || res3.Perf.BlocksExecuted != 0 {
-		t.Fatalf("full resume still executed work: resumed=%d blocks=%d",
-			res3.Perf.ResumedSeries, res3.Perf.BlocksExecuted)
+	if res3.Perf.BlocksExecuted != 0 || res3.Perf.ResultCacheMisses != 0 {
+		t.Fatalf("third run still executed work: blocks=%d misses=%d",
+			res3.Perf.BlocksExecuted, res3.Perf.ResultCacheMisses)
 	}
 	if got, want := figureJSON(t, res3), figureJSON(t, full); got != want {
-		t.Fatal("fully-resumed figures are not byte-identical to the uninterrupted run")
+		t.Fatal("fully-warm figures are not byte-identical to the uninterrupted run")
 	}
 }
 
-// TestResumeRetriesFailedBenchmark: a degraded benchmark is not
-// checkpointed, so a resumed run (without the fault) completes it and
-// converges to the clean result.
+// TestStopLeavesOnlyCleanEntries: a stop that interrupts units in
+// flight on every study axis must store only finished, correct
+// entries. The verified rerun recomputes every hit and fails on any
+// divergence, so a torn or partial entry cannot pass unnoticed. Scale
+// 0.01 keeps the second benchmark's units running when the first one
+// completes, so the stop lands mid-unit.
+func TestStopLeavesOnlyCleanEntries(t *testing.T) {
+	axes := func() Config {
+		cfg := robustConfig("gzip", "swim")
+		cfg.Scale = 0.01
+		cfg.Predictors = predict.Names()
+		cfg.SamplePeriods = []uint64{4, 16}
+		cfg.Parallelism = 2
+		return cfg
+	}
+	full, err := Run(axes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	first := axes()
+	first.Cache = openCache(t, dir)
+	first.StopAfter = 1
+	if _, err := Run(first); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped study returned %v, want ErrStopped", err)
+	}
+
+	rerun := axes()
+	rerun.Cache = openCache(t, dir)
+	rerun.CacheVerify = true
+	res, err := Run(rerun)
+	if err != nil {
+		t.Fatalf("verified rerun over the stopped study's cache failed: %v", err)
+	}
+	if got, want := figureJSON(t, res), figureJSON(t, full); got != want {
+		t.Fatal("verified rerun figures are not byte-identical to an uncached run")
+	}
+}
+
+// TestResumeRetriesFailedBenchmark: a degraded benchmark is completed
+// by a clean rerun over the same cache, converging to the clean result.
 func TestResumeRetriesFailedBenchmark(t *testing.T) {
 	full, err := Run(robustConfig("gzip", "swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "state.jsonl")
+	dir := t.TempDir()
 	first := robustConfig("gzip", "swim")
-	first.Checkpoint = ckpt
+	first.Cache = openCache(t, dir)
 	first.Policy = core.Degrade
 	first.Faults = plan(t, "build:gzip/ref")
 	if _, err := Run(first); err != nil {
 		t.Fatal(err)
 	}
 	second := robustConfig("gzip", "swim")
-	second.Checkpoint = ckpt
-	second.Resume = true
+	second.Cache = openCache(t, dir)
 	res, err := Run(second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Perf.ResumedSeries != 1 {
-		t.Fatalf("ResumedSeries = %d, want 1 (swim only)", res.Perf.ResumedSeries)
-	}
 	if len(res.Failures) != 0 {
-		t.Fatalf("failures survived the resume: %+v", res.Failures)
+		t.Fatalf("failures survived the rerun: %+v", res.Failures)
 	}
 	if got, want := figureJSON(t, res), figureJSON(t, full); got != want {
-		t.Fatal("resume-after-degrade figures differ from the clean run")
-	}
-}
-
-// TestResumeRejectsMismatchedFingerprint: resuming under a different
-// scale, ladder or benchmark set must fail with an error naming the
-// difference, never silently mix results.
-func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "state.jsonl")
-	base := robustConfig("gzip", "swim")
-	base.Checkpoint = ckpt
-	if _, err := Run(base); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		want   string
-	}{
-		{"scale", func(c *Config) { c.Scale = 0.002 }, "scale"},
-		{"ladder", func(c *Config) { c.Thresholds = []float64{1, 100} }, "ladder"},
-		{"benchmarks", func(c *Config) { c.Benchmarks = c.Benchmarks[:1] }, "benchmarks"},
-	}
-	for _, tc := range cases {
-		cfg := robustConfig("gzip", "swim")
-		cfg.Checkpoint = ckpt
-		cfg.Resume = true
-		tc.mutate(&cfg)
-		_, err := Run(cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s mismatch: err = %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-
-	// Corruption must be a hard error too.
-	if err := os.WriteFile(ckpt, []byte("{\"version\":1 garbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := robustConfig("gzip", "swim")
-	cfg.Checkpoint = ckpt
-	cfg.Resume = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("corrupted checkpoint accepted")
-	}
-}
-
-// TestResumeRejectsVersionOneCheckpoint: a checkpoint written before
-// the header lost independent_runs must fail closed, with an error that
-// names both versions — not the strict decoder's complaint about the
-// field it no longer knows.
-func TestResumeRejectsVersionOneCheckpoint(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "state.jsonl")
-	v1 := `{"version":1,"scale":0.001,"paper_t":[1,100,1000,1000000],"independent_runs":false,"benchmarks":["gzip","swim"]}` + "\n"
-	if err := os.WriteFile(ckpt, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := robustConfig("gzip", "swim")
-	cfg.Checkpoint = ckpt
-	cfg.Resume = true
-	_, err := Run(cfg)
-	if err == nil {
-		t.Fatal("version-1 checkpoint accepted")
-	}
-	for _, want := range []string{"version 1", fmt.Sprintf("version %d", checkpointVersion)} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("err = %v, want mention of %q", err, want)
-		}
-	}
-	if strings.Contains(err.Error(), "unknown field") {
-		t.Fatalf("err = %v, want the version mismatch, not a decode error", err)
-	}
-}
-
-// TestResumeWithMissingFileStartsFresh: a kill before the first
-// completion leaves no checkpoint; resume must run the whole study.
-func TestResumeWithMissingFileStartsFresh(t *testing.T) {
-	cfg := robustConfig("swim")
-	cfg.Checkpoint = filepath.Join(t.TempDir(), "never-written.jsonl")
-	cfg.Resume = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Perf.ResumedSeries != 0 || res.Perf.CheckpointWrites != 1 {
-		t.Fatalf("resumed=%d writes=%d, want 0 and 1", res.Perf.ResumedSeries, res.Perf.CheckpointWrites)
+		t.Fatal("rerun-after-degrade figures differ from the clean run")
 	}
 }
 
@@ -308,7 +260,6 @@ func TestValidateNamesTheBadValue(t *testing.T) {
 		{"negative attempts", func(c *Config) { c.MaxAttempts = -1 }, "max attempts"},
 		{"negative backoff", func(c *Config) { c.RetryBackoff = -1 }, "backoff"},
 		{"negative stopafter", func(c *Config) { c.StopAfter = -1 }, "stop-after"},
-		{"resume sans checkpoint", func(c *Config) { c.Resume = true }, "resume"},
 	}
 	for _, tc := range cases {
 		cfg := robustConfig("gzip")

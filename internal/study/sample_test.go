@@ -348,44 +348,6 @@ func TestSamplingCacheWarmRerun(t *testing.T) {
 	}
 }
 
-// TestSamplingCheckpointCompatibility: sampled studies checkpoint and
-// resume like any other, and a checkpoint written with one period
-// ladder refuses to resume a run with another — mixing them would
-// silently drop or fabricate sampled figures.
-func TestSamplingCheckpointCompatibility(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	cfg := samplingConfig(0, []uint64{1, 16})
-	cfg.Checkpoint = path
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resumeCfg := samplingConfig(0, []uint64{1, 16})
-	resumeCfg.Checkpoint = path
-	resumeCfg.Resume = true
-	resumed, err := Run(resumeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Perf.ResumedSeries != len(resumed.Series) {
-		t.Fatalf("resumed %d of %d series", resumed.Perf.ResumedSeries, len(resumed.Series))
-	}
-	if !reflect.DeepEqual(first.Series, resumed.Series) {
-		t.Fatal("resumed series (including sampled ladders) differ")
-	}
-	if !reflect.DeepEqual(sampleFigBytes(t, first), sampleFigBytes(t, resumed)) {
-		t.Fatal("figs1/figs2 are not byte-identical across kill-and-resume")
-	}
-
-	mismatch := samplingConfig(0, []uint64{4})
-	mismatch.Checkpoint = path
-	mismatch.Resume = true
-	if _, err := Run(mismatch); err == nil {
-		t.Fatal("resume with a different period ladder must be rejected")
-	}
-}
-
 // TestValidateRejectsBadSamplePeriods covers the config-level gate.
 func TestValidateRejectsBadSamplePeriods(t *testing.T) {
 	for _, periods := range [][]uint64{{0}, {16, 16}} {

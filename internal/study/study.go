@@ -83,22 +83,16 @@ type Config struct {
 	// are consulted at fixed pipeline sites, so a given plan fails the
 	// same way on every run.
 	Faults *faultinject.Plan
-	// Checkpoint, when non-empty, persists every completed benchmark
-	// series to this file (versioned JSONL, atomically rewritten on
-	// each completion), so an interrupted study can resume instead of
-	// rerunning finished work. Benchmarks with absorbed failures are
-	// not checkpointed — a resumed run retries them.
-	Checkpoint string
-	// Resume loads Checkpoint before running and schedules only the
-	// benchmarks without a stored series. The checkpoint must match
-	// this config's scale, ladder, benchmark set and study axes.
-	Resume bool
 	// Cache, when non-nil, memoizes expensive unit outputs in an
 	// on-disk content-addressed store keyed by image hash, tape
 	// identity, engine fingerprint, effective threshold and scale. A
 	// warm rerun of an unchanged study executes zero guest blocks and
-	// produces byte-identical figures. Fault-injected runs never touch
-	// the cache (their results are deliberately perturbed).
+	// produces byte-identical figures. It is also the only resume
+	// mechanism: every unit a stopped or failed study finished is
+	// stored as it completes, so rerunning the same study over the
+	// same cache recomputes only the missing units. Fault-injected
+	// runs never touch the cache (their results are deliberately
+	// perturbed).
 	Cache *resultcache.Store
 	// CacheVerify turns every cache hit into a differential self-check:
 	// units execute anyway and a divergence between computed and cached
@@ -131,16 +125,15 @@ type Config struct {
 	// reported accuracy comes from a model that never saw any profile
 	// of it. Fills Results.Learned and the figl1/figl2 figures; every
 	// legacy figure stays byte-identical. The config's Fingerprint is
-	// pinned in checkpoint headers — resuming under a different model
-	// config is refused.
+	// part of every learned cache key.
 	Learned *learned.Config
 	// Stop, when non-nil, triggers a graceful drain when it is closed:
-	// in-flight guest runs are interrupted, completed series stay
-	// checkpointed, and Run returns the partial results with ErrStopped.
+	// in-flight guest runs are interrupted, completed units stay in
+	// Cache, and Run returns the partial results with ErrStopped.
 	Stop <-chan struct{}
 	// StopAfter, when positive, stops the study after that many
 	// benchmark completions — a deterministic stand-in for Stop in
-	// tests and the kill-and-resume CI smoke.
+	// tests and the stop-and-rerun CI smoke.
 	StopAfter int
 }
 
@@ -200,9 +193,6 @@ func (c *Config) Validate() error {
 	}
 	if c.StopAfter < 0 {
 		return fmt.Errorf("study: invalid stop-after count %d", c.StopAfter)
-	}
-	if c.Resume && c.Checkpoint == "" {
-		return errors.New("study: resume requested without a checkpoint path")
 	}
 	if c.CacheVerify && c.Cache == nil {
 		return errors.New("study: cache verification requested without a cache")
@@ -305,15 +295,14 @@ type BenchmarkSeries struct {
 	Failures []core.UnitFailure `json:",omitempty"`
 	// Predictors holds the dynamic-predictor tallies over this
 	// benchmark's reference trace, in Config.Predictors order; absent
-	// (and omitted from checkpoints) when no predictors were requested.
+	// when no predictors were requested.
 	Predictors []predict.Result `json:",omitempty"`
 	// Sampling holds the sampled-profiling rerun ladders, one per
-	// Config.SamplePeriods entry; absent (and omitted from checkpoints)
-	// when no periods were requested.
+	// Config.SamplePeriods entry; absent when no periods were requested.
 	Sampling []core.SamplePeriodResult `json:",omitempty"`
 	// Learned holds this benchmark's learned-predictor collection
-	// (static site features + reference-trace tallies); absent (and
-	// omitted from checkpoints) when Config.Learned was nil. The
+	// (static site features + reference-trace tallies); absent when
+	// Config.Learned was nil. The
 	// suite-level fit consumes these after every benchmark completes.
 	Learned *learned.BenchData `json:",omitempty"`
 }
@@ -357,9 +346,9 @@ type Results struct {
 	// Learned is the suite-level leave-one-benchmark-out fit of the
 	// learned static branch model, present when Config.Learned was set
 	// and at least two benchmarks completed cleanly. It is recomputed
-	// from the per-benchmark series on every Run — including resumed
-	// ones, where the series come out of the checkpoint — so it is a
-	// pure function of Series and the model config.
+	// from the per-benchmark series on every Run — including warm
+	// ones, where the series come out of the cache — so it is a pure
+	// function of Series and the model config.
 	Learned *learned.CVResult `json:",omitempty"`
 	// Perf reports where the study's wall-clock went.
 	Perf Perf
@@ -412,14 +401,10 @@ type Perf struct {
 
 	// Robustness accounting (all zero on a clean fail-fast run, so the
 	// report shape is unchanged when the machinery is idle): permanent
-	// unit failures absorbed by Degrade, failed attempts that were
-	// retried, series restored from a checkpoint instead of re-run, and
-	// checkpoint writes (with how many of them failed).
-	UnitFailures          int    `json:"unit_failures,omitempty"`
-	UnitRetries           int64  `json:"unit_retries,omitempty"`
-	ResumedSeries         int    `json:"resumed_series,omitempty"`
-	CheckpointWrites      uint64 `json:"checkpoint_writes,omitempty"`
-	CheckpointWriteErrors uint64 `json:"checkpoint_write_errors,omitempty"`
+	// unit failures absorbed by Degrade and failed attempts that were
+	// retried.
+	UnitFailures int   `json:"unit_failures,omitempty"`
+	UnitRetries  int64 `json:"unit_retries,omitempty"`
 
 	// Result-cache accounting (all zero — and omitted — when no cache
 	// is configured, so the report shape is unchanged): validated hits,
@@ -438,10 +423,10 @@ type Perf struct {
 // (reference execution, training run, per-threshold comparisons) on one
 // shared worker pool. The failure policy decides whether a unit error
 // cancels the study (fail-fast, the default) or only its benchmark
-// (degrade); with a checkpoint configured, completed benchmarks are
-// persisted as they finish and a resumed run re-executes only the
-// missing ones. On a graceful stop Run returns the partial results
-// together with a wrapped ErrStopped.
+// (degrade). With a Cache, every finished unit is stored as it
+// completes, so rerunning a stopped or failed study over the same cache
+// re-executes only the missing units. On a graceful stop Run returns
+// the partial results together with a wrapped ErrStopped.
 func Run(cfg Config) (*Results, error) {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
@@ -450,10 +435,6 @@ func Run(cfg Config) (*Results, error) {
 	paperT, thresholds := EffectiveLadder(cfg.Thresholds, cfg.Scale)
 
 	res := &Results{Scale: cfg.Scale, PaperT: paperT, Series: make([]BenchmarkSeries, len(cfg.Benchmarks))}
-	ckpt, resumed, err := openCheckpoint(&cfg, paperT)
-	if err != nil {
-		return nil, err
-	}
 
 	var timing core.Timing
 	var progressErrs atomic.Uint64
@@ -489,17 +470,10 @@ func Run(cfg Config) (*Results, error) {
 	var completions atomic.Int64
 	for i, b := range cfg.Benchmarks {
 		i, b := i, b
-		if s, ok := resumed[b.Name]; ok {
-			res.Series[i] = s
-			ckpt.keep(s)
-			progress(fmt.Sprintf("skip %-8s (%s): restored from checkpoint\n", b.Name, b.Class))
-			continue
-		}
 		opts := cfg.unitOptions(thresholds, &timing)
 		core.ScheduleBenchmark(sched, b.Target(cfg.Scale), opts, func(out *core.BenchmarkResult) {
 			res.Series[i] = seriesFromResult(b, out)
 			if len(out.Failures) == 0 {
-				ckpt.commit(res.Series[i], cfg.Trace)
 				progress(fmt.Sprintf("done %-8s (%s): train Sd.BP=%.3f mismatch=%.1f%%\n",
 					b.Name, b.Class, out.Train.SdBP, out.Train.BPMismatch*100))
 			} else {
@@ -522,11 +496,10 @@ func Run(cfg Config) (*Results, error) {
 	sortFailures(res.Failures)
 
 	// Suite-level learned fit: leave-one-benchmark-out cross validation
-	// over every cleanly completed series. It runs on resumed and
-	// stopped studies too (the collections ride the checkpoint), so
-	// Results.Learned is always a pure function of Series and the model
-	// config. A fit error on an otherwise clean study is a study error;
-	// on a stopped study the stop sentinel wins.
+	// over every cleanly completed series. It runs on stopped studies
+	// too, so Results.Learned is always a pure function of Series and
+	// the model config. A fit error on an otherwise clean study is a
+	// study error; on a stopped study the stop sentinel wins.
 	if cfg.Learned != nil {
 		if ferr := res.fitLearned(*cfg.Learned, cfg.Trace); ferr != nil && werr == nil {
 			return nil, fmt.Errorf("study: %w", ferr)
@@ -558,11 +531,8 @@ func Run(cfg Config) (*Results, error) {
 		// Exact here: every emitter finished when Wait returned.
 		TraceEventsDropped: cfg.Trace.Dropped(),
 
-		UnitFailures:          len(res.Failures),
-		UnitRetries:           timing.Retries.Load(),
-		ResumedSeries:         len(resumed),
-		CheckpointWrites:      ckpt.writes(),
-		CheckpointWriteErrors: ckpt.writeErrors(),
+		UnitFailures: len(res.Failures),
+		UnitRetries:  timing.Retries.Load(),
 	}
 	// Counters accumulate over the store's lifetime; a store shared
 	// across Run calls reports the cumulative totals here.
@@ -579,8 +549,8 @@ func Run(cfg Config) (*Results, error) {
 		res.Perf.SampledOpsPerSec = float64(res.Perf.SampledProfilingOps) / wall.Seconds()
 	}
 	if werr != nil {
-		// Graceful stop: the caller gets everything that completed (and
-		// was checkpointed) plus the sentinel to tell this apart from
+		// Graceful stop: the caller gets everything that completed (and,
+		// with a Cache, was stored) plus the sentinel to tell this apart from
 		// success or failure.
 		return res, fmt.Errorf("study: %w", werr)
 	}
