@@ -388,10 +388,9 @@ func BenchmarkThresholdLadder(b *testing.B) {
 		thresholds = append(thresholds, study.EffectiveThreshold(pt, benchScale))
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunBenchmark(bench.Target(benchScale), core.Options{
-			Thresholds: thresholds,
-			Workers:    1,
-		}); err != nil {
+		s := core.NewScheduler(1)
+		core.ScheduleBenchmark(s, bench.Target(benchScale), core.Options{Thresholds: thresholds}, func(*core.BenchmarkResult) {})
+		if err := s.Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -349,6 +349,17 @@ cmp "$servedir/cold.json" "$servedir/warm.json"
 curl -sf -o "$servedir/slow.json" \
     -d '{"bench":"gzip","t":100,"scale":0.05}' "$base/v1/compare" &
 slowpid=$!
+# The burst starts only once the slow compare holds the slot, so a
+# burst request can never take it first.
+_i=0
+until curl -s "$base/v1/metrics" | grep -q '^inipd_compare_inflight 1$'; do
+    _i=$((_i + 1))
+    if [ "$_i" -gt 500 ]; then
+        echo "slow compare never took the execution slot" >&2
+        exit 1
+    fi
+    sleep 0.01
+done
 saw429=0
 _i=0
 while [ "$_i" -lt 100 ]; do
@@ -422,10 +433,12 @@ go test -run='^$' -fuzz='^FuzzISADecode$' -fuzztime=10s ./internal/isa/
 go test -run='^$' -fuzz='^FuzzImageLoad$' -fuzztime=10s ./internal/guest/
 go test -run='^$' -fuzz='^FuzzFaultSpec$' -fuzztime=10s ./internal/faultinject/
 go test -run='^$' -fuzz='^FuzzFlowSolve$' -fuzztime=10s ./internal/markov/
+go test -run='^$' -fuzz='^FuzzNormalize$' -fuzztime=10s ./internal/navep/
 go test -run='^$' -fuzz='^FuzzExecPaths$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzPredictReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSampledReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSnapshotBinary$' -fuzztime=10s ./internal/profile/
 go test -run='^$' -fuzz='^FuzzStoreLookup$' -fuzztime=10s ./internal/resultcache/
+go test -run='^$' -fuzz='^FuzzCompareRequest$' -fuzztime=10s ./internal/serve/
 
 echo "CI OK"

@@ -56,7 +56,7 @@ type runOutput struct {
 	Snapshot cachedSnapshot `json:"snapshot"`
 	// Stats are the engine counters of this run's profiling context.
 	Stats dbt.RunStats `json:"stats"`
-	// Cycles is the perf-model total (0 when the model is off).
+	// Cycles is the run's perf-model total.
 	Cycles float64 `json:"cycles"`
 }
 
@@ -263,14 +263,6 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 			k.Kind, b.t.Name, k.T, k.Hash())
 	}
 	return nil
-}
-
-// cyclesOf extracts a run's perf-model total (0 with the model off).
-func cyclesOf(cfg dbt.Config) float64 {
-	if cfg.Perf != nil {
-		return cfg.Perf.Cycles
-	}
-	return 0
 }
 
 // refEntryMatches sanity-checks a decoded reference bundle against the

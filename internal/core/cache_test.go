@@ -19,12 +19,9 @@ import (
 )
 
 // cacheOpts is the option baseline of the caching tests: a couple of
-// ladder rungs, the perf model on (so cached Cycles are exercised), a
-// predictor, a sample period and the learned collector riding the
-// reference trace (so every entry kind is written), the INIP(T)
-// snapshots kept in the result (so comparisons of cold and warm results
-// cover every snapshot the cache carries), and a Timing aggregate to
-// observe guest-block volume.
+// ladder rungs, a predictor, a sample period and the learned collector
+// riding the reference trace (so every entry kind is written), and a
+// Timing aggregate to observe guest-block volume.
 func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 	t.Helper()
 	store, err := resultcache.Open(dir)
@@ -34,13 +31,11 @@ func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 	tm := &Timing{}
 	return Options{
 		Thresholds:    []uint64{4, 16},
-		Perf:          true,
 		Predictors:    []string{"gshare"},
 		SamplePeriods: []uint64{4},
 		Learned:       &learned.Config{Model: learned.ModelTree},
 		Cache:         store,
 		CacheContext:  "test",
-		KeepSnapshots: true,
 		Timing:        tm,
 	}, tm
 }
@@ -83,25 +78,28 @@ func TestCacheColdThenWarm(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("warm result differs from cold:\ncold %+v\nwarm %+v", cold, warm)
 	}
-	// Name the snapshots the whole-result comparison covers, so a cache
-	// codec that loses a field, or turns a nil collection into an empty
-	// one, fails on the snapshot it damaged.
+	// Name the snapshots the cache carries, so a codec that loses a
+	// field, or turns a nil collection into an empty one, fails on the
+	// snapshot it damaged: the cold run's AVEP against the warm run's
+	// decoded one, and every stored INIP snapshot (ref and sp entries)
+	// against the serial oracle's freshly computed one.
 	if !reflect.DeepEqual(cold.AVEP, warm.AVEP) {
 		t.Fatal("warm AVEP snapshot differs from cold")
 	}
+	_, want := serialOracle(t, target, opts)
+	got := storedSnapshots(t, dir, opts)
 	regions := 0
-	for i := range cold.Results {
-		c, w := cold.Results[i].Snapshot, warm.Results[i].Snapshot
-		if c == nil || w == nil {
-			t.Fatalf("T=%d: KeepSnapshots left no INIP snapshot (cold %v, warm %v)", cold.Results[i].T, c != nil, w != nil)
-		}
-		if !reflect.DeepEqual(c, w) {
-			t.Fatalf("T=%d: warm INIP snapshot differs from cold:\ncold %+v\nwarm %+v", cold.Results[i].T, c, w)
+	for i, c := range want.inip {
+		if !reflect.DeepEqual(got.inip[i], c) {
+			t.Fatalf("T=%d: stored INIP snapshot differs from a fresh run:\nfresh %+v\nstored %+v", opts.Thresholds[i], c, got.inip[i])
 		}
 		regions += len(c.Regions)
 	}
 	if regions == 0 {
 		t.Fatal("no INIP snapshot formed a region; the test would not cover them")
+	}
+	if !reflect.DeepEqual(got.sampled, want.sampled) {
+		t.Fatal("stored sampled INIP snapshots differ from fresh runs")
 	}
 }
 

@@ -53,7 +53,6 @@ func TestGoldenCacheKeys(t *testing.T) {
 	}
 	opts := core.Options{
 		Thresholds:    []uint64{1, 1, 2, 5, 10, 20, 50, 100, 200, 400},
-		Perf:          true,
 		Predictors:    []string{"2bit", "gshare"},
 		SamplePeriods: []uint64{4, 16},
 		Learned:       &learned.Config{Model: learned.ModelTree},

@@ -51,11 +51,8 @@ func TestCharacterizeEndToEndPhasedVsStationary(t *testing.T) {
 	// systematic; the stationary program should have (nearly) no
 	// systematic mispredictions.
 	phased := BuildFromAsm("phased", phasedSrc(60000, 15000, 7782, 819))
-	res, err := RunBenchmark(phased, Options{Thresholds: []uint64{500}, KeepNormalized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Characterize(res.Results[0].Normalized, 500)
+	_, norm := normalizedAt(t, phased, 500)
+	c := Characterize(norm, 500)
 	if c.SystematicWeight == 0 {
 		t.Fatal("phased program shows no systematic mispredictions")
 	}
@@ -64,11 +61,8 @@ func TestCharacterizeEndToEndPhasedVsStationary(t *testing.T) {
 	}
 
 	stationary := BuildFromAsm("stationary", stationarySrc(60000, 6144))
-	res2, err := RunBenchmark(stationary, Options{Thresholds: []uint64{500}, KeepNormalized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := Characterize(res2.Results[0].Normalized, 500)
+	_, norm2 := normalizedAt(t, stationary, 500)
+	c2 := Characterize(norm2, 500)
 	if c2.SystematicWeight > c2.TotalWeight*0.02 {
 		t.Fatalf("stationary program shows %.1f%% systematic weight", 100*c2.SystematicWeight/c2.TotalWeight)
 	}

@@ -86,30 +86,14 @@ func Compare(inip, avep *profile.Snapshot) (metrics.Summary, *navep.Result, erro
 	return s, res, nil
 }
 
-// Options configures a benchmark study run.
+// Options configures a benchmark study run. The translator itself is
+// not configurable: every run uses the paper's IA32EL configuration
+// (see dbtConfig), so Options carries only what the study and the
+// daemon vary — the ladder, the study axes riding the reference trace,
+// and the execution plumbing (timing, trace, faults, cache, retry).
 type Options struct {
 	// Thresholds is the ladder of retranslation thresholds to sweep.
 	Thresholds []uint64
-	// PoolTrigger passes through to the translator (default 8).
-	PoolTrigger int
-	// Perf enables the cycle model on every run; PerfParams overrides
-	// its coefficients (zero value = defaults).
-	Perf       bool
-	PerfParams perfmodel.Params
-	// MaxBlockExecs is the per-run safety budget (0 = none).
-	MaxBlockExecs uint64
-	// DisableFreeze and RegisterTwice pass through to the translator;
-	// RegisterTwice defaults to on.
-	DisableFreeze   bool
-	NoRegisterTwice bool
-	// KeepSnapshots retains the per-threshold INIP snapshots in the
-	// result (memory-heavy; used by the offline tools).
-	KeepSnapshots bool
-	// KeepNormalized retains the full per-threshold *navep.Result. The
-	// figure generators only read Summary/ops/cycles, so the study
-	// leaves this off; tools that inspect per-block normalized rows turn
-	// it on.
-	KeepNormalized bool
 	// Predictors names the dynamic branch predictors (internal/predict)
 	// to drive off the reference trace as read-only observers: the
 	// guest still executes once and profiling counters are untouched.
@@ -125,10 +109,6 @@ type Options struct {
 	// full-instrumentation figures stay byte-identical to a run without
 	// the field. Empty runs no sampled ladders.
 	SamplePeriods []uint64
-	// SampleSeed seeds the stride phase of every sampled run
-	// (dbt.Config.SampleSeed); it participates in the sampled cache
-	// keys.
-	SampleSeed uint64
 	// Learned, when non-nil, collects the profile-free learned
 	// predictor's per-benchmark data off the reference trace: static
 	// branch-site features extracted from the image plus per-site
@@ -140,9 +120,6 @@ type Options struct {
 	// not a fitted model. The config's Fingerprint keys the `ls` cache
 	// entries.
 	Learned *learned.Config
-	// Workers bounds RunBenchmark's own scheduler when it is not given
-	// one (default GOMAXPROCS).
-	Workers int
 	// Timing, when non-nil, accumulates per-phase durations and run
 	// volume across all units of the benchmark.
 	Timing *Timing
@@ -166,8 +143,10 @@ type Options struct {
 	// values is a hard unit error.
 	CacheVerify bool
 	// CacheContext carries caller-level parameters that determine
-	// results but are invisible in the image, tape and config (the study
-	// puts its scale here). It participates verbatim in every cache key.
+	// results but are invisible in the image, tape and config. Only the
+	// study's lowering (study.Config.UnitOptions) formats it — it puts
+	// the scale here — so the CLI and the daemon share cache entries.
+	// It participates verbatim in every cache key.
 	CacheContext string
 	// MaxAttempts bounds how many times a failing unit body is run
 	// before the failure is permanent (0 or 1 = no retry). Attempts
@@ -235,11 +214,9 @@ func (t *Timing) AddRunStats(st *dbt.RunStats) {
 type ThresholdResult struct {
 	T            uint64
 	Summary      metrics.Summary
-	Normalized   *navep.Result
 	ProfilingOps uint64
 	Cycles       float64
 	Stats        dbt.RunStats
-	Snapshot     *profile.Snapshot // nil unless Options.KeepSnapshots
 }
 
 // SampleThresholdResult is one rung of a sampled-profiling ladder: the
@@ -320,24 +297,17 @@ type BenchmarkResult struct {
 	Failures []UnitFailure
 }
 
-func (o *Options) dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
-	cfg := dbt.Config{
+// dbtConfig is the translator configuration of every run: the paper's
+// IA32EL setup (default pool trigger, register-twice retranslation,
+// counter freezing, no block budget) with the cycle model on.
+func dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
+	return dbt.Config{
 		Input:         input,
 		Threshold:     threshold,
 		Optimize:      optimize,
-		PoolTrigger:   o.PoolTrigger,
-		RegisterTwice: !o.NoRegisterTwice,
-		DisableFreeze: o.DisableFreeze,
-		MaxBlockExecs: o.MaxBlockExecs,
+		RegisterTwice: true,
+		Perf:          perfmodel.NewAccumulator(perfmodel.DefaultParams()),
 	}
-	if o.Perf {
-		params := o.PerfParams
-		if params == (perfmodel.Params{}) {
-			params = perfmodel.DefaultParams()
-		}
-		cfg.Perf = perfmodel.NewAccumulator(params)
-	}
-	return cfg
 }
 
 // buildCache builds each input of a target once. The first caller gets
@@ -560,7 +530,7 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 // dbtConfig attaches the scheduler's cancellation channel and any
 // armed guest-trap fault for this (bench, input).
 func (b *benchRun) dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
-	cfg := b.opts.dbtConfig(input, threshold, optimize)
+	cfg := dbtConfig(input, threshold, optimize)
 	cfg.Interrupt = b.s.Done()
 	if n, ok := b.opts.Faults.Trap(b.t.Name, input); ok {
 		cfg.TrapAfter = n
@@ -777,7 +747,6 @@ func (b *benchRun) sampleConfigs(period uint64, distinct []uint64) []dbt.Config 
 	for j, threshold := range distinct {
 		cfg := b.dbtConfig("ref", threshold, true)
 		cfg.SamplePeriod = period
-		cfg.SampleSeed = b.opts.SampleSeed
 		cfgs[j] = cfg
 	}
 	return cfgs
@@ -886,11 +855,11 @@ func (b *benchRun) refBody(worker int) error {
 			outs := make([]runOutput, len(rungs))
 			for j := range outs {
 				k := first + j
-				outs[j] = runOutput{T: runCfgs[k].Threshold, Snapshot: cachedSnapshot{snaps[k]}, Stats: *stats[k], Cycles: cyclesOf(runCfgs[k])}
+				outs[j] = runOutput{T: runCfgs[k].Threshold, Snapshot: cachedSnapshot{snaps[k]}, Stats: *stats[k], Cycles: runCfgs[k].Perf.Cycles}
 			}
 			return outs
 		}
-		entry = refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cyclesOf(avepCfg), Runs: outputs(1)}
+		entry = refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: avepCfg.Perf.Cycles, Runs: outputs(1)}
 		if suite != nil {
 			bpOut = bpEntry{Results: suite.Results()}
 		}
@@ -972,18 +941,16 @@ func (b *benchRun) compareUnit(idxs []int, ro runOutput, worker int) error {
 // rungs receive identical results under their own paper-unit labels.
 //
 // The comparison itself is cacheable: its inputs are fully determined
-// by the two runs' keys, so a warm hit skips the normalization — unless
-// the caller wants the normalized rows (KeepNormalized), which the
-// cache does not carry.
+// by the two runs' keys, so a warm hit skips the normalization.
 func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
-	cmp := lookupSlot[cmpEntry](b, b.cacheUsable() && !b.opts.KeepNormalized,
+	cmp := lookupSlot[cmpEntry](b, b.cacheUsable(),
 		func() resultcache.Key { return b.cmpCacheKey(ro.T) }, nil, worker)
 	if cmp.warm() {
-		b.publishThresholdResults(idxs, ro, cmp.cached.Summary, nil)
+		b.publishThresholdResults(idxs, ro, cmp.cached.Summary)
 		return nil
 	}
 	start := time.Now()
-	summary, norm, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
+	summary, _, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
 	if err != nil {
 		err = fmt.Errorf("core: INIP(%d) comparison of %s: %w", ro.T, b.t.Name, err)
 		b.record(obs.UnitCompare, ro.T, worker, start, 0, err)
@@ -993,29 +960,22 @@ func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
 	if err := cmp.settle(cmpEntry{Summary: summary}, worker); err != nil {
 		return err
 	}
-	b.publishThresholdResults(idxs, ro, summary, norm)
+	b.publishThresholdResults(idxs, ro, summary)
 	return nil
 }
 
 // publishThresholdResults writes one ladder entry per served rung index
 // and retires the matching work items (indexes are rung-owned, so the
 // writes need no lock).
-func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary metrics.Summary, norm *navep.Result) {
+func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary metrics.Summary) {
 	for _, i := range idxs {
-		tr := ThresholdResult{
+		b.out.Results[i] = ThresholdResult{
 			T:            b.opts.Thresholds[i],
 			Summary:      summary,
 			ProfilingOps: ro.Snapshot.ProfilingOps,
 			Cycles:       ro.Cycles,
 			Stats:        ro.Stats,
 		}
-		if b.opts.KeepNormalized {
-			tr.Normalized = norm
-		}
-		if b.opts.KeepSnapshots {
-			tr.Snapshot = ro.Snapshot.Snapshot
-		}
-		b.out.Results[i] = tr
 		b.finishItem()
 	}
 }
@@ -1095,7 +1055,7 @@ func (b *benchRun) trainBody(worker int) error {
 		}
 		b.addRunStats(stats)
 		b.recordRun(obs.UnitTrain, 0, worker, start, stats)
-		if err := run.settle(runOutput{Snapshot: cachedSnapshot{train}, Stats: *stats, Cycles: cyclesOf(cfg)}, worker); err != nil {
+		if err := run.settle(runOutput{Snapshot: cachedSnapshot{train}, Stats: *stats, Cycles: cfg.Perf.Cycles}, worker); err != nil {
 			return err
 		}
 	}
@@ -1167,9 +1127,10 @@ func (b *benchRun) compareTrain(train *profile.Snapshot, worker int) error {
 // RunBenchmark executes the full three-way study for one target: AVEP
 // and INIP(train) once, then INIP(T) for every threshold in the ladder.
 // It is a self-contained wrapper around ScheduleBenchmark with a private
-// scheduler; studies share one scheduler across benchmarks instead.
+// GOMAXPROCS scheduler; studies share one scheduler across benchmarks
+// instead, and callers that need a pool size schedule on their own.
 func RunBenchmark(t Target, opts Options) (*BenchmarkResult, error) {
-	s := NewScheduler(opts.Workers)
+	s := NewScheduler(0)
 	var out *BenchmarkResult
 	ScheduleBenchmark(s, t, opts, func(r *BenchmarkResult) { out = r })
 	if err := s.Wait(); err != nil {
@@ -1185,7 +1146,8 @@ func RunBenchmark(t Target, opts Options) (*BenchmarkResult, error) {
 // pipeline's `ls` cache entries — same key, same payload — so a daemon
 // assembling a training corpus and a study sweeping the same scale warm
 // each other, and a warm call executes zero guest blocks. Only Cache,
-// CacheContext, CacheVerify, Trace and Faults are honored from opts.
+// CacheContext, CacheVerify, Timing, Trace and Faults are honored from
+// opts.
 func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.BenchData, error) {
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
@@ -1212,10 +1174,10 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 	if err != nil {
 		return nil, err
 	}
-	// No scheduler here, so build the config at the Options level (no
-	// cancellation channel to attach); the fault trap still arms so
+	// No scheduler here, so use the plain config (no cancellation
+	// channel to attach); the fault trap still arms so
 	// perturbed runs stay out of the cache like everywhere else.
-	cfg := b.opts.dbtConfig("ref", 0, false)
+	cfg := dbtConfig("ref", 0, false)
 	if n, ok := b.opts.Faults.Trap(t.Name, "ref"); ok {
 		cfg.TrapAfter = n
 	}

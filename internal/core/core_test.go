@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/dbt"
+	"repro/internal/navep"
 	"repro/internal/profile"
 )
 
@@ -170,7 +172,7 @@ func TestPerfEnabledPopulatesCycles(t *testing.T) {
 	// cost (OptPerInst is large: optimizers are slow relative to
 	// execution).
 	target := BuildFromAsm("stationary", stationarySrc(300000, 7372))
-	res, err := RunBenchmark(target, Options{Thresholds: []uint64{100}, Perf: true})
+	res, err := RunBenchmark(target, Options{Thresholds: []uint64{100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,25 +188,30 @@ func TestPerfEnabledPopulatesCycles(t *testing.T) {
 	}
 }
 
-func TestKeepSnapshots(t *testing.T) {
-	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
-	res, err := RunBenchmark(target, Options{Thresholds: []uint64{100}, KeepSnapshots: true})
+// normalizedAt runs the target's reference input under AVEP and under
+// INIP(threshold) with the study's translator configuration, and
+// normalizes the INIP snapshot against AVEP — the per-block rows
+// cmd/profcmp inspects offline, which a benchmark result does not carry.
+func normalizedAt(t *testing.T, target Target, threshold uint64) (*profile.Snapshot, *navep.Result) {
+	t.Helper()
+	run := func(cfg dbt.Config) *profile.Snapshot {
+		t.Helper()
+		img, tape, err := target.Build("ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, _, err := dbt.Run(img, tape, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	inip := run(dbtConfig("ref", threshold, true))
+	_, norm, err := Compare(inip, run(dbtConfig("ref", 0, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Results[0].Snapshot == nil {
-		t.Fatal("snapshot not kept")
-	}
-	if err := res.Results[0].Snapshot.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := RunBenchmark(target, Options{Thresholds: []uint64{100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Results[0].Snapshot != nil {
-		t.Fatal("snapshot kept despite KeepSnapshots=false")
-	}
+	return inip, norm
 }
 
 // nestedLoopSrc is the shape of the paper's Figure 1 (Mcf
@@ -231,16 +238,16 @@ innerbody:
 
 func TestNestedLoopsFormLoopRegions(t *testing.T) {
 	target := BuildFromAsm("mcfshape", nestedLoopSrc(4000, 7372))
-	res, err := RunBenchmark(target, Options{Thresholds: []uint64{200}, KeepSnapshots: true, KeepNormalized: true})
+	res, err := RunBenchmark(target, Options{Thresholds: []uint64{200}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Results[0]
-	if tr.Summary.Loops == 0 {
+	if res.Results[0].Summary.Loops == 0 {
 		t.Fatal("nested loop program formed no loop regions")
 	}
+	snap, norm := normalizedAt(t, target, 200)
 	var loops int
-	for _, r := range tr.Snapshot.Regions {
+	for _, r := range snap.Regions {
 		if r.Kind == profile.RegionLoop {
 			loops++
 		}
@@ -250,13 +257,13 @@ func TestNestedLoopsFormLoopRegions(t *testing.T) {
 	}
 	// The inner loop's LP should be near its bias (0.9).
 	found := false
-	for _, li := range tr.Normalized.Loops {
+	for _, li := range norm.Loops {
 		if li.LT > 0.8 && li.LT <= 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no loop with LP near 0.9: %+v", tr.Normalized.Loops)
+		t.Fatalf("no loop with LP near 0.9: %+v", norm.Loops)
 	}
 }
 

@@ -46,7 +46,7 @@ func runDegraded(t *testing.T, opts Options, targets ...Target) map[string]*Benc
 // UnitFailure on that benchmark, and leave the surviving benchmark's
 // result bit-identical to a run without any faults.
 func TestDegradeIsolatesFailingBenchmark(t *testing.T) {
-	opts := Options{Thresholds: []uint64{50, 100}, Perf: true}
+	opts := Options{Thresholds: []uint64{50, 100}}
 	bad := BuildFromAsm("bad", counterProgram())
 	good := BuildFromAsm("good", counterProgram())
 
@@ -132,7 +132,7 @@ func TestFailFastPanicIsFirstError(t *testing.T) {
 // identical to a fault-free run plus a retry count of two.
 func TestRetryRecoversTransientFault(t *testing.T) {
 	target := BuildFromAsm("flaky", counterProgram())
-	opts := Options{Thresholds: []uint64{50, 100}, Perf: true}
+	opts := Options{Thresholds: []uint64{50, 100}}
 	clean, err := RunBenchmark(target, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -140,7 +140,7 @@ func TestLadderCollapseDedup(t *testing.T) {
 
 	runWith := func(ladder []uint64) (*BenchmarkResult, *Timing) {
 		var tm Timing
-		res, err := RunBenchmark(target, Options{Thresholds: ladder, Perf: true, Timing: &tm})
+		res, err := RunBenchmark(target, Options{Thresholds: ladder, Timing: &tm})
 		if err != nil {
 			t.Fatalf("ladder %v: %v", ladder, err)
 		}
@@ -173,7 +173,7 @@ func TestLadderCollapseDedup(t *testing.T) {
 
 	// And determinism still holds: the serial-run oracle's genuine
 	// repeat runs produce the values the fan-out copied.
-	if !reflect.DeepEqual(serialOracle(t, target, Options{Thresholds: collapsed, Perf: true}), dup) {
+	if oracle, _ := serialOracle(t, target, Options{Thresholds: collapsed}); !reflect.DeepEqual(oracle, dup) {
 		t.Fatal("serial-run oracle differs from the deduped shared-trace result")
 	}
 }

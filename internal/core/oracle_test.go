@@ -1,12 +1,13 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/dbt"
 	"repro/internal/learned"
 	"repro/internal/metrics"
-	"repro/internal/navep"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/region"
@@ -19,8 +20,10 @@ import (
 // with Compare. Predictor and learned observers watch the AVEP run on
 // its own. Nothing is shared between runs: no follower replay, no rung
 // dedup (a collapsed rung is run again), no scheduler and no cache.
-// Only the options that shape results are honored.
-func serialOracle(t *testing.T, target Target, opts Options) *BenchmarkResult {
+// Only the options that shape results are honored. Next to the result
+// it returns the INIP snapshots it computed, which the result does not
+// carry: one per ladder rung, and one ladder per sample period.
+func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, oracleSnapshots) {
 	t.Helper()
 	run := func(input string, cfg dbt.Config, observers ...dbt.TraceObserver) (*profile.Snapshot, *dbt.RunStats) {
 		t.Helper()
@@ -43,13 +46,13 @@ func serialOracle(t *testing.T, target Target, opts Options) *BenchmarkResult {
 		}
 		return snaps[0], stats[0]
 	}
-	compare := func(inip, avep *profile.Snapshot) (metrics.Summary, *navep.Result) {
+	compare := func(inip, avep *profile.Snapshot) metrics.Summary {
 		t.Helper()
-		s, norm, err := Compare(inip, avep)
+		s, _, err := Compare(inip, avep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, norm
+		return s
 	}
 
 	out := &BenchmarkResult{Name: target.Name, Results: make([]ThresholdResult, len(opts.Thresholds))}
@@ -76,9 +79,10 @@ func serialOracle(t *testing.T, target Target, opts Options) *BenchmarkResult {
 		col = learned.NewCollector(sites)
 		observers = append(observers, col)
 	}
-	avepCfg := opts.dbtConfig("ref", 0, false)
+	var snaps oracleSnapshots
+	avepCfg := dbtConfig("ref", 0, false)
 	avep, _ := run("ref", avepCfg, observers...)
-	out.AVEP, out.AVEPCycles = avep, cyclesOf(avepCfg)
+	out.AVEP, out.AVEPCycles = avep, avepCfg.Perf.Cycles
 	if suite != nil {
 		out.Predictors = suite.Results()
 	}
@@ -88,34 +92,75 @@ func serialOracle(t *testing.T, target Target, opts Options) *BenchmarkResult {
 	}
 
 	for i, threshold := range opts.Thresholds {
-		cfg := opts.dbtConfig("ref", threshold, true)
+		cfg := dbtConfig("ref", threshold, true)
 		snap, stats := run("ref", cfg)
-		summary, norm := compare(snap, avep)
-		tr := ThresholdResult{T: threshold, Summary: summary, ProfilingOps: snap.ProfilingOps, Cycles: cyclesOf(cfg), Stats: *stats}
-		if opts.KeepNormalized {
-			tr.Normalized = norm
-		}
-		if opts.KeepSnapshots {
-			tr.Snapshot = snap
-		}
-		out.Results[i] = tr
+		out.Results[i] = ThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles, Stats: *stats}
+		snaps.inip = append(snaps.inip, snap)
 	}
 
 	for _, period := range opts.SamplePeriods {
 		pr := SamplePeriodResult{Period: period, PerT: make([]SampleThresholdResult, len(opts.Thresholds))}
+		var ladder []*profile.Snapshot
 		for i, threshold := range opts.Thresholds {
-			cfg := opts.dbtConfig("ref", threshold, true)
-			cfg.SamplePeriod, cfg.SampleSeed = period, opts.SampleSeed
+			cfg := dbtConfig("ref", threshold, true)
+			cfg.SamplePeriod = period
 			snap, _ := run("ref", cfg)
-			summary, _ := compare(snap, avep)
-			pr.PerT[i] = SampleThresholdResult{T: threshold, Summary: summary, ProfilingOps: snap.ProfilingOps, Cycles: cyclesOf(cfg)}
+			pr.PerT[i] = SampleThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles}
+			ladder = append(ladder, snap)
 		}
 		out.Sampling = append(out.Sampling, pr)
+		snaps.sampled = append(snaps.sampled, ladder)
 	}
 
-	train, _ := run("train", opts.dbtConfig("train", 0, false))
+	train, _ := run("train", dbtConfig("train", 0, false))
 	out.TrainOps = train.ProfilingOps
-	out.Train, _ = compare(train, avep)
-	out.TrainRegions, _ = compare(region.WithOfflineRegions(train, trainRegionThreshold, region.Config{}), avep)
-	return out
+	out.Train = compare(train, avep)
+	out.TrainRegions = compare(region.WithOfflineRegions(train, trainRegionThreshold, region.Config{}), avep)
+	return out, snaps
+}
+
+// oracleSnapshots are the INIP snapshots serialOracle computed, indexed
+// like Options.Thresholds (sampled: by period, then threshold).
+type oracleSnapshots struct {
+	inip    []*profile.Snapshot
+	sampled [][]*profile.Snapshot
+}
+
+// storedSnapshots reads back the INIP snapshots a cached run stored in
+// dir — the distinct rungs of its one ref entry and of each period's sp
+// entry — fanned out to ladder order like serialOracle's, so a
+// scheduled run's snapshots can be checked although its result does
+// not carry them. The store must hold a single benchmark's entries.
+func storedSnapshots(t *testing.T, dir string, opts Options) oracleSnapshots {
+	t.Helper()
+	fanOut := func(runs []runOutput) []*profile.Snapshot {
+		byT := make(map[uint64]*profile.Snapshot, len(runs))
+		for _, ro := range runs {
+			byT[ro.T] = ro.Snapshot.Snapshot
+		}
+		out := make([]*profile.Snapshot, len(opts.Thresholds))
+		for i, threshold := range opts.Thresholds {
+			if out[i] = byT[threshold]; out[i] == nil {
+				t.Fatalf("stored entry has no run at T=%d", threshold)
+			}
+		}
+		return out
+	}
+	var ref refEntry
+	storedValue(t, cacheEntryPath(t, dir, "ref"), &ref)
+	snaps := oracleSnapshots{inip: fanOut(ref.Runs)}
+	for _, period := range opts.SamplePeriods {
+		var sp spEntry
+		storedValue(t, cacheEntryPath(t, dir, "sp", fmt.Sprintf("|t=%d|", period)), &sp)
+		snaps.sampled = append(snaps.sampled, fanOut(sp.Runs))
+	}
+	return snaps
+}
+
+// storedValue decodes the value of the cache entry at path into v.
+func storedValue(t *testing.T, path string, v any) {
+	t.Helper()
+	if err := json.Unmarshal(readEnvelope(t, path).Value, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/interp"
 	"repro/internal/learned"
+	"repro/internal/resultcache"
 )
 
 func TestSchedulerRunsAllUnits(t *testing.T) {
@@ -157,55 +158,44 @@ taken:
 // oracle — one translator run per config, nothing shared — with every
 // study axis riding the trace: dynamic predictors, the learned
 // collection, and sampled ladders (period 1 is full instrumentation by
-// definition, period 4 is not).
+// definition, period 4 is not). The INIP snapshots, which the result
+// does not carry, are read back from the cold run's ref and sp entries
+// and must equal the oracle's too.
 func TestScheduledModesAgree(t *testing.T) {
 	// The duplicate rung exercises the dedup fan-out, which must be
 	// invisible next to the oracle's genuine repeat run.
 	opts := Options{
-		Thresholds:     []uint64{20, 50, 50, 100},
-		Perf:           true,
-		KeepNormalized: true,
-		KeepSnapshots:  true,
-		Predictors:     []string{"2bit", "gshare"},
-		Learned:        &learned.Config{Model: learned.ModelLogReg},
-		SamplePeriods:  []uint64{1, 4},
-		SampleSeed:     9,
+		Thresholds:    []uint64{20, 50, 50, 100},
+		Predictors:    []string{"2bit", "gshare"},
+		Learned:       &learned.Config{Model: learned.ModelLogReg},
+		SamplePeriods: []uint64{1, 4},
+		CacheContext:  "modes",
 	}
 	for _, target := range []Target{
 		BuildFromAsm("modes", counterProgram()),
 		BuildFromAsm("phased", phasedSrc(4000, 1000, 7782, 819)),
 	} {
-		want := serialOracle(t, target, opts)
+		want, wantSnaps := serialOracle(t, target, opts)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			o := opts
-			o.Workers = workers
-			got, err := RunBenchmark(target, o)
+			dir := t.TempDir()
+			store, err := resultcache.Open(dir)
 			if err != nil {
+				t.Fatal(err)
+			}
+			o := opts
+			o.Cache = store
+			var got *BenchmarkResult
+			s := NewScheduler(workers)
+			ScheduleBenchmark(s, target, o, func(r *BenchmarkResult) { got = r })
+			if err := s.Wait(); err != nil {
 				t.Fatalf("%s workers=%d: %v", target.Name, workers, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d: scheduled result differs from the serial-run oracle", target.Name, workers)
 			}
+			if !reflect.DeepEqual(storedSnapshots(t, dir, opts), wantSnaps) {
+				t.Fatalf("%s workers=%d: scheduled INIP snapshots differ from the serial-run oracle's", target.Name, workers)
+			}
 		}
-	}
-}
-
-// TestKeepNormalizedDefaultOff: the memory knob must drop the per-run
-// navep result unless requested.
-func TestKeepNormalizedDefaultOff(t *testing.T) {
-	target := BuildFromAsm("keepnorm", counterProgram())
-	res, err := RunBenchmark(target, Options{Thresholds: []uint64{50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0].Normalized != nil {
-		t.Fatalf("Normalized retained without KeepNormalized")
-	}
-	res, err = RunBenchmark(target, Options{Thresholds: []uint64{50}, KeepNormalized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0].Normalized == nil {
-		t.Fatalf("Normalized dropped despite KeepNormalized")
 	}
 }

@@ -75,6 +75,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("inipd_ready", "1 while the daemon admits new work", ready)
 	gauge("inipd_uptime_seconds", "seconds since the daemon started", fmt.Sprintf("%.3f", time.Since(s.start).Seconds()))
 	gauge("inipd_scheduler_workers", "size of the shared comparison worker pool", s.sched.Workers())
+	gauge("inipd_compare_inflight", "compare requests holding an execution slot", len(s.inflight))
 
 	counter("inipd_compare_requests_total", "POST /v1/compare requests received", s.m.compareRequests.Load())
 	counter("inipd_compare_ok_total", "compare requests answered 200", s.m.compareOK.Load())

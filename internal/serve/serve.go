@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -134,9 +135,10 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	// exec performs one comparison; tests swap it to count and gate
-	// executions without running the pipeline.
-	exec func(key string, bench *spec.Benchmark, paperT, scale float64, predictors []string, samplePeriod uint64, learnedModel string) *compareOut
+	// exec performs one comparison: a validated one-benchmark,
+	// one-threshold study config (see compareConfig). Tests swap it to
+	// count and gate executions without running the pipeline.
+	exec func(key string, cfg study.Config) *compareOut
 
 	// Mean compare duration, the Retry-After estimator's numerator.
 	// Tests seed these directly to make the hint deterministic.
@@ -352,7 +354,14 @@ func (s *Server) retryAfterSeconds() int {
 	return int(secs)
 }
 
-// compareRequest is the POST /v1/compare body.
+// maxTimeoutMS is the largest timeout_ms whose deadline is representable
+// as a time.Duration; a larger one would overflow into a deadline that
+// has already passed.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// compareRequest is the POST /v1/compare body. The daemon lowers it to a
+// one-benchmark, one-threshold study.Config (compareConfig), so the
+// study's Validate is the one judge of its fields.
 type compareRequest struct {
 	// Bench is the benchmark name (spec suite).
 	Bench string `json:"bench"`
@@ -500,34 +509,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	bench := spec.ByName(strings.TrimSpace(req.Bench))
-	if bench == nil {
-		errorJSON(w, http.StatusBadRequest, "unknown benchmark %q", req.Bench)
+	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
+		errorJSON(w, http.StatusBadRequest, "timeout_ms must be in [0, %d], got %d", maxTimeoutMS, req.TimeoutMS)
 		return
 	}
-	if req.T <= 0 {
-		errorJSON(w, http.StatusBadRequest, "threshold t must be positive, got %v", req.T)
+	cfg, err := s.compareConfig(req)
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if req.Scale < 0 || req.TimeoutMS < 0 {
-		errorJSON(w, http.StatusBadRequest, "scale and timeout_ms must be non-negative")
-		return
-	}
-	if len(req.Predictors) > 0 {
-		if _, err := predict.NewSuite(req.Predictors); err != nil {
-			errorJSON(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if req.Learned != "" {
-		if err := (learned.Config{Model: req.Learned}).Validate(); err != nil {
-			errorJSON(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	scale := req.Scale
-	if scale <= 0 {
-		scale = s.cfg.Scale
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -557,18 +546,18 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 
 	// Coalesce identical in-flight work: the key pins everything that
 	// determines the result (benchmark → image+tape, threshold →
-	// engine config, scale → ladder clamp, predictor list → response
-	// tail), so sharing is safe. Predictor-less requests keep the
-	// legacy key shape.
-	key := fmt.Sprintf("%s|t=%g|scale=%g", bench.Name, req.T, scale)
-	if len(req.Predictors) > 0 {
-		key += "|bp=" + strings.Join(req.Predictors, ",")
+	// engine config, scale → ladder clamp, predictor list, sample
+	// period and learned model → response tail), so sharing is safe.
+	// Axis-less requests keep the legacy key shape.
+	key := fmt.Sprintf("%s|t=%g|scale=%g", cfg.Benchmarks[0].Name, cfg.Thresholds[0], cfg.Scale)
+	if len(cfg.Predictors) > 0 {
+		key += "|bp=" + strings.Join(cfg.Predictors, ",")
 	}
-	if req.SamplePeriod > 0 {
-		key += fmt.Sprintf("|sp=%d", req.SamplePeriod)
+	if len(cfg.SamplePeriods) > 0 {
+		key += fmt.Sprintf("|sp=%d", cfg.SamplePeriods[0])
 	}
-	if req.Learned != "" {
-		key += "|ls=" + (learned.Config{Model: req.Learned}).Fingerprint()
+	if cfg.Learned != nil {
+		key += "|ls=" + cfg.Learned.Fingerprint()
 	}
 	s.flightMu.Lock()
 	f, follower := s.flights[key]
@@ -583,7 +572,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	} else {
 		go func() {
 			execStart := time.Now()
-			f.out = s.exec(key, bench, req.T, scale, req.Predictors, req.SamplePeriod, req.Learned)
+			f.out = s.exec(key, cfg)
 			s.compareDurNS.Add(int64(time.Since(execStart)))
 			s.compareDurCount.Add(1)
 			s.flightMu.Lock()
@@ -630,32 +619,43 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	w.Write(out.body)
 }
 
+// compareConfig turns a compare request into the one-benchmark,
+// one-threshold study config it asks for, judged by the study's own
+// Validate: the daemon accepts exactly the thresholds, scales,
+// predictor lists, sample periods and learned models a study accepts.
+func (s *Server) compareConfig(req compareRequest) (study.Config, error) {
+	bench := spec.ByName(strings.TrimSpace(req.Bench))
+	if bench == nil {
+		return study.Config{}, fmt.Errorf("unknown benchmark %q", req.Bench)
+	}
+	cfg := study.Config{
+		Scale:      req.Scale,
+		Thresholds: []float64{req.T},
+		Benchmarks: []*spec.Benchmark{bench},
+		Predictors: req.Predictors,
+		Cache:      s.cfg.Cache,
+		Trace:      s.cfg.Trace,
+	}
+	if cfg.Scale == 0 {
+		cfg.Scale = s.cfg.Scale
+	}
+	if req.SamplePeriod > 0 {
+		cfg.SamplePeriods = []uint64{req.SamplePeriod}
+	}
+	if req.Learned != "" {
+		cfg.Learned = &learned.Config{Model: req.Learned}
+	}
+	return cfg, cfg.Validate()
+}
+
 // runCompare executes one benchmark × threshold comparison on the
 // shared scheduler and renders the canonical response body. It runs to
 // completion regardless of any caller's deadline — abandoning it would
 // waste the work the cache is about to keep.
-func (s *Server) runCompare(_ string, bench *spec.Benchmark, paperT, scale float64, predictors []string, samplePeriod uint64, learnedModel string) *compareOut {
-	eff := study.EffectiveThreshold(paperT, scale)
+func (s *Server) runCompare(_ string, cfg study.Config) *compareOut {
+	bench, paperT, scale := cfg.Benchmarks[0], cfg.Thresholds[0], cfg.Scale
 	var timing core.Timing
-	opts := core.Options{
-		Thresholds: []uint64{eff},
-		Perf:       true,
-		Timing:     &timing,
-		Trace:      s.cfg.Trace,
-		Cache:      s.cfg.Cache,
-		Predictors: predictors,
-		// Must match the study's context format exactly, so the daemon
-		// and the CLI share cache entries for the same work.
-		CacheContext: fmt.Sprintf("scale=%g", scale),
-	}
-	if samplePeriod > 0 {
-		opts.SamplePeriods = []uint64{samplePeriod}
-	}
-	var learnedCfg *learned.Config
-	if learnedModel != "" {
-		learnedCfg = &learned.Config{Model: learnedModel}
-		opts.Learned = learnedCfg
-	}
+	opts := cfg.UnitOptions(&timing)
 	done := make(chan *core.BenchmarkResult, 1)
 	core.ScheduleBenchmark(s.sched, bench.Target(scale), opts, func(r *core.BenchmarkResult) {
 		done <- r
@@ -673,7 +673,7 @@ func (s *Server) runCompare(_ string, bench *spec.Benchmark, paperT, scale float
 		Class:      bench.Class.String(),
 		Scale:      scale,
 		TPaper:     paperT,
-		TEffective: eff,
+		TEffective: opts.Thresholds[0],
 		Train:      toWire(res.Train),
 		Failures:   res.Failures,
 	}
@@ -692,7 +692,7 @@ func (s *Server) runCompare(_ string, bench *spec.Benchmark, paperT, scale float
 		}
 		s.recordPredictors(res.Predictors)
 	}
-	if samplePeriod > 0 && len(res.Sampling) == 1 && len(res.Sampling[0].PerT) == 1 && len(res.Results) == 1 {
+	if len(cfg.SamplePeriods) == 1 && len(res.Sampling) == 1 && len(res.Sampling[0].PerT) == 1 && len(res.Results) == 1 {
 		sp := res.Sampling[0].PerT[0]
 		sw := &sampledWire{
 			Summary:          toWire(sp.Summary),
@@ -703,12 +703,12 @@ func (s *Server) runCompare(_ string, bench *spec.Benchmark, paperT, scale float
 		if sw.FullProfilingOps > 0 {
 			sw.CostRatio = float64(sw.ProfilingOps) / float64(sw.FullProfilingOps)
 		}
-		resp.SamplePeriod = samplePeriod
+		resp.SamplePeriod = cfg.SamplePeriods[0]
 		resp.Sampled = sw
 		s.recordSampled(sw)
 	}
-	if learnedCfg != nil && res.Learned != nil {
-		lw, err := s.learnedCompare(bench, scale, *learnedCfg, res.Learned, &timing)
+	if cfg.Learned != nil && res.Learned != nil {
+		lw, err := s.learnedCompare(bench, scale, opts, res.Learned)
 		if err != nil {
 			return &compareOut{status: http.StatusInternalServerError, errMsg: err.Error()}
 		}
@@ -729,17 +729,13 @@ func (s *Server) runCompare(_ string, bench *spec.Benchmark, paperT, scale float
 // learnedCompare scores the requested benchmark's reference collection
 // with a model trained on every other suite benchmark at the same
 // scale — strictly held-out, exactly the study's leave-one-out fold for
-// this benchmark. Corpus collections go through core.CollectLearnedData,
-// which shares the study pipeline's `ls` cache entries, so a warm
-// corpus executes zero guest blocks; timing accumulates any cold
-// collection's block count into the response's guest-block header.
-func (s *Server) learnedCompare(bench *spec.Benchmark, scale float64, lcfg learned.Config, data *learned.BenchData, timing *core.Timing) (*learnedWire, error) {
-	opts := core.Options{
-		Timing:       timing,
-		Trace:        s.cfg.Trace,
-		Cache:        s.cfg.Cache,
-		CacheContext: fmt.Sprintf("scale=%g", scale),
-	}
+// this benchmark. Corpus collections go through core.CollectLearnedData
+// with the compare's own unit options, which share the study
+// pipeline's `ls` cache entries, so a warm corpus executes zero guest
+// blocks; opts.Timing accumulates any cold collection's block count
+// into the response's guest-block header.
+func (s *Server) learnedCompare(bench *spec.Benchmark, scale float64, opts core.Options, data *learned.BenchData) (*learnedWire, error) {
+	lcfg := *opts.Learned
 	var corpus []learned.BenchData
 	for _, b := range spec.Suite() {
 		if b.Name == bench.Name {

@@ -21,14 +21,14 @@ import (
 
 // newTestServer builds a Server with small admission limits and, when
 // gate is non-nil, a fake exec that blocks on it and counts calls.
-func newTestServer(t *testing.T, cfg Config, gate chan struct{}, calls *atomic.Int64) *Server {
+func newTestServer(t testing.TB, cfg Config, gate chan struct{}, calls *atomic.Int64) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gate != nil {
-		s.exec = func(key string, _ *spec.Benchmark, _, _ float64, _ []string, _ uint64, _ string) *compareOut {
+		s.exec = func(key string, _ study.Config) *compareOut {
 			calls.Add(1)
 			<-gate
 			return &compareOut{
@@ -64,22 +64,30 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // JSON stays open so the decoder must read past the limit.
 var oversizeBody = `{"bench":"` + strings.Repeat("a", maxRequestBody)
 
+// compareValidationRows are malformed compare requests and the status
+// each must get, before admission and with a JSON error.
+var compareValidationRows = []struct {
+	name string
+	body string
+	want int
+}{
+	{"bad json", "{", http.StatusBadRequest},
+	{"unknown bench", `{"bench":"nope","t":2000}`, http.StatusBadRequest},
+	{"bad threshold", `{"bench":"gzip","t":-1}`, http.StatusBadRequest},
+	{"negative scale", `{"bench":"gzip","t":2000,"scale":-0.5}`, http.StatusBadRequest},
+	{"negative timeout", `{"bench":"gzip","t":2000,"timeout_ms":-1}`, http.StatusBadRequest},
+	{"overflowing timeout", `{"bench":"gzip","t":2000,"timeout_ms":9223372036854775807}`, http.StatusBadRequest},
+	{"duplicate predictor", `{"bench":"gzip","t":2000,"predictors":["2bit","2bit"]}`, http.StatusBadRequest},
+	{"unknown predictor", `{"bench":"gzip","t":2000,"predictors":["oracle"]}`, http.StatusBadRequest},
+	{"unknown learned model", `{"bench":"gzip","t":2000,"learned":"nn"}`, http.StatusBadRequest},
+	{"oversize body", oversizeBody, http.StatusRequestEntityTooLarge},
+}
+
 // TestCompareValidation: malformed requests are rejected up front with
 // a JSON error, before admission.
 func TestCompareValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1}, nil, nil)
-	for _, tc := range []struct {
-		name string
-		body string
-		want int
-	}{
-		{"bad json", "{", http.StatusBadRequest},
-		{"unknown bench", `{"bench":"nope","t":2000}`, http.StatusBadRequest},
-		{"bad threshold", `{"bench":"gzip","t":-1}`, http.StatusBadRequest},
-		{"negative scale", `{"bench":"gzip","t":2000,"scale":-0.5}`, http.StatusBadRequest},
-		{"negative timeout", `{"bench":"gzip","t":2000,"timeout_ms":-1}`, http.StatusBadRequest},
-		{"oversize body", oversizeBody, http.StatusRequestEntityTooLarge},
-	} {
+	for _, tc := range compareValidationRows {
 		w := postCompare(s, tc.body)
 		if w.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, w.Code, tc.want)
@@ -89,6 +97,57 @@ func TestCompareValidation(t *testing.T) {
 			t.Errorf("%s: body %q is not a JSON error", tc.name, w.Body.String())
 		}
 	}
+}
+
+// FuzzCompareRequest: any POST /v1/compare body gets either a 200 —
+// and then exec ran on a config the study's Validate accepts — or a
+// 4xx with a JSON error. It never gets a 5xx, panics or hangs. exec is
+// a stub behind a closed gate, so no request runs the pipeline. The one
+// 5xx a well-behaved server may give is the 504 of a deadline the
+// request itself set so short that it can expire before even the stub
+// answers; it is accepted only for timeout_ms of at most 100.
+func FuzzCompareRequest(f *testing.F) {
+	for _, row := range compareValidationRows {
+		if len(row.body) < 4096 {
+			f.Add(row.body)
+		}
+	}
+	f.Add(`{"bench":"gzip","t":2000}`)
+	f.Add(`{"bench":" swim ","t":0.5,"scale":0.01,"predictors":["2bit","gshare"],"sample_period":4,"learned":"tree","timeout_ms":60000}`)
+
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var invalid atomic.Pointer[string]
+	s.exec = func(key string, cfg study.Config) *compareOut {
+		if err := cfg.Validate(); err != nil {
+			msg := fmt.Sprintf("exec reached with an invalid config (key %s): %v", key, err)
+			invalid.Store(&msg)
+		}
+		return &compareOut{status: http.StatusOK, body: []byte("{}\n")}
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		w := postCompare(s, body)
+		if msg := invalid.Swap(nil); msg != nil {
+			t.Fatal(*msg)
+		}
+		switch {
+		case w.Code == http.StatusOK:
+		case w.Code >= 400 && w.Code < 500:
+			var e struct{ Error string }
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("status %d with body %q, not a JSON error", w.Code, w.Body.String())
+			}
+		case w.Code == http.StatusGatewayTimeout:
+			var req compareRequest
+			if json.Unmarshal([]byte(body), &req) != nil || req.TimeoutMS <= 0 || req.TimeoutMS > 100 {
+				t.Fatalf("504 for a request without a short deadline of its own: %q", body)
+			}
+		default:
+			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.String())
+		}
+	})
 }
 
 // TestStudyValidation: malformed study requests are rejected with a
@@ -123,9 +182,17 @@ func TestStudyValidation(t *testing.T) {
 	}
 }
 
+// metricsText scrapes the server's Prometheus exposition.
+func metricsText(s *Server) string {
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/metrics", nil))
+	return w.Body.String()
+}
+
 // TestAdmissionOverload: with one inflight slot and no wait queue, a
 // second concurrent request is rejected immediately with 429 and a
-// Retry-After hint, and the first still completes.
+// Retry-After hint, and the first still completes. The inflight gauge
+// reads 1 while the first holds the slot and 0 once it is released.
 func TestAdmissionOverload(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int64
@@ -134,6 +201,9 @@ func TestAdmissionOverload(t *testing.T) {
 	first := make(chan *httptest.ResponseRecorder, 1)
 	go func() { first <- postCompare(s, `{"bench":"gzip","t":2000}`) }()
 	waitFor(t, "leader to start executing", func() bool { return calls.Load() == 1 })
+	if m := metricsText(s); !strings.Contains(m, "\ninipd_compare_inflight 1\n") {
+		t.Fatalf("inflight gauge does not read 1 while the leader holds the slot:\n%s", m)
+	}
 
 	// A different benchmark, so coalescing cannot absorb it: it must
 	// fall to admission, which has no free slot and no queue.
@@ -151,6 +221,9 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 	if got := s.m.compareOverload.Load(); got != 1 {
 		t.Fatalf("overload counter = %d, want 1", got)
+	}
+	if m := metricsText(s); !strings.Contains(m, "\ninipd_compare_inflight 0\n") {
+		t.Fatalf("inflight gauge does not read 0 after the slot is released:\n%s", m)
 	}
 }
 
@@ -695,10 +768,7 @@ func TestMetricsWarmStudyThroughputZero(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1}, nil, nil)
 	s.recordJobPerf(study.Perf{BlocksExecuted: 123456})
 
-	req := httptest.NewRequest("GET", "/v1/metrics", nil)
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, req)
-	body := w.Body.String()
+	body := metricsText(s)
 	if !strings.Contains(body, "inipd_study_blocks_per_second 0.0\n") {
 		t.Fatalf("warm-study gauge not pinned to 0.0:\n%s", body)
 	}

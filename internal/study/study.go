@@ -39,7 +39,12 @@ var PaperThresholds = []float64{100, 200, 500, 1e3, 2e3, 5e3, 1e4, 2e4, 4e4, 8e4
 // performance figure (Figure 17), whose base is T=1.
 var AllThresholds = append([]float64{1, 50}, PaperThresholds...)
 
-// Config controls a study run.
+// Config controls a study run: which benchmarks and thresholds, at
+// which scale, with which study axes, under which failure and cache
+// policy. It is also the daemon's compare request (one benchmark, one
+// threshold), so Validate and UnitOptions judge and lower both. The
+// translator configuration is not part of it: every run uses the
+// paper's IA32EL setup (see core.Options).
 type Config struct {
 	// Scale multiplies paper-unit thresholds, run lengths and phase
 	// boundaries. The default of 1.0 runs the paper's actual threshold
@@ -51,8 +56,6 @@ type Config struct {
 	Thresholds []float64
 	// Benchmarks selects the suite subset (default spec.Suite()).
 	Benchmarks []*spec.Benchmark
-	// PoolTrigger passes through to the translator.
-	PoolTrigger int
 	// Parallelism bounds concurrently-running work units (default
 	// GOMAXPROCS, matching the scheduler's own default — unlike NumCPU
 	// it respects cgroup quotas and GOMAXPROCS overrides). Units are
@@ -248,13 +251,15 @@ func EffectiveLadder(paperT []float64, scale float64) (sorted []float64, effecti
 	return sorted, effective
 }
 
-// unitOptions lowers the study configuration to the core.Options every
-// benchmark of the study runs with.
-func (c *Config) unitOptions(thresholds []uint64, timing *core.Timing) core.Options {
+// UnitOptions lowers the study configuration to the core.Options every
+// benchmark of the study runs with: the effective threshold ladder, the
+// study axes, the execution plumbing and the cache context. It is the
+// one place a configuration becomes unit options, so a study and a
+// daemon compare of the same work share cache entries.
+func (c *Config) UnitOptions(timing *core.Timing) core.Options {
+	_, thresholds := EffectiveLadder(c.Thresholds, c.Scale)
 	return core.Options{
 		Thresholds:    thresholds,
-		PoolTrigger:   c.PoolTrigger,
-		Perf:          true,
 		Timing:        timing,
 		Trace:         c.Trace,
 		Faults:        c.Faults,
@@ -432,7 +437,7 @@ func Run(cfg Config) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	paperT, thresholds := EffectiveLadder(cfg.Thresholds, cfg.Scale)
+	paperT, _ := EffectiveLadder(cfg.Thresholds, cfg.Scale)
 
 	res := &Results{Scale: cfg.Scale, PaperT: paperT, Series: make([]BenchmarkSeries, len(cfg.Benchmarks))}
 
@@ -470,8 +475,7 @@ func Run(cfg Config) (*Results, error) {
 	var completions atomic.Int64
 	for i, b := range cfg.Benchmarks {
 		i, b := i, b
-		opts := cfg.unitOptions(thresholds, &timing)
-		core.ScheduleBenchmark(sched, b.Target(cfg.Scale), opts, func(out *core.BenchmarkResult) {
+		core.ScheduleBenchmark(sched, b.Target(cfg.Scale), cfg.UnitOptions(&timing), func(out *core.BenchmarkResult) {
 			res.Series[i] = seriesFromResult(b, out)
 			if len(out.Failures) == 0 {
 				progress(fmt.Sprintf("done %-8s (%s): train Sd.BP=%.3f mismatch=%.1f%%\n",
