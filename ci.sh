@@ -20,6 +20,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== unit lifecycle stress (-race) =="
+# A benchmark reports when its last live unit exits, and a race on that
+# count (onDone firing twice) survived a single -race pass: rerun the
+# scheduler and daemon tests a few times at one and four processors.
+go test -race -count=3 -cpu=1,4 ./internal/core/ ./internal/serve/
+
 echo "== benchmark module =="
 # bench/ is a separate Go module (repro/bench, replacing repro with the
 # checkout), so the root build and tests never compile it: vet and test

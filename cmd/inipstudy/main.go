@@ -9,7 +9,7 @@
 //	                                             # (-benchjson appends a dated entry
 //	                                             # to the trajectory array in b.json)
 //	inipstudy -tracesum t.jsonl                  # summarize a recorded trace
-//	inipstudy -failpolicy degrade -retry 3       # survive benchmark failures
+//	inipstudy -failpolicy degrade                # survive benchmark failures
 //	inipstudy -cache results.cache               # memoize unit results on disk;
 //	                                             # rerun with it to resume a stopped study
 //	inipstudy -cache results.cache -cacheverify  # differential cache self-check
@@ -50,7 +50,6 @@ import (
 	"repro/internal/resultcache"
 	"repro/internal/spec"
 	"repro/internal/study"
-	"repro/internal/textplot"
 )
 
 // benchReport is the schema of one -benchjson perf entry. The file
@@ -178,8 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile taken after the study to this file")
 
 		failPolicy    = fs.String("failpolicy", "failfast", "on unit failure: 'failfast' cancels the study, 'degrade' drops the failing benchmark and completes the rest")
-		retry         = fs.Int("retry", 0, "max attempts per pipeline unit before its failure is permanent (0 or 1 = no retry)")
-		retryBackoff  = fs.Duration("retrybackoff", 0, "wait before the second attempt of a failed unit, doubling each further attempt")
 		inject        = fs.String("inject", "", "deterministic fault-injection spec for robustness testing, e.g. 'build:gzip/ref' or 'trap:mcf/train@1000' (see internal/faultinject)")
 		stopAfter     = fs.Int("stopafter", 0, "stop gracefully after this many benchmark completions (testing hook for resume through -cache)")
 		cacheDir      = fs.String("cache", "", "memoize unit results in this content-addressed directory; a warm rerun of an unchanged study executes zero guest blocks")
@@ -253,11 +250,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := study.Config{
-		Scale:        *scale,
-		Parallelism:  *par,
-		MaxAttempts:  *retry,
-		RetryBackoff: *retryBackoff,
-		StopAfter:    *stopAfter,
+		Scale:       *scale,
+		Parallelism: *par,
+		StopAfter:   *stopAfter,
 	}
 	pol, perr := core.ParseFailurePolicy(*failPolicy)
 	if perr != nil {
@@ -406,7 +401,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if f.T > 0 {
 				site = fmt.Sprintf("%s@T=%d", f.Unit, f.T)
 			}
-			fmt.Fprintf(stderr, "  %s: %s failed after %d attempt(s): %s\n", f.Bench, site, f.Attempts, f.Err)
+			fmt.Fprintf(stderr, "  %s: %s failed: %s\n", f.Bench, site, f.Err)
 		}
 	}
 
@@ -519,23 +514,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	for _, f := range out {
-		fmt.Fprintf(stdout, "== %s: %s ==\n", f.ID, f.Title)
-		series := make([]textplot.Series, len(f.Series))
-		for i, s := range f.Series {
-			series[i] = textplot.Series{Label: s.Label, Y: s.Y}
-		}
-		fmt.Fprint(stdout, textplot.Table("T", f.X, series))
-		if *chart {
-			fmt.Fprint(stdout, textplot.Chart(f.X, series, 72, 18))
-		}
-		for _, n := range f.Notes {
-			fmt.Fprintf(stdout, "note: %s\n", n)
-		}
-		for _, g := range f.Gaps {
-			fmt.Fprintf(stdout, "%s\n", g)
-		}
-		fmt.Fprintln(stdout)
-	}
+	fmt.Fprint(stdout, study.TextReport(out, *chart))
 	return 0
 }

@@ -37,9 +37,8 @@ import (
 //     cached values is a hard unit error — the differential self-check
 //     of both the cache and the engine's determinism;
 //   - a unit settles every slot before it spawns a dependent unit, so a
-//     settle failure fails the unit while it still owns every work item
-//     it would have handed on, and the failure policy retires each of
-//     them exactly once.
+//     settle failure fails the unit before any dependent could publish
+//     a result computed from the unsettled values.
 //
 // What is never cached: benchmarks with an armed fault plan (their runs
 // are deliberately perturbed), targets without a TapeID (the input

@@ -432,12 +432,11 @@ func TestCacheSkippedWithoutTapeID(t *testing.T) {
 }
 
 // TestSettleFailureRetiresRefOnce: a cache settle that fails inside the
-// reference unit must fail the unit before it spawns any dependent.
-// Otherwise the absorbed failure's cancel retires the items of
-// comparisons that were already spawned a second time (remaining goes
-// negative and onDone can fire before they have written), and a retry
-// spawns them again. The forged entry is the second sample period's,
-// so the first period has settled cleanly by the time it fails.
+// reference unit must fail the unit before it spawns any dependent, so
+// a failed reference unit publishes no comparison, no comparison runs
+// twice, and the benchmark reports exactly once with no unit left live.
+// The forged entry is the second sample period's, so the first period
+// has settled cleanly by the time it fails.
 func TestSettleFailureRetiresRefOnce(t *testing.T) {
 	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
 	baseline := func(t *testing.T, dir string) Options {
@@ -457,10 +456,6 @@ func TestSettleFailureRetiresRefOnce(t *testing.T) {
 			if err := os.Remove(cacheEntryPath(t, dir, "bp")); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"retried", func(t *testing.T, dir string, opts *Options) {
-			opts.CacheVerify = true
-			opts.MaxAttempts = 2
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -483,10 +478,10 @@ func TestSettleFailureRetiresRefOnce(t *testing.T) {
 			}
 
 			b.mu.Lock()
-			remaining := b.remaining
+			live := b.live
 			b.mu.Unlock()
-			if remaining != 0 {
-				t.Fatalf("remaining = %d after Wait, want 0", remaining)
+			if live != 0 {
+				t.Fatalf("live = %d after Wait, want 0", live)
 			}
 			if n := doneCalls.Load(); n != 1 {
 				t.Fatalf("onDone fired %d times, want once", n)

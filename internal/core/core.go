@@ -90,7 +90,7 @@ func Compare(inip, avep *profile.Snapshot) (metrics.Summary, *navep.Result, erro
 // not configurable: every run uses the paper's IA32EL configuration
 // (see dbtConfig), so Options carries only what the study and the
 // daemon vary — the ladder, the study axes riding the reference trace,
-// and the execution plumbing (timing, trace, faults, cache, retry).
+// and the execution plumbing (timing, trace, faults, cache).
 type Options struct {
 	// Thresholds is the ladder of retranslation thresholds to sweep.
 	Thresholds []uint64
@@ -148,15 +148,6 @@ type Options struct {
 	// the scale here — so the CLI and the daemon share cache entries.
 	// It participates verbatim in every cache key.
 	CacheContext string
-	// MaxAttempts bounds how many times a failing unit body is run
-	// before the failure is permanent (0 or 1 = no retry). Attempts
-	// re-enter the unit from the top — the build cache does not memoize
-	// errors, so a transient build failure is retried for real.
-	MaxAttempts int
-	// RetryBackoff is the wait before the second attempt, doubling on
-	// each further attempt. Zero retries immediately. The wait aborts
-	// early when the scheduler cancels.
-	RetryBackoff time.Duration
 }
 
 // Timing aggregates where a study's wall-clock went. Durations are
@@ -178,8 +169,6 @@ type Timing struct {
 	// BlocksExecuted.
 	SampledUnits        atomic.Int64
 	SampledProfilingOps atomic.Uint64
-	// Retries counts failed unit attempts that were run again.
-	Retries atomic.Int64
 
 	// Engine-counter aggregates (see dbt.RunStats), summed over every
 	// profiling context of every run unit.
@@ -241,18 +230,16 @@ type SamplePeriodResult struct {
 }
 
 // UnitFailure records one unit whose failure was absorbed under the
-// Degrade policy: which unit of which benchmark failed, after how many
-// attempts, and with what error. A benchmark with failures has
-// incomplete measurement data and is excluded from figure aggregation.
+// Degrade policy: which unit of which benchmark failed, and with what
+// error. A benchmark with failures has incomplete measurement data and
+// is excluded from figure aggregation.
 type UnitFailure struct {
 	Bench string `json:"bench"`
 	// Unit is the failing span kind (obs.Unit* constants).
 	Unit string `json:"unit"`
 	// T is the effective threshold for per-threshold units, 0 otherwise.
 	T uint64 `json:"t,omitempty"`
-	// Attempts is how many times the unit body ran before giving up.
-	Attempts int `json:"attempts"`
-	// Err is the final attempt's error, verbatim.
+	// Err is the unit's error, verbatim.
 	Err string `json:"err"`
 }
 
@@ -314,16 +301,14 @@ func dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
 // the tape Build produced; later callers of the same input get the
 // shared (read-only) image with a fresh tape from Target.NewTape, or a
 // full rebuild when the target has no tape factory. Errors are not
-// memoized — a failed build is retried by the next caller, which is
-// what lets the retry machinery recover from transient build faults.
+// memoized: a failed build fails only the unit that asked for it.
 type buildCache struct {
 	t      Target
 	faults *faultinject.Plan
 	mu     sync.Mutex
 	// mu guards entries and every entry. Holding it across Build
 	// serializes a target's ref and train builds; builds are a rounding
-	// error next to the runs, and serializing is what makes a failed
-	// build safely retryable.
+	// error next to the runs.
 	entries map[string]*buildEntry
 	builds  atomic.Int64 // Build invocations, for tests
 }
@@ -341,8 +326,7 @@ func newBuildCache(t Target, faults *faultinject.Plan) *buildCache {
 
 func (c *buildCache) get(input string) (*guest.Image, interp.Tape, error) {
 	// Injected build faults fire before the real builder is consulted
-	// and bypass the cache entirely, so a bounded fault ("*k") leaves
-	// later attempts a clean build to succeed with.
+	// and bypass the cache entirely.
 	if err := c.faults.BuildError(c.t.Name, input); err != nil {
 		return nil, nil, fmt.Errorf("core: build %s/%s: %w", c.t.Name, input, err)
 	}
@@ -384,7 +368,7 @@ func (c *buildCache) get(input string) (*guest.Image, interp.Tape, error) {
 
 // benchRun is the in-flight state of one scheduled benchmark: the AVEP
 // snapshot memo the comparison stages wait for, the training snapshot,
-// and the count of outstanding work items.
+// and the count of live units.
 type benchRun struct {
 	s      *Scheduler
 	t      Target
@@ -404,14 +388,34 @@ type benchRun struct {
 	avep          *profile.Snapshot // set once by the reference unit
 	train         *profile.Snapshot // set once by the training unit
 	trainCompared bool
-	remaining     int
+	live          int // units spawned and not yet exited
 }
 
-// finishItem retires one work item; the last one reports the result.
-func (b *benchRun) finishItem() {
+// spawn schedules one unit of the benchmark. The unit is live from here
+// until its body returns: a success or an absorbed failure exits it,
+// and the last exit reports the result. A propagated failure never
+// exits, and neither does a unit the pool drops unrun, so onDone never
+// fires for a benchmark the pool abandoned. A body spawns its
+// dependents before it returns, so the count cannot reach zero while
+// work remains.
+func (b *benchRun) spawn(unit string, t uint64, body func(worker int) error) {
 	b.mu.Lock()
-	b.remaining--
-	done := b.remaining == 0
+	b.live++
+	b.mu.Unlock()
+	b.s.GoW(func(w int) error {
+		if err := b.execute(unit, t, func() error { return body(w) }); err != nil {
+			return err
+		}
+		b.exit()
+		return nil
+	})
+}
+
+// exit retires one live unit; the last one reports the result.
+func (b *benchRun) exit() {
+	b.mu.Lock()
+	b.live--
+	done := b.live == 0
 	b.mu.Unlock()
 	if done && b.onDone != nil {
 		b.onDone(b.out)
@@ -482,8 +486,11 @@ func (b *benchRun) addSampleStats(snap *profile.Snapshot) {
 // run units on the scheduler: the reference unit (AVEP and the whole
 // INIP ladder replayed over its trace), the training unit, one
 // comparison unit per distinct threshold, and the training comparison.
-// onDone is called with the completed result; on failure the scheduler
-// records the first error instead.
+// onDone is called once with the completed result, on whichever
+// goroutine retires the benchmark's last unit (the caller's, when every
+// unit finishes before ScheduleBenchmark returns); on a propagated
+// failure the scheduler records the first error instead and onDone
+// never fires.
 //
 // Dependencies are handled by spawning: the per-threshold comparisons
 // need the AVEP snapshot, so the reference unit schedules them after the
@@ -509,23 +516,29 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 	if len(opts.SamplePeriods) > 0 {
 		b.out.Sampling = make([]SamplePeriodResult, len(opts.SamplePeriods))
 	}
-	// Work items: reference unit, training unit, training comparison,
-	// one comparison per threshold, and one sampled-ladder comparison
-	// per requested sample period.
-	b.remaining = len(opts.Thresholds) + 3 + len(opts.SamplePeriods)
+	// Hold one count until both run units are spawned: the reference
+	// unit can finish, dependents and all, before the training unit
+	// exists, and its exit must not pass for the benchmark's last.
+	b.live = 1
 	if t.Build == nil {
-		s.GoW(func(w int) error {
-			_, err := b.execute(obs.UnitBuild, 0, w, b.cancelAll, func() error {
-				return fmt.Errorf("core: target %q has no builder", t.Name)
-			})
-			return err
+		b.spawn(obs.UnitBuild, 0, func(int) error {
+			return fmt.Errorf("core: target %q has no builder", t.Name)
 		})
-		return b
+	} else {
+		b.spawn(obs.UnitRef, 0, b.refBody)
+		if spawnGap != nil {
+			spawnGap()
+		}
+		b.spawn(obs.UnitTrain, 0, b.trainBody)
 	}
-	s.GoW(b.refUnit)
-	s.GoW(b.trainUnit)
+	b.exit()
 	return b
 }
+
+// spawnGap, when non-nil, runs between the spawns of the two run units.
+// The lifecycle test widens that window with it: the hold above is what
+// keeps a reference unit finishing inside it from reporting early.
+var spawnGap func()
 
 // dbtConfig attaches the scheduler's cancellation channel and any
 // armed guest-trap fault for this (bench, input).
@@ -538,59 +551,20 @@ func (b *benchRun) dbtConfig(input string, threshold uint64, optimize bool) dbt.
 	return cfg
 }
 
-// execute runs one unit body under the scheduler's failure policy,
-// with fault injection and bounded retry. The outcomes:
-//
-//   - success: (true, nil) — the body has done its own work-item
-//     accounting (spawning dependents, finishItem on the items it
-//     completed).
-//   - absorbed failure (Degrade): (false, nil) — the failure is
-//     recorded in the result and cancel has retired the unit's own
-//     item plus every dependent item that will now never be spawned,
-//     so the benchmark still completes and reports.
-//   - propagated failure (FailFast, or the pool is cancelling):
-//     (false, err) — the caller hands err to the scheduler, which
-//     cancels the study with it. No items are retired; the pool is
-//     collapsing and onDone must not fire.
-func (b *benchRun) execute(unit string, t uint64, worker int, cancel func(), f func() error) (ok bool, err error) {
-	attempts, err := b.runAttempts(unit, t, worker, f)
-	if err == nil {
-		return true, nil
+// execute runs one unit body once under the scheduler's failure
+// policy, with fault injection and panic containment. It returns nil
+// when the body succeeds or its failure is absorbed (Degrade: the
+// failure is recorded in the result and the benchmark still completes
+// and reports), and the error when the failure propagates (FailFast,
+// an interrupted run, or a pool that is already cancelling): the
+// scheduler cancels the study with it.
+func (b *benchRun) execute(unit string, t uint64, f func() error) error {
+	err := b.protect(unit, t, f)
+	if err == nil || b.s.Policy() != Degrade || errors.Is(err, dbt.ErrInterrupted) || b.s.Stopped() {
+		return err
 	}
-	if b.s.Policy() != Degrade || errors.Is(err, dbt.ErrInterrupted) || b.s.Stopped() {
-		return false, err
-	}
-	b.recordFailure(unit, t, attempts, err)
-	cancel()
-	return false, nil
-}
-
-// runAttempts runs the body up to Options.MaxAttempts times with
-// doubling backoff, reporting how many attempts ran and the final
-// error. Attempts stop early when the pool is cancelling or the run
-// was interrupted — retrying cancelled work would only delay shutdown.
-func (b *benchRun) runAttempts(unit string, t uint64, worker int, f func() error) (attempts int, err error) {
-	max := b.opts.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	for attempts = 1; ; attempts++ {
-		err = b.protect(unit, t, f)
-		if err == nil || attempts >= max || errors.Is(err, dbt.ErrInterrupted) || b.s.Stopped() {
-			return attempts, err
-		}
-		if tm := b.opts.Timing; tm != nil {
-			tm.Retries.Add(1)
-		}
-		b.opts.Trace.Record(b.t.Name, obs.UnitRetry, t, worker, time.Now(), 0, 0, err)
-		if d := b.opts.RetryBackoff; d > 0 {
-			select {
-			case <-time.After(d << (attempts - 1)):
-			case <-b.s.Done():
-				return attempts, err
-			}
-		}
-	}
+	b.recordFailure(unit, t, err)
+	return nil
 }
 
 // protect runs the unit body once: injected delays and panics for this
@@ -616,63 +590,18 @@ func (b *benchRun) protect(unit string, t uint64, f func() error) (err error) {
 }
 
 // recordFailure appends one absorbed failure under the result lock.
-// The append happens before the failing unit retires its work items,
-// and finishItem takes the same lock, so when the last item retires
-// and onDone publishes the result every failure is visible.
-func (b *benchRun) recordFailure(unit string, t uint64, attempts int, err error) {
+// The append happens before the failing unit exits, and exit takes the
+// same lock, so when the last unit exits and onDone publishes the
+// result every failure is visible.
+func (b *benchRun) recordFailure(unit string, t uint64, err error) {
 	b.mu.Lock()
 	b.out.Failures = append(b.out.Failures, UnitFailure{
-		Bench:    b.t.Name,
-		Unit:     unit,
-		T:        t,
-		Attempts: attempts,
-		Err:      err.Error(),
+		Bench: b.t.Name,
+		Unit:  unit,
+		T:     t,
+		Err:   err.Error(),
 	})
 	b.mu.Unlock()
-}
-
-// cancelRef retires everything the reference unit owes when it fails:
-// its own work item, every ladder comparison it would have spawned,
-// every sampled-ladder comparison (unreachable without the AVEP
-// snapshot), and the training comparison (likewise).
-func (b *benchRun) cancelRef() {
-	b.retireTrainCompareOnce()
-	for range b.opts.Thresholds {
-		b.finishItem()
-	}
-	for range b.opts.SamplePeriods {
-		b.finishItem()
-	}
-	b.finishItem()
-}
-
-// cancelTrain retires the training unit's item and the training
-// comparison when the training run fails.
-func (b *benchRun) cancelTrain() {
-	b.retireTrainCompareOnce()
-	b.finishItem()
-}
-
-// cancelAll retires every work item of a benchmark none of whose units
-// can run (no builder).
-func (b *benchRun) cancelAll() {
-	b.cancelRef()
-	b.cancelTrain()
-}
-
-// retireTrainCompareOnce retires the training-comparison work item if
-// it has not yet run and never will. The trainCompared flag guards the
-// case where both run units fail and each tries to retire it.
-func (b *benchRun) retireTrainCompareOnce() {
-	b.mu.Lock()
-	retire := !b.trainCompared
-	if retire {
-		b.trainCompared = true
-	}
-	b.mu.Unlock()
-	if retire {
-		b.finishItem()
-	}
 }
 
 // suiteObserver adapts a predict.Suite to the dbt trace observer: one
@@ -752,15 +681,8 @@ func (b *benchRun) sampleConfigs(period uint64, distinct []uint64) []dbt.Config 
 	return cfgs
 }
 
-// refUnit produces the AVEP snapshot and every INIP(T) snapshot
+// refBody produces the AVEP snapshot and every INIP(T) snapshot
 // alongside it, then fans out the comparison units.
-func (b *benchRun) refUnit(worker int) error {
-	_, err := b.execute(obs.UnitRef, 0, worker, b.cancelRef, func() error {
-		return b.refBody(worker)
-	})
-	return err
-}
-
 func (b *benchRun) refBody(worker int) error {
 	start := time.Now()
 	img, tape, err := b.build.get("ref")
@@ -873,8 +795,7 @@ func (b *benchRun) refBody(worker int) error {
 			}
 		}
 		// Settle every slot before anything is spawned: a settle failure
-		// then fails this unit while it still owns every dependent item,
-		// and cancelRef retires each of them exactly once.
+		// then fails this unit before any comparison could publish.
 		if err := ref.settle(entry, worker); err != nil {
 			return err
 		}
@@ -900,15 +821,13 @@ func (b *benchRun) refBody(worker int) error {
 	b.recordAVEP(entry.AVEP.Snapshot, entry.AVEPCycles)
 	for j := range rungs {
 		idxs, ro := rungs[j], entry.Runs[j]
-		b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
+		b.spawn(obs.UnitCompare, ro.T, func(w int) error { return b.compareBody(idxs, ro, w) })
 	}
-	for pi := range periods {
+	for pi, period := range periods {
 		outs := spOuts[pi].Runs
-		b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, outs, w) })
+		b.spawn(obs.UnitSampleCompare, period, func(w int) error { return b.sampleCompareBody(pi, period, rungs, outs, w) })
 	}
-	b.maybeCompareTrain(worker)
-	b.finishItem()
-	return nil
+	return b.maybeCompareTrain(worker)
 }
 
 // recordAVEP fills the once-per-benchmark memo the comparison stages
@@ -922,23 +841,11 @@ func (b *benchRun) recordAVEP(avep *profile.Snapshot, cycles float64) {
 	b.mu.Unlock()
 }
 
-// compareUnit is the scheduled comparison unit of one distinct
-// threshold. Its failure retires every ladder item it serves.
-func (b *benchRun) compareUnit(idxs []int, ro runOutput, worker int) error {
-	_, err := b.execute(obs.UnitCompare, ro.T, worker, func() {
-		for range idxs {
-			b.finishItem()
-		}
-	}, func() error {
-		return b.compareBody(idxs, ro, worker)
-	})
-	return err
-}
-
-// compareBody evaluates one INIP(T) snapshot against the AVEP memo and
-// writes every ladder entry it serves — several when collapsed rungs
-// share a follower (indexes are rung-owned, no lock needed). The comparison runs once; collapsed
-// rungs receive identical results under their own paper-unit labels.
+// compareBody is the comparison unit of one distinct threshold: it
+// evaluates one INIP(T) snapshot against the AVEP memo and writes every
+// ladder entry it serves — several when collapsed rungs share a
+// follower. The comparison runs once; collapsed rungs receive identical
+// results under their own paper-unit labels.
 //
 // The comparison itself is cacheable: its inputs are fully determined
 // by the two runs' keys, so a warm hit skips the normalization.
@@ -965,8 +872,7 @@ func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
 }
 
 // publishThresholdResults writes one ladder entry per served rung index
-// and retires the matching work items (indexes are rung-owned, so the
-// writes need no lock).
+// (indexes are rung-owned, so the writes need no lock).
 func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary metrics.Summary) {
 	for _, i := range idxs {
 		b.out.Results[i] = ThresholdResult{
@@ -976,23 +882,13 @@ func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary met
 			Cycles:       ro.Cycles,
 			Stats:        ro.Stats,
 		}
-		b.finishItem()
 	}
 }
 
-// sampleCompareUnit is the scheduled sampled-ladder comparison of one
-// period. Its failure retires exactly its period's item.
-func (b *benchRun) sampleCompareUnit(pi int, rungs [][]int, outs []runOutput, worker int) error {
-	period := b.opts.SamplePeriods[pi]
-	_, err := b.execute(obs.UnitSampleCompare, period, worker, b.finishItem, func() error {
-		return b.sampleCompareBody(pi, period, rungs, outs, worker)
-	})
-	return err
-}
-
-// sampleCompareBody evaluates one period's sampled ladder against the
-// AVEP memo and publishes the period's result (the index is
-// period-owned, so the write needs no lock). Only the runs are cached —
+// sampleCompareBody is the sampled-ladder comparison unit of one
+// period: it evaluates the period's sampled ladder against the AVEP
+// memo and publishes the period's result (the index is period-owned,
+// so the write needs no lock). Only the runs are cached —
 // the comparisons are recomputed even on a warm rerun, which still
 // executes zero guest blocks and pays only the cheap normalizations.
 func (b *benchRun) sampleCompareBody(pi int, period uint64, rungs [][]int, outs []runOutput, worker int) error {
@@ -1016,19 +912,11 @@ func (b *benchRun) sampleCompareBody(pi int, period uint64, rungs [][]int, outs 
 	}
 	b.record(obs.UnitSampleCompare, period, worker, start, 0, nil)
 	b.out.Sampling[pi] = SamplePeriodResult{Period: period, PerT: perT}
-	b.finishItem()
 	return nil
 }
 
-// trainUnit runs INIP(train) and stores its snapshot for the training
+// trainBody runs INIP(train) and stores its snapshot for the training
 // comparison.
-func (b *benchRun) trainUnit(worker int) error {
-	_, err := b.execute(obs.UnitTrain, 0, worker, b.cancelTrain, func() error {
-		return b.trainBody(worker)
-	})
-	return err
-}
-
 func (b *benchRun) trainBody(worker int) error {
 	start := time.Now()
 	img, tape, err := b.build.get("train")
@@ -1063,18 +951,16 @@ func (b *benchRun) trainBody(worker int) error {
 	b.mu.Lock()
 	b.train = train
 	b.mu.Unlock()
-	b.maybeCompareTrain(worker)
-	b.finishItem()
-	return nil
+	return b.maybeCompareTrain(worker)
 }
 
 // maybeCompareTrain runs the training comparison in whichever run unit
 // finishes second — at that point it already holds a pool slot, so the
-// work runs inline instead of being queued. It settles its own work
-// item: retired on success or absorbed failure, left outstanding on a
-// propagated failure (the pool is collapsing and onDone must not
-// fire).
-func (b *benchRun) maybeCompareTrain(worker int) {
+// work runs inline instead of being queued. An absorbed failure is the
+// comparison's own (recorded as train_compare, the host exits
+// normally); a propagated one is returned to the hosting run unit,
+// which then never exits.
+func (b *benchRun) maybeCompareTrain(worker int) error {
 	b.mu.Lock()
 	ready := b.avep != nil && b.train != nil && !b.trainCompared
 	if ready {
@@ -1083,16 +969,11 @@ func (b *benchRun) maybeCompareTrain(worker int) {
 	train := b.train
 	b.mu.Unlock()
 	if !ready {
-		return
+		return nil
 	}
-	_, err := b.execute(obs.UnitTrainCompare, 0, worker, func() {}, func() error {
+	return b.execute(obs.UnitTrainCompare, 0, func() error {
 		return b.compareTrain(train, worker)
 	})
-	if err != nil {
-		b.s.fail(err)
-		return
-	}
-	b.finishItem()
 }
 
 // trainRegionThreshold is the reference threshold for offline region

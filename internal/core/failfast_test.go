@@ -10,6 +10,7 @@ import (
 	"repro/internal/dbt"
 	"repro/internal/guest"
 	"repro/internal/interp"
+	"repro/internal/obs"
 )
 
 // TestFailFastFirstErrorVerbatim: a failing unit must surface its error
@@ -71,7 +72,7 @@ func TestFailFastFirstErrorVerbatim(t *testing.T) {
 // TestFailFastComparisonErrorVerbatim drives the deepest failure path —
 // the training comparison, which runs inline in a run unit rather than
 // as its own scheduled unit — and checks it reaches the scheduler
-// verbatim without retiring the work item.
+// verbatim and leaves its host unit live.
 func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 	target := BuildFromAsm("cmpfail", counterProgram())
 	img, tape, err := target.Build("ref")
@@ -109,8 +110,9 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 	b.out.AVEP = optimized
 	b.avep = optimized
 	b.train = train
-	b.remaining = 1
-	b.maybeCompareTrain(0)
+	// Host the comparison in a spawned unit, as the second run unit to
+	// finish does.
+	b.spawn(obs.UnitTrain, 0, b.maybeCompareTrain)
 
 	err = s.Wait()
 	want := fmt.Sprintf("core: train comparison of cmpfail: navep: average profile must be unoptimized, has %d regions",
@@ -122,10 +124,10 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 		t.Fatal("onDone fired despite comparison failure")
 	}
 	b.mu.Lock()
-	remaining := b.remaining
+	live := b.live
 	b.mu.Unlock()
-	if remaining != 1 {
-		t.Fatalf("failed comparison retired a work item: remaining = %d", remaining)
+	if live != 1 {
+		t.Fatalf("failed comparison let its host exit: live = %d, want 1", live)
 	}
 }
 

@@ -23,10 +23,11 @@ const (
 	// stops, Wait returns that error verbatim, and no partial results are
 	// reported. This is the default.
 	FailFast FailurePolicy = iota
-	// Degrade isolates a failing benchmark: its remaining units are
-	// retired instead of run, the failure is recorded in the benchmark's
-	// result (BenchmarkResult.Failures), and every other benchmark runs
-	// to completion. The scheduler itself only cancels on Stop or on a
+	// Degrade isolates a failing benchmark: the failing unit records
+	// its failure in the benchmark's result (BenchmarkResult.Failures)
+	// and spawns none of its dependents, the benchmark reports once its
+	// last live unit exits, and every other benchmark runs to
+	// completion. The scheduler itself only cancels on Stop or on a
 	// defect (a panic escaping a unit wrapper).
 	Degrade
 )
@@ -129,7 +130,8 @@ func (s *Scheduler) fail(err error) {
 func (s *Scheduler) Stop() { s.fail(ErrStopped) }
 
 // Stopped reports whether the pool is cancelling — by Stop or by a
-// failure. Units use it to cut retry loops short.
+// failure. A unit that fails meanwhile propagates its error instead of
+// recording it as a Degrade failure: the study is ending anyway.
 func (s *Scheduler) Stopped() bool {
 	select {
 	case <-s.done:

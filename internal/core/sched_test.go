@@ -199,3 +199,45 @@ func TestScheduledModesAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmBenchmarkReportsOnce: a fully warm benchmark's units finish in
+// microseconds, so its reference unit can run to completion, dependents
+// and all, before the training unit is even spawned; spawnGap makes
+// sure it does. Scheduled over and over on one pool, every benchmark
+// must still report exactly once, with the complete cold result.
+func TestWarmBenchmarkReportsOnce(t *testing.T) {
+	const schedules = 200
+	target := BuildFromAsm("tiny", counterProgram())
+	opts, _ := cacheOpts(t, t.TempDir())
+	opts.Thresholds, opts.Predictors, opts.SamplePeriods, opts.Learned = []uint64{50}, nil, nil, nil
+	cold := runCached(t, target, opts)
+	var warm Timing
+	opts.Timing = &warm
+
+	spawnGap = func() { time.Sleep(time.Millisecond) }
+	t.Cleanup(func() { spawnGap = nil })
+
+	s := NewScheduler(4)
+	var calls [schedules]atomic.Int64
+	var got [schedules]*BenchmarkResult
+	for i := range schedules {
+		ScheduleBenchmark(s, target, opts, func(r *BenchmarkResult) {
+			calls[i].Add(1)
+			got[i] = r
+		})
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := warm.BlocksExecuted.Load(); n != 0 {
+		t.Fatalf("warm schedules executed %d guest blocks, want 0", n)
+	}
+	for i := range schedules {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("schedule %d: onDone fired %d times, want once", i, n)
+		}
+		if !reflect.DeepEqual(got[i], cold) {
+			t.Fatalf("schedule %d: warm result differs from the cold one", i)
+		}
+	}
+}

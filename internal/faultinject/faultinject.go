@@ -7,21 +7,20 @@
 // (bench, unit, T) site).
 //
 // Every fault is deterministic: it fires at an exact, configured point,
-// the same way on every run, so the executor's failure paths — retry,
-// degrade, stop-and-rerun — are exercised by reproducible tests
-// instead of being trusted. A fault may be bounded ("*k": fire k times,
-// then disarm), which is how transient failures are modelled for the
-// retry machinery. The only randomness is the explicit seed entry,
-// which derives unspecified trap points ("trap:gzip@auto") from a
-// fixed-seed generator, keeping even "random" faults reproducible.
+// the same way on every run and every time its site is reached, so the
+// executor's failure paths — fail-fast, degrade, stop-and-rerun — are
+// exercised by reproducible tests instead of being trusted. The only
+// randomness is the explicit seed entry, which derives unspecified trap
+// points ("trap:gzip@auto") from a fixed-seed generator, keeping even
+// "random" faults reproducible.
 //
 // Spec grammar (comma-separated entries):
 //
-//	build:<bench>[/<input>][*<k>]        fail the target build
-//	trap:<bench>[/<input>]@<n|auto>[*<k>] guest trap at the Nth block
-//	slow:<bench>/<unit>[@<T>]:<dur>[*<k>] delay the unit by <dur>
-//	panic:<bench>/<unit>[@<T>][*<k>]     panic inside the unit
-//	seed:<n>                             seed for @auto points
+//	build:<bench>[/<input>]             fail the target build
+//	trap:<bench>[/<input>]@<n|auto>     guest trap at the Nth block
+//	slow:<bench>/<unit>[@<T>]:<dur>     delay the unit by <dur>
+//	panic:<bench>/<unit>[@<T>]          panic inside the unit
+//	seed:<n>                            seed for @auto points
 //
 // <bench> is a benchmark name or "*" (any); <input> is "ref" or
 // "train" (default: any); <unit> is a pipeline unit name (ref, train,
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/rng"
@@ -83,20 +81,17 @@ type Fault struct {
 	N uint64
 	// Delay is the slow fault's injected latency.
 	Delay time.Duration
-	// Times is how many matches remain before the fault disarms
-	// (negative = unlimited).
-	Times int
 }
 
 // autoTrapRange bounds @auto trap points: early enough to fire on
 // tiny-scale runs, late enough that the run is demonstrably under way.
 const autoTrapRange = 4096
 
-// Plan is a set of armed faults. All methods are safe for concurrent
-// use and safe on a nil receiver (a nil *Plan injects nothing), so the
-// executor needs no guards at its injection points.
+// Plan is a set of armed faults. A plan never changes after Parse, so
+// all methods are safe for concurrent use; they are also safe on a nil
+// receiver (a nil *Plan injects nothing), so the executor needs no
+// guards at its injection points.
 type Plan struct {
-	mu     sync.Mutex
 	faults []*Fault
 }
 
@@ -123,17 +118,7 @@ func Parse(spec string) (*Plan, error) {
 			seed = n
 			continue
 		}
-		f := &Fault{Times: -1}
-		// A trailing "*<digits>" bounds the fire count; a bare "*" is
-		// the benchmark wildcard, so only an all-digit suffix counts.
-		if head, times, ok := cutLast(body, "*"); ok && times != "" && !strings.ContainsFunc(times, func(r rune) bool { return r < '0' || r > '9' }) {
-			k, err := strconv.Atoi(times)
-			if err != nil || k < 1 {
-				return nil, fmt.Errorf("faultinject: %q: bad repeat count %q", entry, times)
-			}
-			f.Times = k
-			body = head
-		}
+		f := &Fault{}
 		var err error
 		switch kind {
 		case "build":
@@ -185,13 +170,11 @@ func cutLast(s, sep string) (before, after string, found bool) {
 	return s[:i], s[i+len(sep):], true
 }
 
-// checkName rejects site components the plan's canonical String form
-// would not re-parse to. An embedded "*" (a bare "*" is the wildcard)
-// would collide with the repeat-count suffix: an optional component
-// rendered away can expose a trailing "*<digits>" of the name to the
-// repeat cutter. Surrounding whitespace would be trimmed away with the
-// entry: "build: /" names the benchmark " ", whose canonical form
-// "build: " has no name at all.
+// checkName rejects site components that would not mean what they
+// say. "*" is reserved for the wildcard, so a name embedding it (a
+// bare "*" matches any) would read as a pattern it is not. Surrounding
+// whitespace would be trimmed away with the entry: "build: /" names the
+// benchmark " ", whose canonical form "build: " has no name at all.
 func checkName(what, name string) error {
 	if name != "*" && strings.Contains(name, "*") {
 		return fmt.Errorf("%s %q may not contain %q (a bare %q matches any)", what, name, "*", "*")
@@ -267,8 +250,6 @@ func (p *Plan) String() string {
 	if p == nil {
 		return ""
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	parts := make([]string, 0, len(p.faults))
 	for _, f := range p.faults {
 		s := f.Kind.String() + ":" + f.Bench
@@ -287,45 +268,20 @@ func (p *Plan) String() string {
 		if f.Kind == KindSlow {
 			s += ":" + f.Delay.String()
 		}
-		if f.Times >= 0 {
-			s += fmt.Sprintf("*%d", f.Times)
-		}
 		parts = append(parts, s)
 	}
 	return strings.Join(parts, ",")
 }
 
-// Empty reports whether the plan has no armed faults left.
-func (p *Plan) Empty() bool {
-	if p == nil {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, f := range p.faults {
-		if f.Times != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// match finds the first armed fault of the kind accepted by ok and
-// consumes one fire from its budget.
+// match finds the first fault of the kind accepted by ok.
 func (p *Plan) match(kind Kind, ok func(*Fault) bool) *Fault {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, f := range p.faults {
-		if f.Kind != kind || f.Times == 0 || !ok(f) {
-			continue
+		if f.Kind == kind && ok(f) {
+			return f
 		}
-		if f.Times > 0 {
-			f.Times--
-		}
-		return f
 	}
 	return nil
 }

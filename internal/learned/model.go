@@ -12,7 +12,6 @@
 package learned
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -275,26 +274,4 @@ func (t *Tree) build(ex []example, depth int) *TreeNode {
 		Left:    t.build(lo, depth-1),
 		Right:   t.build(hi, depth-1),
 	}
-}
-
-// Describe renders a short human-readable model summary for logs.
-func Describe(m Model) string {
-	switch m := m.(type) {
-	case *LogReg:
-		return fmt.Sprintf("logreg over %d features", len(m.W))
-	case *Tree:
-		n := 0
-		var walk func(*TreeNode)
-		walk = func(t *TreeNode) {
-			if t == nil {
-				return
-			}
-			n++
-			walk(t.Left)
-			walk(t.Right)
-		}
-		walk(m.Root)
-		return fmt.Sprintf("tree with %d nodes", n)
-	}
-	return "unknown model"
 }

@@ -32,7 +32,6 @@ const (
 	UnitCompare      = "compare"       // one INIP(T)-vs-AVEP normalization + metrics
 	UnitTrainCompare = "train_compare" // the INIP(train)-vs-AVEP comparison
 	UnitRun          = "run"           // a standalone translator run (cmd/dbtrun)
-	UnitRetry        = "retry"         // a failed unit attempt about to be retried
 	UnitCacheHit     = "cache_hit"     // a result-cache lookup that served a validated entry
 	UnitCacheMiss    = "cache_miss"    // a result-cache lookup that found nothing usable
 	UnitCacheStore   = "cache_store"   // a result-cache entry write (Err set when it failed)
@@ -60,7 +59,6 @@ var validUnits = map[string]bool{
 	UnitCompare:      true,
 	UnitTrainCompare: true,
 	UnitRun:          true,
-	UnitRetry:        true,
 	UnitCacheHit:     true,
 	UnitCacheMiss:    true,
 	UnitCacheStore:   true,

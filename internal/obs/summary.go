@@ -66,7 +66,7 @@ type Summary struct {
 }
 
 // phaseOrder fixes the rendering order of known units.
-var phaseOrder = []string{UnitBuild, UnitRef, UnitTrain, UnitCompare, UnitTrainCompare, UnitRun, UnitRetry, UnitCacheHit, UnitCacheMiss, UnitCacheStore}
+var phaseOrder = []string{UnitBuild, UnitRef, UnitTrain, UnitCompare, UnitTrainCompare, UnitRun, UnitCacheHit, UnitCacheMiss, UnitCacheStore}
 
 // Summarize aggregates a trace. Events must have passed ReadEvents
 // validation.

@@ -19,7 +19,6 @@ type perfTotals struct {
 	wallSeconds    float64
 	blocksExecuted uint64
 	unitFailures   uint64
-	unitRetries    uint64
 	// Hot-loop engine counters (see dbt.RunStats): the fast/generic
 	// dispatch split, translation-cache probes, and the wall-clock the
 	// jobs spent inside run units — the denominator of the exported
@@ -44,7 +43,6 @@ func (s *Server) recordJobPerf(p study.Perf) {
 	t.wallSeconds += p.WallSeconds
 	t.blocksExecuted += p.BlocksExecuted
 	t.unitFailures += uint64(p.UnitFailures)
-	t.unitRetries += uint64(p.UnitRetries)
 	t.fastDispatches += p.FastDispatches
 	t.genericDispatches += p.GenericDispatches
 	t.cacheLookups += p.CacheLookups
@@ -90,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	s.perf.mu.Lock()
 	jobs, wall, blocks := s.perf.jobs, s.perf.wallSeconds, s.perf.blocksExecuted
-	fails, retries := s.perf.unitFailures, s.perf.unitRetries
+	fails := s.perf.unitFailures
 	fast, generic, lookups := s.perf.fastDispatches, s.perf.genericDispatches, s.perf.cacheLookups
 	runSecs := s.perf.runSeconds
 	sampledUnits, sampledStudyOps := s.perf.sampledUnits, s.perf.sampledProfilingOps
@@ -99,7 +97,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("inipd_study_wall_seconds_total", "summed wall-clock of finished study jobs", fmt.Sprintf("%.3f", wall))
 	counter("inipd_study_guest_blocks_total", "guest blocks executed by finished study jobs", blocks)
 	counter("inipd_study_unit_failures_total", "absorbed unit failures across finished jobs", fails)
-	counter("inipd_study_unit_retries_total", "unit retry attempts across finished jobs", retries)
 	counter("inipd_study_fast_dispatches_total", "blocks executed through the pre-lowered arena fast path", fast)
 	counter("inipd_study_generic_dispatches_total", "blocks executed through the generic interp dispatch", generic)
 	counter("inipd_study_cache_lookups_total", "translation-cache probes (successor threading keeps this below the block count)", lookups)

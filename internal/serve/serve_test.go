@@ -27,6 +27,10 @@ func newTestServer(t testing.TB, cfg Config, gate chan struct{}, calls *atomic.I
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A job goroutine can still be persisting the job table after its
+	// state turned visible; wait it out before the state directory is
+	// removed.
+	t.Cleanup(func() { s.Drain(10 * time.Second) })
 	if gate != nil {
 		s.exec = func(key string, _ study.Config) *compareOut {
 			calls.Add(1)

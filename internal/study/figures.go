@@ -320,8 +320,7 @@ func (r *Results) gapNotes() []string {
 			if f.T != 0 {
 				site = fmt.Sprintf("%s@T=%d", f.Unit, f.T)
 			}
-			out = append(out, fmt.Sprintf("gap: %s excluded — %s failed after %d attempt(s): %s",
-				f.Bench, site, f.Attempts, f.Err))
+			out = append(out, fmt.Sprintf("gap: %s excluded — %s failed: %s", f.Bench, site, f.Err))
 		}
 	}
 	return out

@@ -3,7 +3,6 @@ package study
 import (
 	"fmt"
 
-	"repro/internal/predict"
 	"repro/internal/spec"
 )
 
@@ -160,28 +159,4 @@ func (r *Results) predictorFigures() []Figure {
 		return nil
 	}
 	return []Figure{r.FigureP1(), r.FigureP2()}
-}
-
-// PredictorResults aggregates the per-benchmark tallies into one
-// suite-level table row per predictor, in column order — the "Sd.BP
-// versus BP(predictor)" view reports render.
-func (r *Results) PredictorResults() []predict.Result {
-	names := r.predictorNames()
-	out := make([]predict.Result, len(names))
-	for i, name := range names {
-		out[i].Predictor = name
-		for bi := range r.Series {
-			s := &r.Series[bi]
-			if !s.ok() {
-				continue
-			}
-			for _, p := range s.Predictors {
-				if p.Predictor == name {
-					out[i].Branches += p.Branches
-					out[i].Mispredicts += p.Mispredicts
-				}
-			}
-		}
-	}
-	return out
 }

@@ -64,11 +64,11 @@ func formatThreshold(x float64) string {
 	}
 }
 
-// TextReport renders every figure as a plain-text table (and chart when
-// charts is set), the cmd/inipstudy default output.
-func (r *Results) TextReport(charts bool) string {
+// TextReport renders the given figures as plain-text tables (and charts
+// when charts is set), the cmd/inipstudy default output.
+func TextReport(figs []Figure, charts bool) string {
 	var b strings.Builder
-	for _, f := range r.Figures() {
+	for _, f := range figs {
 		fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
 		series := make([]textplot.Series, len(f.Series))
 		for i, s := range f.Series {

@@ -26,11 +26,11 @@ func TestMarkdownReport(t *testing.T) {
 
 func TestTextReport(t *testing.T) {
 	res := tinyStudy(t, "vortex")
-	text := res.TextReport(false)
+	text := TextReport(res.Figures(), false)
 	if !strings.Contains(text, "== fig8:") || !strings.Contains(text, "note:") {
 		t.Fatalf("text report incomplete:\n%.400s", text)
 	}
-	withCharts := res.TextReport(true)
+	withCharts := TextReport(res.Figures(), true)
 	if len(withCharts) <= len(text) {
 		t.Fatal("charts did not add output")
 	}

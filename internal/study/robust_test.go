@@ -94,7 +94,7 @@ func TestDegradeStudyCompletes(t *testing.T) {
 	if md := res.MarkdownReport(); !strings.Contains(md, "gzip excluded") {
 		t.Fatal("markdown report hides the gap")
 	}
-	if txt := res.TextReport(false); !strings.Contains(txt, "gzip excluded") {
+	if txt := TextReport(res.Figures(), false); !strings.Contains(txt, "gzip excluded") {
 		t.Fatal("text report hides the gap")
 	}
 }
@@ -257,8 +257,6 @@ func TestValidateNamesTheBadValue(t *testing.T) {
 		{"dup threshold", func(c *Config) { c.Thresholds = []float64{100, 100} }, "duplicate threshold 100"},
 		{"nil bench", func(c *Config) { c.Benchmarks = []*spec.Benchmark{nil} }, "benchmark 0"},
 		{"dup bench", func(c *Config) { c.Benchmarks = append(c.Benchmarks, c.Benchmarks[0]) }, "twice"},
-		{"negative attempts", func(c *Config) { c.MaxAttempts = -1 }, "max attempts"},
-		{"negative backoff", func(c *Config) { c.RetryBackoff = -1 }, "backoff"},
 		{"negative stopafter", func(c *Config) { c.StopAfter = -1 }, "stop-after"},
 	}
 	for _, tc := range cases {

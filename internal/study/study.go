@@ -78,10 +78,6 @@ type Config struct {
 	// failures in Results.Failures and exclude the failed benchmarks
 	// from every figure.
 	Policy core.FailurePolicy
-	// MaxAttempts and RetryBackoff bound per-unit retry (see
-	// core.Options); the defaults (0) run every unit once.
-	MaxAttempts  int
-	RetryBackoff time.Duration
 	// Faults is the armed fault-injection plan, nil for none. Faults
 	// are consulted at fixed pipeline sites, so a given plan fails the
 	// same way on every run.
@@ -188,12 +184,6 @@ func (c *Config) Validate() error {
 		}
 		names[b.Name] = true
 	}
-	if c.MaxAttempts < 0 {
-		return fmt.Errorf("study: invalid max attempts %d", c.MaxAttempts)
-	}
-	if c.RetryBackoff < 0 {
-		return fmt.Errorf("study: invalid retry backoff %v", c.RetryBackoff)
-	}
 	if c.StopAfter < 0 {
 		return fmt.Errorf("study: invalid stop-after count %d", c.StopAfter)
 	}
@@ -263,8 +253,6 @@ func (c *Config) UnitOptions(timing *core.Timing) core.Options {
 		Timing:        timing,
 		Trace:         c.Trace,
 		Faults:        c.Faults,
-		MaxAttempts:   c.MaxAttempts,
-		RetryBackoff:  c.RetryBackoff,
 		Cache:         c.Cache,
 		CacheVerify:   c.CacheVerify,
 		Predictors:    c.Predictors,
@@ -404,12 +392,10 @@ type Perf struct {
 	ProgressWriteErrors uint64 `json:"progress_write_errors,omitempty"`
 	TraceEventsDropped  uint64 `json:"trace_events_dropped,omitempty"`
 
-	// Robustness accounting (all zero on a clean fail-fast run, so the
-	// report shape is unchanged when the machinery is idle): permanent
-	// unit failures absorbed by Degrade and failed attempts that were
-	// retried.
-	UnitFailures int   `json:"unit_failures,omitempty"`
-	UnitRetries  int64 `json:"unit_retries,omitempty"`
+	// Robustness accounting (zero on a clean run, so the report shape is
+	// unchanged when the machinery is idle): unit failures absorbed by
+	// Degrade.
+	UnitFailures int `json:"unit_failures,omitempty"`
 
 	// Result-cache accounting (all zero — and omitted — when no cache
 	// is configured, so the report shape is unchanged): validated hits,
@@ -536,7 +522,6 @@ func Run(cfg Config) (*Results, error) {
 		TraceEventsDropped: cfg.Trace.Dropped(),
 
 		UnitFailures: len(res.Failures),
-		UnitRetries:  timing.Retries.Load(),
 	}
 	// Counters accumulate over the store's lifetime; a store shared
 	// across Run calls reports the cumulative totals here.
