@@ -293,9 +293,9 @@ awk -v got="$studybps" -v base="$study_base" -v frac="$frac" 'BEGIN {
 
 echo "== serve smoke (-race) =="
 # Boot the daemon, hit it cold and warm (byte-identical bodies, zero
-# guest blocks warm), overload it (429 + Retry-After), stop a study job
-# mid-run, drain with SIGTERM, and resume the job on a fresh daemon
-# over the same cache to byte-identical figures.
+# guest blocks warm), overload it (429 + Retry-After), drain with
+# SIGTERM, and ask a fresh daemon over the same cache the same question:
+# it must answer warm with the first daemon's cold bytes.
 go build -race -o "$tmpdir/inipd" ./cmd/inipd
 servedir="$tmpdir/serve"
 mkdir -p "$servedir"
@@ -314,25 +314,11 @@ wait_file() { # path tries
         sleep 0.05
     done
 }
-poll_job() { # base id want tries
-    _i=0
-    while :; do
-        _state=$(curl -s "$1/v1/jobs/$2" | grep -o '"state":"[a-z]*"' | head -n 1)
-        [ "$_state" = "\"state\":\"$3\"" ] && return 0
-        _i=$((_i + 1))
-        if [ "$_i" -gt "$4" ]; then
-            echo "job $2 never reached $3 (last: $_state)" >&2
-            cat "$servedir"/d*.err >&2 || true
-            return 1
-        fi
-        sleep 0.05
-    done
-}
 
 "$tmpdir/inipd" -addr 127.0.0.1:0 -addrfile "$servedir/addr" \
     -scale 0.001 -maxinflight 1 -maxqueue -1 \
-    -cache "$servedir/cache" -state "$servedir/state" \
-    -trace "$servedir/trace.jsonl" 2> "$servedir/d1.err" &
+    -cache "$servedir/cache" -trace "$servedir/trace.jsonl" \
+    2> "$servedir/d1.err" &
 dpid=$!
 wait_file "$servedir/addr" 200
 base="http://$(cat "$servedir/addr")"
@@ -385,15 +371,6 @@ if [ "$saw429" -ne 1 ]; then
 fi
 wait "$slowpid"
 
-# A study job stopped after one benchmark survives a SIGTERM drain and
-# a daemon restart: -resume re-enqueues it, the rerun serves its
-# finished units from the shared -cache, and the finished job's figures
-# are byte-identical to an uninterrupted job's.
-curl -sf -o "$servedir/job.json" \
-    -d '{"scale":0.001,"benches":["gzip","swim"],"stop_after":1}' \
-    "$base/v1/study"
-grep -q '"id":"job-1"' "$servedir/job.json"
-poll_job "$base" job-1 stopped 600
 kill -TERM "$dpid"
 if ! wait "$dpid"; then
     echo "daemon drain exited nonzero" >&2
@@ -403,33 +380,32 @@ fi
 dpid=""
 grep -q "drained" "$servedir/d1.err"
 
+# A second daemon over the same -cache answers the first daemon's cold
+# compare warm across the process boundary: zero guest blocks and the
+# same bytes.
 "$tmpdir/inipd" -addr 127.0.0.1:0 -addrfile "$servedir/addr2" \
-    -scale 0.001 -cache "$servedir/cache" -state "$servedir/state" \
-    -resume 2> "$servedir/d2.err" &
+    -scale 0.001 -cache "$servedir/cache" 2> "$servedir/d2.err" &
 dpid=$!
 wait_file "$servedir/addr2" 200
 base="http://$(cat "$servedir/addr2")"
-poll_job "$base" job-1 done 1200
-curl -sf -o "$servedir/resumed-figs.json" "$base/v1/jobs/job-1/figures"
-curl -sf -o /dev/null -d '{"scale":0.001,"benches":["gzip","swim"]}' \
-    "$base/v1/study"
-poll_job "$base" job-2 done 1200
-curl -sf -o "$servedir/fresh-figs.json" "$base/v1/jobs/job-2/figures"
-cmp "$servedir/resumed-figs.json" "$servedir/fresh-figs.json"
-curl -sf "$base/v1/metrics" | grep -q 'inipd_jobs{state="done"} 2'
+curl -sf -D "$servedir/restart.hdr" -o "$servedir/restart.json" \
+    -d '{"bench":"gzip","t":2000}' "$base/v1/compare"
+grep -qi '^x-inipd-cache: hit' "$servedir/restart.hdr"
+grep -qi '^x-inipd-guest-blocks: 0' "$servedir/restart.hdr"
+cmp "$servedir/cold.json" "$servedir/restart.json"
 
 kill -TERM "$dpid"
 if ! wait "$dpid"; then
-    echo "resumed daemon drain exited nonzero" >&2
+    echo "second daemon drain exited nonzero" >&2
     cat "$servedir/d2.err" >&2
     exit 1
 fi
 dpid=""
-# The kill/resume cycle must leave no orphaned atomic-write
-# temporaries in the daemon's state or cache directories.
+# The two daemon lifetimes must leave no orphaned atomic-write
+# temporaries in the cache directory or next to the trace.
 leftovers=$(find "$servedir" -name '.*.tmp*')
 if [ -n "$leftovers" ]; then
-    echo "orphaned atomic-write temporaries after daemon resume:" >&2
+    echo "orphaned atomic-write temporaries after daemon restart:" >&2
     echo "$leftovers" >&2
     exit 1
 fi

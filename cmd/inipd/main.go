@@ -1,22 +1,20 @@
-// Command inipd serves the study pipeline as a long-running HTTP/JSON
-// daemon: synchronous single-comparison requests, asynchronous
-// full-ladder study jobs with polling and SSE progress, Prometheus
-// metrics, and health/readiness probes (see internal/serve for the
-// endpoint contract).
+// Command inipd serves single comparisons of the study pipeline — one
+// benchmark at one threshold — as a long-running HTTP/JSON daemon, with
+// Prometheus metrics and health/readiness probes (see internal/serve
+// for the endpoint contract). Full-suite studies are inipstudy's job.
 //
 // Usage:
 //
 //	inipd -addr 127.0.0.1:8077 -scale 0.01 -cache results.cache
 //	inipd -addr 127.0.0.1:0 -addrfile addr.txt    # pick a free port, publish it
-//	inipd -state state.d -resume                  # resume interrupted jobs
 //
-// One daemon owns the machine's study resources: a shared bounded
-// scheduler for comparisons, an optional content-addressed result
-// cache (warm compares execute zero guest blocks), and a
-// server-lifetime flight recorder. SIGTERM/SIGINT drains gracefully —
-// running jobs stop cooperatively with their finished units in the
-// cache, so a restart with -resume over the same -cache completes them
-// with byte-identical figures, recomputing only the missing units.
+// One daemon owns the machine's comparison resources: a shared bounded
+// scheduler, an optional content-addressed result cache (warm compares
+// execute zero guest blocks, and a restarted daemon over the same
+// -cache answers warm too), and a server-lifetime flight recorder.
+// SIGTERM/SIGINT drains gracefully: new work is refused and every
+// running comparison finishes, so its result reaches the cache and its
+// trace events the recorder.
 package main
 
 import (
@@ -60,19 +58,12 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		workers  = fs.Int("workers", 0, "shared worker-pool size (default: GOMAXPROCS)")
 		inflight = fs.Int("maxinflight", 0, "max concurrently-executing compare requests (default: 2x workers)")
 		queue    = fs.Int("maxqueue", 0, "max compare requests waiting for a slot before 429 (default: 8)")
-		maxJobs  = fs.Int("maxjobs", 1, "max concurrently-running study jobs")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "default per-request deadline")
 		cacheDir = fs.String("cache", "", "content-addressed result cache directory (warm compares execute zero guest blocks)")
-		stateDir = fs.String("state", "", "job state directory (job records and results); enables -resume, which reruns unfinished jobs against -cache")
-		resume   = fs.Bool("resume", false, "re-enqueue unfinished jobs found in -state at startup")
 		trace    = fs.String("trace", "", "write a server-lifetime flight-recorder trace (JSONL) to this file on shutdown")
 		drainFor = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *resume && *stateDir == "" {
-		fmt.Fprintln(stderr, "inipd: -resume requires -state")
 		return 2
 	}
 
@@ -81,10 +72,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		Workers:        *workers,
 		MaxInflight:    *inflight,
 		MaxQueue:       *queue,
-		MaxJobs:        *maxJobs,
 		DefaultTimeout: *timeout,
-		StateDir:       *stateDir,
-		Resume:         *resume,
 	}
 	if *cacheDir != "" {
 		store, err := resultcache.Open(*cacheDir)
@@ -138,13 +126,14 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintf(stderr, "inipd: %v\n", err)
 		return 1
 	case s := <-sig:
-		fmt.Fprintf(stderr, "inipd: %v — draining (in-flight work finishes, jobs stop)\n", s)
+		fmt.Fprintf(stderr, "inipd: %v — draining (in-flight work finishes)\n", s)
 	}
 
-	// Drain order matters: stop admitting and stop the jobs first, then
-	// let the HTTP server wait out in-flight handlers, then close the
-	// trace — late emitters after the recorder closes are the counted
-	// no-ops the obs close gate guarantees.
+	// Drain order matters: stop admitting and wait out every compare
+	// flight first (including those whose callers already timed out),
+	// then let the HTTP server wait out in-flight handlers, then close
+	// the trace — late emitters after the recorder closes are the
+	// counted no-ops the obs close gate guarantees.
 	code := 0
 	if err := srv.Drain(*drainFor); err != nil {
 		fmt.Fprintf(stderr, "inipd: %v\n", err)

@@ -28,7 +28,6 @@ func TestDaemonLifecycle(t *testing.T) {
 			"-addrfile", addrFile,
 			"-scale", "0.001",
 			"-cache", filepath.Join(dir, "cache"),
-			"-state", filepath.Join(dir, "state"),
 			"-trace", filepath.Join(dir, "trace.jsonl"),
 		}, io.Discard, &errBuf, sig)
 	}()
@@ -89,11 +88,10 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// TestBadFlags: flag errors and inconsistent combinations exit 2.
+// TestBadFlags: flag errors exit 2.
 func TestBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"unknown flag":         {"-nope"},
-		"resume without state": {"-resume"},
+		"unknown flag": {"-nope"},
 	} {
 		if code := run(args, io.Discard, io.Discard, nil); code != 2 {
 			t.Errorf("%s: exit %d, want 2", name, code)

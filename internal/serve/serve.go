@@ -1,18 +1,16 @@
-// Package serve exposes the study pipeline as a long-running HTTP/JSON
-// service ("study as a service"). One daemon process owns the expensive
-// shared state — a bounded core.Scheduler for comparison units, the
-// content-addressed result cache, a server-lifetime flight recorder —
-// and requests from many clients are admitted into it instead of each
-// invocation paying cold-start and fighting for the machine.
+// Package serve exposes one measurement of the study pipeline — one
+// benchmark at one threshold — as a long-running HTTP/JSON service. One
+// daemon process owns the expensive shared state — a bounded
+// core.Scheduler for comparison units, the content-addressed result
+// cache, a server-lifetime flight recorder — and requests from many
+// clients are admitted into it instead of each invocation paying
+// cold-start and fighting for the machine. Full-suite studies are
+// inipstudy's job; a stopped one resumes by rerunning it with the same
+// result cache.
 //
 // Endpoints:
 //
 //	POST /v1/compare       one benchmark × threshold, synchronous
-//	POST /v1/study         full-ladder study as an async job (202 + id)
-//	GET  /v1/jobs          job listing
-//	GET  /v1/jobs/{id}     job status (+ result when done)
-//	GET  /v1/jobs/{id}/figures  figure JSON, byte-stable across resumes
-//	GET  /v1/jobs/{id}/events   SSE progress stream
 //	GET  /v1/metrics       Prometheus text exposition
 //	GET  /healthz          process liveness
 //	GET  /readyz           admission readiness (503 while draining)
@@ -58,8 +56,8 @@ type Config struct {
 	// Scale is the default paper-unit scale for requests that do not
 	// carry their own (default 1.0).
 	Scale float64
-	// Workers bounds the shared comparison scheduler and each study
-	// job's pool (default GOMAXPROCS).
+	// Workers bounds the shared comparison scheduler (default
+	// GOMAXPROCS).
 	Workers int
 	// MaxInflight bounds concurrently-executing compare requests
 	// (default 2×Workers).
@@ -68,28 +66,16 @@ type Config struct {
 	// arrivals beyond it get 429 (default 8; negative disables waiting
 	// entirely, so anything beyond MaxInflight is rejected on arrival).
 	MaxQueue int
-	// MaxJobs bounds concurrently-running study jobs (default 1): a
-	// full-ladder study saturates the machine on its own, so extra jobs
-	// queue rather than thrash.
-	MaxJobs int
 	// DefaultTimeout is the per-request deadline when the request does
 	// not set timeout_ms (default 2 minutes).
 	DefaultTimeout time.Duration
-	// StateDir, when non-empty, persists job records and finished
-	// results, making jobs resumable across daemon restarts. Empty
-	// means jobs live and die with the process.
-	StateDir string
-	// Resume re-enqueues the non-terminal jobs found in StateDir at
-	// startup; each resumed study reruns against Cache and recomputes
-	// only the units missing from it (all of them without a Cache).
-	Resume bool
 	// Cache, when non-nil, memoizes unit results; warm compares execute
 	// zero guest blocks.
 	Cache *resultcache.Store
 	// Trace, when non-nil, receives one flight-recorder event per
 	// pipeline span across the server's whole lifetime — every compare
-	// and every job shares it, which is exactly the Emit-after-Close
-	// exposure the recorder's close gate exists for.
+	// shares it, which is exactly the Emit-after-Close exposure the
+	// recorder's close gate exists for.
 	Trace *obs.Recorder
 }
 
@@ -112,15 +98,12 @@ func (c *Config) defaults() {
 	} else if c.MaxQueue == 0 {
 		c.MaxQueue = 8
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Minute
 	}
 }
 
-// Server is the study-as-a-service daemon state.
+// Server is the compare daemon's state.
 type Server struct {
 	cfg   Config
 	sched *core.Scheduler
@@ -132,8 +115,12 @@ type Server struct {
 	queued   atomic.Int64
 
 	// Coalescing: one flight per identical in-progress compare.
+	// flightMu also orders flight registration against draining:
+	// a new flight joins flightWG only while draining is unset, so
+	// Drain's wait can never race an Add.
 	flightMu sync.Mutex
 	flights  map[string]*flight
+	flightWG sync.WaitGroup
 
 	// exec performs one comparison: a validated one-benchmark,
 	// one-threshold study config (see compareConfig). Tests swap it to
@@ -151,9 +138,7 @@ type Server struct {
 	predTotals map[string]*predictTotals
 
 	draining atomic.Bool
-	jobs     *jobTable
 	m        serverMetrics
-	perf     perfTotals
 }
 
 // predictTotals accumulates one predictor's branch stream across
@@ -172,7 +157,6 @@ type serverMetrics struct {
 	compareCoalesced atomic.Uint64 // served from another caller's flight
 	compareWarm      atomic.Uint64 // zero guest blocks executed
 	compareErrors    atomic.Uint64 // 5xx other than deadline
-	studyRequests    atomic.Uint64
 	guestBlocks      atomic.Uint64 // compare-side block executions
 
 	// Sampled-profiling compare accounting (requests with sample_period):
@@ -192,9 +176,8 @@ type serverMetrics struct {
 	learnedTakenMispredicts atomic.Uint64
 }
 
-// New builds a Server: opens (and, with Resume, re-enqueues) the job
-// table and starts the shared scheduler. The caller serves
-// s.Handler() and must call Drain before exit.
+// New builds a Server and starts its shared scheduler. The caller
+// serves s.Handler() and must call Drain before exit.
 func New(cfg Config) (*Server, error) {
 	cfg.defaults()
 	s := &Server{
@@ -208,16 +191,8 @@ func New(cfg Config) (*Server, error) {
 		predTotals: make(map[string]*predictTotals),
 	}
 	s.exec = s.runCompare
-	jobs, err := openJobTable(cfg.StateDir, cfg.MaxJobs)
-	if err != nil {
-		return nil, err
-	}
-	s.jobs = jobs
 	s.mux = http.NewServeMux()
 	s.routes()
-	if cfg.Resume {
-		s.resumeJobs()
-	}
 	return s, nil
 }
 
@@ -226,11 +201,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/compare", s.handleCompare)
-	s.mux.HandleFunc("POST /v1/study", s.handleStudy)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/figures", s.handleJobFigures)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -245,17 +215,19 @@ func (s *Server) routes() {
 }
 
 // Drain begins a graceful shutdown: readiness drops, new work is
-// rejected, running study jobs are stopped through their cooperative
-// Stop channels (their finished units stay in the cache), and Drain
-// blocks until every job goroutine has retired or the deadline passes.
-// In-flight compare requests are left to finish; the HTTP server's own
-// Shutdown waits for those handlers.
+// rejected, and Drain blocks until every compare flight has finished or
+// the deadline passes. That includes flights whose callers already got
+// their 504: such a flight still runs to completion so that its result
+// lands in the cache, and its trace events must reach the recorder
+// before the caller closes it. The HTTP server's own Shutdown then
+// waits for the handlers.
 func (s *Server) Drain(timeout time.Duration) error {
+	s.flightMu.Lock()
 	s.draining.Store(true)
-	s.jobs.stopAll()
+	s.flightMu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		s.jobs.wg.Wait()
+		s.flightWG.Wait()
 		close(done)
 	}()
 	select {
@@ -274,7 +246,7 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // maxRequestBody bounds a request body. The largest legitimate body —
-// a study request naming every suite benchmark — is well under 1 KiB.
+// a compare request naming every predictor — is well under 1 KiB.
 const maxRequestBody = 1 << 20
 
 // decodeBody decodes a JSON request body of at most maxRequestBody
@@ -562,8 +534,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.flightMu.Lock()
 	f, follower := s.flights[key]
 	if !follower {
+		if s.draining.Load() {
+			s.flightMu.Unlock()
+			errorJSON(w, http.StatusServiceUnavailable, "draining")
+			return
+		}
 		f = &flight{done: make(chan struct{})}
 		s.flights[key] = f
+		s.flightWG.Add(1)
 	}
 	s.flightMu.Unlock()
 
@@ -571,6 +549,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.m.compareCoalesced.Add(1)
 	} else {
 		go func() {
+			defer s.flightWG.Done()
 			execStart := time.Now()
 			f.out = s.exec(key, cfg)
 			s.compareDurNS.Add(int64(time.Since(execStart)))

@@ -27,9 +27,9 @@ func newTestServer(t testing.TB, cfg Config, gate chan struct{}, calls *atomic.I
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A job goroutine can still be persisting the job table after its
-	// state turned visible; wait it out before the state directory is
-	// removed.
+	// Drain waits out every flight the test left running, an abandoned
+	// one included, so none still writes to a cache directory the test
+	// is about to remove.
 	t.Cleanup(func() { s.Drain(10 * time.Second) })
 	if gate != nil {
 		s.exec = func(key string, _ study.Config) *compareOut {
@@ -79,6 +79,7 @@ var compareValidationRows = []struct {
 	{"unknown bench", `{"bench":"nope","t":2000}`, http.StatusBadRequest},
 	{"bad threshold", `{"bench":"gzip","t":-1}`, http.StatusBadRequest},
 	{"negative scale", `{"bench":"gzip","t":2000,"scale":-0.5}`, http.StatusBadRequest},
+	{"scale above the paper's", `{"bench":"gzip","t":2000,"scale":1e9}`, http.StatusBadRequest},
 	{"negative timeout", `{"bench":"gzip","t":2000,"timeout_ms":-1}`, http.StatusBadRequest},
 	{"overflowing timeout", `{"bench":"gzip","t":2000,"timeout_ms":9223372036854775807}`, http.StatusBadRequest},
 	{"duplicate predictor", `{"bench":"gzip","t":2000,"predictors":["2bit","2bit"]}`, http.StatusBadRequest},
@@ -154,38 +155,6 @@ func FuzzCompareRequest(f *testing.F) {
 	})
 }
 
-// TestStudyValidation: malformed study requests are rejected with a
-// JSON error and never create a job.
-func TestStudyValidation(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1}, nil, nil)
-	for _, tc := range []struct {
-		name string
-		body string
-		want int
-	}{
-		{"bad json", "{", http.StatusBadRequest},
-		{"unknown bench", `{"benches":["nope"]}`, http.StatusBadRequest},
-		{"duplicate bench", `{"benches":["gzip"," gzip"]}`, http.StatusBadRequest},
-		{"negative scale", `{"scale":-1}`, http.StatusBadRequest},
-		{"negative stop_after", `{"stop_after":-1}`, http.StatusBadRequest},
-		{"oversize body", oversizeBody, http.StatusRequestEntityTooLarge},
-	} {
-		req := httptest.NewRequest("POST", "/v1/study", strings.NewReader(tc.body))
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, req)
-		if w.Code != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, w.Code, tc.want)
-		}
-		var e struct{ Error string }
-		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-			t.Errorf("%s: body %q is not a JSON error", tc.name, w.Body.String())
-		}
-	}
-	if jobs := s.jobs.list(); len(jobs) != 0 {
-		t.Fatalf("rejected requests created %d job(s)", len(jobs))
-	}
-}
-
 // metricsText scrapes the server's Prometheus exposition.
 func metricsText(s *Server) string {
 	w := httptest.NewRecorder()
@@ -254,7 +223,8 @@ func TestAdmissionDeadline(t *testing.T) {
 
 // TestExecutionDeadline: an admitted request whose work outlives its
 // deadline gets 504 while the flight keeps running to completion (its
-// result must still land for followers and the cache).
+// result must still land for followers and the cache), and Drain waits
+// for that abandoned flight.
 func TestExecutionDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int64
@@ -264,13 +234,19 @@ func TestExecutionDeadline(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504\n%s", w.Code, w.Body.String())
 	}
+	if err := s.Drain(50 * time.Millisecond); err == nil {
+		t.Fatal("Drain returned while the abandoned flight was still running")
+	}
 	close(gate)
-	// The abandoned flight still completes and unregisters.
-	waitFor(t, "flight cleanup", func() bool {
-		s.flightMu.Lock()
-		defer s.flightMu.Unlock()
-		return len(s.flights) == 0
-	})
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatalf("Drain after the flight finished: %v", err)
+	}
+	// The abandoned flight completed and unregistered.
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if len(s.flights) != 0 {
+		t.Fatalf("%d flight(s) still registered after Drain", len(s.flights))
+	}
 }
 
 // TestCoalesceIdenticalRequests: concurrent identical compares execute
@@ -375,238 +351,32 @@ func TestCompareWarmColdE2E(t *testing.T) {
 	}
 }
 
-// jobStatus fetches one job's record (and result when done).
-func jobStatus(t *testing.T, base, id string) (jobRecord, *jobResult) {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Job    jobRecord  `json:"job"`
-		Result *jobResult `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Job, out.Result
-}
-
-func startJob(t *testing.T, base, body string) string {
-	t.Helper()
-	resp, err := http.Post(base+"/v1/study", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("study submit: %d %s", resp.StatusCode, raw)
-	}
-	var rec jobRecord
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.ID == "" {
-		t.Fatal("job accepted without an id")
-	}
-	return rec.ID
-}
-
-func waitJob(t *testing.T, base, id string, want JobState) jobRecord {
-	t.Helper()
-	var rec jobRecord
-	waitFor(t, fmt.Sprintf("job %s to reach %s", id, want), func() bool {
-		rec, _ = jobStatus(t, base, id)
-		if rec.State.terminal() && rec.State != want {
-			t.Fatalf("job %s ended %s (err %q), want %s", id, rec.State, rec.Error, want)
-		}
-		return rec.State == want
-	})
-	return rec
-}
-
-func getFigures(t *testing.T, base, id string) []byte {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/figures")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("figures: %d %s", resp.StatusCode, data)
-	}
-	return data
-}
-
-// TestStudyJobLifecycle: an async study job runs to done; its status,
-// result, figure JSON, SSE progress stream and the metrics endpoint all
-// reflect it.
-func TestStudyJobLifecycle(t *testing.T) {
-	s := newTestServer(t, Config{Scale: 0.001, Workers: 1, StateDir: t.TempDir()}, nil, nil)
+// TestDrainRejectsNewWork: a ready server answers 200 on readyz and
+// reports inipd_ready 1; once draining it answers 503 on readyz and
+// compare and reports inipd_ready 0, while health stays 200.
+func TestDrainRejectsNewWork(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1}, nil, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if resp, err := http.Post(ts.URL+"/v1/study", "application/json",
-		strings.NewReader(`{"benches":["nope"]}`)); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown bench accepted: %v %v", err, resp.Status)
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz before draining: %v %v", err, resp.Status)
+	}
+	resp.Body.Close()
+	if m := metricsText(s); !strings.Contains(m, "\ninipd_ready 1\n") {
+		t.Fatalf("ready gauge does not read 1 before draining:\n%s", m)
 	}
 
-	id := startJob(t, ts.URL, `{"benches":["gzip","swim"]}`)
-	rec := waitJob(t, ts.URL, id, JobDone)
-	if rec.Error != "" {
-		t.Fatalf("done job carries error %q", rec.Error)
-	}
-	_, res := jobStatus(t, ts.URL, id)
-	if res == nil || len(res.Figures) == 0 || res.Perf.BlocksExecuted == 0 {
-		t.Fatalf("done job result missing: %+v", res)
-	}
-
-	var figs []json.RawMessage
-	if err := json.Unmarshal(getFigures(t, ts.URL, id), &figs); err != nil || len(figs) == 0 {
-		t.Fatalf("figures endpoint: %v (%d figures)", err, len(figs))
-	}
-
-	// SSE on a finished job: replay then the terminal state event.
-	sse, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := io.ReadAll(sse.Body)
-	sse.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(events), "data: done gzip") &&
-		!strings.Contains(string(events), "data: done swim") {
-		t.Fatalf("SSE replay carries no progress lines:\n%s", events)
-	}
-	if !strings.Contains(string(events), "event: state\ndata: done") {
-		t.Fatalf("SSE stream missing terminal state event:\n%s", events)
-	}
-
-	metricsResp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mtext, _ := io.ReadAll(metricsResp.Body)
-	metricsResp.Body.Close()
-	for _, want := range []string{
-		"inipd_ready 1",
-		"inipd_study_jobs_finished_total 1",
-		`inipd_jobs{state="done"} 1`,
-		"inipd_study_guest_blocks_total",
-		"inipd_study_fast_dispatches_total",
-		"inipd_study_generic_dispatches_total",
-		"inipd_study_cache_lookups_total",
-		"inipd_study_blocks_per_second",
-	} {
-		if !strings.Contains(string(mtext), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, mtext)
-		}
-	}
-	// A finished study executed real blocks, so the hot-loop exports
-	// must be live, not zero.
-	for _, line := range strings.Split(string(mtext), "\n") {
-		if v, ok := strings.CutPrefix(line, "inipd_study_fast_dispatches_total "); ok && v == "0" {
-			t.Fatalf("fast dispatches exported as zero after a finished job:\n%s", mtext)
-		}
-		if v, ok := strings.CutPrefix(line, "inipd_study_blocks_per_second "); ok && v == "0.0" {
-			t.Fatalf("blocks/s exported as zero after a finished job:\n%s", mtext)
-		}
-	}
-
-	// Probes: alive and ready.
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: %v %v", path, err, resp.Status)
-		}
-		resp.Body.Close()
-	}
-}
-
-// TestJobInterruptResume: a job stopped mid-run (stop_after) is
-// re-enqueued by a second server over the same state directory and
-// cache. The rerun serves the stopped run's finished units from the
-// cache, so it executes fewer guest blocks than an uncached run of the
-// same study, and its figures are byte-identical to that run's.
-func TestJobInterruptResume(t *testing.T) {
-	state := t.TempDir()
-	cache, err := resultcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s1 := newTestServer(t, Config{Scale: 0.001, Workers: 1, StateDir: state, Cache: cache}, nil, nil)
-	ts1 := httptest.NewServer(s1.Handler())
-	id := startJob(t, ts1.URL, `{"benches":["gzip","swim"],"stop_after":1}`)
-	rec := waitJob(t, ts1.URL, id, JobStopped)
-	if rec.State != JobStopped {
-		t.Fatalf("job state %s, want stopped", rec.State)
-	}
-	if err := s1.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-
-	// Second daemon generation: resume over the same state dir.
-	s2 := newTestServer(t, Config{Scale: 0.001, Workers: 1, StateDir: state, Cache: cache, Resume: true}, nil, nil)
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	rec = waitJob(t, ts2.URL, id, JobDone)
-	if !rec.Resumed {
-		t.Fatalf("completed job not marked resumed: %+v", rec)
-	}
-	_, resumed := jobStatus(t, ts2.URL, id)
-	resumedFigs := getFigures(t, ts2.URL, id)
-
-	// An uninterrupted, uncached run of the same study must agree
-	// byte-for-byte and execute more guest blocks.
-	s3 := newTestServer(t, Config{Scale: 0.001, Workers: 1}, nil, nil)
-	ts3 := httptest.NewServer(s3.Handler())
-	defer ts3.Close()
-	fresh := startJob(t, ts3.URL, `{"benches":["gzip","swim"]}`)
-	waitJob(t, ts3.URL, fresh, JobDone)
-	_, uncached := jobStatus(t, ts3.URL, fresh)
-	if resumed.Perf.BlocksExecuted >= uncached.Perf.BlocksExecuted {
-		t.Fatalf("resumed job executed %d guest blocks, an uncached run %d: the rerun did not reuse the stopped run's units",
-			resumed.Perf.BlocksExecuted, uncached.Perf.BlocksExecuted)
-	}
-	if freshFigs := getFigures(t, ts3.URL, fresh); !bytes.Equal(resumedFigs, freshFigs) {
-		t.Fatalf("resumed figures differ from an uncached run's:\n%s\n%s", resumedFigs, freshFigs)
-	}
-
-	for _, s := range []*Server{s2, s3} {
-		if err := s.Drain(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestDrainRejectsNewWork: a draining server answers 503 on readyz,
-// compare and study, while health stays 200.
-func TestDrainRejectsNewWork(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1}, nil, nil)
 	if err := s.Drain(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	if w := postCompare(s, `{"bench":"gzip","t":2000}`); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("compare while draining: %d", w.Code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/study", "application/json", strings.NewReader(`{}`))
-	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("study while draining: %v %v", err, resp.Status)
+	if m := metricsText(s); !strings.Contains(m, "\ninipd_ready 0\n") {
+		t.Fatalf("ready gauge does not read 0 while draining:\n%s", m)
 	}
-	resp.Body.Close()
 	if resp, err = http.Get(ts.URL + "/readyz"); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining: %v %v", err, resp.Status)
 	}
@@ -761,28 +531,6 @@ func TestRetryAfterColdStart(t *testing.T) {
 	s.cfg.MaxInflight = 0
 	if got := s.retryAfterSeconds(); got < 1 || got > 60 {
 		t.Fatalf("zero-slot hint = %d, want within [1, 60]", got)
-	}
-}
-
-// TestMetricsWarmStudyThroughputZero pins the satellite-3 guard: a
-// fully cache-warm study finishes with guest blocks recorded but zero
-// run-unit wall-clock, and the blocks-per-second gauge must expose 0
-// — not NaN or Inf — in the Prometheus text.
-func TestMetricsWarmStudyThroughputZero(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1}, nil, nil)
-	s.recordJobPerf(study.Perf{BlocksExecuted: 123456})
-
-	body := metricsText(s)
-	if !strings.Contains(body, "inipd_study_blocks_per_second 0.0\n") {
-		t.Fatalf("warm-study gauge not pinned to 0.0:\n%s", body)
-	}
-	if !strings.Contains(body, "inipd_study_guest_blocks_total 123456\n") {
-		t.Fatalf("block counter missing:\n%s", body)
-	}
-	for _, bad := range []string{"NaN", "Inf"} {
-		if strings.Contains(body, bad) {
-			t.Fatalf("metrics exposition leaked %q:\n%s", bad, body)
-		}
 	}
 }
 

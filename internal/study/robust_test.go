@@ -252,6 +252,7 @@ func TestValidateNamesTheBadValue(t *testing.T) {
 	}{
 		{"nan scale", func(c *Config) { c.Scale = math.NaN() }, "scale"},
 		{"negative scale", func(c *Config) { c.Scale = -2 }, "-2"},
+		{"scale above the paper's", func(c *Config) { c.Scale = 1e9 }, "scale 1e+09"},
 		{"zero threshold", func(c *Config) { c.Thresholds = []float64{0, 100} }, "threshold 0"},
 		{"nan threshold", func(c *Config) { c.Thresholds = []float64{math.NaN()} }, "threshold"},
 		{"dup threshold", func(c *Config) { c.Thresholds = []float64{100, 100} }, "duplicate threshold 100"},

@@ -50,7 +50,8 @@ type Config struct {
 	// boundaries. The default of 1.0 runs the paper's actual threshold
 	// ladder (benchmark run lengths are already laptop-sized, see
 	// package spec); smaller values trade sampling fidelity at the
-	// bottom of the ladder for speed.
+	// bottom of the ladder for speed. Validate rejects values above
+	// maxScale.
 	Scale float64
 	// Thresholds is the paper-unit ladder (default AllThresholds).
 	Thresholds []float64
@@ -156,13 +157,19 @@ func (c *Config) defaults() {
 // study was drained through Stop or StopAfter.
 var ErrStopped = core.ErrStopped
 
+// maxScale is the largest Scale a study accepts: 1 runs the paper's own
+// ladder and run lengths, and since Scale multiplies every run length,
+// a larger one only asks for more guest work (1e9 would run for hours)
+// without reaching anything the paper measured.
+const maxScale = 1.0
+
 // Validate rejects configurations that would run garbage rather than
 // fail up front, naming the offending value. Run calls it after
 // applying defaults; commands call it directly to report flag errors
 // before any work starts.
 func (c *Config) Validate() error {
-	if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) || c.Scale <= 0 {
-		return fmt.Errorf("study: invalid scale %v (want a positive factor)", c.Scale)
+	if !(c.Scale > 0 && c.Scale <= maxScale) { // also rejects NaN and ±Inf
+		return fmt.Errorf("study: invalid scale %v (want a factor in (0, %g])", c.Scale, maxScale)
 	}
 	seen := make(map[float64]bool, len(c.Thresholds))
 	for _, t := range c.Thresholds {

@@ -211,3 +211,29 @@ func TestTrainRegionsSummaryPopulated(t *testing.T) {
 		t.Fatal("offline train comparison has no regions at all")
 	}
 }
+
+// TestThresholdAboveRunIsAVEP is a metamorphic check on spec guests: a
+// retranslation threshold no block counter can reach never triggers
+// optimization, so INIP(T) is the whole run's profile, which is AVEP.
+// Every Sd and mismatch value must then be exactly 0, with no regions
+// formed.
+func TestThresholdAboveRunIsAVEP(t *testing.T) {
+	res, err := Run(Config{
+		Scale:      0.001,
+		Thresholds: []float64{1e15},
+		Benchmarks: []*spec.Benchmark{spec.ByName("gzip"), spec.ByName("mcf"), spec.ByName("swim"), spec.ByName("perlbmk")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Series {
+		r := s.PerT[0]
+		if r.Stats.BlocksExecuted == 0 || r.T <= r.Stats.BlocksExecuted {
+			t.Fatalf("%s: threshold %d does not exceed the run's %d blocks", s.Name, r.T, r.Stats.BlocksExecuted)
+		}
+		m := r.Summary
+		if m.SdBP != 0 || m.BPMismatch != 0 || m.HasRegions || m.Traces != 0 || m.Loops != 0 {
+			t.Errorf("%s: INIP(T) differs from AVEP: %+v", s.Name, m)
+		}
+	}
+}
