@@ -17,6 +17,31 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== fused multiply-add gate =="
+# The Go spec lets the compiler fuse x*y + z into one fused multiply-add,
+# and it does so off amd64. That changes float results per architecture:
+# figures, cache payloads and even generated guest images. Every product
+# that meets a sum is rounded explicitly (float64(x*y) + z), which is
+# what amd64 computes. Cross-compile for four fusing architectures and
+# fail on any fused instruction attributed to a repository source line.
+asm=$(mktemp)
+for arch in arm64 ppc64le s390x riscv64; do
+    if ! GOARCH=$arch go build -gcflags='repro/...=-S' -o /dev/null ./internal/... ./cmd/... > "$asm" 2>&1; then
+        tail -20 "$asm" >&2
+        rm -f "$asm"
+        exit 1
+    fi
+    fused=$(grep -E '\bFN?M(ADD|SUB)[DS]?\b' "$asm" | grep -F -e "($PWD/" -e "(repro/" |
+        sed -E 's/.*\(([^)]*:[0-9]+)\).*/\1/' | sort -u)
+    if [ -n "$fused" ]; then
+        echo "fused multiply-adds on $arch at:" >&2
+        echo "$fused" >&2
+        rm -f "$asm"
+        exit 1
+    fi
+done
+rm -f "$asm"
+
 echo "== go test -race =="
 go test -race ./...
 

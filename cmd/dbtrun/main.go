@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outFile      = fs.String("o", "", "write the profile snapshot as JSON to this file")
 		dump         = fs.Bool("dump", false, "print a human-readable profile dump")
 		stats        = fs.Bool("stats", false, "print run statistics")
-		perf         = fs.Bool("perf", false, "enable the cycle model and report simulated cycles")
+		perf         = fs.Bool("perf", false, "enable the cycle model and report simulated cycles (not for a sampled run)")
 		adaptive     = fs.Bool("adaptive", false, "dissolve and rebuild regions whose side-exit rate shows a behaviour change")
 		contTrip     = fs.Bool("continuous-trips", false, "keep loop-back instrumentation alive in optimized loop regions")
 		converge     = fs.Float64("converge", 0, "register blocks on probability convergence with this epsilon (0 = fixed threshold)")
@@ -87,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *perf {
 		cfg.Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(stderr, "dbtrun: %v\n", err)
+		return 2
 	}
 
 	var rec *obs.Recorder
@@ -190,7 +194,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "freeze events:      %d\n", runStats.FreezeEvents)
 		}
 		fmt.Fprintf(stdout, "profiling ops:      %d\n", snap.ProfilingOps)
-		if *perf {
+		if *perf && cfg.SamplePeriod <= 1 {
+			// A sampled run has no cycle model.
 			fmt.Fprintf(stdout, "simulated cycles:   %.0f\n", runStats.Cycles)
 		}
 	}

@@ -56,3 +56,32 @@ func TestBadSource(t *testing.T) {
 		t.Fatalf("two sources exited %d, want 2", code)
 	}
 }
+
+// TestSampledRuns: a sampled run has no region cursor and no cycle
+// model, so the flags that need them are usage errors, and -perf
+// reports no simulated cycles.
+func TestSampledRuns(t *testing.T) {
+	for _, flag := range []string{"-adaptive", "-continuous-trips"} {
+		var stderr bytes.Buffer
+		args := []string{"-bench", "gzip", "-scale", "0.001", "-T", "5", "-sampleperiod", "4", flag}
+		if code := run(args, new(bytes.Buffer), &stderr); code != 2 {
+			t.Fatalf("%s with -sampleperiod 4 exited %d, want 2", flag, code)
+		}
+		if !strings.Contains(stderr.String(), "SamplePeriod") {
+			t.Fatalf("%s: error does not name SamplePeriod: %s", flag, stderr.String())
+		}
+	}
+	for _, c := range []struct {
+		period     string
+		wantCycles bool
+	}{{"0", true}, {"4", false}} {
+		var stdout bytes.Buffer
+		args := []string{"-bench", "gzip", "-scale", "0.001", "-T", "5", "-perf", "-stats", "-sampleperiod", c.period}
+		if code := run(args, &stdout, new(bytes.Buffer)); code != 0 {
+			t.Fatalf("-sampleperiod %s exited %d", c.period, code)
+		}
+		if got := strings.Contains(stdout.String(), "simulated cycles:"); got != c.wantCycles {
+			t.Fatalf("-sampleperiod %s: simulated cycles printed %t, want %t:\n%s", c.period, got, c.wantCycles, stdout.String())
+		}
+	}
+}

@@ -218,8 +218,9 @@ type SampleThresholdResult struct {
 	// events, not scaled estimates — so its ratio against the matching
 	// full-instrumentation rung's ProfilingOps is the measured profiling
 	// cost of the period.
-	ProfilingOps uint64  `json:"profiling_ops"`
-	Cycles       float64 `json:"cycles"`
+	ProfilingOps uint64 `json:"profiling_ops"`
+	// Cycles always reads 0: a sampled run keeps no cycle model.
+	Cycles float64 `json:"cycles"`
 }
 
 // SamplePeriodResult is the whole threshold ladder rerun at one sampled

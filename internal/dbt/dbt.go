@@ -66,7 +66,8 @@ type Config struct {
 	// selects region.DefaultConfig(Threshold).
 	Region region.Config
 	// Perf, when non-nil, accumulates the simulated cycle cost of the
-	// run.
+	// run. A sampled run (SamplePeriod > 1) has no cycle model and
+	// leaves it untouched.
 	Perf *perfmodel.Accumulator
 	// MaxBlockExecs aborts the run after this many dynamic block
 	// executions (0 = unlimited). The synthetic benchmarks halt on
@@ -137,7 +138,9 @@ type Config struct {
 	// sampling frontier measures. The stride depends only on the
 	// engine's own block-event count, so snapshots are bit-reproducible
 	// across serial runs, shared-trace replay, worker counts, and the
-	// fast/generic dispatch paths.
+	// fast/generic dispatch paths. A sampled engine (period > 1) keeps
+	// no cycle model and no region cursor, which lets a shared-trace
+	// follower visit only its sampled events (drainSampled in multi.go).
 	SamplePeriod uint64
 	// SampleSeed seeds the stride's deterministic phase (which of the
 	// first SamplePeriod events is sampled first). The same seed always
@@ -315,7 +318,10 @@ type RunStats struct {
 	RegionSideExits   uint64
 	// RegionsDissolved counts regions torn down by the adaptive mode.
 	RegionsDissolved int
-	Cycles           float64
+	// Cycles is the perf model's total (0 without Config.Perf). A
+	// sampled run keeps no cycle model and no region cursor, so its
+	// Cycles and region execution counters read 0.
+	Cycles float64
 
 	// Engine counters (the observability layer). Kept cheap: plain
 	// increments on engine-local state, no atomics, no branches beyond
@@ -389,6 +395,9 @@ type Engine struct {
 	// executes guest code, so it builds no lowered code and keeps no
 	// chain state.
 	follower bool
+	// firsts holds the first occurrences fillBatch recorded in its
+	// current batch (see batch); the buffer is reused across batches.
+	firsts []firstUse
 
 	// Sampled-profiling state (Config.SamplePeriod > 1; see sampling.go).
 	// samplePeriod caches the period, sampleGap is the countdown to the
@@ -403,14 +412,38 @@ type Engine struct {
 	regThreshold uint64
 }
 
-// New prepares an engine. The image is validated; the tape supplies
-// guest input.
+// Validate reports a configuration New rejects. A sampled engine keeps
+// no region cursor (see step), so the settings that work through the
+// cursor, Adaptive and ContinuousTripCount, are refused rather than
+// silently doing nothing.
+func (c Config) Validate() error {
+	if c.Optimize && c.Threshold == 0 {
+		return fmt.Errorf("dbt: Optimize requires Threshold >= 1")
+	}
+	if c.SamplePeriod > 1 {
+		if c.Adaptive {
+			return fmt.Errorf("dbt: Adaptive needs the region cursor, which a sampled engine (SamplePeriod %d) does not keep", c.SamplePeriod)
+		}
+		if c.ContinuousTripCount {
+			return fmt.Errorf("dbt: ContinuousTripCount needs the region cursor, which a sampled engine (SamplePeriod %d) does not keep", c.SamplePeriod)
+		}
+	}
+	return nil
+}
+
+// New prepares an engine. The image and the configuration are
+// validated; the tape supplies guest input. A sampled engine leaves
+// cfg.Perf untouched: it runs no cycle model, so its Cycles read 0.
 func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Optimize && cfg.Threshold == 0 {
-		return nil, fmt.Errorf("dbt: Optimize requires Threshold >= 1")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	perf := cfg.Perf
+	if cfg.SamplePeriod > 1 {
+		perf = nil
 	}
 	if cfg.PoolTrigger <= 0 {
 		cfg.PoolTrigger = 8
@@ -441,7 +474,7 @@ func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 		optimize:     cfg.Optimize,
 		converge:     cfg.ConvergeRegister,
 		fastPath:     !cfg.DisableFastPath,
-		perf:         cfg.Perf,
+		perf:         perf,
 		samplePeriod: cfg.SamplePeriod,
 		sampleGap:    samplePhase(cfg) + 1,
 		regThreshold: sampleRegThreshold(cfg),
@@ -539,8 +572,8 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 	tb.nextRegister = e.regThreshold
 	e.cache[addr] = tb
 	e.stats.BlocksTranslated++
-	if e.cfg.Perf != nil {
-		e.cfg.Perf.ChargeTranslate(len(tb.insts))
+	if e.perf != nil {
+		e.perf.ChargeTranslate(len(tb.insts))
 	}
 	return tb, nil
 }
@@ -548,53 +581,40 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 // step advances the engine's profiling state machine past one executed
 // block: tb ran, left through its taken edge if takenEdge, and reached
 // next (nil while untranslated; the caller translates it afterwards, so
-// translation charges follow this block's). It is the one copy of the
-// per-block profiling that both run loops call (see multi.go):
+// translation charges follow this block's). It is the per-block
+// profiling that fillBatch and a full-instrumentation follower's
+// drainBatch call (see multi.go):
 //
-//   - the sampling stride ticks on every block event, frozen or not, so
-//     the sampled-event set depends only on the engine's own event
-//     count — the determinism contract of sampling.go;
-//   - an unfrozen block's counters advance on a sampled event, and it
-//     registers at the precomputed next multiple of the threshold (or
-//     when the convergence heuristic says so), which may run a wave;
+//   - a sampled engine (SamplePeriod > 1) only ticks its stride, on
+//     every block event, frozen or not, so the sampled-event set depends
+//     only on the engine's own event count (the determinism contract of
+//     sampling.go), and runs sampledEvent and registration on a sampled
+//     event. It keeps no cycle model and no region cursor: nothing reads
+//     them for a sampled run, and without them a follower can skip
+//     straight from one sampled event to the next (drainSampled);
+//   - a full engine runs sampledEvent (and registration when it asks)
+//     on every block;
 //   - the perf model charges the block by class: a frozen block runs at
 //     full optimized speed only while control follows one of its
 //     regions' expected paths (the cursor is on it), since frozen code
 //     reached outside a region context was retranslated for a different
-//     path; an unfrozen block on an unsampled event runs without the
-//     counter-update overhead, the saving sampling buys;
+//     path;
 //   - the region cursor follows the fired edge, leaving the region (the
 //     cold path) when it runs off it, and enters next's region if next
 //     is a region entry.
 func (e *Engine) step(tb *tblock, takenEdge bool, next *tblock) {
-	sampled := true
 	if e.samplePeriod > 1 {
 		e.sampleGap--
 		if e.sampleGap == 0 {
 			e.sampleGap = e.samplePeriod
-		} else {
-			sampled = false
+			if e.sampledEvent(tb, takenEdge) {
+				e.registration(tb)
+			}
 		}
+		return
 	}
-	if !tb.frozen && sampled {
-		tb.use++
-		e.profOps++
-		if tb.hasBranch && takenEdge {
-			tb.taken++
-			e.profOps++
-		}
-		if e.optimize {
-			var ready bool
-			if e.converge {
-				ready = e.shouldRegister(tb)
-			} else if tb.use == tb.nextRegister {
-				ready = true
-				tb.nextRegister += e.regThreshold
-			}
-			if ready && e.register(tb) {
-				e.optimizeWave()
-			}
-		}
+	if e.sampledEvent(tb, takenEdge) {
+		e.registration(tb)
 	}
 	if perf := e.perf; perf != nil {
 		switch {
@@ -602,10 +622,8 @@ func (e *Engine) step(tb *tblock, takenEdge bool, next *tblock) {
 			perf.ChargeOptimizedBlock(int(tb.costSum))
 		case tb.frozen:
 			perf.ChargeOffTraceBlock(int(tb.costSum))
-		case sampled:
-			perf.ChargeQuickBlock(int(tb.costSum))
 		default:
-			perf.ChargeQuickBlockUnprofiled(int(tb.costSum))
+			perf.ChargeQuickBlock(int(tb.costSum))
 		}
 	}
 	if !e.optimize {
@@ -637,6 +655,41 @@ func (e *Engine) step(tb *tblock, takenEdge bool, next *tblock) {
 		rt.entries++
 		e.curRegion, e.curNode = rt, rt.entry
 		e.stats.RegionEntries++
+	}
+}
+
+// sampledEvent is the profiling of one counted block event, the one
+// copy every loop shares: an unfrozen block's counters advance. It
+// reports whether the block reached its next registration point (the
+// precomputed next multiple of the threshold, or in convergence mode a
+// check of its estimate); the caller then calls registration, which may
+// run a wave. The split keeps sampledEvent small enough to inline into
+// the replay loops, where registration is rare next to the counting.
+func (e *Engine) sampledEvent(tb *tblock, takenEdge bool) bool {
+	if tb.frozen {
+		return false
+	}
+	tb.use++
+	e.profOps++
+	if tb.hasBranch && takenEdge {
+		tb.taken++
+		e.profOps++
+	}
+	return e.optimize && (e.converge || tb.use == tb.nextRegister)
+}
+
+// registration registers a block whose use count reached its next
+// registration point (or, in convergence mode, whose estimate may have
+// converged) and runs the wave that registration triggers.
+func (e *Engine) registration(tb *tblock) {
+	ready := true
+	if e.converge {
+		ready = e.shouldRegister(tb)
+	} else {
+		tb.nextRegister += e.regThreshold
+	}
+	if ready && e.register(tb) {
+		e.optimizeWave()
 	}
 }
 
@@ -711,8 +764,8 @@ func (e *Engine) optimizeWave() {
 		if tb := e.lookup(entryAddr); tb != nil && tb.regionEntry == nil {
 			tb.regionEntry = rt
 		}
-		if e.cfg.Perf != nil {
-			e.cfg.Perf.ChargeOptimize(instTotal)
+		if e.perf != nil {
+			e.perf.ChargeOptimize(instTotal)
 		}
 		e.regions = append(e.regions, r)
 	}
@@ -754,8 +807,8 @@ func (e *Engine) leaveRegion(completed bool) {
 	} else {
 		e.stats.RegionSideExits++
 		rt.sideExits++
-		if e.cfg.Perf != nil {
-			e.cfg.Perf.ChargeSideExit()
+		if e.perf != nil {
+			e.perf.ChargeSideExit()
 		}
 	}
 	e.curRegion = nil

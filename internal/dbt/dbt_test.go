@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -335,8 +336,31 @@ func TestOptimizedRunFasterThanNeverOptimized(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	img := buildLooper(t, 10, 100)
-	if _, err := New(img, interp.NewUniformTape("x"), Config{Optimize: true}); err == nil {
-		t.Fatal("New accepted Optimize without Threshold")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want []string // substrings the error must name
+	}{
+		{"optimize without threshold", Config{Optimize: true}, []string{"Optimize", "Threshold"}},
+		{"adaptive sampled", Config{Optimize: true, Threshold: 8, Adaptive: true, SamplePeriod: 4},
+			[]string{"Adaptive", "SamplePeriod 4"}},
+		{"continuous trips sampled", Config{Optimize: true, Threshold: 8, ContinuousTripCount: true, SamplePeriod: 2},
+			[]string{"ContinuousTripCount", "SamplePeriod 2"}},
+	} {
+		_, err := New(img, interp.NewUniformTape("x"), c.cfg)
+		if err == nil {
+			t.Errorf("%s: New accepted the config", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, w)
+			}
+		}
+	}
+	// Period 1 is full instrumentation, which keeps the cursor.
+	if _, err := New(img, interp.NewUniformTape("x"), Config{Optimize: true, Threshold: 8, Adaptive: true, ContinuousTripCount: true, SamplePeriod: 1}); err != nil {
+		t.Fatalf("New rejected a period-1 adaptive config: %v", err)
 	}
 }
 

@@ -22,14 +22,16 @@ import (
 //     tested) to be result-equivalent to the lowered fast path.
 //
 // Perf participates only through its Params — the accumulator itself is
-// an output channel, but its coefficients determine the Cycles value.
+// an output channel, but its coefficients determine the Cycles value. A
+// sampled run (SamplePeriod > 1) runs no cycle model, so it renders
+// perf=off whatever Perf holds.
 func (c Config) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "input=%s;t=%d;opt=%t;pool=%d;reg2=%t;nofreeze=%t",
 		c.Input, c.Threshold, c.Optimize, c.PoolTrigger, c.RegisterTwice, c.DisableFreeze)
 	fmt.Fprintf(&b, ";region=%g,%d,%d,%t",
 		c.Region.MinProb, c.Region.MaxBlocks, c.Region.MinUse, c.Region.Diamonds)
-	if c.Perf != nil {
+	if c.Perf != nil && c.SamplePeriod <= 1 {
 		p := c.Perf.Params()
 		fmt.Fprintf(&b, ";perf=%g,%g,%g,%g,%g,%g,%g",
 			p.ColdPerInst, p.OptPerInst, p.QuickFactor, p.ProfOverhead,

@@ -124,19 +124,98 @@ func TestFollowerStatsMatchSerialCallHeavy(t *testing.T) {
 	}
 }
 
+// sampledPeriods are the periods the sampled-follower tests sweep: 4
+// and 16 as the study runs them, odd periods whose sampled positions
+// drift against the batch boundaries, and 5000, larger than replayBatch,
+// so whole batches pass without a sampled event.
+var sampledPeriods = []uint64{3, 4, 7, 16, 5000}
+
+// sampledAt reports whether the engine's k-th block event (0-indexed)
+// is a sampled one: the stride samples events phase, phase+P, and so on.
+func sampledAt(cfg Config, k uint64) bool {
+	phase := samplePhase(cfg)
+	return k >= phase && (k-phase)%cfg.SamplePeriod == 0
+}
+
 // TestFollowerStatsMatchSerialSampledLadder: a ladder at full
-// instrumentation and at sample periods 4 and 16.
+// instrumentation and at every sampled period. Threshold 1 gives the
+// region former a MinUse of 0, so a wave also absorbs blocks that are
+// translated but not yet profiled: a strided follower that translated a
+// first occurrence late (or early) would form different regions. With
+// a pool trigger of 1 the wave runs at the very step that first reaches
+// a block. The guest halts mid-batch, between the sampled positions of
+// some periods.
 func TestFollowerStatsMatchSerialSampledLadder(t *testing.T) {
 	img := buildBranchHeavy(t, 3000)
 	var cfgs []Config
 	cfgs = append(cfgs, Config{Input: "ref", Optimize: false})
-	for _, p := range []uint64{0, 4, 16} {
-		for _, th := range []uint64{8, 64, 512} {
+	for _, p := range append([]uint64{0}, sampledPeriods...) {
+		for _, th := range []uint64{1, 8, 64, 512} {
 			cfgs = append(cfgs, Config{Input: "ref", Optimize: true, Threshold: th, RegisterTwice: true,
 				SamplePeriod: p, SampleSeed: 3})
 		}
+		cfgs = append(cfgs, Config{Input: "ref", Optimize: true, Threshold: 1, PoolTrigger: 1, RegisterTwice: true,
+			SamplePeriod: p, SampleSeed: 3})
 	}
-	checkFollowersMatchSerial(t, img, "follow-sampled", cfgs)
+	engines := checkFollowersMatchSerial(t, img, "follow-sampled", cfgs)
+	blocks := engines[0].stats.BlocksExecuted
+	if blocks < 3*replayBatch || blocks%replayBatch == 0 {
+		t.Fatalf("guest ran %d blocks; want several batches and a halt mid-batch", blocks)
+	}
+	unsampledHalt := false
+	for _, cfg := range cfgs {
+		if cfg.SamplePeriod > 1 && !sampledAt(cfg, blocks-1) {
+			unsampledHalt = true
+		}
+	}
+	if !unsampledHalt {
+		t.Fatal("every period samples the halting block; the case does not test a halt between sampled positions")
+	}
+}
+
+// TestSampledFollowerStopsMatchSerial: a TrapAfter or MaxBlockExecs stop
+// that lands between two sampled positions of a later batch stops a
+// sampled follower behind a full driver exactly where its serial run
+// stops: same error, and the same snapshot and statistics up to the
+// stop.
+func TestSampledFollowerStopsMatchSerial(t *testing.T) {
+	img := buildBranchHeavy(t, 3000)
+	for _, p := range []uint64{3, 7, 5000} {
+		cfg := Config{Input: "ref", Optimize: true, Threshold: 8, RegisterTwice: true, SamplePeriod: p, SampleSeed: 3}
+		// k is the stopped block's index: half a period past a sampled
+		// event, beyond the first batch.
+		k := samplePhase(cfg) + p/2
+		for k <= replayBatch+p {
+			k += p
+		}
+		if sampledAt(cfg, k) || sampledAt(cfg, k+1) {
+			t.Fatalf("period %d: stop at %d is not between sampled positions", p, k)
+		}
+		trap, budget := cfg, cfg
+		trap.TrapAfter = k + 1
+		budget.MaxBlockExecs = k
+		for _, stopCfg := range []Config{trap, budget} {
+			cfgs := withPerf([]Config{{Input: "ref"}, stopCfg})
+			engines, err := runEngines(img, interp.NewUniformTape("follow-stop"), cfgs, nil)
+			serial, nerr := New(img, interp.NewUniformTape("follow-stop"), withPerf(cfgs[1:])[0])
+			if nerr != nil {
+				t.Fatal(nerr)
+			}
+			_, _, serr := serial.Run()
+			if err == nil || serr == nil || err.Error() != serr.Error() {
+				t.Fatalf("period %d: follower error %v, serial %v", p, err, serr)
+			}
+			gotSnap, gotStats, _ := engines[1].finish()
+			wantSnap, wantStats, _ := serial.finish()
+			if gotStats.BlocksExecuted != k+1 {
+				t.Fatalf("period %d: stopped after %d blocks, want %d", p, gotStats.BlocksExecuted, k+1)
+			}
+			if !reflect.DeepEqual(gotStats, wantStats) {
+				t.Errorf("period %d: stats differ from serial\n got: %+v\nwant: %+v", p, gotStats, wantStats)
+			}
+			snapEqual(t, "period "+itoa(int32(p)), gotSnap, wantSnap)
+		}
+	}
 }
 
 // TestFollowersKeepNoCodeOrChains: after a shared-trace run every

@@ -10,7 +10,8 @@
 // Every engine profiles through one method, step (dbt.go), which two
 // loops call once per block: fillBatch executes the guest and steps its
 // own context inline (the serial Run, and RunMulti's driver), and
-// drainBatch replays a recorded batch through a follower. Each follower
+// drainBatch replays a recorded batch through a follower (a sampled
+// follower runs only step's sampled-event body; see below). Each follower
 // keeps its own code cache, counters, region former and perf
 // accumulator, so its snapshot, statistics and cycle totals are
 // bit-for-bit what a serial Run with the same Config would have
@@ -22,8 +23,9 @@
 // Replay is batched: the driver records (nextPC, halted) outcomes into
 // a fixed buffer of replayBatch entries, together with the batch's sums
 // that depend on the trace alone — instructions, lowered-block
-// dispatches and successor probes — so no context recomputes them per
-// block. Each follower then drains the whole batch in one tight loop.
+// dispatches and successor probes — and the positions where the trace
+// first reaches each block, so no context recomputes them per block.
+// Each follower then drains the whole batch in one tight loop.
 // Nothing observable changes versus per-block interleaving: counters,
 // wave timing and interrupt-poll cadence are all driven by each engine's
 // own block count. What changes is locality: one follower's caches,
@@ -33,6 +35,16 @@
 // returns the error of the configuration that stops first in the trace
 // (the lowest index on a tie): exactly what that configuration's serial
 // run returns.
+//
+// A sampled follower (SamplePeriod > 1) drains a batch strided. A
+// sampled engine keeps no cycle model and no region cursor, so between
+// two sampled events its state changes only by the stride countdown,
+// which is arithmetic, and by the translation of blocks the trace
+// reaches for the first time, which a wave's region former can see. The
+// follower visits only its sampled positions and, before each,
+// translates the first occurrences recorded before it: every wave then
+// sees the code cache a serial run's would, and a sampled context costs
+// about 1/P of a full one.
 package dbt
 
 import (
@@ -55,14 +67,23 @@ type outcome struct {
 	halted bool
 }
 
+// firstUse is one first occurrence of a block in the trace: the batch
+// position of the outcome whose nextPC reached the untranslated block
+// at pc. Every engine translates that block right after stepping that
+// position, so the list is the same for all of them.
+type firstUse struct {
+	pos, pc int32
+}
+
 // batch is one stretch of the shared trace as fillBatch recorded it:
-// the outcomes, plus the sums every context takes whole instead of
-// recomputing them per block. All three depend on the trace alone:
-// instructions and lowered-block dispatches on the executed blocks, and
-// the successor probes on chaining, which a serial run of any config
-// does identically over these blocks.
+// the outcomes and first occurrences, plus the sums every context takes
+// whole instead of recomputing them per block. All of them depend on
+// the trace alone: instructions and lowered-block dispatches on the
+// executed blocks, and the successor probes on chaining, which a serial
+// run of any config does identically over these blocks.
 type batch struct {
 	outs                           []outcome
+	firsts                         []firstUse
 	instructions, lowered, lookups uint64
 }
 
@@ -100,7 +121,8 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 
 // runEngines builds one engine per configuration, the first as driver
 // and the rest as followers, and runs them over the shared trace to the
-// guest's halt.
+// guest's halt. On a stop error it still returns the engines, each as
+// far as it got.
 func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []TraceObserver) ([]*Engine, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("dbt: RunMulti needs at least one config")
@@ -157,18 +179,18 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 			}
 		}
 		if stopErr != nil {
-			return nil, stopErr
+			return engines, stopErr
 		}
 	}
 	return engines, nil
 }
 
-// fillBatch executes the guest, recording outcomes into outs, until
-// outs is full, the guest halts (e.halted), or the engine stops with an
-// error. Per block it executes, resolves the successor through its
-// chain and steps the engine's own profiling. Both the serial Run loop
-// and RunMulti's driver use it; the serial caller just discards the
-// recorded batch.
+// fillBatch executes the guest, recording outcomes into outs and the
+// blocks it translates into e.firsts, until outs is full, the guest
+// halts (e.halted), or the engine stops with an error. Per block it
+// executes, resolves the successor through its chain and steps the
+// engine's own profiling. Both the serial Run loop and RunMulti's driver
+// use it; the serial caller just discards the recorded batch.
 func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 	limit := uint64(cap(outs))
 	stop := e.batchStop(limit)
@@ -179,6 +201,7 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 		poll = interruptCheckMask + 1 - e.stats.BlocksExecuted&interruptCheckMask
 	}
 	var instr, lowered, lookups uint64
+	e.firsts = e.firsts[:0]
 	fastPath := e.fastPath
 	cache := e.cache
 	cur := e.cur
@@ -244,6 +267,7 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 			break
 		}
 		if next == nil {
+			e.firsts = append(e.firsts, firstUse{pos: int32(n - 1), pc: int32(nextPC)})
 			if next, err = e.translate(nextPC); err != nil {
 				break
 			}
@@ -251,7 +275,7 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 		}
 		cur = next
 	}
-	b := batch{outs: outs, instructions: instr, lowered: lowered, lookups: lookups}
+	b := batch{outs: outs, firsts: e.firsts, instructions: instr, lowered: lowered, lookups: lookups}
 	return b, e.endBatch(cur, &b, n, n == stop && stop < limit, err)
 }
 
@@ -263,6 +287,9 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 // run's chain hit always names that same block (blocks are never
 // replaced) and its miss is a lookup of it, so no chain state is kept.
 func (e *Engine) drainBatch(b *batch) error {
+	if e.samplePeriod > 1 {
+		return e.drainSampled(b)
+	}
 	limit := uint64(len(b.outs))
 	stop := e.batchStop(limit)
 	cache := e.cache
@@ -291,6 +318,70 @@ func (e *Engine) drainBatch(b *batch) error {
 			}
 		}
 		cur = next
+	}
+	return e.endBatch(cur, b, n, n == stop && stop < limit, err)
+}
+
+// drainSampled is drainBatch for a sampled follower: it visits only the
+// positions its stride samples, gap-1, gap-1+P, and so on, where gap is
+// the countdown carried over from the previous batch. That is exact
+// because a sampled engine's step changes nothing on an unsampled event
+// but the countdown (no cycle model, no region cursor), and the
+// countdown after n events is arithmetic. The one other thing a serial
+// run does between sampled events is translate the blocks the trace
+// reaches for the first time, and a wave's region former sees the
+// translated set through Info. So before each visited position the
+// follower translates the batch's first occurrences recorded before
+// it, and every wave sees the code cache a serial run's would. The
+// budget, trap, halt and error stops are the same batchStop and
+// endBatch arithmetic as drainBatch.
+func (e *Engine) drainSampled(b *batch) error {
+	limit := uint64(len(b.outs))
+	stop := e.batchStop(limit)
+	outs, firsts, cache, cur := b.outs, b.firsts, e.cache, e.cur
+	// at returns the block at batch position i: the entry cursor, or the
+	// block the previous outcome reached (translated by then).
+	at := func(i uint64) *tblock {
+		if i == 0 {
+			return cur
+		}
+		return cache[outs[i-1].nextPC]
+	}
+	period, gap := e.samplePeriod, e.sampleGap
+	n, f := stop, 0
+	var err error
+	// i is the next sampled position; it saturates at stop, where the
+	// loop translates the batch's remaining first occurrences and ends.
+	for i := gap - 1; ; i += min(period, stop-i) {
+		end := min(i, stop)
+		for ; f < len(firsts) && uint64(firsts[f].pos) < end; f++ {
+			if _, err = e.translate(int(firsts[f].pc)); err != nil {
+				// A serial run stops after stepping the failing position.
+				n = uint64(firsts[f].pos) + 1
+				break
+			}
+		}
+		if err != nil || i >= stop {
+			break
+		}
+		if tb := at(i); e.sampledEvent(tb, !tb.hasBranch || int(outs[i].nextPC) == tb.takenTarget) {
+			e.registration(tb)
+		}
+	}
+	switch {
+	case err != nil:
+	case n > 0 && n == limit && outs[n-1].halted:
+		// A halt is always the batch's final entry; the halting block
+		// stays the cursor.
+		e.halted = true
+		cur = at(n - 1)
+	default:
+		cur = at(n)
+	}
+	if n < gap {
+		e.sampleGap = gap - n
+	} else {
+		e.sampleGap = period - (n-gap)%period
 	}
 	return e.endBatch(cur, b, n, n == stop && stop < limit, err)
 }

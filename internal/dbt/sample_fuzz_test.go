@@ -170,12 +170,28 @@ func checkSampledReplay(t *testing.T, data []byte, period uint64) {
 	optSampled := optFull
 	optSampled.SamplePeriod = period
 	fe, _, ferr := runSampled(t, img, optFull)
-	se, _, serr := runSampled(t, img, optSampled)
+	se, sSnap, serr := runSampled(t, img, optSampled)
 	if ferr != serr {
 		t.Fatalf("optimized fault mismatch: full %q, sampled %q\nprogram:\n%s", ferr, serr, img.Disassemble())
 	}
 	if fs, ss := fe.State(), se.State(); fs.Regs != ss.Regs || !reflect.DeepEqual(fs.Mem, ss.Mem) {
 		t.Fatalf("optimized architectural state diverged under sampling\nprogram:\n%s", img.Disassemble())
+	}
+
+	// The strided replay: the optimized sampled config as a follower
+	// behind the full driver reports exactly its serial run.
+	snaps, statss, err := RunMulti(img, interp.NewUniformTape("fuzz/ref"), []Config{optFull, optSampled})
+	if errString(err) != serr {
+		t.Fatalf("sampled follower error %q, serial %q\nprogram:\n%s", errString(err), serr, img.Disassemble())
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(*statss[1], se.stats) {
+		t.Fatalf("sampled follower stats differ from serial\n got: %+v\nwant: %+v\nprogram:\n%s", *statss[1], se.stats, img.Disassemble())
+	}
+	if !reflect.DeepEqual(snaps[1], sSnap) {
+		t.Fatalf("sampled follower snapshot differs from serial\nprogram:\n%s", img.Disassemble())
 	}
 }
 

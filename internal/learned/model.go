@@ -91,7 +91,7 @@ func sigmoid(z float64) float64 {
 func dot(w, x []float64) float64 {
 	var z float64
 	for j := range w {
-		z += w[j] * x[j]
+		z += float64(w[j] * x[j])
 	}
 	return z
 }
@@ -128,14 +128,14 @@ func trainLogReg(cfg Config, ex []example) *LogReg {
 			e := &ex[i]
 			g := (sigmoid(dot(w, e.x)) - e.y) * e.w
 			for j := range grad {
-				grad[j] += g * e.x[j]
+				grad[j] += float64(g * e.x[j])
 			}
 		}
 		inv := cfg.LearnRate / totalW
 		for j := range w {
-			p := grad[j] * inv
+			p := float64(grad[j] * inv)
 			if j > 0 { // no ridge on the bias
-				p += cfg.LearnRate * cfg.L2 * w[j]
+				p += float64(cfg.LearnRate * cfg.L2 * w[j])
 			}
 			w[j] -= p
 		}
@@ -200,8 +200,8 @@ func (m mass) score() float64 {
 func nodeMass(ex []example) mass {
 	var m mass
 	for i := range ex {
-		m.wT += ex[i].w * ex[i].y
-		m.wN += ex[i].w * (1 - ex[i].y)
+		m.wT += float64(ex[i].w * ex[i].y)
+		m.wN += float64(ex[i].w * (1 - ex[i].y))
 	}
 	return m
 }
@@ -241,10 +241,10 @@ func (t *Tree) build(ex []example, depth int) *TreeNode {
 		right := m
 		for k := 0; k+1 < len(order); k++ {
 			e := &ex[order[k]]
-			left.wT += e.w * e.y
-			left.wN += e.w * (1 - e.y)
-			right.wT -= e.w * e.y
-			right.wN -= e.w * (1 - e.y)
+			left.wT += float64(e.w * e.y)
+			left.wN += float64(e.w * (1 - e.y))
+			right.wT -= float64(e.w * e.y)
+			right.wN -= float64(e.w * (1 - e.y))
 			v, next := e.x[f], ex[order[k+1]].x[f]
 			if v == next {
 				continue

@@ -60,7 +60,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		s := 0.0
 		for j, a := range row {
-			s += a * x[j]
+			s += float64(a * x[j])
 		}
 		y[i] = s
 	}
@@ -110,16 +110,16 @@ func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 			}
 			m.Set(r, col, 0)
 			for j := col + 1; j < n; j++ {
-				m.Add(r, j, -factor*m.At(col, j))
+				m.Add(r, j, float64(-factor*m.At(col, j)))
 			}
-			x[r] -= factor * x[col]
+			x[r] -= float64(factor * x[col])
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			s -= float64(m.At(i, j) * x[j])
 		}
 		x[i] = s / m.At(i, i)
 		if !finite(x[i]) {
@@ -179,7 +179,7 @@ func (s *Sparse) MulVec(x []float64) []float64 {
 	for i, row := range s.rows {
 		sum := 0.0
 		for _, e := range row {
-			sum += e.val * x[e.col]
+			sum += float64(e.val * x[e.col])
 		}
 		y[i] = sum
 	}
@@ -241,7 +241,7 @@ func SolveGaussSeidel(a *Sparse, b []float64, opts GaussSeidelOptions) ([]float6
 			sum := b[i]
 			for _, e := range row {
 				if e.col != i {
-					sum -= e.val * x[e.col]
+					sum -= float64(e.val * x[e.col])
 				}
 			}
 			next := sum / diag[i]

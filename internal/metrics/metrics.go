@@ -31,7 +31,7 @@ func WeightedSD(items []Item) float64 {
 	var num, den float64
 	for _, it := range items {
 		d := it.Pred - it.Avg
-		num += d * d * it.W
+		num += float64(d * d * it.W)
 		den += it.W
 	}
 	if den == 0 {

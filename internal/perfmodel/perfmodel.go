@@ -89,7 +89,7 @@ func (a *Accumulator) Params() Params { return a.p }
 // ChargeTranslate records the one-time quick translation of a block of n
 // instructions.
 func (a *Accumulator) ChargeTranslate(n int) {
-	c := a.p.ColdPerInst * float64(n)
+	c := float64(a.p.ColdPerInst * float64(n))
 	a.TranslateCycles += c
 	a.Cycles += c
 }
@@ -97,7 +97,7 @@ func (a *Accumulator) ChargeTranslate(n int) {
 // ChargeOptimize records the one-time optimization of a region totalling
 // n instructions.
 func (a *Accumulator) ChargeOptimize(n int) {
-	c := a.p.OptPerInst * float64(n)
+	c := float64(a.p.OptPerInst * float64(n))
 	a.OptimizeCycles += c
 	a.Cycles += c
 }
@@ -105,27 +105,16 @@ func (a *Accumulator) ChargeOptimize(n int) {
 // ChargeQuickBlock records one execution of a profiling-mode block whose
 // instructions sum to cost guest cycles.
 func (a *Accumulator) ChargeQuickBlock(cost int) {
-	q := a.p.QuickFactor * float64(cost)
+	q := float64(a.p.QuickFactor * float64(cost))
 	a.QuickCycles += q
 	a.ProfileCycles += a.p.ProfOverhead
 	a.Cycles += q + a.p.ProfOverhead
 }
 
-// ChargeQuickBlockUnprofiled records one execution of a profiling-mode
-// block on an event the sampled-profiling stride skipped: the quick
-// translation still runs at QuickFactor, but no counter update happens,
-// so the per-execution ProfOverhead is not paid. This is the cost side
-// of the sampling frontier (dbt.Config.SamplePeriod).
-func (a *Accumulator) ChargeQuickBlockUnprofiled(cost int) {
-	q := a.p.QuickFactor * float64(cost)
-	a.QuickCycles += q
-	a.Cycles += q
-}
-
 // ChargeOptimizedBlock records one execution of an optimized block on
 // its region's expected path.
 func (a *Accumulator) ChargeOptimizedBlock(cost int) {
-	c := a.p.OptFactor * float64(cost)
+	c := float64(a.p.OptFactor * float64(cost))
 	a.OptimizedCycles += c
 	a.Cycles += c
 }
@@ -133,7 +122,7 @@ func (a *Accumulator) ChargeOptimizedBlock(cost int) {
 // ChargeOffTraceBlock records one execution of a retranslated block
 // outside any region context.
 func (a *Accumulator) ChargeOffTraceBlock(cost int) {
-	c := a.p.OffTraceFactor * float64(cost)
+	c := float64(a.p.OffTraceFactor * float64(cost))
 	a.OffTraceCycles += c
 	a.Cycles += c
 }

@@ -25,7 +25,7 @@ const (
 // scaleCount converts a paper-unit count to an effective count at the
 // given scale, never below 1.
 func scaleCount(x, scale float64) int32 {
-	v := x * scale
+	v := float64(x * scale)
 	if v < 1 {
 		return 1
 	}
@@ -38,7 +38,7 @@ func scaleCount(x, scale float64) int32 {
 
 // probParam converts a probability to the tape-comparison constant.
 func probParam(p float64) uint32 {
-	v := int(p*interp.ProbScale + 0.5)
+	v := int(float64(p*interp.ProbScale) + 0.5)
 	if v < 0 {
 		v = 0
 	}

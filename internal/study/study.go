@@ -228,7 +228,7 @@ func (c *Config) Validate() error {
 // EffectiveThreshold converts a paper-unit threshold to the scaled value
 // actually passed to the translator (minimum 1).
 func EffectiveThreshold(paperT, scale float64) uint64 {
-	v := paperT * scale
+	v := float64(paperT * scale)
 	if v < 1 {
 		return 1
 	}
