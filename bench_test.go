@@ -345,36 +345,24 @@ func BenchmarkEndToEndBenchmark(b *testing.B) {
 }
 
 // BenchmarkTranslatorThroughput measures raw translator block execution
-// speed (no optimization), the simulator substrate's cost driver, with
-// the pre-lowered fast path on (the default) and off (every block
-// dispatched through interp.Exec).
+// speed (no optimization), the simulator substrate's cost driver.
 func BenchmarkTranslatorThroughput(b *testing.B) {
 	bench := spec.ByName("swim")
 	img, _, err := bench.Build("ref", benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fast", false}, {"generic", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var instrs uint64
-			for i := 0; i < b.N; i++ {
-				_, stats, err := dbt.Run(img, interp.NewUniformTape("swim/ref"), dbt.Config{
-					Optimize:        false,
-					DisableFastPath: mode.disable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += stats.Instructions
-			}
-			b.StopTimer()
-			if b.Elapsed() > 0 {
-				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-			}
-		})
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		_, stats, err := dbt.Run(img, interp.NewUniformTape("swim/ref"), dbt.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += stats.Instructions
+	}
+	b.StopTimer()
+	if b.Elapsed() > 0 {
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 	}
 }
 

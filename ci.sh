@@ -278,13 +278,13 @@ echo "== perf smoke =="
 # Hot-loop throughput gate against the committed floors in
 # BENCH_floor.json (see its comment for how the baselines were chosen:
 # far enough under a healthy measurement to absorb machine variance,
-# far enough over the generic-dispatch fallback that losing the arena
-# fast path trips the gate). The microbenchmarks run without -race —
-# race instrumentation would measure the instrumentation, not the loop.
+# high enough that a 2x hot-loop regression trips the gate). The
+# microbenchmarks run without -race — race instrumentation would
+# measure the instrumentation, not the loop.
 frac=$(sed -n 's/.*"max_regression_frac": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
 micro_base=$(sed -n 's/.*"exec_block_loop_heavy_blocks_per_sec": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
 study_base=$(sed -n 's/.*"study_race_scale001_blocks_per_sec": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
-go test -run='^$' -bench 'BenchmarkExecBlock|BenchmarkExecGeneric|BenchmarkRunMulti' \
+go test -run='^$' -bench 'BenchmarkExecBlock|BenchmarkRunMulti' \
     -benchtime=0.3s ./internal/dbt/ > "$tmpdir/bench.txt"
 # Predictor observers ride the same trace; one pass of their benchmark
 # keeps it building and running (no floor: BENCH_floor.json gates dbt).
@@ -441,6 +441,7 @@ go test -run='^$' -fuzz='^FuzzImageLoad$' -fuzztime=10s ./internal/guest/
 go test -run='^$' -fuzz='^FuzzFaultSpec$' -fuzztime=10s ./internal/faultinject/
 go test -run='^$' -fuzz='^FuzzFlowSolve$' -fuzztime=10s ./internal/markov/
 go test -run='^$' -fuzz='^FuzzNormalize$' -fuzztime=10s ./internal/navep/
+go test -run='^$' -fuzz='^FuzzRegionProb$' -fuzztime=10s ./internal/region/
 go test -run='^$' -fuzz='^FuzzExecPaths$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzPredictReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSampledReplay$' -fuzztime=10s ./internal/dbt/

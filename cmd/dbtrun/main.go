@@ -134,8 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ev := obs.Event{Bench: img.Name, Unit: obs.UnitRun, T: *threshold}
 		if err == nil {
 			ev.Blocks = runStats.BlocksExecuted
-			ev.Fast = runStats.FastDispatches
-			ev.Generic = runStats.GenericDispatches
 			ev.Lookups = runStats.CacheLookups
 		}
 		rec.RecordEvent(ev, start, time.Since(start), err)
@@ -187,8 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "region entries:     %d (completions %d, loop-backs %d, side exits %d)\n",
 			runStats.RegionEntries, runStats.RegionCompletions, runStats.RegionLoopBacks, runStats.RegionSideExits)
-		fmt.Fprintf(stdout, "dispatches:         %d fast, %d generic (%d cache lookups)\n",
-			runStats.FastDispatches, runStats.GenericDispatches, runStats.CacheLookups)
+		fmt.Fprintf(stdout, "cache lookups:      %d\n", runStats.CacheLookups)
 		fmt.Fprintf(stdout, "interrupt polls:    %d\n", runStats.InterruptPolls)
 		if runStats.FreezeEvents > 0 {
 			fmt.Fprintf(stdout, "freeze events:      %d\n", runStats.FreezeEvents)

@@ -19,7 +19,7 @@ func TestSmokeRunWithTrace(t *testing.T) {
 	if code := run(args, &stdout, new(bytes.Buffer)); code != 0 {
 		t.Fatalf("run exited %d:\n%s", code, stdout.String())
 	}
-	for _, want := range []string{"blocks executed:", "retranslations:", "dispatches:", "interrupt polls:"} {
+	for _, want := range []string{"blocks executed:", "retranslations:", "cache lookups:", "interrupt polls:"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Fatalf("-stats output missing %q:\n%s", want, stdout.String())
 		}

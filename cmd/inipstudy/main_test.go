@@ -69,12 +69,8 @@ func TestSmokeFigurePipeline(t *testing.T) {
 		t.Fatalf("benchjson header wrong: %+v", rep)
 	}
 	if rep.BlocksExecuted == 0 || rep.Translations == 0 || rep.CacheLookups == 0 ||
-		rep.FastDispatches == 0 || rep.InterruptPolls == 0 {
+		rep.InterruptPolls == 0 {
 		t.Fatalf("benchjson counters empty: %+v", rep)
-	}
-	if rep.FastDispatches+rep.GenericDispatches != rep.BlocksExecuted {
-		t.Fatalf("dispatch split %d+%d != %d blocks",
-			rep.FastDispatches, rep.GenericDispatches, rep.BlocksExecuted)
 	}
 	if rep.TraceEventsDropped != 0 {
 		t.Fatalf("tiny-scale run dropped %d trace events", rep.TraceEventsDropped)
@@ -132,7 +128,7 @@ func TestSmokeFigurePipeline(t *testing.T) {
 		t.Fatalf("-tracesum exited %d", code)
 	}
 	for _, want := range []string{"phase", "build", "compare", "worker occupancy",
-		"hot loop", "blocks/s", "dispatch", "cache lookups"} {
+		"hot loop", "blocks/s", "cache lookups"} {
 		if !strings.Contains(sum.String(), want) {
 			t.Fatalf("-tracesum output missing %q:\n%s", want, sum.String())
 		}

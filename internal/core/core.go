@@ -177,8 +177,6 @@ type Timing struct {
 	OptimizationWaves atomic.Int64
 	RegionsFormed     atomic.Int64
 	RegionsDissolved  atomic.Int64
-	FastDispatches    atomic.Uint64
-	GenericDispatches atomic.Uint64
 	CacheLookups      atomic.Uint64
 	InterruptPolls    atomic.Uint64
 	FreezeEvents      atomic.Uint64
@@ -192,8 +190,6 @@ func (t *Timing) AddRunStats(st *dbt.RunStats) {
 	t.OptimizationWaves.Add(int64(st.OptimizationWaves))
 	t.RegionsFormed.Add(int64(st.RegionsFormed))
 	t.RegionsDissolved.Add(int64(st.RegionsDissolved))
-	t.FastDispatches.Add(st.FastDispatches)
-	t.GenericDispatches.Add(st.GenericDispatches)
 	t.CacheLookups.Add(st.CacheLookups)
 	t.InterruptPolls.Add(st.InterruptPolls)
 	t.FreezeEvents.Add(st.FreezeEvents)
@@ -267,7 +263,7 @@ type BenchmarkResult struct {
 	// Predictors holds one accuracy tally per requested dynamic
 	// predictor, in Options.Predictors order. The branch stream is the
 	// reference trace, so the tallies are threshold-independent and
-	// identical across worker counts and dispatch paths.
+	// identical across worker counts.
 	Predictors []predict.Result
 	// Sampling holds one rerun ladder per requested sampled-profiling
 	// period, in Options.SamplePeriods order. Nil when no periods were
@@ -276,7 +272,7 @@ type BenchmarkResult struct {
 	// Learned is the learned-predictor collection (static site features
 	// + reference-trace tallies), present when Options.Learned was set.
 	// Like Predictors it is threshold-independent and bit-identical
-	// across worker counts, cache state and dispatch paths.
+	// across worker counts and cache state.
 	Learned *learned.BenchData
 	// Failures lists the units that failed permanently under the Degrade
 	// policy, in completion order (callers that need a stable order sort
@@ -287,7 +283,7 @@ type BenchmarkResult struct {
 
 // dbtConfig is the translator configuration of every run: the paper's
 // IA32EL setup (default pool trigger, register-twice retranslation,
-// counter freezing, no block budget) with the cycle model on.
+// counter freezing, no trap) with the cycle model on.
 func dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
 	return dbt.Config{
 		Input:         input,
@@ -433,14 +429,11 @@ func (b *benchRun) record(unit string, threshold uint64, worker int, start time.
 
 // recordRun is record for executed run spans: the engines' hot-loop
 // counters ride along in the trace event, so -tracesum can report
-// blocks/s, the dispatch split and the cache-lookup rate from the trace
-// alone.
+// blocks/s and the cache-lookup rate from the trace alone.
 func (b *benchRun) recordRun(unit string, threshold uint64, worker int, start time.Time, stats ...*dbt.RunStats) {
 	var ev obs.Event
 	for _, st := range stats {
 		ev.Blocks += st.BlocksExecuted
-		ev.Fast += st.FastDispatches
-		ev.Generic += st.GenericDispatches
 		ev.Lookups += st.CacheLookups
 	}
 	b.recordEv(unit, threshold, worker, start, ev, nil)

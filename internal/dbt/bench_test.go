@@ -8,9 +8,8 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// Hot-loop microbenchmarks: the block dispatch paths (arena fast path
-// vs generic interp.Exec) and RunMulti's batched follower replay, over
-// two guest shapes — loop-heavy (long straight-line bodies, dispatch
+// Hot-loop microbenchmarks: block execution through the lowered arena
+// and RunMulti's batched follower replay, over two guest shapes — loop-heavy (long straight-line bodies, dispatch
 // cost amortized over many instructions per block) and branch-heavy
 // (short blocks, dispatch and successor resolution dominate). They make
 // hot-loop wins measurable in seconds instead of a full-suite study:
@@ -93,15 +92,14 @@ leaf:
 	return img
 }
 
-// benchRunOne measures serial Run throughput for one guest and path.
-func benchRunOne(b *testing.B, img *guest.Image, disableFast bool) {
+// benchRunOne measures serial Run throughput for one guest.
+func benchRunOne(b *testing.B, img *guest.Image) {
 	b.ReportAllocs()
 	var blocks uint64
 	for i := 0; i < b.N; i++ {
 		_, stats, err := Run(img, interp.NewUniformTape("bench/ref"), Config{
-			Optimize:        true,
-			Threshold:       4096,
-			DisableFastPath: disableFast,
+			Optimize:  true,
+			Threshold: 4096,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -111,17 +109,11 @@ func benchRunOne(b *testing.B, img *guest.Image, disableFast bool) {
 	b.ReportMetric(float64(blocks)/b.Elapsed().Seconds(), "blocks/s")
 }
 
-// BenchmarkExecBlock exercises the arena fast path (execBlock).
+// BenchmarkExecBlock exercises block execution through the lowered
+// arena (execBlock).
 func BenchmarkExecBlock(b *testing.B) {
-	b.Run("loop_heavy", func(b *testing.B) { benchRunOne(b, buildLoopHeavy(b, 200_000), false) })
-	b.Run("branch_heavy", func(b *testing.B) { benchRunOne(b, buildBranchHeavy(b, 100_000), false) })
-}
-
-// BenchmarkExecGeneric forces the generic interp.Exec dispatch
-// (DisableFastPath), the reference the fast path is measured against.
-func BenchmarkExecGeneric(b *testing.B) {
-	b.Run("loop_heavy", func(b *testing.B) { benchRunOne(b, buildLoopHeavy(b, 200_000), true) })
-	b.Run("branch_heavy", func(b *testing.B) { benchRunOne(b, buildBranchHeavy(b, 100_000), true) })
+	b.Run("loop_heavy", func(b *testing.B) { benchRunOne(b, buildLoopHeavy(b, 200_000)) })
+	b.Run("branch_heavy", func(b *testing.B) { benchRunOne(b, buildBranchHeavy(b, 100_000)) })
 }
 
 // benchRunMulti measures shared-trace throughput with one driver plus

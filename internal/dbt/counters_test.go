@@ -7,9 +7,9 @@ import (
 )
 
 // TestEngineCounters: the observability counters must be internally
-// consistent — dispatch split sums to the execution volume, freezes and
-// retranslations appear when the optimizer runs, and interrupt
-// checkpoints track the 4096-block cadence.
+// consistent — every block dispatches through the lowered records,
+// freezes and retranslations appear when the optimizer runs, and
+// interrupt checkpoints track the 4096-block cadence.
 func TestEngineCounters(t *testing.T) {
 	img := buildLooper(t, 4000, 2400)
 	cfg := Config{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true}
@@ -18,12 +18,8 @@ func TestEngineCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FastDispatches == 0 {
-		t.Fatal("fast path never dispatched on a fully lowerable program")
-	}
-	if st.FastDispatches+st.GenericDispatches != st.BlocksExecuted {
-		t.Fatalf("dispatch split %d+%d != %d blocks executed",
-			st.FastDispatches, st.GenericDispatches, st.BlocksExecuted)
+	if st.BlocksExecuted == 0 || st.FastDispatches != st.BlocksExecuted {
+		t.Fatalf("%d lowered dispatches for %d blocks executed", st.FastDispatches, st.BlocksExecuted)
 	}
 	if st.OptimizationWaves == 0 || st.Retranslations == 0 || st.FreezeEvents == 0 {
 		t.Fatalf("optimizer counters empty despite waves: %+v", st)
@@ -39,22 +35,6 @@ func TestEngineCounters(t *testing.T) {
 		t.Fatalf("interrupt polls = %d, want %d for %d blocks",
 			st.InterruptPolls, wantPolls, st.BlocksExecuted)
 	}
-
-	// The generic path books every dispatch on the other side; the
-	// execution volume itself must not change.
-	slow := cfg
-	slow.DisableFastPath = true
-	_, sst, err := Run(img, interp.NewUniformTape("ctr/ref"), slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sst.FastDispatches != 0 {
-		t.Fatalf("DisableFastPath run recorded %d fast dispatches", sst.FastDispatches)
-	}
-	if sst.GenericDispatches != st.BlocksExecuted || sst.BlocksExecuted != st.BlocksExecuted {
-		t.Fatalf("generic run volume differs: %d blocks / %d generic, want %d",
-			sst.BlocksExecuted, sst.GenericDispatches, st.BlocksExecuted)
-	}
 }
 
 // TestCountersMatchAcrossSharedTrace: RunMulti followers must report
@@ -66,7 +46,7 @@ func TestCountersMatchAcrossSharedTrace(t *testing.T) {
 	cfgs := []Config{
 		{Input: "ref", Optimize: false},
 		{Input: "ref", Optimize: true, Threshold: 30, RegisterTwice: true},
-		{Input: "ref", Optimize: true, Threshold: 30, RegisterTwice: true, DisableFastPath: true},
+		{Input: "ref", Optimize: true, Threshold: 30, RegisterTwice: true, Adaptive: true, AdaptiveMinEntries: 8},
 	}
 	_, multi, err := RunMulti(img, interp.NewUniformTape("ctr/m"), cfgs)
 	if err != nil {
@@ -79,7 +59,6 @@ func TestCountersMatchAcrossSharedTrace(t *testing.T) {
 		}
 		m, s := multi[i], serial
 		if m.FastDispatches != s.FastDispatches ||
-			m.GenericDispatches != s.GenericDispatches ||
 			m.CacheLookups != s.CacheLookups ||
 			m.InterruptPolls != s.InterruptPolls ||
 			m.FreezeEvents != s.FreezeEvents ||

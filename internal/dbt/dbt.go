@@ -69,10 +69,6 @@ type Config struct {
 	// run. A sampled run (SamplePeriod > 1) has no cycle model and
 	// leaves it untouched.
 	Perf *perfmodel.Accumulator
-	// MaxBlockExecs aborts the run after this many dynamic block
-	// executions (0 = unlimited). The synthetic benchmarks halt on
-	// their own; this is a safety net.
-	MaxBlockExecs uint64
 
 	// Interrupt, when non-nil, is polled periodically by the run loop;
 	// once it is closed the run stops with ErrInterrupted. The study
@@ -81,27 +77,22 @@ type Config struct {
 	Interrupt <-chan struct{}
 
 	// TrapAfter, when non-zero, aborts the run with an injected guest
-	// trap once this many blocks have executed. It exists for the
-	// deterministic fault-injection harness (internal/faultinject):
-	// every mid-run abort path of the study executor can be forced at
-	// an exact, reproducible point. Production runs leave it zero.
+	// trap at block TrapAfter: the blocks before it execute, it does
+	// not. It is the engine's one block-count stop. The deterministic
+	// fault-injection harness (internal/faultinject) sets it to force
+	// every mid-run abort path of the study executor at an exact,
+	// reproducible point, and tests bound random programs with it.
+	// Production runs leave it zero.
 	TrapAfter uint64
-
-	// DisableFastPath forces block execution through the generic
-	// interp.Exec dispatch instead of the pre-lowered records. It exists
-	// for cross-validation (the equivalence tests run both paths) and
-	// debugging; production runs leave it off.
-	DisableFastPath bool
 
 	// Adaptive enables the paper's section-5 proposal of monitoring
 	// region side exits: a region whose side-exit rate exceeds
-	// AdaptiveSideExitRate (after at least AdaptiveMinEntries entries)
+	// adaptiveSideExitRate (after at least AdaptiveMinEntries entries)
 	// is dissolved, its blocks resume profiling with fresh counters,
 	// and they may re-register and be re-optimized with phase-current
 	// probabilities.
-	Adaptive             bool
-	AdaptiveSideExitRate float64 // default 0.6
-	AdaptiveMinEntries   uint64  // default 64
+	Adaptive           bool
+	AdaptiveMinEntries uint64 // default 64
 
 	// ContinuousTripCount keeps lightweight loop-back instrumentation
 	// alive inside optimized loop regions (the paper's reference [21]):
@@ -117,10 +108,9 @@ type Config struct {
 	// Threshold acting as the cap for branches that refuse to converge.
 	// Stable branches freeze early (cheap), noisy ones profile longer,
 	// up to the cap. Convergence is checked every convergeCheckEvery
-	// visits once ConvergeMinUse samples have accumulated.
+	// visits once convergeMinUse samples have accumulated.
 	ConvergeRegister bool
 	ConvergeEpsilon  float64 // default 0.02
-	ConvergeMinUse   uint64  // default 32
 
 	// SamplePeriod enables sampled profiling: the use/taken counters of
 	// unfrozen blocks update only on every SamplePeriod-th dynamic block
@@ -137,10 +127,10 @@ type Config struct {
 	// counter updates actually performed — the real profiling cost the
 	// sampling frontier measures. The stride depends only on the
 	// engine's own block-event count, so snapshots are bit-reproducible
-	// across serial runs, shared-trace replay, worker counts, and the
-	// fast/generic dispatch paths. A sampled engine (period > 1) keeps
-	// no cycle model and no region cursor, which lets a shared-trace
-	// follower visit only its sampled events (drainSampled in multi.go).
+	// across serial runs, shared-trace replay and worker counts. A
+	// sampled engine (period > 1) keeps no cycle model and no region
+	// cursor, which lets a shared-trace follower visit only its sampled
+	// events (drainSampled in multi.go).
 	SamplePeriod uint64
 	// SampleSeed seeds the stride's deterministic phase (which of the
 	// first SamplePeriod events is sampled first). The same seed always
@@ -149,9 +139,18 @@ type Config struct {
 	SampleSeed uint64
 }
 
-// convergeCheckEvery bounds how often the convergence test (a sqrt) runs
-// per block.
-const convergeCheckEvery = 32
+const (
+	// convergeCheckEvery bounds how often the convergence test (a sqrt)
+	// runs per block.
+	convergeCheckEvery = 32
+	// convergeMinUse is the sample floor of convergence mode: no block
+	// registers on convergence, or joins a region, before this many
+	// visits.
+	convergeMinUse = 32
+	// adaptiveSideExitRate is the side-exit rate above which the
+	// adaptive mode dissolves a region.
+	adaptiveSideExitRate = 0.6
+)
 
 // tblock is a translated block in the code cache. Field order is
 // deliberate: everything the run loops touch per dynamic execution sits
@@ -194,13 +193,10 @@ type tblock struct {
 	ninsts uint32
 	// id is the block's row in the engine's flat block table (and the
 	// owner of its arena span), assigned when the block is lowered.
+	// Followers lower nothing and leave it 0.
 	id        int32
 	hasBranch bool
 	frozen    bool
-	// lowered is false for blocks the lowerer declined, which then run
-	// through the generic interp.Exec path. Followers build no lowered
-	// code and leave it false.
-	lowered bool
 	// indirect marks jr/ret terminators: the successor is data-driven,
 	// so chaining maintains itab instead of a single edge pointer.
 	indirect bool
@@ -331,12 +327,11 @@ type RunStats struct {
 	// (candidate-pool members; the paper's "retranslation" of a block
 	// into optimized code).
 	Retranslations int
-	// FastDispatches/GenericDispatches split dynamic block executions
-	// by execution path: pre-lowered records vs the generic interp.Exec
-	// dispatch (DisableFastPath, or a block the lowerer declined). They
-	// sum to BlocksExecuted.
-	FastDispatches    uint64
-	GenericDispatches uint64
+	// FastDispatches counts blocks dispatched through the pre-lowered
+	// records, the engine's one execution path, so it always equals
+	// BlocksExecuted. It is kept because the benchmark harness
+	// (bench/inipbench) reads it.
+	FastDispatches uint64
 	// CacheLookups counts translation-cache probes (hot-loop successor
 	// chaining exists precisely to keep this far below BlocksExecuted).
 	CacheLookups uint64
@@ -383,12 +378,10 @@ type Engine struct {
 	// reads (see Run and RunMulti).
 	cur       *tblock
 	halted    bool
-	budget    uint64
 	trapAfter uint64
 	interrupt <-chan struct{}
 	optimize  bool
 	converge  bool
-	fastPath  bool
 	perf      *perfmodel.Accumulator
 
 	// follower marks a shared-trace follower (RunMulti): it never
@@ -454,10 +447,7 @@ func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 		if cfg.ConvergeRegister {
 			// Blocks may freeze long before the cap; gate region
 			// membership on the convergence floor instead.
-			rcfg.MinUse = cfg.ConvergeMinUse
-			if rcfg.MinUse == 0 {
-				rcfg.MinUse = 32
-			}
+			rcfg.MinUse = convergeMinUse
 		}
 	}
 	return &Engine{
@@ -468,12 +458,10 @@ func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 		inPool:       make(map[int]bool),
 		former:       region.NewFormer(rcfg),
 		rts:          make(map[*profile.Region]*regionRT),
-		budget:       cfg.MaxBlockExecs,
 		trapAfter:    cfg.TrapAfter,
 		interrupt:    cfg.Interrupt,
 		optimize:     cfg.Optimize,
 		converge:     cfg.ConvergeRegister,
-		fastPath:     !cfg.DisableFastPath,
 		perf:         perf,
 		samplePeriod: cfg.SamplePeriod,
 		sampleGap:    samplePhase(cfg) + 1,
@@ -567,7 +555,7 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 	}
 	tb.ninsts = uint32(len(tb.insts))
 	if !e.follower {
-		tb.lowered = e.lower(tb)
+		e.lower(tb)
 	}
 	tb.nextRegister = e.regThreshold
 	e.cache[addr] = tb
@@ -710,11 +698,7 @@ func (e *Engine) shouldRegister(tb *tblock) bool {
 		// the register-twice rule instead of profiling to program end.
 		return tb.use%1024 == 0
 	}
-	minUse := e.cfg.ConvergeMinUse
-	if minUse == 0 {
-		minUse = 32
-	}
-	if tb.use < minUse || tb.use%convergeCheckEvery != 0 {
+	if tb.use < convergeMinUse || tb.use%convergeCheckEvery != 0 {
 		return false
 	}
 	if !tb.hasBranch {
@@ -829,20 +813,16 @@ func (e *Engine) maybeDissolve(rt *regionRT) {
 	if minEntries == 0 {
 		minEntries = 64
 	}
-	rate := e.cfg.AdaptiveSideExitRate
-	if rate <= 0 {
-		rate = 0.6
-	}
 	// For loop regions a side exit per entry is normal (the loop must
 	// end); judge them by iterations per entry instead: a healthy loop
 	// loops back far more often than it exits.
 	var misbehaving bool
 	if rt.r.Kind == profile.RegionLoop {
 		visits := rt.loopBacks + rt.sideExits
-		misbehaving = visits >= minEntries && float64(rt.sideExits)/float64(visits) > rate
+		misbehaving = visits >= minEntries && float64(rt.sideExits)/float64(visits) > adaptiveSideExitRate
 	} else {
 		total := rt.completions + rt.sideExits
-		misbehaving = total >= minEntries && float64(rt.sideExits)/float64(total) > rate
+		misbehaving = total >= minEntries && float64(rt.sideExits)/float64(total) > adaptiveSideExitRate
 	}
 	if !misbehaving {
 		return
@@ -900,11 +880,6 @@ func (e *Engine) start() error {
 }
 
 //go:noinline
-func (e *Engine) budgetExhausted() error {
-	return fmt.Errorf("dbt: block execution budget %d exhausted", e.budget)
-}
-
-//go:noinline
 func (e *Engine) trapped() error {
 	return fmt.Errorf("dbt: injected guest trap at block %d", e.stats.BlocksExecuted)
 }
@@ -951,9 +926,8 @@ func (e *Engine) finish() (*profile.Snapshot, *RunStats, error) {
 
 // Run executes the guest to completion and returns the profile snapshot
 // and run statistics. Execution goes through the same batched loop
-// RunMulti's driver uses (fillBatch in multi.go): the fast/generic path
-// choice is per block inside it, and the recorded batches are simply
-// discarded.
+// RunMulti's driver uses (fillBatch in multi.go); the recorded batches
+// are simply discarded.
 func (e *Engine) Run() (*profile.Snapshot, *RunStats, error) {
 	if err := e.start(); err != nil {
 		return nil, nil, err

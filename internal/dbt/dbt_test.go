@@ -364,14 +364,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestMaxBlockExecsAborts(t *testing.T) {
-	img := buildLooper(t, 1<<30, 100)
-	_, _, err := Run(img, interp.NewUniformTape("x"), Config{Optimize: false, MaxBlockExecs: 1000})
-	if err == nil {
-		t.Fatal("MaxBlockExecs did not abort")
-	}
-}
-
 func TestDisableFreezeKeepsCounting(t *testing.T) {
 	img := buildLooper(t, 5000, 7782)
 	snap, _, err := Run(img, interp.NewUniformTape("looper/ref"), Config{

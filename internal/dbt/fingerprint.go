@@ -14,12 +14,8 @@ import (
 // over the struct (reflection would silently fold new fields into old
 // fingerprints... backwards).
 //
-// Deliberately excluded, because they cannot change a *completed* run's
-// result:
-//
-//   - Interrupt: an interrupted run is never cached at all;
-//   - DisableFastPath: the generic dispatch path is defined (and
-//     tested) to be result-equivalent to the lowered fast path.
+// Deliberately excluded is Interrupt, which cannot change a *completed*
+// run's result: an interrupted run is never cached at all.
 //
 // Perf participates only through its Params — the accumulator itself is
 // an output channel, but its coefficients determine the Cycles value. A
@@ -39,10 +35,10 @@ func (c Config) Fingerprint() string {
 	} else {
 		b.WriteString(";perf=off")
 	}
-	fmt.Fprintf(&b, ";maxexec=%d;trap=%d", c.MaxBlockExecs, c.TrapAfter)
-	fmt.Fprintf(&b, ";adaptive=%t,%g,%d", c.Adaptive, c.AdaptiveSideExitRate, c.AdaptiveMinEntries)
+	fmt.Fprintf(&b, ";trap=%d", c.TrapAfter)
+	fmt.Fprintf(&b, ";adaptive=%t,%d", c.Adaptive, c.AdaptiveMinEntries)
 	fmt.Fprintf(&b, ";trip=%t", c.ContinuousTripCount)
-	fmt.Fprintf(&b, ";converge=%t,%g,%d", c.ConvergeRegister, c.ConvergeEpsilon, c.ConvergeMinUse)
+	fmt.Fprintf(&b, ";converge=%t,%g", c.ConvergeRegister, c.ConvergeEpsilon)
 	// Sampled profiling is appended only when enabled, so every
 	// fingerprint written before the knob existed — and thus every
 	// result-cache key of a full-instrumentation run — stays

@@ -22,15 +22,12 @@ func TestFingerprintSeparatesSemanticFields(t *testing.T) {
 		{"freeze", func(c *Config) { c.DisableFreeze = true }},
 		{"region", func(c *Config) { c.Region = region.Config{MinProb: 0.9} }},
 		{"perf", func(c *Config) { c.Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams()) }},
-		{"maxexec", func(c *Config) { c.MaxBlockExecs = 100 }},
 		{"trap", func(c *Config) { c.TrapAfter = 500 }},
 		{"adaptive", func(c *Config) { c.Adaptive = true }},
-		{"adaptive-rate", func(c *Config) { c.AdaptiveSideExitRate = 0.5 }},
 		{"adaptive-min", func(c *Config) { c.AdaptiveMinEntries = 10 }},
 		{"trip", func(c *Config) { c.ContinuousTripCount = true }},
 		{"converge", func(c *Config) { c.ConvergeRegister = true }},
 		{"converge-eps", func(c *Config) { c.ConvergeEpsilon = 0.05 }},
-		{"converge-min", func(c *Config) { c.ConvergeMinUse = 64 }},
 	}
 	seen := map[string]string{base.Fingerprint(): "base"}
 	for _, m := range mutations {
@@ -50,11 +47,6 @@ func TestFingerprintExcludesNonSemanticFields(t *testing.T) {
 	withInterrupt.Interrupt = make(chan struct{})
 	if base.Fingerprint() != withInterrupt.Fingerprint() {
 		t.Error("Interrupt changed the fingerprint; interrupted runs are never cached, so it must not")
-	}
-	withSlowPath := base
-	withSlowPath.DisableFastPath = true
-	if base.Fingerprint() != withSlowPath.Fingerprint() {
-		t.Error("DisableFastPath changed the fingerprint; the paths are result-equivalent")
 	}
 }
 

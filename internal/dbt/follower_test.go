@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/interp"
-	"repro/internal/isa"
 	"repro/internal/perfmodel"
 )
 
@@ -173,8 +172,8 @@ func TestFollowerStatsMatchSerialSampledLadder(t *testing.T) {
 	}
 }
 
-// TestSampledFollowerStopsMatchSerial: a TrapAfter or MaxBlockExecs stop
-// that lands between two sampled positions of a later batch stops a
+// TestSampledFollowerStopsMatchSerial: a TrapAfter stop that lands
+// between two sampled positions of a later batch stops a
 // sampled follower behind a full driver exactly where its serial run
 // stops: same error, and the same snapshot and statistics up to the
 // stop.
@@ -191,30 +190,26 @@ func TestSampledFollowerStopsMatchSerial(t *testing.T) {
 		if sampledAt(cfg, k) || sampledAt(cfg, k+1) {
 			t.Fatalf("period %d: stop at %d is not between sampled positions", p, k)
 		}
-		trap, budget := cfg, cfg
-		trap.TrapAfter = k + 1
-		budget.MaxBlockExecs = k
-		for _, stopCfg := range []Config{trap, budget} {
-			cfgs := withPerf([]Config{{Input: "ref"}, stopCfg})
-			engines, err := runEngines(img, interp.NewUniformTape("follow-stop"), cfgs, nil)
-			serial, nerr := New(img, interp.NewUniformTape("follow-stop"), withPerf(cfgs[1:])[0])
-			if nerr != nil {
-				t.Fatal(nerr)
-			}
-			_, _, serr := serial.Run()
-			if err == nil || serr == nil || err.Error() != serr.Error() {
-				t.Fatalf("period %d: follower error %v, serial %v", p, err, serr)
-			}
-			gotSnap, gotStats, _ := engines[1].finish()
-			wantSnap, wantStats, _ := serial.finish()
-			if gotStats.BlocksExecuted != k+1 {
-				t.Fatalf("period %d: stopped after %d blocks, want %d", p, gotStats.BlocksExecuted, k+1)
-			}
-			if !reflect.DeepEqual(gotStats, wantStats) {
-				t.Errorf("period %d: stats differ from serial\n got: %+v\nwant: %+v", p, gotStats, wantStats)
-			}
-			snapEqual(t, "period "+itoa(int32(p)), gotSnap, wantSnap)
+		cfg.TrapAfter = k + 1
+		cfgs := withPerf([]Config{{Input: "ref"}, cfg})
+		engines, err := runEngines(img, interp.NewUniformTape("follow-stop"), cfgs, nil)
+		serial, nerr := New(img, interp.NewUniformTape("follow-stop"), withPerf(cfgs[1:])[0])
+		if nerr != nil {
+			t.Fatal(nerr)
 		}
+		_, _, serr := serial.Run()
+		if err == nil || serr == nil || err.Error() != serr.Error() {
+			t.Fatalf("period %d: follower error %v, serial %v", p, err, serr)
+		}
+		gotSnap, gotStats, _ := engines[1].finish()
+		wantSnap, wantStats, _ := serial.finish()
+		if gotStats.BlocksExecuted != k+1 {
+			t.Fatalf("period %d: stopped after %d blocks, want %d", p, gotStats.BlocksExecuted, k+1)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Errorf("period %d: stats differ from serial\n got: %+v\nwant: %+v", p, gotStats, wantStats)
+		}
+		snapEqual(t, "period "+itoa(int32(p)), gotSnap, wantSnap)
 	}
 }
 
@@ -226,7 +221,6 @@ func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 			{Input: "ref", Optimize: false},
 			{Input: "ref", Optimize: true, Threshold: 10, RegisterTwice: true},
 			{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true, SamplePeriod: 4},
-			{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true, DisableFastPath: true},
 		}
 		engines, err := runEngines(img, interp.NewUniformTape("follow-bare"), withPerf(cfgs), nil)
 		if err != nil {
@@ -248,32 +242,5 @@ func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLowerableDeclinesWhatLowerDeclines: no decodable opcode lacks a
-// lowered form today, so a block with an unknown opcode stands in for a
-// future one: lower must decline it and leave the arena and block table
-// untouched.
-func TestLowerableDeclinesWhatLowerDeclines(t *testing.T) {
-	e, err := New(buildLooper(t, 1, 1), interp.NewUniformTape("x"), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, insts := range [][]isa.Inst{
-		{{Op: isa.Op(200)}, {Op: isa.OpHalt}},
-		{{Op: isa.OpNop}, {Op: isa.Op(200)}},
-	} {
-		tb := &tblock{insts: insts}
-		if e.lower(tb) {
-			t.Fatalf("%v: lower accepted an unknown opcode", insts)
-		}
-		if len(e.arena) != 0 || len(e.hot) != 0 {
-			t.Fatalf("%v: declined lowering left %d arena ops, %d table rows", insts, len(e.arena), len(e.hot))
-		}
-	}
-	tb := &tblock{insts: []isa.Inst{{Op: isa.OpAddi, Rd: 1, Rs: 1, Imm: 2}, {Op: isa.OpHalt}}}
-	if !e.lower(tb) || len(e.arena) != 1 || len(e.hot) != 1 {
-		t.Fatalf("known block: arena %d, table %d", len(e.arena), len(e.hot))
 	}
 }

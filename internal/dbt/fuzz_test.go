@@ -1,6 +1,8 @@
 package dbt
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,14 +12,14 @@ import (
 	"repro/internal/isa"
 )
 
-// Differential testing of the execution paths: random small guest
-// programs run through both the arena fast path and the generic
-// interp.Exec dispatch, which must agree on everything — architectural
-// state, profile snapshot, run statistics and faults — and through
-// shared-trace followers, which must match a serial run. FuzzExecPaths
-// explores the program space under the fuzzer; TestExecPathsRandom
-// pins 300 seeded programs of the same generator as a deterministic
-// regression suite.
+// Differential testing of the execution path: random small guest
+// programs run through the engine's lowered execution and through the
+// reference interpreter (interp.Machine), which must agree on
+// architectural state, instruction and block counts, faults and the
+// resolved branch stream; and through shared-trace followers, which
+// must match a serial run. FuzzExecPaths explores the program space
+// under the fuzzer; TestExecPathsRandom pins 300 seeded programs of the
+// same generator as a deterministic regression suite.
 
 // progGen derives program-construction decisions from a byte stream,
 // yielding zeros once the stream is exhausted (which steers every
@@ -41,10 +43,11 @@ func (g *progGen) next() byte {
 // tape input, floats) and terminators covering every lowered class —
 // conditional branches, jumps, calls, returns, indirect jumps through
 // already-bound labels, and halt. Faulting programs (out-of-bounds
-// memory, stray ret, jr into nowhere, infinite loops hitting the block
-// budget) are deliberately reachable: both dispatch paths must report
-// the identical fault. Returns nil if the builder rejects the program
-// (branch offset overflow), which the callers skip.
+// memory, stray ret, infinite loops hitting the fuzzBudget trap) are
+// deliberately reachable: the engine must report the interpreter's
+// fault, or trap where a bounded interpreter run stops. Returns nil if
+// the builder rejects the program (branch offset overflow), which the
+// callers skip.
 func buildFuzzProgram(data []byte) *guest.Image {
 	g := &progGen{data: data}
 	b := guest.NewBuilder("fuzz")
@@ -76,7 +79,7 @@ func buildFuzzProgram(data []byte) *guest.Image {
 				b.Emit(isa.Inst{Op: isa.OpLoadi, Rd: rd, Imm: int32(int8(g.next()))})
 			case 5:
 				// Offsets straddle the 16-word data segment so some
-				// accesses fault; the fault must match across paths.
+				// accesses fault; the fault must match the interpreter's.
 				op := isa.OpLoad
 				if sel&8 != 0 {
 					op = isa.OpStore
@@ -117,7 +120,8 @@ func buildFuzzProgram(data []byte) *guest.Image {
 	return img
 }
 
-// fuzzBudget bounds divergent random programs.
+// fuzzBudget bounds divergent random programs: every run traps at this
+// block (Config.TrapAfter).
 const fuzzBudget = 20_000
 
 // fuzzConfig is the tight optimization configuration the random
@@ -125,11 +129,12 @@ const fuzzBudget = 20_000
 // freezing and region tracking all fire even in tiny programs.
 func fuzzConfig() Config {
 	return Config{
+		Input:         "ref",
 		Optimize:      true,
 		Threshold:     8,
 		PoolTrigger:   2,
 		RegisterTwice: true,
-		MaxBlockExecs: fuzzBudget,
+		TrapAfter:     fuzzBudget,
 	}
 }
 
@@ -141,30 +146,95 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// runPath executes the image under one dispatch path with fuzzConfig.
-func runPath(tb testing.TB, img *guest.Image, disableFast bool) (*Engine, string) {
+// refRun is the reference interpreter's run of a program, stopped where
+// an engine with TrapAfter fuzzBudget stops: at the guest's halt or
+// fault, or, when the engine traps, at the entry of the trapped block.
+type refRun struct {
+	m       *interp.Machine
+	err     error // Machine.Run's (ErrMaxSteps when trapped)
+	trapped bool
+	// entries is the block-entry sequence, in execution order.
+	entries []int
+}
+
+// runReference runs img on interp.Machine up to the engine's stop. A
+// trapped engine executes the fuzzBudget-1 blocks before the trap, so a
+// first pass reads the instruction count at the trapped block's entry
+// through BlockHook, and the recorded run stops there with MaxSteps.
+func runReference(tb testing.TB, img *guest.Image) refRun {
 	tb.Helper()
-	cfg := fuzzConfig()
-	cfg.DisableFastPath = disableFast
-	e, err := New(img, interp.NewUniformTape("fuzz/ref"), cfg)
-	if err != nil {
-		tb.Fatalf("New: %v", err)
+	machine := func() *interp.Machine {
+		m, err := interp.NewMachine(img, interp.NewUniformTape("fuzz/ref"))
+		if err != nil {
+			tb.Fatalf("NewMachine: %v", err)
+		}
+		return m
 	}
-	_, _, rerr := e.Run()
-	return e, errString(rerr)
+	var r refRun
+	var at uint64
+	probe := machine()
+	probe.BlockHook = func(int) {
+		if probe.Blocks() == fuzzBudget {
+			// Stop the probe one instruction into the trapped block.
+			r.trapped, at = true, probe.Steps()
+			probe.MaxSteps = at + 1
+		}
+	}
+	// How the probe ends does not matter, only whether and where it
+	// entered the trapped block.
+	_ = probe.Run()
+	r.m = machine()
+	if r.trapped {
+		r.m.MaxSteps = at
+	}
+	r.m.BlockHook = func(pc int) { r.entries = append(r.entries, pc) }
+	r.err = r.m.Run()
+	if r.trapped && !errors.Is(r.err, interp.ErrMaxSteps) {
+		tb.Fatalf("bounded reference run ended with %v, want the step budget", r.err)
+	}
+	return r
+}
+
+// branches rebuilds the resolved conditional branch stream from the
+// block-entry sequence: an entered branch block went taken exactly when
+// the next block entered is its taken target. A trapped run's last
+// block continues at the machine's pc; a halting or faulting last block
+// resolves nothing.
+func (r refRun) branches(tb testing.TB, img *guest.Image) []BranchEvent {
+	var evs []BranchEvent
+	for i, pc := range r.entries {
+		next := r.m.PC()
+		if i+1 < len(r.entries) {
+			next = r.entries[i+1]
+		} else if !r.trapped {
+			break
+		}
+		for end := pc; ; end++ {
+			in, err := isa.Decode(img.Code[end])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if in.Op.EndsBlock() {
+				if in.Op.IsCondBranch() {
+					evs = append(evs, BranchEvent{PC: int32(pc), Taken: next == end+int(in.Imm)})
+				}
+				break
+			}
+		}
+	}
+	return evs
 }
 
 // checkFollowerPaths replays the program through shared-trace followers:
-// behind an AVEP driver with the same block budget, the optimizing
-// config, a sampled one and an adaptive one must each report exactly
-// what a serial run of that config reports — snapshot, statistics and
-// error.
+// behind an AVEP driver with the same trap, the optimizing config, a
+// sampled one and an adaptive one must each report exactly what a
+// serial run of that config reports — snapshot, statistics and error.
 func checkFollowerPaths(t *testing.T, img *guest.Image) {
 	sampled, adaptive := fuzzConfig(), fuzzConfig()
 	sampled.SamplePeriod, sampled.SampleSeed = 4, 1
 	adaptive.Adaptive, adaptive.AdaptiveMinEntries = true, 4
 	for i, cfg := range []Config{fuzzConfig(), sampled, adaptive} {
-		cfgs := withPerf([]Config{{MaxBlockExecs: fuzzBudget}, cfg})
+		cfgs := withPerf([]Config{{TrapAfter: fuzzBudget}, cfg})
 		snaps, statss, err := RunMulti(img, interp.NewUniformTape("fuzz/ref"), cfgs)
 		wantSnap, wantStats, wantErr := Run(img, interp.NewUniformTape("fuzz/ref"), withPerf(cfgs[1:])[0])
 		if errString(err) != errString(wantErr) {
@@ -182,53 +252,65 @@ func checkFollowerPaths(t *testing.T, img *guest.Image) {
 	}
 }
 
-// checkExecPaths runs the program both ways and asserts full agreement,
-// then replays it through shared-trace followers (checkFollowerPaths).
+// checkExecPaths runs the program on the engine and on the reference
+// interpreter and asserts full agreement, then replays it through
+// shared-trace followers (checkFollowerPaths).
 func checkExecPaths(t *testing.T, data []byte) {
 	img := buildFuzzProgram(data)
 	if img == nil {
 		return
 	}
-	fast, fastErr := runPath(t, img, false)
-	gen, genErr := runPath(t, img, true)
-	if fastErr != genErr {
-		t.Fatalf("fault mismatch:\nfast: %q\ngeneric: %q\nprogram:\n%s", fastErr, genErr, img.Disassemble())
+	e, err := New(img, interp.NewUniformTape("fuzz/ref"), fuzzConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	fs, gs := fast.State(), gen.State()
-	if fs.Regs != gs.Regs {
-		t.Fatalf("register mismatch:\nfast: %v\ngeneric: %v\nprogram:\n%s", fs.Regs, gs.Regs, img.Disassemble())
+	_, _, runErr := e.Run()
+	ref := runReference(t, img)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf(format+"\nprogram:\n%s", append(args, img.Disassemble())...)
 	}
-	if !reflect.DeepEqual(fs.Mem, gs.Mem) {
-		t.Fatalf("memory mismatch:\nfast: %v\ngeneric: %v\nprogram:\n%s", fs.Mem, gs.Mem, img.Disassemble())
+	var fault *interp.Fault
+	switch {
+	case ref.trapped:
+		if want := fmt.Sprintf("dbt: injected guest trap at block %d", fuzzBudget); errString(runErr) != want {
+			fail("engine error %q, want %q", errString(runErr), want)
+		}
+	case runErr == nil || errors.As(runErr, &fault):
+		if errString(runErr) != errString(ref.err) {
+			fail("fault mismatch:\nengine: %q\ninterp: %q", errString(runErr), errString(ref.err))
+		}
+	default:
+		fail("engine error %q is neither a trap nor an execution fault", runErr)
 	}
-	if !reflect.DeepEqual(fs.Ret, gs.Ret) {
-		t.Fatalf("return-stack mismatch:\nfast: %v\ngeneric: %v\nprogram:\n%s", fs.Ret, gs.Ret, img.Disassemble())
+	es, ms := e.State(), ref.m.State()
+	if es.Regs != ms.Regs {
+		fail("register mismatch:\nengine: %v\ninterp: %v", es.Regs, ms.Regs)
+	}
+	if !reflect.DeepEqual(es.Mem, ms.Mem) {
+		fail("memory mismatch:\nengine: %v\ninterp: %v", es.Mem, ms.Mem)
+	}
+	if !reflect.DeepEqual(es.Ret, ms.Ret) {
+		fail("return-stack mismatch:\nengine: %v\ninterp: %v", es.Ret, ms.Ret)
+	}
+	// The engine counts the block its trap stops, which does not run.
+	wantBlocks := ref.m.Blocks()
+	if ref.trapped {
+		wantBlocks++
+	}
+	if e.stats.BlocksExecuted != wantBlocks {
+		fail("block counts diverge: engine %d, interp %d", e.stats.BlocksExecuted, wantBlocks)
+	}
+	// An errored run's instruction sum is not flushed.
+	if runErr == nil && e.stats.Instructions != ref.m.Steps() {
+		fail("instruction counts diverge: engine %d, interp %d", e.stats.Instructions, ref.m.Steps())
 	}
 	checkFollowerPaths(t, img)
-	if fastErr != "" {
-		return // errored runs publish no snapshot or stats
-	}
-
-	fstats, gstats := fast.stats, gen.stats
-	if fstats.GenericDispatches != 0 {
-		t.Fatalf("fast path took %d generic dispatches on a fully lowerable program", fstats.GenericDispatches)
-	}
-	if gstats.FastDispatches != 0 {
-		t.Fatalf("generic path took %d fast dispatches", gstats.FastDispatches)
-	}
-	// The dispatch split is the only permitted difference.
-	fstats.FastDispatches, fstats.GenericDispatches = 0, 0
-	gstats.FastDispatches, gstats.GenericDispatches = 0, 0
-	if !reflect.DeepEqual(fstats, gstats) {
-		t.Fatalf("stats mismatch:\nfast: %+v\ngeneric: %+v\nprogram:\n%s", fstats, gstats, img.Disassemble())
-	}
-	if !reflect.DeepEqual(fast.snapshot(), gen.snapshot()) {
-		t.Fatalf("snapshot mismatch\nprogram:\n%s", img.Disassemble())
-	}
 }
 
 // FuzzExecPaths is the fuzz entry: any byte stream builds some program,
-// and both dispatch paths must agree on it exactly.
+// and the engine must agree with the reference interpreter on it
+// exactly.
 func FuzzExecPaths(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{3, 5, 0, 1, 2, 3, 4, 5, 6, 7, 250, 1, 9, 9, 30, 40})
@@ -259,7 +341,7 @@ func TestExecPathsRandom(t *testing.T) {
 }
 
 // branchLog records the observed branch stream (what predictors
-// consume) for differential comparison across dispatch paths.
+// consume) for differential comparison with the reference interpreter.
 type branchLog struct {
 	events []BranchEvent
 }
@@ -268,73 +350,48 @@ func (l *branchLog) ObserveBranches(evs []BranchEvent) {
 	l.events = append(l.events, evs...)
 }
 
-// checkPredictReplay runs one random program under both dispatch paths
-// with a trace observer attached and asserts the observed branch
-// streams are identical — the determinism contract every dynamic
-// predictor's tallies rest on. The observed run must also leave
-// snapshots and stats exactly as an unobserved run would.
+// checkPredictReplay runs one random program with a trace observer
+// attached and asserts the observed branch stream is the one the
+// reference interpreter's block-entry sequence implies — the
+// determinism contract every dynamic predictor's tallies rest on. The
+// observed run must also leave snapshots and stats exactly as an
+// unobserved run would.
 func checkPredictReplay(t *testing.T, data []byte) {
 	img := buildFuzzProgram(data)
 	if img == nil {
 		return
 	}
-	run := func(disableFast, observed bool) (*branchLog, []*RunStats, string) {
-		cfg := Config{
-			Input:           "ref",
-			Optimize:        true,
-			Threshold:       8,
-			PoolTrigger:     2,
-			RegisterTwice:   true,
-			MaxBlockExecs:   20_000,
-			DisableFastPath: disableFast,
-		}
+	run := func(observed bool) (*branchLog, []*RunStats, string) {
 		log := &branchLog{}
 		var obs []TraceObserver
 		if observed {
 			obs = []TraceObserver{log}
 		}
-		_, stats, err := RunMultiObserved(img, interp.NewUniformTape("fuzz/ref"), []Config{cfg}, obs)
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		return log, stats, msg
+		_, stats, err := RunMultiObserved(img, interp.NewUniformTape("fuzz/ref"), []Config{fuzzConfig()}, obs)
+		return log, stats, errString(err)
 	}
 
-	fastLog, fastStats, fastErr := run(false, true)
-	genLog, _, genErr := run(true, true)
-	if fastErr != genErr {
-		t.Fatalf("fault mismatch:\nfast: %q\ngeneric: %q\nprogram:\n%s", fastErr, genErr, img.Disassemble())
-	}
-	if !reflect.DeepEqual(fastLog.events, genLog.events) {
-		t.Fatalf("branch streams diverge between dispatch paths (%d vs %d events)\nprogram:\n%s",
-			len(fastLog.events), len(genLog.events), img.Disassemble())
+	log, stats, runErr := run(true)
+	if want := runReference(t, img).branches(t, img); !reflect.DeepEqual(log.events, want) {
+		t.Fatalf("branch stream diverges from the reference interpreter (%d vs %d events)\nprogram:\n%s",
+			len(log.events), len(want), img.Disassemble())
 	}
 
 	// Observation must be invisible: an unobserved run of the same
 	// program reports identical stats.
-	_, plainStats, plainErr := run(false, false)
-	if plainErr != fastErr {
-		t.Fatalf("observer changed the run's fault: %q vs %q", plainErr, fastErr)
+	_, plainStats, plainErr := run(false)
+	if plainErr != runErr {
+		t.Fatalf("observer changed the run's fault: %q vs %q", plainErr, runErr)
 	}
-	if fastErr == "" && !reflect.DeepEqual(fastStats, plainStats) {
-		t.Fatalf("observer perturbed run stats:\nobserved: %+v\nplain: %+v", fastStats[0], plainStats[0])
-	}
-	if fastErr != "" {
-		return
-	}
-
-	// Every observed event must reference a branch block, and the
-	// stream must be consistent with the run's block count.
-	if n := fastStats[0].BlocksExecuted; uint64(len(fastLog.events)) > n {
-		t.Fatalf("%d branch events exceed %d executed blocks", len(fastLog.events), n)
+	if runErr == "" && !reflect.DeepEqual(stats, plainStats) {
+		t.Fatalf("observer perturbed run stats:\nobserved: %+v\nplain: %+v", stats[0], plainStats[0])
 	}
 }
 
 // FuzzPredictReplay is the differential fuzz target for the predictor
 // observation layer, alongside FuzzExecPaths: any byte stream builds
-// some program, and the branch stream predictors consume must be
-// bit-identical across dispatch paths and invisible to the run itself.
+// some program, and the branch stream predictors consume must be the
+// reference interpreter's and invisible to the run itself.
 func FuzzPredictReplay(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{3, 5, 0, 1, 2, 3, 4, 5, 6, 7, 250, 1, 9, 9, 30, 40})

@@ -1,8 +1,11 @@
-// Pre-lowered block execution: at translate time every decoded
-// isa.Inst is lowered into a compact operation record, and the engine's
-// hot loop executes those records through a dbt-local dispatch instead
-// of re-entering interp.Exec's generic decode-switch for every dynamic
-// instruction. Block bodies carry no control flow, so the lowered body
+// Pre-lowered block execution, the engine's one execution path: at
+// translate time every decoded isa.Inst is lowered into a compact
+// operation record, and the engine's hot loop executes those records
+// through a dbt-local dispatch instead of re-entering interp.Exec's
+// decode-switch for every dynamic instruction. Every SG32 opcode has a
+// lowered form (a body op or a terminator class; a table test over
+// isa.NumOps keeps it so), so every block that translates lowers.
+// Block bodies carry no control flow, so the lowered body
 // loop needs no per-instruction pc bookkeeping, next-pc tuple or halt
 // flag; the terminator is lowered separately with its targets resolved
 // once at translate time.
@@ -20,14 +23,13 @@
 // the arena only grows. Shared-trace followers never execute guest code,
 // so they build neither array.
 //
-// The fast path is required to be bit-for-bit equivalent to the
+// The lowered path is required to be bit-for-bit equivalent to the
 // reference interpreter. Semantics are copied verbatim from interp.Exec,
 // and every fault (memory bounds, call-stack depth, empty return stack)
 // is reported by re-executing the faulting instruction through
-// interp.Exec so the error value is exactly the interpreter's. The
-// generic path survives behind Config.DisableFastPath and is
-// cross-validated against the fast path by test (equivalence suite plus
-// the FuzzExecPaths random-program fuzzer).
+// interp.Exec so the error value is exactly the interpreter's. Tests
+// cross-validate it against interp.Machine (the equivalence suite over
+// the spec guests, and the FuzzExecPaths random-program fuzzer).
 package dbt
 
 import (
@@ -174,21 +176,12 @@ func lowerTermKind(op isa.Op) (tkind, bool) {
 }
 
 // lower appends the block's body to the engine's lowered-op arena and
-// its row to the flat block table, reporting success. A block that
-// cannot be lowered (an opcode unknown to the lowerer) gets neither; it
-// stays on the generic interp.Exec path.
-func (e *Engine) lower(tb *tblock) bool {
+// its row to the flat block table. The block came from translate, so
+// its body ops and its terminator all have lowered forms.
+func (e *Engine) lower(tb *tblock) {
 	term := tb.insts[len(tb.insts)-1]
-	tk, ok := lowerTermKind(term.Op)
-	if !ok {
-		return false
-	}
+	tk, _ := lowerTermKind(term.Op)
 	body := tb.insts[:len(tb.insts)-1]
-	for _, in := range body {
-		if _, ok := lowerBodyKind(in.Op); !ok {
-			return false
-		}
-	}
 	start := len(e.arena)
 	for _, in := range body {
 		k, _ := lowerBodyKind(in.Op)
@@ -205,24 +198,23 @@ func (e *Engine) lower(tb *tblock) bool {
 		brs:   term.Rs,
 		brt:   term.Rt,
 	})
-	return true
 }
 
 // faultAt reproduces the fault of instruction i of tb by re-executing it
-// through the reference interpreter, so the fast path returns exactly
-// the error interp.Exec would have.
+// through the reference interpreter, so execBlock returns exactly the
+// error interp.Exec would have.
 func (e *Engine) faultAt(tb *tblock, i int) error {
 	_, _, err := interp.Exec(e.st, tb.addr+i, tb.insts[i])
 	if err == nil {
-		// The fast path saw a fault condition the interpreter does not:
-		// a lowering bug, not a guest bug.
-		return fmt.Errorf("dbt: internal: fast path faulted at pc %d but interpreter did not", tb.addr+i)
+		// The lowered path saw a fault condition the interpreter does
+		// not: a lowering bug, not a guest bug.
+		return fmt.Errorf("dbt: internal: lowered path faulted at pc %d but interpreter did not", tb.addr+i)
 	}
 	return err
 }
 
-// execBlock executes the block body and terminator through the
-// pre-lowered fast path: one flat-table row load, then a walk of the
+// execBlock executes the block body and terminator through its lowered
+// records: one flat-table row load, then a walk of the
 // block's contiguous arena span. Its contract matches running
 // interp.Exec over every instruction of the block: it returns the
 // interpreter's next pc and halt flag, and fault errors are the
@@ -327,19 +319,4 @@ func (e *Engine) execBlock(tb *tblock) (nextPC int, halted bool, err error) {
 	default: // tHalt
 		return int(h.end), true, nil
 	}
-}
-
-// execBlockGeneric executes the block through the shared semantic core,
-// one interp.Exec call per instruction. It is the reference the fast
-// path is validated against (Config.DisableFastPath) and the fallback
-// for blocks the lowerer declined.
-func (e *Engine) execBlockGeneric(tb *tblock) (nextPC int, halted bool, err error) {
-	base := tb.addr
-	for i, in := range tb.insts {
-		nextPC, halted, err = interp.Exec(e.st, base+i, in)
-		if err != nil {
-			return 0, false, err
-		}
-	}
-	return nextPC, halted, nil
 }

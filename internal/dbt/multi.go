@@ -18,13 +18,14 @@
 // produced. Tests cross-validate this for every configuration class. A
 // follower executes no guest code, so it builds no lowered code, and it
 // resolves successors straight from its dense code cache instead of
-// chaining.
+// chaining. The driver executes every block through one path, the
+// pre-lowered records of lower.go.
 //
 // Replay is batched: the driver records (nextPC, halted) outcomes into
 // a fixed buffer of replayBatch entries, together with the batch's sums
-// that depend on the trace alone — instructions, lowered-block
-// dispatches and successor probes — and the positions where the trace
-// first reaches each block, so no context recomputes them per block.
+// that depend on the trace alone — instructions and successor probes —
+// and the positions where the trace first reaches each block, so no
+// context recomputes them per block.
 // Each follower then drains the whole batch in one tight loop.
 // Nothing observable changes versus per-block interleaving: counters,
 // wave timing and interrupt-poll cadence are all driven by each engine's
@@ -78,25 +79,24 @@ type firstUse struct {
 // batch is one stretch of the shared trace as fillBatch recorded it:
 // the outcomes and first occurrences, plus the sums every context takes
 // whole instead of recomputing them per block. All of them depend on
-// the trace alone: instructions and lowered-block dispatches on the
-// executed blocks, and the successor probes on chaining, which a serial
-// run of any config does identically over these blocks.
+// the trace alone: instructions on the executed blocks, and the
+// successor probes on chaining, which a serial run of any config does
+// identically over these blocks.
 type batch struct {
-	outs                           []outcome
-	firsts                         []firstUse
-	instructions, lowered, lookups uint64
+	outs                  []outcome
+	firsts                []firstUse
+	instructions, lookups uint64
 }
 
 // RunMulti executes the guest once and produces one profile snapshot
 // and one statistics record per configuration, as if each configuration
 // had been run serially with Run over an identical tape. The first
-// configuration drives execution: its DisableFastPath and Interrupt
-// settings govern the shared trace, and the tape is consumed by it
-// alone. Every configuration's MaxBlockExecs and TrapAfter apply; the
-// run returns the error of the one that stops first. All configurations
-// must agree on what the guest does — they may differ in profiling
-// settings (Threshold, Optimize, Perf, adaptive/convergence knobs) but
-// not in anything architectural.
+// configuration drives execution: its Interrupt governs the shared
+// trace, and the tape is consumed by it alone. Every configuration's
+// TrapAfter applies; the run returns the error of the one that stops
+// first. All configurations must agree on what the guest does — they
+// may differ in profiling settings (Threshold, Optimize, Perf,
+// adaptive/convergence knobs) but not in anything architectural.
 func RunMulti(img *guest.Image, tape interp.Tape, cfgs []Config) ([]*profile.Snapshot, []*RunStats, error) {
 	return runMulti(img, tape, cfgs, nil)
 }
@@ -200,9 +200,8 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 	if e.interrupt != nil {
 		poll = interruptCheckMask + 1 - e.stats.BlocksExecuted&interruptCheckMask
 	}
-	var instr, lowered, lookups uint64
+	var instr, lookups uint64
 	e.firsts = e.firsts[:0]
-	fastPath := e.fastPath
 	cache := e.cache
 	cur := e.cur
 	var n uint64
@@ -219,18 +218,10 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 			nextPC int
 			halted bool
 		)
-		if fastPath && tb.lowered {
-			nextPC, halted, err = e.execBlock(tb)
-		} else {
-			nextPC, halted, err = e.execBlockGeneric(tb)
-		}
-		if err != nil {
+		if nextPC, halted, err = e.execBlock(tb); err != nil {
 			break
 		}
 		instr += uint64(tb.ninsts)
-		if tb.lowered {
-			lowered++
-		}
 
 		// Resolve the successor through the chain before stepping:
 		// waves never translate or replace blocks, so the result is the
@@ -275,7 +266,7 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 		}
 		cur = next
 	}
-	b := batch{outs: outs, firsts: e.firsts, instructions: instr, lowered: lowered, lookups: lookups}
+	b := batch{outs: outs, firsts: e.firsts, instructions: instr, lookups: lookups}
 	return b, e.endBatch(cur, &b, n, n == stop && stop < limit, err)
 }
 
@@ -333,8 +324,8 @@ func (e *Engine) drainBatch(b *batch) error {
 // translated set through Info. So before each visited position the
 // follower translates the batch's first occurrences recorded before
 // it, and every wave sees the code cache a serial run's would. The
-// budget, trap, halt and error stops are the same batchStop and
-// endBatch arithmetic as drainBatch.
+// trap, halt and error stops are the same batchStop and endBatch
+// arithmetic as drainBatch.
 func (e *Engine) drainSampled(b *batch) error {
 	limit := uint64(len(b.outs))
 	stop := e.batchStop(limit)
@@ -387,32 +378,26 @@ func (e *Engine) drainSampled(b *batch) error {
 }
 
 // batchStop returns how many of the next limit blocks the engine may
-// run before its budget or trap stops it (limit when neither does).
-// Both compare the block count against fixed values, so a serial run's
-// stop point is arithmetic, in the serial order: count first, budget
-// before trap.
+// run before its trap stops it (limit when it does not). The trap
+// compares the block count against a fixed value, so a serial run's
+// stop point is arithmetic.
 func (e *Engine) batchStop(limit uint64) uint64 {
+	if e.trapAfter == 0 {
+		return limit
+	}
 	start := e.stats.BlocksExecuted
-	stop := limit
-	if e.budget > 0 && start+limit > e.budget {
-		stop = e.budget - start
+	if e.trapAfter <= start {
+		return 0
 	}
-	if e.trapAfter > 0 {
-		var at uint64
-		if e.trapAfter > start {
-			at = e.trapAfter - start - 1
-		}
-		stop = min(stop, at)
-	}
-	return stop
+	return min(limit, e.trapAfter-start-1)
 }
 
 // endBatch is both loops' flush and error tail. n counts the batch
 // blocks the engine counted, a block that failed included; cur is the
 // block to run next, and atStop reports that the loop ran into its
-// batchStop. The block a budget or trap stops is counted too, as a
-// serial run counts before it checks, and the trap's message formats
-// the flushed count. An errored run's statistics are discarded, so only
+// batchStop. The block the trap stops is counted too, as a serial run
+// counts before it checks, and the trap's message formats the flushed
+// count. An errored run's statistics are discarded, so only
 // the block count is kept on the error paths; a clean batch adds the
 // poll ticks (pure arithmetic on the block count) and the batch's sums.
 func (e *Engine) endBatch(cur *tblock, b *batch, n uint64, atStop bool, err error) error {
@@ -425,19 +410,11 @@ func (e *Engine) endBatch(cur *tblock, b *batch, n uint64, atStop bool, err erro
 		return err
 	case atStop && !e.halted:
 		e.stats.BlocksExecuted++
-		if e.budget > 0 && e.stats.BlocksExecuted > e.budget {
-			return e.budgetExhausted()
-		}
 		return e.trapped()
 	}
 	e.stats.InterruptPolls += (start+n)/period - start/period
 	e.stats.Instructions += b.instructions
-	if e.fastPath {
-		e.stats.FastDispatches += b.lowered
-		e.stats.GenericDispatches += n - b.lowered
-	} else {
-		e.stats.GenericDispatches += n
-	}
+	e.stats.FastDispatches += n
 	e.stats.CacheLookups += b.lookups
 	return nil
 }

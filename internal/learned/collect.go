@@ -3,7 +3,7 @@
 // collector rides dbt.RunMultiObserved next to the dynamic-predictor
 // suite and perturbs nothing. Tallies are a pure function of the
 // architectural branch stream, so they are bit-identical across worker
-// counts, dispatch paths and profiling configurations.
+// counts and profiling configurations.
 package learned
 
 import "repro/internal/dbt"

@@ -89,13 +89,12 @@ type Event struct {
 	// Blocks is the dynamic block-execution volume of run spans
 	// (summed over every profiling context the span advanced).
 	Blocks uint64 `json:"blocks,omitempty"`
-	// Hot-loop engine counters of executed run spans, summed like
-	// Blocks: the fast/generic dispatch split and translation-cache
-	// probes (see dbt.RunStats). Optional — cached or non-run spans
-	// carry none, and traces recorded before these fields existed still
+	// Lookups is the translation-cache probe count of executed run
+	// spans, summed like Blocks (see dbt.RunStats). Every executed
+	// engine probes at least once, for its entry block, so a non-zero
+	// count marks an executed span. Optional — cached or non-run spans
+	// carry none, and traces recorded before the field existed still
 	// parse (absent means zero).
-	Fast    uint64 `json:"fast,omitempty"`
-	Generic uint64 `json:"generic,omitempty"`
 	Lookups uint64 `json:"lookups,omitempty"`
 	// Err carries the unit's error verbatim when it failed.
 	Err string `json:"err,omitempty"`

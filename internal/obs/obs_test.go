@@ -247,7 +247,10 @@ func TestSummarize(t *testing.T) {
 	evs := []Event{
 		{Bench: "gzip", Unit: UnitBuild, Worker: 0, StartNS: 0, DurNS: sec / 10},
 		{Bench: "gzip", Unit: UnitRef, Worker: 0, StartNS: sec / 10, DurNS: 2 * sec, Blocks: 1000},
-		{Bench: "mcf", Unit: UnitRef, Worker: 1, StartNS: 0, DurNS: 3 * sec, Blocks: 2000},
+		// Only spans carrying lookups (executed engines) enter the hot
+		// loop; gzip's ref span stands in for a trace from before the
+		// counter existed.
+		{Bench: "mcf", Unit: UnitRef, Worker: 1, StartNS: 0, DurNS: 3 * sec, Blocks: 2000, Lookups: 40},
 		{Bench: "mcf", Unit: UnitCompare, Worker: 1, T: 50, StartNS: 3 * sec, DurNS: sec, Err: "boom"},
 	}
 	s := Summarize(evs)
@@ -269,8 +272,12 @@ func TestSummarize(t *testing.T) {
 	if s.Benches[0].Bench != "mcf" {
 		t.Fatalf("bench order wrong: %+v", s.Benches)
 	}
+	if want := (HotLoop{Blocks: 2000, RunDur: 3 * time.Second, Lookups: 40}); s.Hot != want {
+		t.Fatalf("hot loop = %+v, want %+v", s.Hot, want)
+	}
 	out := Render(evs)
-	for _, want := range []string{"per phase", "per benchmark", "busy workers", "mcf", "gzip"} {
+	for _, want := range []string{"per phase", "per benchmark", "busy workers", "mcf", "gzip",
+		"hot loop", "blocks/s", "cache lookups"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}
@@ -311,7 +318,7 @@ func TestOccupancyIntegratesToBusyTime(t *testing.T) {
 func TestSummarizeZeroDurationHotSpans(t *testing.T) {
 	evs := []Event{
 		{Bench: "gzip", Unit: UnitRef, Worker: 0, StartNS: 0, DurNS: 0,
-			Blocks: 5000, Fast: 4000, Generic: 1000, Lookups: 42},
+			Blocks: 5000, Lookups: 42},
 	}
 	s := Summarize(evs)
 	if s.Hot.Blocks != 5000 || s.Hot.RunDur != 0 {

@@ -33,14 +33,12 @@ type BenchTotal struct {
 
 // HotLoop aggregates the engine hot-loop counters of executed run
 // spans: the dynamic block volume against the wall-clock those spans
-// spent, the fast/generic dispatch split, and translation-cache probes.
-// All zero for traces recorded before the counters existed, or for a
-// fully cache-warm study that executed nothing.
+// spent, and translation-cache probes. All zero for traces recorded
+// before the counters existed, or for a fully cache-warm study that
+// executed nothing.
 type HotLoop struct {
 	Blocks  uint64
 	RunDur  time.Duration // summed duration of counter-carrying spans
-	Fast    uint64
-	Generic uint64
 	Lookups uint64
 }
 
@@ -98,11 +96,9 @@ func Summarize(events []Event) *Summary {
 			b.Errs++
 		}
 		workers[ev.Worker] = true
-		if ev.Fast > 0 || ev.Generic > 0 {
+		if ev.Lookups > 0 {
 			s.Hot.Blocks += ev.Blocks
 			s.Hot.RunDur += time.Duration(ev.DurNS)
-			s.Hot.Fast += ev.Fast
-			s.Hot.Generic += ev.Generic
 			s.Hot.Lookups += ev.Lookups
 		}
 		if e := ev.StartNS + ev.DurNS; e > end {
@@ -209,15 +205,12 @@ func Render(events []Event) string {
 			p.Unit, p.Events, p.Dur.Seconds(), share, p.Blocks, p.Errs)
 	}
 
-	if h := s.Hot; h.Fast+h.Generic > 0 {
-		total := h.Fast + h.Generic
+	if h := s.Hot; h.Blocks > 0 {
 		b.WriteString("\n-- hot loop (executed run spans) --\n")
 		fmt.Fprintf(&b, "blocks/s       %14.0f  (%d blocks over %.3fs of run spans)\n",
 			h.BlocksPerSec(), h.Blocks, h.RunDur.Seconds())
-		fmt.Fprintf(&b, "dispatch       %14d fast (%.2f%%), %d generic\n",
-			h.Fast, 100*float64(h.Fast)/float64(total), h.Generic)
 		fmt.Fprintf(&b, "cache lookups  %14d  (%.4f per block)\n",
-			h.Lookups, float64(h.Lookups)/float64(total))
+			h.Lookups, float64(h.Lookups)/float64(h.Blocks))
 	}
 
 	b.WriteString("\n-- per benchmark --\n")

@@ -11,7 +11,7 @@
 // driven from the shared reference trace (dbt.RunMultiObserved), so the
 // guest still executes exactly once and the predictor pass perturbs no
 // profiling counter: mispredict counts are a pure function of the
-// branch stream, identical across worker counts and dispatch paths.
+// branch stream, identical across worker counts and follower counts.
 package predict
 
 import (

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/dbt"
+	"repro/internal/interp"
+	"repro/internal/isa"
 	"repro/internal/predict"
 	"repro/internal/spec"
 )
@@ -40,20 +42,74 @@ func observedRun(t *testing.T, b *spec.Benchmark, scale float64, cfg dbt.Config)
 	return suite.Results()
 }
 
-// TestReplayDeterminismAcrossDispatchPaths pins the core determinism
+// referenceRun executes one benchmark's reference input on the
+// reference interpreter and feeds every predictor the branch stream
+// rebuilt from the machine's block-entry sequence: each entered block
+// that ends in a conditional branch resolves taken exactly when the
+// next block entered is its taken target.
+func referenceRun(t *testing.T, b *spec.Benchmark, scale float64) []predict.Result {
+	t.Helper()
+	img, tape, err := b.Target(scale).Build("ref")
+	if err != nil {
+		t.Fatalf("%s: build: %v", b.Name, err)
+	}
+	suite, err := predict.NewSuite(predict.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := interp.NewMachine(img, tape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// takenTarget maps a block entry to its conditional branch's taken
+	// target, or -1 for a block that ends in any other control op.
+	targets := map[int]int{}
+	takenTarget := func(pc int) int {
+		tgt, ok := targets[pc]
+		for end := pc; !ok; end++ {
+			in, err := isa.Decode(img.Code[end])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.Op.EndsBlock() {
+				tgt, ok = -1, true
+				if in.Op.IsCondBranch() {
+					tgt = end + int(in.Imm)
+				}
+				targets[pc] = tgt
+			}
+		}
+		return tgt
+	}
+	prev := -1
+	m.BlockHook = func(pc int) {
+		if prev >= 0 {
+			if tgt := takenTarget(prev); tgt >= 0 {
+				suite.Record(int32(prev), pc == tgt)
+			}
+		}
+		prev = pc
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("%s: reference run: %v", b.Name, err)
+	}
+	return suite.Results()
+}
+
+// TestReplayMatchesReferenceInterpreter pins the core determinism
 // invariant of the predictor layer: the observed branch stream — and
-// with it every predictor's mispredict count — is bit-identical
-// between the pre-lowered fast path and the generic interp dispatch,
+// with it every predictor's mispredict count — is bit-identical to the
+// stream the reference interpreter's block-entry sequence implies,
 // across the full spec suite.
-func TestReplayDeterminismAcrossDispatchPaths(t *testing.T) {
+func TestReplayMatchesReferenceInterpreter(t *testing.T) {
 	const scale = 0.001
 	for _, b := range spec.Suite() {
-		fast := observedRun(t, b, scale, dbt.Config{})
-		generic := observedRun(t, b, scale, dbt.Config{DisableFastPath: true})
-		if !reflect.DeepEqual(fast, generic) {
-			t.Errorf("%s: predictor tallies diverge between dispatch paths:\nfast:    %+v\ngeneric: %+v", b.Name, fast, generic)
+		got := observedRun(t, b, scale, dbt.Config{})
+		want := referenceRun(t, b, scale)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: predictor tallies diverge from the reference interpreter:\nobserved:  %+v\nreference: %+v", b.Name, got, want)
 		}
-		if fast[0].Branches == 0 {
+		if got[0].Branches == 0 {
 			t.Errorf("%s: observed no branches; the spec benchmarks all contain branch sites", b.Name)
 		}
 	}

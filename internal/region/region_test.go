@@ -250,10 +250,11 @@ func TestFormSeedsHottestFirst(t *testing.T) {
 	}
 }
 
-func TestPaperFigure6CompletionProbability(t *testing.T) {
-	// Figure 6: b5 splits 0.4/0.6 to b6/b7, which rejoin at b8 with
-	// probabilities 0.8 and 0.9; CP = 0.4*0.8 + 0.6*0.9 = 0.86.
-	r := &profile.Region{
+// figure6Region is the paper's Figure 6: b5 splits 0.4/0.6 to b6/b7,
+// which rejoin at b8 with probabilities 0.8 and 0.9; CP = 0.4*0.8 +
+// 0.6*0.9 = 0.86.
+func figure6Region() *profile.Region {
+	return &profile.Region{
 		ID:    0,
 		Kind:  profile.RegionTrace,
 		Entry: 5,
@@ -264,21 +265,14 @@ func TestPaperFigure6CompletionProbability(t *testing.T) {
 			{ID: 8, Addr: 8, HasBranch: false, TakenNext: -1, FallNext: -1, TakenTarget: -1, FallTarget: -1},
 		},
 	}
-	cp, err := CompletionProb(r, FrozenProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cp-0.86) > 1e-12 {
-		t.Fatalf("CP = %v, want 0.86 (paper Figure 6)", cp)
-	}
 }
 
-func TestPaperFigure7LoopBackProbability(t *testing.T) {
-	// Figure 7: entry b5 splits 0.6 to b7 and 0.4 to b6; b6 reaches b8
-	// with 0.9625 (so b8 carries ~0.385); b7 and b8 branch back to the
-	// entry with probability 0.9 each. The dummy node receives
-	// 0.6*0.9 + 0.385*0.9 = 0.8865 ~= the paper's 0.886.
-	r := &profile.Region{
+// figure7Region is the paper's Figure 7: entry b5 splits 0.6 to b7 and
+// 0.4 to b6; b6 reaches b8 with 0.9625 (so b8 carries ~0.385); b7 and
+// b8 branch back to the entry with probability 0.9 each. The dummy node
+// receives 0.6*0.9 + 0.385*0.9 = 0.8865 ~= the paper's 0.886.
+func figure7Region() *profile.Region {
+	return &profile.Region{
 		ID:    1,
 		Kind:  profile.RegionLoop,
 		Entry: 5,
@@ -289,7 +283,20 @@ func TestPaperFigure7LoopBackProbability(t *testing.T) {
 			{ID: 8, Addr: 8, HasBranch: true, Use: 3850, Taken: 3465, TakenNext: 5, FallNext: -1},
 		},
 	}
-	lp, err := LoopBackProb(r, FrozenProb)
+}
+
+func TestPaperFigure6CompletionProbability(t *testing.T) {
+	cp, err := CompletionProb(figure6Region(), FrozenProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(cp-0.86) > 1e-12 {
+		t.Fatalf("CP = %v, want 0.86 (paper Figure 6)", cp)
+	}
+}
+
+func TestPaperFigure7LoopBackProbability(t *testing.T) {
+	lp, err := LoopBackProb(figure7Region(), FrozenProb)
 	if err != nil {
 		t.Fatal(err)
 	}

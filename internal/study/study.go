@@ -103,7 +103,7 @@ type Config struct {
 	// to drive off each benchmark's reference trace as read-only
 	// observers. The guest still executes exactly once per benchmark;
 	// mispredict tallies are threshold-independent and identical across
-	// Parallelism values and dispatch paths. Empty (the default) runs
+	// Parallelism values. Empty (the default) runs
 	// no predictors and leaves every figure byte-identical.
 	Predictors []string
 	// SamplePeriods is the ladder of sampled-profiling periods to sweep
@@ -388,8 +388,6 @@ type Perf struct {
 	OptimizationWaves int64  `json:"optimization_waves"`
 	RegionsFormed     int64  `json:"regions_formed"`
 	RegionsDissolved  int64  `json:"regions_dissolved"`
-	FastDispatches    uint64 `json:"fast_dispatches"`
-	GenericDispatches uint64 `json:"generic_dispatches"`
 	CacheLookups      uint64 `json:"cache_lookups"`
 	InterruptPolls    uint64 `json:"interrupt_polls"`
 	FreezeEvents      uint64 `json:"freeze_events"`
@@ -518,8 +516,6 @@ func Run(cfg Config) (*Results, error) {
 		OptimizationWaves: timing.OptimizationWaves.Load(),
 		RegionsFormed:     timing.RegionsFormed.Load(),
 		RegionsDissolved:  timing.RegionsDissolved.Load(),
-		FastDispatches:    timing.FastDispatches.Load(),
-		GenericDispatches: timing.GenericDispatches.Load(),
 		CacheLookups:      timing.CacheLookups.Load(),
 		InterruptPolls:    timing.InterruptPolls.Load(),
 		FreezeEvents:      timing.FreezeEvents.Load(),
