@@ -217,9 +217,10 @@ fi
 
 echo "== learned smoke (-race) =="
 # Profile-free learned model (DESIGN §3j): the cold full-suite run
-# collects branch-site data (the legacy units come warm out of the
-# cache above, only the `ls` entries are new) and fits the
-# cross-validated model; the warm rerun must replay everything
+# collects branch-site data (the comparison and training entries come
+# warm out of the cache above; the new entries are the `ref` entries
+# that carry the learned collection, whose key names the model) and
+# fits the cross-validated model; the warm rerun must replay everything
 # byte-identically — figures and dumped model — at zero guest blocks.
 "$tmpdir/inipstudy" -scale 0.001 -learned logreg -fig figl1,figl2 \
     -cache "$tmpdir/cache" -learnedjson "$tmpdir/lm-cold.json" \
@@ -255,6 +256,23 @@ if [ -n "$leftovers" ]; then
     echo "$leftovers" >&2
     exit 1
 fi
+
+echo "== all-axes cache smoke (-race) =="
+# Every study axis rides the one `ref` entry of its benchmark (DESIGN
+# §3): a cold run with all predictors, two sample periods and the
+# learned model fills it; the warm rerun must replay the axis figures
+# byte-identically at zero guest blocks, and the differential verify
+# pass must re-execute them byte-identically against the filled store.
+axes="-scale 0.001 -bench gzip,swim -predictors all -sampleperiods 4,16 -learned tree -fig figp1,figs1,figl1"
+# $axes is a flag list, word-split on purpose.
+"$tmpdir/inipstudy" $axes -cache "$tmpdir/axcache" > "$tmpdir/ax-cold.txt" 2> /dev/null
+"$tmpdir/inipstudy" $axes -cache "$tmpdir/axcache" \
+    -benchjson "$tmpdir/ax-warm.json" > "$tmpdir/ax-warm.txt" 2> /dev/null
+cmp "$tmpdir/ax-cold.txt" "$tmpdir/ax-warm.txt"
+grep -q '"blocks_executed": 0' "$tmpdir/ax-warm.json"
+"$tmpdir/inipstudy" $axes -cache "$tmpdir/axcache" -cacheverify \
+    > "$tmpdir/ax-verify.txt" 2> /dev/null
+cmp "$tmpdir/ax-cold.txt" "$tmpdir/ax-verify.txt"
 
 echo "== coverage floors =="
 # Statement-coverage floors for the packages the sampling and caching

@@ -18,8 +18,8 @@ import (
 )
 
 // This file threads the result cache (internal/resultcache) through the
-// unit pipeline. Every cached unit output — the seven entry kinds ref,
-// run, cmp, traincmp, bp, ls and sp — goes through one slot (below):
+// unit pipeline. Every cached unit output — the four entry kinds ref,
+// run, cmp and traincmp — goes through one slot (below):
 //
 //   - lookup happens before a unit's expensive body runs; a validated
 //     hit outside verify mode is warm and replays the unit's outputs
@@ -27,16 +27,15 @@ import (
 //     a warm path, so the study's BlocksExecuted stays at zero for fully
 //     cached benchmarks);
 //   - settle happens only on the unit's clean completion path: a miss
-//     stores the computed value, a hit (verify mode, or a cold reference
-//     run forced by another entry's miss) checks it against the cached
-//     one. Failed, interrupted or faulted runs never reach a settle, so
-//     the cache can only ever hold results the uncached pipeline would
-//     have reported;
+//     stores the computed value, a hit (which reaches a settle only in
+//     verify mode) checks it against the cached one. Failed, interrupted
+//     or faulted runs never reach a settle, so the cache can only ever
+//     hold results the uncached pipeline would have reported;
 //   - in verify mode (Options.CacheVerify) a hit does not short-circuit:
 //     the unit executes anyway and a divergence between the computed and
 //     cached values is a hard unit error — the differential self-check
 //     of both the cache and the engine's determinism;
-//   - a unit settles every slot before it spawns a dependent unit, so a
+//   - a unit settles its slot before it spawns a dependent unit, so a
 //     settle failure fails the unit before any dependent could publish
 //     a result computed from the unsettled values.
 //
@@ -59,14 +58,26 @@ type runOutput struct {
 	Cycles float64 `json:"cycles"`
 }
 
-// refEntry is the cached output of a reference unit: the
-// AVEP profile plus one runOutput per distinct effective threshold, in
-// ladder (config) order.
+// refEntry is the cached output of the reference step: the AVEP
+// profile plus one runOutput per distinct effective threshold, in
+// ladder (config) order, and the output of every study axis that rode
+// the same trace. The axis fields are omitted when their axis is off,
+// so an entry without axes keeps the bytes it had before they existed.
 type refEntry struct {
 	AVEP       cachedSnapshot `json:"avep"`
 	AVEPStats  dbt.RunStats   `json:"avep_stats"`
 	AVEPCycles float64        `json:"avep_cycles"`
 	Runs       []runOutput    `json:"runs"`
+	// Predictors holds one tally per requested predictor, in request
+	// order.
+	Predictors []predict.Result `json:"predictors,omitempty"`
+	// Sampling holds one sampled ladder per requested period, in period
+	// order, each shaped like Runs. The comparisons against AVEP are not
+	// cached: they are cheap and recomputed on warm reruns.
+	Sampling [][]runOutput `json:"sampling,omitempty"`
+	// Learned is the learned-predictor collection: every static branch
+	// site with its feature vector and outcome tallies.
+	Learned *learned.BenchData `json:"learned,omitempty"`
 }
 
 // cachedSnapshot is a profile snapshot as a cache entry field: a JSON
@@ -125,34 +136,6 @@ type trainCmpEntry struct {
 	TrainRegions metrics.Summary `json:"train_regions"`
 }
 
-// bpEntry is the cached output of the dynamic-predictor observers over
-// the reference trace: one tally per requested predictor, in request
-// order. The trace is fully determined by image and tape, so the entry
-// is threshold-independent and shared across ladder shapes.
-type bpEntry struct {
-	Results []predict.Result `json:"results"`
-}
-
-// lsEntry is the cached output of the learned-predictor collection over
-// the reference trace: every static branch site with its feature vector
-// and outcome tallies. Like bp it is threshold-independent — the trace
-// is fully determined by image and tape — and shared across ladder
-// shapes. The fingerprint pins the feature schema (and,
-// via the key's engine component, the model config it will feed).
-type lsEntry struct {
-	Fingerprint string            `json:"fingerprint"`
-	Data        learned.BenchData `json:"data"`
-}
-
-// spEntry is the cached output of one sampled-profiling ladder: every
-// distinct-threshold run of one sample period over the reference
-// input, in ladder (config) order. The comparisons against AVEP are
-// not cached — they are cheap and recomputed on warm reruns.
-type spEntry struct {
-	Period uint64      `json:"period"`
-	Runs   []runOutput `json:"runs"`
-}
-
 // cacheUsable reports whether this benchmark's units may consult the
 // result cache at all. Fault plans perturb runs, and a target without a
 // declarative tape identity leaves the key closure incomplete — in both
@@ -178,8 +161,8 @@ func (b *benchRun) cacheKey(kind, imgHash, tape, engine string, t uint64) result
 
 // slot is one cache entry a unit body consults: looked up before the
 // body runs, settled with the computed value after. A slot that is off
-// (cache unusable, or the entry's axis not requested) never hits and
-// settles nothing.
+// (the cache is unusable, see cacheUsable) never hits and settles
+// nothing.
 type slot[E any] struct {
 	b      *benchRun
 	key    resultcache.Key
@@ -188,15 +171,16 @@ type slot[E any] struct {
 	cached E
 }
 
-// lookupSlot consults the store for one entry when on is set. keyFn is
-// only called then, so an uncached run never pays for key building;
+// lookupSlot consults the store for one entry when the cache is usable.
+// keyFn is only called then, so an uncached run never pays for key
+// building;
 // valid, when non-nil, sanity-checks the decoded entry (a failure is a
 // miss). The lookup emits a flight-recorder event for the validated
 // outcome, so traces show where warm runs got their data, and an entry
 // the validator rejected is a cache_miss whose error says so.
-func lookupSlot[E any](b *benchRun, on bool, keyFn func() resultcache.Key, valid func(*E) bool, worker int) slot[E] {
-	s := slot[E]{b: b, on: on}
-	if !on {
+func lookupSlot[E any](b *benchRun, keyFn func() resultcache.Key, valid func(*E) bool, worker int) slot[E] {
+	s := slot[E]{b: b, on: b.cacheUsable()}
+	if !s.on {
 		return s
 	}
 	s.key = keyFn()
@@ -264,27 +248,60 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 	return nil
 }
 
-// refEntryMatches sanity-checks a decoded reference bundle against the
-// follower configs the pipeline is about to serve. The key fingerprint
-// already encodes the config set, so a mismatch indicates a damaged or
-// hand-edited entry; the caller treats it as a miss.
-func refEntryMatches(ent *refEntry, cfgs []dbt.Config) bool {
-	if ent.AVEP.Snapshot == nil || len(ent.Runs) != len(cfgs)-1 {
+// refEntryMatches sanity-checks a decoded reference bundle against what
+// the pipeline is about to serve: cfgs are the reference configs in
+// trace order (see referenceConfigs), n the number of distinct rungs.
+// The key already encodes the config set and the axes, so a mismatch
+// indicates a damaged or hand-edited entry; the caller treats it as a
+// miss.
+func (b *benchRun) refEntryMatches(ent *refEntry, cfgs []dbt.Config, n int) bool {
+	preds, lcfg := b.opts.Predictors, b.opts.Learned
+	if ent.AVEP.Snapshot == nil || len(ent.Sampling) != len(b.opts.SamplePeriods) ||
+		len(ent.Predictors) != len(preds) || (ent.Learned != nil) != (lcfg != nil) {
 		return false
 	}
-	for j, ro := range ent.Runs {
-		if ro.Snapshot.Snapshot == nil || ro.T != cfgs[j+1].Threshold {
+	for k, runs := range append([][]runOutput{ent.Runs}, ent.Sampling...) {
+		if len(runs) != n {
 			return false
+		}
+		for j, ro := range runs {
+			if ro.Snapshot.Snapshot == nil || ro.T != cfgs[1+k*n+j].Threshold {
+				return false
+			}
+		}
+	}
+	for i, r := range ent.Predictors {
+		if r.Predictor != preds[i] {
+			return false
+		}
+	}
+	if ent.Learned != nil {
+		if ent.Learned.Bench != b.t.Name {
+			return false
+		}
+		for i := range ent.Learned.Sites {
+			if len(ent.Learned.Sites[i].X) != learned.NumFeatures() {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// refCacheKey keys the reference bundle: one entry covers
-// the AVEP run and every distinct-threshold follower, so the engine
-// component joins all follower fingerprints in config order.
-func (b *benchRun) refCacheKey(imgHash string, cfgs []dbt.Config) resultcache.Key {
-	return b.cacheKey("ref", imgHash, b.t.TapeID("ref"), joinFingerprints(cfgs), 0)
+// refCacheKey keys the reference bundle: one entry covers the AVEP run,
+// every distinct-threshold follower and every sampled follower, so the
+// engine component joins all their fingerprints in config order. The
+// predictor list and the learned model's fingerprint are appended only
+// when those axes are set, so an axis-less bundle keeps its key.
+func (b *benchRun) refCacheKey(cfgs []dbt.Config) resultcache.Key {
+	engine := joinFingerprints(cfgs)
+	if len(b.opts.Predictors) > 0 {
+		engine += "|predictors=" + strings.Join(b.opts.Predictors, ",")
+	}
+	if b.opts.Learned != nil {
+		engine += "|learned=" + b.opts.Learned.Fingerprint()
+	}
+	return b.cacheKey("ref", b.refImgHash, b.t.TapeID("ref"), engine, 0)
 }
 
 // joinFingerprints is the engine component of a multi-run entry: every
@@ -298,74 +315,6 @@ func joinFingerprints(cfgs []dbt.Config) string {
 		engines = append(engines, cfg.Fingerprint()...)
 	}
 	return string(engines)
-}
-
-// bpEntryMatches sanity-checks a decoded predictor entry against the
-// requested predictor list; a mismatch is treated as a miss.
-func bpEntryMatches(ent *bpEntry, names []string) bool {
-	if len(ent.Results) != len(names) {
-		return false
-	}
-	for i, r := range ent.Results {
-		if r.Predictor != names[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bpCacheKey keys the predictor tallies over the reference trace. The
-// engine component is the predictor list — the trace itself does not
-// depend on any translator configuration, only on image and tape.
-func (b *benchRun) bpCacheKey(imgHash string) resultcache.Key {
-	return b.cacheKey("bp", imgHash, b.t.TapeID("ref"),
-		"predictors="+strings.Join(b.opts.Predictors, ","), 0)
-}
-
-// lsEntryMatches sanity-checks a decoded learned-collection entry; a
-// mismatch (wrong fingerprint, wrong benchmark, or a feature width the
-// current extractor would not produce) is treated as a miss.
-func lsEntryMatches(ent *lsEntry, fingerprint, bench string) bool {
-	if ent.Fingerprint != fingerprint || ent.Data.Bench != bench {
-		return false
-	}
-	for i := range ent.Data.Sites {
-		if len(ent.Data.Sites[i].X) != learned.NumFeatures() {
-			return false
-		}
-	}
-	return true
-}
-
-// lsCacheKey keys the learned collection over the reference trace. The
-// engine component is the model-config fingerprint, which also carries
-// the feature-schema version; the collection itself depends only on
-// image and tape, so study runs and the daemon warm each other.
-func (b *benchRun) lsCacheKey(imgHash string) resultcache.Key {
-	return b.cacheKey("ls", imgHash, b.t.TapeID("ref"), b.opts.Learned.Fingerprint(), 0)
-}
-
-// spEntryMatches sanity-checks a decoded sampled-ladder entry against
-// the period and configs the pipeline is about to serve; a mismatch is
-// treated as a miss.
-func spEntryMatches(ent *spEntry, period uint64, cfgs []dbt.Config) bool {
-	if ent.Period != period || len(ent.Runs) != len(cfgs) {
-		return false
-	}
-	for j, ro := range ent.Runs {
-		if ro.Snapshot.Snapshot == nil || ro.T != cfgs[j].Threshold {
-			return false
-		}
-	}
-	return true
-}
-
-// spCacheKey keys one sampled-profiling ladder. Each config's
-// fingerprint already carries the period and seed (";sample=..."), so
-// the joined engine component pins the whole bundle; T carries the
-// period to keep entries of one sweep distinguishable in traces.
-func (b *benchRun) spCacheKey(imgHash string, period uint64, cfgs []dbt.Config) resultcache.Key {
-	return b.cacheKey("sp", imgHash, b.t.TapeID("ref"), joinFingerprints(cfgs), period)
 }
 
 // runCacheKey keys one profiled execution: the training run.

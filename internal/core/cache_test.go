@@ -20,8 +20,9 @@ import (
 
 // cacheOpts is the option baseline of the caching tests: a couple of
 // ladder rungs, a predictor, a sample period and the learned collector
-// riding the reference trace (so every entry kind is written), and a
-// Timing aggregate to observe guest-block volume.
+// riding the reference trace (so every entry kind and every axis field
+// of the ref entry is written), and a Timing aggregate to observe
+// guest-block volume.
 func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 	t.Helper()
 	store, err := resultcache.Open(dir)
@@ -81,8 +82,8 @@ func TestCacheColdThenWarm(t *testing.T) {
 	// Name the snapshots the cache carries, so a codec that loses a
 	// field, or turns a nil collection into an empty one, fails on the
 	// snapshot it damaged: the cold run's AVEP against the warm run's
-	// decoded one, and every stored INIP snapshot (ref and sp entries)
-	// against the serial oracle's freshly computed one.
+	// decoded one, and every stored INIP snapshot (the ref entry's main
+	// and sampled ladders) against the serial oracle's freshly computed one.
 	if !reflect.DeepEqual(cold.AVEP, warm.AVEP) {
 		t.Fatal("warm AVEP snapshot differs from cold")
 	}
@@ -282,24 +283,26 @@ func object(v any, path ...any) map[string]any {
 	return v.(map[string]any)
 }
 
-// TestCacheVerifyCatchesForgedEntry forges each entry kind in turn —
-// a perturbed value under a recomputed checksum, so the store itself
-// accepts it and every sanity check passes — and requires the
-// differential verify mode to catch it.
+// TestCacheVerifyCatchesForgedEntry forges each entry kind, and each
+// axis field of the ref entry, in turn — a perturbed value under a
+// recomputed checksum, so the store itself accepts it and every sanity
+// check passes — and requires the differential verify mode to catch
+// it. The axis rows are named after their axis: bp the predictor
+// tallies, ls the learned collection, sp the sampled ladders.
 func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	for _, tc := range []struct {
-		kind string
-		edit func(v map[string]any)
+		name, kind string
+		edit       func(v map[string]any)
 	}{
-		{"ref", func(v map[string]any) { v["avep_cycles"] = 1.5 }},
-		{"run", func(v map[string]any) { v["cycles"] = 1.5 }},
-		{"cmp", func(v map[string]any) { object(v, "summary")["SdBP"] = 0.123456789 }},
-		{"traincmp", func(v map[string]any) { object(v, "train")["SdBP"] = 0.123456789 }},
-		{"bp", func(v map[string]any) { object(v, "results", 0)["mispredicts"] = 123456789 }},
-		{"ls", func(v map[string]any) { object(v, "data", "sites", 0)["taken"] = 123456789 }},
-		{"sp", func(v map[string]any) { object(v, "runs", 0)["cycles"] = 1.5 }},
+		{"ref", "ref", func(v map[string]any) { v["avep_cycles"] = 1.5 }},
+		{"run", "run", func(v map[string]any) { v["cycles"] = 1.5 }},
+		{"cmp", "cmp", func(v map[string]any) { object(v, "summary")["SdBP"] = 0.123456789 }},
+		{"traincmp", "traincmp", func(v map[string]any) { object(v, "train")["SdBP"] = 0.123456789 }},
+		{"bp", "ref", func(v map[string]any) { object(v, "predictors", 0)["mispredicts"] = 123456789 }},
+		{"ls", "ref", func(v map[string]any) { object(v, "learned", "sites", 0)["taken"] = 123456789 }},
+		{"sp", "ref", func(v map[string]any) { object(v, "sampling", 0, 0)["cycles"] = 1.5 }},
 	} {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
 			opts, _ := cacheOpts(t, dir)
@@ -334,12 +337,14 @@ func TestCacheInvalidEntriesReExecute(t *testing.T) {
 		name, kind string
 		edit       func(v map[string]any)
 	}{
-		{"bp renamed predictor", "bp", func(v map[string]any) {
-			object(v, "results", 0)["predictor"] = "renamed"
+		{"bp renamed predictor", "ref", func(v map[string]any) {
+			object(v, "predictors", 0)["predictor"] = "renamed"
 		}},
-		{"sp wrong period", "sp", func(v map[string]any) { v["period"] = 5 }},
-		{"ls short feature vector", "ls", func(v map[string]any) {
-			site := object(v, "data", "sites", 0)
+		{"sp wrong threshold", "ref", func(v map[string]any) { object(v, "sampling", 0, 0)["t"] = 5 }},
+		{"sp missing ladder", "ref", func(v map[string]any) { v["sampling"] = []any{} }},
+		{"ls wrong bench", "ref", func(v map[string]any) { object(v, "learned")["bench"] = "other" }},
+		{"ls short feature vector", "ref", func(v map[string]any) {
+			site := object(v, "learned", "sites", 0)
 			x := site["x"].([]any)
 			site["x"] = x[:len(x)-1]
 		}},
@@ -435,8 +440,8 @@ func TestCacheSkippedWithoutTapeID(t *testing.T) {
 // reference unit must fail the unit before it spawns any dependent, so
 // a failed reference unit publishes no comparison, no comparison runs
 // twice, and the benchmark reports exactly once with no unit left live.
-// The forged entry is the second sample period's, so the first period
-// has settled cleanly by the time it fails.
+// The forged field is the second sample period's ladder, which the
+// verify-mode settle of the one ref entry catches.
 func TestSettleFailureRetiresRefOnce(t *testing.T) {
 	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
 	baseline := func(t *testing.T, dir string) Options {
@@ -447,69 +452,57 @@ func TestSettleFailureRetiresRefOnce(t *testing.T) {
 		opts.SamplePeriods = []uint64{4, 16}
 		return opts
 	}
-	for _, tc := range []struct {
-		name  string
-		setup func(t *testing.T, dir string, opts *Options)
-	}{
-		{"verify", func(t *testing.T, dir string, opts *Options) { opts.CacheVerify = true }},
-		{"partially warm", func(t *testing.T, dir string, opts *Options) {
-			if err := os.Remove(cacheEntryPath(t, dir, "bp")); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			runCached(t, target, baseline(t, dir))
-			forgeEntry(t, cacheEntryPath(t, dir, "sp", "|t=16|"), func(v map[string]any) { object(v, "runs", 0)["cycles"] = 1.5 })
+	t.Run("verify", func(t *testing.T) {
+		dir := t.TempDir()
+		runCached(t, target, baseline(t, dir))
+		forgeEntry(t, cacheEntryPath(t, dir, "ref"), func(v map[string]any) { object(v, "sampling", 1, 0)["cycles"] = 1.5 })
 
-			opts := baseline(t, dir)
-			tc.setup(t, dir, &opts)
-			var trace bytes.Buffer
-			opts.Trace = obs.NewRecorder(&trace)
-			s := NewSchedulerPolicy(2, Degrade)
-			var doneCalls atomic.Int64
-			b := scheduleBenchmark(s, target, opts, func(*BenchmarkResult) { doneCalls.Add(1) })
-			if err := s.Wait(); err != nil {
-				t.Fatalf("Degrade run failed outright: %v", err)
-			}
-			if _, err := opts.Trace.Close(); err != nil {
-				t.Fatal(err)
-			}
+		opts := baseline(t, dir)
+		opts.CacheVerify = true
+		var trace bytes.Buffer
+		opts.Trace = obs.NewRecorder(&trace)
+		s := NewSchedulerPolicy(2, Degrade)
+		var doneCalls atomic.Int64
+		b := scheduleBenchmark(s, target, opts, func(*BenchmarkResult) { doneCalls.Add(1) })
+		if err := s.Wait(); err != nil {
+			t.Fatalf("Degrade run failed outright: %v", err)
+		}
+		if _, err := opts.Trace.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			b.mu.Lock()
-			live := b.live
-			b.mu.Unlock()
-			if live != 0 {
-				t.Fatalf("live = %d after Wait, want 0", live)
+		b.mu.Lock()
+		live := b.live
+		b.mu.Unlock()
+		if live != 0 {
+			t.Fatalf("live = %d after Wait, want 0", live)
+		}
+		if n := doneCalls.Load(); n != 1 {
+			t.Fatalf("onDone fired %d times, want once", n)
+		}
+		if f := b.out.Failures; len(f) != 1 || f[0].Unit != obs.UnitRef ||
+			!strings.Contains(f[0].Err, "cache verify: ref entry") {
+			t.Fatalf("Failures = %+v, want one ref-unit ref verify failure", f)
+		}
+		events, err := obs.ReadEvents(&trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawns := make(map[uint64]int)
+		for _, ev := range events {
+			if ev.Unit == obs.UnitCacheHit || ev.Unit == obs.UnitCacheMiss {
+				spawns[ev.T]++
 			}
-			if n := doneCalls.Load(); n != 1 {
-				t.Fatalf("onDone fired %d times, want once", n)
+		}
+		for _, rung := range opts.Thresholds {
+			if spawns[rung] > 1 {
+				t.Fatalf("comparison unit of T=%d spawned %d times, want at most once", rung, spawns[rung])
 			}
-			if f := b.out.Failures; len(f) != 1 || f[0].Unit != obs.UnitRef ||
-				!strings.Contains(f[0].Err, "cache verify: sp entry") {
-				t.Fatalf("Failures = %+v, want one ref-unit sp verify failure", f)
+		}
+		for i, tr := range b.out.Results {
+			if !reflect.DeepEqual(tr, (ThresholdResult{})) {
+				t.Fatalf("failed reference unit published Results[%d]: %+v", i, tr)
 			}
-			events, err := obs.ReadEvents(&trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spawns := make(map[uint64]int)
-			for _, ev := range events {
-				if ev.Unit == obs.UnitCacheHit || ev.Unit == obs.UnitCacheMiss {
-					spawns[ev.T]++
-				}
-			}
-			for _, rung := range opts.Thresholds {
-				if spawns[rung] > 1 {
-					t.Fatalf("comparison unit of T=%d spawned %d times, want at most once", rung, spawns[rung])
-				}
-			}
-			for i, tr := range b.out.Results {
-				if !reflect.DeepEqual(tr, (ThresholdResult{})) {
-					t.Fatalf("failed reference unit published Results[%d]: %+v", i, tr)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -45,20 +45,34 @@ type goldenKey struct {
 // `go test ./internal/core -run GoldenCacheKeys -update` only for a
 // deliberate key or payload change.
 func TestGoldenCacheKeys(t *testing.T) {
+	checkGoldenCacheKeys(t, "golden_cachekeys.json", core.Options{
+		Predictors:    []string{"2bit", "gshare"},
+		SamplePeriods: []uint64{4, 16},
+		Learned:       &learned.Config{Model: learned.ModelTree},
+	})
+}
+
+// TestGoldenCacheKeysPlain pins the same ladder with no study axis set:
+// the entries a plain study or an axis-less compare reads and writes.
+// Its golden must not move when an axis's storage changes, or every
+// cache filled by plain runs goes cold.
+func TestGoldenCacheKeysPlain(t *testing.T) {
+	checkGoldenCacheKeys(t, "golden_cachekeys_plain.json", core.Options{})
+}
+
+// checkGoldenCacheKeys runs gzip cold over the pinned ladder with the
+// axes set in opts and compares every stored key and payload sum with
+// testdata/golden.
+func checkGoldenCacheKeys(t *testing.T, golden string, opts core.Options) {
 	const scale = 0.01
 	dir := t.TempDir()
 	store, err := resultcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{
-		Thresholds:    []uint64{1, 1, 2, 5, 10, 20, 50, 100, 200, 400},
-		Predictors:    []string{"2bit", "gshare"},
-		SamplePeriods: []uint64{4, 16},
-		Learned:       &learned.Config{Model: learned.ModelTree},
-		Cache:         store,
-		CacheContext:  "scale=" + strconv.FormatFloat(scale, 'g', -1, 64),
-	}
+	opts.Thresholds = []uint64{1, 1, 2, 5, 10, 20, 50, 100, 200, 400}
+	opts.Cache = store
+	opts.CacheContext = "scale=" + strconv.FormatFloat(scale, 'g', -1, 64)
 	s := core.NewScheduler(1)
 	core.ScheduleBenchmark(s, spec.ByName("gzip").Target(scale), opts, func(*core.BenchmarkResult) {})
 	if err := s.Wait(); err != nil {
@@ -105,7 +119,7 @@ func TestGoldenCacheKeys(t *testing.T) {
 	}
 	got = append(got, '\n')
 
-	golden := filepath.Join("testdata", "golden_cachekeys.json")
+	golden = filepath.Join("testdata", golden)
 	if *updateKeys {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

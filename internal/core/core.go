@@ -38,10 +38,9 @@ type Target struct {
 	Name  string
 	Build func(input string) (*guest.Image, interp.Tape, error)
 	// NewTape, when non-nil, returns a fresh tape equivalent to the one
-	// Build yields for the same input. Images are read-only at run time,
-	// so the scheduler then builds each input once and hands every run
-	// the shared image with its own tape; without it, extra runs of the
-	// same input fall back to a full Build.
+	// Build yields for the same input. The pipeline never calls it: a
+	// benchmark builds each input once and runs it once. The benchmark
+	// harness (bench/inipbench) times tape construction through it.
 	NewTape func(input string) (interp.Tape, error)
 	// TapeID, when non-nil, returns a canonical identity string for the
 	// input's tape: equal identities must mean byte-identical tape
@@ -117,8 +116,8 @@ type Options struct {
 	// every legacy output is byte-identical to a run without the field.
 	// Training happens at the study level (the model must never see the
 	// benchmark it is scored on), so the per-benchmark result is data,
-	// not a fitted model. The config's Fingerprint keys the `ls` cache
-	// entries.
+	// not a fitted model. The config's Fingerprint joins the `ref` cache
+	// key.
 	Learned *learned.Config
 	// Timing, when non-nil, accumulates per-phase durations and run
 	// volume across all units of the benchmark.
@@ -129,7 +128,7 @@ type Options struct {
 	// sums reconcile with the study's Perf totals.
 	Trace *obs.Recorder
 	// Faults, when non-nil, is the armed fault-injection plan the
-	// pipeline consults at its injection points: the build cache, the
+	// pipeline consults at its injection points: the builds, the
 	// translator config (guest traps) and the unit wrapper (delays,
 	// panics). A nil plan injects nothing.
 	Faults *faultinject.Plan
@@ -294,75 +293,6 @@ func dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
 	}
 }
 
-// buildCache builds each input of a target once. The first caller gets
-// the tape Build produced; later callers of the same input get the
-// shared (read-only) image with a fresh tape from Target.NewTape, or a
-// full rebuild when the target has no tape factory. Errors are not
-// memoized: a failed build fails only the unit that asked for it.
-type buildCache struct {
-	t      Target
-	faults *faultinject.Plan
-	mu     sync.Mutex
-	// mu guards entries and every entry. Holding it across Build
-	// serializes a target's ref and train builds; builds are a rounding
-	// error next to the runs.
-	entries map[string]*buildEntry
-	builds  atomic.Int64 // Build invocations, for tests
-}
-
-type buildEntry struct {
-	built    bool
-	img      *guest.Image
-	tape     interp.Tape
-	tapeUsed bool
-}
-
-func newBuildCache(t Target, faults *faultinject.Plan) *buildCache {
-	return &buildCache{t: t, faults: faults, entries: make(map[string]*buildEntry)}
-}
-
-func (c *buildCache) get(input string) (*guest.Image, interp.Tape, error) {
-	// Injected build faults fire before the real builder is consulted
-	// and bypass the cache entirely.
-	if err := c.faults.BuildError(c.t.Name, input); err != nil {
-		return nil, nil, fmt.Errorf("core: build %s/%s: %w", c.t.Name, input, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[input]
-	if e == nil {
-		e = &buildEntry{}
-		c.entries[input] = e
-	}
-	if !e.built {
-		c.builds.Add(1)
-		img, tape, err := c.t.Build(input)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: build %s/%s: %w", c.t.Name, input, err)
-		}
-		e.built, e.img, e.tape = true, img, tape
-	}
-	if !e.tapeUsed {
-		e.tapeUsed = true
-		return e.img, e.tape, nil
-	}
-	if c.t.NewTape != nil {
-		tape, err := c.t.NewTape(input)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: build %s/%s: %w", c.t.Name, input, err)
-		}
-		return e.img, tape, nil
-	}
-	// No tape factory: tapes are stateful, so a fresh run needs a fresh
-	// build.
-	c.builds.Add(1)
-	img, tape, err := c.t.Build(input)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: build %s/%s: %w", c.t.Name, input, err)
-	}
-	return img, tape, err
-}
-
 // benchRun is the in-flight state of one scheduled benchmark: the AVEP
 // snapshot memo the comparison stages wait for, the training snapshot,
 // and the count of live units.
@@ -372,7 +302,6 @@ type benchRun struct {
 	opts   Options
 	out    *BenchmarkResult
 	onDone func(*BenchmarkResult)
-	build  *buildCache
 
 	// refImgHash and trainImgHash are the content hashes of the built
 	// images, filled by the run units before they spawn (or inline-run)
@@ -505,7 +434,6 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 		opts:   opts,
 		out:    &BenchmarkResult{Name: t.Name, Results: make([]ThresholdResult, len(opts.Thresholds))},
 		onDone: onDone,
-		build:  newBuildCache(t, opts.Faults),
 	}
 	if len(opts.SamplePeriods) > 0 {
 		b.out.Sampling = make([]SamplePeriodResult, len(opts.SamplePeriods))
@@ -534,15 +462,36 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 // keeps a reference unit finishing inside it from reporting early.
 var spawnGap func()
 
-// dbtConfig attaches the scheduler's cancellation channel and any
-// armed guest-trap fault for this (bench, input).
+// dbtConfig attaches the scheduler's cancellation channel, when there is
+// a scheduler, and any armed guest-trap fault for this (bench, input).
 func (b *benchRun) dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
 	cfg := dbtConfig(input, threshold, optimize)
-	cfg.Interrupt = b.s.Done()
+	if b.s != nil {
+		cfg.Interrupt = b.s.Done()
+	}
 	if n, ok := b.opts.Faults.Trap(b.t.Name, input); ok {
 		cfg.TrapAfter = n
 	}
 	return cfg
+}
+
+// build builds one input of the benchmark, under its own span. Injected
+// build faults fire before the builder is consulted. Each input is
+// built once per benchmark: the reference step and the training unit
+// each run their input once.
+func (b *benchRun) build(input string, worker int) (*guest.Image, interp.Tape, error) {
+	start := time.Now()
+	err := b.opts.Faults.BuildError(b.t.Name, input)
+	var img *guest.Image
+	var tape interp.Tape
+	if err == nil {
+		img, tape, err = b.t.Build(input)
+	}
+	if err != nil {
+		err = fmt.Errorf("core: build %s/%s: %w", b.t.Name, input, err)
+	}
+	b.record(obs.UnitBuild, 0, worker, start, 0, err)
+	return img, tape, err
 }
 
 // execute runs one unit body once under the scheduler's failure
@@ -608,37 +557,18 @@ func (o suiteObserver) ObserveBranches(evs []dbt.BranchEvent) {
 	}
 }
 
-// newPredictSuite builds the requested predictor set and its trace
-// observer. Unknown names are a unit error here — study.Config and the
-// flag layer validate earlier, so this guards direct API use.
-func newPredictSuite(names []string) (*predict.Suite, []dbt.TraceObserver, error) {
-	if len(names) == 0 {
-		return nil, nil, nil
-	}
-	suite, err := predict.NewSuite(names)
-	if err != nil {
-		return nil, nil, err
-	}
-	return suite, []dbt.TraceObserver{suiteObserver{suite}}, nil
-}
-
 // newLearnedCollector extracts the static branch-site features and
-// builds the tally observer for the learned predictor class. It returns
-// no observer when the class is off. Extraction is pure static analysis
-// of the image (internal/cfg + a successor-closure walk), traced under
-// its own flight-recorder unit.
-func (b *benchRun) newLearnedCollector(img *guest.Image, worker int) (*learned.Collector, []dbt.TraceObserver, error) {
-	if b.opts.Learned == nil {
-		return nil, nil, nil
-	}
+// builds the tally observer for the learned predictor class.
+// Extraction is pure static analysis of the image (internal/cfg + a
+// successor-closure walk), traced under its own flight-recorder unit.
+func (b *benchRun) newLearnedCollector(img *guest.Image, worker int) (*learned.Collector, error) {
 	start := time.Now()
 	sites, err := learned.ExtractSites(img)
 	b.record(obs.UnitLearnedCollect, 0, worker, start, 0, err)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: learned feature extraction of %s: %w", b.t.Name, err)
+		return nil, fmt.Errorf("core: learned feature extraction of %s: %w", b.t.Name, err)
 	}
-	col := learned.NewCollector(sites)
-	return col, []dbt.TraceObserver{col}, nil
+	return learned.NewCollector(sites), nil
 }
 
 // distinctRungs deduplicates the threshold ladder: a ladder scaled far
@@ -662,163 +592,123 @@ func (b *benchRun) distinctRungs() (distinct []uint64, rungs [][]int) {
 	return distinct, rungs
 }
 
-// sampleConfigs builds one sampled-profiling period's configs over the
-// distinct thresholds: the INIP(T) config with the sampling stride
-// switched on.
-func (b *benchRun) sampleConfigs(period uint64, distinct []uint64) []dbt.Config {
-	cfgs := make([]dbt.Config, len(distinct))
-	for j, threshold := range distinct {
-		cfg := b.dbtConfig("ref", threshold, true)
-		cfg.SamplePeriod = period
-		cfgs[j] = cfg
+// referenceConfigs lists every follower of the reference run in trace
+// order: AVEP, one INIP config per distinct threshold, then, for each
+// sample period, the same rungs with the sampling stride switched on.
+// Sampled ladders ride the reference trace as extra followers, so the
+// guest still executes exactly once.
+func (b *benchRun) referenceConfigs(distinct []uint64) []dbt.Config {
+	cfgs := make([]dbt.Config, 0, 1+len(distinct)*(1+len(b.opts.SamplePeriods)))
+	cfgs = append(cfgs, b.dbtConfig("ref", 0, false))
+	for _, period := range append([]uint64{0}, b.opts.SamplePeriods...) {
+		for _, threshold := range distinct {
+			cfg := b.dbtConfig("ref", threshold, true)
+			cfg.SamplePeriod = period
+			cfgs = append(cfgs, cfg)
+		}
 	}
 	return cfgs
 }
 
-// refBody produces the AVEP snapshot and every INIP(T) snapshot
-// alongside it, then fans out the comparison units.
-func (b *benchRun) refBody(worker int) error {
+// reference is the reference step: it builds the reference input, makes
+// one cache lookup, and either returns the warm entry or runs the trace
+// once — AVEP, every distinct rung and every sampled rung as followers,
+// the predictor and learned observers on the same branch stream — and
+// settles the entry. The warm path executes no guest block, and
+// addRunStats is deliberately not called on it: a fully cached
+// benchmark reports zero blocks.
+func (b *benchRun) reference(worker int) (refEntry, error) {
+	img, tape, err := b.build("ref", worker)
+	if err != nil {
+		return refEntry{}, err
+	}
+	if b.cacheUsable() {
+		b.refImgHash = img.ContentHash()
+	}
+	distinct, _ := b.distinctRungs()
+	n := len(distinct)
+	cfgs := b.referenceConfigs(distinct)
+	ref := lookupSlot(b, func() resultcache.Key { return b.refCacheKey(cfgs) },
+		func(e *refEntry) bool { return b.refEntryMatches(e, cfgs, n) }, worker)
+	if ref.warm() {
+		return ref.cached, nil
+	}
+
+	var observers []dbt.TraceObserver
+	var suite *predict.Suite
+	if len(b.opts.Predictors) > 0 {
+		// Unknown names are a unit error here: study.Config and the flag
+		// layer validate earlier, so this guards direct API use.
+		if suite, err = predict.NewSuite(b.opts.Predictors); err != nil {
+			return refEntry{}, err
+		}
+		observers = append(observers, suiteObserver{suite})
+	}
+	var col *learned.Collector
+	if b.opts.Learned != nil {
+		if col, err = b.newLearnedCollector(img, worker); err != nil {
+			return refEntry{}, err
+		}
+		observers = append(observers, col)
+	}
 	start := time.Now()
-	img, tape, err := b.build.get("ref")
-	b.record(obs.UnitBuild, 0, worker, start, 0, err)
+	snaps, stats, err := dbt.RunMultiObserved(img, tape, cfgs, observers)
+	if err != nil {
+		err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
+		b.record(obs.UnitRef, 0, worker, start, 0, err)
+		return refEntry{}, err
+	}
+	for _, st := range stats {
+		b.addRunStats(st)
+	}
+	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
+	// ladder returns the k-th ladder's runs: 0 is the full-instrumentation
+	// one, k > 0 the k-th sample period's.
+	ladder := func(k int) []runOutput {
+		outs := make([]runOutput, n)
+		for j := range outs {
+			c := 1 + k*n + j
+			outs[j] = runOutput{T: cfgs[c].Threshold, Snapshot: cachedSnapshot{snaps[c]}, Stats: *stats[c], Cycles: cfgs[c].Perf.Cycles}
+		}
+		return outs
+	}
+	entry := refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cfgs[0].Perf.Cycles, Runs: ladder(0)}
+	for k := range b.opts.SamplePeriods {
+		runs := ladder(k + 1)
+		for _, ro := range runs {
+			b.addSampleStats(ro.Snapshot.Snapshot)
+		}
+		entry.Sampling = append(entry.Sampling, runs)
+	}
+	if suite != nil {
+		entry.Predictors = suite.Results()
+	}
+	if col != nil {
+		data := col.BenchData(b.t.Name)
+		entry.Learned = &data
+	}
+	// Settle before the caller spawns anything: a settle failure then
+	// fails the step before any comparison could publish.
+	return entry, ref.settle(entry, worker)
+}
+
+// refBody runs the reference step, then publishes its outputs and fans
+// out the comparison units.
+func (b *benchRun) refBody(worker int) error {
+	entry, err := b.reference(worker)
 	if err != nil {
 		return err
 	}
-	useCache := b.cacheUsable()
-	if useCache {
-		b.refImgHash = img.ContentHash()
-	}
-
-	// Dynamic predictors and the learned-predictor collection observe the
-	// reference trace; each tally is threshold-independent and lives
-	// under its own cache entry, so a warm rerun replays it without
-	// executing a guest block. A miss on either with a warm reference
-	// entry falls back to the cold path — the trace must be re-executed
-	// once to feed the observers.
-	preds, lcfg := b.opts.Predictors, b.opts.Learned
-	bp := lookupSlot(b, useCache && len(preds) > 0, func() resultcache.Key { return b.bpCacheKey(b.refImgHash) },
-		func(e *bpEntry) bool { return bpEntryMatches(e, preds) }, worker)
-	ls := lookupSlot(b, useCache && lcfg != nil, func() resultcache.Key { return b.lsCacheKey(b.refImgHash) },
-		func(e *lsEntry) bool { return lsEntryMatches(e, lcfg.Fingerprint(), b.t.Name) }, worker)
-
-	// Deduplicate the ladder (see distinctRungs): one follower per
-	// distinct threshold, shared results fanned out to every collapsed
-	// rung.
-	distinct, rungs := b.distinctRungs()
-	avepCfg := b.dbtConfig("ref", 0, false)
-	cfgs := make([]dbt.Config, 0, len(distinct)+1)
-	cfgs = append(cfgs, avepCfg)
-	for _, threshold := range distinct {
-		cfgs = append(cfgs, b.dbtConfig("ref", threshold, true))
-	}
-	// Sampled ladders ride the same reference trace as additional
-	// followers — the guest still executes exactly once — and each
-	// period has its own cache entry, so the sweep warms incrementally
-	// and the main reference bundle's entry stays byte-identical to a
-	// run without sampling.
-	periods := b.opts.SamplePeriods
-	spCfgs := make([][]dbt.Config, len(periods))
-	sps := make([]slot[spEntry], len(periods))
-	for pi, period := range periods {
-		spCfgs[pi] = b.sampleConfigs(period, distinct)
-		sps[pi] = lookupSlot(b, useCache,
-			func() resultcache.Key { return b.spCacheKey(b.refImgHash, period, spCfgs[pi]) },
-			func(e *spEntry) bool { return spEntryMatches(e, period, spCfgs[pi]) }, worker)
-	}
-	ref := lookupSlot(b, useCache, func() resultcache.Key { return b.refCacheKey(b.refImgHash, cfgs) },
-		func(e *refEntry) bool { return refEntryMatches(e, cfgs) }, worker)
-
-	// Warm path: take every output from its slot without executing a
-	// single guest block. addRunStats is deliberately not called — a
-	// fully cached benchmark reports zero blocks. An axis that is off
-	// never forces the cold path.
-	warm := ref.warm() && (!bp.on || bp.warm()) && (!ls.on || ls.warm())
-	entry, bpOut, lsOut := ref.cached, bp.cached, ls.cached
-	spOuts := make([]spEntry, len(periods))
-	for pi := range sps {
-		warm = warm && sps[pi].warm()
-		spOuts[pi] = sps[pi].cached
-	}
-	if !warm {
-		// Cold path: one guest execution drives AVEP, every distinct rung
-		// and every sampled rung as followers, with the predictor and
-		// learned observers on the same branch stream.
-		suite, observers, err := newPredictSuite(preds)
-		if err != nil {
-			return err
-		}
-		col, lobs, err := b.newLearnedCollector(img, worker)
-		if err != nil {
-			return err
-		}
-		observers = append(observers, lobs...)
-		runCfgs := cfgs
-		for _, sc := range spCfgs {
-			runCfgs = append(runCfgs, sc...)
-		}
-		start = time.Now()
-		snaps, stats, err := dbt.RunMultiObserved(img, tape, runCfgs, observers)
-		if err != nil {
-			err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
-			b.record(obs.UnitRef, 0, worker, start, 0, err)
-			return err
-		}
-		for _, st := range stats {
-			b.addRunStats(st)
-		}
-		b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-		outputs := func(first int) []runOutput {
-			outs := make([]runOutput, len(rungs))
-			for j := range outs {
-				k := first + j
-				outs[j] = runOutput{T: runCfgs[k].Threshold, Snapshot: cachedSnapshot{snaps[k]}, Stats: *stats[k], Cycles: runCfgs[k].Perf.Cycles}
-			}
-			return outs
-		}
-		entry = refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: avepCfg.Perf.Cycles, Runs: outputs(1)}
-		if suite != nil {
-			bpOut = bpEntry{Results: suite.Results()}
-		}
-		if col != nil {
-			lsOut = lsEntry{Fingerprint: lcfg.Fingerprint(), Data: col.BenchData(b.t.Name)}
-		}
-		for pi, period := range periods {
-			spOuts[pi] = spEntry{Period: period, Runs: outputs(1 + (pi+1)*len(rungs))}
-			for _, ro := range spOuts[pi].Runs {
-				b.addSampleStats(ro.Snapshot.Snapshot)
-			}
-		}
-		// Settle every slot before anything is spawned: a settle failure
-		// then fails this unit before any comparison could publish.
-		if err := ref.settle(entry, worker); err != nil {
-			return err
-		}
-		if err := bp.settle(bpOut, worker); err != nil {
-			return err
-		}
-		if err := ls.settle(lsOut, worker); err != nil {
-			return err
-		}
-		for pi := range sps {
-			if err := sps[pi].settle(spOuts[pi], worker); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Publish: the predictor and learned tallies, the AVEP memo, then the
-	// dependent comparisons.
-	b.out.Predictors = bpOut.Results
-	if lcfg != nil {
-		b.out.Learned = &lsOut.Data
-	}
+	_, rungs := b.distinctRungs()
+	b.out.Predictors = entry.Predictors
+	b.out.Learned = entry.Learned
 	b.recordAVEP(entry.AVEP.Snapshot, entry.AVEPCycles)
 	for j := range rungs {
 		idxs, ro := rungs[j], entry.Runs[j]
 		b.spawn(obs.UnitCompare, ro.T, func(w int) error { return b.compareBody(idxs, ro, w) })
 	}
-	for pi, period := range periods {
-		outs := spOuts[pi].Runs
+	for pi, period := range b.opts.SamplePeriods {
+		outs := entry.Sampling[pi]
 		b.spawn(obs.UnitSampleCompare, period, func(w int) error { return b.sampleCompareBody(pi, period, rungs, outs, w) })
 	}
 	return b.maybeCompareTrain(worker)
@@ -844,8 +734,7 @@ func (b *benchRun) recordAVEP(avep *profile.Snapshot, cycles float64) {
 // The comparison itself is cacheable: its inputs are fully determined
 // by the two runs' keys, so a warm hit skips the normalization.
 func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
-	cmp := lookupSlot[cmpEntry](b, b.cacheUsable(),
-		func() resultcache.Key { return b.cmpCacheKey(ro.T) }, nil, worker)
+	cmp := lookupSlot[cmpEntry](b, func() resultcache.Key { return b.cmpCacheKey(ro.T) }, nil, worker)
 	if cmp.warm() {
 		b.publishThresholdResults(idxs, ro, cmp.cached.Summary)
 		return nil
@@ -912,22 +801,19 @@ func (b *benchRun) sampleCompareBody(pi int, period uint64, rungs [][]int, outs 
 // trainBody runs INIP(train) and stores its snapshot for the training
 // comparison.
 func (b *benchRun) trainBody(worker int) error {
-	start := time.Now()
-	img, tape, err := b.build.get("train")
-	b.record(obs.UnitBuild, 0, worker, start, 0, err)
+	img, tape, err := b.build("train", worker)
 	if err != nil {
 		return err
 	}
 	cfg := b.dbtConfig("train", 0, false)
-	useCache := b.cacheUsable()
-	if useCache {
+	if b.cacheUsable() {
 		b.trainImgHash = img.ContentHash()
 	}
-	run := lookupSlot(b, useCache, func() resultcache.Key { return b.runCacheKey(b.trainImgHash, "train", cfg) },
+	run := lookupSlot(b, func() resultcache.Key { return b.runCacheKey(b.trainImgHash, "train", cfg) },
 		func(e *runOutput) bool { return e.Snapshot.Snapshot != nil }, worker)
 	train := run.cached.Snapshot.Snapshot
 	if !run.warm() {
-		start = time.Now()
+		start := time.Now()
 		var stats *dbt.RunStats
 		train, stats, err = dbt.Run(img, tape, cfg)
 		if err != nil {
@@ -977,7 +863,7 @@ func (b *benchRun) maybeCompareTrain(worker int) error {
 const trainRegionThreshold = 2000
 
 func (b *benchRun) compareTrain(train *profile.Snapshot, worker int) error {
-	tc := lookupSlot[trainCmpEntry](b, b.cacheUsable(), b.trainCmpCacheKey, nil, worker)
+	tc := lookupSlot[trainCmpEntry](b, b.trainCmpCacheKey, nil, worker)
 	if tc.warm() {
 		b.out.Train, b.out.TrainRegions = tc.cached.Train, tc.cached.TrainRegions
 		return nil
@@ -1015,61 +901,26 @@ func RunBenchmark(t Target, opts Options) (*BenchmarkResult, error) {
 }
 
 // CollectLearnedData runs the learned-predictor collection pass for one
-// target outside the full study pipeline: extract the static branch
-// sites, execute the reference input once under a plain (unoptimized,
-// threshold-free) config, and tally outcomes. It shares the study
-// pipeline's `ls` cache entries — same key, same payload — so a daemon
-// assembling a training corpus and a study sweeping the same scale warm
-// each other, and a warm call executes zero guest blocks. Only Cache,
+// target outside the full study pipeline: the reference step with an
+// empty ladder, no predictors and no sample periods, so the reference
+// input executes once under the AVEP config while the collector tallies
+// outcomes. Its `ref` entry is keyed by that config set plus the model
+// fingerprint, so repeated corpus collections at one scale warm each
+// other and a warm call executes zero guest blocks. A study's entries
+// carry its ladder in their key and serve no collection. Only Cache,
 // CacheContext, CacheVerify, Timing, Trace and Faults are honored from
 // opts.
 func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.BenchData, error) {
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Learned = &lcfg
-	b := &benchRun{t: t, opts: opts, out: &BenchmarkResult{Name: t.Name}, build: newBuildCache(t, opts.Faults)}
-	const worker = 0
-	start := time.Now()
-	img, tape, err := b.build.get("ref")
-	b.record(obs.UnitBuild, 0, worker, start, 0, err)
+	opts.Thresholds, opts.Predictors, opts.SamplePeriods, opts.Learned = nil, nil, nil, &lcfg
+	b := &benchRun{t: t, opts: opts}
+	entry, err := b.reference(0)
 	if err != nil {
 		return nil, err
 	}
-	useCache := b.cacheUsable()
-	if useCache {
-		b.refImgHash = img.ContentHash()
-	}
-	ls := lookupSlot(b, useCache, func() resultcache.Key { return b.lsCacheKey(b.refImgHash) },
-		func(e *lsEntry) bool { return lsEntryMatches(e, lcfg.Fingerprint(), t.Name) }, worker)
-	if ls.warm() {
-		return &ls.cached.Data, nil
-	}
-	col, observers, err := b.newLearnedCollector(img, worker)
-	if err != nil {
-		return nil, err
-	}
-	// No scheduler here, so use the plain config (no cancellation
-	// channel to attach); the fault trap still arms so
-	// perturbed runs stay out of the cache like everywhere else.
-	cfg := dbtConfig("ref", 0, false)
-	if n, ok := b.opts.Faults.Trap(t.Name, "ref"); ok {
-		cfg.TrapAfter = n
-	}
-	start = time.Now()
-	_, stats, err := dbt.RunMultiObserved(img, tape, []dbt.Config{cfg}, observers)
-	if err != nil {
-		err = fmt.Errorf("core: learned collection run of %s: %w", t.Name, err)
-		b.record(obs.UnitRef, 0, worker, start, 0, err)
-		return nil, err
-	}
-	b.addRunStats(stats[0])
-	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	computed := lsEntry{Fingerprint: lcfg.Fingerprint(), Data: col.BenchData(t.Name)}
-	if err := ls.settle(computed, worker); err != nil {
-		return nil, err
-	}
-	return &computed.Data, nil
+	return entry.Learned, nil
 }
 
 // BuildFromAsm is a convenience Target builder for fixed assembler

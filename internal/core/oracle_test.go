@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/dbt"
@@ -127,10 +126,11 @@ type oracleSnapshots struct {
 }
 
 // storedSnapshots reads back the INIP snapshots a cached run stored in
-// dir — the distinct rungs of its one ref entry and of each period's sp
-// entry — fanned out to ladder order like serialOracle's, so a
-// scheduled run's snapshots can be checked although its result does
-// not carry them. The store must hold a single benchmark's entries.
+// dir — the distinct rungs of its one ref entry, main ladder and each
+// period's sampled ladder — fanned out to ladder order like
+// serialOracle's, so a scheduled run's snapshots can be checked although
+// its result does not carry them. The store must hold a single
+// benchmark's entries.
 func storedSnapshots(t *testing.T, dir string, opts Options) oracleSnapshots {
 	t.Helper()
 	fanOut := func(runs []runOutput) []*profile.Snapshot {
@@ -148,11 +148,12 @@ func storedSnapshots(t *testing.T, dir string, opts Options) oracleSnapshots {
 	}
 	var ref refEntry
 	storedValue(t, cacheEntryPath(t, dir, "ref"), &ref)
+	if len(ref.Sampling) != len(opts.SamplePeriods) {
+		t.Fatalf("stored ref entry has %d sampled ladders, want %d", len(ref.Sampling), len(opts.SamplePeriods))
+	}
 	snaps := oracleSnapshots{inip: fanOut(ref.Runs)}
-	for _, period := range opts.SamplePeriods {
-		var sp spEntry
-		storedValue(t, cacheEntryPath(t, dir, "sp", fmt.Sprintf("|t=%d|", period)), &sp)
-		snaps.sampled = append(snaps.sampled, fanOut(sp.Runs))
+	for _, runs := range ref.Sampling {
+		snaps.sampled = append(snaps.sampled, fanOut(runs))
 	}
 	return snaps
 }

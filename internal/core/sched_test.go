@@ -113,9 +113,9 @@ hot:
 `
 }
 
-// TestBuildCacheBuildsOncePerInput: with a tape factory the scheduler
-// must invoke Build once per (benchmark, input) regardless of ladder
-// width.
+// TestBuildCacheBuildsOncePerInput: the scheduler invokes Build once
+// per (benchmark, input) regardless of ladder width — the whole ladder
+// replays one reference trace — and needs no tape factory for it.
 func TestBuildCacheBuildsOncePerInput(t *testing.T) {
 	var builds atomic.Int64
 	base := BuildFromAsm("cached", counterProgram())
@@ -125,7 +125,6 @@ func TestBuildCacheBuildsOncePerInput(t *testing.T) {
 			builds.Add(1)
 			return base.Build(input)
 		},
-		NewTape: base.NewTape,
 	}
 	if _, err := RunBenchmark(target, Options{Thresholds: []uint64{50, 100, 200, 400}}); err != nil {
 		t.Fatal(err)
@@ -159,8 +158,8 @@ taken:
 // study axis riding the trace: dynamic predictors, the learned
 // collection, and sampled ladders (period 1 is full instrumentation by
 // definition, period 4 is not). The INIP snapshots, which the result
-// does not carry, are read back from the cold run's ref and sp entries
-// and must equal the oracle's too.
+// does not carry, are read back from the cold run's ref entry (main and
+// sampled ladders) and must equal the oracle's too.
 func TestScheduledModesAgree(t *testing.T) {
 	// The duplicate rung exercises the dedup fan-out, which must be
 	// invisible next to the oracle's genuine repeat run.

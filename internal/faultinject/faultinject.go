@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic fault injection for the
 // study pipeline: a Plan of armed failure sites, parsed from a compact
 // spec string, that the executor consults at well-defined points — the
-// build cache before invoking a target builder, the translator config
+// build step before invoking a target builder, the translator config
 // (a guest trap at the Nth dynamic block, see dbt.Config.TrapAfter),
 // and the scheduler's unit wrapper (a delay or a panic at a chosen
 // (bench, unit, T) site).
@@ -41,7 +41,7 @@ import (
 type Kind int
 
 const (
-	// KindBuild fails a target build in the build cache.
+	// KindBuild fails a target build before the builder runs.
 	KindBuild Kind = iota
 	// KindTrap aborts guest execution at the Nth dynamic block.
 	KindTrap
@@ -292,7 +292,8 @@ func matchUnit(f *Fault, unit string) bool   { return f.Unit == "*" || f.Unit ==
 func matchT(f *Fault, t uint64) bool         { return f.T == 0 || f.T == t }
 
 // BuildError returns the injected build failure for (bench, input), or
-// nil. The build cache consults it before invoking the target builder.
+// nil. The pipeline's build step consults it before invoking the target
+// builder.
 func (p *Plan) BuildError(bench, input string) error {
 	f := p.match(KindBuild, func(f *Fault) bool { return matchBench(f, bench) && matchInput(f, input) })
 	if f == nil {

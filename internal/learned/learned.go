@@ -112,8 +112,8 @@ const featureVersion = 1
 
 // Fingerprint identifies the model configuration plus the feature
 // schema. Equal fingerprints guarantee bit-equal training results on
-// equal data; it keys the `ls` result-cache entries and the daemon's
-// request-coalescing flight keys.
+// equal data; it joins the key of the `ref` result-cache entries that
+// carry a collection, and the daemon's request-coalescing flight keys.
 func (c Config) Fingerprint() string {
 	d := c.withDefaults()
 	switch d.Model {
@@ -171,7 +171,7 @@ type Site struct {
 
 // BenchData is one benchmark's training/evaluation data: every static
 // branch site (ascending PC) with its reference-trace tallies. It is
-// the payload of the `ls` result-cache entry kind, so it must marshal
+// part of the payload of a `ref` result-cache entry, so it must marshal
 // deterministically — it does: fixed slice orders, no maps.
 type BenchData struct {
 	Bench string `json:"bench"`

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +27,7 @@ import (
 // Unit names of the pipeline spans the study emits. cmd/dbtrun emits
 // UnitRun for its single translator execution.
 const (
-	UnitBuild        = "build"         // image/tape construction (build cache miss)
+	UnitBuild        = "build"         // image/tape construction, once per benchmark input
 	UnitRef          = "ref"           // reference-input execution (AVEP + shared INIP ladder)
 	UnitTrain        = "train"         // training-input execution
 	UnitCompare      = "compare"       // one INIP(T)-vs-AVEP normalization + metrics
@@ -50,23 +51,13 @@ const (
 	UnitLearnedFit     = "learned_fit"     // suite-level cross-validated training
 )
 
-// validUnits gates ReadEvents: an unknown unit name means the producer
-// and consumer disagree about the schema.
-var validUnits = map[string]bool{
-	UnitBuild:        true,
-	UnitRef:          true,
-	UnitTrain:        true,
-	UnitCompare:      true,
-	UnitTrainCompare: true,
-	UnitRun:          true,
-	UnitCacheHit:     true,
-	UnitCacheMiss:    true,
-	UnitCacheStore:   true,
-
-	UnitSampleCompare: true,
-
-	UnitLearnedCollect: true,
-	UnitLearnedFit:     true,
+// units lists every unit name in the order Summarize renders phases. It
+// also gates ReadEvents: an unknown unit name means the producer and
+// consumer disagree about the schema.
+var units = []string{
+	UnitBuild, UnitRef, UnitTrain, UnitCompare, UnitTrainCompare,
+	UnitSampleCompare, UnitLearnedCollect, UnitLearnedFit,
+	UnitRun, UnitCacheHit, UnitCacheMiss, UnitCacheStore,
 }
 
 // Event is one flight-recorder record: a completed span of pipeline
@@ -105,7 +96,7 @@ func (ev *Event) validate() error {
 	if ev.Bench == "" {
 		return errors.New("missing bench")
 	}
-	if !validUnits[ev.Unit] {
+	if !slices.Contains(units, ev.Unit) {
 		return fmt.Errorf("unknown unit %q", ev.Unit)
 	}
 	if ev.Worker < 0 {

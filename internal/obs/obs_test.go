@@ -284,6 +284,42 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeEveryUnit: one traced event per unit the reader accepts
+// gives one phase row per unit, so no accepted span drops out of
+// -tracesum.
+func TestSummarizeEveryUnit(t *testing.T) {
+	all := []string{
+		UnitBuild, UnitRef, UnitTrain, UnitCompare, UnitTrainCompare, UnitRun,
+		UnitCacheHit, UnitCacheMiss, UnitCacheStore,
+		UnitSampleCompare, UnitLearnedCollect, UnitLearnedFit,
+	}
+	var buf bytes.Buffer
+	r := NewRecorder(&buf)
+	for _, unit := range all {
+		r.Record("gzip", unit, 0, 0, time.Now(), time.Millisecond, 0, nil)
+	}
+	if _, err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Summarize(evs)
+	if len(s.Phases) != len(all) {
+		t.Fatalf("%d phase rows for %d units: %+v", len(s.Phases), len(all), s.Phases)
+	}
+	got := make(map[string]int)
+	for _, p := range s.Phases {
+		got[p.Unit] += p.Events
+	}
+	for _, unit := range all {
+		if got[unit] != 1 {
+			t.Fatalf("unit %s has %d summarized events, want 1", unit, got[unit])
+		}
+	}
+}
+
 // TestOccupancyIntegratesToBusyTime: the occupancy series times bin
 // width must sum to the total busy nanoseconds, whatever the
 // resolution.

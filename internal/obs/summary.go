@@ -58,13 +58,10 @@ type Summary struct {
 	Wall time.Duration
 	// Workers is the number of distinct pool slots observed.
 	Workers int
-	Phases  []PhaseTotal // ladder order: build, ref, train, compare, train_compare, run
+	Phases  []PhaseTotal // in units order: build, ref, train, compare, ...
 	Benches []BenchTotal // sorted by descending duration
 	Hot     HotLoop
 }
-
-// phaseOrder fixes the rendering order of known units.
-var phaseOrder = []string{UnitBuild, UnitRef, UnitTrain, UnitCompare, UnitTrainCompare, UnitRun, UnitCacheHit, UnitCacheMiss, UnitCacheStore}
 
 // Summarize aggregates a trace. Events must have passed ReadEvents
 // validation.
@@ -107,7 +104,7 @@ func Summarize(events []Event) *Summary {
 	}
 	s.Wall = time.Duration(end)
 	s.Workers = len(workers)
-	for _, unit := range phaseOrder {
+	for _, unit := range units {
 		if p := phases[unit]; p != nil {
 			s.Phases = append(s.Phases, *p)
 		}

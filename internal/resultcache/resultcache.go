@@ -56,12 +56,10 @@ const SchemaVersion = 3
 // the canonical fingerprint; the zero value is not a usable key (Lookup
 // and Put reject keys without a kind or image hash).
 type Key struct {
-	// Kind is the unit flavour: "ref" (shared-trace reference bundle),
+	// Kind is the unit flavour: "ref" (the shared-trace reference
+	// bundle, with the output of every study axis that rode the trace),
 	// "run" (one profiled execution), "cmp" (one INIP(T)-vs-AVEP
-	// comparison), "traincmp" (the training comparison pair), "bp"
-	// (dynamic-predictor tallies over the reference trace), "ls" (the
-	// learned-predictor collection over the reference trace), "sp" (one
-	// sampled-profiling ladder).
+	// comparison) or "traincmp" (the training comparison pair).
 	Kind string
 	// Bench is the benchmark name — informational for humans listing
 	// the store, but also part of the fingerprint so two benchmarks

@@ -36,9 +36,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("inipd_compare_overload_total", "compare requests rejected 429 at admission", s.m.compareOverload.Load())
 	counter("inipd_compare_deadline_total", "compare requests expired 504", s.m.compareDeadline.Load())
 	counter("inipd_compare_coalesced_total", "compare requests served from another caller's in-flight work", s.m.compareCoalesced.Load())
-	counter("inipd_compare_warm_total", "compare responses served with zero guest blocks executed", s.m.compareWarm.Load())
+	counter("inipd_compare_warm_total", "successful compare responses served with zero guest blocks executed", s.m.compareWarm.Load())
 	counter("inipd_compare_errors_total", "compare requests answered 5xx (excluding deadlines)", s.m.compareErrors.Load())
-	counter("inipd_compare_guest_blocks_total", "guest blocks executed by compare requests", s.m.guestBlocks.Load())
+	counter("inipd_compare_guest_blocks_total", "guest blocks executed by compare flights, failed ones included", s.m.guestBlocks.Load())
 
 	s.predMu.Lock()
 	predNames := make([]string, 0, len(s.predTotals))

@@ -155,9 +155,9 @@ type serverMetrics struct {
 	compareOverload  atomic.Uint64 // 429s
 	compareDeadline  atomic.Uint64 // 504s
 	compareCoalesced atomic.Uint64 // served from another caller's flight
-	compareWarm      atomic.Uint64 // zero guest blocks executed
+	compareWarm      atomic.Uint64 // 200s with zero guest blocks executed
 	compareErrors    atomic.Uint64 // 5xx other than deadline
-	guestBlocks      atomic.Uint64 // compare-side block executions
+	guestBlocks      atomic.Uint64 // block executions of every flight, failed ones included
 
 	// Sampled-profiling compare accounting (requests with sample_period):
 	// how many ran, and their aggregate sampled vs full-instrumentation
@@ -552,6 +552,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			defer s.flightWG.Done()
 			execStart := time.Now()
 			f.out = s.exec(key, cfg)
+			s.m.guestBlocks.Add(f.out.blocks)
 			s.compareDurNS.Add(int64(time.Since(execStart)))
 			s.compareDurCount.Add(1)
 			s.flightMu.Lock()
@@ -581,7 +582,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.cfg.Cache == nil:
 		w.Header().Set("X-Inipd-Cache", "off")
-	case out.blocks == 0:
+	case out.status == http.StatusOK && out.blocks == 0:
 		w.Header().Set("X-Inipd-Cache", "hit")
 		s.m.compareWarm.Add(1)
 	default:
@@ -593,7 +594,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.compareOK.Add(1)
-	s.m.guestBlocks.Add(out.blocks)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out.body)
 }
@@ -639,13 +639,18 @@ func (s *Server) runCompare(_ string, cfg study.Config) *compareOut {
 	core.ScheduleBenchmark(s.sched, bench.Target(scale), opts, func(r *core.BenchmarkResult) {
 		done <- r
 	})
+	// fail reports an error outcome with the guest blocks already
+	// executed, so a failed flight never passes for a warm one.
+	fail := func(status int, msg string) *compareOut {
+		return &compareOut{status: status, errMsg: msg, blocks: timing.BlocksExecuted.Load()}
+	}
 	var res *core.BenchmarkResult
 	select {
 	case res = <-done:
 	case <-s.sched.Done():
 		// The shared pool is gone (a defect escaped a unit wrapper);
 		// nothing will complete this flight.
-		return &compareOut{status: http.StatusServiceUnavailable, errMsg: "comparison scheduler stopped"}
+		return fail(http.StatusServiceUnavailable, "comparison scheduler stopped")
 	}
 	resp := compareResponse{
 		Bench:      bench.Name,
@@ -689,14 +694,14 @@ func (s *Server) runCompare(_ string, cfg study.Config) *compareOut {
 	if cfg.Learned != nil && res.Learned != nil {
 		lw, err := s.learnedCompare(bench, scale, opts, res.Learned)
 		if err != nil {
-			return &compareOut{status: http.StatusInternalServerError, errMsg: err.Error()}
+			return fail(http.StatusInternalServerError, err.Error())
 		}
 		resp.Learned = lw
 		s.recordLearned(lw)
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		return &compareOut{status: http.StatusInternalServerError, errMsg: err.Error()}
+		return fail(http.StatusInternalServerError, err.Error())
 	}
 	return &compareOut{
 		status: http.StatusOK,
@@ -709,10 +714,12 @@ func (s *Server) runCompare(_ string, cfg study.Config) *compareOut {
 // with a model trained on every other suite benchmark at the same
 // scale — strictly held-out, exactly the study's leave-one-out fold for
 // this benchmark. Corpus collections go through core.CollectLearnedData
-// with the compare's own unit options, which share the study
-// pipeline's `ls` cache entries, so a warm corpus executes zero guest
-// blocks; opts.Timing accumulates any cold collection's block count
-// into the response's guest-block header.
+// with the compare's own unit options. Each is one `ref` entry keyed by
+// the AVEP config and the model, so a corpus warmed by an earlier
+// learned compare at the same scale executes zero guest blocks; a study
+// run (whose entries carry its ladder) does not warm it. opts.Timing
+// accumulates any cold collection's block count into the response's
+// guest-block header.
 func (s *Server) learnedCompare(bench *spec.Benchmark, scale float64, opts core.Options, data *learned.BenchData) (*learnedWire, error) {
 	lcfg := *opts.Learned
 	var corpus []learned.BenchData

@@ -289,6 +289,50 @@ func TestCoalesceIdenticalRequests(t *testing.T) {
 	if roles["leader"] != 1 || roles["follower"] != n-1 {
 		t.Fatalf("roles = %v, want 1 leader / %d followers", roles, n-1)
 	}
+	// The one flight's blocks count once, not once per caller.
+	if got := s.m.guestBlocks.Load(); got != 7 {
+		t.Fatalf("guest blocks counter = %d, want the one flight's 7", got)
+	}
+}
+
+// TestFailedCompareIsNotWarm: a flight that fails is never reported as
+// a cache hit or counted warm, whatever blocks it executed, and its
+// blocks still count toward the guest-block total.
+func TestFailedCompareIsNotWarm(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		blocks uint64
+	}{
+		{http.StatusInternalServerError, 0},
+		{http.StatusServiceUnavailable, 5},
+	} {
+		t.Run(strconv.Itoa(tc.status), func(t *testing.T) {
+			store, err := resultcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestServer(t, Config{Workers: 1, Cache: store}, nil, nil)
+			s.exec = func(string, study.Config) *compareOut {
+				return &compareOut{status: tc.status, errMsg: "boom", blocks: tc.blocks}
+			}
+			w := postCompare(s, `{"bench":"gzip","t":2000}`)
+			if w.Code != tc.status {
+				t.Fatalf("status %d, want %d\n%s", w.Code, tc.status, w.Body.String())
+			}
+			if got := w.Header().Get("X-Inipd-Cache"); got != "miss" {
+				t.Fatalf("X-Inipd-Cache = %q on a failed compare, want miss", got)
+			}
+			if got := s.m.compareWarm.Load(); got != 0 {
+				t.Fatalf("warm counter = %d after a failed compare, want 0", got)
+			}
+			if got := s.m.compareErrors.Load(); got != 1 {
+				t.Fatalf("error counter = %d, want 1", got)
+			}
+			if got := s.m.guestBlocks.Load(); got != tc.blocks {
+				t.Fatalf("guest blocks counter = %d, want the failed flight's %d", got, tc.blocks)
+			}
+		})
+	}
 }
 
 // TestCompareWarmColdE2E drives the real pipeline through a real HTTP

@@ -145,7 +145,7 @@ func TestLearnedDoesNotPerturbStudyResults(t *testing.T) {
 }
 
 // TestLearnedCacheWarmRerun extends the warm-rerun guarantee to the
-// `ls` entry kind: a warm rerun with the same model executes zero guest
+// learned collection in the `ref` entries: a warm rerun with the same model executes zero guest
 // blocks and replays identical collections, a changed model fingerprint
 // re-executes, and -cacheverify recomputes everything over the warmed
 // store without divergence.
@@ -176,7 +176,7 @@ func TestLearnedCacheWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warmRes.Perf.BlocksExecuted != 0 {
-		t.Fatalf("warm rerun executed %d guest blocks, want 0 (ls entry should replay)", warmRes.Perf.BlocksExecuted)
+		t.Fatalf("warm rerun executed %d guest blocks, want 0 (the ref entries should replay the collections)", warmRes.Perf.BlocksExecuted)
 	}
 	if !reflect.DeepEqual(coldRes.Series, warmRes.Series) {
 		t.Fatal("warm series (including learned collections) differ from cold")
@@ -186,7 +186,7 @@ func TestLearnedCacheWarmRerun(t *testing.T) {
 	}
 
 	// The tree model shares features and tallies but carries a different
-	// fingerprint, so its collection is not in the store: the reference
+	// fingerprint, so its ref entries are not in the store: the reference
 	// trace re-executes, and the collected data still matches.
 	altRes, err := Run(withLearned(learned.ModelTree, false))
 	if err != nil {
@@ -202,7 +202,7 @@ func TestLearnedCacheWarmRerun(t *testing.T) {
 	}
 
 	// Differential verify over the warmed store: everything re-executes
-	// and every cached ls entry must match the recomputed collection.
+	// and every cached collection must match the recomputed one.
 	vres, err := Run(withLearned(learned.ModelLogReg, true))
 	if err != nil {
 		t.Fatal(err)

@@ -142,13 +142,13 @@ func TestPredictorCacheWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warmRes.Perf.BlocksExecuted != 0 {
-		t.Fatalf("warm rerun executed %d guest blocks, want 0 (bp entry should replay)", warmRes.Perf.BlocksExecuted)
+		t.Fatalf("warm rerun executed %d guest blocks, want 0 (the ref entry should replay the tallies)", warmRes.Perf.BlocksExecuted)
 	}
 	if !reflect.DeepEqual(coldRes.Series, warmRes.Series) {
 		t.Fatal("warm series (including predictor tallies) differ from cold")
 	}
 
-	// A different predictor list misses the bp entry: the reference
+	// A different predictor list misses the ref entry: the reference
 	// trace re-executes to feed the new predictors, and the fresh
 	// tallies agree with the cold run's on the shared predictors.
 	altRes, err := Run(withPreds([]string{"2bit"}))

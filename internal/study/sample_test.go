@@ -273,11 +273,11 @@ func TestGoldenSamplingFigures(t *testing.T) {
 	}
 }
 
-// TestSamplingCacheWarmRerun extends the warm-rerun guarantee to the sp
-// entry kind: a warm rerun with the same period ladder executes zero
-// guest blocks (and zero sampled units) while replaying identical
-// ladders, a changed ladder re-executes, and the differential verify
-// pass covers sp entries.
+// TestSamplingCacheWarmRerun extends the warm-rerun guarantee to the
+// sampled ladders in the ref entries: a warm rerun with the same period
+// ladder executes zero guest blocks (and zero sampled units) while
+// replaying identical ladders, a changed ladder re-executes, and the
+// differential verify pass covers the sampled ladders.
 func TestSamplingCacheWarmRerun(t *testing.T) {
 	dir := t.TempDir()
 	withCache := func(periods []uint64) Config {
@@ -303,7 +303,7 @@ func TestSamplingCacheWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warmRes.Perf.BlocksExecuted != 0 {
-		t.Fatalf("warm rerun executed %d guest blocks, want 0 (sp entries should replay)", warmRes.Perf.BlocksExecuted)
+		t.Fatalf("warm rerun executed %d guest blocks, want 0 (the ref entries should replay the sampled ladders)", warmRes.Perf.BlocksExecuted)
 	}
 	if warmRes.Perf.SampledUnits != 0 || warmRes.Perf.SampledProfilingOps != 0 {
 		t.Fatalf("warm rerun reports sampled execution: %+v", warmRes.Perf)
@@ -312,7 +312,7 @@ func TestSamplingCacheWarmRerun(t *testing.T) {
 		t.Fatal("warm series (including sampled ladders) differ from cold")
 	}
 
-	// A different period ladder misses the sp entry: the reference
+	// A different period ladder misses the ref entry: the reference
 	// trace re-executes to feed it, and the shared period's ladder
 	// agrees with the cold run's.
 	altRes, err := Run(withCache([]uint64{16, 64}))
@@ -329,7 +329,7 @@ func TestSamplingCacheWarmRerun(t *testing.T) {
 		}
 	}
 
-	// -cacheverify covers sp entries: everything re-executes against
+	// -cacheverify covers the sampled ladders: everything re-executes against
 	// the warmed store and must agree with it.
 	vcfg := withCache([]uint64{1, 16})
 	vcfg.CacheVerify = true
