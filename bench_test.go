@@ -292,7 +292,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 // poster-child benchmark and its stationary control.
 func BenchmarkExtensionAdaptive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := study.RunExtensions([]string{"mcf", "vortex"}, benchScale, 2000)
+		res, err := study.RunExtensions([]*spec.Benchmark{spec.ByName("mcf"), spec.ByName("vortex")}, benchScale, 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func BenchmarkExtensionAdaptive(b *testing.B) {
 // (SdBP) per unit of profiling work (opsVsTrain).
 func BenchmarkExtensionConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := study.RunConvergence([]string{"vortex"}, benchScale)
+		res, err := study.RunConvergence([]*spec.Benchmark{spec.ByName("vortex")}, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -274,6 +274,23 @@ grep -q '"blocks_executed": 0' "$tmpdir/ax-warm.json"
     > "$tmpdir/ax-verify.txt" 2> /dev/null
 cmp "$tmpdir/ax-cold.txt" "$tmpdir/ax-verify.txt"
 
+echo "== section-5 smoke (-race) =="
+# The extension (-ext) and threshold-selection (-conv) experiments run
+# their variants as followers of one shared trace per benchmark: their
+# output must equal the committed goldens, and their inputs follow the
+# study's rules (a NaN threshold is refused, not run).
+"$tmpdir/inipstudy" -ext -scale 0.01 > "$tmpdir/ext.txt"
+cmp internal/study/testdata/golden_ext.txt "$tmpdir/ext.txt"
+"$tmpdir/inipstudy" -conv -scale 0.01 > "$tmpdir/conv.txt"
+cmp internal/study/testdata/golden_conv.txt "$tmpdir/conv.txt"
+code=0
+"$tmpdir/inipstudy" -ext -extT NaN -scale 0.01 > /dev/null 2> "$tmpdir/ext-nan.err" || code=$?
+if [ "$code" -eq 0 ]; then
+    echo "-ext -extT NaN exited 0, want non-zero" >&2
+    exit 1
+fi
+grep -q "study: invalid threshold NaN" "$tmpdir/ext-nan.err"
+
 echo "== coverage floors =="
 # Statement-coverage floors for the packages the sampling and caching
 # test nets lean on hardest: comfortably below the measured values

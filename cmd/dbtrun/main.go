@@ -21,17 +21,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dbt"
 	"repro/internal/guest"
 	"repro/internal/interp"
 	"repro/internal/learned"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/profile"
 	"repro/internal/spec"
+	"repro/internal/study"
 )
 
 func main() {
@@ -52,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outFile      = fs.String("o", "", "write the profile snapshot as JSON to this file")
 		dump         = fs.Bool("dump", false, "print a human-readable profile dump")
 		stats        = fs.Bool("stats", false, "print run statistics")
-		perf         = fs.Bool("perf", false, "enable the cycle model and report simulated cycles (not for a sampled run)")
 		adaptive     = fs.Bool("adaptive", false, "dissolve and rebuild regions whose side-exit rate shows a behaviour change")
 		contTrip     = fs.Bool("continuous-trips", false, "keep loop-back instrumentation alive in optimized loop regions")
 		converge     = fs.Float64("converge", 0, "register blocks on probability convergence with this epsilon (0 = fixed threshold)")
@@ -65,29 +66,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if err := (&study.Config{Scale: *scale}).Validate(); err != nil {
+		fmt.Fprintf(stderr, "dbtrun: %v\n", err)
+		return 2
+	}
+	if math.IsNaN(*converge) || math.IsInf(*converge, 0) || *converge < 0 {
+		fmt.Fprintf(stderr, "dbtrun: invalid -converge %v (want a finite epsilon >= 0; 0 = fixed threshold)\n", *converge)
+		return 2
+	}
 	img, tape, err := load(*benchName, *imageFile, *asmFile, *input, *scale, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "dbtrun: %v\n", err)
 		return 2
 	}
 
-	cfg := dbt.Config{
-		Input:               *input,
-		Threshold:           *threshold,
-		Optimize:            *threshold > 0,
-		RegisterTwice:       true,
-		Adaptive:            *adaptive,
-		ContinuousTripCount: *contTrip,
-		SamplePeriod:        *samplePeriod,
-		SampleSeed:          *sampleSeed,
-	}
-	if *converge > 0 {
-		cfg.ConvergeRegister = true
-		cfg.ConvergeEpsilon = *converge
-	}
-	if *perf {
-		cfg.Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
-	}
+	// The study's translator configuration, with the cycle model on
+	// (a sampled run keeps none), plus the knobs this run varies.
+	cfg := core.TranslatorConfig(*input, *threshold, *threshold > 0)
+	cfg.Adaptive = *adaptive
+	cfg.ContinuousTripCount = *contTrip
+	cfg.SamplePeriod = *samplePeriod
+	cfg.SampleSeed = *sampleSeed
+	cfg.ConvergeRegister = *converge > 0
+	cfg.ConvergeEpsilon = *converge
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "dbtrun: %v\n", err)
 		return 2
@@ -191,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "freeze events:      %d\n", runStats.FreezeEvents)
 		}
 		fmt.Fprintf(stdout, "profiling ops:      %d\n", snap.ProfilingOps)
-		if *perf && cfg.SamplePeriod <= 1 {
+		if cfg.SamplePeriod <= 1 {
 			// A sampled run has no cycle model.
 			fmt.Fprintf(stdout, "simulated cycles:   %.0f\n", runStats.Cycles)
 		}

@@ -58,8 +58,8 @@ func TestBadSource(t *testing.T) {
 }
 
 // TestSampledRuns: a sampled run has no region cursor and no cycle
-// model, so the flags that need them are usage errors, and -perf
-// reports no simulated cycles.
+// model, so the flags that need them are usage errors, and -stats
+// reports simulated cycles for an unsampled run only.
 func TestSampledRuns(t *testing.T) {
 	for _, flag := range []string{"-adaptive", "-continuous-trips"} {
 		var stderr bytes.Buffer
@@ -76,12 +76,38 @@ func TestSampledRuns(t *testing.T) {
 		wantCycles bool
 	}{{"0", true}, {"4", false}} {
 		var stdout bytes.Buffer
-		args := []string{"-bench", "gzip", "-scale", "0.001", "-T", "5", "-perf", "-stats", "-sampleperiod", c.period}
+		args := []string{"-bench", "gzip", "-scale", "0.001", "-T", "5", "-stats", "-sampleperiod", c.period}
 		if code := run(args, &stdout, new(bytes.Buffer)); code != 0 {
 			t.Fatalf("-sampleperiod %s exited %d", c.period, code)
 		}
 		if got := strings.Contains(stdout.String(), "simulated cycles:"); got != c.wantCycles {
 			t.Fatalf("-sampleperiod %s: simulated cycles printed %t, want %t:\n%s", c.period, got, c.wantCycles, stdout.String())
+		}
+	}
+}
+
+// TestBadNumbers: a -scale the study rejects and a non-finite or
+// negative -converge epsilon are usage errors that name the value; at
+// the parent of this test they ran a degenerate program or silently
+// fell back to the fixed-threshold policy.
+func TestBadNumbers(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-scale", "NaN"},
+		{"-scale", "-3"},
+		{"-scale", "0"},
+		{"-scale", "3"},
+		{"-scale", "+Inf"},
+		{"-converge", "NaN"},
+		{"-converge", "-1"},
+		{"-converge", "+Inf"},
+	} {
+		var stderr bytes.Buffer
+		args := []string{"-bench", "gzip", "-scale", "0.001", "-T", "5", c.flag, c.value}
+		if code := run(args, new(bytes.Buffer), &stderr); code != 2 {
+			t.Errorf("%s %s exited %d, want 2", c.flag, c.value, code)
+		}
+		if !strings.Contains(stderr.String(), c.value) {
+			t.Errorf("%s %s: error does not name the value: %q", c.flag, c.value, stderr.String())
 		}
 	}
 }

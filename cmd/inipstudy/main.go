@@ -56,9 +56,7 @@ import (
 // itself is an append-only trajectory — a JSON array of these, one per
 // measured optimization step — kept in the repository
 // (BENCH_study.json) so successive changes have a measured history to
-// compare against. writeBenchJSON appends; it also accepts a file in
-// the prior single-object format, which becomes the trajectory's first
-// entry.
+// compare against. writeBenchJSON appends.
 type benchReport struct {
 	Date       string  `json:"date"`
 	Scale      float64 `json:"scale"`
@@ -67,31 +65,9 @@ type benchReport struct {
 	study.Perf
 }
 
-// readBenchTrajectory loads an existing -benchjson file as a list of
-// verbatim entries. Both formats load: the trajectory array, and the
-// prior single-object snapshot, which becomes a one-entry trajectory
-// (so the first append after the format change preserves the historic
-// baseline as entry zero). A missing file is an empty trajectory.
-func readBenchTrajectory(path string) ([]json.RawMessage, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var arr []json.RawMessage
-	if json.Unmarshal(data, &arr) == nil {
-		return arr, nil
-	}
-	var obj map[string]json.RawMessage
-	if json.Unmarshal(data, &obj) == nil {
-		return []json.RawMessage{json.RawMessage(data)}, nil
-	}
-	return nil, fmt.Errorf("%s: neither a bench trajectory array nor a prior single-record file", path)
-}
-
 // writeBenchJSON appends the run's perf record to the trajectory file.
+// A missing file is an empty trajectory; a file that is not a JSON
+// array is an error and stays untouched.
 func writeBenchJSON(path string, res *study.Results, nbench int) error {
 	entry, err := json.Marshal(benchReport{
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -103,11 +79,18 @@ func writeBenchJSON(path string, res *study.Results, nbench int) error {
 	if err != nil {
 		return err
 	}
-	traj, err := readBenchTrajectory(path)
-	if err != nil {
+	var traj []json.RawMessage
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
 		return err
+	default:
+		if err := json.Unmarshal(data, &traj); err != nil {
+			return fmt.Errorf("%s: not a bench trajectory array: %w", path, err)
+		}
 	}
-	data, err := json.MarshalIndent(append(traj, entry), "", "  ")
+	data, err = json.MarshalIndent(append(traj, entry), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -207,26 +190,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *conv {
-		var names []string
-		if *benches != "" {
-			names = strings.Split(*benches, ",")
+	var selected []*spec.Benchmark
+	if *benches != "" {
+		for _, name := range strings.Split(*benches, ",") {
+			b := spec.ByName(strings.TrimSpace(name))
+			if b == nil {
+				fmt.Fprintf(stderr, "inipstudy: unknown benchmark %q\n", name)
+				return 2
+			}
+			selected = append(selected, b)
 		}
-		res, err := study.RunConvergence(names, *scale)
-		if err != nil {
-			fmt.Fprintf(stderr, "inipstudy: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, res.Render())
-		return 0
 	}
 
-	if *ext {
-		var names []string
-		if *benches != "" {
-			names = strings.Split(*benches, ",")
+	if *conv || *ext {
+		var res interface{ Render() string }
+		var err error
+		if *conv {
+			res, err = study.RunConvergence(selected, *scale)
+		} else {
+			res, err = study.RunExtensions(selected, *scale, *extT)
 		}
-		res, err := study.RunExtensions(names, *scale, *extT)
 		if err != nil {
 			fmt.Fprintf(stderr, "inipstudy: %v\n", err)
 			return 1
@@ -251,6 +234,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := study.Config{
 		Scale:       *scale,
+		Benchmarks:  selected,
 		Parallelism: *par,
 		StopAfter:   *stopAfter,
 	}
@@ -321,17 +305,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verbose {
 		cfg.Progress = stderr
 	}
-	if *benches != "" {
-		for _, name := range strings.Split(*benches, ",") {
-			b := spec.ByName(strings.TrimSpace(name))
-			if b == nil {
-				fmt.Fprintf(stderr, "inipstudy: unknown benchmark %q\n", name)
-				return 2
-			}
-			cfg.Benchmarks = append(cfg.Benchmarks, b)
-		}
-	}
-
 	// SIGINT requests a graceful drain: in-flight units stop, the trace
 	// is flushed, and the run reports ErrStopped.
 	// A second SIGINT aborts on the spot.

@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/study"
 )
 
 // readBenchFile strict-decodes a -benchjson trajectory file and returns
@@ -351,10 +353,8 @@ func TestBenchBaseSpeedup(t *testing.T) {
 }
 
 // TestBenchTrajectory covers the append-only -benchjson format: each
-// run appends a dated entry; a file in the prior single-object format
-// is absorbed as the trajectory's first entry and stays byte-identical
-// (modulo indentation) through the conversion, fields this binary no
-// longer writes included.
+// run appends a dated entry, and a file that is not a trajectory array
+// fails the run with an error naming the file and is left untouched.
 func TestBenchTrajectory(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-scale", "0.001", "-bench", "gzip", "-fig", "fig8"}
@@ -370,49 +370,54 @@ func TestBenchTrajectory(t *testing.T) {
 		}
 	}
 
-	// Legacy single-object file, carrying the speedup fields older
-	// binaries wrote: entry zero survives verbatim, the new entry lands
-	// behind it.
-	legacy := filepath.Join(dir, "legacy.json")
-	seed := `{
-  "date": "2026-01-01",
-  "scale": 0.5,
-  "benchmarks": 26,
-  "wall_seconds": 123.5,
-  "blocks_executed": 42,
-  "baseline_wall_seconds": 302,
-  "speedup_vs_baseline": 2.445
+	object := filepath.Join(dir, "object.json")
+	seed := `{"date": "2026-01-01", "scale": 0.5, "wall_seconds": 123.5}` + "\n"
+	if err := os.WriteFile(object, []byte(seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	if code := run(append([]string{"-benchjson", object}, base...), new(bytes.Buffer), &stderr); code != 1 {
+		t.Fatalf("single-object file exited %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), object) {
+		t.Fatalf("error does not name the file: %s", stderr.String())
+	}
+	if raw, err := os.ReadFile(object); err != nil || string(raw) != seed {
+		t.Fatalf("single-object file changed (err %v):\n%s", err, raw)
+	}
 }
-`
-	if err := os.WriteFile(legacy, []byte(seed), 0o644); err != nil {
-		t.Fatal(err)
+
+// TestSection5Input: -ext and -conv are judged by the study's own
+// rules, so each bad input gets the message and exit code it gets on
+// the figure path, and -bench names are trimmed the same way.
+func TestSection5Input(t *testing.T) {
+	invoke := func(args ...string) (int, string) {
+		var stderr bytes.Buffer
+		code := run(args, new(bytes.Buffer), &stderr)
+		return code, stderr.String()
 	}
-	args := append([]string{"-benchjson", legacy}, base...)
-	if code := run(args, new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
-		t.Fatalf("legacy-append run exited %d", code)
+	// -extT has no figure-path flag: its counterpart is the study's
+	// verdict on the same paper-unit threshold.
+	threshold := func(v float64) []string {
+		cfg := study.Config{Scale: 0.01, Thresholds: []float64{v}}
+		return []string{"1", "inipstudy: " + cfg.Validate().Error() + "\n"}
 	}
-	raw, err := os.ReadFile(legacy)
-	if err != nil {
-		t.Fatal(err)
+	figure := func(args ...string) []string {
+		code, stderr := invoke(append(args, "-fig", "fig8")...)
+		return []string{strconv.Itoa(code), stderr}
 	}
-	var entries []json.RawMessage
-	if err := json.Unmarshal(raw, &entries); err != nil || len(entries) != 2 {
-		t.Fatalf("legacy file after append: %d entries, err %v\n%s", len(entries), err, raw)
-	}
-	var got, want bytes.Buffer
-	if err := json.Compact(&got, entries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Compact(&want, []byte(seed)); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("legacy entry not preserved:\n got: %s\nwant: %s", got.String(), want.String())
-	}
-	var appended benchReport
-	dec := json.NewDecoder(bytes.NewReader(entries[1]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&appended); err != nil || appended.WallSeconds <= 0 {
-		t.Fatalf("appended entry %s: %v", entries[1], err)
+	for _, c := range []struct {
+		args []string
+		want []string // exit code, stderr
+	}{
+		{[]string{"-ext", "-extT", "NaN", "-scale", "0.01", "-bench", "gzip"}, threshold(math.NaN())},
+		{[]string{"-ext", "-extT", "-5", "-scale", "0.01", "-bench", "gzip"}, threshold(-5)},
+		{[]string{"-ext", "-scale", "3", "-bench", "gzip"}, figure("-scale", "3", "-bench", "gzip")},
+		{[]string{"-conv", "-scale", "0.01", "-bench", "gzip, vortex"}, figure("-scale", "0.01", "-bench", "gzip, vortex")},
+	} {
+		code, stderr := invoke(c.args...)
+		if got := []string{strconv.Itoa(code), stderr}; got[0] != c.want[0] || got[1] != c.want[1] {
+			t.Errorf("%q: exit %s, stderr %q; want exit %s, stderr %q", c.args, got[0], got[1], c.want[0], c.want[1])
+		}
 	}
 }

@@ -87,7 +87,7 @@ func Compare(inip, avep *profile.Snapshot) (metrics.Summary, *navep.Result, erro
 
 // Options configures a benchmark study run. The translator itself is
 // not configurable: every run uses the paper's IA32EL configuration
-// (see dbtConfig), so Options carries only what the study and the
+// (see TranslatorConfig), so Options carries only what the study and the
 // daemon vary — the ladder, the study axes riding the reference trace,
 // and the execution plumbing (timing, trace, faults, cache).
 type Options struct {
@@ -280,10 +280,13 @@ type BenchmarkResult struct {
 	Failures []UnitFailure
 }
 
-// dbtConfig is the translator configuration of every run: the paper's
-// IA32EL setup (default pool trigger, register-twice retranslation,
-// counter freezing, no trap) with the cycle model on.
-func dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
+// TranslatorConfig is the translator configuration of every run: the
+// paper's IA32EL setup (default pool trigger, register-twice
+// retranslation, counter freezing, no trap) with the cycle model on.
+// Callers that vary one knob set it on the result. Each call returns a
+// fresh cycle accumulator, so build one config per run: a copied
+// config shares its accumulator and double-charges cycles.
+func TranslatorConfig(input string, threshold uint64, optimize bool) dbt.Config {
 	return dbt.Config{
 		Input:         input,
 		Threshold:     threshold,
@@ -465,7 +468,7 @@ var spawnGap func()
 // dbtConfig attaches the scheduler's cancellation channel, when there is
 // a scheduler, and any armed guest-trap fault for this (bench, input).
 func (b *benchRun) dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
-	cfg := dbtConfig(input, threshold, optimize)
+	cfg := TranslatorConfig(input, threshold, optimize)
 	if b.s != nil {
 		cfg.Interrupt = b.s.Done()
 	}

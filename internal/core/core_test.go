@@ -206,8 +206,8 @@ func normalizedAt(t *testing.T, target Target, threshold uint64) (*profile.Snaps
 		}
 		return snap
 	}
-	inip := run(dbtConfig("ref", threshold, true))
-	_, norm, err := Compare(inip, run(dbtConfig("ref", 0, false)))
+	inip := run(TranslatorConfig("ref", threshold, true))
+	_, norm, err := Compare(inip, run(TranslatorConfig("ref", 0, false)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 		observers = append(observers, col)
 	}
 	var snaps oracleSnapshots
-	avepCfg := dbtConfig("ref", 0, false)
+	avepCfg := TranslatorConfig("ref", 0, false)
 	avep, _ := run("ref", avepCfg, observers...)
 	out.AVEP, out.AVEPCycles = avep, avepCfg.Perf.Cycles
 	if suite != nil {
@@ -91,7 +91,7 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 	}
 
 	for i, threshold := range opts.Thresholds {
-		cfg := dbtConfig("ref", threshold, true)
+		cfg := TranslatorConfig("ref", threshold, true)
 		snap, stats := run("ref", cfg)
 		out.Results[i] = ThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles, Stats: *stats}
 		snaps.inip = append(snaps.inip, snap)
@@ -101,7 +101,7 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 		pr := SamplePeriodResult{Period: period, PerT: make([]SampleThresholdResult, len(opts.Thresholds))}
 		var ladder []*profile.Snapshot
 		for i, threshold := range opts.Thresholds {
-			cfg := dbtConfig("ref", threshold, true)
+			cfg := TranslatorConfig("ref", threshold, true)
 			cfg.SamplePeriod = period
 			snap, _ := run("ref", cfg)
 			pr.PerT[i] = SampleThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles}
@@ -111,7 +111,7 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 		snaps.sampled = append(snaps.sampled, ladder)
 	}
 
-	train, _ := run("train", dbtConfig("train", 0, false))
+	train, _ := run("train", TranslatorConfig("train", 0, false))
 	out.TrainOps = train.ProfilingOps
 	out.Train = compare(train, avep)
 	out.TrainRegions = compare(region.WithOfflineRegions(train, trainRegionThreshold, region.Config{}), avep)

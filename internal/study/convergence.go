@@ -32,84 +32,50 @@ type ConvergenceResults struct {
 // RunConvergence evaluates fixed thresholds against convergence-based
 // registration on the given benchmarks (default: a stationary, a noisy
 // and a phased member).
-func RunConvergence(benchNames []string, scale float64) (*ConvergenceResults, error) {
-	if len(benchNames) == 0 {
-		benchNames = []string{"vortex", "crafty", "gzip"}
+func RunConvergence(benches []*spec.Benchmark, scale float64) (*ConvergenceResults, error) {
+	cfg, err := section5Config(benches, []string{"vortex", "crafty", "gzip"}, scale)
+	if err != nil {
+		return nil, err
 	}
-	if scale <= 0 {
-		scale = 1.0
+	// A zero epsilon is a fixed-threshold policy at paperT; any other
+	// registers on convergence, with paperT as the cap.
+	policies := []struct{ paperT, eps float64 }{
+		{500, 0}, {2000, 0}, {10000, 0}, {40000, 0.03}, {40000, 0.015},
 	}
-	type policy struct {
-		label string
-		cfg   func() dbt.Config
-	}
-	fixed := func(paperT float64) policy {
-		return policy{
-			label: fmt.Sprintf("fixed T=%s", trimFloat(paperT)),
-			cfg: func() dbt.Config {
-				return dbt.Config{
-					Optimize: true, Threshold: EffectiveThreshold(paperT, scale), RegisterTwice: true,
-				}
-			},
-		}
-	}
-	converge := func(eps float64, capT float64) policy {
-		return policy{
-			label: fmt.Sprintf("converge eps=%g cap=%s", eps, trimFloat(capT)),
-			cfg: func() dbt.Config {
-				return dbt.Config{
-					Optimize: true, Threshold: EffectiveThreshold(capT, scale), RegisterTwice: true,
-					ConvergeRegister: true, ConvergeEpsilon: eps,
-				}
-			},
-		}
-	}
-	policies := []policy{
-		fixed(500), fixed(2000), fixed(10000),
-		converge(0.03, 40000), converge(0.015, 40000),
-	}
-
 	out := &ConvergenceResults{}
-	for _, name := range benchNames {
-		b := spec.ByName(name)
-		if b == nil {
-			return nil, fmt.Errorf("study: unknown benchmark %q", name)
+	for _, b := range cfg.Benchmarks {
+		cfgs := make([]dbt.Config, len(policies))
+		for i, p := range policies {
+			cfgs[i] = core.TranslatorConfig("ref", EffectiveThreshold(p.paperT, cfg.Scale), true)
+			cfgs[i].ConvergeRegister = p.eps > 0
+			cfgs[i].ConvergeEpsilon = p.eps
 		}
-		img, tape, err := b.Build("ref", scale)
+		snaps, _, err := runVariants(b, cfg.Scale, cfgs...)
 		if err != nil {
 			return nil, err
 		}
-		avep, _, err := dbt.Run(img, tape, dbt.Config{Optimize: false})
+		img, tape, err := b.Build("train", cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
-		imgT, tapeT, err := b.Build("train", scale)
+		train, _, err := dbt.Run(img, tape, core.TranslatorConfig("train", 0, false))
 		if err != nil {
 			return nil, err
 		}
-		train, _, err := dbt.Run(imgT, tapeT, dbt.Config{Optimize: false, Input: "train"})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range policies {
-			img, tape, err := b.Build("ref", scale)
-			if err != nil {
-				return nil, err
-			}
-			snap, _, err := dbt.Run(img, tape, p.cfg())
-			if err != nil {
-				return nil, fmt.Errorf("study: %s %s: %w", name, p.label, err)
-			}
-			sum, _, err := core.Compare(snap, avep)
+		for i, p := range policies {
+			sum, _, err := core.Compare(snaps[i+1], snaps[0])
 			if err != nil {
 				return nil, err
 			}
 			row := ConvergenceRow{
-				Name: name, Policy: p.label,
+				Name: b.Name, Policy: fmt.Sprintf("fixed T=%s", trimFloat(p.paperT)),
 				SdBP: sum.SdBP, BPMismatch: sum.BPMismatch,
 			}
+			if p.eps > 0 {
+				row.Policy = fmt.Sprintf("converge eps=%g cap=%s", p.eps, trimFloat(p.paperT))
+			}
 			if train.ProfilingOps > 0 {
-				row.OpsVsTrain = float64(snap.ProfilingOps) / float64(train.ProfilingOps)
+				row.OpsVsTrain = float64(snaps[i+1].ProfilingOps) / float64(train.ProfilingOps)
 			}
 			out.Rows = append(out.Rows, row)
 		}

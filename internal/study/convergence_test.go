@@ -3,13 +3,15 @@ package study
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestRunConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence runs take seconds")
 	}
-	res, err := RunConvergence([]string{"vortex"}, 0.1)
+	res, err := RunConvergence([]*spec.Benchmark{spec.ByName("vortex")}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestRunConvergence(t *testing.T) {
 }
 
 func TestRunConvergenceUnknownBenchmark(t *testing.T) {
-	if _, err := RunConvergence([]string{"nope"}, 0.1); err == nil {
+	if _, err := RunConvergence([]*spec.Benchmark{spec.ByName("nope")}, 0.1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

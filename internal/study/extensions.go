@@ -6,8 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbt"
-	"repro/internal/metrics"
-	"repro/internal/perfmodel"
+	"repro/internal/profile"
 	"repro/internal/spec"
 )
 
@@ -38,92 +37,88 @@ type ExtensionResults struct {
 
 // RunExtensions executes the paper's section-5 proposals on the given
 // benchmarks (default: the phased members plus a stationary control) at
-// one retranslation threshold:
+// one paper-unit retranslation threshold:
 //
 //   - adaptive retranslation: regions whose side-exit rate shows a
 //     behaviour change are dissolved and rebuilt from fresh profiles;
 //   - continuous trip-count profiling: loop regions keep lightweight
 //     loop-back instrumentation alive, replacing the frozen trip-count
 //     prediction.
-func RunExtensions(benchNames []string, scale float64, paperT float64) (*ExtensionResults, error) {
-	if len(benchNames) == 0 {
-		benchNames = []string{"mcf", "gzip", "crafty", "wupwise", "vortex"}
+func RunExtensions(benches []*spec.Benchmark, scale, paperT float64) (*ExtensionResults, error) {
+	cfg, err := section5Config(benches, []string{"mcf", "gzip", "crafty", "wupwise", "vortex"}, scale, paperT)
+	if err != nil {
+		return nil, err
 	}
-	if scale <= 0 {
-		scale = 1.0
-	}
-	if paperT <= 0 {
-		paperT = 2000
-	}
-	threshold := EffectiveThreshold(paperT, scale)
+	threshold := EffectiveThreshold(paperT, cfg.Scale)
 	out := &ExtensionResults{Threshold: threshold}
-	for _, name := range benchNames {
-		b := spec.ByName(name)
-		if b == nil {
-			return nil, fmt.Errorf("study: unknown benchmark %q", name)
-		}
-		row := ExtensionRow{Name: b.Name, Class: b.Class}
-
-		img, tape, err := b.Build("ref", scale)
+	for _, b := range cfg.Benchmarks {
+		adaptive := core.TranslatorConfig("ref", threshold, true)
+		adaptive.Adaptive = true
+		continuous := core.TranslatorConfig("ref", threshold, true)
+		continuous.ContinuousTripCount = true
+		snaps, stats, err := runVariants(b, cfg.Scale, core.TranslatorConfig("ref", threshold, true), adaptive, continuous)
 		if err != nil {
 			return nil, err
 		}
-		avep, _, err := dbt.Run(img, tape, dbt.Config{Optimize: false})
+		fixedSum, _, err := core.Compare(snaps[1], snaps[0])
 		if err != nil {
 			return nil, err
 		}
-
-		type variant struct {
-			adaptive   bool
-			continuous bool
-		}
-		run := func(v variant) (metrics.Summary, *dbt.RunStats, error) {
-			img, tape, err := b.Build("ref", scale)
-			if err != nil {
-				return metrics.Summary{}, nil, err
-			}
-			cfg := dbt.Config{
-				Optimize: true, Threshold: threshold, RegisterTwice: true,
-				Adaptive:            v.adaptive,
-				ContinuousTripCount: v.continuous,
-				Perf:                perfmodel.NewAccumulator(perfmodel.DefaultParams()),
-			}
-			snap, stats, err := dbt.Run(img, tape, cfg)
-			if err != nil {
-				return metrics.Summary{}, nil, err
-			}
-			sum, _, err := core.Compare(snap, avep)
-			return sum, stats, err
-		}
-
-		fixedSum, fixedStats, err := run(variant{})
+		contSum, _, err := core.Compare(snaps[3], snaps[0])
 		if err != nil {
-			return nil, fmt.Errorf("study: %s fixed: %w", name, err)
+			return nil, err
 		}
-		_, adaptStats, err := run(variant{adaptive: true})
-		if err != nil {
-			return nil, fmt.Errorf("study: %s adaptive: %w", name, err)
+		fixedStats, adaptStats := stats[1], stats[2]
+		row := ExtensionRow{
+			Name: b.Name, Class: b.Class,
+			Dissolved:            adaptStats.RegionsDissolved,
+			FrozenLPMismatch:     fixedSum.LPMismatch,
+			ContinuousLPMismatch: contSum.LPMismatch,
 		}
-		contSum, _, err := run(variant{continuous: true})
-		if err != nil {
-			return nil, fmt.Errorf("study: %s continuous: %w", name, err)
-		}
-
 		if fixedStats.RegionEntries > 0 {
 			row.FixedSideExitRate = float64(fixedStats.RegionSideExits) / float64(fixedStats.RegionEntries)
 		}
 		if adaptStats.RegionEntries > 0 {
 			row.AdaptiveSideExitRate = float64(adaptStats.RegionSideExits) / float64(adaptStats.RegionEntries)
 		}
-		row.Dissolved = adaptStats.RegionsDissolved
 		if adaptStats.Cycles > 0 {
 			row.AdaptiveSpeedup = fixedStats.Cycles / adaptStats.Cycles
 		}
-		row.FrozenLPMismatch = fixedSum.LPMismatch
-		row.ContinuousLPMismatch = contSum.LPMismatch
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// section5Config judges a section-5 experiment's inputs by the study's
+// own rules, exactly as a figure run's: the selected benchmarks (def
+// names them when none are selected), the scale (0 selects 1) and the
+// paper-unit thresholds the experiment takes from its caller.
+func section5Config(benches []*spec.Benchmark, def []string, scale float64, paperT ...float64) (Config, error) {
+	if len(benches) == 0 {
+		for _, name := range def {
+			benches = append(benches, spec.ByName(name))
+		}
+	}
+	cfg := Config{Scale: scale, Thresholds: paperT, Benchmarks: benches}
+	cfg.defaults()
+	return cfg, cfg.Validate()
+}
+
+// runVariants runs one benchmark's section-5 variants as followers of
+// one shared reference trace: it builds the ref input once and runs
+// AVEP, then every variant, through one dbt.RunMulti. Element 0 of each
+// result is AVEP's and element i+1 is variants[i]'s.
+func runVariants(b *spec.Benchmark, scale float64, variants ...dbt.Config) ([]*profile.Snapshot, []*dbt.RunStats, error) {
+	img, tape, err := b.Build("ref", scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfgs := append([]dbt.Config{core.TranslatorConfig("ref", 0, false)}, variants...)
+	snaps, stats, err := dbt.RunMulti(img, tape, cfgs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("study: %s: %w", b.Name, err)
+	}
+	return snaps, stats, nil
 }
 
 // Render formats the extension results as a text table.

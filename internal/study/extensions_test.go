@@ -3,13 +3,15 @@ package study
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestRunExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension runs take seconds")
 	}
-	res, err := RunExtensions([]string{"mcf", "vortex"}, 0.1, 2000)
+	res, err := RunExtensions([]*spec.Benchmark{spec.ByName("mcf"), spec.ByName("vortex")}, 0.1, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestRunExtensions(t *testing.T) {
 }
 
 func TestRunExtensionsUnknownBenchmark(t *testing.T) {
-	if _, err := RunExtensions([]string{"nope"}, 0.1, 2000); err == nil {
+	if _, err := RunExtensions([]*spec.Benchmark{spec.ByName("nope")}, 0.1, 2000); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

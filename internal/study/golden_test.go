@@ -219,3 +219,33 @@ func TestGoldenPredictorFigures(t *testing.T) {
 		t.Errorf("golden_predictors.json drifted from the committed corpus (regenerate with -update if intended)")
 	}
 }
+
+// TestGoldenSection5 byte-compares the rendered section-5 experiments
+// with the committed output of `inipstudy -ext -scale 0.01` and
+// `inipstudy -conv -scale 0.01` (their default benchmarks and
+// threshold). The files are CLI captures, not -update output: a diff
+// here means the experiments' numbers moved.
+func TestGoldenSection5(t *testing.T) {
+	ext, err := RunExtensions(nil, 0.01, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := RunConvergence(nil, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name, got string
+	}{
+		{"golden_ext.txt", ext.Render()},
+		{"golden_conv.txt", conv.Render()},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.got != string(want) {
+			t.Errorf("%s drifted:\n got:\n%s\nwant:\n%s", g.name, g.got, want)
+		}
+	}
+}
