@@ -388,8 +388,8 @@ func BenchmarkThresholdLadder(b *testing.B) {
 func BenchmarkPerfModel(b *testing.B) {
 	acc := perfmodel.NewAccumulator(perfmodel.DefaultParams())
 	for i := 0; i < b.N; i++ {
-		acc.ChargeQuickBlock(7)
-		acc.ChargeOptimizedBlock(7)
+		acc.ChargeBlocks(perfmodel.BlockSums{Quick: 7, Profiled: 1, Optimized: 7})
 		acc.ChargeSideExit()
 	}
+	acc.Finish()
 }

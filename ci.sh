@@ -42,6 +42,26 @@ for arch in arm64 ppc64le s390x riscv64; do
 done
 rm -f "$asm"
 
+echo "== replay inlining gate =="
+# Every profiling context pays the per-block pieces once per block, so
+# the ones a steady-state block runs must inline into both loops: the
+# counter body sampledEvent, the cycle charge, whose batch sums then
+# stay in registers, and the region cursor's in-region step
+# followRegion. The inliner's budget is easy to overrun by a line; fail
+# when one is no longer reported inlined into fillBatch or drainBatch
+# (internal/dbt/multi.go).
+inl=$(go build -gcflags='repro/internal/dbt=-m' ./internal/dbt 2>&1)
+for fn in fillBatch drainBatch; do
+    set -- $(awk -v fn="$fn" '$0 ~ "^func \\(e \\*Engine\\) " fn "\\(" {s = NR} s && !e && /^}/ {e = NR} END {print s, e}' internal/dbt/multi.go)
+    for callee in sampledEvent charge followRegion; do
+        if ! printf '%s\n' "$inl" | awk -F: -v s="$1" -v e="$2" -v c="$callee" \
+            '$1 ~ /multi\.go$/ && $2 + 0 >= s && $2 + 0 <= e && $0 ~ ("inlining call to \\(\\*Engine\\)\\." c "$") {found = 1} END {exit !found}'; then
+            echo "$callee is not inlined into $fn (go build -gcflags='repro/internal/dbt=-m' ./internal/dbt)" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "== go test -race =="
 go test -race ./...
 

@@ -134,6 +134,42 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// section5Flags rejects flag combinations the section-5 experiments
+// would silently ignore: -ext and -conv run instead of the figures and
+// honour only -scale and -bench, plus -extT with -ext.
+func section5Flags(fs *flag.FlagSet, ext, conv bool) error {
+	var mode string
+	switch {
+	case ext && conv:
+		return errors.New("-ext and -conv are separate experiments; give one")
+	case ext:
+		mode = "ext"
+	case conv:
+		mode = "conv"
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "ext", "conv", "scale", "bench":
+		case "extT":
+			if mode != "ext" {
+				ignored = append(ignored, "-extT")
+			}
+		default:
+			if mode != "" {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		}
+	})
+	switch {
+	case len(ignored) == 0:
+		return nil
+	case mode == "":
+		return errors.New("-extT applies only with -ext")
+	}
+	return fmt.Errorf("-%s would ignore %s: section 5 honours only -scale and -bench (and -extT with -ext)", mode, strings.Join(ignored, ", "))
+}
+
 // run is main with its environment made explicit, so the smoke tests
 // drive the full figure pipeline in-process.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -170,6 +206,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		learnedJSON   = fs.String("learnedjson", "", "write the cross-validated learned model (weights, per-feature importances, per-fold held-out rates) as JSON to this file; implies -learned logreg unless -learned is set")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := section5Flags(fs, *ext, *conv); err != nil {
+		fmt.Fprintf(stderr, "inipstudy: %v\n", err)
 		return 2
 	}
 

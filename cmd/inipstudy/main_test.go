@@ -406,6 +406,11 @@ func TestSection5Input(t *testing.T) {
 		code, stderr := invoke(append(args, "-fig", "fig8")...)
 		return []string{strconv.Itoa(code), stderr}
 	}
+	// Section 5 honours only -scale and -bench, plus -extT with -ext;
+	// any other flag is refused rather than silently ignored.
+	usage := func(msg string) []string { return []string{"2", "inipstudy: " + msg + "\n"} }
+	dir := t.TempDir()
+	trace, cache := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "c5")
 	for _, c := range []struct {
 		args []string
 		want []string // exit code, stderr
@@ -414,10 +419,23 @@ func TestSection5Input(t *testing.T) {
 		{[]string{"-ext", "-extT", "-5", "-scale", "0.01", "-bench", "gzip"}, threshold(-5)},
 		{[]string{"-ext", "-scale", "3", "-bench", "gzip"}, figure("-scale", "3", "-bench", "gzip")},
 		{[]string{"-conv", "-scale", "0.01", "-bench", "gzip, vortex"}, figure("-scale", "0.01", "-bench", "gzip, vortex")},
+		{[]string{"-ext", "-scale", "0.01", "-bench", "gzip", "-trace", trace, "-cache", cache, "-json"},
+			usage("-ext would ignore -cache, -json, -trace: section 5 honours only -scale and -bench (and -extT with -ext)")},
+		{[]string{"-conv", "-scale", "0.01", "-bench", "gzip", "-par", "2"},
+			usage("-conv would ignore -par: section 5 honours only -scale and -bench (and -extT with -ext)")},
+		{[]string{"-conv", "-extT", "5", "-scale", "0.01", "-bench", "gzip"},
+			usage("-conv would ignore -extT: section 5 honours only -scale and -bench (and -extT with -ext)")},
+		{[]string{"-extT", "5", "-scale", "0.01", "-bench", "gzip", "-fig", "fig8"}, usage("-extT applies only with -ext")},
+		{[]string{"-ext", "-conv", "-scale", "0.01", "-bench", "gzip"}, usage("-ext and -conv are separate experiments; give one")},
 	} {
 		code, stderr := invoke(c.args...)
 		if got := []string{strconv.Itoa(code), stderr}; got[0] != c.want[0] || got[1] != c.want[1] {
 			t.Errorf("%q: exit %s, stderr %q; want exit %s, stderr %q", c.args, got[0], got[1], c.want[0], c.want[1])
+		}
+	}
+	for _, p := range []string{trace, cache} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("a refused section-5 run left %s behind (stat: %v)", p, err)
 		}
 	}
 }

@@ -122,7 +122,8 @@ func BenchmarkExecBlock(b *testing.B) {
 // each follower i samples at periods[i % len(periods)] (nil: full
 // instrumentation). Reported blocks/s sums over every profiling context
 // advanced (driver + followers), matching how the study's Perf
-// aggregates.
+// aggregates; ns/context-block is its inverse, the wall time one
+// context spends per block, guest execution included.
 func benchRunMulti(b *testing.B, img *guest.Image, followers int, periods []uint64) {
 	b.ReportAllocs()
 	cfgs := make([]Config, 1+followers)
@@ -147,6 +148,7 @@ func benchRunMulti(b *testing.B, img *guest.Image, followers int, periods []uint
 		}
 	}
 	b.ReportMetric(float64(blocks)/b.Elapsed().Seconds(), "blocks/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(blocks), "ns/context-block")
 }
 
 // BenchmarkRunMulti measures batched follower replay at 0, 1, 4 and 16

@@ -369,7 +369,8 @@ type Engine struct {
 	stats   RunStats
 	profOps uint64
 
-	// region execution cursor
+	// Region execution cursor: the region control is inside and the
+	// node it is on. They are nil together, outside any region.
 	curRegion *regionRT
 	curNode   *rtNode
 
@@ -406,9 +407,9 @@ type Engine struct {
 }
 
 // Validate reports a configuration New rejects. A sampled engine keeps
-// no region cursor (see step), so the settings that work through the
-// cursor, Adaptive and ContinuousTripCount, are refused rather than
-// silently doing nothing.
+// no region cursor (see the profiling steps above charge), so the
+// settings that work through the cursor, Adaptive and
+// ContinuousTripCount, are refused rather than silently doing nothing.
 func (c Config) Validate() error {
 	if c.Optimize && c.Threshold == 0 {
 		return fmt.Errorf("dbt: Optimize requires Threshold >= 1")
@@ -566,84 +567,112 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 	return tb, nil
 }
 
-// step advances the engine's profiling state machine past one executed
-// block: tb ran, left through its taken edge if takenEdge, and reached
-// next (nil while untranslated; the caller translates it afterwards, so
-// translation charges follow this block's). It is the per-block
-// profiling that fillBatch and a full-instrumentation follower's
-// drainBatch call (see multi.go):
+// A block's profiling is three steps, which fillBatch and drainBatch
+// (multi.go) run directly in their loops, in this order, once the block
+// tb has run, left through its taken edge if takenEdge, and reached next
+// (nil while untranslated; the caller translates it afterwards, so
+// translation charges follow this block's):
 //
-//   - a sampled engine (SamplePeriod > 1) only ticks its stride, on
-//     every block event, frozen or not, so the sampled-event set depends
-//     only on the engine's own event count (the determinism contract of
-//     sampling.go), and runs sampledEvent and registration on a sampled
-//     event. It keeps no cycle model and no region cursor: nothing reads
-//     them for a sampled run, and without them a follower can skip
-//     straight from one sampled event to the next (drainSampled);
-//   - a full engine runs sampledEvent (and registration when it asks)
-//     on every block;
-//   - the perf model charges the block by class: a frozen block runs at
-//     full optimized speed only while control follows one of its
-//     regions' expected paths (the cursor is on it), since frozen code
-//     reached outside a region context was retranslated for a different
-//     path;
-//   - the region cursor follows the fired edge, leaving the region (the
-//     cold path) when it runs off it, and enters next's region if next
-//     is a region entry.
-func (e *Engine) step(tb *tblock, takenEdge bool, next *tblock) {
-	if e.samplePeriod > 1 {
-		e.sampleGap--
-		if e.sampleGap == 0 {
-			e.sampleGap = e.samplePeriod
-			if e.sampledEvent(tb, takenEdge) {
-				e.registration(tb)
-			}
-		}
-		return
+//   - sampledEvent advances the counters of an unfrozen block, and
+//     registration runs when it reports a registration point. A sampled
+//     engine (SamplePeriod > 1) runs the two only on its sampled events,
+//     ticking its stride on every block event, frozen or not, so the
+//     sampled-event set depends only on the engine's own event count
+//     (the determinism contract of sampling.go). It runs neither step
+//     below: nothing reads a cycle model or region cursor for a sampled
+//     run, and without them a follower can skip straight from one
+//     sampled event to the next (drainSampled);
+//   - charge adds the block's cost to the batch's cycle sums by class;
+//   - when cursorDue reports the region cursor has work, followRegion
+//     enters next's region or steps along the current one's expected
+//     path, and regionEdge takes the block out of its region when it
+//     left it.
+//
+// Every piece but registration and regionEdge is small enough to
+// inline into both loops (ci.sh checks sampledEvent, charge and
+// followRegion): a steady-state context block, frozen and inside a
+// region or outside any, then costs no call. Registrations and region
+// exits are rare next to the blocks between them.
+
+// charge adds one executed block to the batch's cycle sums s and returns
+// them: a frozen block runs at full optimized speed only while control
+// follows one of its regions' expected paths (the cursor is on it),
+// since frozen code reached outside a region context was retranslated
+// for a different path. The sums pass by value so they stay in registers
+// across a batch; endBatch hands them to the accumulator. An engine
+// without a cycle model sums too, and its sums are dropped.
+func (e *Engine) charge(s perfmodel.BlockSums, tb *tblock) perfmodel.BlockSums {
+	c := uint64(tb.costSum)
+	switch {
+	case !tb.frozen:
+		s.Quick += c
+		s.Profiled++
+	case e.onPath(tb):
+		s.Optimized += c
+	default:
+		s.OffTrace += c
 	}
-	if e.sampledEvent(tb, takenEdge) {
-		e.registration(tb)
+	return s
+}
+
+// cursorDue reports whether the region cursor has work after a block
+// that reached next: it is inside a region, or next enters one.
+func (e *Engine) cursorDue(next *tblock) bool {
+	return e.optimize && (e.curRegion != nil || next != nil && next.regionEntry != nil)
+}
+
+// followRegion moves the region cursor one step and reports whether
+// that was all the block needed: entering next's region from outside
+// any, or following the region's expected path, a loop-back to its
+// entry included. Otherwise the block left its region, and the caller
+// runs regionEdge. Leaving is rare next to the in-region steps, so only
+// this part inlines.
+func (e *Engine) followRegion(tb *tblock, takenEdge bool, next *tblock) bool {
+	node := e.curNode
+	if node == nil {
+		// Outside any region, so next enters one (cursorDue).
+		e.enterRegion(next.regionEntry)
+		return true
 	}
-	if perf := e.perf; perf != nil {
-		switch {
-		case tb.frozen && e.curNode != nil && e.curNode.addr == tb.addr:
-			perf.ChargeOptimizedBlock(int(tb.costSum))
-		case tb.frozen:
-			perf.ChargeOffTraceBlock(int(tb.costSum))
-		default:
-			perf.ChargeQuickBlock(int(tb.costSum))
-		}
+	if node.addr != tb.addr {
+		return false
 	}
-	if !e.optimize {
-		return
+	nn := node.fall
+	if takenEdge {
+		nn = node.taken
 	}
-	if rt := e.curRegion; rt != nil {
-		node := e.curNode
-		if node == nil || node.addr != tb.addr {
-			e.leaveRegion(false)
-		} else {
-			nn := node.fall
-			if takenEdge {
-				nn = node.taken
-			}
-			switch {
-			case nn == nil:
-				e.leaveRegion(rt.r.Kind == profile.RegionTrace && node == rt.last)
-			case nn == rt.entry:
-				e.stats.RegionLoopBacks++
-				rt.loopBacks++
-				e.curNode = nn
-			default:
-				e.curNode = nn
-			}
-		}
+	if nn == nil {
+		return false
 	}
-	if next != nil && e.curRegion == nil && next.regionEntry != nil {
-		rt := next.regionEntry
-		rt.entries++
-		e.curRegion, e.curNode = rt, rt.entry
-		e.stats.RegionEntries++
+	if rt := e.curRegion; nn == rt.entry {
+		rt.loopBacks++
 	}
+	e.curNode = nn
+	return true
+}
+
+// regionEdge is the region cursor's cold path after a block tb that left
+// its region: a trace completes when the cursor ran off its last node
+// on the expected path, and anything else is a side exit. The cursor
+// then enters next's region if next is a region entry.
+func (e *Engine) regionEdge(tb, next *tblock) {
+	rt := e.curRegion
+	e.leaveRegion(rt.r.Kind == profile.RegionTrace && e.onPath(tb) && e.curNode == rt.last)
+	if next != nil && next.regionEntry != nil {
+		e.enterRegion(next.regionEntry)
+	}
+}
+
+// enterRegion puts the cursor on rt's entry.
+func (e *Engine) enterRegion(rt *regionRT) {
+	rt.entries++
+	e.curRegion, e.curNode = rt, rt.entry
+}
+
+// onPath reports whether the region cursor is on tb: control is
+// following one of its regions' expected paths.
+func (e *Engine) onPath(tb *tblock) bool {
+	return e.curNode != nil && e.curNode.addr == tb.addr
 }
 
 // sampledEvent is the profiling of one counted block event, the one
@@ -786,10 +815,8 @@ func (e *Engine) optimizeWave() {
 func (e *Engine) leaveRegion(completed bool) {
 	rt := e.curRegion
 	if completed {
-		e.stats.RegionCompletions++
 		rt.completions++
 	} else {
-		e.stats.RegionSideExits++
 		rt.sideExits++
 		if e.perf != nil {
 			e.perf.ChargeSideExit()
@@ -916,7 +943,17 @@ func (e *Engine) chain(tb *tblock, takenEdge bool, next *tblock) {
 // finish packages the snapshot and statistics of a completed run.
 func (e *Engine) finish() (*profile.Snapshot, *RunStats, error) {
 	snap := e.snapshot()
+	// The region execution counters are kept per region (the adaptive
+	// mode judges each region by its own); the run's totals are their
+	// sums, over dissolved regions too.
+	for _, rt := range e.rts {
+		e.stats.RegionEntries += rt.entries
+		e.stats.RegionCompletions += rt.completions
+		e.stats.RegionLoopBacks += rt.loopBacks
+		e.stats.RegionSideExits += rt.sideExits
+	}
 	if e.perf != nil {
+		e.perf.Finish()
 		e.stats.Cycles = e.perf.Cycles
 		snap.Cycles = uint64(e.perf.Cycles)
 	}

@@ -7,26 +7,32 @@
 // engines, so an AVEP run and a whole INIP(T) ladder cost one execution
 // plus N bookkeeping passes instead of N full runs.
 //
-// Every engine profiles through one method, step (dbt.go), which two
-// loops call once per block: fillBatch executes the guest and steps its
-// own context inline (the serial Run, and RunMulti's driver), and
-// drainBatch replays a recorded batch through a follower (a sampled
-// follower runs only step's sampled-event body; see below). Each follower
-// keeps its own code cache, counters, region former and perf
-// accumulator, so its snapshot, statistics and cycle totals are
-// bit-for-bit what a serial Run with the same Config would have
-// produced. Tests cross-validate this for every configuration class. A
-// follower executes no guest code, so it builds no lowered code, and it
-// resolves successors straight from its dense code cache instead of
-// chaining. The driver executes every block through one path, the
-// pre-lowered records of lower.go.
+// Every engine profiles a block through the same pieces (dbt.go): the
+// counter body sampledEvent, registration when it asks, the cycle
+// charge and, behind cursorDue, the region cursor. Two loops run them
+// once per block, each piece inlined where it is small: fillBatch
+// executes the guest and profiles its own context inline (the serial
+// Run, and RunMulti's driver), and drainBatch replays a recorded batch
+// through a follower (a sampled follower runs only the counter body on
+// its sampled events; see below). Each follower keeps its own code
+// cache, counters, region former and perf accumulator, so its snapshot,
+// statistics and cycle totals are bit-for-bit what a serial Run with the
+// same Config would have produced. Tests cross-validate this for every
+// configuration class. A follower executes no guest code, so it builds
+// no lowered code, and it resolves successors straight from its dense
+// code cache instead of chaining. The driver executes every block
+// through one path, the pre-lowered records of lower.go.
 //
-// Replay is batched: the driver records (nextPC, halted) outcomes into
-// a fixed buffer of replayBatch entries, together with the batch's sums
-// that depend on the trace alone — instructions and successor probes —
-// and the positions where the trace first reaches each block, so no
-// context recomputes them per block.
-// Each follower then drains the whole batch in one tight loop.
+// Replay is batched: the driver records (nextPC, taken, halted)
+// outcomes into a fixed buffer of replayBatch entries, together with
+// the batch's sums that depend on the trace alone — instructions and
+// successor probes — and the positions where the trace first reaches
+// each block, so no context recomputes them per block. The taken bit is
+// the edge the block left through, which every context would otherwise
+// re-derive from the block's terminator.
+// Each follower then drains the whole batch in one tight loop, summing
+// its block charges in registers and handing them to its accumulator
+// once per batch; the cycle model's integer sums make that exact.
 // Nothing observable changes versus per-block interleaving: counters,
 // wave timing and interrupt-poll cadence are all driven by each engine's
 // own block count. What changes is locality: one follower's caches,
@@ -53,6 +59,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/interp"
+	"repro/internal/perfmodel"
 	"repro/internal/profile"
 )
 
@@ -63,8 +70,13 @@ const replayBatch = interruptCheckMask + 1
 
 // outcome is one recorded architectural block outcome: everything a
 // follower needs to advance its profiling state machine past one block.
+// taken is the edge the block left through (always set for blocks
+// without a conditional branch, whose one edge is the taken one), the
+// comparison of nextPC with the block's taken target that every
+// context would otherwise repeat. The record stays 8 bytes.
 type outcome struct {
 	nextPC int32
+	taken  bool
 	halted bool
 }
 
@@ -188,8 +200,8 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 // fillBatch executes the guest, recording outcomes into outs and the
 // blocks it translates into e.firsts, until outs is full, the guest
 // halts (e.halted), or the engine stops with an error. Per block it
-// executes, resolves the successor through its chain and steps the
-// engine's own profiling. Both the serial Run loop and RunMulti's driver
+// executes, resolves the successor through its chain and runs the
+// engine's own profiling pieces. Both the serial Run loop and RunMulti's driver
 // use it; the serial caller just discards the recorded batch.
 func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 	limit := uint64(cap(outs))
@@ -201,6 +213,7 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 		poll = interruptCheckMask + 1 - e.stats.BlocksExecuted&interruptCheckMask
 	}
 	var instr, lookups uint64
+	var sums perfmodel.BlockSums
 	e.firsts = e.firsts[:0]
 	cache := e.cache
 	cur := e.cur
@@ -223,9 +236,9 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 		}
 		instr += uint64(tb.ninsts)
 
-		// Resolve the successor through the chain before stepping:
+		// Resolve the successor through the chain before profiling:
 		// waves never translate or replace blocks, so the result is the
-		// block the step would have found afterwards.
+		// block the cursor would have found afterwards.
 		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
 		var next *tblock
 		if takenEdge {
@@ -250,9 +263,25 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 				e.chain(tb, takenEdge, next)
 			}
 		}
-		e.step(tb, takenEdge, next)
+		if e.samplePeriod > 1 {
+			e.sampleGap--
+			if e.sampleGap == 0 {
+				e.sampleGap = e.samplePeriod
+				if e.sampledEvent(tb, takenEdge) {
+					e.registration(tb)
+				}
+			}
+		} else {
+			if e.sampledEvent(tb, takenEdge) {
+				e.registration(tb)
+			}
+			sums = e.charge(sums, tb)
+			if e.cursorDue(next) && !e.followRegion(tb, takenEdge, next) {
+				e.regionEdge(tb, next)
+			}
+		}
 
-		outs = append(outs, outcome{nextPC: int32(nextPC), halted: halted})
+		outs = append(outs, outcome{nextPC: int32(nextPC), taken: takenEdge, halted: halted})
 		if halted {
 			e.halted = true
 			break
@@ -267,14 +296,15 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 		cur = next
 	}
 	b := batch{outs: outs, firsts: e.firsts, instructions: instr, lookups: lookups}
-	return b, e.endBatch(cur, &b, n, n == stop && stop < limit, err)
+	return b, e.endBatch(cur, &b, sums, n, n == stop && stop < limit, err)
 }
 
 // drainBatch replays one recorded batch through a follower engine,
-// stepping exactly the profiling a serial run would over the same
+// running exactly the profiling a serial run would over the same
 // blocks. It is the study's hottest loop — one call per follower per
-// 4096 blocks — so everything but the step is one load: the successor
-// comes from the dense code cache at the recorded nextPC. A serial
+// 4096 blocks — so besides the inlined profiling pieces a block costs
+// one load: the successor comes from the dense code cache at the
+// recorded nextPC, and the edge is the recorded taken bit. A serial
 // run's chain hit always names that same block (blocks are never
 // replaced) and its miss is a lookup of it, so no chain state is kept.
 func (e *Engine) drainBatch(b *batch) error {
@@ -285,39 +315,48 @@ func (e *Engine) drainBatch(b *batch) error {
 	stop := e.batchStop(limit)
 	cache := e.cache
 	cur := e.cur
+	var sums perfmodel.BlockSums
 	var n uint64
 	var err error
-	for n < stop {
-		o := b.outs[n]
+	for _, o := range b.outs[:stop] {
 		n++
 		nextPC := int(o.nextPC)
 		tb := cur
-		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
 		var next *tblock
 		if uint(nextPC) < uint(len(cache)) {
 			next = cache[nextPC]
 		}
-		e.step(tb, takenEdge, next)
+		if e.sampledEvent(tb, o.taken) {
+			e.registration(tb)
+		}
+		sums = e.charge(sums, tb)
+		if e.cursorDue(next) && !e.followRegion(tb, o.taken, next) {
+			e.regionEdge(tb, next)
+		}
 		if o.halted {
 			// A halt is always the batch's final entry.
 			e.halted = true
 			break
 		}
 		if next == nil {
-			if next, err = e.translate(nextPC); err != nil {
+			// err is set only on the way out, so the loop does not
+			// carry it.
+			var terr error
+			if next, terr = e.translate(nextPC); terr != nil {
+				err = terr
 				break
 			}
 		}
 		cur = next
 	}
-	return e.endBatch(cur, b, n, n == stop && stop < limit, err)
+	return e.endBatch(cur, b, sums, n, n == stop && stop < limit, err)
 }
 
 // drainSampled is drainBatch for a sampled follower: it visits only the
 // positions its stride samples, gap-1, gap-1+P, and so on, where gap is
 // the countdown carried over from the previous batch. That is exact
-// because a sampled engine's step changes nothing on an unsampled event
-// but the countdown (no cycle model, no region cursor), and the
+// because a sampled engine's profiling changes nothing on an unsampled
+// event but the countdown (no cycle model, no region cursor), and the
 // countdown after n events is arithmetic. The one other thing a serial
 // run does between sampled events is translate the blocks the trace
 // reaches for the first time, and a wave's region former sees the
@@ -355,7 +394,7 @@ func (e *Engine) drainSampled(b *batch) error {
 		if err != nil || i >= stop {
 			break
 		}
-		if tb := at(i); e.sampledEvent(tb, !tb.hasBranch || int(outs[i].nextPC) == tb.takenTarget) {
+		if tb := at(i); e.sampledEvent(tb, outs[i].taken) {
 			e.registration(tb)
 		}
 	}
@@ -374,7 +413,7 @@ func (e *Engine) drainSampled(b *batch) error {
 	} else {
 		e.sampleGap = period - (n-gap)%period
 	}
-	return e.endBatch(cur, b, n, n == stop && stop < limit, err)
+	return e.endBatch(cur, b, perfmodel.BlockSums{}, n, n == stop && stop < limit, err)
 }
 
 // batchStop returns how many of the next limit blocks the engine may
@@ -392,16 +431,20 @@ func (e *Engine) batchStop(limit uint64) uint64 {
 	return min(limit, e.trapAfter-start-1)
 }
 
-// endBatch is both loops' flush and error tail. n counts the batch
-// blocks the engine counted, a block that failed included; cur is the
-// block to run next, and atStop reports that the loop ran into its
-// batchStop. The block the trap stops is counted too, as a serial run
+// endBatch is both loops' flush and error tail. sums are the batch's
+// block charges, which reach the engine's accumulator here, once per
+// batch. n counts the batch blocks the engine counted, a block that
+// failed included; cur is the block to run next, and atStop reports
+// that the loop ran into its batchStop. The block the trap stops is counted too, as a serial run
 // counts before it checks, and the trap's message formats the flushed
 // count. An errored run's statistics are discarded, so only
 // the block count is kept on the error paths; a clean batch adds the
 // poll ticks (pure arithmetic on the block count) and the batch's sums.
-func (e *Engine) endBatch(cur *tblock, b *batch, n uint64, atStop bool, err error) error {
+func (e *Engine) endBatch(cur *tblock, b *batch, sums perfmodel.BlockSums, n uint64, atStop bool, err error) error {
 	const period = uint64(interruptCheckMask + 1)
+	if e.perf != nil {
+		e.perf.ChargeBlocks(sums)
+	}
 	start := e.stats.BlocksExecuted
 	e.cur = cur
 	e.stats.BlocksExecuted = start + n

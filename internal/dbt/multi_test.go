@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/guest"
 	"repro/internal/interp"
@@ -105,5 +106,13 @@ func TestRunMultiRejectsEmptyConfigs(t *testing.T) {
 	img := buildLooper(t, 10, 10)
 	if _, _, err := RunMulti(img, interp.NewUniformTape("x"), nil); err == nil {
 		t.Fatalf("RunMulti accepted empty config list")
+	}
+}
+
+// TestOutcomeSize: the recorded outcome carries the taken bit without
+// growing past 8 bytes, so a batch of replayBatch outcomes stays 32 KiB.
+func TestOutcomeSize(t *testing.T) {
+	if n := unsafe.Sizeof(outcome{}); n != 8 {
+		t.Fatalf("outcome is %d bytes, want 8", n)
 	}
 }

@@ -5,7 +5,7 @@
 // branch (block address, direction) in architectural order.
 //
 // The branch walk is a pure function of the outcome trace plus the
-// static block properties (hasBranch, takenTarget), so the event stream
+// static block property hasBranch, so the event stream
 // is bit-identical across follower counts and any profiling
 // configuration, and equal to the stream the reference interpreter's
 // block-entry sequence implies: exactly the determinism dynamic branch
@@ -49,14 +49,13 @@ func RunMultiObserved(img *guest.Image, tape interp.Tape, cfgs []Config, observe
 // was about to execute when the batch began, resolving each executed
 // block through the driver's translation cache (blocks are never
 // evicted, so every executed address is present). Branch blocks emit
-// one event; the taken edge is the architectural comparison the
-// exec loops use: nextPC == takenTarget.
+// one event, whose direction is the outcome's recorded taken bit.
 func appendBranchEvents(dst []BranchEvent, e *Engine, pc int, batch []outcome) []BranchEvent {
 	cache := e.cache
 	for _, o := range batch {
 		tb := cache[pc]
 		if tb.hasBranch {
-			dst = append(dst, BranchEvent{PC: int32(pc), Taken: int(o.nextPC) == tb.takenTarget})
+			dst = append(dst, BranchEvent{PC: int32(pc), Taken: o.taken})
 		}
 		if o.halted {
 			break

@@ -19,6 +19,11 @@
 // The defaults are loosely calibrated to the ratios reported for IA32EL
 // (translation overhead small relative to execution, optimized code
 // roughly 1.5-2x faster than quick-translated code).
+//
+// Charges are integer: the accumulator sums instructions, guest cost
+// units and events per cost class, and Finish turns the seven sums into
+// cycles once, at the end of a run. Cycles are therefore exact in the
+// sums and independent of the order charges arrive in.
 package perfmodel
 
 // Params are the model's cost coefficients, in abstract cycles.
@@ -63,12 +68,29 @@ func DefaultParams() Params {
 	}
 }
 
-// Accumulator tallies the simulated cycles of one run.
+// Accumulator tallies the simulated cost of one run as seven integer
+// class sums: every charge adds whole instructions, whole guest cost
+// units or whole events, so the sums are exact and do not depend on the
+// order the charges arrive in. That lets a replay loop collect a
+// batch's block charges in registers (BlockSums) and add them once.
+//
+// The cycle figures are computed from the sums by Finish: Cycles and
+// the breakdown fields are zero until then, and valid after it. A dbt
+// engine calls Finish when its run ends, so they are valid when dbt.Run
+// or dbt.RunMulti returns.
 type Accumulator struct {
 	p Params
-	// Cycles is the running total.
+
+	// Class sums, in the order Finish adds their cycle terms.
+	translatedInsts uint64 // quick-translated instructions
+	optimizedInsts  uint64 // instructions of formed regions
+	blocks          BlockSums
+	sideExits       uint64
+
+	// Cycles is the total, valid after Finish.
 	Cycles float64
-	// Breakdown for reporting and the ablation benches.
+	// Breakdown for reporting and the ablation benches, valid after
+	// Finish; Cycles adds them in this order.
 	TranslateCycles float64
 	OptimizeCycles  float64
 	QuickCycles     float64
@@ -76,6 +98,22 @@ type Accumulator struct {
 	OptimizedCycles float64
 	OffTraceCycles  float64
 	PenaltyCycles   float64
+}
+
+// BlockSums are the per-execution class sums of a stretch of executed
+// blocks. It is a small value type on purpose: a replay loop passes it
+// by value through its charge step, so the sums stay in registers, and
+// adds it to the accumulator once per batch (ChargeBlocks).
+type BlockSums struct {
+	// Quick is the guest cost of profiling-mode (quick-translated)
+	// block executions, and Profiled counts those executions.
+	Quick, Profiled uint64
+	// Optimized is the guest cost of optimized blocks executed on their
+	// region's expected path.
+	Optimized uint64
+	// OffTrace is the guest cost of retranslated blocks executed outside
+	// any region context.
+	OffTrace uint64
 }
 
 // NewAccumulator returns an accumulator using the given parameters.
@@ -89,46 +127,41 @@ func (a *Accumulator) Params() Params { return a.p }
 // ChargeTranslate records the one-time quick translation of a block of n
 // instructions.
 func (a *Accumulator) ChargeTranslate(n int) {
-	c := float64(a.p.ColdPerInst * float64(n))
-	a.TranslateCycles += c
-	a.Cycles += c
+	a.translatedInsts += uint64(n)
 }
 
 // ChargeOptimize records the one-time optimization of a region totalling
 // n instructions.
 func (a *Accumulator) ChargeOptimize(n int) {
-	c := float64(a.p.OptPerInst * float64(n))
-	a.OptimizeCycles += c
-	a.Cycles += c
+	a.optimizedInsts += uint64(n)
 }
 
-// ChargeQuickBlock records one execution of a profiling-mode block whose
-// instructions sum to cost guest cycles.
-func (a *Accumulator) ChargeQuickBlock(cost int) {
-	q := float64(a.p.QuickFactor * float64(cost))
-	a.QuickCycles += q
-	a.ProfileCycles += a.p.ProfOverhead
-	a.Cycles += q + a.p.ProfOverhead
-}
-
-// ChargeOptimizedBlock records one execution of an optimized block on
-// its region's expected path.
-func (a *Accumulator) ChargeOptimizedBlock(cost int) {
-	c := float64(a.p.OptFactor * float64(cost))
-	a.OptimizedCycles += c
-	a.Cycles += c
-}
-
-// ChargeOffTraceBlock records one execution of a retranslated block
-// outside any region context.
-func (a *Accumulator) ChargeOffTraceBlock(cost int) {
-	c := float64(a.p.OffTraceFactor * float64(cost))
-	a.OffTraceCycles += c
-	a.Cycles += c
+// ChargeBlocks records the block executions summed in s.
+func (a *Accumulator) ChargeBlocks(s BlockSums) {
+	a.blocks.Quick += s.Quick
+	a.blocks.Profiled += s.Profiled
+	a.blocks.Optimized += s.Optimized
+	a.blocks.OffTrace += s.OffTrace
 }
 
 // ChargeSideExit records one off-trace exit from an optimized region.
 func (a *Accumulator) ChargeSideExit() {
-	a.PenaltyCycles += a.p.SideExitPenalty
-	a.Cycles += a.p.SideExitPenalty
+	a.sideExits++
+}
+
+// Finish computes Cycles and the breakdown from the class sums. Each
+// term is one rounded product of a coefficient and a sum, and the terms
+// are added in a fixed order, so the result depends only on the sums.
+// Finish may be called again after further charges.
+func (a *Accumulator) Finish() {
+	term := func(coef float64, sum uint64) float64 { return float64(coef * float64(sum)) }
+	a.TranslateCycles = term(a.p.ColdPerInst, a.translatedInsts)
+	a.OptimizeCycles = term(a.p.OptPerInst, a.optimizedInsts)
+	a.QuickCycles = term(a.p.QuickFactor, a.blocks.Quick)
+	a.ProfileCycles = term(a.p.ProfOverhead, a.blocks.Profiled)
+	a.OptimizedCycles = term(a.p.OptFactor, a.blocks.Optimized)
+	a.OffTraceCycles = term(a.p.OffTraceFactor, a.blocks.OffTrace)
+	a.PenaltyCycles = term(a.p.SideExitPenalty, a.sideExits)
+	a.Cycles = a.TranslateCycles + a.OptimizeCycles + a.QuickCycles + a.ProfileCycles +
+		a.OptimizedCycles + a.OffTraceCycles + a.PenaltyCycles
 }

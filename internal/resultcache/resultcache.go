@@ -50,7 +50,12 @@ import (
 // v3: the profile snapshots inside ref, run and sp entries are stored
 // as base64 strings of their binary encoding (profile.MarshalBinary)
 // instead of JSON objects, so a v2 value no longer decodes.
-const SchemaVersion = 3
+//
+// v4: cycle totals are computed from the cycle model's integer class
+// sums instead of a running float sum, which moves them in the 12th–13th
+// significant digit; a v3 entry would serve the old rounding, so a
+// warm study could disagree with a cold one.
+const SchemaVersion = 4
 
 // Key identifies one cached unit output. Every field participates in
 // the canonical fingerprint; the zero value is not a usable key (Lookup
