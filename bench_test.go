@@ -287,16 +287,26 @@ func BenchmarkAblationSolver(b *testing.B) {
 	})
 }
 
+// runSection5 runs a Section5 study of the named benchmarks on the
+// three-rung ladder the section-5 tables read.
+func runSection5(scale float64, names ...string) (*study.Results, error) {
+	cfg := study.Config{Scale: scale, Thresholds: study.Section5Thresholds, Section5: true}
+	for _, n := range names {
+		cfg.Benchmarks = append(cfg.Benchmarks, spec.ByName(n))
+	}
+	return study.Run(cfg)
+}
+
 // BenchmarkExtensionAdaptive runs the section-5 extension experiment
 // (adaptive retranslation + continuous trip counts) on the phased
 // poster-child benchmark and its stationary control.
 func BenchmarkExtensionAdaptive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := study.RunExtensions([]*spec.Benchmark{spec.ByName("mcf"), spec.ByName("vortex")}, benchScale, 2000)
+		res, err := runSection5(benchScale, "mcf", "vortex")
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range res.Rows {
+		for _, row := range res.Extensions().Rows {
 			if row.Name == "mcf" {
 				b.ReportMetric(row.AdaptiveSpeedup, "mcfSpeedup")
 				b.ReportMetric(float64(row.Dissolved), "mcfDissolved")
@@ -313,11 +323,11 @@ func BenchmarkExtensionAdaptive(b *testing.B) {
 // (SdBP) per unit of profiling work (opsVsTrain).
 func BenchmarkExtensionConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := study.RunConvergence([]*spec.Benchmark{spec.ByName("vortex")}, benchScale)
+		res, err := runSection5(benchScale, "vortex")
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range res.Rows {
+		for _, row := range res.Convergence().Rows {
 			switch row.Policy {
 			case "fixed T=10k":
 				b.ReportMetric(row.SdBP, "sdBP/fixed10k")

@@ -294,22 +294,25 @@ grep -q '"blocks_executed": 0' "$tmpdir/ax-warm.json"
     > "$tmpdir/ax-verify.txt" 2> /dev/null
 cmp "$tmpdir/ax-cold.txt" "$tmpdir/ax-verify.txt"
 
-echo "== section-5 smoke (-race) =="
-# The extension (-ext) and threshold-selection (-conv) experiments run
-# their variants as followers of one shared trace per benchmark: their
-# output must equal the committed goldens, and their inputs follow the
-# study's rules (a NaN threshold is refused, not run).
-"$tmpdir/inipstudy" -ext -scale 0.01 > "$tmpdir/ext.txt"
-cmp internal/study/testdata/golden_ext.txt "$tmpdir/ext.txt"
-"$tmpdir/inipstudy" -conv -scale 0.01 > "$tmpdir/conv.txt"
-cmp internal/study/testdata/golden_conv.txt "$tmpdir/conv.txt"
-code=0
-"$tmpdir/inipstudy" -ext -extT NaN -scale 0.01 > /dev/null 2> "$tmpdir/ext-nan.err" || code=$?
-if [ "$code" -eq 0 ]; then
-    echo "-ext -extT NaN exited 0, want non-zero" >&2
-    exit 1
-fi
-grep -q "study: invalid threshold NaN" "$tmpdir/ext-nan.err"
+echo "== section-5 cache smoke (-race) =="
+# -ext and -conv are a study whose reference traces also carry the
+# adaptive, continuous-trip-count and convergence variants (DESIGN
+# §4b). Cold, warm and verify runs over one cache must print both
+# committed goldens; the warm rerun must execute no guest block, and a
+# one-worker run must print the same tables.
+s5="-ext -conv -scale 0.01"
+cat internal/study/testdata/golden_ext.txt internal/study/testdata/golden_conv.txt > "$tmpdir/s5-golden.txt"
+# $s5 is a flag list, word-split on purpose.
+"$tmpdir/inipstudy" $s5 -cache "$tmpdir/s5cache" > "$tmpdir/s5-cold.txt" 2> /dev/null
+cmp "$tmpdir/s5-golden.txt" "$tmpdir/s5-cold.txt"
+"$tmpdir/inipstudy" $s5 -cache "$tmpdir/s5cache" \
+    -benchjson "$tmpdir/s5-warm.json" > "$tmpdir/s5-warm.txt" 2> /dev/null
+cmp "$tmpdir/s5-golden.txt" "$tmpdir/s5-warm.txt"
+grep -q '"blocks_executed": 0' "$tmpdir/s5-warm.json"
+"$tmpdir/inipstudy" $s5 -cache "$tmpdir/s5cache" -cacheverify > "$tmpdir/s5-verify.txt" 2> /dev/null
+cmp "$tmpdir/s5-golden.txt" "$tmpdir/s5-verify.txt"
+"$tmpdir/inipstudy" $s5 -par 1 > "$tmpdir/s5-par1.txt" 2> /dev/null
+cmp "$tmpdir/s5-golden.txt" "$tmpdir/s5-par1.txt"
 
 echo "== coverage floors =="
 # Statement-coverage floors for the packages the sampling and caching

@@ -88,13 +88,30 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// TestBadFlags: flag errors exit 2.
+// TestBadFlags: flag errors exit 2, and a value no default covers
+// exits 1 with an error naming it, before the daemon listens. Each run
+// gets a pending SIGTERM, so a value that is wrongly accepted drains
+// at once and fails the row instead of serving forever.
 func TestBadFlags(t *testing.T) {
-	for name, args := range map[string][]string{
-		"unknown flag": {"-nope"},
+	for _, c := range []struct {
+		args []string
+		code int
+		want string // in stderr
+	}{
+		{[]string{"-nope"}, 2, "-nope"},
+		{[]string{"-workers", "-2"}, 1, "worker count -2"},
+		{[]string{"-maxinflight", "-1"}, 1, "inflight bound -1"},
+		{[]string{"-timeout", "-1s"}, 1, "timeout -1s"},
+		{[]string{"-scale", "-3"}, 1, "scale -3"},
+		{[]string{"-scale", "NaN"}, 1, "scale NaN"},
+		{[]string{"-scale", "5"}, 1, "scale 5"},
 	} {
-		if code := run(args, io.Discard, io.Discard, nil); code != 2 {
-			t.Errorf("%s: exit %d, want 2", name, code)
+		sig := make(chan os.Signal, 1)
+		sig <- syscall.SIGTERM
+		var errBuf bytes.Buffer
+		code := run(append([]string{"-addr", "127.0.0.1:0"}, c.args...), io.Discard, &errBuf, sig)
+		if code != c.code || !strings.Contains(errBuf.String(), c.want) {
+			t.Errorf("%q: exit %d, want %d with %q in stderr:\n%s", c.args, code, c.code, c.want, errBuf.String())
 		}
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -134,42 +135,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// section5Flags rejects flag combinations the section-5 experiments
-// would silently ignore: -ext and -conv run instead of the figures and
-// honour only -scale and -bench, plus -extT with -ext.
-func section5Flags(fs *flag.FlagSet, ext, conv bool) error {
-	var mode string
-	switch {
-	case ext && conv:
-		return errors.New("-ext and -conv are separate experiments; give one")
-	case ext:
-		mode = "ext"
-	case conv:
-		mode = "conv"
-	}
-	var ignored []string
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "ext", "conv", "scale", "bench":
-		case "extT":
-			if mode != "ext" {
-				ignored = append(ignored, "-extT")
-			}
-		default:
-			if mode != "" {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		}
-	})
-	switch {
-	case len(ignored) == 0:
-		return nil
-	case mode == "":
-		return errors.New("-extT applies only with -ext")
-	}
-	return fmt.Errorf("-%s would ignore %s: section 5 honours only -scale and -bench (and -extT with -ext)", mode, strings.Join(ignored, ", "))
-}
-
 // run is main with its environment made explicit, so the smoke tests
 // drive the full figure pipeline in-process.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -178,14 +143,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		scale   = fs.Float64("scale", 1.0, "paper-unit scale factor")
 		figSel  = fs.String("fig", "all", "comma-separated figure ids (fig8..fig18) or 'all'")
-		benches = fs.String("bench", "", "comma-separated benchmark subset (default: full suite)")
+		benches = fs.String("bench", "", "comma-separated benchmark subset (default: full suite, or the rows of the -ext/-conv tables)")
 		chart   = fs.Bool("chart", false, "render ASCII charts in addition to tables")
 		asJSON  = fs.Bool("json", false, "emit figure data as JSON")
 		asMD    = fs.String("md", "", "write all figures as a markdown report to this file")
 		verbose = fs.Bool("v", false, "print per-benchmark progress")
-		ext     = fs.Bool("ext", false, "run the section-5 extension experiment instead of the figures")
-		extT    = fs.Float64("extT", 2000, "paper-unit threshold for -ext")
-		conv    = fs.Bool("conv", false, "run the threshold-selection (convergence) experiment instead of the figures")
+		ext     = fs.Bool("ext", false, "print the section-5 extension table (adaptive retranslation, continuous trip counts) instead of the figures")
+		conv    = fs.Bool("conv", false, "print the section-5 threshold-selection (convergence) table instead of the figures")
 
 		benchJSON = fs.String("benchjson", "", "append suite wall-clock, blocks/sec, per-phase timing and engine counters as a dated entry to the trajectory array in this file")
 		par       = fs.Int("par", 0, "worker-pool size for run units (default: GOMAXPROCS)")
@@ -208,8 +172,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := section5Flags(fs, *ext, *conv); err != nil {
-		fmt.Fprintf(stderr, "inipstudy: %v\n", err)
+	section5 := *ext || *conv
+	var figFlag string
+	fs.Visit(func(f *flag.Flag) {
+		if section5 && figFlag == "" && slices.Contains([]string{"fig", "chart", "json", "md"}, f.Name) {
+			figFlag = f.Name
+		}
+	})
+	if figFlag != "" {
+		fmt.Fprintf(stderr, "inipstudy: -%s selects figure output, which -ext and -conv replace with their tables\n", figFlag)
 		return 2
 	}
 
@@ -231,6 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var selected []*spec.Benchmark
+	var names []string // of the selected benchmarks
 	if *benches != "" {
 		for _, name := range strings.Split(*benches, ",") {
 			b := spec.ByName(strings.TrimSpace(name))
@@ -238,24 +210,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "inipstudy: unknown benchmark %q\n", name)
 				return 2
 			}
-			selected = append(selected, b)
+			selected, names = append(selected, b), append(names, b.Name)
 		}
-	}
-
-	if *conv || *ext {
-		var res interface{ Render() string }
-		var err error
-		if *conv {
-			res, err = study.RunConvergence(selected, *scale)
-		} else {
-			res, err = study.RunExtensions(selected, *scale, *extT)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "inipstudy: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, res.Render())
-		return 0
 	}
 
 	if *cpuProfile != "" {
@@ -277,6 +233,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Benchmarks:  selected,
 		Parallelism: *par,
 		StopAfter:   *stopAfter,
+	}
+	if section5 {
+		// The tables read three ladder rungs. Without -bench, only the
+		// selected tables' benchmarks run; the extension table's include
+		// the convergence table's.
+		cfg.Section5, cfg.Thresholds = true, study.Section5Thresholds
+		if len(selected) == 0 {
+			defaults := study.ConvergenceBenchmarks
+			if *ext {
+				defaults = study.ExtensionBenchmarks
+			}
+			for _, name := range defaults {
+				cfg.Benchmarks = append(cfg.Benchmarks, spec.ByName(name))
+			}
+		}
 	}
 	pol, perr := core.ParseFailurePolicy(*failPolicy)
 	if perr != nil {
@@ -488,6 +459,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		branches, mis, _ := res.Learned.Totals()
 		fmt.Fprintf(stderr, "wrote %s (%s, held-out %d/%d mispredicted = %.4f vs always-taken %.4f)\n",
 			*learnedJSON, res.Learned.Fingerprint, mis, branches, res.Learned.Rate(), res.Learned.TakenRate())
+	}
+
+	if section5 {
+		// Rows for the -bench benchmarks, or each table's defaults.
+		if *ext {
+			fmt.Fprint(stdout, res.Extensions(names...).Render())
+		}
+		if *conv {
+			fmt.Fprint(stdout, res.Convergence(names...).Render())
+		}
+		return 0
 	}
 
 	if *asMD != "" {

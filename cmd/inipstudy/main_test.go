@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/study"
 )
 
 // readBenchFile strict-decodes a -benchjson trajectory file and returns
@@ -189,6 +188,13 @@ func TestBadFlags(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "-1") {
 		t.Fatalf("scale error does not name the value:\n%s", errBuf.String())
+	}
+	errBuf.Reset()
+	if code := run([]string{"-par", "-3", "-scale", "0.001", "-bench", "gzip"}, new(bytes.Buffer), &errBuf); code != 1 {
+		t.Fatalf("negative -par exited %d, want 1", code)
+	}
+	if !strings.Contains(errBuf.String(), "parallelism -3") {
+		t.Fatalf("-par error does not name the value:\n%s", errBuf.String())
 	}
 }
 
@@ -387,55 +393,88 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 }
 
-// TestSection5Input: -ext and -conv are judged by the study's own
-// rules, so each bad input gets the message and exit code it gets on
-// the figure path, and -bench names are trimmed the same way.
+// TestSection5Input: -ext and -conv run a Section5 study, so they are
+// judged by the study's own rules (each bad input gets the message and
+// exit code it gets on the figure path), honour the study's flags, and
+// refuse only the flags that select figure output.
 func TestSection5Input(t *testing.T) {
-	invoke := func(args ...string) (int, string) {
-		var stderr bytes.Buffer
-		code := run(args, new(bytes.Buffer), &stderr)
-		return code, stderr.String()
-	}
-	// -extT has no figure-path flag: its counterpart is the study's
-	// verdict on the same paper-unit threshold.
-	threshold := func(v float64) []string {
-		cfg := study.Config{Scale: 0.01, Thresholds: []float64{v}}
-		return []string{"1", "inipstudy: " + cfg.Validate().Error() + "\n"}
+	invoke := func(args ...string) (int, string, string) {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		return code, stdout.String(), stderr.String()
 	}
 	figure := func(args ...string) []string {
-		code, stderr := invoke(append(args, "-fig", "fig8")...)
+		code, _, stderr := invoke(append(args, "-fig", "fig8")...)
 		return []string{strconv.Itoa(code), stderr}
 	}
-	// Section 5 honours only -scale and -bench, plus -extT with -ext;
-	// any other flag is refused rather than silently ignored.
-	usage := func(msg string) []string { return []string{"2", "inipstudy: " + msg + "\n"} }
-	dir := t.TempDir()
-	trace, cache := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "c5")
+	usage := func(flag string) []string {
+		return []string{"2", "inipstudy: -" + flag + " selects figure output, which -ext and -conv replace with their tables\n"}
+	}
 	for _, c := range []struct {
 		args []string
 		want []string // exit code, stderr
 	}{
-		{[]string{"-ext", "-extT", "NaN", "-scale", "0.01", "-bench", "gzip"}, threshold(math.NaN())},
-		{[]string{"-ext", "-extT", "-5", "-scale", "0.01", "-bench", "gzip"}, threshold(-5)},
 		{[]string{"-ext", "-scale", "3", "-bench", "gzip"}, figure("-scale", "3", "-bench", "gzip")},
-		{[]string{"-conv", "-scale", "0.01", "-bench", "gzip, vortex"}, figure("-scale", "0.01", "-bench", "gzip, vortex")},
-		{[]string{"-ext", "-scale", "0.01", "-bench", "gzip", "-trace", trace, "-cache", cache, "-json"},
-			usage("-ext would ignore -cache, -json, -trace: section 5 honours only -scale and -bench (and -extT with -ext)")},
-		{[]string{"-conv", "-scale", "0.01", "-bench", "gzip", "-par", "2"},
-			usage("-conv would ignore -par: section 5 honours only -scale and -bench (and -extT with -ext)")},
-		{[]string{"-conv", "-extT", "5", "-scale", "0.01", "-bench", "gzip"},
-			usage("-conv would ignore -extT: section 5 honours only -scale and -bench (and -extT with -ext)")},
-		{[]string{"-extT", "5", "-scale", "0.01", "-bench", "gzip", "-fig", "fig8"}, usage("-extT applies only with -ext")},
-		{[]string{"-ext", "-conv", "-scale", "0.01", "-bench", "gzip"}, usage("-ext and -conv are separate experiments; give one")},
+		{[]string{"-conv", "-scale", "0.001", "-bench", "gzip", "-par", "-3"}, figure("-scale", "0.001", "-bench", "gzip", "-par", "-3")},
+		{[]string{"-conv", "-scale", "0.001", "-bench", "gzip, vortex"}, figure("-scale", "0.001", "-bench", "gzip, vortex")},
+		{[]string{"-ext", "-scale", "0.001", "-bench", "gzip", "-fig", "fig8"}, usage("fig")},
+		{[]string{"-conv", "-scale", "0.001", "-bench", "gzip", "-chart"}, usage("chart")},
+		{[]string{"-ext", "-conv", "-scale", "0.001", "-bench", "gzip", "-json"}, usage("json")},
+		{[]string{"-ext", "-scale", "0.001", "-bench", "gzip", "-md", filepath.Join(t.TempDir(), "r.md")}, usage("md")},
+		{[]string{"-ext", "-extT", "5", "-scale", "0.001", "-bench", "gzip"},
+			[]string{"2", "flag provided but not defined: -extT\n"}},
 	} {
-		code, stderr := invoke(c.args...)
+		code, _, stderr := invoke(c.args...)
+		stderr, _, _ = strings.Cut(stderr, "Usage")
 		if got := []string{strconv.Itoa(code), stderr}; got[0] != c.want[0] || got[1] != c.want[1] {
 			t.Errorf("%q: exit %s, stderr %q; want exit %s, stderr %q", c.args, got[0], got[1], c.want[0], c.want[1])
 		}
 	}
-	for _, p := range []string{trace, cache} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("a refused section-5 run left %s behind (stat: %v)", p, err)
+
+	// One run prints both tables, with rows for the -bench benchmarks
+	// in -bench order.
+	code, out, stderr := invoke("-ext", "-conv", "-scale", "0.001", "-bench", "vortex,gzip")
+	if code != 0 {
+		t.Fatalf("-ext -conv exited %d:\n%s", code, stderr)
+	}
+	ext, conv, ok := strings.Cut(out, "threshold-selection heuristics")
+	if !ok || !strings.HasPrefix(ext, "section-5 extensions") ||
+		strings.Index(ext, "\nvortex") > strings.Index(ext, "\ngzip") ||
+		strings.Index(conv, "\nvortex") > strings.Index(conv, "\ngzip") {
+		t.Fatalf("-ext -conv output:\n%s", out)
+	}
+}
+
+// TestSection5Machinery: the section-5 tables come out of the study's
+// units, so a warm -cache rerun executes no guest block and prints the
+// same tables, -par does not move them, and -trace records the study's
+// spans.
+func TestSection5Machinery(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-ext", "-conv", "-scale", "0.001", "-bench", "gzip,vortex", "-cache", filepath.Join(dir, "cache")}
+	var cold bytes.Buffer
+	trace := filepath.Join(dir, "t.jsonl")
+	if code := run(append([]string{"-trace", trace, "-par", "1"}, base...), &cold, new(bytes.Buffer)); code != 0 {
+		t.Fatalf("cold run exited %d", code)
+	}
+	warmJSON := filepath.Join(dir, "warm.json")
+	var warm bytes.Buffer
+	if code := run(append([]string{"-benchjson", warmJSON, "-par", "2"}, base...), &warm, new(bytes.Buffer)); code != 0 {
+		t.Fatalf("warm run exited %d", code)
+	}
+	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm tables differ from cold:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
+	}
+	if rep := readBenchFile(t, warmJSON)[0]; rep.BlocksExecuted != 0 || rep.ResultCacheHits == 0 {
+		t.Fatalf("warm run executed %d guest blocks with %d cache hits, want 0 and some", rep.BlocksExecuted, rep.ResultCacheHits)
+	}
+	var sum bytes.Buffer
+	if code := run([]string{"-tracesum", trace}, &sum, new(bytes.Buffer)); code != 0 {
+		t.Fatalf("-tracesum exited %d", code)
+	}
+	for _, unit := range []string{obs.UnitRef, obs.UnitTrain, obs.UnitCompare} {
+		if !strings.Contains(sum.String(), "\n"+unit+" ") {
+			t.Fatalf("-tracesum output has no %s span:\n%s", unit, sum.String())
 		}
 	}
 }

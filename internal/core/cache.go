@@ -58,6 +58,11 @@ type runOutput struct {
 	Cycles float64 `json:"cycles"`
 }
 
+// result is the run compared with AVEP, at ladder threshold t.
+func (ro runOutput) result(t uint64, summary metrics.Summary) ThresholdResult {
+	return ThresholdResult{T: t, Summary: summary, ProfilingOps: ro.Snapshot.ProfilingOps, Cycles: ro.Cycles, Stats: ro.Stats}
+}
+
 // refEntry is the cached output of the reference step: the AVEP
 // profile plus one runOutput per distinct effective threshold, in
 // ladder (config) order, and the output of every study axis that rode
@@ -78,6 +83,8 @@ type refEntry struct {
 	// Learned is the learned-predictor collection: every static branch
 	// site with its feature vector and outcome tallies.
 	Learned *learned.BenchData `json:"learned,omitempty"`
+	// Variants holds one run per requested variant, in request order.
+	Variants []runOutput `json:"variants,omitempty"`
 }
 
 // cachedSnapshot is a profile snapshot as a cache entry field: a JSON
@@ -257,6 +264,7 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 func (b *benchRun) refEntryMatches(ent *refEntry, cfgs []dbt.Config, n int) bool {
 	preds, lcfg := b.opts.Predictors, b.opts.Learned
 	if ent.AVEP.Snapshot == nil || len(ent.Sampling) != len(b.opts.SamplePeriods) ||
+		len(ent.Variants) != len(b.opts.Variants) ||
 		len(ent.Predictors) != len(preds) || (ent.Learned != nil) != (lcfg != nil) {
 		return false
 	}

@@ -119,6 +119,10 @@ type Options struct {
 	// not a fitted model. The config's Fingerprint joins the `ref` cache
 	// key.
 	Learned *learned.Config
+	// Variants are TranslatorConfigs varying one section-5 knob each,
+	// compared with AVEP into BenchmarkResult.Variants; each runs with
+	// the benchmark's own cycle model, Interrupt and TrapAfter.
+	Variants []dbt.Config
 	// Timing, when non-nil, accumulates per-phase durations and run
 	// volume across all units of the benchmark.
 	Timing *Timing
@@ -273,6 +277,8 @@ type BenchmarkResult struct {
 	// Like Predictors it is threshold-independent and bit-identical
 	// across worker counts and cache state.
 	Learned *learned.BenchData
+	// Variants holds one comparison per Options.Variants entry.
+	Variants []ThresholdResult
 	// Failures lists the units that failed permanently under the Degrade
 	// policy, in completion order (callers that need a stable order sort
 	// by unit and threshold). Empty on a clean run; under FailFast the
@@ -441,6 +447,9 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 	if len(opts.SamplePeriods) > 0 {
 		b.out.Sampling = make([]SamplePeriodResult, len(opts.SamplePeriods))
 	}
+	if len(opts.Variants) > 0 {
+		b.out.Variants = make([]ThresholdResult, len(opts.Variants))
+	}
 	// Hold one count until both run units are spawned: the reference
 	// unit can finish, dependents and all, before the training unit
 	// exists, and its exit must not pass for the benchmark's last.
@@ -597,11 +606,11 @@ func (b *benchRun) distinctRungs() (distinct []uint64, rungs [][]int) {
 
 // referenceConfigs lists every follower of the reference run in trace
 // order: AVEP, one INIP config per distinct threshold, then, for each
-// sample period, the same rungs with the sampling stride switched on.
-// Sampled ladders ride the reference trace as extra followers, so the
-// guest still executes exactly once.
+// sample period, the same rungs with the sampling stride switched on,
+// then the variants. Sampled ladders and variants ride the reference
+// trace as extra followers, so the guest still executes exactly once.
 func (b *benchRun) referenceConfigs(distinct []uint64) []dbt.Config {
-	cfgs := make([]dbt.Config, 0, 1+len(distinct)*(1+len(b.opts.SamplePeriods)))
+	cfgs := make([]dbt.Config, 0, 1+len(distinct)*(1+len(b.opts.SamplePeriods))+len(b.opts.Variants))
 	cfgs = append(cfgs, b.dbtConfig("ref", 0, false))
 	for _, period := range append([]uint64{0}, b.opts.SamplePeriods...) {
 		for _, threshold := range distinct {
@@ -609,6 +618,11 @@ func (b *benchRun) referenceConfigs(distinct []uint64) []dbt.Config {
 			cfg.SamplePeriod = period
 			cfgs = append(cfgs, cfg)
 		}
+	}
+	for _, v := range b.opts.Variants {
+		own := b.dbtConfig("ref", v.Threshold, v.Optimize)
+		v.Perf, v.Interrupt, v.TrapAfter = own.Perf, own.Interrupt, own.TrapAfter
+		cfgs = append(cfgs, v)
 	}
 	return cfgs
 }
@@ -665,24 +679,23 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 		b.addRunStats(st)
 	}
 	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	// ladder returns the k-th ladder's runs: 0 is the full-instrumentation
-	// one, k > 0 the k-th sample period's.
-	ladder := func(k int) []runOutput {
-		outs := make([]runOutput, n)
+	// outputs returns the runs of the m followers from config c on.
+	outputs := func(c, m int) []runOutput {
+		outs := make([]runOutput, m)
 		for j := range outs {
-			c := 1 + k*n + j
-			outs[j] = runOutput{T: cfgs[c].Threshold, Snapshot: cachedSnapshot{snaps[c]}, Stats: *stats[c], Cycles: cfgs[c].Perf.Cycles}
+			outs[j] = runOutput{T: cfgs[c+j].Threshold, Snapshot: cachedSnapshot{snaps[c+j]}, Stats: *stats[c+j], Cycles: cfgs[c+j].Perf.Cycles}
 		}
 		return outs
 	}
-	entry := refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cfgs[0].Perf.Cycles, Runs: ladder(0)}
+	entry := refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cfgs[0].Perf.Cycles, Runs: outputs(1, n)}
 	for k := range b.opts.SamplePeriods {
-		runs := ladder(k + 1)
+		runs := outputs(1+(k+1)*n, n)
 		for _, ro := range runs {
 			b.addSampleStats(ro.Snapshot.Snapshot)
 		}
 		entry.Sampling = append(entry.Sampling, runs)
 	}
+	entry.Variants = outputs(len(cfgs)-len(b.opts.Variants), len(b.opts.Variants))
 	if suite != nil {
 		entry.Predictors = suite.Results()
 	}
@@ -713,6 +726,9 @@ func (b *benchRun) refBody(worker int) error {
 	for pi, period := range b.opts.SamplePeriods {
 		outs := entry.Sampling[pi]
 		b.spawn(obs.UnitSampleCompare, period, func(w int) error { return b.sampleCompareBody(pi, period, rungs, outs, w) })
+	}
+	for vi, ro := range entry.Variants {
+		b.spawn(obs.UnitCompare, ro.T, func(w int) error { return b.variantCompareBody(vi, ro, w) })
 	}
 	return b.maybeCompareTrain(worker)
 }
@@ -761,13 +777,7 @@ func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
 // (indexes are rung-owned, so the writes need no lock).
 func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary metrics.Summary) {
 	for _, i := range idxs {
-		b.out.Results[i] = ThresholdResult{
-			T:            b.opts.Thresholds[i],
-			Summary:      summary,
-			ProfilingOps: ro.Snapshot.ProfilingOps,
-			Cycles:       ro.Cycles,
-			Stats:        ro.Stats,
-		}
+		b.out.Results[i] = ro.result(b.opts.Thresholds[i], summary)
 	}
 }
 
@@ -799,6 +809,19 @@ func (b *benchRun) sampleCompareBody(pi int, period uint64, rungs [][]int, outs 
 	b.record(obs.UnitSampleCompare, period, worker, start, 0, nil)
 	b.out.Sampling[pi] = SamplePeriodResult{Period: period, PerT: perT}
 	return nil
+}
+
+// variantCompareBody compares one variant's run with the AVEP memo, on
+// warm reruns too, and publishes it into its own index (no lock).
+func (b *benchRun) variantCompareBody(vi int, ro runOutput, worker int) error {
+	start := time.Now()
+	summary, _, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
+	if err != nil {
+		err = fmt.Errorf("core: variant %d comparison of %s: %w", vi, b.t.Name, err)
+	}
+	b.record(obs.UnitCompare, ro.T, worker, start, 0, err)
+	b.out.Variants[vi] = ro.result(ro.T, summary)
+	return err
 }
 
 // trainBody runs INIP(train) and stores its snapshot for the training
@@ -905,8 +928,8 @@ func RunBenchmark(t Target, opts Options) (*BenchmarkResult, error) {
 
 // CollectLearnedData runs the learned-predictor collection pass for one
 // target outside the full study pipeline: the reference step with an
-// empty ladder, no predictors and no sample periods, so the reference
-// input executes once under the AVEP config while the collector tallies
+// empty ladder and no other axis or variant, so the reference input
+// executes once under the AVEP config while the collector tallies
 // outcomes. Its `ref` entry is keyed by that config set plus the model
 // fingerprint, so repeated corpus collections at one scale warm each
 // other and a warm call executes zero guest blocks. A study's entries
@@ -917,7 +940,7 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Thresholds, opts.Predictors, opts.SamplePeriods, opts.Learned = nil, nil, nil, &lcfg
+	opts.Thresholds, opts.Predictors, opts.SamplePeriods, opts.Variants, opts.Learned = nil, nil, nil, nil, &lcfg
 	b := &benchRun{t: t, opts: opts}
 	entry, err := b.reference(0)
 	if err != nil {

@@ -51,7 +51,8 @@ import (
 )
 
 // Config configures a Server. The zero value of every field has a
-// usable default.
+// usable default. New refuses a negative Workers, MaxInflight or
+// DefaultTimeout, and a Scale the study refuses.
 type Config struct {
 	// Scale is the default paper-unit scale for requests that do not
 	// carry their own (default 1.0).
@@ -79,28 +80,34 @@ type Config struct {
 	Trace *obs.Recorder
 }
 
-func (c *Config) defaults() {
-	if c.Scale <= 0 {
+// defaults fills in the zero values and rejects what New refuses.
+func (c *Config) defaults() error {
+	switch {
+	case c.Workers < 0:
+		return fmt.Errorf("serve: invalid worker count %d (want >= 0; 0 selects GOMAXPROCS)", c.Workers)
+	case c.MaxInflight < 0:
+		return fmt.Errorf("serve: invalid inflight bound %d (want >= 0; 0 selects 2x workers)", c.MaxInflight)
+	case c.DefaultTimeout < 0:
+		return fmt.Errorf("serve: invalid default timeout %v (want >= 0; 0 selects 2m)", c.DefaultTimeout)
+	}
+	if c.Scale == 0 {
 		c.Scale = 1.0
 	}
-	if c.Workers <= 0 {
-		c.Workers = 0 // scheduler resolves to GOMAXPROCS
+	if err := (&study.Config{Scale: c.Scale}).Validate(); err != nil {
+		return fmt.Errorf("serve: default scale: %w", err)
 	}
-	if c.MaxInflight <= 0 {
-		w := c.Workers
-		if w <= 0 {
-			w = 1
-		}
-		c.MaxInflight = 2 * w
+	if c.MaxInflight == 0 {
+		c.MaxInflight = 2 * max(c.Workers, 1)
 	}
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 0
 	} else if c.MaxQueue == 0 {
 		c.MaxQueue = 8
 	}
-	if c.DefaultTimeout <= 0 {
+	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 2 * time.Minute
 	}
+	return nil
 }
 
 // Server is the compare daemon's state.
@@ -179,7 +186,9 @@ type serverMetrics struct {
 // New builds a Server and starts its shared scheduler. The caller
 // serves s.Handler() and must call Drain before exit.
 func New(cfg Config) (*Server, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:   cfg,
 		sched: core.NewSchedulerPolicy(cfg.Workers, core.Degrade),

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dbt"
-	"repro/internal/spec"
 )
 
 // ConvergenceRow is one (benchmark, registration policy) evaluation:
@@ -29,58 +27,32 @@ type ConvergenceResults struct {
 	Rows []ConvergenceRow
 }
 
-// RunConvergence evaluates fixed thresholds against convergence-based
-// registration on the given benchmarks (default: a stationary, a noisy
-// and a phased member).
-func RunConvergence(benches []*spec.Benchmark, scale float64) (*ConvergenceResults, error) {
-	cfg, err := section5Config(benches, []string{"vortex", "crafty", "gzip"}, scale)
-	if err != nil {
-		return nil, err
-	}
-	// A zero epsilon is a fixed-threshold policy at paperT; any other
-	// registers on convergence, with paperT as the cap.
-	policies := []struct{ paperT, eps float64 }{
-		{500, 0}, {2000, 0}, {10000, 0}, {40000, 0.03}, {40000, 0.015},
-	}
+// convergenceVariants are the convergence-based registration policies
+// of the threshold-selection table: the CI half-width ε below which a
+// branch registers, and the paper-unit threshold that caps the wait.
+var convergenceVariants = []struct{ eps, capT float64 }{{0.03, 40000}, {0.015, 40000}}
+
+// Convergence builds the threshold-selection table from a Section5
+// study: Section5Thresholds against the convergenceVariants, on the
+// named benchmarks (default: a stationary, a noisy and a phased member;
+// see section5Series), with profiling cost normalized to the training
+// run.
+func (r *Results) Convergence(names ...string) *ConvergenceResults {
 	out := &ConvergenceResults{}
-	for _, b := range cfg.Benchmarks {
-		cfgs := make([]dbt.Config, len(policies))
-		for i, p := range policies {
-			cfgs[i] = core.TranslatorConfig("ref", EffectiveThreshold(p.paperT, cfg.Scale), true)
-			cfgs[i].ConvergeRegister = p.eps > 0
-			cfgs[i].ConvergeEpsilon = p.eps
+	for _, s := range r.section5Series(names, ConvergenceBenchmarks) {
+		add := func(policy string, res *core.ThresholdResult) {
+			out.Rows = append(out.Rows, ConvergenceRow{Name: s.Name, Policy: policy,
+				OpsVsTrain: ratio(float64(res.ProfilingOps), float64(s.TrainOps)),
+				SdBP:       res.Summary.SdBP, BPMismatch: res.Summary.BPMismatch})
 		}
-		snaps, _, err := runVariants(b, cfg.Scale, cfgs...)
-		if err != nil {
-			return nil, err
+		for _, t := range Section5Thresholds {
+			add(fmt.Sprintf("fixed T=%s", trimFloat(t)), &s.PerT[r.tIndex(t)])
 		}
-		img, tape, err := b.Build("train", cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		train, _, err := dbt.Run(img, tape, core.TranslatorConfig("train", 0, false))
-		if err != nil {
-			return nil, err
-		}
-		for i, p := range policies {
-			sum, _, err := core.Compare(snaps[i+1], snaps[0])
-			if err != nil {
-				return nil, err
-			}
-			row := ConvergenceRow{
-				Name: b.Name, Policy: fmt.Sprintf("fixed T=%s", trimFloat(p.paperT)),
-				SdBP: sum.SdBP, BPMismatch: sum.BPMismatch,
-			}
-			if p.eps > 0 {
-				row.Policy = fmt.Sprintf("converge eps=%g cap=%s", p.eps, trimFloat(p.paperT))
-			}
-			if train.ProfilingOps > 0 {
-				row.OpsVsTrain = float64(snaps[i+1].ProfilingOps) / float64(train.ProfilingOps)
-			}
-			out.Rows = append(out.Rows, row)
+		for k, c := range convergenceVariants { // after adaptive and continuous
+			add(fmt.Sprintf("converge eps=%g cap=%s", c.eps, trimFloat(c.capT)), &s.Variants[2+k])
 		}
 	}
-	return out, nil
+	return out
 }
 
 func trimFloat(v float64) string {

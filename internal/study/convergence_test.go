@@ -3,18 +3,13 @@ package study
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/spec"
 )
 
 func TestRunConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence runs take seconds")
 	}
-	res, err := RunConvergence([]*spec.Benchmark{spec.ByName("vortex")}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSection5(t, 0.1, "vortex").Convergence("vortex")
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 policies", len(res.Rows))
 	}
@@ -43,11 +38,5 @@ func TestRunConvergence(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestRunConvergenceUnknownBenchmark(t *testing.T) {
-	if _, err := RunConvergence([]*spec.Benchmark{spec.ByName("nope")}, 0.1); err == nil {
-		t.Fatal("unknown benchmark accepted")
 	}
 }

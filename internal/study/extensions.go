@@ -6,9 +6,57 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbt"
-	"repro/internal/profile"
 	"repro/internal/spec"
 )
+
+// The section-5 tables read a Section5 study: ExtensionBenchmarks and
+// ConvergenceBenchmarks are their default rows, in table order, and
+// Section5Thresholds the ladder rungs their fixed-threshold rows are.
+// The extension table's fixed row and its two variants are at
+// extensionT.
+var (
+	ExtensionBenchmarks   = []string{"mcf", "gzip", "crafty", "wupwise", "vortex"}
+	ConvergenceBenchmarks = []string{"vortex", "crafty", "gzip"}
+	Section5Thresholds    = []float64{500, 2000, 10000}
+)
+
+const extensionT = 2000
+
+// section5Variants lowers Config.Section5 to core.Options.Variants, in
+// the order the tables read BenchmarkSeries.Variants: the adaptive and
+// the continuous-trip-count translator at extensionT, then the
+// convergenceVariants.
+func section5Variants(scale float64) []dbt.Config {
+	t := EffectiveThreshold(extensionT, scale)
+	adaptive := core.TranslatorConfig("ref", t, true)
+	adaptive.Adaptive = true
+	continuous := core.TranslatorConfig("ref", t, true)
+	continuous.ContinuousTripCount = true
+	variants := []dbt.Config{adaptive, continuous}
+	for _, c := range convergenceVariants {
+		v := core.TranslatorConfig("ref", EffectiveThreshold(c.capT, scale), true)
+		v.ConvergeRegister, v.ConvergeEpsilon = true, c.eps
+		variants = append(variants, v)
+	}
+	return variants
+}
+
+// section5Series returns the series a section-5 table shows: the named
+// benchmarks, or with no names the table's defaults, in that order.
+// Benchmarks the study did not run, whose units failed (as in every
+// figure) or that ran without Section5 have no row.
+func (r *Results) section5Series(names, defaults []string) []*BenchmarkSeries {
+	if len(names) == 0 {
+		names = defaults
+	}
+	var out []*BenchmarkSeries
+	for _, name := range names {
+		if s := r.ByName(name); s != nil && s.ok() && len(s.Variants) > 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
 
 // ExtensionRow is one benchmark's fixed-vs-adaptive comparison in the
 // section-5 extension experiment.
@@ -35,90 +83,41 @@ type ExtensionResults struct {
 	Rows      []ExtensionRow
 }
 
-// RunExtensions executes the paper's section-5 proposals on the given
-// benchmarks (default: the phased members plus a stationary control) at
-// one paper-unit retranslation threshold:
+// Extensions builds the paper's section-5 extension table from a
+// Section5 study, for the named benchmarks (default: the phased members
+// plus a stationary control; see section5Series). Each row compares the
+// fixed translator at T=2000 (the ladder rung) with two variants at the
+// same threshold:
 //
 //   - adaptive retranslation: regions whose side-exit rate shows a
 //     behaviour change are dissolved and rebuilt from fresh profiles;
 //   - continuous trip-count profiling: loop regions keep lightweight
 //     loop-back instrumentation alive, replacing the frozen trip-count
 //     prediction.
-func RunExtensions(benches []*spec.Benchmark, scale, paperT float64) (*ExtensionResults, error) {
-	cfg, err := section5Config(benches, []string{"mcf", "gzip", "crafty", "wupwise", "vortex"}, scale, paperT)
-	if err != nil {
-		return nil, err
+func (r *Results) Extensions(names ...string) *ExtensionResults {
+	ti := r.tIndex(extensionT)
+	out := &ExtensionResults{Threshold: EffectiveThreshold(extensionT, r.Scale)}
+	for _, s := range r.section5Series(names, ExtensionBenchmarks) {
+		fixed, adaptive, continuous := &s.PerT[ti], &s.Variants[0], &s.Variants[1]
+		out.Rows = append(out.Rows, ExtensionRow{
+			Name: s.Name, Class: s.Class,
+			FixedSideExitRate:    ratio(float64(fixed.Stats.RegionSideExits), float64(fixed.Stats.RegionEntries)),
+			AdaptiveSideExitRate: ratio(float64(adaptive.Stats.RegionSideExits), float64(adaptive.Stats.RegionEntries)),
+			Dissolved:            adaptive.Stats.RegionsDissolved,
+			AdaptiveSpeedup:      ratio(fixed.Cycles, adaptive.Cycles),
+			FrozenLPMismatch:     fixed.Summary.LPMismatch,
+			ContinuousLPMismatch: continuous.Summary.LPMismatch,
+		})
 	}
-	threshold := EffectiveThreshold(paperT, cfg.Scale)
-	out := &ExtensionResults{Threshold: threshold}
-	for _, b := range cfg.Benchmarks {
-		adaptive := core.TranslatorConfig("ref", threshold, true)
-		adaptive.Adaptive = true
-		continuous := core.TranslatorConfig("ref", threshold, true)
-		continuous.ContinuousTripCount = true
-		snaps, stats, err := runVariants(b, cfg.Scale, core.TranslatorConfig("ref", threshold, true), adaptive, continuous)
-		if err != nil {
-			return nil, err
-		}
-		fixedSum, _, err := core.Compare(snaps[1], snaps[0])
-		if err != nil {
-			return nil, err
-		}
-		contSum, _, err := core.Compare(snaps[3], snaps[0])
-		if err != nil {
-			return nil, err
-		}
-		fixedStats, adaptStats := stats[1], stats[2]
-		row := ExtensionRow{
-			Name: b.Name, Class: b.Class,
-			Dissolved:            adaptStats.RegionsDissolved,
-			FrozenLPMismatch:     fixedSum.LPMismatch,
-			ContinuousLPMismatch: contSum.LPMismatch,
-		}
-		if fixedStats.RegionEntries > 0 {
-			row.FixedSideExitRate = float64(fixedStats.RegionSideExits) / float64(fixedStats.RegionEntries)
-		}
-		if adaptStats.RegionEntries > 0 {
-			row.AdaptiveSideExitRate = float64(adaptStats.RegionSideExits) / float64(adaptStats.RegionEntries)
-		}
-		if adaptStats.Cycles > 0 {
-			row.AdaptiveSpeedup = fixedStats.Cycles / adaptStats.Cycles
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return out
 }
 
-// section5Config judges a section-5 experiment's inputs by the study's
-// own rules, exactly as a figure run's: the selected benchmarks (def
-// names them when none are selected), the scale (0 selects 1) and the
-// paper-unit thresholds the experiment takes from its caller.
-func section5Config(benches []*spec.Benchmark, def []string, scale float64, paperT ...float64) (Config, error) {
-	if len(benches) == 0 {
-		for _, name := range def {
-			benches = append(benches, spec.ByName(name))
-		}
+// ratio is num/den, or 0 when den is 0.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
 	}
-	cfg := Config{Scale: scale, Thresholds: paperT, Benchmarks: benches}
-	cfg.defaults()
-	return cfg, cfg.Validate()
-}
-
-// runVariants runs one benchmark's section-5 variants as followers of
-// one shared reference trace: it builds the ref input once and runs
-// AVEP, then every variant, through one dbt.RunMulti. Element 0 of each
-// result is AVEP's and element i+1 is variants[i]'s.
-func runVariants(b *spec.Benchmark, scale float64, variants ...dbt.Config) ([]*profile.Snapshot, []*dbt.RunStats, error) {
-	img, tape, err := b.Build("ref", scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfgs := append([]dbt.Config{core.TranslatorConfig("ref", 0, false)}, variants...)
-	snaps, stats, err := dbt.RunMulti(img, tape, cfgs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("study: %s: %w", b.Name, err)
-	}
-	return snaps, stats, nil
+	return num / den
 }
 
 // Render formats the extension results as a text table.

@@ -220,25 +220,19 @@ func TestGoldenPredictorFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenSection5 byte-compares the rendered section-5 experiments
-// with the committed output of `inipstudy -ext -scale 0.01` and
-// `inipstudy -conv -scale 0.01` (their default benchmarks and
-// threshold). The files are CLI captures, not -update output: a diff
-// here means the experiments' numbers moved.
+// TestGoldenSection5 byte-compares the section-5 tables of one
+// Section5 study over their default benchmarks at scale 0.01 with the
+// committed output of `inipstudy -ext -scale 0.01` and `inipstudy
+// -conv -scale 0.01`. The files are CLI captures from the version that
+// ran each variant on its own, not -update output: a diff here means
+// the experiments' numbers moved.
 func TestGoldenSection5(t *testing.T) {
-	ext, err := RunExtensions(nil, 0.01, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv, err := RunConvergence(nil, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSection5(t, 0.01, ExtensionBenchmarks...)
 	for _, g := range []struct {
 		name, got string
 	}{
-		{"golden_ext.txt", ext.Render()},
-		{"golden_conv.txt", conv.Render()},
+		{"golden_ext.txt", res.Extensions().Render()},
+		{"golden_conv.txt", res.Convergence().Render()},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", g.name))
 		if err != nil {

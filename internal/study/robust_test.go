@@ -259,6 +259,8 @@ func TestValidateNamesTheBadValue(t *testing.T) {
 		{"nil bench", func(c *Config) { c.Benchmarks = []*spec.Benchmark{nil} }, "benchmark 0"},
 		{"dup bench", func(c *Config) { c.Benchmarks = append(c.Benchmarks, c.Benchmarks[0]) }, "twice"},
 		{"negative stopafter", func(c *Config) { c.StopAfter = -1 }, "stop-after"},
+		{"negative parallelism", func(c *Config) { c.Parallelism = -3 }, "parallelism -3"},
+		{"section 5 without its rungs", func(c *Config) { c.Section5 = true }, "threshold 500"},
 	}
 	for _, tc := range cases {
 		cfg := robustConfig("gzip")

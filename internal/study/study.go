@@ -57,7 +57,7 @@ type Config struct {
 	Thresholds []float64
 	// Benchmarks selects the suite subset (default spec.Suite()).
 	Benchmarks []*spec.Benchmark
-	// Parallelism bounds concurrently-running work units (default
+	// Parallelism bounds concurrently-running work units (0 selects
 	// GOMAXPROCS, matching the scheduler's own default — unlike NumCPU
 	// it respects cgroup quotas and GOMAXPROCS overrides). Units are
 	// finer than benchmarks: each benchmark's reference execution,
@@ -135,6 +135,10 @@ type Config struct {
 	// benchmark completions — a deterministic stand-in for Stop in
 	// tests and the stop-and-rerun CI smoke.
 	StopAfter int
+	// Section5 adds section5Variants to each reference trace, for
+	// Results.Extensions and Results.Convergence. Validate then requires
+	// Section5Thresholds, the tables' fixed rows, in the ladder.
+	Section5 bool
 }
 
 func (c *Config) defaults() {
@@ -147,7 +151,7 @@ func (c *Config) defaults() {
 	if len(c.Benchmarks) == 0 {
 		c.Benchmarks = spec.Suite()
 	}
-	if c.Parallelism <= 0 {
+	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 }
@@ -191,8 +195,16 @@ func (c *Config) Validate() error {
 		}
 		names[b.Name] = true
 	}
+	if c.Parallelism < 0 {
+		return fmt.Errorf("study: invalid parallelism %d (want >= 0; 0 selects GOMAXPROCS)", c.Parallelism)
+	}
 	if c.StopAfter < 0 {
 		return fmt.Errorf("study: invalid stop-after count %d", c.StopAfter)
+	}
+	for _, t := range Section5Thresholds {
+		if c.Section5 && !seen[t] {
+			return fmt.Errorf("study: section 5 needs threshold %g in the ladder", t)
+		}
 	}
 	if c.CacheVerify && c.Cache == nil {
 		return errors.New("study: cache verification requested without a cache")
@@ -255,7 +267,7 @@ func EffectiveLadder(paperT []float64, scale float64) (sorted []float64, effecti
 // daemon compare of the same work share cache entries.
 func (c *Config) UnitOptions(timing *core.Timing) core.Options {
 	_, thresholds := EffectiveLadder(c.Thresholds, c.Scale)
-	return core.Options{
+	opts := core.Options{
 		Thresholds:    thresholds,
 		Timing:        timing,
 		Trace:         c.Trace,
@@ -271,6 +283,10 @@ func (c *Config) UnitOptions(timing *core.Timing) core.Options {
 		// context. %g is canonical for a given float64.
 		CacheContext: fmt.Sprintf("scale=%g", c.Scale),
 	}
+	if c.Section5 {
+		opts.Variants = section5Variants(c.Scale)
+	}
+	return opts
 }
 
 // BenchmarkSeries is one benchmark's complete sweep.
@@ -305,6 +321,8 @@ type BenchmarkSeries struct {
 	// Config.Learned was nil. The
 	// suite-level fit consumes these after every benchmark completes.
 	Learned *learned.BenchData `json:",omitempty"`
+	// Variants holds the section5Variants comparisons (Config.Section5).
+	Variants []core.ThresholdResult `json:",omitempty"`
 }
 
 // seriesFromResult converts one benchmark's completed unit result into
@@ -324,6 +342,7 @@ func seriesFromResult(b *spec.Benchmark, out *core.BenchmarkResult) BenchmarkSer
 		Predictors:   out.Predictors,
 		Sampling:     out.Sampling,
 		Learned:      out.Learned,
+		Variants:     out.Variants,
 	}
 }
 
