@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -92,6 +93,35 @@ leaf:
 	return img
 }
 
+// buildWide returns a guest whose loop body is a chain of diamonds,
+// three distinct blocks each: with diamonds 667 it reaches about 2,000
+// blocks, as many as the largest spec benchmark at the study's
+// benchmark scale, so translating them shows next to the replay. Each
+// diamond's branch reads the tape.
+func buildWide(tb testing.TB, diamonds int, iters int32) *guest.Image {
+	tb.Helper()
+	var src strings.Builder
+	src.WriteString(`
+.entry main
+main:
+	loadi r14, 0
+	loadi r6, 4096
+	loadi r10, ` + itoa(iters) + `
+loop:
+`)
+	for k := int32(0); k < int32(diamonds); k++ {
+		t, j := "t"+itoa(k), "j"+itoa(k)
+		src.WriteString("\tin r1\n\tblt r1, r6, " + t + "\n\taddi r2, r2, 1\n\tjmp " + j + "\n" +
+			t + ":\n\taddi r3, r3, 1\n" + j + ":\n")
+	}
+	src.WriteString("\taddi r14, r14, 1\n\tblt r14, r10, loop\n\thalt\n")
+	img, err := guest.Assemble(src.String())
+	if err != nil {
+		tb.Fatalf("Assemble: %v", err)
+	}
+	return img
+}
+
 // benchRunOne measures serial Run throughput for one guest.
 func benchRunOne(b *testing.B, img *guest.Image) {
 	b.ReportAllocs()
@@ -135,6 +165,8 @@ func benchRunMulti(b *testing.B, img *guest.Image, followers int, periods []uint
 		}
 	}
 	var blocks uint64
+	// Building the guest stays out of the time and allocation counts.
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range cfgs {
 			cfgs[j].Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
@@ -155,7 +187,10 @@ func benchRunMulti(b *testing.B, img *guest.Image, followers int, periods []uint
 // followers behind one driver, for both guest shapes, plus a sampled
 // ladder: 8 followers alternating sample periods 4 and 16. followers_0
 // is the lone AVEP driver of a compare or train run, where the driver's
-// own inline profiling step costs the most.
+// own inline profiling step costs the most. wide/followers_16 runs a
+// few iterations over about 2,000 distinct blocks, so translation and
+// wave work weigh in its allocs/op, which ci.sh gates against
+// BENCH_floor.json: an allocation count does not depend on host speed.
 func BenchmarkRunMulti(b *testing.B) {
 	for _, n := range []int{0, 1, 4, 16} {
 		n := n
@@ -168,5 +203,8 @@ func BenchmarkRunMulti(b *testing.B) {
 	}
 	b.Run("sampled/followers_8", func(b *testing.B) {
 		benchRunMulti(b, buildBranchHeavy(b, 25_000), 8, []uint64{4, 16})
+	})
+	b.Run("wide/followers_16", func(b *testing.B) {
+		benchRunMulti(b, buildWide(b, 667, 20), 16, nil)
 	})
 }

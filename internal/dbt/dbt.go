@@ -188,8 +188,7 @@ type tblock struct {
 	// costSum sums guest instruction costs for the perf model; int32
 	// keeps it on the hot line (block costs are tiny).
 	costSum int32
-	// ninsts mirrors len(insts) so the instruction accounting does not
-	// touch the cold slice header.
+	// ninsts counts the decoded instructions, terminator included.
 	ninsts uint32
 	// id is the block's row in the engine's flat block table (and the
 	// owner of its arena span), assigned when the block is lowered.
@@ -215,8 +214,6 @@ type tblock struct {
 
 	fallTarget int
 	end        int
-	// insts is the decoded body including the terminator.
-	insts []isa.Inst
 	// term classifies the terminator for the region former.
 	term region.TermKind
 	// registrations counts how many times the block entered the
@@ -385,10 +382,12 @@ type Engine struct {
 	converge  bool
 	perf      *perfmodel.Accumulator
 
-	// follower marks a shared-trace follower (RunMulti): it never
-	// executes guest code, so it builds no lowered code and keeps no
-	// chain state.
-	follower bool
+	// shared is the driver's code cache, read-only, on a shared-trace
+	// follower (RunMulti), which executes no guest code: it adopts the
+	// driver's blocks (translate), lowers none and keeps no chain state.
+	shared []*tblock
+	// insts is the decode buffer of translate, reused across blocks.
+	insts []isa.Inst
 	// firsts holds the first occurrences fillBatch recorded in its
 	// current batch (see batch); the buffer is reused across batches.
 	firsts []firstUse
@@ -514,19 +513,21 @@ func (e *Engine) Info(addr int) (region.BlockInfo, bool) {
 // shorter, so hitting the cap indicates a malformed image.
 const maxBlockLen = 4096
 
-// translate decodes the block starting at addr into the cache.
-func (e *Engine) translate(addr int) (*tblock, error) {
+// decodeBlock decodes the guest block starting at addr into buf, which
+// it truncates first, and returns the block's static fields and its
+// instructions, terminator included. It reads only the image's code.
+func decodeBlock(code []uint32, addr int, buf []isa.Inst) (*tblock, []isa.Inst, error) {
 	tb := &tblock{addr: addr, takenTarget: -1, fallTarget: -1}
-	pc := addr
-	for {
-		if pc < 0 || pc >= len(e.img.Code) {
-			return nil, fmt.Errorf("dbt: block at %d runs off the code segment", addr)
+	insts := buf[:0]
+	for pc := addr; ; pc++ {
+		if pc < 0 || pc >= len(code) {
+			return nil, insts, fmt.Errorf("dbt: block at %d runs off the code segment", addr)
 		}
-		in, err := isa.Decode(e.img.Code[pc])
+		in, err := isa.Decode(code[pc])
 		if err != nil {
-			return nil, fmt.Errorf("dbt: translating block at %d: %w", addr, err)
+			return nil, insts, fmt.Errorf("dbt: translating block at %d: %w", addr, err)
 		}
-		tb.insts = append(tb.insts, in)
+		insts = append(insts, in)
 		tb.costSum += int32(in.Op.Cost())
 		if in.Op.EndsBlock() {
 			tb.end = pc
@@ -549,20 +550,39 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 			}
 			break
 		}
-		if len(tb.insts) >= maxBlockLen {
-			return nil, fmt.Errorf("dbt: block at %d exceeds %d instructions", addr, maxBlockLen)
+		if len(insts) >= maxBlockLen {
+			return nil, insts, fmt.Errorf("dbt: block at %d exceeds %d instructions", addr, maxBlockLen)
 		}
-		pc++
 	}
-	tb.ninsts = uint32(len(tb.insts))
-	if !e.follower {
-		e.lower(tb)
+	tb.ninsts = uint32(len(insts))
+	return tb, insts, nil
+}
+
+// translate installs the block starting at addr in the code cache. An
+// executing engine decodes it into its reused buffer and lowers it. A
+// follower copies the static fields of the driver's block at addr, which
+// the driver translated no later in the trace; it decodes only where the
+// driver's own translation failed, to return the same error.
+func (e *Engine) translate(addr int) (*tblock, error) {
+	var tb *tblock
+	if uint(addr) < uint(len(e.shared)) && e.shared[addr] != nil {
+		d := e.shared[addr]
+		tb = &tblock{addr: d.addr, takenTarget: d.takenTarget, fallTarget: d.fallTarget, end: d.end, term: d.term,
+			costSum: d.costSum, ninsts: d.ninsts, hasBranch: d.hasBranch, indirect: d.indirect}
+	} else {
+		var err error
+		if tb, e.insts, err = decodeBlock(e.img.Code, addr, e.insts); err != nil {
+			return nil, err
+		}
+		if e.shared == nil {
+			e.lower(tb, e.insts)
+		}
 	}
 	tb.nextRegister = e.regThreshold
 	e.cache[addr] = tb
 	e.stats.BlocksTranslated++
 	if e.perf != nil {
-		e.perf.ChargeTranslate(len(tb.insts))
+		e.perf.ChargeTranslate(int(tb.ninsts))
 	}
 	return tb, nil
 }
@@ -769,7 +789,7 @@ func (e *Engine) optimizeWave() {
 		instTotal := 0
 		for i := range r.Blocks {
 			if tb := e.lookup(r.Blocks[i].Addr); tb != nil {
-				instTotal += len(tb.insts)
+				instTotal += int(tb.ninsts)
 			}
 		}
 		e.rts[r] = rt

@@ -214,8 +214,15 @@ func TestSampledFollowerStopsMatchSerial(t *testing.T) {
 }
 
 // TestFollowersKeepNoCodeOrChains: after a shared-trace run every
-// follower has an empty arena and block table and no chain state.
+// follower has an empty arena and block table and no chain state. It
+// holds its own block wherever the driver holds one, with the driver's
+// static fields, and nowhere else; adopting a block allocates exactly
+// the follower's tblock.
 func TestFollowersKeepNoCodeOrChains(t *testing.T) {
+	static := func(tb *tblock) tblock {
+		return tblock{addr: tb.addr, takenTarget: tb.takenTarget, fallTarget: tb.fallTarget, end: tb.end, term: tb.term,
+			costSum: tb.costSum, ninsts: tb.ninsts, hasBranch: tb.hasBranch, indirect: tb.indirect}
+	}
 	for _, img := range []*guest.Image{buildCallHeavy(t, 500), buildLooper(t, 500, 300)} {
 		cfgs := []Config{
 			{Input: "ref", Optimize: false},
@@ -233,13 +240,27 @@ func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 			if len(e.arena) != 0 || len(e.hot) != 0 {
 				t.Errorf("follower %d: arena %d ops, block table %d rows; want none", i+1, len(e.arena), len(e.hot))
 			}
-			for _, tb := range e.cache {
-				if tb == nil {
-					continue
-				}
-				if tb.takenBlk != nil || tb.fallBlk != nil || tb.itab != nil {
+			for addr, d := range engines[0].cache {
+				tb := e.cache[addr]
+				switch {
+				case (d == nil) != (tb == nil):
+					t.Fatalf("follower %d: block at %d: driver holds one %v, follower %v", i+1, addr, d != nil, tb != nil)
+				case tb == nil:
+				case tb == d:
+					t.Fatalf("follower %d: block at %d is the driver's own", i+1, addr)
+				case static(tb) != static(d):
+					t.Fatalf("follower %d: block at %d: static fields %+v, driver's %+v", i+1, addr, static(tb), static(d))
+				case tb.takenBlk != nil || tb.fallBlk != nil || tb.itab != nil:
 					t.Errorf("follower %d: block %d keeps chain state", i+1, tb.addr)
 				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := e.translate(img.Entry); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("follower %d: adopting a block allocates %v times, want 1", i+1, allocs)
 			}
 		}
 	}

@@ -175,13 +175,14 @@ func lowerTermKind(op isa.Op) (tkind, bool) {
 	return 0, false
 }
 
-// lower appends the block's body to the engine's lowered-op arena and
-// its row to the flat block table. The block came from translate, so
-// its body ops and its terminator all have lowered forms.
-func (e *Engine) lower(tb *tblock) {
-	term := tb.insts[len(tb.insts)-1]
+// lower appends the body of the block decoded as insts to the engine's
+// lowered-op arena and its row to the flat block table. The block came
+// from decodeBlock, so its body ops and its terminator all have lowered
+// forms.
+func (e *Engine) lower(tb *tblock, insts []isa.Inst) {
+	term := insts[len(insts)-1]
 	tk, _ := lowerTermKind(term.Op)
-	body := tb.insts[:len(tb.insts)-1]
+	body := insts[:len(insts)-1]
 	start := len(e.arena)
 	for _, in := range body {
 		k, _ := lowerBodyKind(in.Op)
@@ -202,9 +203,11 @@ func (e *Engine) lower(tb *tblock) {
 
 // faultAt reproduces the fault of instruction i of tb by re-executing it
 // through the reference interpreter, so execBlock returns exactly the
-// error interp.Exec would have.
+// error interp.Exec would have. The block keeps no decoded body, so the
+// word is decoded again from the image (it decoded at translation).
 func (e *Engine) faultAt(tb *tblock, i int) error {
-	_, _, err := interp.Exec(e.st, tb.addr+i, tb.insts[i])
+	in, _ := isa.Decode(e.img.Code[tb.addr+i])
+	_, _, err := interp.Exec(e.st, tb.addr+i, in)
 	if err == nil {
 		// The lowered path saw a fault condition the interpreter does
 		// not: a lowering bug, not a guest bug.

@@ -20,8 +20,11 @@
 // same Config would have produced. Tests cross-validate this for every
 // configuration class. A follower executes no guest code, so it builds
 // no lowered code, and it resolves successors straight from its dense
-// code cache instead of chaining. The driver executes every block
-// through one path, the pre-lowered records of lower.go.
+// code cache instead of chaining. It decodes nothing either: it adopts
+// the driver's translation of each block, copying the block's static
+// fields out of the driver's code cache, so a shared trace decodes each
+// guest block once. The driver executes every block through one path,
+// the pre-lowered records of lower.go.
 //
 // Replay is batched: the driver records (nextPC, taken, halted)
 // outcomes into a fixed buffer of replayBatch entries, together with
@@ -154,7 +157,9 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 		if err != nil {
 			return nil, err
 		}
-		e.follower = i > 0
+		if i > 0 {
+			e.shared = engines[0].cache
+		}
 		engines[i] = e
 	}
 	driver := engines[0]

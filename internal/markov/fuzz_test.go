@@ -46,9 +46,9 @@ func buildFuzzSystem(t *testing.T, data []byte) *System {
 	if len(data) < 3*n {
 		return nil
 	}
-	sys := NewSystem()
+	sys := NewSystem(0, nil)
 	for i := 0; i < n; i++ {
-		sys.AddNode("n")
+		sys.AddNode()
 	}
 	for i := 0; i < n; i++ {
 		kind, v, mask := data[3*i], data[3*i+1], data[3*i+2]

@@ -36,7 +36,6 @@ const (
 )
 
 type node struct {
-	name  string
 	kind  eqKind
 	pin   float64
 	total float64 // remainder: group total
@@ -52,29 +51,37 @@ type edge struct {
 type System struct {
 	nodes []node
 	edges []edge
+	name  func(id int) string
 }
 
-// NewSystem returns an empty system.
-func NewSystem() *System {
-	return &System{}
+// NewSystem returns an empty system with room for n nodes of two
+// out-edges each. name, when non-nil, labels a node in error messages
+// and is called only when one needs it; nodes are otherwise labelled by
+// index.
+func NewSystem(n int, name func(id int) string) *System {
+	return &System{nodes: make([]node, 0, n), edges: make([]edge, 0, 2*n), name: name}
 }
 
-// AddNode registers a node and returns its index. The name is used only
-// in error messages.
-func (s *System) AddNode(name string) int {
-	s.nodes = append(s.nodes, node{name: name})
+// AddNode registers a node and returns its index.
+func (s *System) AddNode() int {
+	s.nodes = append(s.nodes, node{})
 	return len(s.nodes) - 1
 }
 
-// Len returns the number of nodes.
-func (s *System) Len() int { return len(s.nodes) }
+// label names node id for an error message.
+func (s *System) label(id int) string {
+	if s.name != nil {
+		return s.name(id)
+	}
+	return fmt.Sprintf("#%d", id)
+}
 
 func (s *System) setKind(id int, k eqKind) error {
 	if id < 0 || id >= len(s.nodes) {
 		return fmt.Errorf("markov: node %d out of range", id)
 	}
 	if s.nodes[id].kind != eqUnset {
-		return fmt.Errorf("markov: node %q already constrained", s.nodes[id].name)
+		return fmt.Errorf("markov: node %q already constrained", s.label(id))
 	}
 	s.nodes[id].kind = k
 	return nil
@@ -186,7 +193,7 @@ func (s *System) assemble() (*linalg.Sparse, []float64, error) {
 			}
 			b[i] = nd.total
 		default:
-			return nil, nil, fmt.Errorf("markov: node %q has no equation", nd.name)
+			return nil, nil, fmt.Errorf("markov: node %q has no equation", s.label(i))
 		}
 	}
 	for _, e := range s.edges {

@@ -1,7 +1,9 @@
 package markov
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -12,13 +14,13 @@ func TestPaperFigure4Propagation(t *testing.T) {
 	//   b2b fed by b4's back edge with probability 0.9 (inner loop),
 	//   b2c fed by b3's back edge with probability... chosen so the
 	// copies sum to 50000: the figure shows 1000 + 43000 + 6000.
-	sys := NewSystem()
-	b1 := sys.AddNode("b1")
-	b3 := sys.AddNode("b3")
-	b4 := sys.AddNode("b4")
-	b2a := sys.AddNode("b2a")
-	b2b := sys.AddNode("b2b")
-	b2c := sys.AddNode("b2c")
+	sys := NewSystem(0, nil)
+	b1 := sys.AddNode()
+	b3 := sys.AddNode()
+	b4 := sys.AddNode()
+	b2a := sys.AddNode()
+	b2b := sys.AddNode()
+	b2c := sys.AddNode()
 	if err := sys.Pin(b1, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,10 @@ func TestPaperFigure4Propagation(t *testing.T) {
 func TestChainedUnknowns(t *testing.T) {
 	// copy2 depends on copy1 which depends on a pinned node: the linear
 	// system must propagate through the chain.
-	sys := NewSystem()
-	p := sys.AddNode("pinned")
-	c1 := sys.AddNode("c1")
-	c2 := sys.AddNode("c2")
+	sys := NewSystem(0, nil)
+	p := sys.AddNode()
+	c1 := sys.AddNode()
+	c2 := sys.AddNode()
 	if err := sys.Pin(p, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +96,10 @@ func TestChainedUnknowns(t *testing.T) {
 
 func TestRemainderEquation(t *testing.T) {
 	// Entry copy absorbs the AVEP total minus the interior copies.
-	sys := NewSystem()
-	p := sys.AddNode("pinned")
-	interior := sys.AddNode("interior")
-	entry := sys.AddNode("entry")
+	sys := NewSystem(0, nil)
+	p := sys.AddNode()
+	interior := sys.AddNode()
+	entry := sys.AddNode()
 	if err := sys.Pin(p, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +128,10 @@ func TestRemainderClampsNegative(t *testing.T) {
 	// If interior copies already exceed the total (an artefact of the
 	// approximation), the remainder clamps at zero instead of going
 	// negative.
-	sys := NewSystem()
-	p := sys.AddNode("pinned")
-	interior := sys.AddNode("interior")
-	entry := sys.AddNode("entry")
+	sys := NewSystem(0, nil)
+	p := sys.AddNode()
+	interior := sys.AddNode()
+	entry := sys.AddNode()
 	if err := sys.Pin(p, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +159,10 @@ func TestCyclicUnknowns(t *testing.T) {
 	//   x = 100 + 0.5*y
 	//   y = 0.5*x
 	// => x = 100 + 0.25x => x = 133.33, y = 66.67.
-	sys := NewSystem()
-	src := sys.AddNode("src")
-	x := sys.AddNode("x")
-	y := sys.AddNode("y")
+	sys := NewSystem(0, nil)
+	src := sys.AddNode()
+	x := sys.AddNode()
+	y := sys.AddNode()
 	if err := sys.Pin(src, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +191,8 @@ func TestCyclicUnknowns(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	sys := NewSystem()
-	n := sys.AddNode("n")
+	sys := NewSystem(0, nil)
+	n := sys.AddNode()
 	if err := sys.Pin(99, 1); err == nil {
 		t.Fatal("Pin out of range accepted")
 	}
@@ -209,24 +211,58 @@ func TestErrors(t *testing.T) {
 	if err := sys.AddEdge(0, 0, math.NaN()); err == nil {
 		t.Fatal("NaN probability accepted")
 	}
-	sys3 := NewSystem()
-	m := sys3.AddNode("m")
+	sys3 := NewSystem(0, nil)
+	m := sys3.AddNode()
 	if err := sys3.Pin(m, math.Inf(1)); err == nil {
 		t.Fatal("infinite pin accepted")
 	}
 	if err := sys3.Remainder(m, math.NaN(), nil); err == nil {
 		t.Fatal("NaN remainder total accepted")
 	}
-	sys2 := NewSystem()
-	sys2.AddNode("unconstrained")
+	sys2 := NewSystem(0, nil)
+	sys2.AddNode()
 	if _, err := sys2.Solve(); err == nil {
 		t.Fatal("Solve accepted unconstrained node")
 	}
 }
 
 func TestEmptySystem(t *testing.T) {
-	x, err := NewSystem().Solve()
+	x, err := NewSystem(0, nil).Solve()
 	if err != nil || x != nil {
 		t.Fatalf("empty system: %v, %v", x, err)
+	}
+}
+
+// TestErrorLabels: a node's label is formatted only when an error names
+// the node, and a system without a labeller names nodes by index.
+func TestErrorLabels(t *testing.T) {
+	calls := 0
+	sys := NewSystem(2, func(id int) string {
+		calls++
+		return fmt.Sprintf("copy%d", id)
+	})
+	a, b := sys.AddNode(), sys.AddNode()
+	if err := sys.Pin(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddEdge(b, a, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Fatalf("labeller called %d times before any error", calls)
+	}
+	if err := sys.Pin(a, 2); err == nil || !strings.Contains(err.Error(), `"copy0" already constrained`) {
+		t.Fatalf("double constraint: %v", err)
+	}
+	if _, err := sys.Solve(); err == nil || !strings.Contains(err.Error(), `"copy1" has no equation`) {
+		t.Fatalf("unconstrained node: %v", err)
+	}
+	if calls != 2 {
+		t.Fatalf("labeller called %d times for two errors", calls)
+	}
+	plain := NewSystem(0, nil)
+	plain.AddNode()
+	if _, err := plain.Solve(); err == nil || !strings.Contains(err.Error(), `"#0" has no equation`) {
+		t.Fatalf("unlabelled node: %v", err)
 	}
 }

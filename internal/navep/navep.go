@@ -22,7 +22,9 @@
 package navep
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/markov"
@@ -84,17 +86,36 @@ func Normalize(inip, avep *profile.Snapshot) (*Result, error) {
 	if err := inip.Validate(); err != nil {
 		return nil, fmt.Errorf("navep: invalid INIP snapshot: %w", err)
 	}
-	res := &Result{}
+	// Region copies, in region order: copy i is node i of the flow
+	// system. Counting them and the branch items first sizes every
+	// table below once.
+	type copyRef struct {
+		r  *profile.Region
+		rb *profile.RegionBlock
+	}
+	ncopies, nitems := 0, 0
+	for _, r := range inip.Regions {
+		ncopies += len(r.Blocks)
+		for i := range r.Blocks {
+			if r.Blocks[i].HasBranch {
+				nitems++
+			}
+		}
+	}
 
 	// Plain blocks: weight and average probability straight from AVEP.
 	// Addresses are visited in sorted order so the item list — and hence
 	// the floating-point summation order of every downstream metric — is
 	// identical from run to run.
 	addrs := make([]int, 0, len(inip.Blocks))
-	for addr := range inip.Blocks {
+	for addr, blk := range inip.Blocks {
 		addrs = append(addrs, addr)
+		if blk.HasBranch {
+			nitems++
+		}
 	}
 	sort.Ints(addrs)
+	res := &Result{Blocks: make([]BlockItem, 0, nitems)}
 	for _, addr := range addrs {
 		blk := inip.Blocks[addr]
 		if !blk.HasBranch {
@@ -117,29 +138,20 @@ func Normalize(inip, avep *profile.Snapshot) (*Result, error) {
 		return res, nil
 	}
 
-	// Group region copies by original address.
-	type copyRef struct {
-		r  *profile.Region
-		rb *profile.RegionBlock
-	}
-	var copies []copyRef
-	byAddr := make(map[int][]int) // addr -> indexes into copies
-	nodeOf := make(map[int]int)   // copy ID -> node index
+	copies := make([]copyRef, 0, ncopies)
+	nodeOf := make(map[int]int, ncopies) // copy ID -> node index
 	for _, r := range inip.Regions {
 		for i := range r.Blocks {
-			rb := &r.Blocks[i]
-			byAddr[rb.Addr] = append(byAddr[rb.Addr], len(copies))
-			copies = append(copies, copyRef{r: r, rb: rb})
+			nodeOf[r.Blocks[i].ID] = len(copies)
+			copies = append(copies, copyRef{r: r, rb: &r.Blocks[i]})
 		}
 	}
-
-	sys := markov.NewSystem()
-	for i, c := range copies {
-		id := sys.AddNode(fmt.Sprintf("r%d/b%d@%d", c.r.ID, c.rb.ID, c.rb.Addr))
-		if id != i {
-			return nil, fmt.Errorf("navep: node numbering skew")
-		}
-		nodeOf[c.rb.ID] = i
+	sys := markov.NewSystem(ncopies, func(i int) string {
+		c := copies[i]
+		return fmt.Sprintf("r%d/b%d@%d", c.r.ID, c.rb.ID, c.rb.Addr)
+	})
+	for range copies {
+		sys.AddNode()
 	}
 
 	// Edge probabilities follow the AVEP assignment; when AVEP lacks the
@@ -174,15 +186,23 @@ func Normalize(inip, avep *profile.Snapshot) (*Result, error) {
 	}
 
 	// Constraints: entries pin or absorb the remainder; interiors take
-	// inflow. Sorted address order keeps the constraint system — and the
-	// solver's rounding — deterministic.
-	caddrs := make([]int, 0, len(byAddr))
-	for addr := range byAddr {
-		caddrs = append(caddrs, addr)
+	// inflow. The copies of one original block form a group. Groups in
+	// address order, and each group's copies in copy order, keep the
+	// constraint system — and the solver's rounding — deterministic; a
+	// stable sort of the copy indexes by address lays them out so.
+	byAddr := make([]int, ncopies)
+	for i := range byAddr {
+		byAddr[i] = i
 	}
-	sort.Ints(caddrs)
-	for _, addr := range caddrs {
-		group := byAddr[addr]
+	slices.SortStableFunc(byAddr, func(a, b int) int { return cmp.Compare(copies[a].rb.Addr, copies[b].rb.Addr) })
+	var others []int
+	for len(byAddr) > 0 {
+		addr, n := copies[byAddr[0]].rb.Addr, 1
+		for n < len(byAddr) && copies[byAddr[n]].rb.Addr == addr {
+			n++
+		}
+		group := byAddr[:n]
+		byAddr = byAddr[n:]
 		if len(group) > 1 {
 			res.DuplicatedAddrs++
 		}
@@ -205,7 +225,7 @@ func Normalize(inip, avep *profile.Snapshot) (*Result, error) {
 					return nil, err
 				}
 			case ci == entryIdx:
-				others := make([]int, 0, len(group)-1)
+				others = others[:0] // Remainder copies it
 				for _, o := range group {
 					if o != ci {
 						others = append(others, o)

@@ -39,12 +39,17 @@ func oracleEdgeProbs(rb *profile.RegionBlock, prob ProbFunc) (taken, fall float6
 // oracleRegion solves the region with markov.System and returns the
 // last block's frequency and the dummy sink's.
 func oracleRegion(r *profile.Region, prob ProbFunc) (last, back float64, err error) {
-	s := markov.NewSystem()
+	s := markov.NewSystem(len(r.Blocks)+1, func(id int) string {
+		if id == len(r.Blocks) {
+			return "dummy"
+		}
+		return fmt.Sprintf("b%d", r.Blocks[id].ID)
+	})
 	node := make(map[int]int, len(r.Blocks))
 	for i := range r.Blocks {
-		node[r.Blocks[i].ID] = s.AddNode(fmt.Sprintf("b%d", r.Blocks[i].ID))
+		node[r.Blocks[i].ID] = s.AddNode()
 	}
-	sink := s.AddNode("dummy")
+	sink := s.AddNode()
 	for i := range r.Blocks {
 		rb := &r.Blocks[i]
 		if rb.ID == r.Entry {
