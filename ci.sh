@@ -343,19 +343,23 @@ frac=$(sed -n 's/.*"max_regression_frac": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
 micro_base=$(sed -n 's/.*"exec_block_loop_heavy_blocks_per_sec": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
 study_base=$(sed -n 's/.*"study_race_scale001_blocks_per_sec": *\([0-9.]*\).*/\1/p' BENCH_floor.json)
 alloc_ceil=$(sed -n 's/.*"runmulti_wide_followers_16_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_floor.json)
+bytes_ceil=$(sed -n 's/.*"runmulti_wide_followers_16_bytes_per_op": *\([0-9]*\).*/\1/p' BENCH_floor.json)
 go test -run='^$' -bench 'BenchmarkExecBlock|BenchmarkRunMulti' \
     -benchmem -benchtime=0.3s ./internal/dbt/ > "$tmpdir/bench.txt"
-# Allocation gate: the wide guest's shared-trace run allocates a fixed
-# count per op whatever the host's speed, so it is held to a ceiling
-# rather than a fraction of a measurement.
-allocs=$(awk '/^BenchmarkRunMulti\/wide\/followers_16/ {
-    for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1) }' "$tmpdir/bench.txt")
-awk -v got="$allocs" -v ceil="$alloc_ceil" 'BEGIN {
-    if (got == "" || ceil == "" || got + 0 > ceil + 0) {
-        printf "BenchmarkRunMulti/wide/followers_16: %s allocs/op, ceiling %s\n", got, ceil > "/dev/stderr"
-        exit 1
-    }
-}'
+# Allocation gates: the wide guest's shared-trace run allocates a fixed
+# count and size per op whatever the host's speed, so both are held to
+# a ceiling rather than a fraction of a measurement.
+for gate in "allocs/op $alloc_ceil" "B/op $bytes_ceil"; do
+    set -- $gate
+    got=$(awk -v unit="$1" '/^BenchmarkRunMulti\/wide\/followers_16/ {
+        for (i = 2; i <= NF; i++) if ($i == unit) print $(i - 1) }' "$tmpdir/bench.txt")
+    awk -v got="$got" -v ceil="$2" -v unit="$1" 'BEGIN {
+        if (got == "" || ceil == "" || got + 0 > ceil + 0) {
+            printf "BenchmarkRunMulti/wide/followers_16: %s %s, ceiling %s\n", got, unit, ceil > "/dev/stderr"
+            exit 1
+        }
+    }'
+done
 # Predictor observers ride the same trace; one pass of their benchmark
 # keeps it building and running (no floor: BENCH_floor.json gates dbt).
 go test -run='^$' -bench 'BenchmarkSuiteRecord' -benchtime=1x ./internal/predict/ > /dev/null

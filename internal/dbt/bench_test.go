@@ -187,10 +187,13 @@ func benchRunMulti(b *testing.B, img *guest.Image, followers int, periods []uint
 // followers behind one driver, for both guest shapes, plus a sampled
 // ladder: 8 followers alternating sample periods 4 and 16. followers_0
 // is the lone AVEP driver of a compare or train run, where the driver's
-// own inline profiling step costs the most. wide/followers_16 runs a
-// few iterations over about 2,000 distinct blocks, so translation and
-// wave work weigh in its allocs/op, which ci.sh gates against
-// BENCH_floor.json: an allocation count does not depend on host speed.
+// own inline profiling step costs the most. wide/followers_16 runs 400
+// iterations over about 2,000 distinct blocks: every engine translates
+// each block once, and the four followers at thresholds 64 and 128 run
+// waves that form about 670 regions each, so translation and region
+// formation weigh in its
+// allocs/op and B/op, which ci.sh gates against BENCH_floor.json: an
+// allocation count does not depend on host speed.
 func BenchmarkRunMulti(b *testing.B) {
 	for _, n := range []int{0, 1, 4, 16} {
 		n := n
@@ -205,6 +208,6 @@ func BenchmarkRunMulti(b *testing.B) {
 		benchRunMulti(b, buildBranchHeavy(b, 25_000), 8, []uint64{4, 16})
 	})
 	b.Run("wide/followers_16", func(b *testing.B) {
-		benchRunMulti(b, buildWide(b, 667, 20), 16, nil)
+		benchRunMulti(b, buildWide(b, 667, 400), 16, nil)
 	})
 }

@@ -190,9 +190,9 @@ type tblock struct {
 	costSum int32
 	// ninsts counts the decoded instructions, terminator included.
 	ninsts uint32
-	// id is the block's row in the engine's flat block table (and the
-	// owner of its arena span), assigned when the block is lowered.
-	// Followers lower nothing and leave it 0.
+	// id is the block's index in Engine.blocks, the same on every engine
+	// of a shared trace, and on an executing engine also its row in the
+	// flat block table (the owner of its arena span).
 	id        int32
 	hasBranch bool
 	frozen    bool
@@ -262,22 +262,18 @@ type rtNode struct {
 // graph.
 func newRegionRT(r *profile.Region) *regionRT {
 	rt := &regionRT{r: r, nodes: make([]rtNode, len(r.Blocks))}
-	idx := make(map[int]int, len(r.Blocks))
-	for i := range r.Blocks {
-		rt.nodes[i].rb = &r.Blocks[i]
-		rt.nodes[i].addr = r.Blocks[i].Addr
-		idx[r.Blocks[i].ID] = i
+	// node returns the member with copy ID id, nil for an exit.
+	node := func(id int) *rtNode {
+		if j := r.Index(id); j >= 0 && id != -1 {
+			return &rt.nodes[j]
+		}
+		return nil
 	}
 	for i := range rt.nodes {
-		rb := rt.nodes[i].rb
-		if j, ok := idx[rb.TakenNext]; ok && rb.TakenNext != -1 {
-			rt.nodes[i].taken = &rt.nodes[j]
-		}
-		if j, ok := idx[rb.FallNext]; ok && rb.FallNext != -1 {
-			rt.nodes[i].fall = &rt.nodes[j]
-		}
+		rb := &r.Blocks[i]
+		rt.nodes[i] = rtNode{rb: rb, taken: node(rb.TakenNext), fall: node(rb.FallNext), addr: rb.Addr}
 	}
-	rt.entry = &rt.nodes[idx[r.Entry]]
+	rt.entry = node(r.Entry)
 	rt.last = &rt.nodes[len(rt.nodes)-1]
 	return rt
 }
@@ -348,8 +344,12 @@ type Engine struct {
 	st  *interp.State
 	// cache is indexed by block entry address (dense: code segments are
 	// small and block starts are code addresses), keeping the per-block
-	// dispatch off the map path.
+	// dispatch off the map path. Only an executing engine fills it; a
+	// shared-trace follower holds its driver's, read-only (see lookup).
 	cache []*tblock
+	// blocks lists the translated blocks in translation order, which is
+	// the same on every engine of a shared trace (tblock.id).
+	blocks []*tblock
 	// arena is the engine's lowered-code arena: the bodies of all
 	// lowered blocks, contiguous in translation order. hot is the flat
 	// block table, one packed row per lowered block (indexed by
@@ -382,10 +382,6 @@ type Engine struct {
 	converge  bool
 	perf      *perfmodel.Accumulator
 
-	// shared is the driver's code cache, read-only, on a shared-trace
-	// follower (RunMulti), which executes no guest code: it adopts the
-	// driver's blocks (translate), lowers none and keeps no chain state.
-	shared []*tblock
 	// insts is the decode buffer of translate, reused across blocks.
 	insts []isa.Inst
 	// firsts holds the first occurrences fillBatch recorded in its
@@ -454,7 +450,6 @@ func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 		cfg:          cfg,
 		img:          img,
 		st:           interp.NewState(img, tape),
-		cache:        make([]*tblock, len(img.Code)),
 		inPool:       make(map[int]bool),
 		former:       region.NewFormer(rcfg),
 		rts:          make(map[*profile.Region]*regionRT),
@@ -473,13 +468,18 @@ func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 // cross-validate the translator against the reference interpreter.
 func (e *Engine) State() *interp.State { return e.st }
 
-// lookup returns the cached block at addr, or nil.
+// lookup returns the engine's block at addr, or nil. A follower's cache
+// is its driver's, which runs ahead in the trace, so the driver's block
+// counts only once the follower has translated that index too.
 func (e *Engine) lookup(addr int) *tblock {
 	e.stats.CacheLookups++
-	if addr < 0 || addr >= len(e.cache) {
+	if uint(addr) >= uint(len(e.cache)) || e.cache[addr] == nil {
 		return nil
 	}
-	return e.cache[addr]
+	if id := int(e.cache[addr].id); id < len(e.blocks) {
+		return e.blocks[id]
+	}
+	return nil
 }
 
 // Info implements region.Provider over the code cache.
@@ -558,15 +558,16 @@ func decodeBlock(code []uint32, addr int, buf []isa.Inst) (*tblock, []isa.Inst, 
 	return tb, insts, nil
 }
 
-// translate installs the block starting at addr in the code cache. An
-// executing engine decodes it into its reused buffer and lowers it. A
-// follower copies the static fields of the driver's block at addr, which
-// the driver translated no later in the trace; it decodes only where the
-// driver's own translation failed, to return the same error.
+// translate appends the block starting at addr to the engine's blocks.
+// An executing engine decodes it into its reused buffer, lowers it and
+// files it in its cache. A follower copies the static fields of the
+// driver's block at addr, which the driver translated no later in the
+// trace; it decodes only where the driver's own translation failed, to
+// fail with the same error.
 func (e *Engine) translate(addr int) (*tblock, error) {
 	var tb *tblock
-	if uint(addr) < uint(len(e.shared)) && e.shared[addr] != nil {
-		d := e.shared[addr]
+	if uint(addr) < uint(len(e.cache)) && e.cache[addr] != nil {
+		d := e.cache[addr]
 		tb = &tblock{addr: d.addr, takenTarget: d.takenTarget, fallTarget: d.fallTarget, end: d.end, term: d.term,
 			costSum: d.costSum, ninsts: d.ninsts, hasBranch: d.hasBranch, indirect: d.indirect}
 	} else {
@@ -574,12 +575,12 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 		if tb, e.insts, err = decodeBlock(e.img.Code, addr, e.insts); err != nil {
 			return nil, err
 		}
-		if e.shared == nil {
-			e.lower(tb, e.insts)
-		}
+		e.lower(tb, e.insts)
+		e.cache[addr] = tb
 	}
+	tb.id = int32(len(e.blocks))
+	e.blocks = append(e.blocks, tb)
 	tb.nextRegister = e.regThreshold
-	e.cache[addr] = tb
 	e.stats.BlocksTranslated++
 	if e.perf != nil {
 		e.perf.ChargeTranslate(int(tb.ninsts))
@@ -909,10 +910,14 @@ func (e *Engine) maybeDissolve(rt *regionRT) {
 const interruptCheckMask = 1<<12 - 1
 
 // start prepares the engine for stepping: the entry block is translated
-// and becomes the execution cursor.
+// and becomes the execution cursor. An engine without its driver's cache
+// allocates its own.
 func (e *Engine) start() error {
 	if e.cur != nil || e.halted {
 		return fmt.Errorf("dbt: engine already ran")
+	}
+	if e.cache == nil {
+		e.cache = make([]*tblock, len(e.img.Code))
 	}
 	tb := e.lookup(e.img.Entry)
 	if tb == nil {
@@ -1004,23 +1009,29 @@ func (e *Engine) snapshot() *profile.Snapshot {
 	if input == "" {
 		input = "ref"
 	}
-	snap := profile.NewSnapshot(e.img.Name, input, e.cfg.Threshold, e.cfg.Optimize)
-	if !e.cfg.Optimize {
-		snap.Threshold = 0
+	snap := &profile.Snapshot{Program: e.img.Name, Input: input, Optimized: e.cfg.Optimize}
+	if e.cfg.Optimize {
+		snap.Threshold = e.cfg.Threshold
 	}
+	// Blocks outside regions share one array, as UnmarshalBinary's do.
+	n := 0
+	for _, tb := range e.blocks {
+		if !e.former.Placed(tb.addr) {
+			n++
+		}
+	}
+	blocks := make([]profile.Block, 0, n)
+	snap.Blocks = make(map[int]*profile.Block, n)
 	// Sampled counters leave the engine scaled to full-count estimates,
 	// exactly as region formation saw them (Engine.Info), so snapshot
 	// consumers — navep averaging, mismatch metrics, the threshold
 	// pipeline — need no sampling awareness.
 	scale := e.sampleScale()
-	for addr, tb := range e.cache {
-		if tb == nil {
-			continue // address was never a block entry
-		}
-		if e.former.Placed(addr) {
+	for _, tb := range e.blocks {
+		if e.former.Placed(tb.addr) {
 			continue // reported inside a region with frozen counters
 		}
-		snap.Blocks[addr] = &profile.Block{
+		blocks = append(blocks, profile.Block{
 			Addr:        tb.addr,
 			End:         tb.end,
 			Use:         tb.use * scale,
@@ -1028,7 +1039,8 @@ func (e *Engine) snapshot() *profile.Snapshot {
 			HasBranch:   tb.hasBranch,
 			TakenTarget: tb.takenTarget,
 			FallTarget:  tb.fallTarget,
-		}
+		})
+		snap.Blocks[tb.addr] = &blocks[len(blocks)-1]
 	}
 	snap.Regions = e.regions
 	if e.cfg.ContinuousTripCount {

@@ -10,7 +10,7 @@ import (
 )
 
 // Shared-trace followers do only profiling work: no lowered code, no
-// chain state, successors from the dense code cache, and the batch sums
+// chain state, successors by translation index, and the batch sums
 // (instructions, lowered-block dispatches, trace-path CacheLookups) from
 // the driver. These tests pin that they still
 // report exactly a serial run's statistics.
@@ -214,9 +214,9 @@ func TestSampledFollowerStopsMatchSerial(t *testing.T) {
 }
 
 // TestFollowersKeepNoCodeOrChains: after a shared-trace run every
-// follower has an empty arena and block table and no chain state. It
-// holds its own block wherever the driver holds one, with the driver's
-// static fields, and nowhere else; adopting a block allocates exactly
+// follower has an empty arena and block table and no chain state. Its
+// block at each translation index is its own, with the static fields of
+// the driver's block at that index; adopting a block allocates exactly
 // the follower's tblock.
 func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 	static := func(tb *tblock) tblock {
@@ -240,16 +240,16 @@ func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 			if len(e.arena) != 0 || len(e.hot) != 0 {
 				t.Errorf("follower %d: arena %d ops, block table %d rows; want none", i+1, len(e.arena), len(e.hot))
 			}
-			for addr, d := range engines[0].cache {
-				tb := e.cache[addr]
+			if len(e.blocks) != len(engines[0].blocks) {
+				t.Fatalf("follower %d: %d blocks, driver %d", i+1, len(e.blocks), len(engines[0].blocks))
+			}
+			for id, d := range engines[0].blocks {
+				tb := e.blocks[id]
 				switch {
-				case (d == nil) != (tb == nil):
-					t.Fatalf("follower %d: block at %d: driver holds one %v, follower %v", i+1, addr, d != nil, tb != nil)
-				case tb == nil:
 				case tb == d:
-					t.Fatalf("follower %d: block at %d is the driver's own", i+1, addr)
+					t.Fatalf("follower %d: block %d is the driver's own", i+1, id)
 				case static(tb) != static(d):
-					t.Fatalf("follower %d: block at %d: static fields %+v, driver's %+v", i+1, addr, static(tb), static(d))
+					t.Fatalf("follower %d: block %d: static fields %+v, driver's %+v", i+1, id, static(tb), static(d))
 				case tb.takenBlk != nil || tb.fallBlk != nil || tb.itab != nil:
 					t.Errorf("follower %d: block %d keeps chain state", i+1, tb.addr)
 				}
@@ -261,6 +261,48 @@ func TestFollowersKeepNoCodeOrChains(t *testing.T) {
 			})
 			if allocs != 1 {
 				t.Errorf("follower %d: adopting a block allocates %v times, want 1", i+1, allocs)
+			}
+		}
+	}
+}
+
+// TestFollowersIndexByTranslationOrder: after a shared-trace run, clean
+// or stopped by a translation error, every follower holds no
+// address-indexed table of its own (its cache is the driver's), lists
+// exactly the blocks it translated, and lists them at the driver's
+// addresses, index by index: the translation order is the same on every
+// engine, which is what lets the trace name a block by its index.
+func TestFollowersIndexByTranslationOrder(t *testing.T) {
+	cfgs := []Config{
+		{Input: "ref", Optimize: true, Threshold: 10, PoolTrigger: 2, RegisterTwice: true},
+		{Input: "ref", Optimize: false},
+		{Input: "ref", Optimize: true, Threshold: 40, RegisterTwice: true, SamplePeriod: 4, SampleSeed: 1},
+		{Input: "ref", Optimize: true, Threshold: 10, RegisterTwice: true, Adaptive: true, AdaptiveMinEntries: 4},
+		{Input: "ref", Optimize: true, Threshold: 20, ConvergeRegister: true, ContinuousTripCount: true},
+	}
+	imgs := untranslatableGuests(t)
+	imgs["call-heavy"] = buildCallHeavy(t, 500)
+	imgs["looper"] = buildLooper(t, 500, 300)
+	for name, img := range imgs {
+		engines, err := runEngines(img, interp.NewUniformTape("follow-index"), withPerf(cfgs), nil)
+		if len(engines) != len(cfgs) {
+			t.Fatalf("%s: %d engines (err %v)", name, len(engines), err)
+		}
+		driver := engines[0]
+		for i, e := range engines {
+			if len(e.cache) != len(img.Code) || &e.cache[0] != &driver.cache[0] {
+				t.Errorf("%s: engine %d holds a table of its own", name, i)
+			}
+			if len(e.blocks) != e.stats.BlocksTranslated {
+				t.Errorf("%s: engine %d lists %d blocks, translated %d", name, i, len(e.blocks), e.stats.BlocksTranslated)
+			}
+			if i > 0 && len(e.blocks) > len(driver.blocks) {
+				t.Fatalf("%s: follower %d lists %d blocks, driver %d", name, i, len(e.blocks), len(driver.blocks))
+			}
+			for id, tb := range e.blocks {
+				if int(tb.id) != id || tb.addr != driver.blocks[id].addr {
+					t.Fatalf("%s: engine %d block %d: id %d at %d, driver's at %d", name, i, id, tb.id, tb.addr, driver.blocks[id].addr)
+				}
 			}
 		}
 	}

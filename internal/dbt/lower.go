@@ -176,7 +176,7 @@ func lowerTermKind(op isa.Op) (tkind, bool) {
 }
 
 // lower appends the body of the block decoded as insts to the engine's
-// lowered-op arena and its row to the flat block table. The block came
+// lowered-op arena and its row, tb.id, to the flat block table. The block came
 // from decodeBlock, so its body ops and its terminator all have lowered
 // forms.
 func (e *Engine) lower(tb *tblock, insts []isa.Inst) {
@@ -188,7 +188,6 @@ func (e *Engine) lower(tb *tblock, insts []isa.Inst) {
 		k, _ := lowerBodyKind(in.Op)
 		e.arena = append(e.arena, lop{kind: k, rd: in.Rd, rs: in.Rs, rt: in.Rt, imm: in.Imm})
 	}
-	tb.id = int32(len(e.hot))
 	e.hot = append(e.hot, hotrec{
 		off:   uint32(start),
 		n:     uint32(len(body)),

@@ -14,20 +14,22 @@
 // executes the guest and profiles its own context inline (the serial
 // Run, and RunMulti's driver), and drainBatch replays a recorded batch
 // through a follower (a sampled follower runs only the counter body on
-// its sampled events; see below). Each follower keeps its own code
-// cache, counters, region former and perf accumulator, so its snapshot,
+// its sampled events; see below). Each follower keeps its own blocks,
+// counters, region former and perf accumulator, so its snapshot,
 // statistics and cycle totals are bit-for-bit what a serial Run with the
 // same Config would have produced. Tests cross-validate this for every
 // configuration class. A follower executes no guest code, so it builds
-// no lowered code, and it resolves successors straight from its dense
-// code cache instead of chaining. It decodes nothing either: it adopts
-// the driver's translation of each block, copying the block's static
-// fields out of the driver's code cache, so a shared trace decodes each
-// guest block once. The driver executes every block through one path,
-// the pre-lowered records of lower.go.
+// no lowered code and keeps no chain state. It decodes nothing either:
+// it adopts the driver's translation of each block, copying the block's
+// static fields out of the driver's code cache, so a shared trace
+// decodes each guest block once. The trace names a successor by its
+// translation index, the same on every engine, and a follower keeps no
+// address-indexed table: its rare address lookups read the driver's.
+// The driver executes every block through one path, the pre-lowered
+// records of lower.go.
 //
-// Replay is batched: the driver records (nextPC, taken, halted)
-// outcomes into a fixed buffer of replayBatch entries, together with
+// Replay is batched: the driver records (next, taken, halted) outcomes
+// into a fixed buffer of replayBatch entries, together with
 // the batch's sums that depend on the trace alone — instructions and
 // successor probes — and the positions where the trace first reaches
 // each block, so no context recomputes them per block. The taken bit is
@@ -59,6 +61,7 @@ package dbt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/guest"
 	"repro/internal/interp"
@@ -73,19 +76,21 @@ const replayBatch = interruptCheckMask + 1
 
 // outcome is one recorded architectural block outcome: everything a
 // follower needs to advance its profiling state machine past one block.
-// taken is the edge the block left through (always set for blocks
-// without a conditional branch, whose one edge is the taken one), the
-// comparison of nextPC with the block's taken target that every
-// context would otherwise repeat. The record stays 8 bytes.
+// next is the successor's translation index (tblock.id), the one its
+// translation is about to take at a first occurrence. taken is the edge
+// the block left through (always set for blocks without a conditional
+// branch, whose one edge is the taken one), the comparison with the
+// block's taken target that every context would otherwise repeat. The
+// record stays 8 bytes.
 type outcome struct {
-	nextPC int32
+	next   int32
 	taken  bool
 	halted bool
 }
 
 // firstUse is one first occurrence of a block in the trace: the batch
-// position of the outcome whose nextPC reached the untranslated block
-// at pc. Every engine translates that block right after stepping that
+// position of the outcome whose successor was the untranslated block at
+// pc. Every engine translates that block right after stepping that
 // position, so the list is the same for all of them.
 type firstUse struct {
 	pos, pc int32
@@ -157,13 +162,13 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 {
-			e.shared = engines[0].cache
-		}
 		engines[i] = e
 	}
 	driver := engines[0]
-	for _, e := range engines {
+	for i, e := range engines {
+		if i > 0 {
+			e.cache = driver.cache
+		}
 		if err := e.start(); err != nil {
 			return nil, err
 		}
@@ -177,11 +182,11 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 	for !driver.halted {
 		// The batch's first block is the driver's cursor, which the
 		// observer walk needs before fillBatch advances it.
-		startPC := driver.cur.addr
+		first := driver.cur
 		b, stopErr := driver.fillBatch(buf[:0])
 		stopAt := driver.stats.BlocksExecuted
 		if len(observers) > 0 {
-			events = appendBranchEvents(events[:0], driver, startPC, b.outs)
+			events = appendBranchEvents(events[:0], driver, first, b.outs)
 			for _, o := range observers {
 				o.ObserveBranches(events)
 			}
@@ -191,6 +196,8 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 		// would report that stop. The earliest stop wins, the lowest
 		// index on a tie.
 		for _, e := range followers {
+			// The follower translates the batch's first occurrences.
+			e.blocks = slices.Grow(e.blocks, len(b.firsts))
 			if err := e.drainBatch(&b); err != nil && (stopErr == nil || e.stats.BlocksExecuted < stopAt) {
 				stopErr, stopAt = err, e.stats.BlocksExecuted
 			}
@@ -286,7 +293,11 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 			}
 		}
 
-		outs = append(outs, outcome{nextPC: int32(nextPC), taken: takenEdge, halted: halted})
+		id := int32(len(e.blocks))
+		if next != nil {
+			id = next.id
+		}
+		outs = append(outs, outcome{next: id, taken: takenEdge, halted: halted})
 		if halted {
 			e.halted = true
 			break
@@ -308,28 +319,31 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 // running exactly the profiling a serial run would over the same
 // blocks. It is the study's hottest loop — one call per follower per
 // 4096 blocks — so besides the inlined profiling pieces a block costs
-// one load: the successor comes from the dense code cache at the
-// recorded nextPC, and the edge is the recorded taken bit. A serial
-// run's chain hit always names that same block (blocks are never
+// one indexed load: the successor is the follower's block at the
+// recorded translation index, and the edge is the recorded taken bit. A
+// serial run's chain hit always names that same block (blocks are never
 // replaced) and its miss is a lookup of it, so no chain state is kept.
+// An index not held yet is the batch's next first occurrence. A local
+// copy of e.blocks, which translation would make the loop carry,
+// spilled the batch sums and cost 40-60% per block.
 func (e *Engine) drainBatch(b *batch) error {
 	if e.samplePeriod > 1 {
 		return e.drainSampled(b)
 	}
 	limit := uint64(len(b.outs))
 	stop := e.batchStop(limit)
-	cache := e.cache
+	// The batch's i-th first occurrence takes translation index base+i.
+	base := len(e.blocks)
 	cur := e.cur
 	var sums perfmodel.BlockSums
 	var n uint64
 	var err error
 	for _, o := range b.outs[:stop] {
 		n++
-		nextPC := int(o.nextPC)
 		tb := cur
 		var next *tblock
-		if uint(nextPC) < uint(len(cache)) {
-			next = cache[nextPC]
+		if uint(o.next) < uint(len(e.blocks)) {
+			next = e.blocks[o.next]
 		}
 		if e.sampledEvent(tb, o.taken) {
 			e.registration(tb)
@@ -347,7 +361,7 @@ func (e *Engine) drainBatch(b *batch) error {
 			// err is set only on the way out, so the loop does not
 			// carry it.
 			var terr error
-			if next, terr = e.translate(nextPC); terr != nil {
+			if next, terr = e.translate(int(b.firsts[len(e.blocks)-base].pc)); terr != nil {
 				err = terr
 				break
 			}
@@ -373,14 +387,14 @@ func (e *Engine) drainBatch(b *batch) error {
 func (e *Engine) drainSampled(b *batch) error {
 	limit := uint64(len(b.outs))
 	stop := e.batchStop(limit)
-	outs, firsts, cache, cur := b.outs, b.firsts, e.cache, e.cur
+	outs, firsts, cur := b.outs, b.firsts, e.cur
 	// at returns the block at batch position i: the entry cursor, or the
 	// block the previous outcome reached (translated by then).
 	at := func(i uint64) *tblock {
 		if i == 0 {
 			return cur
 		}
-		return cache[outs[i-1].nextPC]
+		return e.blocks[outs[i-1].next]
 	}
 	period, gap := e.samplePeriod, e.sampleGap
 	n, f := stop, 0

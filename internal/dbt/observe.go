@@ -9,8 +9,8 @@
 // is bit-identical across follower counts and any profiling
 // configuration, and equal to the stream the reference interpreter's
 // block-entry sequence implies: exactly the determinism dynamic branch
-// predictors need. The walk reads the driver's translation
-// cache directly instead of going through lookup(), which counts
+// predictors need. The walk reads the driver's blocks by their recorded
+// translation index instead of going through lookup(), which counts
 // probes — observation must not perturb any deterministic RunStats
 // counter.
 package dbt
@@ -45,22 +45,20 @@ func RunMultiObserved(img *guest.Image, tape interp.Tape, cfgs []Config, observe
 	return runMulti(img, tape, cfgs, observers)
 }
 
-// appendBranchEvents walks one outcome batch from the block the driver
-// was about to execute when the batch began, resolving each executed
-// block through the driver's translation cache (blocks are never
-// evicted, so every executed address is present). Branch blocks emit
-// one event, whose direction is the outcome's recorded taken bit.
-func appendBranchEvents(dst []BranchEvent, e *Engine, pc int, batch []outcome) []BranchEvent {
-	cache := e.cache
-	for _, o := range batch {
-		tb := cache[pc]
+// appendBranchEvents walks one outcome batch from first, the block the
+// driver was about to execute when the batch began, resolving each later
+// block by the translation index its predecessor's outcome recorded.
+// Branch blocks emit one event, whose direction is the outcome's
+// recorded taken bit.
+func appendBranchEvents(dst []BranchEvent, e *Engine, first *tblock, batch []outcome) []BranchEvent {
+	tb := first
+	for i, o := range batch {
+		if i > 0 {
+			tb = e.blocks[batch[i-1].next]
+		}
 		if tb.hasBranch {
-			dst = append(dst, BranchEvent{PC: int32(pc), Taken: o.taken})
+			dst = append(dst, BranchEvent{PC: int32(tb.addr), Taken: o.taken})
 		}
-		if o.halted {
-			break
-		}
-		pc = int(o.nextPC)
 	}
 	return dst
 }

@@ -124,21 +124,23 @@ type Region struct {
 }
 
 // EntryBlock returns the entry block instance.
-func (r *Region) EntryBlock() *RegionBlock {
+func (r *Region) EntryBlock() *RegionBlock { return r.BlockByID(r.Entry) }
+
+// Index returns the position of the first member with the given ID, or
+// -1.
+func (r *Region) Index(id int) int {
 	for i := range r.Blocks {
-		if r.Blocks[i].ID == r.Entry {
-			return &r.Blocks[i]
+		if r.Blocks[i].ID == id {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // BlockByID returns the member with the given ID, or nil.
 func (r *Region) BlockByID(id int) *RegionBlock {
-	for i := range r.Blocks {
-		if r.Blocks[i].ID == id {
-			return &r.Blocks[i]
-		}
+	if i := r.Index(id); i >= 0 {
+		return &r.Blocks[i]
 	}
 	return nil
 }

@@ -174,3 +174,25 @@ func TestRegionKindString(t *testing.T) {
 		t.Fatal("RegionKind.String wrong")
 	}
 }
+
+// TestRegionIndex: Index finds a member by copy ID, whether the region
+// numbers its copies consecutively, as the former does, or not, and
+// reports -1 for an ID no member has.
+func TestRegionIndex(t *testing.T) {
+	for _, ids := range [][]int{{40, 41, 42, 43}, {7, 3, 12, 5}, {}} {
+		r := &Region{}
+		for _, id := range ids {
+			r.Blocks = append(r.Blocks, RegionBlock{ID: id})
+		}
+		for i, id := range ids {
+			if got := r.Index(id); got != i {
+				t.Errorf("ids %v: Index(%d) = %d, want %d", ids, id, got, i)
+			}
+		}
+		for _, id := range []int{-1, 0, 44, 6, 1 << 62} {
+			if got := r.Index(id); got != -1 {
+				t.Errorf("ids %v: Index(%d) = %d, want -1", ids, id, got)
+			}
+		}
+	}
+}

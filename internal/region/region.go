@@ -120,6 +120,9 @@ type Former struct {
 	// such blocks are skipped as seeds but remain eligible for
 	// duplication into later regions.
 	placed map[int]bool
+	// buf holds the copies of the region under construction. No region
+	// exceeds its capacity, MaxBlocks, so it never reallocates.
+	buf []profile.RegionBlock
 }
 
 // NewFormer returns a Former with the given configuration.
@@ -178,18 +181,17 @@ func (f *Former) Form(p Provider, candidates []int) []*profile.Region {
 	return out
 }
 
-// growth accumulates the copies of a region under construction. Copies
-// are held by pointer so that edge patches survive later appends.
+// growth accumulates the copies of a region under construction in the
+// former's buffer, so edge patches survive later appends.
 type growth struct {
 	kind   profile.RegionKind
 	id     int
 	entry  int
-	blocks []*profile.RegionBlock
-	inPath map[int]int // addr -> copy ID, for cycle detection
+	blocks []profile.RegionBlock
 }
 
 func (g *growth) appendCopy(f *Former, info BlockInfo) *profile.RegionBlock {
-	rb := &profile.RegionBlock{
+	g.blocks = append(g.blocks, profile.RegionBlock{
 		ID:          f.nextCopy,
 		Addr:        info.Addr,
 		Use:         info.Use,
@@ -199,25 +201,32 @@ func (g *growth) appendCopy(f *Former, info BlockInfo) *profile.RegionBlock {
 		FallNext:    -1,
 		TakenTarget: info.TakenTarget,
 		FallTarget:  info.FallTarget,
-	}
+	})
 	f.nextCopy++
-	g.blocks = append(g.blocks, rb)
-	g.inPath[info.Addr] = rb.ID
-	return rb
+	return &g.blocks[len(g.blocks)-1]
+}
+
+// inPath reports whether the region already holds a copy of addr, for
+// cycle detection: a scan of at most MaxBlocks copies.
+func (g *growth) inPath(addr int) bool {
+	for i := range g.blocks {
+		if g.blocks[i].Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 func (g *growth) region() *profile.Region {
-	r := &profile.Region{ID: g.id, Kind: g.kind, Entry: g.entry}
-	r.Blocks = make([]profile.RegionBlock, len(g.blocks))
-	for i, rb := range g.blocks {
-		r.Blocks[i] = *rb
-	}
-	return r
+	return &profile.Region{ID: g.id, Kind: g.kind, Entry: g.entry, Blocks: append([]profile.RegionBlock(nil), g.blocks...)}
 }
 
 // grow builds a single region from the seed block.
 func (f *Former) grow(p Provider, seed BlockInfo) *profile.Region {
-	g := &growth{kind: profile.RegionTrace, id: f.nextRegion, inPath: make(map[int]int)}
+	if f.buf == nil {
+		f.buf = make([]profile.RegionBlock, 0, f.cfg.MaxBlocks)
+	}
+	g := &growth{kind: profile.RegionTrace, id: f.nextRegion, blocks: f.buf[:0]}
 	f.nextRegion++
 	cur := g.appendCopy(f, seed)
 	g.entry = cur.ID
@@ -268,7 +277,7 @@ func (f *Former) grow(p Provider, seed BlockInfo) *profile.Region {
 			}
 			return finishRegion(g)
 		}
-		if _, cyc := g.inPath[succAddr]; cyc {
+		if g.inPath(succAddr) {
 			// A cycle not through the entry; stop rather than form an
 			// irreducible region.
 			return finishRegion(g)
@@ -314,13 +323,7 @@ func (f *Former) absorbDiamond(p Provider, g *growth, cur *profile.RegionBlock, 
 	if merge < 0 || merge != fInfo.TakenTarget {
 		return nil, false
 	}
-	if _, cyc := g.inPath[tAddr]; cyc {
-		return nil, false
-	}
-	if _, cyc := g.inPath[fAddr]; cyc {
-		return nil, false
-	}
-	if _, cyc := g.inPath[merge]; cyc {
+	if g.inPath(tAddr) || g.inPath(fAddr) || g.inPath(merge) {
 		return nil, false
 	}
 	mInfo, okM := p.Info(merge)
@@ -360,21 +363,18 @@ func FrozenProb(rb *profile.RegionBlock) float64 { return rb.BranchProb() }
 // flow propagates entry frequency 1 through the region's internal edges
 // in formation order (which is topological for regions built by Former:
 // edges, except loop back edges, always point forward). It returns the
-// frequency that arrived at each block and the mass that flowed along
-// back edges into the entry (the dummy node of section 3.3).
-func flow(r *profile.Region, prob ProbFunc) (freq map[int]float64, backMass float64, err error) {
-	freq = make(map[int]float64, len(r.Blocks))
-	index := make(map[int]int, len(r.Blocks))
-	for i := range r.Blocks {
-		index[r.Blocks[i].ID] = i
-	}
-	if _, ok := index[r.Entry]; !ok {
+// frequency that arrived at each block, by position, and the mass that
+// flowed along back edges into the entry (the dummy node of section 3.3).
+func flow(r *profile.Region, prob ProbFunc) (freq []float64, backMass float64, err error) {
+	entry := r.Index(r.Entry)
+	if entry < 0 {
 		return nil, 0, fmt.Errorf("region: entry %d not a member", r.Entry)
 	}
-	freq[r.Entry] = 1
+	freq = make([]float64, len(r.Blocks))
+	freq[entry] = 1
 	for i := range r.Blocks {
 		rb := &r.Blocks[i]
-		fq := freq[rb.ID]
+		fq := freq[i]
 		if fq == 0 {
 			continue
 		}
@@ -398,14 +398,14 @@ func flow(r *profile.Region, prob ProbFunc) (freq map[int]float64, backMass floa
 				backMass += mass
 				return nil
 			}
-			j, ok := index[next]
-			if !ok {
+			j := r.Index(next)
+			if j < 0 {
 				return fmt.Errorf("region %d: successor %d not a member", r.ID, next)
 			}
 			if j <= i {
 				return fmt.Errorf("region %d: edge %d->%d violates formation order", r.ID, rb.ID, next)
 			}
-			freq[next] += mass
+			freq[j] += mass
 			return nil
 		}
 		if err := route(rb.TakenNext, fq*pTaken); err != nil {
@@ -432,8 +432,7 @@ func CompletionProb(r *profile.Region, prob ProbFunc) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	last := r.Blocks[len(r.Blocks)-1].ID
-	return freq[last], nil
+	return freq[len(freq)-1], nil
 }
 
 // LoopBackProb computes the loop-back probability of a loop region under

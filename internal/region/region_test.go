@@ -367,3 +367,82 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatalf("DefaultConfig = %+v", c)
 	}
 }
+
+// TestFlowRejectsMissingEntry: a region whose entry ID names no member
+// has no block to start the flow from.
+func TestFlowRejectsMissingEntry(t *testing.T) {
+	r := &profile.Region{ID: 4, Kind: profile.RegionTrace, Entry: 9, Blocks: []profile.RegionBlock{
+		{ID: 0, TakenNext: 1, FallNext: -1, TakenTarget: 1, FallTarget: -1},
+		{ID: 1, TakenNext: -1, FallNext: -1, TakenTarget: -1, FallTarget: -1},
+	}}
+	_, err := CompletionProb(r, FrozenProb)
+	if err == nil || err.Error() != "region: entry 9 not a member" {
+		t.Fatalf("CompletionProb error %v, want the missing entry", err)
+	}
+}
+
+// TestFlowRejectsMissingSuccessor: an edge that carries mass to an ID no
+// member has is an error, whichever edge carries it.
+func TestFlowRejectsMissingSuccessor(t *testing.T) {
+	for _, r := range []*profile.Region{
+		{ID: 3, Kind: profile.RegionTrace, Entry: 0, Blocks: []profile.RegionBlock{
+			{ID: 0, HasBranch: true, Use: 10, Taken: 5, TakenNext: 1, FallNext: -1},
+			{ID: 1, HasBranch: true, Use: 10, Taken: 5, TakenNext: -1, FallNext: 7},
+		}},
+		{ID: 3, Kind: profile.RegionLoop, Entry: 0, Blocks: []profile.RegionBlock{
+			{ID: 0, TakenNext: 7, FallNext: -1, TakenTarget: 1, FallTarget: -1},
+		}},
+	} {
+		var err error
+		if r.Kind == profile.RegionLoop {
+			_, err = LoopBackProb(r, FrozenProb)
+		} else {
+			_, err = CompletionProb(r, FrozenProb)
+		}
+		if err == nil || err.Error() != "region 3: successor 7 not a member" {
+			t.Errorf("%s region: error %v, want the missing successor", r.Kind, err)
+		}
+	}
+}
+
+// TestGrowAllocatesOnlyTheRegion: growing a region builds its copies in
+// the former's buffer, so once that exists a k-block region allocates
+// exactly its Region and its Blocks.
+func TestGrowAllocatesOnlyTheRegion(t *testing.T) {
+	p := mapProvider{
+		10: branch(10, 1000, 500, 20, 30),
+		20: jump(20, 500, 40),
+		30: jump(30, 500, 40),
+		40: branch(40, 1000, 950, 50, 43),
+		50: jump(50, 950, 60),
+		60: branch(60, 950, 900, 10, 63), // back to the seed: a loop
+		63: other(63, 50),
+	}
+	f := NewFormer(Config{MinProb: 0.7, MaxBlocks: 16, MinUse: 300, Diamonds: true})
+	seed, _ := p.Info(10)
+	if r := f.grow(p, seed); r == nil || len(r.Blocks) != 6 || r.Kind != profile.RegionLoop {
+		t.Fatalf("grew %+v, want a 6-block loop", r)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.grow(p, seed) }); allocs != 2 {
+		t.Errorf("growing a region allocates %v times, want 2", allocs)
+	}
+}
+
+// TestRegionProbAllocatesOneSlice: the probabilities keep their
+// frequencies in one slice, on the paper's regions and on a generated
+// region whose copy IDs are not consecutive.
+func TestRegionProbAllocatesOneSlice(t *testing.T) {
+	generated := buildFuzzRegion([]byte{15, 0, 7, 3, 9, 2, 0, 5, 4, 1, 8, 2, 6, 1, 3, 0, 2})
+	for name, r := range map[string]*profile.Region{"figure 6": figure6Region(), "figure 7": figure7Region(), "generated": generated} {
+		prob := func() {
+			if r.Kind == profile.RegionLoop {
+				_, _ = LoopBackProb(r, FrozenProb)
+			} else {
+				_, _ = CompletionProb(r, FrozenProb)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, prob); allocs > 1 {
+			t.Errorf("%s: %v allocations, want at most 1", name, allocs)
+		}
+	}
+}
