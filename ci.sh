@@ -62,6 +62,18 @@ for fn in fillBatch drainBatch; do
     done
 done
 
+echo "== one translator configuration gate =="
+# Every non-test run takes its translator configuration from
+# core.TranslatorConfig (DESIGN §3e), so the one non-test dbt.Config
+# literal under cmd/ and internal/ is the one that function returns.
+# Slices of built configs ([]dbt.Config{...}) are not literals of one.
+lits=$(grep -rnE '(^|[^]])dbt\.Config\{' --include='*.go' cmd internal | grep -v '_test\.go:' || true)
+if [ "$(printf '%s\n' "$lits" | cut -d: -f1 | sort -u)" != "internal/core/core.go" ]; then
+    echo "dbt.Config literals outside core.TranslatorConfig:" >&2
+    printf '%s\n' "$lits" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 

@@ -74,6 +74,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dbtrun: invalid -converge %v (want a finite epsilon >= 0; 0 = fixed threshold)\n", *converge)
 		return 2
 	}
+	// A knob the run would ignore is a usage error: the output would be
+	// byte-identical to a run without it.
+	optKnob := ""
+	switch {
+	case *adaptive:
+		optKnob = "-adaptive"
+	case *contTrip:
+		optKnob = "-continuous-trips"
+	case *converge > 0:
+		optKnob = "-converge"
+	}
+	if optKnob != "" && *threshold == 0 {
+		fmt.Fprintf(stderr, "dbtrun: %s acts on the optimization phase, which -T 0 disables\n", optKnob)
+		return 2
+	}
+	if *sampleSeed != 0 && *samplePeriod <= 1 {
+		fmt.Fprintf(stderr, "dbtrun: -sampleseed needs -sampleperiod > 1 (full instrumentation has no stride phase)\n")
+		return 2
+	}
 	img, tape, err := load(*benchName, *imageFile, *asmFile, *input, *scale, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "dbtrun: %v\n", err)

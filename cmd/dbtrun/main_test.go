@@ -86,6 +86,30 @@ func TestSampledRuns(t *testing.T) {
 	}
 }
 
+// TestIgnoredFlags: a flag the run would ignore is a usage error that
+// names it. The optimization-phase knobs do nothing under -T 0, and the
+// stride phase exists only under -sampleperiod > 1.
+func TestIgnoredFlags(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-adaptive", []string{"-T", "0", "-adaptive"}},
+		{"-continuous-trips", []string{"-T", "0", "-continuous-trips"}},
+		{"-converge", []string{"-T", "0", "-converge", "0.01"}},
+		{"-sampleseed", []string{"-T", "5", "-sampleperiod", "1", "-sampleseed", "3"}},
+	} {
+		var stderr bytes.Buffer
+		args := append([]string{"-bench", "gzip", "-scale", "0.001"}, c.args...)
+		if code := run(args, new(bytes.Buffer), &stderr); code != 2 {
+			t.Errorf("%v exited %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("%v: error does not name %s: %q", c.args, c.flag, stderr.String())
+		}
+	}
+}
+
 // TestBadNumbers: a -scale the study rejects and a non-finite or
 // negative -converge epsilon are usage errors that name the value; at
 // the parent of this test they ran a degenerate program or silently

@@ -9,8 +9,7 @@
 //
 //   - Machine: a straightforward fetch-decode-execute interpreter over a
 //     guest image, with an optional per-block hook. It is the oracle the
-//     DBT engine is cross-validated against, and the vehicle for the
-//     examples.
+//     DBT engine is cross-validated against.
 //
 // Guest programs obtain input through the `in` instruction, which reads
 // the next word from a Tape. Tapes are deterministic; the INIP(T), AVEP
@@ -247,14 +246,11 @@ func NewMachine(img *guest.Image, tape Tape) (*Machine, error) {
 	return &Machine{img: img, code: code, st: NewState(img, tape), pc: img.Entry}, nil
 }
 
-// State exposes the architectural state, for tests and examples.
+// State exposes the architectural state, for tests.
 func (m *Machine) State() *State { return m.st }
 
 // PC returns the current program counter.
 func (m *Machine) PC() int { return m.pc }
-
-// Halted reports whether the program has executed halt.
-func (m *Machine) Halted() bool { return m.halted }
 
 // Steps returns the number of instructions executed so far.
 func (m *Machine) Steps() uint64 { return m.steps }

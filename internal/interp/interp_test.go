@@ -48,7 +48,7 @@ loop:
 	if got := m.State().Regs[3]; got != 10 {
 		t.Fatalf("loop body executed %d times, want 10", got)
 	}
-	if !m.Halted() {
+	if !m.halted {
 		t.Fatal("machine did not halt")
 	}
 }

@@ -127,12 +127,6 @@ func (o Op) EndsBlock() bool {
 	return o.IsCondBranch() || o.IsUncondJump() || o.IsIndirect() || o == OpHalt
 }
 
-// HasFallthrough reports whether control may continue at the next
-// sequential instruction after o executes.
-func (o Op) HasFallthrough() bool {
-	return !(o == OpJmp || o == OpJr || o == OpRet || o == OpHalt)
-}
-
 // IsMemory reports whether o accesses guest data memory.
 func (o Op) IsMemory() bool { return o == OpLoad || o == OpStore }
 

@@ -101,15 +101,6 @@ func TestOpClassification(t *testing.T) {
 		if cond && !op.EndsBlock() {
 			t.Fatalf("%v is a branch but does not end a block", op)
 		}
-		if cond && !op.HasFallthrough() {
-			t.Fatalf("conditional branch %v must have a fall-through", op)
-		}
-	}
-	if OpJmp.HasFallthrough() || OpRet.HasFallthrough() || OpHalt.HasFallthrough() || OpJr.HasFallthrough() {
-		t.Fatal("unconditional transfers must not fall through")
-	}
-	if !OpAdd.HasFallthrough() || !OpCall.HasFallthrough() {
-		t.Fatal("add and call must fall through (call returns)")
 	}
 	if !OpHalt.EndsBlock() {
 		t.Fatal("halt must end a block")

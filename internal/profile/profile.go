@@ -196,29 +196,6 @@ func (s *Snapshot) BlockAddrs() []int {
 	return addrs
 }
 
-// LookupUse returns the end-of-run use count of the block at addr, or 0.
-func (s *Snapshot) LookupUse(addr int) uint64 {
-	if b, ok := s.Blocks[addr]; ok {
-		return b.Use
-	}
-	return 0
-}
-
-// TotalUse sums use counts over all blocks (the denominator of several
-// normalized figures).
-func (s *Snapshot) TotalUse() uint64 {
-	var total uint64
-	for _, b := range s.Blocks {
-		total += b.Use
-	}
-	for _, r := range s.Regions {
-		for i := range r.Blocks {
-			total += r.Blocks[i].Use
-		}
-	}
-	return total
-}
-
 // Save writes the snapshot as JSON.
 func (s *Snapshot) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)

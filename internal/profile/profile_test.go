@@ -137,26 +137,11 @@ func TestValidateRejectsRegionsOnUnoptimized(t *testing.T) {
 	}
 }
 
-func TestTotalUseIncludesRegions(t *testing.T) {
-	s := sampleSnapshot()
-	// 100 + 30 (blocks) + 500 + 450 (region members).
-	if got := s.TotalUse(); got != 1080 {
-		t.Fatalf("TotalUse = %d, want 1080", got)
-	}
-}
-
 func TestBlockAddrsSorted(t *testing.T) {
 	s := sampleSnapshot()
 	addrs := s.BlockAddrs()
 	if len(addrs) != 2 || addrs[0] != 10 || addrs[1] != 20 {
 		t.Fatalf("BlockAddrs = %v", addrs)
-	}
-}
-
-func TestLookupUse(t *testing.T) {
-	s := sampleSnapshot()
-	if s.LookupUse(10) != 100 || s.LookupUse(999) != 0 {
-		t.Fatal("LookupUse wrong")
 	}
 }
 

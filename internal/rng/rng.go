@@ -9,8 +9,6 @@
 // dependency on math/rand so that the stream is stable across Go releases.
 package rng
 
-import "math"
-
 // splitmix64 advances the given state and returns the next 64-bit output.
 // It is the standard SplitMix64 generator, used both directly for seed
 // derivation and to seed the main xoshiro generator.
@@ -111,113 +109,4 @@ func (r *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, i.e. a sample from the geometric distribution with support
-// {0, 1, 2, ...}. For p <= 0 it returns maxGeometric; for p >= 1 it
-// returns 0. The return value is capped to keep pathological parameters
-// from producing unbounded loop trip counts.
-func (r *Source) Geometric(p float64) int {
-	const maxGeometric = 1 << 24
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		return maxGeometric
-	}
-	// Inverse-CDF sampling would need math.Log; a direct loop is exact
-	// and fast for the p values used by the workloads (p >= 1e-4).
-	n := 0
-	for !r.Bernoulli(p) {
-		n++
-		if n >= maxGeometric {
-			break
-		}
-	}
-	return n
-}
-
-// NormalApprox returns an approximately standard-normal sample using the
-// sum of 12 uniforms (Irwin–Hall). Exact normality is irrelevant for the
-// workloads; determinism and boundedness (|x| <= 6) are what matter.
-func (r *Source) NormalApprox() float64 {
-	sum := 0.0
-	for i := 0; i < 12; i++ {
-		sum += r.Float64()
-	}
-	return sum - 6.0
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Zipf samples from a Zipf-like distribution over [0, n) with skew s > 0,
-// using inverse-CDF over precomputed weights. Use NewZipf for repeated
-// sampling; this helper is for one-off draws.
-func (r *Source) Zipf(n int, s float64) int {
-	z := NewZipf(n, s)
-	return z.Sample(r)
-}
-
-// Zipf is a sampler for a Zipf-like distribution over [0, n): element i
-// has weight 1/(i+1)^s. Construction is O(n); sampling is O(log n).
-type Zipf struct {
-	cum []float64 // cumulative weights, cum[n-1] == total
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with skew s. It panics if
-// n <= 0. Negative s is treated as 0 (uniform).
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
-	}
-	if s < 0 {
-		s = 0
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1.0 / powf(float64(i+1), s)
-		cum[i] = total
-	}
-	return &Zipf{cum: cum}
-}
-
-// Sample draws one element using randomness from r.
-func (z *Zipf) Sample(r *Source) int {
-	target := r.Float64() * z.cum[len(z.cum)-1]
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// powf computes x**y for the Zipf weights. Integer exponents take an
-// exact fast path; the rest defers to math.Pow.
-func powf(x, y float64) float64 {
-	if y == float64(int(y)) && y >= 0 && y < 64 {
-		out := 1.0
-		for i := 0; i < int(y); i++ {
-			out *= x
-		}
-		return out
-	}
-	return math.Pow(x, y)
 }

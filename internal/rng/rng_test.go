@@ -148,114 +148,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(11)
-	// E[Geometric(p)] = (1-p)/p.
-	for _, p := range []float64{0.5, 0.2, 0.1} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Geometric(p)
-		}
-		mean := float64(sum) / n
-		want := (1 - p) / p
-		if math.Abs(mean-want) > want*0.1+0.05 {
-			t.Fatalf("Geometric(%v) mean = %v, want ~%v", p, mean, want)
-		}
-	}
-}
-
-func TestGeometricExtremes(t *testing.T) {
-	r := New(2)
-	if g := r.Geometric(1); g != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", g)
-	}
-	if g := r.Geometric(0); g != 1<<24 {
-		t.Fatalf("Geometric(0) = %d, want cap", g)
-	}
-}
-
-func TestNormalApproxMoments(t *testing.T) {
-	r := New(13)
-	const n = 100000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.NormalApprox()
-		if x < -6 || x > 6 {
-			t.Fatalf("NormalApprox out of [-6,6]: %v", x)
-		}
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormalApprox mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("NormalApprox variance = %v, want ~1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(21)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestZipfSkewOrdersFrequencies(t *testing.T) {
-	r := New(31)
-	z := NewZipf(10, 1.5)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Sample(r)]++
-	}
-	// With skew 1.5, rank 0 must dominate rank 5 clearly.
-	if counts[0] <= counts[5]*3 {
-		t.Fatalf("Zipf skew not apparent: counts=%v", counts)
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("Zipf never produced rank %d", i)
-		}
-	}
-}
-
-func TestZipfUniformWhenSkewZero(t *testing.T) {
-	r := New(41)
-	z := NewZipf(4, 0)
-	counts := make([]int, 4)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Sample(r)]++
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)/n-0.25) > 0.01 {
-			t.Fatalf("Zipf(skew=0) rank %d rate %v, want ~0.25", i, float64(c)/n)
-		}
-	}
-}
-
-func TestZipfPanicsOnNonPositiveN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(0, 1) did not panic")
-		}
-	}()
-	NewZipf(0, 1)
-}
-
 // Property: Intn output is always within range for arbitrary seeds and n.
 func TestQuickIntnInRange(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {

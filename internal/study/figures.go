@@ -2,6 +2,7 @@ package study
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -63,6 +64,36 @@ func constSeries(label string, v float64, n int) Series {
 	return Series{Label: label, Y: y}
 }
 
+// line is a candidate series of a figure. A class line averages the
+// surviving benchmarks of its class, less the one named by except; a
+// reference line (ref) averages no class.
+type line struct {
+	Series
+	ref    bool
+	class  spec.Class
+	except string
+}
+
+func classLine(c spec.Class, s Series) line { return line{Series: s, class: c} }
+func refLine(s Series) line                 { return line{Series: s, ref: true} }
+
+// plot returns the series a figure draws, in order: every reference
+// line, and every class line with a surviving benchmark to average. A
+// study over a subset of the suite thus plots as if the absent class
+// had not been selected, not as a line of zeros that reads as a
+// perfect prediction.
+func (r *Results) plot(ls ...line) []Series {
+	out := make([]Series, 0, len(ls))
+	for _, l := range ls {
+		if l.ref || slices.ContainsFunc(r.Series, func(s BenchmarkSeries) bool {
+			return s.Class == l.class && s.Name != l.except && s.ok()
+		}) {
+			out = append(out, l.Series)
+		}
+	}
+	return out
+}
+
 // perBenchSeries builds one series per surviving benchmark of the
 // class (failed benchmarks are annotated in Gaps instead of plotted).
 func (r *Results) perBenchSeries(c spec.Class, keep []int, f func(*core.ThresholdResult, *BenchmarkSeries) float64) []Series {
@@ -100,12 +131,12 @@ func (r *Results) Figure8() Figure {
 		ID: "fig8", Title: "Standard deviations of branch probabilities",
 		XLabel: "retranslation threshold", YLabel: "Sd.BP",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: r.avgOver(spec.INT, keep, sdBP)},
-			{Label: "fp", Y: r.avgOver(spec.FP, keep, sdBP)},
-			constSeries("int train", r.avgTrain(spec.INT, func(s metrics.Summary) float64 { return s.SdBP }), len(keep)),
-			constSeries("fp train", r.avgTrain(spec.FP, func(s metrics.Summary) float64 { return s.SdBP }), len(keep)),
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: r.avgOver(spec.INT, keep, sdBP)}),
+			classLine(spec.FP, Series{Label: "fp", Y: r.avgOver(spec.FP, keep, sdBP)}),
+			classLine(spec.INT, constSeries("int train", r.avgTrain(spec.INT, func(s metrics.Summary) float64 { return s.SdBP }), len(keep))),
+			classLine(spec.FP, constSeries("fp train", r.avgTrain(spec.FP, func(s metrics.Summary) float64 { return s.SdBP }), len(keep))),
+		),
 	}
 }
 
@@ -128,12 +159,12 @@ func (r *Results) Figure10() Figure {
 		ID: "fig10", Title: "Branch probability mismatch rates",
 		XLabel: "retranslation threshold", YLabel: "mismatch rate",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: r.avgOver(spec.INT, keep, bpMis)},
-			{Label: "fp", Y: r.avgOver(spec.FP, keep, bpMis)},
-			constSeries("int train", r.avgTrain(spec.INT, func(s metrics.Summary) float64 { return s.BPMismatch }), len(keep)),
-			constSeries("fp train", r.avgTrain(spec.FP, func(s metrics.Summary) float64 { return s.BPMismatch }), len(keep)),
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: r.avgOver(spec.INT, keep, bpMis)}),
+			classLine(spec.FP, Series{Label: "fp", Y: r.avgOver(spec.FP, keep, bpMis)}),
+			classLine(spec.INT, constSeries("int train", r.avgTrain(spec.INT, func(s metrics.Summary) float64 { return s.BPMismatch }), len(keep))),
+			classLine(spec.FP, constSeries("fp train", r.avgTrain(spec.FP, func(s metrics.Summary) float64 { return s.BPMismatch }), len(keep))),
+		),
 	}
 }
 
@@ -166,12 +197,12 @@ func (r *Results) Figure13() Figure {
 		ID: "fig13", Title: "Standard deviation of completion probabilities",
 		XLabel: "retranslation threshold", YLabel: "Sd.CP",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: r.avgOver(spec.INT, keep, sdCP)},
-			{Label: "fp", Y: r.avgOver(spec.FP, keep, sdCP)},
-			constSeries("int train*", r.avgTrainRegions(spec.INT, func(s metrics.Summary) float64 { return s.SdCP }), len(keep)),
-			constSeries("fp train*", r.avgTrainRegions(spec.FP, func(s metrics.Summary) float64 { return s.SdCP }), len(keep)),
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: r.avgOver(spec.INT, keep, sdCP)}),
+			classLine(spec.FP, Series{Label: "fp", Y: r.avgOver(spec.FP, keep, sdCP)}),
+			classLine(spec.INT, constSeries("int train*", r.avgTrainRegions(spec.INT, func(s metrics.Summary) float64 { return s.SdCP }), len(keep))),
+			classLine(spec.FP, constSeries("fp train*", r.avgTrainRegions(spec.FP, func(s metrics.Summary) float64 { return s.SdCP }), len(keep))),
+		),
 		Notes: []string{
 			"The paper does not compute Sd.CP(train): unoptimized runs form no regions (section 2.3).",
 			"train* realizes the paper's section-5 proposal: regions formed offline over the training profile (threshold 2000).",
@@ -186,12 +217,12 @@ func (r *Results) Figure14() Figure {
 		ID: "fig14", Title: "Standard deviation of loop-back probabilities",
 		XLabel: "retranslation threshold", YLabel: "Sd.LP",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: r.avgOver(spec.INT, keep, sdLP)},
-			{Label: "fp", Y: r.avgOver(spec.FP, keep, sdLP)},
-			constSeries("int train*", r.avgTrainRegions(spec.INT, func(s metrics.Summary) float64 { return s.SdLP }), len(keep)),
-			constSeries("fp train*", r.avgTrainRegions(spec.FP, func(s metrics.Summary) float64 { return s.SdLP }), len(keep)),
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: r.avgOver(spec.INT, keep, sdLP)}),
+			classLine(spec.FP, Series{Label: "fp", Y: r.avgOver(spec.FP, keep, sdLP)}),
+			classLine(spec.INT, constSeries("int train*", r.avgTrainRegions(spec.INT, func(s metrics.Summary) float64 { return s.SdLP }), len(keep))),
+			classLine(spec.FP, constSeries("fp train*", r.avgTrainRegions(spec.FP, func(s metrics.Summary) float64 { return s.SdLP }), len(keep))),
+		),
 		Notes: []string{
 			"The paper does not compute Sd.LP(train): unoptimized runs form no regions (section 2.3).",
 			"train* realizes the paper's section-5 proposal: regions formed offline over the training profile (threshold 2000).",
@@ -207,10 +238,10 @@ func (r *Results) Figure15() Figure {
 		ID: "fig15", Title: "Loop-back probability mismatch rate",
 		XLabel: "retranslation threshold", YLabel: "mismatch rate",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: r.avgOver(spec.INT, keep, lpMis)},
-			{Label: "fp", Y: r.avgOver(spec.FP, keep, lpMis)},
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: r.avgOver(spec.INT, keep, lpMis)}),
+			classLine(spec.FP, Series{Label: "fp", Y: r.avgOver(spec.FP, keep, lpMis)}),
+		),
 	}
 }
 
@@ -261,11 +292,11 @@ func (r *Results) Figure17() Figure {
 		ID: "fig17", Title: "Performance impact of initial profiles (relative to threshold 1)",
 		XLabel: "retranslation threshold", YLabel: "relative performance",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: rel(spec.INT, "")},
-			{Label: "int no perl", Y: rel(spec.INT, "perlbmk")},
-			{Label: "fp", Y: rel(spec.FP, "")},
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: rel(spec.INT, "")}),
+			line{Series: Series{Label: "int no perl", Y: rel(spec.INT, "perlbmk")}, class: spec.INT, except: "perlbmk"},
+			classLine(spec.FP, Series{Label: "fp", Y: rel(spec.FP, "")}),
+		),
 		Notes: []string{"Simulated cycle model (see internal/perfmodel); the paper measured wall clock on Itanium 2."},
 	}
 	if baseIdx < 0 {
@@ -300,11 +331,11 @@ func (r *Results) Figure18() Figure {
 		ID: "fig18", Title: "Profiling operations (training run = 1)",
 		XLabel: "retranslation threshold", YLabel: "normalized profiling ops",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int", Y: norm(spec.INT)},
-			{Label: "fp", Y: norm(spec.FP)},
-			constSeries("train", 1, len(keep)),
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int", Y: norm(spec.INT)}),
+			classLine(spec.FP, Series{Label: "fp", Y: norm(spec.FP)}),
+			refLine(constSeries("train", 1, len(keep))),
+		),
 	}
 }
 
@@ -343,19 +374,6 @@ func (r *Results) Figures() []Figure {
 		}
 	}
 	return figs
-}
-
-// FigureByID returns the named figure ("fig8".."fig18", plus
-// "figp1"/"figp2" when the study ran predictors, "figs1"/"figs2" when
-// it swept sampled-profiling periods, and "figl1"/"figl2" when it fit
-// the learned static model), or false.
-func (r *Results) FigureByID(id string) (Figure, bool) {
-	for _, f := range r.Figures() {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	return Figure{}, false
 }
 
 // String renders a one-line summary of a figure for logs.

@@ -71,14 +71,14 @@ func (r *Results) FigureL1() Figure {
 		ID: "figl1", Title: "Learned static model vs INIP branch mismatch",
 		XLabel: "retranslation threshold", YLabel: "mispredict / mismatch rate",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int inip", Y: r.avgOver(spec.INT, keep, bpMis)},
-			{Label: "fp inip", Y: r.avgOver(spec.FP, keep, bpMis)},
-			constSeries("int train", r.avgTrain(spec.INT, trainBPMismatch), len(keep)),
-			constSeries("fp train", r.avgTrain(spec.FP, trainBPMismatch), len(keep)),
-			constSeries("learned (held-out)", r.Learned.Rate(), len(keep)),
-			constSeries("always taken", r.Learned.TakenRate(), len(keep)),
-		},
+		Series: r.plot(
+			classLine(spec.INT, Series{Label: "int inip", Y: r.avgOver(spec.INT, keep, bpMis)}),
+			classLine(spec.FP, Series{Label: "fp inip", Y: r.avgOver(spec.FP, keep, bpMis)}),
+			classLine(spec.INT, constSeries("int train", r.avgTrain(spec.INT, trainBPMismatch), len(keep))),
+			classLine(spec.FP, constSeries("fp train", r.avgTrain(spec.FP, trainBPMismatch), len(keep))),
+			refLine(constSeries("learned (held-out)", r.Learned.Rate(), len(keep))),
+			refLine(constSeries("always taken", r.Learned.TakenRate(), len(keep))),
+		),
 		Notes: []string{
 			"Learned line is leave-one-benchmark-out: each benchmark is scored by a model that never saw any profile of it.",
 			"Learned/taken lines are branch-level mispredict rates; INIP/train lines repeat Figure 10's range-based mismatch rates for comparison.",

@@ -67,20 +67,21 @@ func (r *Results) FigureP1() Figure {
 		ID: "figp1", Title: "Dynamic predictor mispredict rates vs INIP branch mismatch",
 		XLabel: "retranslation threshold", YLabel: "mispredict / mismatch rate",
 		X: r.xValues(keep),
-		Series: []Series{
-			{Label: "int inip", Y: r.avgOver(spec.INT, keep, bpMis)},
-			{Label: "fp inip", Y: r.avgOver(spec.FP, keep, bpMis)},
-		},
 		Notes: []string{
 			"Predictor lines are threshold-independent: predictors observe the reference trace.",
 			"INIP lines repeat Figure 10's BP mismatch rates for comparison.",
 		},
 	}
-	for _, name := range names {
-		fig.Series = append(fig.Series,
-			constSeries("int "+name, r.avgPredictor(spec.INT, name), len(keep)),
-			constSeries("fp "+name, r.avgPredictor(spec.FP, name), len(keep)))
+	ls := []line{
+		classLine(spec.INT, Series{Label: "int inip", Y: r.avgOver(spec.INT, keep, bpMis)}),
+		classLine(spec.FP, Series{Label: "fp inip", Y: r.avgOver(spec.FP, keep, bpMis)}),
 	}
+	for _, name := range names {
+		ls = append(ls,
+			classLine(spec.INT, constSeries("int "+name, r.avgPredictor(spec.INT, name), len(keep))),
+			classLine(spec.FP, constSeries("fp "+name, r.avgPredictor(spec.FP, name), len(keep))))
+	}
+	fig.Series = r.plot(ls...)
 	return fig
 }
 

@@ -108,6 +108,7 @@ func (r *Results) FigureS1() Figure {
 	}
 	sdBPOf := func(s metrics.Summary) float64 { return s.SdBP }
 	sdLPOf := func(s metrics.Summary) float64 { return s.SdLP }
+	var ls []line
 	for _, cl := range []spec.Class{spec.INT, spec.FP} {
 		dbp := make([]float64, len(periods))
 		dlp := make([]float64, len(periods))
@@ -115,10 +116,11 @@ func (r *Results) FigureS1() Figure {
 			dbp[pi] = r.avgSampleDelta(cl, pi, keep, sdBPOf)
 			dlp[pi] = r.avgSampleDelta(cl, pi, keep, sdLPOf)
 		}
-		fig.Series = append(fig.Series,
-			Series{Label: fmt.Sprintf("%s dSd.BP", cl), Y: dbp},
-			Series{Label: fmt.Sprintf("%s dSd.LP", cl), Y: dlp})
+		ls = append(ls,
+			classLine(cl, Series{Label: fmt.Sprintf("%s dSd.BP", cl), Y: dbp}),
+			classLine(cl, Series{Label: fmt.Sprintf("%s dSd.LP", cl), Y: dlp}))
 	}
+	fig.Series = r.plot(ls...)
 	return fig
 }
 
@@ -139,9 +141,6 @@ func (r *Results) FigureS2() Figure {
 		ID: "figs2", Title: "Profiling overhead vs accuracy frontier of sampled profiling",
 		XLabel: "sampling period", YLabel: "cost ratio / Sd.BP delta",
 		X: x,
-		Series: []Series{
-			{Label: "model 1/period", Y: model},
-		},
 		Notes: []string{
 			"Cost ratio is measured counter updates of the sampled ladder over the full ladder's, averaged per class.",
 			"The 1/period line is the ideal stride-sampling cost model the measurement is compared against.",
@@ -149,6 +148,7 @@ func (r *Results) FigureS2() Figure {
 		},
 	}
 	sdBPOf := func(s metrics.Summary) float64 { return s.SdBP }
+	ls := []line{refLine(Series{Label: "model 1/period", Y: model})}
 	for _, cl := range []spec.Class{spec.INT, spec.FP} {
 		cost := make([]float64, len(periods))
 		dbp := make([]float64, len(periods))
@@ -156,10 +156,11 @@ func (r *Results) FigureS2() Figure {
 			cost[pi] = r.avgSampleCost(cl, pi, keep)
 			dbp[pi] = r.avgSampleDelta(cl, pi, keep, sdBPOf)
 		}
-		fig.Series = append(fig.Series,
-			Series{Label: fmt.Sprintf("%s cost ratio", cl), Y: cost},
-			Series{Label: fmt.Sprintf("%s dSd.BP", cl), Y: dbp})
+		ls = append(ls,
+			classLine(cl, Series{Label: fmt.Sprintf("%s cost ratio", cl), Y: cost}),
+			classLine(cl, Series{Label: fmt.Sprintf("%s dSd.BP", cl), Y: dbp}))
 	}
+	fig.Series = r.plot(ls...)
 	return fig
 }
 

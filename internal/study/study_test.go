@@ -1,9 +1,11 @@
 package study
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/learned"
 	"repro/internal/spec"
 )
 
@@ -92,13 +94,59 @@ func TestFiguresComplete(t *testing.T) {
 			t.Fatalf("%s has no string form", f.ID)
 		}
 	}
-	for _, id := range []string{"fig8", "fig17", "fig18"} {
-		if _, ok := res.FigureByID(id); !ok {
-			t.Fatalf("FigureByID(%s) missed", id)
+}
+
+// TestSubsetFiguresDropEmptyClass: a study with no benchmark of a class
+// plots no line for that class, not a line of zeros that reads as a
+// perfect prediction, in every figure that averages per class. The
+// learned fit needs two benchmarks, so each study selects two of one
+// class; a perlbmk-only INT class leaves "int no perl" nothing to
+// average.
+func TestSubsetFiguresDropEmptyClass(t *testing.T) {
+	for _, c := range []struct {
+		benches []string
+		absent  []string // labels, or label prefixes before a space, that must not plot
+		fig8    []string
+	}{
+		{[]string{"gzip", "vpr"}, []string{"fp"}, []string{"int", "int train"}},
+		{[]string{"swim", "mgrid"}, []string{"int"}, []string{"fp", "fp train"}},
+		{[]string{"perlbmk", "swim"}, []string{"int no perl"}, []string{"int", "fp", "int train", "fp train"}},
+	} {
+		cfg := Config{
+			Scale:         0.001,
+			Thresholds:    []float64{1, 100, 1e3},
+			Predictors:    []string{"2bit"},
+			SamplePeriods: []uint64{1, 4},
+			Learned:       &learned.Config{Model: learned.ModelLogReg},
 		}
-	}
-	if _, ok := res.FigureByID("fig99"); ok {
-		t.Fatal("FigureByID invented a figure")
+		for _, n := range c.benches {
+			cfg.Benchmarks = append(cfg.Benchmarks, spec.ByName(n))
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, f := range res.Figures() {
+			ids = append(ids, f.ID)
+			var labels []string
+			for _, s := range f.Series {
+				labels = append(labels, s.Label)
+				for _, a := range c.absent {
+					if s.Label == a || strings.HasPrefix(s.Label, a+" ") {
+						t.Errorf("%v: %s plots %q", c.benches, f.ID, s.Label)
+					}
+				}
+			}
+			if f.ID == "fig8" && !slices.Equal(labels, c.fig8) {
+				t.Errorf("%v: fig8 plots %q, want %q", c.benches, labels, c.fig8)
+			}
+		}
+		for _, id := range []string{"fig8", "fig10", "fig13", "fig14", "fig15", "fig17", "fig18", "figp1", "figs1", "figs2", "figl1"} {
+			if !slices.Contains(ids, id) {
+				t.Errorf("%v: no %s among %q", c.benches, id, ids)
+			}
+		}
 	}
 }
 
