@@ -399,7 +399,7 @@ func BenchmarkPerfModel(b *testing.B) {
 	acc := perfmodel.NewAccumulator(perfmodel.DefaultParams())
 	for i := 0; i < b.N; i++ {
 		acc.ChargeBlocks(perfmodel.BlockSums{Quick: 7, Profiled: 1, Optimized: 7})
-		acc.ChargeSideExit()
+		acc.ChargeSideExits(1)
 	}
 	acc.Finish()
 }

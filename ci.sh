@@ -375,6 +375,9 @@ done
 # Predictor observers ride the same trace; one pass of their benchmark
 # keeps it building and running (no floor: BENCH_floor.json gates dbt).
 go test -run='^$' -bench 'BenchmarkSuiteRecord' -benchtime=1x ./internal/predict/ > /dev/null
+# One pass of mcf's reference trace behind its threshold ladder, the
+# study's critical path, keeps that benchmark building too (no floor).
+go test -run='^$' -bench 'BenchmarkMcfReference' -benchtime=1x ./internal/spec/ > /dev/null
 micro=$(awk '/^BenchmarkExecBlock\/loop_heavy/ {
     for (i = 2; i <= NF; i++) if ($i == "blocks/s") print $(i - 1) }' "$tmpdir/bench.txt")
 awk -v got="$micro" -v base="$micro_base" -v frac="$frac" 'BEGIN {

@@ -236,6 +236,8 @@ type regionRT struct {
 	nodes []rtNode
 	entry *rtNode
 	last  *rtNode // final block (trace completion target)
+	// trace caches r.Kind == profile.RegionTrace for the exit step.
+	trace bool
 
 	// Per-region execution statistics, used by the adaptive mode and
 	// by continuous trip-count profiling.
@@ -247,21 +249,25 @@ type regionRT struct {
 }
 
 // rtNode is one region member with its in-region successors pre-linked;
-// a nil successor is a region exit.
+// a nil successor is a region exit. tb is the engine's block for the
+// member and id its translation index (tb.id), both set by optimizeWave:
+// the cursor compares block identity, and drainBatch's in-region loop
+// compares id with the recorded successor index instead of loading the
+// block at that index.
+// head marks the region's entry, so a step onto it is a loop-back. The
+// node stays 32 bytes.
 type rtNode struct {
-	rb    *profile.RegionBlock
+	tb    *tblock
 	taken *rtNode
 	fall  *rtNode
-	// addr caches rb.Addr: the region cursor compares it against the
-	// executed block on every region step, and the direct field spares
-	// the rb pointer chase in the replay loop.
-	addr int
+	id    int32
+	head  bool
 }
 
 // newRegionRT links the region's members into an execution-time node
-// graph.
+// graph; optimizeWave fills in each node's block.
 func newRegionRT(r *profile.Region) *regionRT {
-	rt := &regionRT{r: r, nodes: make([]rtNode, len(r.Blocks))}
+	rt := &regionRT{r: r, nodes: make([]rtNode, len(r.Blocks)), trace: r.Kind == profile.RegionTrace}
 	// node returns the member with copy ID id, nil for an exit.
 	node := func(id int) *rtNode {
 		if j := r.Index(id); j >= 0 && id != -1 {
@@ -271,9 +277,10 @@ func newRegionRT(r *profile.Region) *regionRT {
 	}
 	for i := range rt.nodes {
 		rb := &r.Blocks[i]
-		rt.nodes[i] = rtNode{rb: rb, taken: node(rb.TakenNext), fall: node(rb.FallNext), addr: rb.Addr}
+		rt.nodes[i] = rtNode{taken: node(rb.TakenNext), fall: node(rb.FallNext)}
 	}
 	rt.entry = node(r.Entry)
+	rt.entry.head = true
 	rt.last = &rt.nodes[len(rt.nodes)-1]
 	return rt
 }
@@ -387,6 +394,11 @@ type Engine struct {
 	// firsts holds the first occurrences fillBatch recorded in its
 	// current batch (see batch); the buffer is reused across batches.
 	firsts []firstUse
+	// slab holds a follower's blocks not yet handed out: runEngines sizes
+	// it to each batch's first occurrences, and translate takes its
+	// adopted copies from the front, so a follower makes one allocation
+	// per batch that reaches new blocks instead of one per block.
+	slab []tblock
 
 	// Sampled-profiling state (Config.SamplePeriod > 1; see sampling.go).
 	// samplePeriod caches the period, sampleGap is the countdown to the
@@ -568,7 +580,11 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 	var tb *tblock
 	if uint(addr) < uint(len(e.cache)) && e.cache[addr] != nil {
 		d := e.cache[addr]
-		tb = &tblock{addr: d.addr, takenTarget: d.takenTarget, fallTarget: d.fallTarget, end: d.end, term: d.term,
+		if len(e.slab) == 0 {
+			e.slab = make([]tblock, 1)
+		}
+		tb, e.slab = &e.slab[0], e.slab[1:]
+		*tb = tblock{addr: d.addr, takenTarget: d.takenTarget, fallTarget: d.fallTarget, end: d.end, term: d.term,
 			costSum: d.costSum, ninsts: d.ninsts, hasBranch: d.hasBranch, indirect: d.indirect}
 	} else {
 		var err error
@@ -612,8 +628,11 @@ func (e *Engine) translate(addr int) (*tblock, error) {
 // Every piece but registration and regionEdge is small enough to
 // inline into both loops (ci.sh checks sampledEvent, charge and
 // followRegion): a steady-state context block, frozen and inside a
-// region or outside any, then costs no call. Registrations and region
-// exits are rare next to the blocks between them.
+// region or outside any, then costs no call. Registrations are rare
+// next to the blocks between them. Region exits are not (about one
+// block in six leaves a region), so drainBatch's in-region loop runs
+// the exit of a frozen block on the cursor itself, and regionEdge takes
+// the rest: the serial loop's exits and a follower's general step.
 
 // charge adds one executed block to the batch's cycle sums s and returns
 // them: a frozen block runs at full optimized speed only while control
@@ -655,7 +674,7 @@ func (e *Engine) followRegion(tb *tblock, takenEdge bool, next *tblock) bool {
 		e.enterRegion(next.regionEntry)
 		return true
 	}
-	if node.addr != tb.addr {
+	if node.tb != tb {
 		return false
 	}
 	nn := node.fall
@@ -672,13 +691,17 @@ func (e *Engine) followRegion(tb *tblock, takenEdge bool, next *tblock) bool {
 	return true
 }
 
-// regionEdge is the region cursor's cold path after a block tb that left
-// its region: a trace completes when the cursor ran off its last node
-// on the expected path, and anything else is a side exit. The cursor
-// then enters next's region if next is a region entry.
+// regionEdge is the region cursor's outlined path after a block tb that
+// left its region: a trace completes when the cursor ran off its last
+// node on the expected path, and anything else is a side exit. The
+// cursor then enters next's region if next is a region entry. A
+// follower's in-region loop (drainBatch) does the same inline for a
+// frozen block on the cursor, so its cursor and sums stay in registers
+// across the exit; adaptive engines always come here, since a side
+// exit may dissolve the region (leaveRegion).
 func (e *Engine) regionEdge(tb, next *tblock) {
 	rt := e.curRegion
-	e.leaveRegion(rt.r.Kind == profile.RegionTrace && e.onPath(tb) && e.curNode == rt.last)
+	e.leaveRegion(rt.trace && e.onPath(tb) && e.curNode == rt.last)
 	if next != nil && next.regionEntry != nil {
 		e.enterRegion(next.regionEntry)
 	}
@@ -693,7 +716,7 @@ func (e *Engine) enterRegion(rt *regionRT) {
 // onPath reports whether the region cursor is on tb: control is
 // following one of its regions' expected paths.
 func (e *Engine) onPath(tb *tblock) bool {
-	return e.curNode != nil && e.curNode.addr == tb.addr
+	return e.curNode != nil && e.curNode.tb == tb
 }
 
 // sampledEvent is the profiling of one counted block event, the one
@@ -789,8 +812,11 @@ func (e *Engine) optimizeWave() {
 		rt := newRegionRT(r)
 		instTotal := 0
 		for i := range r.Blocks {
+			// Every member was translated when the former read it (Info),
+			// so each node gets its block.
 			if tb := e.lookup(r.Blocks[i].Addr); tb != nil {
 				instTotal += int(tb.ninsts)
+				rt.nodes[i].tb, rt.nodes[i].id = tb, tb.id
 			}
 		}
 		e.rts[r] = rt
@@ -839,9 +865,6 @@ func (e *Engine) leaveRegion(completed bool) {
 		rt.completions++
 	} else {
 		rt.sideExits++
-		if e.perf != nil {
-			e.perf.ChargeSideExit()
-		}
 	}
 	e.curRegion = nil
 	e.curNode = nil
@@ -970,7 +993,8 @@ func (e *Engine) finish() (*profile.Snapshot, *RunStats, error) {
 	snap := e.snapshot()
 	// The region execution counters are kept per region (the adaptive
 	// mode judges each region by its own); the run's totals are their
-	// sums, over dissolved regions too.
+	// sums, over dissolved regions too. Every side exit costs the cycle
+	// model one penalty, charged here from the total rather than per exit.
 	for _, rt := range e.rts {
 		e.stats.RegionEntries += rt.entries
 		e.stats.RegionCompletions += rt.completions
@@ -978,6 +1002,7 @@ func (e *Engine) finish() (*profile.Snapshot, *RunStats, error) {
 		e.stats.RegionSideExits += rt.sideExits
 	}
 	if e.perf != nil {
+		e.perf.ChargeSideExits(e.stats.RegionSideExits)
 		e.perf.Finish()
 		e.stats.Cycles = e.perf.Cycles
 		snap.Cycles = uint64(e.perf.Cycles)

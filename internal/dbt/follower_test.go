@@ -307,3 +307,90 @@ func TestFollowersIndexByTranslationOrder(t *testing.T) {
 		}
 	}
 }
+
+// buildRegionHopper returns a guest of about 30,000 blocks, several
+// replay batches, that walks drainBatch's in-region loop through each of
+// its exits. Per iteration, head falls through to fall (its 1% taken
+// edge side-exits to cold, which stays in no region at a high
+// threshold), fall jumps into inner, a one-block loop region that loops
+// back five times per visit, and a trace grown from head through fall
+// completes straight into that loop's entry. after's branch is taken
+// for the first 600 iterations only, so the region formed through it
+// side-exits on every later pass and an adaptive engine dissolves it.
+// mid's branch first fires in iteration 2970, so a region exit reaches a
+// block not yet translated, and the guest halts right behind the
+// in-region tail. (The halting block itself is never a region member:
+// it runs once, and no wave can place a block before its first run.)
+func buildRegionHopper(tb testing.TB) *guest.Image {
+	tb.Helper()
+	img, err := guest.Assemble(`
+.entry main
+main:
+	loadi r14, 0
+	loadi r10, 3000
+	loadi r13, 6
+	loadi r6, 8110
+	loadi r7, 2970
+	loadi r9, 600
+head:
+	addi r1, r1, 1
+	in r5
+	bge r5, r6, cold
+fall:
+	addi r2, r2, 1
+	jmp inner
+inner:
+	addi r12, r12, 1
+	blt r12, r13, inner
+after:
+	loadi r12, 0
+	addi r14, r14, 1
+	blt r14, r9, early
+mid:
+	bge r14, r7, late
+tail:
+	blt r14, r10, head
+	halt
+cold:
+	addi r4, r4, 1
+	jmp fall
+early:
+	addi r3, r3, 1
+	jmp mid
+late:
+	addi r8, r8, 1
+	jmp tail
+`)
+	if err != nil {
+		tb.Fatalf("Assemble: %v", err)
+	}
+	return img
+}
+
+// TestInRegionReplayMatchesSerial: followers replaying through the
+// in-region loop report exactly a serial run's statistics, snapshot and
+// cycles at thresholds 1, 4 and 64, and so do adaptive followers, which
+// take the general step.
+func TestInRegionReplayMatchesSerial(t *testing.T) {
+	img := buildRegionHopper(t)
+	for _, adaptive := range []bool{false, true} {
+		cfgs := []Config{{Input: "ref"}}
+		for _, threshold := range []uint64{1, 4, 64} {
+			cfgs = append(cfgs, Config{Input: "ref", Optimize: true, Threshold: threshold, RegisterTwice: true,
+				Adaptive: adaptive, AdaptiveMinEntries: 16})
+		}
+		engines := checkFollowersMatchSerial(t, img, "in-region", cfgs)
+		if n := engines[0].stats.BlocksExecuted; n <= 4*replayBatch {
+			t.Fatalf("guest ran %d blocks, want several replay batches", n)
+		}
+		for i, e := range engines[1:] {
+			if s := e.stats; s.RegionLoopBacks == 0 || s.RegionSideExits == 0 || s.RegionCompletions == 0 {
+				t.Errorf("adaptive %t, follower %d: loop-backs %d, side exits %d, completions %d; want all exercised",
+					adaptive, i+1, s.RegionLoopBacks, s.RegionSideExits, s.RegionCompletions)
+			}
+			if adaptive && e.stats.RegionsDissolved == 0 {
+				t.Errorf("adaptive follower %d dissolved no region", i+1)
+			}
+		}
+	}
+}

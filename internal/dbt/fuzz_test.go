@@ -227,13 +227,22 @@ func (r refRun) branches(tb testing.TB, img *guest.Image) []BranchEvent {
 
 // checkFollowerPaths replays the program through shared-trace followers:
 // behind an AVEP driver with the same trap, the optimizing config, a
-// sampled one and an adaptive one must each report exactly what a
-// serial run of that config reports — snapshot, statistics and error.
+// sampled one, an adaptive one, one without freezing, one with
+// continuous trip counts, one registering on convergence and one whose
+// own trap stops it in the second replay batch must each report exactly
+// what a serial run of that config reports — snapshot, statistics and
+// error. The rows cover the preconditions of drainBatch's in-region loop
+// (frozen blocks, no adaptive engine) and its trap stop.
 func checkFollowerPaths(t *testing.T, img *guest.Image) {
 	sampled, adaptive := fuzzConfig(), fuzzConfig()
 	sampled.SamplePeriod, sampled.SampleSeed = 4, 1
 	adaptive.Adaptive, adaptive.AdaptiveMinEntries = true, 4
-	for i, cfg := range []Config{fuzzConfig(), sampled, adaptive} {
+	noFreeze, trips, converge, trapped := fuzzConfig(), fuzzConfig(), fuzzConfig(), fuzzConfig()
+	noFreeze.DisableFreeze = true
+	trips.ContinuousTripCount = true
+	converge.ConvergeRegister = true
+	trapped.TrapAfter = replayBatch + 1001
+	for i, cfg := range []Config{fuzzConfig(), sampled, adaptive, noFreeze, trips, converge, trapped} {
 		cfgs := withPerf([]Config{{TrapAfter: fuzzBudget}, cfg})
 		snaps, statss, err := RunMulti(img, interp.NewUniformTape("fuzz/ref"), cfgs)
 		wantSnap, wantStats, wantErr := Run(img, interp.NewUniformTape("fuzz/ref"), withPerf(cfgs[1:])[0])

@@ -14,7 +14,11 @@
 // executes the guest and profiles its own context inline (the serial
 // Run, and RunMulti's driver), and drainBatch replays a recorded batch
 // through a follower (a sampled follower runs only the counter body on
-// its sampled events; see below). Each follower keeps its own blocks,
+// its sampled events; see below). While a follower's region cursor is
+// on the block about to replay, drainBatch steps the region's node
+// graph instead, in an inner loop that makes no call: that is what the
+// pieces reduce to for a frozen block on a region's expected path, and
+// for its exit into the next region. Each follower keeps its own blocks,
 // counters, region former and perf accumulator, so its snapshot,
 // statistics and cycle totals are bit-for-bit what a serial Run with the
 // same Config would have produced. Tests cross-validate this for every
@@ -196,8 +200,10 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 		// would report that stop. The earliest stop wins, the lowest
 		// index on a tie.
 		for _, e := range followers {
-			// The follower translates the batch's first occurrences.
+			// The follower translates the batch's first occurrences, into
+			// one slab of blocks.
 			e.blocks = slices.Grow(e.blocks, len(b.firsts))
+			e.slab = make([]tblock, len(b.firsts))
 			if err := e.drainBatch(&b); err != nil && (stopErr == nil || e.stats.BlocksExecuted < stopAt) {
 				stopErr, stopAt = err, e.stats.BlocksExecuted
 			}
@@ -326,20 +332,90 @@ func (e *Engine) fillBatch(outs []outcome) (batch, error) {
 // An index not held yet is the batch's next first occurrence. A local
 // copy of e.blocks, which translation would make the loop carry,
 // spilled the batch sums and cost 40-60% per block.
+//
+// Most replayed blocks of an optimizing follower are frozen and run on
+// a region's expected path, so while the region cursor is on the block
+// about to replay, an inner loop steps the region's node graph instead
+// of running the pieces. A frozen block on the cursor counts nothing and
+// charges its cost as optimized, so a step adds the cost to a register
+// sum, counts a loop-back when the successor node is the region's head,
+// and moves to the successor node, provided its id is the recorded next.
+// A block that leaves its region for a translated block counts a trace
+// completion or a side exit, and the cursor enters next's region if
+// next is an entry: regionEdge without the call. The loop makes no call,
+// so the cursor and the sum stay in registers, and the cursor reaches
+// memory once per stretch. It hands back to the general step at a first
+// occurrence, a halt, an unfrozen block (DisableFreeze) and a cursor off
+// the block. An adaptive engine takes the general step throughout: its
+// side exit may dissolve the region, unfreezing its blocks, before
+// next's region is entered. fillBatch keeps the general step only, and
+// serial runs are the oracle the loop is tested against.
 func (e *Engine) drainBatch(b *batch) error {
 	if e.samplePeriod > 1 {
 		return e.drainSampled(b)
 	}
 	limit := uint64(len(b.outs))
 	stop := e.batchStop(limit)
+	outs := b.outs[:stop]
 	// The batch's i-th first occurrence takes translation index base+i.
 	base := len(e.blocks)
 	cur := e.cur
 	var sums perfmodel.BlockSums
-	var n uint64
 	var err error
-	for _, o := range b.outs[:stop] {
-		n++
+	i := 0
+	for i < len(outs) {
+		if node := e.curNode; node != nil && node.tb == cur && !e.cfg.Adaptive {
+			rt, opt := e.curRegion, sums.Optimized
+			for i < len(outs) {
+				o := outs[i]
+				if !cur.frozen || o.halted {
+					break
+				}
+				nn := node.fall
+				if o.taken {
+					nn = node.taken
+				}
+				if nn != nil {
+					if nn.id != o.next {
+						break
+					}
+					if nn.head {
+						rt.loopBacks++
+					}
+					opt += uint64(cur.costSum)
+					node, cur = nn, nn.tb
+					i++
+					continue
+				}
+				if uint(o.next) >= uint(len(e.blocks)) {
+					break
+				}
+				next := e.blocks[o.next]
+				if rt.trace && node == rt.last {
+					rt.completions++
+				} else {
+					rt.sideExits++
+				}
+				opt += uint64(cur.costSum)
+				cur = next
+				i++
+				if rt = next.regionEntry; rt == nil {
+					node = nil
+					break
+				}
+				// The entry node's block is next: optimizeWave set both
+				// from one address.
+				rt.entries++
+				node = rt.entry
+			}
+			e.curRegion, e.curNode = rt, node
+			sums.Optimized = opt
+			if i == len(outs) {
+				break
+			}
+		}
+		o := outs[i]
+		i++
 		tb := cur
 		var next *tblock
 		if uint(o.next) < uint(len(e.blocks)) {
@@ -368,6 +444,7 @@ func (e *Engine) drainBatch(b *batch) error {
 		}
 		cur = next
 	}
+	n := uint64(i)
 	return e.endBatch(cur, b, sums, n, n == stop && stop < limit, err)
 }
 

@@ -144,9 +144,11 @@ func (a *Accumulator) ChargeBlocks(s BlockSums) {
 	a.blocks.OffTrace += s.OffTrace
 }
 
-// ChargeSideExit records one off-trace exit from an optimized region.
-func (a *Accumulator) ChargeSideExit() {
-	a.sideExits++
+// ChargeSideExits records n off-trace exits from optimized regions. A
+// dbt engine counts its side exits per region and charges the run's
+// total once, when the run ends, so no replay loop calls it per exit.
+func (a *Accumulator) ChargeSideExits(n uint64) {
+	a.sideExits += n
 }
 
 // Finish computes Cycles and the breakdown from the class sums. Each

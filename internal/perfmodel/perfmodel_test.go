@@ -33,7 +33,7 @@ func TestChargesAccumulate(t *testing.T) {
 	a.ChargeOptimize(4)                                  // 400
 	a.ChargeBlocks(BlockSums{Quick: 10, Profiled: 1})    // 20 + 3
 	a.ChargeBlocks(BlockSums{Optimized: 8, OffTrace: 8}) // 8 + 12
-	a.ChargeSideExit()                                   // 7
+	a.ChargeSideExits(1)                                 // 7
 	if a.Cycles != 0 {
 		t.Fatalf("Cycles = %v before Finish, want 0", a.Cycles)
 	}
@@ -52,10 +52,10 @@ func TestChargesAccumulate(t *testing.T) {
 		t.Fatalf("optimized breakdown wrong: %+v", a)
 	}
 	// Finish is a function of the sums: a second call after another
-	// charge recomputes the totals.
-	a.ChargeSideExit()
+	// charge, here two side exits at once, recomputes the totals.
+	a.ChargeSideExits(2)
 	a.Finish()
-	if a.PenaltyCycles != 14 || math.Abs(a.Cycles-(want+7)) > 1e-9 {
+	if a.PenaltyCycles != 21 || math.Abs(a.Cycles-(want+14)) > 1e-9 {
 		t.Fatalf("refinished breakdown wrong: %+v", a)
 	}
 }
@@ -80,7 +80,7 @@ func (c charge) apply(a *Accumulator) {
 	case 4:
 		a.ChargeBlocks(BlockSums{OffTrace: uint64(c.n)})
 	case 5:
-		a.ChargeSideExit()
+		a.ChargeSideExits(1)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestQuickBreakdownSums(t *testing.T) {
 			case 4:
 				a.ChargeBlocks(BlockSums{OffTrace: uint64(cost)})
 			case 5:
-				a.ChargeSideExit()
+				a.ChargeSideExits(1)
 			}
 		}
 		a.Finish()

@@ -123,6 +123,9 @@ type Former struct {
 	// buf holds the copies of the region under construction. No region
 	// exceeds its capacity, MaxBlocks, so it never reallocates.
 	buf []profile.RegionBlock
+	// seeds is Form's per-wave seed list, kept across waves so a wave
+	// does not allocate it.
+	seeds []int
 }
 
 // NewFormer returns a Former with the given configuration.
@@ -144,7 +147,10 @@ func (f *Former) Unplace(addr int) { delete(f.placed, addr) }
 // processed hottest-first; candidates that have already been placed are
 // skipped as seeds.
 func (f *Former) Form(p Provider, candidates []int) []*profile.Region {
-	seeds := make([]int, 0, len(candidates))
+	seeds := f.seeds[:0]
+	// A pool of up to 8 candidates, the default trigger, keeps this
+	// set on the stack; a set kept on the Former would cost a heap map
+	// per engine.
 	seen := make(map[int]bool, len(candidates))
 	for _, addr := range candidates {
 		if !seen[addr] {
@@ -152,6 +158,7 @@ func (f *Former) Form(p Provider, candidates []int) []*profile.Region {
 			seeds = append(seeds, addr)
 		}
 	}
+	f.seeds = seeds
 	sort.Slice(seeds, func(i, j int) bool {
 		bi, _ := p.Info(seeds[i])
 		bj, _ := p.Info(seeds[j])

@@ -273,3 +273,32 @@ func TestGoldenLearnedFigures(t *testing.T) {
 		t.Errorf("golden_learned.json drifted from the committed corpus (regenerate with -update if intended)")
 	}
 }
+
+// TestFigureL2DropsEmptyClass: on an INT subset with no biased
+// benchmark (gzip is phase-changing, vpr mixed), figl2 has no x position,
+// note or point for the biased class, rather than plotting it as a
+// perfect 0. Every plotted class names its members.
+func TestFigureL2DropsEmptyClass(t *testing.T) {
+	res, err := Run(Config{
+		Scale:      0.001,
+		Thresholds: []float64{1, 100},
+		Benchmarks: []*spec.Benchmark{spec.ByName("gzip"), spec.ByName("vpr")},
+		Learned:    &learned.Config{Model: learned.ModelLogReg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := res.FigureL2()
+	if want := []float64{2, 3}; !reflect.DeepEqual(fig.X, want) {
+		t.Errorf("figl2 X = %v, want %v", fig.X, want)
+	}
+	for _, s := range fig.Series {
+		if len(s.Y) != len(fig.X) {
+			t.Errorf("figl2 %q has %d points for %d x positions", s.Label, len(s.Y), len(fig.X))
+		}
+	}
+	want := []string{"x=2: mixed", "mixed: vpr", "x=3: phase-changing", "phase-changing: gzip"}
+	if !reflect.DeepEqual(fig.Notes, want) {
+		t.Errorf("figl2 notes = %q, want %q", fig.Notes, want)
+	}
+}

@@ -91,23 +91,16 @@ func (r *Results) FigureL1() Figure {
 // class (biased / mixed / phase-changing, classified statically from
 // the spec behaviour models), learned model next to the always-taken
 // baseline. X carries class ordinals; the notes map them back to names
-// and members.
+// and members. A class with no surviving benchmark has no x position
+// (as in FigureP2), so it is not plotted as a perfect 0.
 func (r *Results) FigureL2() Figure {
-	classes := spec.PredictabilityClasses()
-	x := make([]float64, len(classes))
-	for i := range x {
-		x[i] = float64(i + 1)
-	}
 	fig := Figure{
 		ID: "figl2", Title: "Learned static model accuracy by branch-predictability class",
 		XLabel: "predictability class", YLabel: "mispredict rate",
-		X: x,
 	}
-	learnedY := make([]float64, len(classes))
-	takenY := make([]float64, len(classes))
-	for ci, pc := range classes {
-		fig.Notes = append(fig.Notes, fmt.Sprintf("x=%d: %s", ci+1, pc))
-		n := 0
+	var learnedY, takenY []float64
+	for ci, pc := range spec.PredictabilityClasses() {
+		var lsum, tsum float64
 		var members []string
 		for bi := range r.Series {
 			s := &r.Series[bi]
@@ -123,16 +116,18 @@ func (r *Results) FigureL2() Figure {
 				continue
 			}
 			tr, _ := r.learnedFoldRate(s.Name, true)
-			learnedY[ci] += lr
-			takenY[ci] += tr
-			n++
+			lsum += lr
+			tsum += tr
 			members = append(members, s.Name)
 		}
-		if n > 0 {
-			learnedY[ci] /= float64(n)
-			takenY[ci] /= float64(n)
+		if len(members) == 0 {
+			continue
 		}
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", pc, joinNames(members)))
+		n := float64(len(members))
+		fig.X = append(fig.X, float64(ci+1))
+		learnedY = append(learnedY, lsum/n)
+		takenY = append(takenY, tsum/n)
+		fig.Notes = append(fig.Notes, fmt.Sprintf("x=%d: %s", ci+1, pc), fmt.Sprintf("%s: %s", pc, joinNames(members)))
 	}
 	fig.Series = append(fig.Series,
 		Series{Label: "learned (held-out)", Y: learnedY},
