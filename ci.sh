@@ -372,9 +372,21 @@ for gate in "allocs/op $alloc_ceil" "B/op $bytes_ceil"; do
         }
     }'
 done
-# Predictor observers ride the same trace; one pass of their benchmark
-# keeps it building and running (no floor: BENCH_floor.json gates dbt).
-go test -run='^$' -bench 'BenchmarkSuiteRecord' -benchtime=1x ./internal/predict/ > /dev/null
+# Predictor observers ride the same trace; one pass of their batch
+# benchmark keeps it building and running (no floor: its ns/branch
+# depends on the host).
+go test -run='^$' -bench 'BenchmarkObserve' -benchtime=1x ./internal/predict/ > /dev/null
+# The learned tree's cross validation allocates a fixed count per op
+# (its fit buffers and nodes), held to a ceiling like RunMulti's.
+cv_ceil=$(sed -n 's/.*"crossvalidate_tree_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_floor.json)
+cv_got=$(go test -run='^$' -bench 'BenchmarkCrossValidateTree' -benchmem -benchtime=1x ./internal/learned/ |
+    awk '/^BenchmarkCrossValidateTree/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1) }')
+awk -v got="$cv_got" -v ceil="$cv_ceil" 'BEGIN {
+    if (got == "" || ceil == "" || got + 0 > ceil + 0) {
+        printf "BenchmarkCrossValidateTree: %s allocs/op, ceiling %s\n", got, ceil > "/dev/stderr"
+        exit 1
+    }
+}'
 # One pass of mcf's reference trace behind its threshold ladder, the
 # study's critical path, keeps that benchmark building too (no floor).
 go test -run='^$' -bench 'BenchmarkMcfReference' -benchtime=1x ./internal/spec/ > /dev/null

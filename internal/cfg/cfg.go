@@ -169,9 +169,10 @@ func (g *Graph) ReversePostorder() []int {
 	return post
 }
 
-// Dominators computes the immediate dominator of every reachable block
+// dominators computes the immediate dominator of every reachable block
 // (the entry dominates itself), using the Cooper–Harvey–Kennedy
-// iterative algorithm over reverse postorder.
+// iterative algorithm over reverse postorder. It also returns the
+// reverse postorder and each reachable block's position in it.
 //
 // Defined behavior on pathological graphs: blocks unreachable from the
 // entry are absent from the result (they have no dominator), and
@@ -180,13 +181,13 @@ func (g *Graph) ReversePostorder() []int {
 // strictly down the already-computed RPO prefix. Callers holding a
 // block start that is missing from the map must treat it as
 // unreachable, not as an error.
-func (g *Graph) Dominators() map[int]int {
-	rpo := g.ReversePostorder()
-	index := make(map[int]int, len(rpo))
+func (g *Graph) dominators() (idom map[int]int, rpo []int, index map[int]int) {
+	rpo = g.ReversePostorder()
+	index = make(map[int]int, len(rpo))
 	for i, s := range rpo {
 		index[s] = i
 	}
-	idom := make(map[int]int, len(rpo))
+	idom = make(map[int]int, len(rpo))
 	idom[g.Entry] = g.Entry
 	intersect := func(a, b int) int {
 		for a != b {
@@ -226,7 +227,7 @@ func (g *Graph) Dominators() map[int]int {
 			}
 		}
 	}
-	return idom
+	return idom, rpo, index
 }
 
 // Dominates reports whether a dominates b under the given idom map.
@@ -264,12 +265,18 @@ type Loop struct {
 // body: the body walk is clamped to the dominator-analyzed region, so
 // an unreachable block with an edge into a loop is skipped rather than
 // absorbed.
+//
+// A dominator precedes every block it dominates in reverse postorder,
+// so only a retreating edge, one whose target sits at or before its
+// source in that order, can be a back edge; forward edges skip the
+// dominator walk, which would otherwise climb to the entry for each of
+// them.
 func (g *Graph) NaturalLoops() []Loop {
-	idom := g.Dominators()
+	idom, rpo, index := g.dominators()
 	byHead := make(map[int]map[int]bool)
-	for _, s := range g.ReversePostorder() {
+	for _, s := range rpo {
 		for _, succ := range g.Blocks[s].Succs {
-			if Dominates(idom, succ, s) {
+			if i, ok := index[succ]; ok && i <= index[s] && Dominates(idom, succ, s) {
 				// Back edge s -> succ.
 				body := byHead[succ]
 				if body == nil {

@@ -1,10 +1,13 @@
 package cfg_test
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/cfg"
+	"repro/internal/spec"
 )
 
 // finishes guards against analysis livelock: the satellite contract is
@@ -196,4 +199,84 @@ func TestHandBuiltDanglingEntry(t *testing.T) {
 			t.Errorf("loops = %+v, want none", loops)
 		}
 	})
+}
+
+// unfilteredLoops is NaturalLoops without the reverse-postorder edge
+// filter: it asks the dominator walk about every edge.
+func unfilteredLoops(g *cfg.Graph) []cfg.Loop {
+	idom := g.Dominators()
+	byHead := make(map[int]map[int]bool)
+	for _, s := range g.ReversePostorder() {
+		for _, succ := range g.Blocks[s].Succs {
+			if !cfg.Dominates(idom, succ, s) {
+				continue
+			}
+			body := byHead[succ]
+			if body == nil {
+				body = map[int]bool{succ: true}
+				byHead[succ] = body
+			}
+			stack := []int{s}
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if body[n] {
+					continue
+				}
+				body[n] = true
+				for _, p := range g.Preds[n] {
+					if _, ok := idom[p]; ok {
+						stack = append(stack, p)
+					}
+				}
+			}
+		}
+	}
+	heads := make([]int, 0, len(byHead))
+	for h := range byHead {
+		heads = append(heads, h)
+	}
+	sort.Ints(heads)
+	out := make([]cfg.Loop, 0, len(heads))
+	for _, h := range heads {
+		out = append(out, cfg.Loop{Head: h, Body: byHead[h]})
+	}
+	return out
+}
+
+// TestNaturalLoopsMatchUnfilteredWalk pins the edge filter: on every
+// spec image and on the pathological graphs, NaturalLoops finds the
+// same loops as the walk that tests every edge for dominance.
+func TestNaturalLoopsMatchUnfilteredWalk(t *testing.T) {
+	graphs := map[string]*cfg.Graph{
+		"unreachable cycle": handGraph(0, map[int][]int{0: {1}, 1: {}, 10: {11, 1}, 11: {10}}),
+		"dangling entry":    handGraph(99, map[int][]int{0: {0}}),
+		"dangling target":   handGraph(0, map[int][]int{0: {1, 7}, 1: {0, 2}, 2: {2, 1}}),
+		"two-entry cycle":   handGraph(0, map[int][]int{0: {1, 2}, 1: {2}, 2: {1, 3}, 3: {0}}),
+	}
+	for name, src := range map[string]string{
+		"unreachable into loop": unreachableIntoLoopSrc,
+		"self loop":             "\n.entry main\nmain:\n\tloadi r1, 10\nloop:\n\tbne r1, r0, loop\n\thalt\n",
+	} {
+		g, err := cfg.Build(mustAssemble(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[name] = g
+	}
+	for _, b := range spec.Suite() {
+		img, _, err := b.Build("ref", 0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if graphs[b.Name], err = cfg.Build(img); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+	}
+	for name, g := range graphs {
+		got, want := g.NaturalLoops(), unfilteredLoops(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: NaturalLoops = %+v, unfiltered walk %+v", name, got, want)
+		}
+	}
 }

@@ -559,16 +559,6 @@ func (b *benchRun) recordFailure(unit string, t uint64, err error) {
 	b.mu.Unlock()
 }
 
-// suiteObserver adapts a predict.Suite to the dbt trace observer: one
-// Record call per resolved conditional branch, in architectural order.
-type suiteObserver struct{ suite *predict.Suite }
-
-func (o suiteObserver) ObserveBranches(evs []dbt.BranchEvent) {
-	for _, ev := range evs {
-		o.suite.Record(ev.PC, ev.Taken)
-	}
-}
-
 // newLearnedCollector extracts the static branch-site features and
 // builds the tally observer for the learned predictor class.
 // Extraction is pure static analysis of the image (internal/cfg + a
@@ -659,7 +649,7 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 		if suite, err = predict.NewSuite(b.opts.Predictors); err != nil {
 			return refEntry{}, err
 		}
-		observers = append(observers, suiteObserver{suite})
+		observers = append(observers, suite)
 	}
 	var col *learned.Collector
 	if b.opts.Learned != nil {

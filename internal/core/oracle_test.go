@@ -63,7 +63,7 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 		if suite, err = predict.NewSuite(opts.Predictors); err != nil {
 			t.Fatal(err)
 		}
-		observers = append(observers, suiteObserver{suite})
+		observers = append(observers, suite)
 	}
 	var col *learned.Collector
 	if opts.Learned != nil {

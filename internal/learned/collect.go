@@ -12,8 +12,12 @@ import "repro/internal/dbt"
 // concurrent use: the branch stream is architectural order, which is
 // inherently serial.
 type Collector struct {
-	sites   []Site
-	index   map[int32]int
+	sites []Site
+	// index maps a code address to 1 + its site's position in sites; 0
+	// means no site. It spans the addresses up to the highest site PC;
+	// a site at a negative PC, which no branch event carries, is left
+	// out.
+	index   []int32
 	count   []uint64
 	taken   []uint64
 	unknown uint64
@@ -23,27 +27,37 @@ type Collector struct {
 func NewCollector(sites []Site) *Collector {
 	c := &Collector{
 		sites: sites,
-		index: make(map[int32]int, len(sites)),
 		count: make([]uint64, len(sites)),
 		taken: make([]uint64, len(sites)),
 	}
+	var span int32
 	for i := range sites {
-		c.index[sites[i].PC] = i
+		span = max(span, sites[i].PC+1)
+	}
+	c.index = make([]int32, span)
+	for i := range sites {
+		if pc := sites[i].PC; pc >= 0 {
+			c.index[pc] = int32(i) + 1
+		}
 	}
 	return c
 }
 
-// ObserveBranches implements dbt.TraceObserver.
+// ObserveBranches implements dbt.TraceObserver. A branch at an address
+// out of the index's range or without a site counts as unknown.
 func (c *Collector) ObserveBranches(evs []dbt.BranchEvent) {
 	for _, ev := range evs {
-		i, ok := c.index[ev.PC]
-		if !ok {
+		var i int32
+		if uint32(ev.PC) < uint32(len(c.index)) {
+			i = c.index[ev.PC]
+		}
+		if i == 0 {
 			c.unknown++
 			continue
 		}
-		c.count[i]++
+		c.count[i-1]++
 		if ev.Taken {
-			c.taken[i]++
+			c.taken[i-1]++
 		}
 	}
 }

@@ -18,6 +18,13 @@
 // ascending PC order, model arithmetic is plain float64 in a fixed
 // evaluation order, and no code path iterates a Go map. Equal inputs
 // produce bit-equal models, predictions and serialized results.
+//
+// The work per event, per edge and per node is kept flat: the trace
+// collector finds a branch's site through a dense index over code
+// addresses, the loop finder tests only retreating edges for
+// dominance, and the tree fit sorts each feature once per fit and
+// partitions those orders stably at every split instead of sorting
+// again at each node.
 package learned
 
 import (

@@ -16,7 +16,7 @@ const testScale = 0.001
 
 // collect runs one benchmark's cheap collection pass: extract sites,
 // execute the reference input once, tally branches.
-func collect(t *testing.T, name string) learned.BenchData {
+func collect(t testing.TB, name string) learned.BenchData {
 	t.Helper()
 	b := spec.ByName(name)
 	if b == nil {
@@ -37,7 +37,7 @@ func collect(t *testing.T, name string) learned.BenchData {
 	return col.BenchData(b.Name)
 }
 
-func suiteData(t *testing.T) []learned.BenchData {
+func suiteData(t testing.TB) []learned.BenchData {
 	t.Helper()
 	var data []learned.BenchData
 	for _, b := range spec.Suite() {
@@ -143,6 +143,24 @@ func TestCollectorSeesNoUnknownSites(t *testing.T) {
 	}
 }
 
+// The dense site index counts an event at an address with no site, or
+// outside the index's range, as unknown, and tallies the rest.
+func TestCollectorCountsUnknownAddresses(t *testing.T) {
+	col := learned.NewCollector([]learned.Site{{PC: 3}, {PC: 10}})
+	col.ObserveBranches([]dbt.BranchEvent{
+		{PC: 3, Taken: true}, {PC: 10}, {PC: 3}, {PC: 0}, {PC: 5},
+		{PC: 11, Taken: true}, {PC: -1}, {PC: 1 << 30},
+	})
+	got := col.BenchData("toy")
+	if got.Unknown != 5 {
+		t.Fatalf("unknown = %d, want 5", got.Unknown)
+	}
+	want := []learned.Site{{PC: 3, Count: 2, Taken: 1}, {PC: 10, Count: 1}}
+	if !reflect.DeepEqual(got.Sites, want) {
+		t.Fatalf("sites = %+v, want %+v", got.Sites, want)
+	}
+}
+
 func TestCollectDeterministicAcrossRuns(t *testing.T) {
 	d1 := collect(t, "gzip")
 	d2 := collect(t, "gzip")
@@ -200,6 +218,24 @@ func TestHeldOutBeatsAlwaysTaken(t *testing.T) {
 		if mis >= takenMis {
 			t.Errorf("%s: held-out mispredicts %d not better than always-taken %d",
 				cfg.Fingerprint(), mis, takenMis)
+		}
+	}
+}
+
+// BenchmarkCrossValidateTree runs the tree model's leave-one-out cross
+// validation over the whole suite's tallies at scale 0.001 (26 folds
+// and the full fit). Its allocs/op is a count independent of host
+// speed, and ci.sh holds it to a ceiling in BENCH_floor.json:
+//
+//	go test ./internal/learned -run '^$' -bench CrossValidateTree -benchmem
+func BenchmarkCrossValidateTree(b *testing.B) {
+	data := suiteData(b)
+	cfg := learned.Config{Model: learned.ModelTree}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := learned.CrossValidate(cfg, data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -13,7 +13,7 @@ package learned
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Model predicts a branch direction from a static feature vector.
@@ -197,15 +197,6 @@ func (m mass) score() float64 {
 	return m.wT * m.wN / t
 }
 
-func nodeMass(ex []example) mass {
-	var m mass
-	for i := range ex {
-		m.wT += float64(ex[i].w * ex[i].y)
-		m.wN += float64(ex[i].w * (1 - ex[i].y))
-	}
-	return m
-}
-
 func leaf(m mass) *TreeNode {
 	n := &TreeNode{Leaf: true, Taken: m.wT >= m.wN}
 	if t := m.total(); t > 0 {
@@ -214,44 +205,94 @@ func leaf(m mass) *TreeNode {
 	return n
 }
 
-func trainTree(cfg Config, ex []example) *Tree {
-	t := &Tree{gain: make([]float64, len(featureNames))}
-	t.Root = t.build(ex, cfg.TreeDepth)
-	return t
+// treeFit is one tree fit's working set. Each example's taken and
+// not-taken masses are computed once, and each feature's example
+// indices are stable-sorted by value once per fit. A node owns one
+// range [lo, hi) of idx, which lists its members in example order, and
+// the same range of every order[f], which lists them by feature value.
+// A split partitions every list of its range stably into left and
+// right, so each child's order[f] is again exactly the stable sort of
+// its members in example order. Every sum therefore runs in the order
+// a fit that sorts at each node would use, and trees and gains are
+// bit-identical to such a fit (the tests' oracle).
+type treeFit struct {
+	ex      []example
+	wT, wN  []float64 // per example: float64(w*y), float64(w*(1-y))
+	idx     []int32
+	order   [][]int32 // per feature; order[0], the bias, is unused
+	goLeft  []bool    // per example: the current split's side
+	scratch []int32
+	gain    []float64
 }
 
-func (t *Tree) build(ex []example, depth int) *TreeNode {
-	m := nodeMass(ex)
-	if depth == 0 || len(ex) < 2 || m.score() == 0 {
+func trainTree(cfg Config, ex []example) *Tree {
+	nf, n := len(featureNames), len(ex)
+	f := &treeFit{
+		ex:      ex,
+		wT:      make([]float64, n),
+		wN:      make([]float64, n),
+		idx:     make([]int32, n),
+		order:   make([][]int32, nf),
+		goLeft:  make([]bool, n),
+		scratch: make([]int32, n),
+		gain:    make([]float64, nf),
+	}
+	for i := range ex {
+		f.wT[i] = float64(ex[i].w * ex[i].y)
+		f.wN[i] = float64(ex[i].w * (1 - ex[i].y))
+		f.idx[i] = int32(i)
+	}
+	// Features are finite, so < is a strict weak order and the stable
+	// sort of a subset is the subset of the stable sort.
+	orders := make([]int32, (nf-1)*n)
+	for j := 1; j < nf; j++ {
+		ord := orders[(j-1)*n : j*n]
+		copy(ord, f.idx)
+		slices.SortStableFunc(ord, func(a, b int32) int {
+			switch xa, xb := ex[a].x[j], ex[b].x[j]; {
+			case xa < xb:
+				return -1
+			case xb < xa:
+				return 1
+			}
+			return 0
+		})
+		f.order[j] = ord
+	}
+	return &Tree{Root: f.build(0, n, cfg.TreeDepth), gain: f.gain}
+}
+
+// build fits the node over range [lo, hi) of the fit's lists.
+func (f *treeFit) build(lo, hi, depth int) *TreeNode {
+	var m mass
+	for _, i := range f.idx[lo:hi] {
+		m.wT += f.wT[i]
+		m.wN += f.wN[i]
+	}
+	if depth == 0 || hi-lo < 2 || m.score() == 0 {
 		return leaf(m)
 	}
 	// Best split: lowest child-score sum; ties break on the lowest
 	// feature index, then the lowest threshold, for determinism.
 	best := m.score()
 	bestFeat, bestThresh := -1, 0.0
-	order := make([]int, len(ex))
-	for f := 1; f < len(featureNames); f++ { // 0 is the constant bias
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return ex[order[a]].x[f] < ex[order[b]].x[f]
-		})
+	for j := 1; j < len(f.order); j++ { // 0 is the constant bias
+		ord := f.order[j][lo:hi]
 		var left mass
 		right := m
-		for k := 0; k+1 < len(order); k++ {
-			e := &ex[order[k]]
-			left.wT += float64(e.w * e.y)
-			left.wN += float64(e.w * (1 - e.y))
-			right.wT -= float64(e.w * e.y)
-			right.wN -= float64(e.w * (1 - e.y))
-			v, next := e.x[f], ex[order[k+1]].x[f]
+		for k := 0; k+1 < len(ord); k++ {
+			i := ord[k]
+			left.wT += f.wT[i]
+			left.wN += f.wN[i]
+			right.wT -= f.wT[i]
+			right.wN -= f.wN[i]
+			v, next := f.ex[i].x[j], f.ex[ord[k+1]].x[j]
 			if v == next {
 				continue
 			}
 			if s := left.score() + right.score(); s < best {
 				best = s
-				bestFeat = f
+				bestFeat = j
 				bestThresh = (v + next) / 2
 			}
 		}
@@ -259,19 +300,38 @@ func (t *Tree) build(ex []example, depth int) *TreeNode {
 	if bestFeat < 0 {
 		return leaf(m)
 	}
-	t.gain[bestFeat] += m.score() - best
-	var lo, hi []example
-	for i := range ex {
-		if ex[i].x[bestFeat] < bestThresh {
-			lo = append(lo, ex[i])
-		} else {
-			hi = append(hi, ex[i])
+	f.gain[bestFeat] += m.score() - best
+	nl := 0
+	for _, i := range f.idx[lo:hi] {
+		l := f.ex[i].x[bestFeat] < bestThresh
+		f.goLeft[i] = l
+		if l {
+			nl++
 		}
+	}
+	f.partition(f.idx[lo:hi])
+	for _, ord := range f.order[1:] {
+		f.partition(ord[lo:hi])
 	}
 	return &TreeNode{
 		Feature: bestFeat,
 		Thresh:  bestThresh,
-		Left:    t.build(lo, depth-1),
-		Right:   t.build(hi, depth-1),
+		Left:    f.build(lo, lo+nl, depth-1),
+		Right:   f.build(lo+nl, hi, depth-1),
 	}
+}
+
+// partition reorders seg stably in place: the members that go left,
+// then those that go right, each in their order in seg.
+func (f *treeFit) partition(seg []int32) {
+	l, r := 0, f.scratch[:0]
+	for _, i := range seg {
+		if f.goLeft[i] {
+			seg[l] = i
+			l++
+		} else {
+			r = append(r, i)
+		}
+	}
+	copy(seg[l:], r)
 }

@@ -6,31 +6,35 @@
 // stream?
 //
 // Every predictor is a pure, deterministic state machine behind one
-// interface — Predict(pc) then Update(pc, taken), called once per
-// resolved conditional branch in architectural order. Predictors are
-// driven from the shared reference trace (dbt.RunMultiObserved), so the
-// guest still executes exactly once and the predictor pass perturbs no
-// profiling counter: mispredict counts are a pure function of the
-// branch stream, identical across worker counts and follower counts.
+// method, Observe, that folds a batch of resolved conditional branches
+// in architectural order: for each branch it predicts, counts a
+// mispredict and trains, in one loop of its own with its history in
+// locals. The Suite is itself the trace observer of the shared
+// reference trace (dbt.RunMultiObserved), so the guest still executes
+// exactly once and the predictor pass perturbs no profiling counter:
+// mispredict counts are a pure function of the branch stream, identical
+// across worker counts, follower counts and batch boundaries.
 package predict
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/dbt"
 )
 
-// Predictor is one dynamic branch predictor. For each resolved
-// conditional branch the driver calls Predict then Update, in
-// architectural order; pc is the branch block's entry address.
-// Implementations must be deterministic: equal call sequences must
-// yield equal predictions.
+// Predictor is one dynamic branch predictor. Observe predicts each
+// branch of evs in order, counts it when the prediction misses, and
+// trains on its actual direction before the next; the event's PC is the
+// branch block's entry address. Implementations must be deterministic,
+// and a stream split into batches anywhere must give the same count and
+// state as the whole stream in one call.
 type Predictor interface {
 	// Name returns the registry name the predictor was created under.
 	Name() string
-	// Predict returns the predicted direction of the branch at pc.
-	Predict(pc int32) bool
-	// Update trains the predictor with the branch's actual direction.
-	Update(pc int32, taken bool)
+	// Observe folds evs into the predictor and returns how many of them
+	// it mispredicted.
+	Observe(evs []dbt.BranchEvent) (mispredicts uint64)
 }
 
 // Names lists every registered predictor in canonical order; figure
@@ -105,11 +109,13 @@ func (r Result) MispredictRate() float64 {
 }
 
 // Suite drives a set of predictors over one branch stream and counts
-// each one's mispredictions. Not safe for concurrent use: the stream
+// each one's mispredictions. It is a dbt.TraceObserver: each batch goes
+// to every predictor in turn. Not safe for concurrent use: the stream
 // is architectural order, which is inherently serial.
 type Suite struct {
 	preds []Predictor
 	res   []Result
+	one   [1]dbt.BranchEvent // Record's batch, kept here so it does not escape per call
 }
 
 // NewSuite builds one fresh predictor per name.
@@ -129,15 +135,21 @@ func NewSuite(names []string) (*Suite, error) {
 	return s, nil
 }
 
-// Record feeds one resolved branch to every predictor.
-func (s *Suite) Record(pc int32, taken bool) {
+// ObserveBranches implements dbt.TraceObserver: every predictor folds
+// the whole batch before the next one starts. Predictors share no
+// state, so the order across predictors does not matter.
+func (s *Suite) ObserveBranches(evs []dbt.BranchEvent) {
 	for i, p := range s.preds {
-		if p.Predict(pc) != taken {
-			s.res[i].Mispredicts++
-		}
-		s.res[i].Branches++
-		p.Update(pc, taken)
+		s.res[i].Mispredicts += p.Observe(evs)
+		s.res[i].Branches += uint64(len(evs))
 	}
+}
+
+// Record feeds one resolved branch to every predictor: a one-event
+// batch through ObserveBranches.
+func (s *Suite) Record(pc int32, taken bool) {
+	s.one[0] = dbt.BranchEvent{PC: pc, Taken: taken}
+	s.ObserveBranches(s.one[:])
 }
 
 // Results returns a copy of the per-predictor tallies, in suite order.
@@ -156,6 +168,16 @@ const (
 
 func bhtIndex(pc int32) int { return int(uint32(pc)) & bhtMask }
 
+// b2u is 1 for true and 0 for false; the compiler turns it into a flag
+// move, so the loops below count and step without a data-dependent
+// branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // staticPredictor always predicts one direction (always-taken /
 // always-not-taken). Its mispredict rate is the branch stream's
 // direction bias, the baseline every dynamic scheme is measured
@@ -165,9 +187,16 @@ type staticPredictor struct {
 	dir  bool
 }
 
-func (p staticPredictor) Name() string       { return p.name }
-func (p staticPredictor) Predict(int32) bool { return p.dir }
-func (p staticPredictor) Update(int32, bool) {}
+func (p staticPredictor) Name() string { return p.name }
+
+// Observe counts the branches that went the other way.
+func (p staticPredictor) Observe(evs []dbt.BranchEvent) uint64 {
+	var mis uint64
+	for _, ev := range evs {
+		mis += uint64(b2u(ev.Taken != p.dir))
+	}
+	return mis
+}
 
 // oneBit is the 1-bit last-direction scheme: each table entry predicts
 // whatever its branch last did. Entries start not-taken.
@@ -176,11 +205,22 @@ type oneBit struct {
 }
 
 func (p *oneBit) Name() string { return "1bit" }
-func (p *oneBit) Predict(pc int32) bool {
-	return p.table[bhtIndex(pc)]
+
+func (p *oneBit) Observe(evs []dbt.BranchEvent) uint64 {
+	var mis uint64
+	t := &p.table
+	for _, ev := range evs {
+		i := bhtIndex(ev.PC)
+		mis += uint64(b2u(t[i] != ev.Taken))
+		t[i] = ev.Taken
+	}
+	return mis
 }
-func (p *oneBit) Update(pc int32, taken bool) {
-	p.table[bhtIndex(pc)] = taken
+
+// step2 moves a 2-bit saturating counter one step toward the branch's
+// direction, clamped to 0..3 with min/max instead of a branch.
+func step2(c uint8, taken bool) uint8 {
+	return uint8(min(max(int32(c)+2*int32(b2u(taken))-1, 0), 3))
 }
 
 // twoBit is the 2-bit saturating-counter scheme: counters 0..3 predict
@@ -199,18 +239,17 @@ func newTwoBit() *twoBit {
 }
 
 func (p *twoBit) Name() string { return "2bit" }
-func (p *twoBit) Predict(pc int32) bool {
-	return p.table[bhtIndex(pc)] >= 2
-}
-func (p *twoBit) Update(pc int32, taken bool) {
-	i := bhtIndex(pc)
-	if taken {
-		if p.table[i] < 3 {
-			p.table[i]++
-		}
-	} else if p.table[i] > 0 {
-		p.table[i]--
+
+func (p *twoBit) Observe(evs []dbt.BranchEvent) uint64 {
+	var mis uint64
+	t := &p.table
+	for _, ev := range evs {
+		i := bhtIndex(ev.PC)
+		c := t[i]
+		mis += uint64(b2u((c >= 2) != ev.Taken))
+		t[i] = step2(c, ev.Taken)
 	}
+	return mis
 }
 
 // gshare is the two-level global scheme: a global history register
@@ -232,27 +271,19 @@ func newGShare() *gshare {
 
 func (p *gshare) Name() string { return "gshare" }
 
-func (p *gshare) index(pc int32) int {
-	return int((uint32(pc) ^ p.hist) & bhtMask)
-}
-
-func (p *gshare) Predict(pc int32) bool {
-	return p.table[p.index(pc)] >= 2
-}
-
-func (p *gshare) Update(pc int32, taken bool) {
-	i := p.index(pc)
-	if taken {
-		if p.table[i] < 3 {
-			p.table[i]++
-		}
-	} else if p.table[i] > 0 {
-		p.table[i]--
+func (p *gshare) Observe(evs []dbt.BranchEvent) uint64 {
+	var mis uint64
+	t := &p.table
+	hist := p.hist
+	for _, ev := range evs {
+		i := (uint32(ev.PC) ^ hist) & bhtMask
+		c := t[i]
+		mis += uint64(b2u((c >= 2) != ev.Taken))
+		t[i] = step2(c, ev.Taken)
+		hist = (hist<<1 | b2u(ev.Taken)) & bhtMask
 	}
-	p.hist = (p.hist << 1) & bhtMask
-	if taken {
-		p.hist |= 1
-	}
+	p.hist = hist
+	return mis
 }
 
 // Perceptron geometry: each of percRows rows holds a bias weight plus
@@ -261,6 +292,7 @@ func (p *gshare) Update(pc int32, taken bool) {
 // floor(1.93*h + 14) threshold for h history bits.
 const (
 	percHistBits = 16
+	percHistMask = 1<<percHistBits - 1
 	percRows     = 512
 	percRowMask  = percRows - 1
 	percTheta    = 44
@@ -268,76 +300,67 @@ const (
 	percWMin     = -128
 )
 
+// percRow is one perceptron row: the bias weight, then one weight per
+// history bit, oldest last.
+type percRow = [percHistBits + 1]int16
+
 // perceptron is the perceptron predictor: predicted direction is the
 // sign of bias + Σ weight[i]·history[i], with history bits as ±1.
 type perceptron struct {
 	hist    uint32 // low percHistBits bits, newest outcome in bit 0
-	weights [percRows][percHistBits + 1]int16
-	// Predict caches its dot product for the Update of the same branch,
-	// so each branch computes it once. sumOK is cleared by every Update,
-	// which changes weights or history; an Update of another pc, or with
-	// no Predict before it, recomputes.
-	sumPC int32
-	sum   int32
-	sumOK bool
+	weights [percRows]percRow
 }
 
 func newPerceptron() *perceptron { return &perceptron{} }
 
 func (p *perceptron) Name() string { return "perceptron" }
 
-// output computes the dot product for pc under the current history.
-// Each ±w term is (w ^ m) - m with m = 0 for a set history bit and -1
-// for a clear one, which is w or -w without a data-dependent branch.
-func (p *perceptron) output(pc int32) int32 {
-	w := &p.weights[int(uint32(pc))&percRowMask]
-	sum := int32(w[0])
-	h := p.hist
+// dot computes a row's dot product under history h. Each ±w term is
+// (w ^ m) - m with m = 0 for a set history bit and -1 for a clear one,
+// which is w or -w without a data-dependent branch. The terms are
+// written out because Go does not unroll loops: unrolled, no term waits
+// on a shifted copy of h, and the sum is exact in any order.
+func dot(w *percRow, h uint32) int32 {
+	t := func(i int) int32 {
+		m := int32(h>>(i-1)&1) - 1
+		return (int32(w[i]) ^ m) - m
+	}
+	return int32(w[0]) + (t(1) + t(2) + t(3) + t(4)) + (t(5) + t(6) + t(7) + t(8)) +
+		(t(9) + t(10) + t(11) + t(12)) + (t(13) + t(14) + t(15) + t(16))
+}
+
+// train moves every weight of a row one step toward agreement with the
+// branch's direction, saturating at the int8 range with min/max: the
+// bias toward the direction, each history weight up when its bit
+// agrees with the direction and down when it does not.
+func train(w *percRow, h uint32, taken bool) {
+	t := int32(b2u(taken))
+	w[0] = int16(min(max(int32(w[0])+2*t-1, percWMin), percWMax))
 	for i := 1; i <= percHistBits; i++ {
-		m := int32(h&1) - 1
-		sum += (int32(w[i]) ^ m) - m
-		h >>= 1
+		d := 1 - 2*(int32(h>>(i-1)&1)^t)
+		w[i] = int16(min(max(int32(w[i])+d, percWMin), percWMax))
 	}
-	return sum
 }
 
-func (p *perceptron) Predict(pc int32) bool {
-	p.sumPC, p.sum, p.sumOK = pc, p.output(pc), true
-	return p.sum >= 0
-}
-
-func (p *perceptron) Update(pc int32, taken bool) {
-	sum := p.sum
-	if !p.sumOK || p.sumPC != pc {
-		sum = p.output(pc)
-	}
-	p.sumOK = false
-	pred := sum >= 0
-	// Train on a mispredict or while |output| has not cleared theta.
-	// The comparison is inclusive — |output| == theta still trains —
-	// matching the published training rule (|y_out| <= theta); the
-	// strict form quietly stopped one update early at the boundary.
-	if pred != taken || sum <= percTheta && sum >= -percTheta {
-		w := &p.weights[int(uint32(pc))&percRowMask]
-		bump := func(i int, agree bool) {
-			if agree {
-				if w[i] < percWMax {
-					w[i]++
-				}
-			} else if w[i] > percWMin {
-				w[i]--
-			}
+// Observe computes each branch's dot product once: the sign is the
+// prediction, and the same sum decides training. It trains on a
+// mispredict or while |output| has not cleared theta. The comparison is
+// inclusive — |output| == theta still trains — matching the published
+// training rule (|y_out| <= theta); the strict form quietly stopped one
+// update early at the boundary.
+func (p *perceptron) Observe(evs []dbt.BranchEvent) uint64 {
+	var mis uint64
+	hist := p.hist
+	for _, ev := range evs {
+		w := &p.weights[int(uint32(ev.PC))&percRowMask]
+		sum := dot(w, hist)
+		miss := (sum >= 0) != ev.Taken
+		mis += uint64(b2u(miss))
+		if miss || sum <= percTheta && sum >= -percTheta {
+			train(w, hist, ev.Taken)
 		}
-		bump(0, taken)
-		h := p.hist
-		for i := 1; i <= percHistBits; i++ {
-			bump(i, (h&1 != 0) == taken)
-			h >>= 1
-		}
+		hist = (hist<<1 | b2u(ev.Taken)) & percHistMask
 	}
-	p.hist <<= 1
-	if taken {
-		p.hist |= 1
-	}
-	p.hist &= 1<<percHistBits - 1
+	p.hist = hist
+	return mis
 }

@@ -3,6 +3,8 @@ package predict
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/dbt"
 )
 
 func TestNewKnowsEveryRegisteredName(t *testing.T) {
@@ -47,15 +49,20 @@ func TestParseList(t *testing.T) {
 	}
 }
 
-// replay drives one predictor over a single-branch stream and returns
-// its mispredict count.
+// observe1 folds one branch into p and reports whether p mispredicted
+// it.
+func observe1(p Predictor, pc int32, taken bool) bool {
+	return p.Observe([]dbt.BranchEvent{{PC: pc, Taken: taken}}) == 1
+}
+
+// replay drives one predictor over a single-branch stream, one event
+// per Observe call, and returns its mispredict count.
 func replay(p Predictor, pc int32, outcomes []bool) uint64 {
 	var mis uint64
 	for _, taken := range outcomes {
-		if p.Predict(pc) != taken {
+		if observe1(p, pc, taken) {
 			mis++
 		}
-		p.Update(pc, taken)
 	}
 	return mis
 }
@@ -98,16 +105,18 @@ func TestTwoBitHysteresis(t *testing.T) {
 	pc := int32(8)
 	// Saturate taken.
 	for i := 0; i < 4; i++ {
-		p.Update(pc, true)
+		observe1(p, pc, true)
 	}
-	// A single not-taken outcome must not flip a saturated counter...
-	p.Update(pc, false)
-	if !p.Predict(pc) {
+	// A single not-taken outcome must not flip a saturated counter: the
+	// next not-taken branch is still predicted taken...
+	if !observe1(p, pc, false) {
+		t.Fatal("saturated 2bit predicted not-taken")
+	}
+	if !observe1(p, pc, false) {
 		t.Fatal("2bit flipped after one off-direction outcome")
 	}
 	// ...but two must.
-	p.Update(pc, false)
-	if p.Predict(pc) {
+	if observe1(p, pc, false) {
 		t.Fatal("2bit still predicts taken after two not-taken outcomes")
 	}
 }
@@ -158,9 +167,11 @@ func TestPerceptronLearnsLongPeriod(t *testing.T) {
 
 func TestPerceptronWeightsSaturate(t *testing.T) {
 	p := newPerceptron()
-	for i := 0; i < 10000; i++ {
-		p.Update(8, true)
+	evs := make([]dbt.BranchEvent, 10000)
+	for i := range evs {
+		evs[i] = dbt.BranchEvent{PC: 8, Taken: true}
 	}
+	p.Observe(evs)
 	for r := range p.weights {
 		for i, w := range p.weights[r] {
 			if w > percWMax || w < percWMin {
@@ -168,7 +179,7 @@ func TestPerceptronWeightsSaturate(t *testing.T) {
 			}
 		}
 	}
-	if !p.Predict(8) {
+	if dot(&p.weights[8], p.hist) < 0 {
 		t.Fatal("perceptron predicts not-taken after training always-taken")
 	}
 }
@@ -179,7 +190,7 @@ func TestPerceptronWeightsSaturate(t *testing.T) {
 // boundary outputs by hand — history is all-zeros, so every history
 // weight contributes its negation and the bias contributes itself.
 
-// outputAt sets up a perceptron whose dot product for pc 8 is exactly
+// percWith sets up a perceptron whose dot product for pc 8 is exactly
 // the given bias minus the first history weight.
 func percWith(bias, w1 int16) *perceptron {
 	p := newPerceptron()
@@ -192,14 +203,19 @@ func TestPerceptronTrainsAtExactlyTheta(t *testing.T) {
 	// output = theta exactly, prediction correct: the inclusive rule
 	// still trains (the strict form stopped one update early here).
 	p := percWith(percTheta, 0)
-	if got := p.output(8); got != percTheta {
+	if got := dot(&p.weights[8], p.hist); got != percTheta {
 		t.Fatalf("constructed output = %d, want %d", got, percTheta)
 	}
-	p.Update(8, true)
+	if observe1(p, 8, true) {
+		t.Fatal("mispredicted a taken branch at output theta")
+	}
 	if w := p.weights[8][0]; w != percTheta+1 {
 		t.Fatalf("bias after correct prediction at |output|==theta: %d, want %d (must train)", w, percTheta+1)
 	}
-	if !p.Predict(8) {
+	if p.hist != 1 {
+		t.Fatalf("history after one taken branch = %#x, want 1", p.hist)
+	}
+	if dot(&p.weights[8], p.hist) < 0 {
 		t.Fatal("prediction flipped by an on-edge training update")
 	}
 }
@@ -208,7 +224,7 @@ func TestPerceptronStopsTrainingPastTheta(t *testing.T) {
 	// output = theta+1, prediction correct: confidence has cleared the
 	// threshold, no update.
 	p := percWith(percTheta+1, 0)
-	p.Update(8, true)
+	observe1(p, 8, true)
 	if w := p.weights[8][0]; w != percTheta+1 {
 		t.Fatalf("bias after correct prediction past theta: %d, want unchanged %d", w, percTheta+1)
 	}
@@ -216,10 +232,12 @@ func TestPerceptronStopsTrainingPastTheta(t *testing.T) {
 
 func TestPerceptronTrainsAtExactlyMinusTheta(t *testing.T) {
 	p := percWith(-percTheta, 0)
-	if got := p.output(8); got != -percTheta {
+	if got := dot(&p.weights[8], p.hist); got != -percTheta {
 		t.Fatalf("constructed output = %d, want %d", got, -percTheta)
 	}
-	p.Update(8, false)
+	if observe1(p, 8, false) {
+		t.Fatal("mispredicted a not-taken branch at output -theta")
+	}
 	if w := p.weights[8][0]; w != -percTheta-1 {
 		t.Fatalf("bias after correct prediction at -theta: %d, want %d (must train)", w, -percTheta-1)
 	}
@@ -230,10 +248,10 @@ func TestPerceptronClampAtExactlyMax(t *testing.T) {
 	// inside theta so the update rule fires. The agreeing bump must hold
 	// at the clamp, never wrap.
 	p := percWith(percWMax, 100)
-	if got := p.output(8); got != percWMax-100 {
+	if got := dot(&p.weights[8], p.hist); got != percWMax-100 {
 		t.Fatalf("constructed output = %d", got)
 	}
-	p.Update(8, true)
+	observe1(p, 8, true)
 	if w := p.weights[8][0]; w != percWMax {
 		t.Fatalf("saturated bias moved to %d, want clamped %d", w, percWMax)
 	}
@@ -245,10 +263,10 @@ func TestPerceptronClampAtExactlyMax(t *testing.T) {
 
 func TestPerceptronClampAtExactlyMin(t *testing.T) {
 	p := percWith(percWMin, -100)
-	if got := p.output(8); got != percWMin+100 {
+	if got := dot(&p.weights[8], p.hist); got != percWMin+100 {
 		t.Fatalf("constructed output = %d", got)
 	}
-	p.Update(8, false)
+	observe1(p, 8, false)
 	if w := p.weights[8][0]; w != percWMin {
 		t.Fatalf("saturated bias moved to %d, want clamped %d", w, percWMin)
 	}

@@ -11,16 +11,6 @@ import (
 	"repro/internal/spec"
 )
 
-// suiteObserver mirrors the adapter internal/core uses: one Record per
-// resolved branch, in architectural order.
-type suiteObserver struct{ suite *predict.Suite }
-
-func (o suiteObserver) ObserveBranches(evs []dbt.BranchEvent) {
-	for _, ev := range evs {
-		o.suite.Record(ev.PC, ev.Taken)
-	}
-}
-
 // observedRun executes one benchmark's reference input at the given
 // scale with every registered predictor observing, and returns the
 // tallies.
@@ -35,7 +25,7 @@ func observedRun(t *testing.T, b *spec.Benchmark, scale float64, cfg dbt.Config)
 		t.Fatal(err)
 	}
 	cfg.Input = "ref"
-	_, _, err = dbt.RunMultiObserved(img, tape, []dbt.Config{cfg}, []dbt.TraceObserver{suiteObserver{suite}})
+	_, _, err = dbt.RunMultiObserved(img, tape, []dbt.Config{cfg}, []dbt.TraceObserver{suite})
 	if err != nil {
 		t.Fatalf("%s: run: %v", b.Name, err)
 	}
@@ -44,9 +34,9 @@ func observedRun(t *testing.T, b *spec.Benchmark, scale float64, cfg dbt.Config)
 
 // referenceRun executes one benchmark's reference input on the
 // reference interpreter and feeds every predictor the branch stream
-// rebuilt from the machine's block-entry sequence: each entered block
-// that ends in a conditional branch resolves taken exactly when the
-// next block entered is its taken target.
+// rebuilt from the machine's block-entry sequence, one Record call per
+// branch: each entered block that ends in a conditional branch resolves
+// taken exactly when the next block entered is its taken target.
 func referenceRun(t *testing.T, b *spec.Benchmark, scale float64) []predict.Result {
 	t.Helper()
 	img, tape, err := b.Target(scale).Build("ref")
@@ -135,7 +125,7 @@ func TestReplayIndependentOfFollowerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := dbt.RunMultiObserved(img, tape, cfgs, []dbt.TraceObserver{suiteObserver{suite}}); err != nil {
+		if _, _, err := dbt.RunMultiObserved(img, tape, cfgs, []dbt.TraceObserver{suite}); err != nil {
 			t.Fatal(err)
 		}
 		return suite.Results()

@@ -118,8 +118,10 @@ type Former struct {
 	nextCopy   int
 	// placed marks addresses that are already a member of some region;
 	// such blocks are skipped as seeds but remain eligible for
-	// duplication into later regions.
-	placed map[int]bool
+	// duplication into later regions. It is indexed by address and
+	// grows to the highest address placed, so a former that never forms
+	// a region holds none.
+	placed []bool
 	// buf holds the copies of the region under construction. No region
 	// exceeds its capacity, MaxBlocks, so it never reallocates.
 	buf []profile.RegionBlock
@@ -131,16 +133,30 @@ type Former struct {
 // NewFormer returns a Former with the given configuration.
 func NewFormer(cfg Config) *Former {
 	cfg.normalize()
-	return &Former{cfg: cfg, placed: make(map[int]bool)}
+	return &Former{cfg: cfg}
 }
 
 // Placed reports whether addr is already a member of a formed region.
-func (f *Former) Placed(addr int) bool { return f.placed[addr] }
+func (f *Former) Placed(addr int) bool {
+	return uint(addr) < uint(len(f.placed)) && f.placed[addr]
+}
 
 // Unplace releases an address from region membership, making it
 // eligible to seed or join future regions. The adaptive translator uses
 // this when it dissolves a misbehaving region.
-func (f *Former) Unplace(addr int) { delete(f.placed, addr) }
+func (f *Former) Unplace(addr int) {
+	if f.Placed(addr) {
+		f.placed[addr] = false
+	}
+}
+
+// place marks a region member's address, growing placed to reach it.
+func (f *Former) place(addr int) {
+	if addr >= len(f.placed) {
+		f.placed = append(f.placed, make([]bool, addr+1-len(f.placed))...)
+	}
+	f.placed[addr] = true
+}
 
 // Form runs one optimization wave over the candidate addresses and
 // returns the regions formed, in formation order. Candidates are
@@ -169,7 +185,7 @@ func (f *Former) Form(p Provider, candidates []int) []*profile.Region {
 	})
 	var out []*profile.Region
 	for _, seed := range seeds {
-		if f.placed[seed] {
+		if f.Placed(seed) {
 			continue
 		}
 		info, ok := p.Info(seed)
@@ -181,7 +197,7 @@ func (f *Former) Form(p Provider, candidates []int) []*profile.Region {
 			continue
 		}
 		for i := range r.Blocks {
-			f.placed[r.Blocks[i].Addr] = true
+			f.place(r.Blocks[i].Addr)
 		}
 		out = append(out, r)
 	}
