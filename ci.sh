@@ -161,6 +161,14 @@ echo "== cold/warm result-cache smoke (-race) =="
 # warmed store.
 "$tmpdir/inipstudy" -scale 0.001 -fig all -cache "$tmpdir/cache" \
     -benchjson "$tmpdir/cold.json" > "$tmpdir/cold-figs.txt" 2> /dev/null
+# Each of the 26 benchmarks stores exactly three entries: its ref bundle
+# (every follower's comparison included), its training run and its
+# training comparison.
+entries=$(find "$tmpdir/cache" -maxdepth 1 -name '[!.]*.json' | wc -l)
+if [ "$entries" -ne 78 ]; then
+    echo "cold run stored $entries cache entries, want 78 (3 per benchmark)" >&2
+    exit 1
+fi
 "$tmpdir/inipstudy" -scale 0.001 -fig all -cache "$tmpdir/cache" \
     -benchjson "$tmpdir/warm.json" > "$tmpdir/warm-figs.txt" 2> "$tmpdir/warm.err"
 cmp "$tmpdir/cold-figs.txt" "$tmpdir/warm-figs.txt"
@@ -168,7 +176,7 @@ grep -q '"blocks_executed": 0' "$tmpdir/warm.json"
 # result_cache_hits is omitted from the JSON when zero, so its presence
 # asserts the warm run actually hit the cache.
 grep -q '"result_cache_hits"' "$tmpdir/warm.json"
-grep -q ' 0 misses, 0 stores, 0 errors$' "$tmpdir/warm.err"
+grep -q ': 78 hits, 0 misses, 0 stores, 0 errors$' "$tmpdir/warm.err"
 "$tmpdir/inipstudy" -scale 0.001 -fig all -cache "$tmpdir/cache" \
     -cacheverify > "$tmpdir/verify-figs.txt" 2> /dev/null
 cmp "$tmpdir/cold-figs.txt" "$tmpdir/verify-figs.txt"
@@ -249,9 +257,9 @@ fi
 
 echo "== learned smoke (-race) =="
 # Profile-free learned model (DESIGN §3j): the cold full-suite run
-# collects branch-site data (the comparison and training entries come
-# warm out of the cache above; the new entries are the `ref` entries
-# that carry the learned collection, whose key names the model) and
+# collects branch-site data (the training entries come warm out of the
+# cache above; the new entries are the `ref` entries that carry the
+# learned collection, whose key names the model) and
 # fits the cross-validated model; the warm rerun must replay everything
 # byte-identically — figures and dumped model — at zero guest blocks.
 "$tmpdir/inipstudy" -scale 0.001 -learned logreg -fig figl1,figl2 \

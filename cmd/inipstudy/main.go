@@ -381,11 +381,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(res.Failures) > 0 {
 		fmt.Fprintf(stderr, "inipstudy: %d unit failure(s); the affected benchmarks are excluded from every figure:\n", len(res.Failures))
 		for _, f := range res.Failures {
-			site := f.Unit
-			if f.T > 0 {
-				site = fmt.Sprintf("%s@T=%d", f.Unit, f.T)
-			}
-			fmt.Fprintf(stderr, "  %s: %s failed: %s\n", f.Bench, site, f.Err)
+			fmt.Fprintf(stderr, "  %s: %s failed: %s\n", f.Bench, f.Unit, f.Err)
 		}
 	}
 

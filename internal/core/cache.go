@@ -18,8 +18,8 @@ import (
 )
 
 // This file threads the result cache (internal/resultcache) through the
-// unit pipeline. Every cached unit output — the four entry kinds ref,
-// run, cmp and traincmp — goes through one slot (below):
+// unit pipeline. Every cached unit output — the three entry kinds ref,
+// run and traincmp — goes through one slot (below):
 //
 //   - lookup happens before a unit's expensive body runs; a validated
 //     hit outside verify mode is warm and replays the unit's outputs
@@ -35,9 +35,9 @@ import (
 //     the unit executes anyway and a divergence between the computed and
 //     cached values is a hard unit error — the differential self-check
 //     of both the cache and the engine's determinism;
-//   - a unit settles its slot before it spawns a dependent unit, so a
-//     settle failure fails the unit before any dependent could publish
-//     a result computed from the unsettled values.
+//   - a unit settles its slot before it publishes, so a settle failure
+//     fails the unit before any result computed from the unsettled
+//     values reaches the benchmark's output.
 //
 // What is never cached: benchmarks with an armed fault plan (their runs
 // are deliberately perturbed), targets without a TapeID (the input
@@ -56,11 +56,15 @@ type runOutput struct {
 	Stats dbt.RunStats `json:"stats"`
 	// Cycles is the run's perf-model total.
 	Cycles float64 `json:"cycles"`
+	// Summary is the follower's comparison with the AVEP of the same
+	// trace. The training run leaves it zero: its comparisons are the
+	// traincmp entry's.
+	Summary metrics.Summary `json:"summary"`
 }
 
-// result is the run compared with AVEP, at ladder threshold t.
-func (ro runOutput) result(t uint64, summary metrics.Summary) ThresholdResult {
-	return ThresholdResult{T: t, Summary: summary, ProfilingOps: ro.Snapshot.ProfilingOps, Cycles: ro.Cycles, Stats: ro.Stats}
+// result is the run's comparison with AVEP, at ladder threshold t.
+func (ro runOutput) result(t uint64) ThresholdResult {
+	return ThresholdResult{T: t, Summary: ro.Summary, ProfilingOps: ro.Snapshot.ProfilingOps, Cycles: ro.Cycles, Stats: ro.Stats}
 }
 
 // refEntry is the cached output of the reference step: the AVEP
@@ -77,8 +81,7 @@ type refEntry struct {
 	// order.
 	Predictors []predict.Result `json:"predictors,omitempty"`
 	// Sampling holds one sampled ladder per requested period, in period
-	// order, each shaped like Runs. The comparisons against AVEP are not
-	// cached: they are cheap and recomputed on warm reruns.
+	// order, each shaped like Runs, comparisons with AVEP included.
 	Sampling [][]runOutput `json:"sampling,omitempty"`
 	// Learned is the learned-predictor collection: every static branch
 	// site with its feature vector and outcome tallies.
@@ -132,11 +135,6 @@ func (c *cachedSnapshot) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// cmpEntry is the cached output of one INIP(T)-vs-AVEP comparison.
-type cmpEntry struct {
-	Summary metrics.Summary `json:"summary"`
-}
-
 // trainCmpEntry is the cached output of the training comparison pair.
 type trainCmpEntry struct {
 	Train        metrics.Summary `json:"train"`
@@ -153,8 +151,8 @@ func (b *benchRun) cacheUsable() bool {
 
 // cacheKey assembles the canonical key for one unit output of this
 // benchmark. imgHash and tape identify the guest-side inputs, engine the
-// translator configuration(s); kind and t disambiguate the unit flavour.
-func (b *benchRun) cacheKey(kind, imgHash, tape, engine string, t uint64) resultcache.Key {
+// translator configuration(s); kind names the unit flavour.
+func (b *benchRun) cacheKey(kind, imgHash, tape, engine string) resultcache.Key {
 	return resultcache.Key{
 		Kind:    kind,
 		Bench:   b.t.Name,
@@ -162,7 +160,6 @@ func (b *benchRun) cacheKey(kind, imgHash, tape, engine string, t uint64) result
 		Image:   imgHash,
 		Tape:    tape,
 		Engine:  engine,
-		T:       t,
 	}
 }
 
@@ -196,8 +193,8 @@ func lookupSlot[E any](b *benchRun, keyFn func() resultcache.Key, valid func(*E)
 	var err error
 	if s.hit && valid != nil && !valid(&s.cached) {
 		s.hit = false
-		err = fmt.Errorf("core: %s cache entry of %s (t=%d) rejected by its sanity check (entry %s)",
-			s.key.Kind, b.t.Name, s.key.T, s.key.Hash())
+		err = fmt.Errorf("core: %s cache entry of %s rejected by its sanity check (entry %s)",
+			s.key.Kind, b.t.Name, s.key.Hash())
 	}
 	unit := obs.UnitCacheHit
 	if !s.hit {
@@ -205,7 +202,7 @@ func lookupSlot[E any](b *benchRun, keyFn func() resultcache.Key, valid func(*E)
 		var zero E
 		s.cached = zero // a rejected or partly decoded entry is not data
 	}
-	b.opts.Trace.Record(b.t.Name, unit, s.key.T, worker, start, time.Since(start), 0, err)
+	b.opts.Trace.Record(b.t.Name, unit, 0, worker, start, time.Since(start), 0, err)
 	return s
 }
 
@@ -227,7 +224,7 @@ func (s *slot[E]) settle(computed E, worker int) error {
 	}
 	start := time.Now()
 	err := s.b.opts.Cache.Put(s.key, computed)
-	s.b.opts.Trace.Record(s.b.t.Name, obs.UnitCacheStore, s.key.T, worker, start, time.Since(start), 0, err)
+	s.b.opts.Trace.Record(s.b.t.Name, obs.UnitCacheStore, 0, worker, start, time.Since(start), 0, err)
 	return nil
 }
 
@@ -249,8 +246,8 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 		return fmt.Errorf("core: cache verify %s of %s: encode cached: %w", k.Kind, b.t.Name, err)
 	}
 	if !bytes.Equal(cj, gj) {
-		return fmt.Errorf("core: cache verify: %s entry of %s (t=%d) diverges from recomputed result (entry %s)",
-			k.Kind, b.t.Name, k.T, k.Hash())
+		return fmt.Errorf("core: cache verify: %s entry of %s diverges from recomputed result (entry %s)",
+			k.Kind, b.t.Name, k.Hash())
 	}
 	return nil
 }
@@ -296,8 +293,8 @@ func (b *benchRun) refEntryMatches(ent *refEntry, cfgs []dbt.Config, n int) bool
 	return true
 }
 
-// refCacheKey keys the reference bundle: one entry covers the AVEP run,
-// every distinct-threshold follower and every sampled follower, so the
+// refCacheKey keys the reference bundle: one entry covers the AVEP run
+// and every other follower with its comparison against AVEP, so the
 // engine component joins all their fingerprints in config order. The
 // predictor list and the learned model's fingerprint are appended only
 // when those axes are set, so an axis-less bundle keeps its key.
@@ -309,7 +306,7 @@ func (b *benchRun) refCacheKey(cfgs []dbt.Config) resultcache.Key {
 	if b.opts.Learned != nil {
 		engine += "|learned=" + b.opts.Learned.Fingerprint()
 	}
-	return b.cacheKey("ref", b.refImgHash, b.t.TapeID("ref"), engine, 0)
+	return b.cacheKey("ref", b.refImgHash, b.t.TapeID("ref"), engine)
 }
 
 // joinFingerprints is the engine component of a multi-run entry: every
@@ -327,16 +324,7 @@ func joinFingerprints(cfgs []dbt.Config) string {
 
 // runCacheKey keys one profiled execution: the training run.
 func (b *benchRun) runCacheKey(imgHash, input string, cfg dbt.Config) resultcache.Key {
-	return b.cacheKey("run", imgHash, b.t.TapeID(input), cfg.Fingerprint(), cfg.Threshold)
-}
-
-// cmpCacheKey keys one INIP(T)-vs-AVEP comparison. Both sides' configs
-// participate.
-func (b *benchRun) cmpCacheKey(t uint64) resultcache.Key {
-	inip := b.dbtConfig("ref", t, true).Fingerprint()
-	avep := b.dbtConfig("ref", 0, false).Fingerprint()
-	return b.cacheKey("cmp", b.refImgHash, b.t.TapeID("ref"),
-		fmt.Sprintf("inip(%s)vs(%s)", inip, avep), t)
+	return b.cacheKey("run", imgHash, b.t.TapeID(input), cfg.Fingerprint())
 }
 
 // trainCmpCacheKey keys the training comparison pair. It spans two
@@ -349,5 +337,5 @@ func (b *benchRun) trainCmpCacheKey() resultcache.Key {
 	return b.cacheKey("traincmp",
 		b.refImgHash+"+"+b.trainImgHash,
 		b.t.TapeID("ref")+"+"+b.t.TapeID("train"),
-		fmt.Sprintf("train(%s)vs(%s)|offlineregions=%d", train, avep, trainRegionThreshold), 0)
+		fmt.Sprintf("train(%s)vs(%s)|offlineregions=%d", train, avep, trainRegionThreshold))
 }

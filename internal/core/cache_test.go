@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dbt"
 	"repro/internal/faultinject"
 	"repro/internal/learned"
 	"repro/internal/obs"
@@ -19,10 +20,10 @@ import (
 )
 
 // cacheOpts is the option baseline of the caching tests: a couple of
-// ladder rungs, a predictor, a sample period and the learned collector
-// riding the reference trace (so every entry kind and every axis field
-// of the ref entry is written), and a Timing aggregate to observe
-// guest-block volume.
+// ladder rungs, a predictor, a sample period, the learned collector and
+// an adaptive variant riding the reference trace (so every entry kind
+// and every axis field of the ref entry is written), and a Timing
+// aggregate to observe guest-block volume.
 func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 	t.Helper()
 	store, err := resultcache.Open(dir)
@@ -30,11 +31,14 @@ func cacheOpts(t *testing.T, dir string) (Options, *Timing) {
 		t.Fatal(err)
 	}
 	tm := &Timing{}
+	adaptive := TranslatorConfig("ref", 8, true)
+	adaptive.Adaptive = true
 	return Options{
 		Thresholds:    []uint64{4, 16},
 		Predictors:    []string{"gshare"},
 		SamplePeriods: []uint64{4},
 		Learned:       &learned.Config{Model: learned.ModelTree},
+		Variants:      []dbt.Config{adaptive},
 		Cache:         store,
 		CacheContext:  "test",
 		Timing:        tm,
@@ -283,12 +287,14 @@ func object(v any, path ...any) map[string]any {
 	return v.(map[string]any)
 }
 
-// TestCacheVerifyCatchesForgedEntry forges each entry kind, and each
-// axis field of the ref entry, in turn — a perturbed value under a
-// recomputed checksum, so the store itself accepts it and every sanity
-// check passes — and requires the differential verify mode to catch
-// it. The axis rows are named after their axis: bp the predictor
-// tallies, ls the learned collection, sp the sampled ladders.
+// TestCacheVerifyCatchesForgedEntry forges each entry kind, each axis
+// field of the ref entry, and each comparison the ref entry stores, in
+// turn — a perturbed value under a recomputed checksum, so the store
+// itself accepts it and every sanity check passes — and requires the
+// differential verify mode to catch it. The axis rows are named after
+// their axis: bp the predictor tallies, ls the learned collection, sp
+// the sampled ladders; the summary rows forge one comparison of a
+// ladder rung, a sampled rung and a variant.
 func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	for _, tc := range []struct {
 		name, kind string
@@ -296,7 +302,9 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	}{
 		{"ref", "ref", func(v map[string]any) { v["avep_cycles"] = 1.5 }},
 		{"run", "run", func(v map[string]any) { v["cycles"] = 1.5 }},
-		{"cmp", "cmp", func(v map[string]any) { object(v, "summary")["SdBP"] = 0.123456789 }},
+		{"runs summary", "ref", func(v map[string]any) { object(v, "runs", 0, "summary")["SdBP"] = 0.123456789 }},
+		{"sampling summary", "ref", func(v map[string]any) { object(v, "sampling", 0, 0, "summary")["SdBP"] = 0.123456789 }},
+		{"variants summary", "ref", func(v map[string]any) { object(v, "variants", 0, "summary")["SdBP"] = 0.123456789 }},
 		{"traincmp", "traincmp", func(v map[string]any) { object(v, "train")["SdBP"] = 0.123456789 }},
 		{"bp", "ref", func(v map[string]any) { object(v, "predictors", 0)["mispredicts"] = 123456789 }},
 		{"ls", "ref", func(v map[string]any) { object(v, "learned", "sites", 0)["taken"] = 123456789 }},
@@ -437,17 +445,17 @@ func TestCacheSkippedWithoutTapeID(t *testing.T) {
 }
 
 // TestSettleFailureRetiresRefOnce: a cache settle that fails inside the
-// reference unit must fail the unit before it spawns any dependent, so
-// a failed reference unit publishes no comparison, no comparison runs
-// twice, and the benchmark reports exactly once with no unit left live.
-// The forged field is the second sample period's ladder, which the
-// verify-mode settle of the one ref entry catches.
+// reference unit must fail the unit before it publishes, so a failed
+// reference unit publishes no comparison, no comparison runs twice, and
+// the benchmark reports exactly once with no unit left live. The forged
+// field is the second sample period's ladder, which the verify-mode
+// settle of the one ref entry catches.
 func TestSettleFailureRetiresRefOnce(t *testing.T) {
 	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
 	baseline := func(t *testing.T, dir string) Options {
 		opts, _ := cacheOpts(t, dir)
-		// Rungs distinct from the periods, so a cache lookup at a rung's
-		// threshold is that rung's comparison unit and nothing else.
+		// Rungs distinct from the periods and the variant's threshold, so
+		// a compare span at a rung's threshold is that rung's comparison.
 		opts.Thresholds = []uint64{50, 100}
 		opts.SamplePeriods = []uint64{4, 16}
 		return opts
@@ -488,20 +496,30 @@ func TestSettleFailureRetiresRefOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spawns := make(map[uint64]int)
+		compares := make(map[uint64]int)
 		for _, ev := range events {
-			if ev.Unit == obs.UnitCacheHit || ev.Unit == obs.UnitCacheMiss {
-				spawns[ev.T]++
+			if ev.Unit == obs.UnitCompare {
+				compares[ev.T]++
 			}
 		}
 		for _, rung := range opts.Thresholds {
-			if spawns[rung] > 1 {
-				t.Fatalf("comparison unit of T=%d spawned %d times, want at most once", rung, spawns[rung])
+			if compares[rung] != 1 {
+				t.Fatalf("comparison of T=%d ran %d times, want once", rung, compares[rung])
 			}
 		}
 		for i, tr := range b.out.Results {
 			if !reflect.DeepEqual(tr, (ThresholdResult{})) {
 				t.Fatalf("failed reference unit published Results[%d]: %+v", i, tr)
+			}
+		}
+		for i, pr := range b.out.Sampling {
+			if !reflect.DeepEqual(pr, (SamplePeriodResult{})) {
+				t.Fatalf("failed reference unit published Sampling[%d]: %+v", i, pr)
+			}
+		}
+		for i, tr := range b.out.Variants {
+			if !reflect.DeepEqual(tr, (ThresholdResult{})) {
+				t.Fatalf("failed reference unit published Variants[%d]: %+v", i, tr)
 			}
 		}
 	})

@@ -22,11 +22,9 @@ import (
 var updateKeys = flag.Bool("update", false, "rewrite the golden cache-key corpus")
 
 // goldenKey is one result-cache entry of the pinned run: its kind, its
-// threshold component, its content address and the checksum of the
-// value stored under it.
+// content address and the checksum of the value stored under it.
 type goldenKey struct {
 	Kind string `json:"kind"`
-	T    uint64 `json:"t"`
 	Hash string `json:"hash"`
 	Sum  string `json:"sum"`
 }
@@ -36,8 +34,7 @@ type goldenKey struct {
 // at this scale, with dynamic predictors, two sample periods and the
 // learned collector riding the reference trace. A cold run misses every
 // lookup and stores each miss once, so the stored entries are exactly
-// the keys looked up. Any change to a key's kind, threshold, engine
-// fingerprint, tape identity, image hash or context moves a hash here
+// the keys looked up. Any change to a key's kind, engine fingerprint, tape identity, image hash or context moves a hash here
 // and orphans every cache filled before it. Each entry's envelope sum
 // pins the stored payload too, so a change that keeps the keys but
 // alters what is written under them (a field, an order, a value) is
@@ -108,9 +105,6 @@ func checkGoldenCacheKeys(t *testing.T, golden string, opts core.Options) {
 		if keys[i].Kind != keys[j].Kind {
 			return keys[i].Kind < keys[j].Kind
 		}
-		if keys[i].T != keys[j].T {
-			return keys[i].T < keys[j].T
-		}
 		return keys[i].Hash < keys[j].Hash
 	})
 	got, err := json.MarshalIndent(keys, "", "  ")
@@ -138,28 +132,19 @@ func checkGoldenCacheKeys(t *testing.T, golden string, opts core.Options) {
 	}
 }
 
-// parseGoldenKey reads kind and threshold back out of a stored key
-// fingerprint and checks that the entry's file name is its hash.
+// parseGoldenKey reads the kind back out of a stored key fingerprint
+// (its second component, after the schema version) and checks that the
+// entry's file name is its hash.
 func parseGoldenKey(t *testing.T, fingerprint, file string) goldenKey {
 	t.Helper()
 	if sum := sha256.Sum256([]byte(fingerprint)); hex.EncodeToString(sum[:]) != file {
 		t.Fatalf("entry %s does not hold the key it is named for", file)
 	}
-	k := goldenKey{Hash: file}
-	for _, field := range strings.Split(fingerprint, "|") {
-		name, val, _ := strings.Cut(field, "=")
-		switch name {
-		case "kind":
-			k.Kind = val
-		case "t":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				t.Fatalf("key %q: bad threshold: %v", fingerprint, err)
-			}
-			k.T = n
-			return k // the engine component follows and may contain '|'
-		}
+	_, rest, _ := strings.Cut(fingerprint, "|")
+	kind, ok := strings.CutPrefix(rest, "kind=")
+	if !ok {
+		t.Fatalf("key %q has no kind component", fingerprint)
 	}
-	t.Fatalf("key %q has no threshold component", fingerprint)
-	return k
+	kind, _, _ = strings.Cut(kind, "|")
+	return goldenKey{Kind: kind, Hash: file}
 }

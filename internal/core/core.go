@@ -235,10 +235,9 @@ type SamplePeriodResult struct {
 // is excluded from figure aggregation.
 type UnitFailure struct {
 	Bench string `json:"bench"`
-	// Unit is the failing span kind (obs.Unit* constants).
+	// Unit is the failing unit (obs.UnitRef, UnitTrain, UnitTrainCompare,
+	// or UnitBuild for a target without a builder).
 	Unit string `json:"unit"`
-	// T is the effective threshold for per-threshold units, 0 otherwise.
-	T uint64 `json:"t,omitempty"`
 	// Err is the unit's error, verbatim.
 	Err string `json:"err"`
 }
@@ -303,8 +302,8 @@ func TranslatorConfig(input string, threshold uint64, optimize bool) dbt.Config 
 }
 
 // benchRun is the in-flight state of one scheduled benchmark: the AVEP
-// snapshot memo the comparison stages wait for, the training snapshot,
-// and the count of live units.
+// snapshot memo the training comparison waits for, the training
+// snapshot, and the count of live units.
 type benchRun struct {
 	s      *Scheduler
 	t      Target
@@ -313,9 +312,9 @@ type benchRun struct {
 	onDone func(*BenchmarkResult)
 
 	// refImgHash and trainImgHash are the content hashes of the built
-	// images, filled by the run units before they spawn (or inline-run)
-	// any unit that keys a cache entry off them; like out.AVEP they are
-	// then read lock-free under the spawn's happens-before edge.
+	// images, filled by the run units before they store the avep or
+	// train memo; the training comparison keys its entry off both and
+	// reads them, like out.AVEP, under that memo's lock.
 	refImgHash   string
 	trainImgHash string
 
@@ -323,22 +322,17 @@ type benchRun struct {
 	avep          *profile.Snapshot // set once by the reference unit
 	train         *profile.Snapshot // set once by the training unit
 	trainCompared bool
-	live          int // units spawned and not yet exited
+	live          int // units scheduled and not yet exited
 }
 
-// spawn schedules one unit of the benchmark. The unit is live from here
-// until its body returns: a success or an absorbed failure exits it,
+// spawn schedules one unit of the benchmark, which the caller has
+// already counted in live: a success or an absorbed failure exits it,
 // and the last exit reports the result. A propagated failure never
 // exits, and neither does a unit the pool drops unrun, so onDone never
-// fires for a benchmark the pool abandoned. A body spawns its
-// dependents before it returns, so the count cannot reach zero while
-// work remains.
-func (b *benchRun) spawn(unit string, t uint64, body func(worker int) error) {
-	b.mu.Lock()
-	b.live++
-	b.mu.Unlock()
+// fires for a benchmark the pool abandoned.
+func (b *benchRun) spawn(unit string, body func(worker int) error) {
 	b.s.GoW(func(w int) error {
-		if err := b.execute(unit, t, func() error { return body(w) }); err != nil {
+		if err := b.execute(unit, func() error { return body(w) }); err != nil {
 			return err
 		}
 		b.exit()
@@ -415,20 +409,16 @@ func (b *benchRun) addSampleStats(snap *profile.Snapshot) {
 }
 
 // ScheduleBenchmark decomposes the three-way study of one target into
-// run units on the scheduler: the reference unit (AVEP and the whole
-// INIP ladder replayed over its trace), the training unit, one
-// comparison unit per distinct threshold, and the training comparison.
-// onDone is called once with the completed result, on whichever
-// goroutine retires the benchmark's last unit (the caller's, when every
-// unit finishes before ScheduleBenchmark returns); on a propagated
-// failure the scheduler records the first error instead and onDone
-// never fires.
-//
-// Dependencies are handled by spawning: the per-threshold comparisons
-// need the AVEP snapshot, so the reference unit schedules them after the
-// memo is filled; the training comparison runs inline in whichever of
-// the two run units finishes second. No unit ever holds a pool slot
-// while waiting, so the pipeline cannot deadlock at any pool size.
+// two run units on the scheduler: the reference unit (AVEP and every
+// other follower replayed over its trace, each compared with AVEP) and
+// the training unit. The training comparison needs both runs, so it
+// runs inline in whichever of the two finishes second. No unit ever
+// holds a pool slot while waiting, so the pipeline cannot deadlock at
+// any pool size. onDone is called once with the completed result, on
+// whichever goroutine retires the benchmark's last unit (the caller's,
+// when every unit finishes before ScheduleBenchmark returns); on a
+// propagated failure the scheduler records the first error instead and
+// onDone never fires.
 func ScheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*BenchmarkResult)) {
 	scheduleBenchmark(s, t, opts, onDone)
 }
@@ -450,29 +440,21 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 	if len(opts.Variants) > 0 {
 		b.out.Variants = make([]ThresholdResult, len(opts.Variants))
 	}
-	// Hold one count until both run units are spawned: the reference
-	// unit can finish, dependents and all, before the training unit
-	// exists, and its exit must not pass for the benchmark's last.
-	b.live = 1
+	// No unit spawns another, so the count is known before the first
+	// spawn: a unit that finishes before its sibling exists cannot pass
+	// for the benchmark's last.
 	if t.Build == nil {
-		b.spawn(obs.UnitBuild, 0, func(int) error {
+		b.live = 1
+		b.spawn(obs.UnitBuild, func(int) error {
 			return fmt.Errorf("core: target %q has no builder", t.Name)
 		})
-	} else {
-		b.spawn(obs.UnitRef, 0, b.refBody)
-		if spawnGap != nil {
-			spawnGap()
-		}
-		b.spawn(obs.UnitTrain, 0, b.trainBody)
+		return b
 	}
-	b.exit()
+	b.live = 2
+	b.spawn(obs.UnitRef, b.refBody)
+	b.spawn(obs.UnitTrain, b.trainBody)
 	return b
 }
-
-// spawnGap, when non-nil, runs between the spawns of the two run units.
-// The lifecycle test widens that window with it: the hold above is what
-// keeps a reference unit finishing inside it from reporting early.
-var spawnGap func()
 
 // dbtConfig attaches the scheduler's cancellation channel, when there is
 // a scheduler, and any armed guest-trap fault for this (bench, input).
@@ -513,12 +495,12 @@ func (b *benchRun) build(input string, worker int) (*guest.Image, interp.Tape, e
 // and reports), and the error when the failure propagates (FailFast,
 // an interrupted run, or a pool that is already cancelling): the
 // scheduler cancels the study with it.
-func (b *benchRun) execute(unit string, t uint64, f func() error) error {
-	err := b.protect(unit, t, f)
+func (b *benchRun) execute(unit string, f func() error) error {
+	err := b.protect(unit, f)
 	if err == nil || b.s.Policy() != Degrade || errors.Is(err, dbt.ErrInterrupted) || b.s.Stopped() {
 		return err
 	}
-	b.recordFailure(unit, t, err)
+	b.recordFailure(unit, err)
 	return nil
 }
 
@@ -526,19 +508,19 @@ func (b *benchRun) execute(unit string, t uint64, f func() error) error {
 // site fire first, and any panic — injected or a genuine defect in the
 // body — is converted into an ordinary unit error so the failure
 // policy applies to it like to any other failure.
-func (b *benchRun) protect(unit string, t uint64, f func() error) (err error) {
+func (b *benchRun) protect(unit string, f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: %s unit of %s panicked: %v", unit, b.t.Name, r)
 		}
 	}()
-	if d := b.opts.Faults.Delay(b.t.Name, unit, t); d > 0 {
+	if d := b.opts.Faults.Delay(b.t.Name, unit); d > 0 {
 		select {
 		case <-time.After(d):
 		case <-b.s.Done():
 		}
 	}
-	if msg, ok := b.opts.Faults.PanicMessage(b.t.Name, unit, t); ok {
+	if msg, ok := b.opts.Faults.PanicMessage(b.t.Name, unit); ok {
 		panic(msg)
 	}
 	return f()
@@ -548,12 +530,11 @@ func (b *benchRun) protect(unit string, t uint64, f func() error) (err error) {
 // The append happens before the failing unit exits, and exit takes the
 // same lock, so when the last unit exits and onDone publishes the
 // result every failure is visible.
-func (b *benchRun) recordFailure(unit string, t uint64, err error) {
+func (b *benchRun) recordFailure(unit string, err error) {
 	b.mu.Lock()
 	b.out.Failures = append(b.out.Failures, UnitFailure{
 		Bench: b.t.Name,
 		Unit:  unit,
-		T:     t,
 		Err:   err.Error(),
 	})
 	b.mu.Unlock()
@@ -619,9 +600,10 @@ func (b *benchRun) referenceConfigs(distinct []uint64) []dbt.Config {
 
 // reference is the reference step: it builds the reference input, makes
 // one cache lookup, and either returns the warm entry or runs the trace
-// once — AVEP, every distinct rung and every sampled rung as followers,
-// the predictor and learned observers on the same branch stream — and
-// settles the entry. The warm path executes no guest block, and
+// once — AVEP, every distinct rung, every sampled rung and every variant
+// as followers, the predictor and learned observers on the same branch
+// stream — compares each follower with AVEP, and settles the entry. The
+// warm path executes no guest block and compares nothing, and
 // addRunStats is deliberately not called on it: a fully cached
 // benchmark reports zero blocks.
 func (b *benchRun) reference(worker int) (refEntry, error) {
@@ -678,14 +660,29 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 		return outs
 	}
 	entry := refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cfgs[0].Perf.Cycles, Runs: outputs(1, n)}
-	for k := range b.opts.SamplePeriods {
+	for j := range entry.Runs {
+		if err := b.compareRuns(obs.UnitCompare, entry.Runs[j].T, "INIP", entry.Runs[j:j+1], snaps[0], worker); err != nil {
+			return refEntry{}, err
+		}
+	}
+	for k, period := range b.opts.SamplePeriods {
 		runs := outputs(1+(k+1)*n, n)
 		for _, ro := range runs {
 			b.addSampleStats(ro.Snapshot.Snapshot)
 		}
+		what := fmt.Sprintf("sampled INIP (period %d)", period)
+		if err := b.compareRuns(obs.UnitSampleCompare, period, what, runs, snaps[0], worker); err != nil {
+			return refEntry{}, err
+		}
 		entry.Sampling = append(entry.Sampling, runs)
 	}
 	entry.Variants = outputs(len(cfgs)-len(b.opts.Variants), len(b.opts.Variants))
+	for vi := range entry.Variants {
+		what := fmt.Sprintf("variant %d", vi)
+		if err := b.compareRuns(obs.UnitCompare, entry.Variants[vi].T, what, entry.Variants[vi:vi+1], snaps[0], worker); err != nil {
+			return refEntry{}, err
+		}
+	}
 	if suite != nil {
 		entry.Predictors = suite.Results()
 	}
@@ -693,13 +690,31 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 		data := col.BenchData(b.t.Name)
 		entry.Learned = &data
 	}
-	// Settle before the caller spawns anything: a settle failure then
-	// fails the step before any comparison could publish.
+	// Settle before the caller publishes: a settle failure then fails
+	// the step before any of its results reaches the output.
 	return entry, ref.settle(entry, worker)
 }
 
-// refBody runs the reference step, then publishes its outputs and fans
-// out the comparison units.
+// compareRuns fills each run's Summary with its comparison against
+// avep, under one span of unit labelled t; what names the runs in the
+// error of a failed comparison.
+func (b *benchRun) compareRuns(unit string, t uint64, what string, runs []runOutput, avep *profile.Snapshot, worker int) error {
+	start := time.Now()
+	var err error
+	for j := range runs {
+		if runs[j].Summary, _, err = Compare(runs[j].Snapshot.Snapshot, avep); err != nil {
+			err = fmt.Errorf("core: %s comparison of %s at T=%d: %w", what, b.t.Name, runs[j].T, err)
+			break
+		}
+	}
+	b.record(unit, t, worker, start, 0, err)
+	return err
+}
+
+// refBody runs the reference step and publishes its outputs: every
+// comparison is in the entry, so a collapsed rung receives the result
+// of the follower that serves it under its own paper-unit label.
+// Indexes are step-owned, so the writes need no lock.
 func (b *benchRun) refBody(worker int) error {
 	entry, err := b.reference(worker)
 	if err != nil {
@@ -709,109 +724,37 @@ func (b *benchRun) refBody(worker int) error {
 	b.out.Predictors = entry.Predictors
 	b.out.Learned = entry.Learned
 	b.recordAVEP(entry.AVEP.Snapshot, entry.AVEPCycles)
-	for j := range rungs {
-		idxs, ro := rungs[j], entry.Runs[j]
-		b.spawn(obs.UnitCompare, ro.T, func(w int) error { return b.compareBody(idxs, ro, w) })
+	for j, idxs := range rungs {
+		for _, i := range idxs {
+			b.out.Results[i] = entry.Runs[j].result(b.opts.Thresholds[i])
+		}
 	}
 	for pi, period := range b.opts.SamplePeriods {
-		outs := entry.Sampling[pi]
-		b.spawn(obs.UnitSampleCompare, period, func(w int) error { return b.sampleCompareBody(pi, period, rungs, outs, w) })
+		perT := make([]SampleThresholdResult, len(b.opts.Thresholds))
+		for j, idxs := range rungs {
+			ro := entry.Sampling[pi][j]
+			for _, i := range idxs {
+				perT[i] = SampleThresholdResult{T: b.opts.Thresholds[i], Summary: ro.Summary, ProfilingOps: ro.Snapshot.ProfilingOps, Cycles: ro.Cycles}
+			}
+		}
+		b.out.Sampling[pi] = SamplePeriodResult{Period: period, PerT: perT}
 	}
 	for vi, ro := range entry.Variants {
-		b.spawn(obs.UnitCompare, ro.T, func(w int) error { return b.variantCompareBody(vi, ro, w) })
+		b.out.Variants[vi] = ro.result(ro.T)
 	}
 	return b.maybeCompareTrain(worker)
 }
 
-// recordAVEP fills the once-per-benchmark memo the comparison stages
-// read. The write happens before any comparison unit is spawned, which
-// is what makes the lock-free reads in compareUnit safe.
+// recordAVEP fills the once-per-benchmark memo the training comparison
+// reads. The write to out.AVEP happens before the memo is set under the
+// lock, which is what makes the training comparison's lock-free reads
+// of it safe.
 func (b *benchRun) recordAVEP(avep *profile.Snapshot, cycles float64) {
 	b.out.AVEP = avep
 	b.out.AVEPCycles = cycles
 	b.mu.Lock()
 	b.avep = avep
 	b.mu.Unlock()
-}
-
-// compareBody is the comparison unit of one distinct threshold: it
-// evaluates one INIP(T) snapshot against the AVEP memo and writes every
-// ladder entry it serves — several when collapsed rungs share a
-// follower. The comparison runs once; collapsed rungs receive identical
-// results under their own paper-unit labels.
-//
-// The comparison itself is cacheable: its inputs are fully determined
-// by the two runs' keys, so a warm hit skips the normalization.
-func (b *benchRun) compareBody(idxs []int, ro runOutput, worker int) error {
-	cmp := lookupSlot[cmpEntry](b, func() resultcache.Key { return b.cmpCacheKey(ro.T) }, nil, worker)
-	if cmp.warm() {
-		b.publishThresholdResults(idxs, ro, cmp.cached.Summary)
-		return nil
-	}
-	start := time.Now()
-	summary, _, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
-	if err != nil {
-		err = fmt.Errorf("core: INIP(%d) comparison of %s: %w", ro.T, b.t.Name, err)
-		b.record(obs.UnitCompare, ro.T, worker, start, 0, err)
-		return err
-	}
-	b.record(obs.UnitCompare, ro.T, worker, start, 0, nil)
-	if err := cmp.settle(cmpEntry{Summary: summary}, worker); err != nil {
-		return err
-	}
-	b.publishThresholdResults(idxs, ro, summary)
-	return nil
-}
-
-// publishThresholdResults writes one ladder entry per served rung index
-// (indexes are rung-owned, so the writes need no lock).
-func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary metrics.Summary) {
-	for _, i := range idxs {
-		b.out.Results[i] = ro.result(b.opts.Thresholds[i], summary)
-	}
-}
-
-// sampleCompareBody is the sampled-ladder comparison unit of one
-// period: it evaluates the period's sampled ladder against the AVEP
-// memo and publishes the period's result (the index is period-owned,
-// so the write needs no lock). Only the runs are cached —
-// the comparisons are recomputed even on a warm rerun, which still
-// executes zero guest blocks and pays only the cheap normalizations.
-func (b *benchRun) sampleCompareBody(pi int, period uint64, rungs [][]int, outs []runOutput, worker int) error {
-	start := time.Now()
-	perT := make([]SampleThresholdResult, len(b.opts.Thresholds))
-	for j, ro := range outs {
-		summary, _, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
-		if err != nil {
-			err = fmt.Errorf("core: sampled INIP(%d) comparison (period %d) of %s: %w", ro.T, period, b.t.Name, err)
-			b.record(obs.UnitSampleCompare, period, worker, start, 0, err)
-			return err
-		}
-		for _, i := range rungs[j] {
-			perT[i] = SampleThresholdResult{
-				T:            b.opts.Thresholds[i],
-				Summary:      summary,
-				ProfilingOps: ro.Snapshot.ProfilingOps,
-				Cycles:       ro.Cycles,
-			}
-		}
-	}
-	b.record(obs.UnitSampleCompare, period, worker, start, 0, nil)
-	b.out.Sampling[pi] = SamplePeriodResult{Period: period, PerT: perT}
-	return nil
-}
-
-// variantCompareBody compares one variant's run with the AVEP memo, on
-// warm reruns too, and publishes it into its own index (no lock).
-func (b *benchRun) variantCompareBody(vi int, ro runOutput, worker int) error {
-	start := time.Now()
-	summary, _, err := Compare(ro.Snapshot.Snapshot, b.out.AVEP)
-	if err != nil {
-		err = fmt.Errorf("core: variant %d comparison of %s: %w", vi, b.t.Name, err)
-	}
-	b.record(obs.UnitCompare, ro.T, worker, start, 0, err)
-	b.out.Variants[vi] = ro.result(ro.T, summary)
-	return err
 }
 
 // trainBody runs INIP(train) and stores its snapshot for the training
@@ -867,7 +810,7 @@ func (b *benchRun) maybeCompareTrain(worker int) error {
 	if !ready {
 		return nil
 	}
-	return b.execute(obs.UnitTrainCompare, 0, func() error {
+	return b.execute(obs.UnitTrainCompare, func() error {
 		return b.compareTrain(train, worker)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -83,31 +84,36 @@ func TestDegradeIsolatesFailingBenchmark(t *testing.T) {
 	}
 }
 
-// TestDegradePanicBecomesUnitFailure: an injected panic in one
-// threshold's comparison must degrade exactly that rung, not crash the
-// process or take down the other rungs.
+// TestDegradePanicBecomesUnitFailure: an injected panic in the training
+// comparison must degrade exactly that unit, not crash the process or
+// take down the ladder the reference unit published.
 func TestDegradePanicBecomesUnitFailure(t *testing.T) {
 	opts := Options{
 		Thresholds: []uint64{50, 100},
-		Faults:     mustPlan(t, "panic:pan/compare@100"),
+		Faults:     mustPlan(t, "panic:pan/train_compare"),
 	}
-	done := runDegraded(t, opts, BuildFromAsm("pan", counterProgram()))
+	target := BuildFromAsm("pan", counterProgram())
+	clean, err := RunBenchmark(target, Options{Thresholds: opts.Thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := runDegraded(t, opts, target)
 	b := done["pan"]
 	if len(b.Failures) != 1 {
 		t.Fatalf("Failures = %+v, want exactly one", b.Failures)
 	}
 	f := b.Failures[0]
-	if f.Unit != obs.UnitCompare || f.T != 100 {
+	if f.Unit != obs.UnitTrainCompare {
 		t.Fatalf("failure misattributed: %+v", f)
 	}
-	if want := "core: compare unit of pan panicked: faultinject: panic in pan/compare"; f.Err != want {
+	if want := "core: train_compare unit of pan panicked: faultinject: panic in pan/train_compare"; f.Err != want {
 		t.Fatalf("failure error = %q, want %q", f.Err, want)
 	}
-	if b.Results[0].Summary.Blocks == 0 {
-		t.Fatal("surviving rung T=50 lost its result")
+	if !reflect.DeepEqual(b.Results, clean.Results) {
+		t.Fatal("the ladder differs from the fault-free run")
 	}
-	if !reflect.DeepEqual(b.Results[1], (ThresholdResult{})) {
-		t.Fatalf("panicked rung recorded a result: %+v", b.Results[1])
+	if b.Train != (metrics.Summary{}) || b.TrainRegions != (metrics.Summary{}) {
+		t.Fatalf("panicked training comparison recorded a result: %+v", b.Train)
 	}
 }
 

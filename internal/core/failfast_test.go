@@ -44,9 +44,9 @@ func TestFailFastFirstErrorVerbatim(t *testing.T) {
 	if doneCalls.Load() != 0 {
 		t.Fatal("onDone fired despite failure")
 	}
-	// The reference unit failed before any comparison was spawned, so the
-	// ladder slots must be untouched zero values — a failing study must
-	// not leave half-written results behind.
+	// The reference unit failed before it compared or published anything,
+	// so the ladder slots must be untouched zero values — a failing study
+	// must not leave half-written results behind.
 	for i, tr := range b.out.Results {
 		if !reflect.DeepEqual(tr, (ThresholdResult{})) {
 			t.Fatalf("Results[%d] partially recorded after failure: %+v", i, tr)
@@ -106,13 +106,14 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 		t:      target,
 		out:    &BenchmarkResult{Name: target.Name},
 		onDone: func(*BenchmarkResult) { doneCalls.Add(1) },
+		live:   1,
 	}
 	b.out.AVEP = optimized
 	b.avep = optimized
 	b.train = train
 	// Host the comparison in a spawned unit, as the second run unit to
 	// finish does.
-	b.spawn(obs.UnitTrain, 0, b.maybeCompareTrain)
+	b.spawn(obs.UnitTrain, b.maybeCompareTrain)
 
 	err = s.Wait()
 	want := fmt.Sprintf("core: train comparison of cmpfail: navep: average profile must be unoptimized, has %d regions",

@@ -1,7 +1,7 @@
 // Run-level work scheduler: the study pipeline is decomposed into
-// independent units — per-benchmark reference runs, training runs and
-// per-threshold comparisons — scheduled over one shared bounded worker
-// pool. The failure policy picks what a unit error does to the rest:
+// independent units — per-benchmark reference runs (every follower
+// compared with AVEP) and training runs — scheduled over one shared
+// bounded worker pool. The failure policy picks what a unit error does to the rest:
 // fail-fast cancellation (one failing benchmark stops the whole study)
 // or graceful degradation (the failing benchmark is isolated and the
 // others run to completion).
@@ -25,8 +25,8 @@ const (
 	FailFast FailurePolicy = iota
 	// Degrade isolates a failing benchmark: the failing unit records
 	// its failure in the benchmark's result (BenchmarkResult.Failures)
-	// and spawns none of its dependents, the benchmark reports once its
-	// last live unit exits, and every other benchmark runs to
+	// and publishes nothing, the benchmark reports once its last live
+	// unit exits, and every other benchmark runs to
 	// completion. The scheduler itself only cancels on Stop or on a
 	// defect (a panic escaping a unit wrapper).
 	Degrade
@@ -62,10 +62,7 @@ func ParseFailurePolicy(s string) (FailurePolicy, error) {
 var ErrStopped = errors.New("core: study stopped")
 
 // Scheduler is a bounded worker pool with first-error fail-fast. Units
-// are scheduled with Go/GoW — including from inside a running unit,
-// which is how dependent stages (e.g. the per-threshold comparisons
-// that need the AVEP snapshot) are spawned without ever blocking a pool
-// slot on an unfinished dependency.
+// are scheduled with Go/GoW.
 //
 // Pool slots carry stable ids in [0, Workers): a unit learns which slot
 // it occupies (GoW), which is what lets the observability layer plot

@@ -200,10 +200,10 @@ func TestScheduledModesAgree(t *testing.T) {
 }
 
 // TestWarmBenchmarkReportsOnce: a fully warm benchmark's units finish in
-// microseconds, so its reference unit can run to completion, dependents
-// and all, before the training unit is even spawned; spawnGap makes
-// sure it does. Scheduled over and over on one pool, every benchmark
-// must still report exactly once, with the complete cold result.
+// microseconds, so its reference unit can run to completion before the
+// training unit is even spawned. Scheduled over and over on one pool,
+// every benchmark must still report exactly once, with the complete
+// cold result.
 func TestWarmBenchmarkReportsOnce(t *testing.T) {
 	const schedules = 200
 	target := BuildFromAsm("tiny", counterProgram())
@@ -212,9 +212,6 @@ func TestWarmBenchmarkReportsOnce(t *testing.T) {
 	cold := runCached(t, target, opts)
 	var warm Timing
 	opts.Timing = &warm
-
-	spawnGap = func() { time.Sleep(time.Millisecond) }
-	t.Cleanup(func() { spawnGap = nil })
 
 	s := NewScheduler(4)
 	var calls [schedules]atomic.Int64

@@ -4,7 +4,7 @@
 // build step before invoking a target builder, the translator config
 // (a guest trap at the Nth dynamic block, see dbt.Config.TrapAfter),
 // and the scheduler's unit wrapper (a delay or a panic at a chosen
-// (bench, unit, T) site).
+// (bench, unit) site).
 //
 // Every fault is deterministic: it fires at an exact, configured point,
 // the same way on every run and every time its site is reached, so the
@@ -18,24 +18,31 @@
 //
 //	build:<bench>[/<input>]             fail the target build
 //	trap:<bench>[/<input>]@<n|auto>     guest trap at the Nth block
-//	slow:<bench>/<unit>[@<T>]:<dur>     delay the unit by <dur>
-//	panic:<bench>/<unit>[@<T>]          panic inside the unit
+//	slow:<bench>/<unit>:<dur>           delay the unit by <dur>
+//	panic:<bench>/<unit>                panic inside the unit
 //	seed:<n>                            seed for @auto points
 //
 // <bench> is a benchmark name or "*" (any); <input> is "ref" or
-// "train" (default: any); <unit> is a pipeline unit name (ref, train,
-// compare, train_compare) or "*"; <T> is an effective retranslation
-// threshold (default: any).
+// "train" (default: any); <unit> is a unit the scheduler runs under its
+// failure policy (ref, train, train_compare) or "*". Any other unit
+// name is an error: a site the pipeline never reaches would arm a fault
+// that never fires.
 package faultinject
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
+
+// units are the unit names a slow or panic site may name besides "*":
+// the units the pipeline runs through its failure-policy wrapper.
+var units = []string{obs.UnitRef, obs.UnitTrain, obs.UnitTrainCompare}
 
 // Kind enumerates the failure modes a fault can arm.
 type Kind int
@@ -75,8 +82,6 @@ type Fault struct {
 	Input string
 	// Unit restricts slow/panic faults to one pipeline unit ("*" = any).
 	Unit string
-	// T restricts slow/panic faults to one effective threshold (0 = any).
-	T uint64
 	// N is the dynamic block count a trap fires at.
 	N uint64
 	// Delay is the slow fault's injected latency.
@@ -221,16 +226,8 @@ func parseTrapSite(f *Fault, site string) (auto bool, err error) {
 	return false, nil
 }
 
-// parseUnitSite parses "<bench>/<unit>[@<T>]".
+// parseUnitSite parses "<bench>/<unit>".
 func parseUnitSite(f *Fault, site string) error {
-	if head, at, ok := cutLast(site, "@"); ok {
-		t, err := strconv.ParseUint(at, 10, 64)
-		if err != nil || t == 0 {
-			return fmt.Errorf("bad threshold %q", at)
-		}
-		f.T = t
-		site = head
-	}
 	bench, unit, ok := strings.Cut(site, "/")
 	if !ok || bench == "" || unit == "" {
 		return fmt.Errorf("want <bench>/<unit>")
@@ -238,8 +235,8 @@ func parseUnitSite(f *Fault, site string) error {
 	if err := checkName("benchmark name", bench); err != nil {
 		return err
 	}
-	if err := checkName("unit name", unit); err != nil {
-		return err
+	if unit != "*" && !slices.Contains(units, unit) {
+		return fmt.Errorf("unknown unit %q (want %s or *)", unit, strings.Join(units, ", "))
 	}
 	f.Bench, f.Unit = bench, unit
 	return nil
@@ -258,9 +255,6 @@ func (p *Plan) String() string {
 		}
 		if f.Unit != "" {
 			s += "/" + f.Unit
-		}
-		if f.T != 0 {
-			s += fmt.Sprintf("@%d", f.T)
 		}
 		if f.Kind == KindTrap {
 			s += fmt.Sprintf("@%d", f.N)
@@ -289,7 +283,6 @@ func (p *Plan) match(kind Kind, ok func(*Fault) bool) *Fault {
 func matchBench(f *Fault, bench string) bool { return f.Bench == "*" || f.Bench == bench }
 func matchInput(f *Fault, input string) bool { return f.Input == "" || f.Input == input }
 func matchUnit(f *Fault, unit string) bool   { return f.Unit == "*" || f.Unit == unit }
-func matchT(f *Fault, t uint64) bool         { return f.T == 0 || f.T == t }
 
 // BuildError returns the injected build failure for (bench, input), or
 // nil. The pipeline's build step consults it before invoking the target
@@ -312,12 +305,10 @@ func (p *Plan) Trap(bench, input string) (uint64, bool) {
 	return f.N, true
 }
 
-// Delay returns the injected latency for a unit at (bench, unit, t),
-// or zero.
-func (p *Plan) Delay(bench, unit string, t uint64) time.Duration {
-	f := p.match(KindSlow, func(f *Fault) bool {
-		return matchBench(f, bench) && matchUnit(f, unit) && matchT(f, t)
-	})
+// Delay returns the injected latency for a unit at (bench, unit), or
+// zero.
+func (p *Plan) Delay(bench, unit string) time.Duration {
+	f := p.match(KindSlow, func(f *Fault) bool { return matchBench(f, bench) && matchUnit(f, unit) })
 	if f == nil {
 		return 0
 	}
@@ -325,11 +316,9 @@ func (p *Plan) Delay(bench, unit string, t uint64) time.Duration {
 }
 
 // PanicMessage returns the message to panic with inside the unit at
-// (bench, unit, t), if a panic fault is armed there.
-func (p *Plan) PanicMessage(bench, unit string, t uint64) (string, bool) {
-	f := p.match(KindPanic, func(f *Fault) bool {
-		return matchBench(f, bench) && matchUnit(f, unit) && matchT(f, t)
-	})
+// (bench, unit), if a panic fault is armed there.
+func (p *Plan) PanicMessage(bench, unit string) (string, bool) {
+	f := p.match(KindPanic, func(f *Fault) bool { return matchBench(f, bench) && matchUnit(f, unit) })
 	if f == nil {
 		return "", false
 	}

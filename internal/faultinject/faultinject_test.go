@@ -1,13 +1,14 @@
 package faultinject
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestParseAndMatch(t *testing.T) {
-	p, err := Parse("build:gzip/ref, trap:swim@5000, slow:mcf/compare@50:10ms, panic:vpr/train")
+	p, err := Parse("build:gzip/ref, trap:swim@5000, slow:mcf/train_compare:10ms, panic:vpr/train")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,28 +34,28 @@ func TestParseAndMatch(t *testing.T) {
 		t.Fatal("trap fired for the wrong benchmark")
 	}
 
-	// Threshold-qualified slow fault.
-	if d := p.Delay("mcf", "compare", 100); d != 0 {
-		t.Fatalf("slow fault fired at wrong T: %v", d)
+	// Unit-qualified slow fault.
+	if d := p.Delay("mcf", "train"); d != 0 {
+		t.Fatalf("slow fault fired for the wrong unit: %v", d)
 	}
-	if d := p.Delay("mcf", "compare", 50); d != 10*time.Millisecond {
+	if d := p.Delay("mcf", "train_compare"); d != 10*time.Millisecond {
 		t.Fatalf("Delay = %v, want 10ms", d)
 	}
 
-	if _, ok := p.PanicMessage("vpr", "ref", 0); ok {
+	if _, ok := p.PanicMessage("vpr", "ref"); ok {
 		t.Fatal("panic fault fired for the wrong unit")
 	}
-	if msg, ok := p.PanicMessage("vpr", "train", 0); !ok || !strings.Contains(msg, "vpr/train") {
+	if msg, ok := p.PanicMessage("vpr", "train"); !ok || !strings.Contains(msg, "vpr/train") {
 		t.Fatalf("PanicMessage = (%q, %v)", msg, ok)
 	}
 }
 
 func TestWildcardBench(t *testing.T) {
-	p, err := Parse("panic:*/compare")
+	p, err := Parse("panic:*/train_compare")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.PanicMessage("anything", "compare", 42); !ok {
+	if _, ok := p.PanicMessage("anything", "train_compare"); !ok {
 		t.Fatal("wildcard bench did not match")
 	}
 }
@@ -93,10 +94,10 @@ func TestNilPlanIsInert(t *testing.T) {
 	if _, ok := p.Trap("gzip", "ref"); ok {
 		t.Fatal("nil plan trapped")
 	}
-	if d := p.Delay("gzip", "ref", 0); d != 0 {
+	if d := p.Delay("gzip", "ref"); d != 0 {
 		t.Fatal("nil plan delayed")
 	}
-	if _, ok := p.PanicMessage("gzip", "ref", 0); ok {
+	if _, ok := p.PanicMessage("gzip", "ref"); ok {
 		t.Fatal("nil plan panicked")
 	}
 	if p.String() != "" {
@@ -118,7 +119,7 @@ func TestParseErrors(t *testing.T) {
 		"slow:gzip/ref",      // missing duration
 		"slow:gzip/ref:fast", // bad duration
 		"panic:gzip",         // missing unit
-		"panic:gzip/ref@0",   // zero threshold
+		"panic:gzip/ref@0",   // no threshold qualifier
 		"seed:x",             // bad seed
 		"build:*0/",          // "*" embedded in a bench name
 		"panic:gzip/u*nit@5", // "*" embedded in a unit name
@@ -129,6 +130,44 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
+		}
+	}
+}
+
+// TestUnitSitesFailClosed: a slow or panic site accepts exactly the
+// units the pipeline runs under its failure policy, plus "*". Any other
+// name — a span that is not a unit, a unit the pipeline no longer has,
+// a threshold qualifier no unit carries — is a parse error naming the
+// value, not a fault that never fires.
+func TestUnitSitesFailClosed(t *testing.T) {
+	for _, tc := range []struct {
+		unit string
+		ok   bool
+	}{
+		{"ref", true},
+		{"train", true},
+		{"train_compare", true},
+		{"*", true},
+		{"compare", false},
+		{"sample_compare", false},
+		{"learned_collect", false},
+		{"learned_fit", false},
+		{"build", false},
+		{"cache_hit", false},
+		{"run", false},
+		{"ref@100", false},
+		{"Ref", false},
+	} {
+		for _, spec := range []string{"panic:gzip/" + tc.unit, "slow:gzip/" + tc.unit + ":1ms"} {
+			_, err := Parse(spec)
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("Parse(%q) = %v, want accepted", spec, err)
+			case !tc.ok && err == nil:
+				t.Errorf("Parse(%q) accepted a unit no fault site reaches", spec)
+			case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.unit)):
+				t.Errorf("Parse(%q) = %v, want the error to name %q", spec, err, tc.unit)
+			}
 		}
 	}
 }

@@ -12,14 +12,14 @@ func FuzzFaultSpec(f *testing.F) {
 	f.Add("trap:swim/ref/run@200")
 	f.Add("trap:mcf@auto,seed:7")
 	f.Add("slow:gzip/train/train:150ms")
-	f.Add("panic:applu/ref/compare@100")
+	f.Add("panic:applu/train_compare")
 	f.Add("seed:41,trap:*@auto")
 	f.Add("slow:a:1h2m3s")
 	f.Add("build:x*00")
 	f.Add("build:*/train")
-	f.Add("slow:*/compare@50:2ms")
+	f.Add("slow:*/ref:2ms")
 	f.Add("trap:gzip/train@auto,seed:9")
-	f.Add("panic:*/*@3")
+	f.Add("panic:*/*")
 	f.Add("build: /")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := Parse(spec)

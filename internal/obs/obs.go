@@ -30,7 +30,7 @@ const (
 	UnitBuild        = "build"         // image/tape construction, once per benchmark input
 	UnitRef          = "ref"           // reference-input execution (AVEP + shared INIP ladder)
 	UnitTrain        = "train"         // training-input execution
-	UnitCompare      = "compare"       // one INIP(T)-vs-AVEP normalization + metrics
+	UnitCompare      = "compare"       // one follower's comparison with AVEP, inside the ref step
 	UnitTrainCompare = "train_compare" // the INIP(train)-vs-AVEP comparison
 	UnitRun          = "run"           // a standalone translator run (cmd/dbtrun)
 	UnitCacheHit     = "cache_hit"     // a result-cache lookup that served a validated entry
@@ -40,7 +40,7 @@ const (
 	// Sampled-profiling spans (core.Options.SamplePeriods). T carries
 	// the sample period, not a threshold; the sampled runs themselves
 	// ride the reference run's own span.
-	UnitSampleCompare = "sample_compare" // one period's sampled-vs-AVEP comparison sweep
+	UnitSampleCompare = "sample_compare" // one period's sampled-vs-AVEP comparisons, inside the ref step
 
 	// Learned-predictor spans (core.Options.Learned). Collection is
 	// per-benchmark static feature extraction (the tallies ride the

@@ -55,16 +55,20 @@ import (
 // sums instead of a running float sum, which moves them in the 12th–13th
 // significant digit; a v3 entry would serve the old rounding, so a
 // warm study could disagree with a cold one.
-const SchemaVersion = 4
+//
+// v5: every follower of a ref entry carries its comparison with AVEP,
+// the cmp kind is gone and keys lose their threshold component; a v4
+// ref entry would decode with zero summaries.
+const SchemaVersion = 5
 
 // Key identifies one cached unit output. Every field participates in
 // the canonical fingerprint; the zero value is not a usable key (Lookup
 // and Put reject keys without a kind or image hash).
 type Key struct {
 	// Kind is the unit flavour: "ref" (the shared-trace reference
-	// bundle, with the output of every study axis that rode the trace),
-	// "run" (one profiled execution), "cmp" (one INIP(T)-vs-AVEP
-	// comparison) or "traincmp" (the training comparison pair).
+	// bundle: every follower's run and its comparison with AVEP, and the
+	// output of every study axis that rode the trace), "run" (the
+	// training run) or "traincmp" (the training comparison pair).
 	Kind string
 	// Bench is the benchmark name — informational for humans listing
 	// the store, but also part of the fingerprint so two benchmarks
@@ -83,9 +87,6 @@ type Key struct {
 	// (dbt.Config.Fingerprint); for multi-run entries the fingerprints
 	// joined with "|".
 	Engine string
-	// T is the effective retranslation threshold for per-threshold
-	// entries, 0 elsewhere.
-	T uint64
 }
 
 // Fingerprint renders the key canonically. The rendering — not the
@@ -94,8 +95,8 @@ type Key struct {
 // on every component.
 func (k Key) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|kind=%s|bench=%s|ctx=%s|img=%s|tape=%s|t=%d|engine=%s",
-		SchemaVersion, k.Kind, k.Bench, k.Context, k.Image, k.Tape, k.T, k.Engine)
+	fmt.Fprintf(&b, "v%d|kind=%s|bench=%s|ctx=%s|img=%s|tape=%s|engine=%s",
+		SchemaVersion, k.Kind, k.Bench, k.Context, k.Image, k.Tape, k.Engine)
 	return b.String()
 }
 

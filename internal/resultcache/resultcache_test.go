@@ -24,7 +24,7 @@ func testKey() Key {
 	return Key{
 		Kind: "run", Bench: "gzip", Context: "scale=0.001",
 		Image: "deadbeef", Tape: "uniform:gzip/ref",
-		Engine: "input=ref;threshold=5", T: 5,
+		Engine: "input=ref;threshold=5",
 	}
 }
 
@@ -82,7 +82,7 @@ func TestUnwritableDirDemotesToReadOnly(t *testing.T) {
 	}
 	// Later writes (heal attempts) must be demoted, not surfaced.
 	k2 := testKey()
-	k2.T = 7
+	k2.Engine = "input=ref;threshold=7"
 	for i := 0; i < 3; i++ {
 		if err := s.Put(k2, payload{Name: "heal"}); err != nil {
 			t.Fatalf("demoted write %d surfaced: %v", i, err)
@@ -130,7 +130,7 @@ func TestReadOnlyDirPermissions(t *testing.T) {
 		t.Fatal("read-only dir broke lookups")
 	}
 	k2 := testKey()
-	k2.T = 9
+	k2.Engine = "input=ref;threshold=9"
 	if err := s.Put(k2, payload{Name: "y"}); err == nil {
 		t.Fatal("first write to a read-only dir returned nil")
 	}
@@ -169,13 +169,12 @@ func TestKeyComponentsSeparateEntries(t *testing.T) {
 	}
 	variants := []Key{}
 	for _, mut := range []func(*Key){
-		func(k *Key) { k.Kind = "cmp" },
+		func(k *Key) { k.Kind = "traincmp" },
 		func(k *Key) { k.Bench = "mcf" },
 		func(k *Key) { k.Context = "scale=1" },
 		func(k *Key) { k.Image = "cafebabe" },
 		func(k *Key) { k.Tape = "uniform:gzip/train" },
 		func(k *Key) { k.Engine = "input=ref;threshold=7" },
-		func(k *Key) { k.T = 7 },
 	} {
 		k := base
 		mut(&k)

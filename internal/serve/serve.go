@@ -1,7 +1,7 @@
 // Package serve exposes one measurement of the study pipeline — one
 // benchmark at one threshold — as a long-running HTTP/JSON service. One
 // daemon process owns the expensive shared state — a bounded
-// core.Scheduler for comparison units, the content-addressed result
+// core.Scheduler for the study's run units, the content-addressed result
 // cache, a server-lifetime flight recorder — and requests from many
 // clients are admitted into it instead of each invocation paying
 // cold-start and fighting for the machine. Full-suite studies are

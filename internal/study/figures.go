@@ -341,17 +341,13 @@ func (r *Results) Figure18() Figure {
 
 // gapNotes describes every benchmark a degraded run excluded from the
 // figures, one line per recorded failure, in suite order (failures
-// within a benchmark are already sorted by unit and threshold).
+// within a benchmark are already sorted by unit).
 func (r *Results) gapNotes() []string {
 	var out []string
 	for i := range r.Series {
 		s := &r.Series[i]
 		for _, f := range s.Failures {
-			site := f.Unit
-			if f.T != 0 {
-				site = fmt.Sprintf("%s@T=%d", f.Unit, f.T)
-			}
-			out = append(out, fmt.Sprintf("gap: %s excluded — %s failed: %s", f.Bench, site, f.Err))
+			out = append(out, fmt.Sprintf("gap: %s excluded — %s failed: %s", f.Bench, f.Unit, f.Err))
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/resultcache"
 	"repro/internal/spec"
@@ -79,6 +81,72 @@ func TestGoldenFigures(t *testing.T) {
 		if !reflect.DeepEqual(g.got, want) {
 			t.Errorf("%s drifted from the committed corpus (regenerate with -update if intended)", g.name)
 		}
+	}
+}
+
+// TestWarmRerunReadsOnlyEntries: every comparison is stored with its
+// run, so a warm rerun of a study with every follower axis on the
+// reference trace — all predictors, two sample periods and the
+// section-5 variants — reads exactly three entries per benchmark (ref,
+// the training run and the training comparison), computes no
+// comparison, and returns the cold series.
+func TestWarmRerunReadsOnlyEntries(t *testing.T) {
+	dir := t.TempDir()
+	benches := goldenConfig(t).Benchmarks
+	run := func(trace *obs.Recorder) *Results {
+		t.Helper()
+		store, err := resultcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{
+			Scale:         0.001,
+			Thresholds:    append([]float64{1, 100}, Section5Thresholds...),
+			Benchmarks:    benches,
+			Predictors:    predict.Names(),
+			SamplePeriods: []uint64{4, 16},
+			Section5:      true,
+			Cache:         store,
+			Trace:         trace,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := run(nil)
+	var buf bytes.Buffer
+	rec := obs.NewRecorder(&buf)
+	warm := run(rec)
+	if dropped, err := rec.Close(); err != nil || dropped != 0 {
+		t.Fatalf("recorder close: dropped=%d err=%v", dropped, err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := make(map[string]int)
+	for _, ev := range events {
+		switch ev.Unit {
+		case obs.UnitCacheHit:
+			hits[ev.Bench]++
+		case obs.UnitCompare, obs.UnitSampleCompare, obs.UnitCacheMiss, obs.UnitCacheStore:
+			t.Fatalf("warm rerun traced a %s span of %s (T=%d)", ev.Unit, ev.Bench, ev.T)
+		}
+	}
+	for _, b := range benches {
+		if hits[b.Name] != 3 {
+			t.Fatalf("warm rerun of %s traced %d cache hits, want 3: %v", b.Name, hits[b.Name], hits)
+		}
+	}
+	if len(hits) != len(benches) {
+		t.Fatalf("cache hits traced for %v, want only %d benchmarks", hits, len(benches))
+	}
+	if len(cold.Series[0].Variants) == 0 || len(cold.Series[0].Sampling) != 2 {
+		t.Fatal("the cold study ran without its variants or sampled ladders; the test would not cover them")
+	}
+	if !reflect.DeepEqual(cold.Series, warm.Series) {
+		t.Fatal("warm series differ from cold series")
 	}
 }
 

@@ -60,10 +60,9 @@ type Config struct {
 	// Parallelism bounds concurrently-running work units (0 selects
 	// GOMAXPROCS, matching the scheduler's own default — unlike NumCPU
 	// it respects cgroup quotas and GOMAXPROCS overrides). Units are
-	// finer than benchmarks: each benchmark's reference execution,
-	// training run and per-threshold comparisons schedule
-	// independently, so small Parallelism values still make progress on
-	// wide suites.
+	// finer than benchmarks: each benchmark's reference execution and
+	// training run schedule independently, so small Parallelism values
+	// still make progress on wide suites.
 	Parallelism int
 	// Progress, when non-nil, receives one line per completed
 	// benchmark. Write failures do not stop the study; they are counted
@@ -435,8 +434,8 @@ type Perf struct {
 }
 
 // Run executes the study: every benchmark is decomposed into run units
-// (reference execution, training run, per-threshold comparisons) on one
-// shared worker pool. The failure policy decides whether a unit error
+// (reference execution with every follower's comparison, and the
+// training run) on one shared worker pool. The failure policy decides whether a unit error
 // cancels the study (fail-fast, the default) or only its benchmark
 // (degrade). With a Cache, every finished unit is stored as it
 // completes, so rerunning a stopped or failed study over the same cache
@@ -568,17 +567,14 @@ func Run(cfg Config) (*Results, error) {
 	return res, nil
 }
 
-// sortFailures orders failures deterministically: by benchmark, unit,
-// then threshold (unit completion order is scheduling-dependent).
+// sortFailures orders failures deterministically: by benchmark, then
+// unit (unit completion order is scheduling-dependent).
 func sortFailures(fs []core.UnitFailure) {
 	sort.Slice(fs, func(i, j int) bool {
 		if fs[i].Bench != fs[j].Bench {
 			return fs[i].Bench < fs[j].Bench
 		}
-		if fs[i].Unit != fs[j].Unit {
-			return fs[i].Unit < fs[j].Unit
-		}
-		return fs[i].T < fs[j].T
+		return fs[i].Unit < fs[j].Unit
 	})
 }
 
