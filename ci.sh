@@ -169,6 +169,17 @@ if [ "$entries" -ne 78 ]; then
     echo "cold run stored $entries cache entries, want 78 (3 per benchmark)" >&2
     exit 1
 fi
+# The entries hold what the figures read: each follower's result, not
+# its snapshot. Their byte total is a fixed figure of the code, held to
+# the ceiling in BENCH_floor.json (see its comment).
+cache_ceil=$(sed -n 's/.*"resultcache_scale0001_bytes": *\([0-9]*\).*/\1/p' BENCH_floor.json)
+cache_bytes=$(cat "$tmpdir"/cache/[!.]*.json | wc -c)
+awk -v got="$cache_bytes" -v ceil="$cache_ceil" 'BEGIN {
+    if (ceil == "" || got + 0 > ceil + 0) {
+        printf "cold run stored %s bytes of cache entries, ceiling %s\n", got, ceil > "/dev/stderr"
+        exit 1
+    }
+}'
 "$tmpdir/inipstudy" -scale 0.001 -fig all -cache "$tmpdir/cache" \
     -benchjson "$tmpdir/warm.json" > "$tmpdir/warm-figs.txt" 2> "$tmpdir/warm.err"
 cmp "$tmpdir/cold-figs.txt" "$tmpdir/warm-figs.txt"

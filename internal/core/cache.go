@@ -44,58 +44,37 @@ import (
 // identity is not declarative, so the key closure is incomplete), and
 // interrupted or failed units (no clean completion, no store).
 
-// runOutput is the cached outcome of one profiled execution: the unit of
-// reuse for training runs, and the per-follower element of a reference
-// bundle.
-type runOutput struct {
-	// T is the effective retranslation threshold (0 for AVEP/train).
-	T uint64 `json:"t"`
-	// Snapshot is the run's profile snapshot.
-	Snapshot cachedSnapshot `json:"snapshot"`
-	// Stats are the engine counters of this run's profiling context.
-	Stats dbt.RunStats `json:"stats"`
-	// Cycles is the run's perf-model total.
-	Cycles float64 `json:"cycles"`
-	// Summary is the follower's comparison with the AVEP of the same
-	// trace. The training run leaves it zero: its comparisons are the
-	// traincmp entry's.
-	Summary metrics.Summary `json:"summary"`
-}
-
-// result is the run's comparison with AVEP, at ladder threshold t.
-func (ro runOutput) result(t uint64) ThresholdResult {
-	return ThresholdResult{T: t, Summary: ro.Summary, ProfilingOps: ro.Snapshot.ProfilingOps, Cycles: ro.Cycles, Stats: ro.Stats}
-}
-
 // refEntry is the cached output of the reference step: the AVEP
-// profile plus one runOutput per distinct effective threshold, in
-// ladder (config) order, and the output of every study axis that rode
-// the same trace. The axis fields are omitted when their axis is off,
-// so an entry without axes keeps the bytes it had before they existed.
+// profile, which a training comparison that misses its own entry still
+// reads, plus each other follower's result (its comparison with AVEP
+// included) and the output of every study axis that rode the same
+// trace. Runs holds one result per distinct effective threshold, in
+// ladder (config) order. The axis fields are omitted when their axis is
+// off, so an entry without axes keeps the bytes it had before they
+// existed.
 type refEntry struct {
-	AVEP       cachedSnapshot `json:"avep"`
-	AVEPStats  dbt.RunStats   `json:"avep_stats"`
-	AVEPCycles float64        `json:"avep_cycles"`
-	Runs       []runOutput    `json:"runs"`
+	AVEP       cachedSnapshot    `json:"avep"`
+	AVEPCycles float64           `json:"avep_cycles"`
+	Runs       []ThresholdResult `json:"runs"`
 	// Predictors holds one tally per requested predictor, in request
 	// order.
 	Predictors []predict.Result `json:"predictors,omitempty"`
 	// Sampling holds one sampled ladder per requested period, in period
-	// order, each shaped like Runs, comparisons with AVEP included.
-	Sampling [][]runOutput `json:"sampling,omitempty"`
+	// order, each shaped like Runs.
+	Sampling [][]SampleThresholdResult `json:"sampling,omitempty"`
 	// Learned is the learned-predictor collection: every static branch
 	// site with its feature vector and outcome tallies.
 	Learned *learned.BenchData `json:"learned,omitempty"`
-	// Variants holds one run per requested variant, in request order.
-	Variants []runOutput `json:"variants,omitempty"`
+	// Variants holds one result per requested variant, in request order.
+	Variants []ThresholdResult `json:"variants,omitempty"`
 }
 
 // cachedSnapshot is a profile snapshot as a cache entry field: a JSON
 // string holding the base64 of its binary encoding, or null for nil.
-// Snapshots are nearly all of an entry's bytes, and the binary form
-// decodes several times faster than a map of seven-field JSON objects.
-// The rest of each entry stays JSON, so the entries remain readable and
-// the forging tests can still edit them.
+// It is the whole run entry and the ref entry's AVEP, and the binary
+// form decodes several times faster than a map of seven-field JSON
+// objects. The rest of each entry stays JSON, so the
+// entries remain readable and the forging tests can still edit them.
 type cachedSnapshot struct{ *profile.Snapshot }
 
 func (c cachedSnapshot) MarshalJSON() ([]byte, error) {
@@ -255,24 +234,24 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 // refEntryMatches sanity-checks a decoded reference bundle against what
 // the pipeline is about to serve: cfgs are the reference configs in
 // trace order (see referenceConfigs), n the number of distinct rungs.
-// The key already encodes the config set and the axes, so a mismatch
-// indicates a damaged or hand-edited entry; the caller treats it as a
-// miss.
+// Every stored result must sit at its config's threshold. The key
+// already encodes the config set and the axes, so a mismatch indicates
+// a damaged or hand-edited entry; the caller treats it as a miss.
 func (b *benchRun) refEntryMatches(ent *refEntry, cfgs []dbt.Config, n int) bool {
 	preds, lcfg := b.opts.Predictors, b.opts.Learned
 	if ent.AVEP.Snapshot == nil || len(ent.Sampling) != len(b.opts.SamplePeriods) ||
-		len(ent.Variants) != len(b.opts.Variants) ||
 		len(ent.Predictors) != len(preds) || (ent.Learned != nil) != (lcfg != nil) {
 		return false
 	}
-	for k, runs := range append([][]runOutput{ent.Runs}, ent.Sampling...) {
-		if len(runs) != n {
+	tr := func(r *ThresholdResult) uint64 { return r.T }
+	if !atThresholds(ent.Runs, cfgs[1:1+n], tr) ||
+		!atThresholds(ent.Variants, cfgs[len(cfgs)-len(b.opts.Variants):], tr) {
+		return false
+	}
+	for k, runs := range ent.Sampling {
+		c := 1 + (k+1)*n
+		if !atThresholds(runs, cfgs[c:c+n], func(r *SampleThresholdResult) uint64 { return r.T }) {
 			return false
-		}
-		for j, ro := range runs {
-			if ro.Snapshot.Snapshot == nil || ro.T != cfgs[1+k*n+j].Threshold {
-				return false
-			}
 		}
 	}
 	for i, r := range ent.Predictors {
@@ -288,6 +267,20 @@ func (b *benchRun) refEntryMatches(ent *refEntry, cfgs []dbt.Config, n int) bool
 			if len(ent.Learned.Sites[i].X) != learned.NumFeatures() {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// atThresholds reports whether rs holds one result per config of cfgs,
+// each at its config's threshold (t reads a result's).
+func atThresholds[R any](rs []R, cfgs []dbt.Config, t func(*R) uint64) bool {
+	if len(rs) != len(cfgs) {
+		return false
+	}
+	for i := range rs {
+		if t(&rs[i]) != cfgs[i].Threshold {
+			return false
 		}
 	}
 	return true

@@ -85,26 +85,15 @@ func TestCacheColdThenWarm(t *testing.T) {
 	}
 	// Name the snapshots the cache carries, so a codec that loses a
 	// field, or turns a nil collection into an empty one, fails on the
-	// snapshot it damaged: the cold run's AVEP against the warm run's
-	// decoded one, and every stored INIP snapshot (the ref entry's main
-	// and sampled ladders) against the serial oracle's freshly computed one.
-	if !reflect.DeepEqual(cold.AVEP, warm.AVEP) {
-		t.Fatal("warm AVEP snapshot differs from cold")
-	}
+	// snapshot it damaged: the ref entry's AVEP and the run entry's
+	// training snapshot against the serial oracle's freshly computed ones.
 	_, want := serialOracle(t, target, opts)
-	got := storedSnapshots(t, dir, opts)
-	regions := 0
-	for i, c := range want.inip {
-		if !reflect.DeepEqual(got.inip[i], c) {
-			t.Fatalf("T=%d: stored INIP snapshot differs from a fresh run:\nfresh %+v\nstored %+v", opts.Thresholds[i], c, got.inip[i])
-		}
-		regions += len(c.Regions)
+	got := storedSnapshots(t, dir)
+	if !reflect.DeepEqual(got.avep, want.avep) {
+		t.Fatalf("stored AVEP snapshot differs from a fresh run:\nfresh %+v\nstored %+v", want.avep, got.avep)
 	}
-	if regions == 0 {
-		t.Fatal("no INIP snapshot formed a region; the test would not cover them")
-	}
-	if !reflect.DeepEqual(got.sampled, want.sampled) {
-		t.Fatal("stored sampled INIP snapshots differ from fresh runs")
+	if !reflect.DeepEqual(got.train, want.train) {
+		t.Fatalf("stored training snapshot differs from a fresh run:\nfresh %+v\nstored %+v", want.train, got.train)
 	}
 }
 
@@ -245,23 +234,13 @@ func readEnvelope(t *testing.T, path string) cacheEnvelope {
 	return env
 }
 
-// forgeEntry decodes the value of the entry at path (numbers kept
-// exact), lets edit rewrite it, and recomputes the checksum so the
-// store itself accepts the forged entry as intact.
-func forgeEntry(t *testing.T, path string, edit func(v map[string]any)) {
+// forgeValue lets edit rewrite the raw value of the entry at path and
+// recomputes the checksum, so the store itself accepts the forged entry
+// as intact.
+func forgeValue(t *testing.T, path string, edit func(value []byte) []byte) {
 	t.Helper()
 	env := readEnvelope(t, path)
-	dec := json.NewDecoder(bytes.NewReader(env.Value))
-	dec.UseNumber()
-	var v map[string]any
-	if err := dec.Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	edit(v)
-	var err error
-	if env.Value, err = json.Marshal(v); err != nil {
-		t.Fatal(err)
-	}
+	env.Value = edit(env.Value)
 	sum := sha256.Sum256(env.Value)
 	env.Sum = hex.EncodeToString(sum[:])
 	data, err := json.Marshal(env)
@@ -271,6 +250,53 @@ func forgeEntry(t *testing.T, path string, edit func(v map[string]any)) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// forgeEntry decodes the value of the entry at path as a JSON object
+// (numbers kept exact), lets edit rewrite it, and stores it forged.
+func forgeEntry(t *testing.T, path string, edit func(v map[string]any)) {
+	t.Helper()
+	forgeValue(t, path, func(value []byte) []byte {
+		dec := json.NewDecoder(bytes.NewReader(value))
+		dec.UseNumber()
+		var v map[string]any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		edit(v)
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
+}
+
+// fields is the forge of a row that edits an entry's JSON fields.
+func fields(edit func(v map[string]any)) func(*testing.T, string) {
+	return func(t *testing.T, path string) { forgeEntry(t, path, edit) }
+}
+
+// forgeSnapshotCount stores the run entry's training snapshot with one
+// block's use count raised: the binary codec's bytes, decoded, edited
+// and re-encoded.
+func forgeSnapshotCount(t *testing.T, path string) {
+	t.Helper()
+	forgeValue(t, path, func(value []byte) []byte {
+		var snap cachedSnapshot
+		if err := json.Unmarshal(value, &snap); err != nil || snap.Snapshot == nil || len(snap.Blocks) == 0 {
+			t.Fatalf("run entry holds no training snapshot with blocks (%v)", err)
+		}
+		for _, blk := range snap.Blocks {
+			blk.Use++
+			break
+		}
+		out, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
 }
 
 // object walks a decoded JSON value to the object at path: string
@@ -288,34 +314,37 @@ func object(v any, path ...any) map[string]any {
 }
 
 // TestCacheVerifyCatchesForgedEntry forges each entry kind, each axis
-// field of the ref entry, and each comparison the ref entry stores, in
-// turn — a perturbed value under a recomputed checksum, so the store
-// itself accepts it and every sanity check passes — and requires the
-// differential verify mode to catch it. The axis rows are named after
-// their axis: bp the predictor tallies, ls the learned collection, sp
-// the sampled ladders; the summary rows forge one comparison of a
-// ladder rung, a sampled rung and a variant.
+// field of the ref entry, and each value the ref entry stores for a
+// follower, in turn — a perturbed value under a recomputed checksum, so
+// the store itself accepts it and every sanity check passes — and
+// requires the differential verify mode to catch it. The axis rows are
+// named after their axis: bp the predictor tallies, ls the learned
+// collection, sp the sampled ladders; the summary rows forge one
+// comparison of a ladder rung, a sampled rung and a variant, and the run
+// row one count inside the training snapshot.
 func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	for _, tc := range []struct {
 		name, kind string
-		edit       func(v map[string]any)
+		forge      func(t *testing.T, path string)
 	}{
-		{"ref", "ref", func(v map[string]any) { v["avep_cycles"] = 1.5 }},
-		{"run", "run", func(v map[string]any) { v["cycles"] = 1.5 }},
-		{"runs summary", "ref", func(v map[string]any) { object(v, "runs", 0, "summary")["SdBP"] = 0.123456789 }},
-		{"sampling summary", "ref", func(v map[string]any) { object(v, "sampling", 0, 0, "summary")["SdBP"] = 0.123456789 }},
-		{"variants summary", "ref", func(v map[string]any) { object(v, "variants", 0, "summary")["SdBP"] = 0.123456789 }},
-		{"traincmp", "traincmp", func(v map[string]any) { object(v, "train")["SdBP"] = 0.123456789 }},
-		{"bp", "ref", func(v map[string]any) { object(v, "predictors", 0)["mispredicts"] = 123456789 }},
-		{"ls", "ref", func(v map[string]any) { object(v, "learned", "sites", 0)["taken"] = 123456789 }},
-		{"sp", "ref", func(v map[string]any) { object(v, "sampling", 0, 0)["cycles"] = 1.5 }},
+		{"ref", "ref", fields(func(v map[string]any) { v["avep_cycles"] = 1.5 })},
+		{"run", "run", forgeSnapshotCount},
+		{"runs summary", "ref", fields(func(v map[string]any) { object(v, "runs", 0, "summary")["SdBP"] = 0.123456789 })},
+		{"runs profiling ops", "ref", fields(func(v map[string]any) { object(v, "runs", 0)["profiling_ops"] = 123456789 })},
+		{"runs stats", "ref", fields(func(v map[string]any) { object(v, "runs", 0, "stats")["BlocksExecuted"] = 123456789 })},
+		{"sampling summary", "ref", fields(func(v map[string]any) { object(v, "sampling", 0, 0, "summary")["SdBP"] = 0.123456789 })},
+		{"variants summary", "ref", fields(func(v map[string]any) { object(v, "variants", 0, "summary")["SdBP"] = 0.123456789 })},
+		{"traincmp", "traincmp", fields(func(v map[string]any) { object(v, "train")["SdBP"] = 0.123456789 })},
+		{"bp", "ref", fields(func(v map[string]any) { object(v, "predictors", 0)["mispredicts"] = 123456789 })},
+		{"ls", "ref", fields(func(v map[string]any) { object(v, "learned", "sites", 0)["taken"] = 123456789 })},
+		{"sp", "ref", fields(func(v map[string]any) { object(v, "sampling", 0, 0)["cycles"] = 1.5 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
 			opts, _ := cacheOpts(t, dir)
 			runCached(t, target, opts)
-			forgeEntry(t, cacheEntryPath(t, dir, tc.kind), tc.edit)
+			tc.forge(t, cacheEntryPath(t, dir, tc.kind))
 
 			opts2, _ := cacheOpts(t, dir)
 			opts2.CacheVerify = true
@@ -343,21 +372,24 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 func TestCacheInvalidEntriesReExecute(t *testing.T) {
 	for _, tc := range []struct {
 		name, kind string
-		edit       func(v map[string]any)
+		forge      func(t *testing.T, path string)
 	}{
-		{"bp renamed predictor", "ref", func(v map[string]any) {
+		{"bp renamed predictor", "ref", fields(func(v map[string]any) {
 			object(v, "predictors", 0)["predictor"] = "renamed"
-		}},
-		{"sp wrong threshold", "ref", func(v map[string]any) { object(v, "sampling", 0, 0)["t"] = 5 }},
-		{"sp missing ladder", "ref", func(v map[string]any) { v["sampling"] = []any{} }},
-		{"ls wrong bench", "ref", func(v map[string]any) { object(v, "learned")["bench"] = "other" }},
-		{"ls short feature vector", "ref", func(v map[string]any) {
+		})},
+		{"sp wrong threshold", "ref", fields(func(v map[string]any) { object(v, "sampling", 0, 0)["t"] = 5 })},
+		{"sp missing ladder", "ref", fields(func(v map[string]any) { v["sampling"] = []any{} })},
+		{"variant wrong threshold", "ref", fields(func(v map[string]any) { object(v, "variants", 0)["t"] = 5 })},
+		{"ls wrong bench", "ref", fields(func(v map[string]any) { object(v, "learned")["bench"] = "other" })},
+		{"ls short feature vector", "ref", fields(func(v map[string]any) {
 			site := object(v, "learned", "sites", 0)
 			x := site["x"].([]any)
 			site["x"] = x[:len(x)-1]
+		})},
+		{"ref without AVEP", "ref", fields(func(v map[string]any) { v["avep"] = nil })},
+		{"run with null snapshot", "run", func(t *testing.T, path string) {
+			forgeValue(t, path, func([]byte) []byte { return []byte("null") })
 		}},
-		{"ref without AVEP", "ref", func(v map[string]any) { v["avep"] = nil }},
-		{"run with null snapshot", "run", func(v map[string]any) { v["snapshot"] = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -365,7 +397,7 @@ func TestCacheInvalidEntriesReExecute(t *testing.T) {
 			opts, _ := cacheOpts(t, dir)
 			cold := runCached(t, target, opts)
 			path := cacheEntryPath(t, dir, tc.kind)
-			forgeEntry(t, path, tc.edit)
+			tc.forge(t, path)
 
 			opts2, tm2 := cacheOpts(t, dir)
 			var trace bytes.Buffer
@@ -507,9 +539,9 @@ func TestSettleFailureRetiresRefOnce(t *testing.T) {
 				t.Fatalf("comparison of T=%d ran %d times, want once", rung, compares[rung])
 			}
 		}
-		for i, tr := range b.out.Results {
+		for i, tr := range b.out.PerT {
 			if !reflect.DeepEqual(tr, (ThresholdResult{})) {
-				t.Fatalf("failed reference unit published Results[%d]: %+v", i, tr)
+				t.Fatalf("failed reference unit published PerT[%d]: %+v", i, tr)
 			}
 		}
 		for i, pr := range b.out.Sampling {

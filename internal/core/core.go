@@ -199,12 +199,14 @@ func (t *Timing) AddRunStats(st *dbt.RunStats) {
 }
 
 // ThresholdResult is the outcome of one INIP(T) run compared to AVEP.
+// The ref cache entry stores it as is, under the JSON names of
+// SampleThresholdResult.
 type ThresholdResult struct {
-	T            uint64
-	Summary      metrics.Summary
-	ProfilingOps uint64
-	Cycles       float64
-	Stats        dbt.RunStats
+	T            uint64          `json:"t"`
+	Summary      metrics.Summary `json:"summary"`
+	ProfilingOps uint64          `json:"profiling_ops"`
+	Cycles       float64         `json:"cycles"`
+	Stats        dbt.RunStats    `json:"stats"`
 }
 
 // SampleThresholdResult is one rung of a sampled-profiling ladder: the
@@ -245,8 +247,6 @@ type UnitFailure struct {
 // BenchmarkResult is the complete study output for one benchmark.
 type BenchmarkResult struct {
 	Name string
-	// AVEP is the average profile of the reference input.
-	AVEP *profile.Snapshot
 	// AVEPCycles is the cycle cost of running unoptimized forever.
 	AVEPCycles float64
 	// Train compares INIP(train) to AVEP (blocks only, as in the
@@ -260,8 +260,8 @@ type BenchmarkResult struct {
 	// TrainOps is the profiling-operation total of the training run,
 	// the normalization base of Figure 18.
 	TrainOps uint64
-	// Results holds one entry per threshold, in ladder order.
-	Results []ThresholdResult
+	// PerT holds one entry per threshold, in ladder order.
+	PerT []ThresholdResult
 	// Predictors holds one accuracy tally per requested dynamic
 	// predictor, in Options.Predictors order. The branch stream is the
 	// reference trace, so the tallies are threshold-independent and
@@ -280,8 +280,8 @@ type BenchmarkResult struct {
 	Variants []ThresholdResult
 	// Failures lists the units that failed permanently under the Degrade
 	// policy, in completion order (callers that need a stable order sort
-	// by unit and threshold). Empty on a clean run; under FailFast the
-	// study errors out instead of recording failures.
+	// by unit). Empty on a clean run; under FailFast the study errors
+	// out instead of recording failures.
 	Failures []UnitFailure
 }
 
@@ -314,12 +314,12 @@ type benchRun struct {
 	// refImgHash and trainImgHash are the content hashes of the built
 	// images, filled by the run units before they store the avep or
 	// train memo; the training comparison keys its entry off both and
-	// reads them, like out.AVEP, under that memo's lock.
+	// reads them after taking both memos under the lock.
 	refImgHash   string
 	trainImgHash string
 
 	mu            sync.Mutex
-	avep          *profile.Snapshot // set once by the reference unit
+	avep          *profile.Snapshot // set once by the reference unit; its only copy
 	train         *profile.Snapshot // set once by the training unit
 	trainCompared bool
 	live          int // units scheduled and not yet exited
@@ -401,10 +401,10 @@ func (b *benchRun) addRunStats(st *dbt.RunStats) {
 // addSampleStats folds one executed sampled context's profiling volume
 // into the study aggregate. Called only on cold paths, so warm reruns
 // report zero sampled units, mirroring BlocksExecuted.
-func (b *benchRun) addSampleStats(snap *profile.Snapshot) {
+func (b *benchRun) addSampleStats(ops uint64) {
 	if tm := b.opts.Timing; tm != nil {
 		tm.SampledUnits.Add(1)
-		tm.SampledProfilingOps.Add(snap.ProfilingOps)
+		tm.SampledProfilingOps.Add(ops)
 	}
 }
 
@@ -431,7 +431,7 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 		s:      s,
 		t:      t,
 		opts:   opts,
-		out:    &BenchmarkResult{Name: t.Name, Results: make([]ThresholdResult, len(opts.Thresholds))},
+		out:    &BenchmarkResult{Name: t.Name, PerT: make([]ThresholdResult, len(opts.Thresholds))},
 		onDone: onDone,
 	}
 	if len(opts.SamplePeriods) > 0 {
@@ -651,35 +651,53 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 		b.addRunStats(st)
 	}
 	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	// outputs returns the runs of the m followers from config c on.
-	outputs := func(c, m int) []runOutput {
-		outs := make([]runOutput, m)
-		for j := range outs {
-			outs[j] = runOutput{T: cfgs[c+j].Threshold, Snapshot: cachedSnapshot{snaps[c+j]}, Stats: *stats[c+j], Cycles: cfgs[c+j].Perf.Cycles}
+	avep := snaps[0]
+	// compare compares the m followers from config c on with AVEP under
+	// one span of unit labelled t; what names them in a failed
+	// comparison's error.
+	compare := func(unit string, t uint64, what string, c, m int) ([]metrics.Summary, error) {
+		start := time.Now()
+		sums := make([]metrics.Summary, m)
+		var err error
+		for j := range sums {
+			if sums[j], _, err = Compare(snaps[c+j], avep); err != nil {
+				err = fmt.Errorf("core: %s comparison of %s at T=%d: %w", what, b.t.Name, cfgs[c+j].Threshold, err)
+				break
+			}
 		}
-		return outs
+		b.record(unit, t, worker, start, 0, err)
+		return sums, err
 	}
-	entry := refEntry{AVEP: cachedSnapshot{snaps[0]}, AVEPStats: *stats[0], AVEPCycles: cfgs[0].Perf.Cycles, Runs: outputs(1, n)}
+	// result is follower c's result, compared under its own span.
+	result := func(c int, what string) (ThresholdResult, error) {
+		sums, err := compare(obs.UnitCompare, cfgs[c].Threshold, what, c, 1)
+		return ThresholdResult{T: cfgs[c].Threshold, Summary: sums[0], ProfilingOps: snaps[c].ProfilingOps, Cycles: cfgs[c].Perf.Cycles, Stats: *stats[c]}, err
+	}
+	entry := refEntry{AVEP: cachedSnapshot{avep}, AVEPCycles: cfgs[0].Perf.Cycles,
+		Runs: make([]ThresholdResult, n), Variants: make([]ThresholdResult, len(b.opts.Variants))}
 	for j := range entry.Runs {
-		if err := b.compareRuns(obs.UnitCompare, entry.Runs[j].T, "INIP", entry.Runs[j:j+1], snaps[0], worker); err != nil {
+		if entry.Runs[j], err = result(1+j, "INIP"); err != nil {
 			return refEntry{}, err
 		}
 	}
 	for k, period := range b.opts.SamplePeriods {
-		runs := outputs(1+(k+1)*n, n)
-		for _, ro := range runs {
-			b.addSampleStats(ro.Snapshot.Snapshot)
+		c := 1 + (k+1)*n
+		for _, snap := range snaps[c : c+n] {
+			b.addSampleStats(snap.ProfilingOps)
 		}
-		what := fmt.Sprintf("sampled INIP (period %d)", period)
-		if err := b.compareRuns(obs.UnitSampleCompare, period, what, runs, snaps[0], worker); err != nil {
+		sums, err := compare(obs.UnitSampleCompare, period, fmt.Sprintf("sampled INIP (period %d)", period), c, n)
+		if err != nil {
 			return refEntry{}, err
 		}
-		entry.Sampling = append(entry.Sampling, runs)
+		ladder := make([]SampleThresholdResult, n)
+		for j := range ladder {
+			ladder[j] = SampleThresholdResult{T: cfgs[c+j].Threshold, Summary: sums[j], ProfilingOps: snaps[c+j].ProfilingOps, Cycles: cfgs[c+j].Perf.Cycles}
+		}
+		entry.Sampling = append(entry.Sampling, ladder)
 	}
-	entry.Variants = outputs(len(cfgs)-len(b.opts.Variants), len(b.opts.Variants))
+	v0 := len(cfgs) - len(entry.Variants)
 	for vi := range entry.Variants {
-		what := fmt.Sprintf("variant %d", vi)
-		if err := b.compareRuns(obs.UnitCompare, entry.Variants[vi].T, what, entry.Variants[vi:vi+1], snaps[0], worker); err != nil {
+		if entry.Variants[vi], err = result(v0+vi, fmt.Sprintf("variant %d", vi)); err != nil {
 			return refEntry{}, err
 		}
 	}
@@ -695,26 +713,11 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 	return entry, ref.settle(entry, worker)
 }
 
-// compareRuns fills each run's Summary with its comparison against
-// avep, under one span of unit labelled t; what names the runs in the
-// error of a failed comparison.
-func (b *benchRun) compareRuns(unit string, t uint64, what string, runs []runOutput, avep *profile.Snapshot, worker int) error {
-	start := time.Now()
-	var err error
-	for j := range runs {
-		if runs[j].Summary, _, err = Compare(runs[j].Snapshot.Snapshot, avep); err != nil {
-			err = fmt.Errorf("core: %s comparison of %s at T=%d: %w", what, b.t.Name, runs[j].T, err)
-			break
-		}
-	}
-	b.record(unit, t, worker, start, 0, err)
-	return err
-}
-
 // refBody runs the reference step and publishes its outputs: every
 // comparison is in the entry, so a collapsed rung receives the result
-// of the follower that serves it under its own paper-unit label.
-// Indexes are step-owned, so the writes need no lock.
+// of the follower that serves it (the same threshold). Indexes are
+// step-owned, so the writes need no lock; the AVEP memo, which the
+// training comparison reads, is set under it.
 func (b *benchRun) refBody(worker int) error {
 	entry, err := b.reference(worker)
 	if err != nil {
@@ -723,38 +726,26 @@ func (b *benchRun) refBody(worker int) error {
 	_, rungs := b.distinctRungs()
 	b.out.Predictors = entry.Predictors
 	b.out.Learned = entry.Learned
-	b.recordAVEP(entry.AVEP.Snapshot, entry.AVEPCycles)
+	b.out.AVEPCycles = entry.AVEPCycles
 	for j, idxs := range rungs {
 		for _, i := range idxs {
-			b.out.Results[i] = entry.Runs[j].result(b.opts.Thresholds[i])
+			b.out.PerT[i] = entry.Runs[j]
 		}
 	}
 	for pi, period := range b.opts.SamplePeriods {
 		perT := make([]SampleThresholdResult, len(b.opts.Thresholds))
 		for j, idxs := range rungs {
-			ro := entry.Sampling[pi][j]
 			for _, i := range idxs {
-				perT[i] = SampleThresholdResult{T: b.opts.Thresholds[i], Summary: ro.Summary, ProfilingOps: ro.Snapshot.ProfilingOps, Cycles: ro.Cycles}
+				perT[i] = entry.Sampling[pi][j]
 			}
 		}
 		b.out.Sampling[pi] = SamplePeriodResult{Period: period, PerT: perT}
 	}
-	for vi, ro := range entry.Variants {
-		b.out.Variants[vi] = ro.result(ro.T)
-	}
-	return b.maybeCompareTrain(worker)
-}
-
-// recordAVEP fills the once-per-benchmark memo the training comparison
-// reads. The write to out.AVEP happens before the memo is set under the
-// lock, which is what makes the training comparison's lock-free reads
-// of it safe.
-func (b *benchRun) recordAVEP(avep *profile.Snapshot, cycles float64) {
-	b.out.AVEP = avep
-	b.out.AVEPCycles = cycles
+	copy(b.out.Variants, entry.Variants)
 	b.mu.Lock()
-	b.avep = avep
+	b.avep = entry.AVEP.Snapshot
 	b.mu.Unlock()
+	return b.maybeCompareTrain(worker)
 }
 
 // trainBody runs INIP(train) and stores its snapshot for the training
@@ -769,8 +760,8 @@ func (b *benchRun) trainBody(worker int) error {
 		b.trainImgHash = img.ContentHash()
 	}
 	run := lookupSlot(b, func() resultcache.Key { return b.runCacheKey(b.trainImgHash, "train", cfg) },
-		func(e *runOutput) bool { return e.Snapshot.Snapshot != nil }, worker)
-	train := run.cached.Snapshot.Snapshot
+		func(e *cachedSnapshot) bool { return e.Snapshot != nil }, worker)
+	train := run.cached.Snapshot
 	if !run.warm() {
 		start := time.Now()
 		var stats *dbt.RunStats
@@ -782,7 +773,7 @@ func (b *benchRun) trainBody(worker int) error {
 		}
 		b.addRunStats(stats)
 		b.recordRun(obs.UnitTrain, 0, worker, start, stats)
-		if err := run.settle(runOutput{Snapshot: cachedSnapshot{train}, Stats: *stats, Cycles: cfg.Perf.Cycles}, worker); err != nil {
+		if err := run.settle(cachedSnapshot{train}, worker); err != nil {
 			return err
 		}
 	}
@@ -805,13 +796,13 @@ func (b *benchRun) maybeCompareTrain(worker int) error {
 	if ready {
 		b.trainCompared = true
 	}
-	train := b.train
+	train, avep := b.train, b.avep
 	b.mu.Unlock()
 	if !ready {
 		return nil
 	}
 	return b.execute(obs.UnitTrainCompare, func() error {
-		return b.compareTrain(train, worker)
+		return b.compareTrain(train, avep, worker)
 	})
 }
 
@@ -821,7 +812,7 @@ func (b *benchRun) maybeCompareTrain(worker int) error {
 // training comparison's cache key.
 const trainRegionThreshold = 2000
 
-func (b *benchRun) compareTrain(train *profile.Snapshot, worker int) error {
+func (b *benchRun) compareTrain(train, avep *profile.Snapshot, worker int) error {
 	tc := lookupSlot[trainCmpEntry](b, b.trainCmpCacheKey, nil, worker)
 	if tc.warm() {
 		b.out.Train, b.out.TrainRegions = tc.cached.Train, tc.cached.TrainRegions
@@ -829,13 +820,13 @@ func (b *benchRun) compareTrain(train *profile.Snapshot, worker int) error {
 	}
 	start := time.Now()
 	var err error
-	if b.out.Train, _, err = Compare(train, b.out.AVEP); err != nil {
+	if b.out.Train, _, err = Compare(train, avep); err != nil {
 		err = fmt.Errorf("core: train comparison of %s: %w", b.t.Name, err)
 		b.record(obs.UnitTrainCompare, 0, worker, start, 0, err)
 		return err
 	}
 	trainWithRegions := region.WithOfflineRegions(train, trainRegionThreshold, region.Config{})
-	if b.out.TrainRegions, _, err = Compare(trainWithRegions, b.out.AVEP); err != nil {
+	if b.out.TrainRegions, _, err = Compare(trainWithRegions, avep); err != nil {
 		err = fmt.Errorf("core: train region comparison of %s: %w", b.t.Name, err)
 		b.record(obs.UnitTrainCompare, 0, worker, start, 0, err)
 		return err

@@ -74,7 +74,7 @@ func TestCompareIdenticalSnapshotsIsZero(t *testing.T) {
 	}
 	// A threshold beyond the whole run never freezes anything, so the
 	// initial profile equals the average profile exactly.
-	tr := res.Results[0]
+	tr := res.PerT[0]
 	if tr.Summary.SdBP != 0 || tr.Summary.BPMismatch != 0 {
 		t.Fatalf("INIP(inf) vs AVEP: %+v, want exact match", tr.Summary)
 	}
@@ -89,7 +89,7 @@ func TestStationaryProgramPredictsWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Results[0]
+	tr := res.PerT[0]
 	if !tr.Summary.HasRegions {
 		t.Fatal("expected regions at T=100 on a hot loop")
 	}
@@ -114,7 +114,7 @@ func TestPhasedProgramDefeatsInitialPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Results[0]
+	tr := res.PerT[0]
 	if !tr.Summary.HasRegions {
 		t.Fatal("expected regions")
 	}
@@ -132,19 +132,19 @@ func TestProfilingOpsMonotonicallyGrowWithThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Results) != 3 {
-		t.Fatalf("results = %d", len(res.Results))
+	if len(res.PerT) != 3 {
+		t.Fatalf("results = %d", len(res.PerT))
 	}
 	prev := uint64(0)
-	for _, tr := range res.Results {
+	for _, tr := range res.PerT {
 		if tr.ProfilingOps < prev {
-			t.Fatalf("profiling ops decreased along the ladder: %+v", res.Results)
+			t.Fatalf("profiling ops decreased along the ladder: %+v", res.PerT)
 		}
 		prev = tr.ProfilingOps
 	}
 	// Small thresholds need well under the training run's ops.
-	if res.Results[0].ProfilingOps*5 > res.TrainOps {
-		t.Fatalf("INIP(50) ops %d vs train %d: expected <20%%", res.Results[0].ProfilingOps, res.TrainOps)
+	if res.PerT[0].ProfilingOps*5 > res.TrainOps {
+		t.Fatalf("INIP(50) ops %d vs train %d: expected <20%%", res.PerT[0].ProfilingOps, res.TrainOps)
 	}
 }
 
@@ -179,12 +179,12 @@ func TestPerfEnabledPopulatesCycles(t *testing.T) {
 	if res.AVEPCycles <= 0 {
 		t.Fatal("AVEP cycles missing")
 	}
-	if res.Results[0].Cycles <= 0 {
+	if res.PerT[0].Cycles <= 0 {
 		t.Fatal("INIP cycles missing")
 	}
 	// Optimizing a hot predictable loop must beat never optimizing.
-	if res.Results[0].Cycles >= res.AVEPCycles {
-		t.Fatalf("INIP(100) cycles %v, AVEP %v: optimization should pay off", res.Results[0].Cycles, res.AVEPCycles)
+	if res.PerT[0].Cycles >= res.AVEPCycles {
+		t.Fatalf("INIP(100) cycles %v, AVEP %v: optimization should pay off", res.PerT[0].Cycles, res.AVEPCycles)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestNestedLoopsFormLoopRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Results[0].Summary.Loops == 0 {
+	if res.PerT[0].Summary.Loops == 0 {
 		t.Fatal("nested loop program formed no loop regions")
 	}
 	snap, norm := normalizedAt(t, target, 200)

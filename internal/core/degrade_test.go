@@ -74,9 +74,9 @@ func TestDegradeIsolatesFailingBenchmark(t *testing.T) {
 	if want := "core: build bad/ref: faultinject: build failure for bad/ref"; f.Err != want {
 		t.Fatalf("failure error = %q, want %q", f.Err, want)
 	}
-	for i, tr := range b.Results {
+	for i, tr := range b.PerT {
 		if !reflect.DeepEqual(tr, (ThresholdResult{})) {
-			t.Fatalf("failed benchmark recorded Results[%d]: %+v", i, tr)
+			t.Fatalf("failed benchmark recorded PerT[%d]: %+v", i, tr)
 		}
 	}
 	if !reflect.DeepEqual(done["good"], clean) {
@@ -109,7 +109,7 @@ func TestDegradePanicBecomesUnitFailure(t *testing.T) {
 	if want := "core: train_compare unit of pan panicked: faultinject: panic in pan/train_compare"; f.Err != want {
 		t.Fatalf("failure error = %q, want %q", f.Err, want)
 	}
-	if !reflect.DeepEqual(b.Results, clean.Results) {
+	if !reflect.DeepEqual(b.PerT, clean.PerT) {
 		t.Fatal("the ladder differs from the fault-free run")
 	}
 	if b.Train != (metrics.Summary{}) || b.TrainRegions != (metrics.Summary{}) {

@@ -81,7 +81,7 @@ func ExampleRunBenchmark() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range res.Results {
+	for _, r := range res.PerT {
 		window := "counters still carry the early phase"
 		switch {
 		case 2*r.T <= boundary:

@@ -47,9 +47,9 @@ func TestFailFastFirstErrorVerbatim(t *testing.T) {
 	// The reference unit failed before it compared or published anything,
 	// so the ladder slots must be untouched zero values — a failing study
 	// must not leave half-written results behind.
-	for i, tr := range b.out.Results {
+	for i, tr := range b.out.PerT {
 		if !reflect.DeepEqual(tr, (ThresholdResult{})) {
-			t.Fatalf("Results[%d] partially recorded after failure: %+v", i, tr)
+			t.Fatalf("PerT[%d] partially recorded after failure: %+v", i, tr)
 		}
 	}
 
@@ -64,7 +64,7 @@ func TestFailFastFirstErrorVerbatim(t *testing.T) {
 	if doneCalls.Load() != 0 {
 		t.Fatal("onDone fired for a benchmark scheduled after failure")
 	}
-	if late.out.AVEP != nil || !reflect.DeepEqual(late.out.Results[0], (ThresholdResult{})) {
+	if late.avep != nil || !reflect.DeepEqual(late.out.PerT[0], (ThresholdResult{})) {
 		t.Fatal("dropped benchmark recorded results")
 	}
 }
@@ -108,7 +108,6 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 		onDone: func(*BenchmarkResult) { doneCalls.Add(1) },
 		live:   1,
 	}
-	b.out.AVEP = optimized
 	b.avep = optimized
 	b.train = train
 	// Host the comparison in a spawned unit, as the second run unit to
@@ -155,16 +154,16 @@ func TestLadderCollapseDedup(t *testing.T) {
 
 	// Every collapsed rung carries the shared result under its own label.
 	for i, wantT := range collapsed {
-		if dup.Results[i].T != wantT {
-			t.Fatalf("Results[%d].T = %d, want %d", i, dup.Results[i].T, wantT)
+		if dup.PerT[i].T != wantT {
+			t.Fatalf("PerT[%d].T = %d, want %d", i, dup.PerT[i].T, wantT)
 		}
 	}
 	for i := 1; i < 3; i++ {
-		if !reflect.DeepEqual(dup.Results[0], dup.Results[i]) {
+		if !reflect.DeepEqual(dup.PerT[0], dup.PerT[i]) {
 			t.Fatalf("collapsed rungs 0 and %d differ", i)
 		}
 	}
-	if !reflect.DeepEqual(dup.Results[0], ded.Results[0]) || !reflect.DeepEqual(dup.Results[3], ded.Results[1]) {
+	if !reflect.DeepEqual(dup.PerT[0], ded.PerT[0]) || !reflect.DeepEqual(dup.PerT[3], ded.PerT[1]) {
 		t.Fatal("collapsed ladder results differ from the distinct ladder")
 	}
 

@@ -20,8 +20,8 @@ import (
 // its own. Nothing is shared between runs: no follower replay, no rung
 // dedup (a collapsed rung is run again), no scheduler and no cache.
 // Only the options that shape results are honored. Next to the result
-// it returns the INIP snapshots it computed, which the result does not
-// carry: one per ladder rung, and one ladder per sample period.
+// it returns the two snapshots the cache stores and the result does not
+// carry: AVEP and the training run's.
 func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, oracleSnapshots) {
 	t.Helper()
 	run := func(input string, cfg dbt.Config, observers ...dbt.TraceObserver) (*profile.Snapshot, *dbt.RunStats) {
@@ -54,7 +54,7 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 		return s
 	}
 
-	out := &BenchmarkResult{Name: target.Name, Results: make([]ThresholdResult, len(opts.Thresholds))}
+	out := &BenchmarkResult{Name: target.Name, PerT: make([]ThresholdResult, len(opts.Thresholds))}
 
 	var observers []dbt.TraceObserver
 	var suite *predict.Suite
@@ -78,10 +78,9 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 		col = learned.NewCollector(sites)
 		observers = append(observers, col)
 	}
-	var snaps oracleSnapshots
 	avepCfg := TranslatorConfig("ref", 0, false)
 	avep, _ := run("ref", avepCfg, observers...)
-	out.AVEP, out.AVEPCycles = avep, avepCfg.Perf.Cycles
+	out.AVEPCycles = avepCfg.Perf.Cycles
 	if suite != nil {
 		out.Predictors = suite.Results()
 	}
@@ -93,69 +92,43 @@ func serialOracle(t *testing.T, target Target, opts Options) (*BenchmarkResult, 
 	for i, threshold := range opts.Thresholds {
 		cfg := TranslatorConfig("ref", threshold, true)
 		snap, stats := run("ref", cfg)
-		out.Results[i] = ThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles, Stats: *stats}
-		snaps.inip = append(snaps.inip, snap)
+		out.PerT[i] = ThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles, Stats: *stats}
 	}
 
 	for _, period := range opts.SamplePeriods {
 		pr := SamplePeriodResult{Period: period, PerT: make([]SampleThresholdResult, len(opts.Thresholds))}
-		var ladder []*profile.Snapshot
 		for i, threshold := range opts.Thresholds {
 			cfg := TranslatorConfig("ref", threshold, true)
 			cfg.SamplePeriod = period
 			snap, _ := run("ref", cfg)
 			pr.PerT[i] = SampleThresholdResult{T: threshold, Summary: compare(snap, avep), ProfilingOps: snap.ProfilingOps, Cycles: cfg.Perf.Cycles}
-			ladder = append(ladder, snap)
 		}
 		out.Sampling = append(out.Sampling, pr)
-		snaps.sampled = append(snaps.sampled, ladder)
 	}
 
 	train, _ := run("train", TranslatorConfig("train", 0, false))
 	out.TrainOps = train.ProfilingOps
 	out.Train = compare(train, avep)
 	out.TrainRegions = compare(region.WithOfflineRegions(train, trainRegionThreshold, region.Config{}), avep)
-	return out, snaps
+	return out, oracleSnapshots{avep: avep, train: train}
 }
 
-// oracleSnapshots are the INIP snapshots serialOracle computed, indexed
-// like Options.Thresholds (sampled: by period, then threshold).
+// oracleSnapshots are the snapshots a cached run stores: the ref
+// entry's AVEP and the run entry's training snapshot.
 type oracleSnapshots struct {
-	inip    []*profile.Snapshot
-	sampled [][]*profile.Snapshot
+	avep, train *profile.Snapshot
 }
 
-// storedSnapshots reads back the INIP snapshots a cached run stored in
-// dir — the distinct rungs of its one ref entry, main ladder and each
-// period's sampled ladder — fanned out to ladder order like
-// serialOracle's, so a scheduled run's snapshots can be checked although
-// its result does not carry them. The store must hold a single
-// benchmark's entries.
-func storedSnapshots(t *testing.T, dir string, opts Options) oracleSnapshots {
+// storedSnapshots reads back the two snapshots a cached run stored in
+// dir, so a scheduled run's can be checked although its result does not
+// carry them. The store must hold a single benchmark's entries.
+func storedSnapshots(t *testing.T, dir string) oracleSnapshots {
 	t.Helper()
-	fanOut := func(runs []runOutput) []*profile.Snapshot {
-		byT := make(map[uint64]*profile.Snapshot, len(runs))
-		for _, ro := range runs {
-			byT[ro.T] = ro.Snapshot.Snapshot
-		}
-		out := make([]*profile.Snapshot, len(opts.Thresholds))
-		for i, threshold := range opts.Thresholds {
-			if out[i] = byT[threshold]; out[i] == nil {
-				t.Fatalf("stored entry has no run at T=%d", threshold)
-			}
-		}
-		return out
-	}
 	var ref refEntry
 	storedValue(t, cacheEntryPath(t, dir, "ref"), &ref)
-	if len(ref.Sampling) != len(opts.SamplePeriods) {
-		t.Fatalf("stored ref entry has %d sampled ladders, want %d", len(ref.Sampling), len(opts.SamplePeriods))
-	}
-	snaps := oracleSnapshots{inip: fanOut(ref.Runs)}
-	for _, runs := range ref.Sampling {
-		snaps.sampled = append(snaps.sampled, fanOut(runs))
-	}
-	return snaps
+	var train cachedSnapshot
+	storedValue(t, cacheEntryPath(t, dir, "run"), &train)
+	return oracleSnapshots{avep: ref.AVEP.Snapshot, train: train.Snapshot}
 }
 
 // storedValue decodes the value of the cache entry at path into v.

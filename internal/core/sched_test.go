@@ -157,9 +157,9 @@ taken:
 // oracle — one translator run per config, nothing shared — with every
 // study axis riding the trace: dynamic predictors, the learned
 // collection, and sampled ladders (period 1 is full instrumentation by
-// definition, period 4 is not). The INIP snapshots, which the result
-// does not carry, are read back from the cold run's ref entry (main and
-// sampled ladders) and must equal the oracle's too.
+// definition, period 4 is not). The two snapshots the cache stores and
+// the result does not carry, AVEP and the training run's, are read back
+// from the cold run's entries and must equal the oracle's too.
 func TestScheduledModesAgree(t *testing.T) {
 	// The duplicate rung exercises the dedup fan-out, which must be
 	// invisible next to the oracle's genuine repeat run.
@@ -192,8 +192,8 @@ func TestScheduledModesAgree(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d: scheduled result differs from the serial-run oracle", target.Name, workers)
 			}
-			if !reflect.DeepEqual(storedSnapshots(t, dir, opts), wantSnaps) {
-				t.Fatalf("%s workers=%d: scheduled INIP snapshots differ from the serial-run oracle's", target.Name, workers)
+			if !reflect.DeepEqual(storedSnapshots(t, dir), wantSnaps) {
+				t.Fatalf("%s workers=%d: stored AVEP or training snapshot differs from the serial-run oracle's", target.Name, workers)
 			}
 		}
 	}

@@ -1,14 +1,15 @@
 // Package resultcache is an on-disk content-addressed store for the
-// study pipeline's expensive unit outputs: reference AVEP/INIP(T)
-// snapshot sets, training-run snapshots and comparison summaries.
+// study pipeline's expensive unit outputs: the reference step's AVEP
+// snapshot with every follower's result, training-run snapshots and
+// training comparison summaries.
 //
 // Entries are keyed by a canonical fingerprint of everything that
 // determines a unit's result — the guest image's content hash, the
-// input tape's identity, the translator configuration's engine
-// fingerprint, the effective threshold, the study context (scale) and
-// a cache schema version. Whatever is not provably part of that
-// closure (fault-injected runs, targets without a declared tape
-// identity) must simply not be cached; the store never guesses.
+// input tape's identity, the translator configurations' engine
+// fingerprints, the study context (scale) and a cache schema version.
+// Whatever is not provably part of that closure (fault-injected runs,
+// targets without a declared tape identity) must simply not be cached;
+// the store never guesses.
 //
 // The on-disk format is defensive in both directions:
 //
@@ -59,7 +60,12 @@ import (
 // v5: every follower of a ref entry carries its comparison with AVEP,
 // the cmp kind is gone and keys lose their threshold component; a v4
 // ref entry would decode with zero summaries.
-const SchemaVersion = 5
+//
+// v6: a ref entry stores each follower's published result (threshold,
+// summary, profiling ops, cycles and, for rungs and variants, engine
+// counters) instead of its snapshot, and a run entry is the training
+// snapshot alone; a v5 value no longer decodes into either shape.
+const SchemaVersion = 6
 
 // Key identifies one cached unit output. Every field participates in
 // the canonical fingerprint; the zero value is not a usable key (Lookup

@@ -670,8 +670,8 @@ func (s *Server) runCompare(_ string, cfg study.Config) *compareOut {
 		Train:      toWire(res.Train),
 		Failures:   res.Failures,
 	}
-	if len(res.Results) == 1 {
-		resp.Summary = toWire(res.Results[0].Summary)
+	if len(res.PerT) == 1 {
+		resp.Summary = toWire(res.PerT[0].Summary)
 	}
 	if len(res.Predictors) > 0 {
 		resp.Predictors = make([]predictorWire, len(res.Predictors))
@@ -685,13 +685,13 @@ func (s *Server) runCompare(_ string, cfg study.Config) *compareOut {
 		}
 		s.recordPredictors(res.Predictors)
 	}
-	if len(cfg.SamplePeriods) == 1 && len(res.Sampling) == 1 && len(res.Sampling[0].PerT) == 1 && len(res.Results) == 1 {
+	if len(cfg.SamplePeriods) == 1 && len(res.Sampling) == 1 && len(res.Sampling[0].PerT) == 1 && len(res.PerT) == 1 {
 		sp := res.Sampling[0].PerT[0]
 		sw := &sampledWire{
 			Summary:          toWire(sp.Summary),
 			ProfilingOps:     sp.ProfilingOps,
-			FullProfilingOps: res.Results[0].ProfilingOps,
-			SdBPDelta:        sp.Summary.SdBP - res.Results[0].Summary.SdBP,
+			FullProfilingOps: res.PerT[0].ProfilingOps,
+			SdBPDelta:        sp.Summary.SdBP - res.PerT[0].Summary.SdBP,
 		}
 		if sw.FullProfilingOps > 0 {
 			sw.CostRatio = float64(sw.ProfilingOps) / float64(sw.FullProfilingOps)

@@ -84,7 +84,7 @@ type Config struct {
 	Faults *faultinject.Plan
 	// Cache, when non-nil, memoizes expensive unit outputs in an
 	// on-disk content-addressed store keyed by image hash, tape
-	// identity, engine fingerprint, effective threshold and scale. A
+	// identity, the engine fingerprints of the unit's runs and scale. A
 	// warm rerun of an unchanged study executes zero guest blocks and
 	// produces byte-identical figures. It is also the only resume
 	// mechanism: every unit a stopped or failed study finished is
@@ -288,40 +288,16 @@ func (c *Config) UnitOptions(timing *core.Timing) core.Options {
 	return opts
 }
 
-// BenchmarkSeries is one benchmark's complete sweep.
+// BenchmarkSeries is one benchmark's complete sweep: its class beside
+// the pipeline's result. PerT is indexed like Results.PaperT, and
+// Failures are sorted by unit; a series with failures carries
+// incomplete data and is excluded from every figure (the exclusion is
+// annotated in Figure.Gaps). Variants holds the section5Variants
+// comparisons (Config.Section5), and the suite-level learned fit
+// consumes every series' Learned collection.
 type BenchmarkSeries struct {
-	Name  string
 	Class spec.Class
-	// Train is the INIP(train)-vs-AVEP comparison.
-	Train metrics.Summary
-	// TrainRegions adds offline-formed regions to the training profile
-	// (section-5 future work): Sd.CP(train)/Sd.LP(train) references.
-	TrainRegions metrics.Summary
-	// TrainOps is the training run's profiling-operation total.
-	TrainOps uint64
-	// AVEPCycles is the cycle cost with optimization disabled.
-	AVEPCycles float64
-	// PerT is indexed like Results.PaperT.
-	PerT []core.ThresholdResult
-	// Failures lists the units of this benchmark that failed permanently
-	// under the Degrade policy, sorted by unit and threshold. A series
-	// with failures carries incomplete data and is excluded from every
-	// figure (the exclusion is annotated in Figure.Gaps).
-	Failures []core.UnitFailure `json:",omitempty"`
-	// Predictors holds the dynamic-predictor tallies over this
-	// benchmark's reference trace, in Config.Predictors order; absent
-	// when no predictors were requested.
-	Predictors []predict.Result `json:",omitempty"`
-	// Sampling holds the sampled-profiling rerun ladders, one per
-	// Config.SamplePeriods entry; absent when no periods were requested.
-	Sampling []core.SamplePeriodResult `json:",omitempty"`
-	// Learned holds this benchmark's learned-predictor collection
-	// (static site features + reference-trace tallies); absent when
-	// Config.Learned was nil. The
-	// suite-level fit consumes these after every benchmark completes.
-	Learned *learned.BenchData `json:",omitempty"`
-	// Variants holds the section5Variants comparisons (Config.Section5).
-	Variants []core.ThresholdResult `json:",omitempty"`
+	core.BenchmarkResult
 }
 
 // seriesFromResult converts one benchmark's completed unit result into
@@ -329,20 +305,7 @@ type BenchmarkSeries struct {
 // order.
 func seriesFromResult(b *spec.Benchmark, out *core.BenchmarkResult) BenchmarkSeries {
 	sortFailures(out.Failures)
-	return BenchmarkSeries{
-		Name:         b.Name,
-		Class:        b.Class,
-		Train:        out.Train,
-		TrainRegions: out.TrainRegions,
-		TrainOps:     out.TrainOps,
-		AVEPCycles:   out.AVEPCycles,
-		PerT:         out.Results,
-		Failures:     out.Failures,
-		Predictors:   out.Predictors,
-		Sampling:     out.Sampling,
-		Learned:      out.Learned,
-		Variants:     out.Variants,
-	}
+	return BenchmarkSeries{Class: b.Class, BenchmarkResult: *out}
 }
 
 // ok reports whether the series carries complete measurement data: the
@@ -358,7 +321,7 @@ type Results struct {
 	PaperT []float64
 	Series []BenchmarkSeries
 	// Failures flattens every absorbed unit failure across the suite,
-	// sorted by benchmark, unit and threshold — the study-level record
+	// sorted by benchmark and unit — the study-level record
 	// of what a degraded run is missing.
 	Failures []core.UnitFailure `json:",omitempty"`
 	// Learned is the suite-level leave-one-benchmark-out fit of the
