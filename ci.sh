@@ -406,6 +406,19 @@ awk -v got="$cv_got" -v ceil="$cv_ceil" 'BEGIN {
         exit 1
     }
 }'
+# One warm compare on a filled store (BenchmarkWarmCompare) builds and
+# hashes two images and reads three cache entries; its allocation count
+# is a figure of the code, not of the host, held to a ceiling like the
+# two above.
+wc_ceil=$(sed -n 's/.*"warm_compare_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_floor.json)
+wc_got=$(go test -run='^$' -bench 'BenchmarkWarmCompare' -benchmem -benchtime=100x ./internal/serve/ |
+    awk '/^BenchmarkWarmCompare/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1) }')
+awk -v got="$wc_got" -v ceil="$wc_ceil" 'BEGIN {
+    if (got == "" || ceil == "" || got + 0 > ceil + 0) {
+        printf "BenchmarkWarmCompare: %s allocs/op, ceiling %s\n", got, ceil > "/dev/stderr"
+        exit 1
+    }
+}'
 # One pass of mcf's reference trace behind its threshold ladder, the
 # study's critical path, keeps that benchmark building too (no floor).
 go test -run='^$' -bench 'BenchmarkMcfReference' -benchtime=1x ./internal/spec/ > /dev/null
@@ -562,6 +575,7 @@ go test -run='^$' -fuzz='^FuzzFaultSpec$' -fuzztime=10s ./internal/faultinject/
 go test -run='^$' -fuzz='^FuzzFlowSolve$' -fuzztime=10s ./internal/markov/
 go test -run='^$' -fuzz='^FuzzNormalize$' -fuzztime=10s ./internal/navep/
 go test -run='^$' -fuzz='^FuzzRegionProb$' -fuzztime=10s ./internal/region/
+go test -run='^$' -fuzz='^FuzzFingerprintMatchesFmtRendering$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzExecPaths$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzPredictReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSampledReplay$' -fuzztime=10s ./internal/dbt/

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -71,17 +72,81 @@ type refEntry struct {
 
 // cachedSnapshot is a profile snapshot as a cache entry field: a JSON
 // string holding the base64 of its binary encoding, or null for nil.
-// It is the whole run entry and the ref entry's AVEP, and the binary
-// form decodes several times faster than a map of seven-field JSON
-// objects. The rest of each entry stays JSON, so the
-// entries remain readable and the forging tests can still edit them.
-type cachedSnapshot struct{ *profile.Snapshot }
+// It is the whole run entry and the ref entry's AVEP. The rest of each
+// entry stays JSON, so the entries remain readable and the forging
+// tests can still edit them.
+//
+// A looked-up snapshot keeps its base64 bytes and decodes at first use
+// (snapshot): a warm answer whose training comparison hits its own
+// entry reads neither snapshot, so it decodes neither. The bytes lie
+// inside the store's checksum, the cache's trust boundary, so a
+// checksummed snapshot that fails to decode is an error of the unit
+// that reads it, never a panic and never served.
+type cachedSnapshot struct {
+	snap *profile.Snapshot // the decoded snapshot; nil until first use
+	b64  []byte            // the stored base64, until decoded
+}
+
+// present reports whether the field holds a snapshot, decoded or not.
+func (c *cachedSnapshot) present() bool { return c.snap != nil || c.b64 != nil }
+
+// snapshot returns the snapshot, decoding the stored bytes on first
+// use. A field that holds none returns nil.
+func (c *cachedSnapshot) snapshot() (*profile.Snapshot, error) {
+	if c.snap != nil || c.b64 == nil {
+		return c.snap, nil
+	}
+	if onSnapshotDecode != nil {
+		onSnapshotDecode()
+	}
+	raw, err := base64.StdEncoding.AppendDecode(nil, c.b64)
+	if err != nil {
+		return nil, fmt.Errorf("core: cached snapshot: %w", err)
+	}
+	snap := new(profile.Snapshot)
+	if err := snap.UnmarshalBinary(raw); err != nil {
+		return nil, err
+	}
+	c.snap, c.b64 = snap, nil
+	return snap, nil
+}
+
+// onSnapshotDecode, when set, is called before each stored snapshot
+// decodes; tests count decodes with it.
+var onSnapshotDecode func()
+
+// profilingOps returns the ProfilingOps of the snapshot the field
+// holds. An undecoded snapshot yields it from the head of its binary
+// encoding, without decoding a block.
+func (c *cachedSnapshot) profilingOps() (uint64, error) {
+	if c.b64 == nil {
+		return c.snap.ProfilingOps, nil
+	}
+	// Decode a prefix of whole base64 quanta, doubling it until it holds
+	// the header (its two strings are the only fields of open length).
+	var buf [96]byte
+	for n := 128; ; n *= 2 {
+		n = min(n, len(c.b64)/4*4)
+		head, err := base64.StdEncoding.AppendDecode(buf[:0], c.b64[:n])
+		if err != nil {
+			return 0, fmt.Errorf("core: cached snapshot: %w", err)
+		}
+		ops, err := profile.BinaryProfilingOps(head)
+		if err == nil || n == len(c.b64)/4*4 {
+			return ops, err
+		}
+	}
+}
 
 func (c cachedSnapshot) MarshalJSON() ([]byte, error) {
-	if c.Snapshot == nil {
+	snap, err := c.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	if snap == nil {
 		return []byte("null"), nil
 	}
-	raw, err := c.Snapshot.MarshalBinary()
+	raw, err := snap.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -91,26 +156,18 @@ func (c cachedSnapshot) MarshalJSON() ([]byte, error) {
 	return append(out, '"'), nil
 }
 
-// UnmarshalJSON decodes the quoted base64 in place. It is called with
-// the field's raw bytes, so each snapshot is scanned by the JSON
-// decoder only as the string it is.
+// UnmarshalJSON keeps the quoted base64 for snapshot to decode. It is
+// called with the field's raw bytes, so each snapshot is scanned by the
+// JSON decoder only as the string it is.
 func (c *cachedSnapshot) UnmarshalJSON(data []byte) error {
+	c.snap, c.b64 = nil, nil
 	if string(data) == "null" {
-		c.Snapshot = nil
 		return nil
 	}
 	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
 		return fmt.Errorf("core: cached snapshot is not a JSON string")
 	}
-	raw, err := base64.StdEncoding.AppendDecode(nil, data[1:len(data)-1])
-	if err != nil {
-		return fmt.Errorf("core: cached snapshot: %w", err)
-	}
-	snap := new(profile.Snapshot)
-	if err := snap.UnmarshalBinary(raw); err != nil {
-		return err
-	}
-	c.Snapshot = snap
+	c.b64 = append([]byte{}, data[1:len(data)-1]...)
 	return nil
 }
 
@@ -239,7 +296,7 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 // a damaged or hand-edited entry; the caller treats it as a miss.
 func (b *benchRun) refEntryMatches(ent *refEntry, cfgs []dbt.Config, n int) bool {
 	preds, lcfg := b.opts.Predictors, b.opts.Learned
-	if ent.AVEP.Snapshot == nil || len(ent.Sampling) != len(b.opts.SamplePeriods) ||
+	if (!ent.AVEP.present() && !b.corpus) || len(ent.Sampling) != len(b.opts.SamplePeriods) ||
 		len(ent.Predictors) != len(preds) || (ent.Learned != nil) != (lcfg != nil) {
 		return false
 	}
@@ -303,14 +360,15 @@ func (b *benchRun) refCacheKey(cfgs []dbt.Config) resultcache.Key {
 }
 
 // joinFingerprints is the engine component of a multi-run entry: every
-// config's fingerprint in config order, joined with '|'.
+// config's fingerprint in config order, joined with '|', rendered into
+// one buffer.
 func joinFingerprints(cfgs []dbt.Config) string {
-	engines := make([]byte, 0, 64*len(cfgs))
-	for i, cfg := range cfgs {
+	engines := make([]byte, 0, 224*len(cfgs))
+	for i := range cfgs {
 		if i > 0 {
 			engines = append(engines, '|')
 		}
-		engines = append(engines, cfg.Fingerprint()...)
+		engines = cfgs[i].AppendFingerprint(engines)
 	}
 	return string(engines)
 }
@@ -325,10 +383,14 @@ func (b *benchRun) runCacheKey(imgHash, input string, cfg dbt.Config) resultcach
 // component-wise; the offline region formation that produces the
 // TrainRegions side is pinned by its threshold.
 func (b *benchRun) trainCmpCacheKey() resultcache.Key {
-	avep := b.dbtConfig("ref", 0, false).Fingerprint()
-	train := b.dbtConfig("train", 0, false).Fingerprint()
+	engine := append(make([]byte, 0, 512), "train("...)
+	engine = b.dbtConfig("train", 0, false).AppendFingerprint(engine)
+	engine = append(engine, ")vs("...)
+	engine = b.dbtConfig("ref", 0, false).AppendFingerprint(engine)
+	engine = append(engine, ")|offlineregions="...)
+	engine = strconv.AppendInt(engine, trainRegionThreshold, 10)
 	return b.cacheKey("traincmp",
 		b.refImgHash+"+"+b.trainImgHash,
 		b.t.TapeID("ref")+"+"+b.t.TapeID("train"),
-		fmt.Sprintf("train(%s)vs(%s)|offlineregions=%d", train, avep, trainRegionThreshold))
+		string(engine))
 }

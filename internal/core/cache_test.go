@@ -283,15 +283,19 @@ func fields(edit func(v map[string]any)) func(*testing.T, string) {
 func forgeSnapshotCount(t *testing.T, path string) {
 	t.Helper()
 	forgeValue(t, path, func(value []byte) []byte {
-		var snap cachedSnapshot
-		if err := json.Unmarshal(value, &snap); err != nil || snap.Snapshot == nil || len(snap.Blocks) == 0 {
-			t.Fatalf("run entry holds no training snapshot with blocks (%v)", err)
+		var stored cachedSnapshot
+		if err := json.Unmarshal(value, &stored); err != nil {
+			t.Fatal(err)
+		}
+		snap := decodedSnapshot(t, &stored)
+		if snap == nil || len(snap.Blocks) == 0 {
+			t.Fatal("run entry holds no training snapshot with blocks")
 		}
 		for _, blk := range snap.Blocks {
 			blk.Use++
 			break
 		}
-		out, err := json.Marshal(snap)
+		out, err := json.Marshal(stored)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -318,9 +318,13 @@ type benchRun struct {
 	refImgHash   string
 	trainImgHash string
 
+	// corpus marks a learned-corpus collection (CollectLearnedData):
+	// its ref entry stores no AVEP, which nothing it returns reads.
+	corpus bool
+
 	mu            sync.Mutex
-	avep          *profile.Snapshot // set once by the reference unit; its only copy
-	train         *profile.Snapshot // set once by the training unit
+	avep          *cachedSnapshot // set once by the reference unit; its only copy
+	train         *cachedSnapshot // set once by the training unit
 	trainCompared bool
 	live          int // units scheduled and not yet exited
 }
@@ -673,8 +677,11 @@ func (b *benchRun) reference(worker int) (refEntry, error) {
 		sums, err := compare(obs.UnitCompare, cfgs[c].Threshold, what, c, 1)
 		return ThresholdResult{T: cfgs[c].Threshold, Summary: sums[0], ProfilingOps: snaps[c].ProfilingOps, Cycles: cfgs[c].Perf.Cycles, Stats: *stats[c]}, err
 	}
-	entry := refEntry{AVEP: cachedSnapshot{avep}, AVEPCycles: cfgs[0].Perf.Cycles,
+	entry := refEntry{AVEPCycles: cfgs[0].Perf.Cycles,
 		Runs: make([]ThresholdResult, n), Variants: make([]ThresholdResult, len(b.opts.Variants))}
+	if !b.corpus {
+		entry.AVEP.snap = avep
+	}
 	for j := range entry.Runs {
 		if entry.Runs[j], err = result(1+j, "INIP"); err != nil {
 			return refEntry{}, err
@@ -743,7 +750,7 @@ func (b *benchRun) refBody(worker int) error {
 	}
 	copy(b.out.Variants, entry.Variants)
 	b.mu.Lock()
-	b.avep = entry.AVEP.Snapshot
+	b.avep = &entry.AVEP
 	b.mu.Unlock()
 	return b.maybeCompareTrain(worker)
 }
@@ -760,12 +767,11 @@ func (b *benchRun) trainBody(worker int) error {
 		b.trainImgHash = img.ContentHash()
 	}
 	run := lookupSlot(b, func() resultcache.Key { return b.runCacheKey(b.trainImgHash, "train", cfg) },
-		func(e *cachedSnapshot) bool { return e.Snapshot != nil }, worker)
-	train := run.cached.Snapshot
+		(*cachedSnapshot).present, worker)
+	train := &run.cached
 	if !run.warm() {
 		start := time.Now()
-		var stats *dbt.RunStats
-		train, stats, err = dbt.Run(img, tape, cfg)
+		snap, stats, err := dbt.Run(img, tape, cfg)
 		if err != nil {
 			err = fmt.Errorf("core: train run of %s: %w", b.t.Name, err)
 			b.record(obs.UnitTrain, 0, worker, start, 0, err)
@@ -773,11 +779,14 @@ func (b *benchRun) trainBody(worker int) error {
 		}
 		b.addRunStats(stats)
 		b.recordRun(obs.UnitTrain, 0, worker, start, stats)
-		if err := run.settle(cachedSnapshot{train}, worker); err != nil {
+		train = &cachedSnapshot{snap: snap}
+		if err := run.settle(*train, worker); err != nil {
 			return err
 		}
 	}
-	b.out.TrainOps = train.ProfilingOps
+	if b.out.TrainOps, err = train.profilingOps(); err != nil {
+		return b.undecodable("run", err)
+	}
 	b.mu.Lock()
 	b.train = train
 	b.mu.Unlock()
@@ -812,14 +821,23 @@ func (b *benchRun) maybeCompareTrain(worker int) error {
 // training comparison's cache key.
 const trainRegionThreshold = 2000
 
-func (b *benchRun) compareTrain(train, avep *profile.Snapshot, worker int) error {
+// compareTrain compares INIP(train) with AVEP unless its own entry is
+// warm; only then does it read, and so decode, the two snapshots.
+func (b *benchRun) compareTrain(cachedTrain, cachedAVEP *cachedSnapshot, worker int) error {
 	tc := lookupSlot[trainCmpEntry](b, b.trainCmpCacheKey, nil, worker)
 	if tc.warm() {
 		b.out.Train, b.out.TrainRegions = tc.cached.Train, tc.cached.TrainRegions
 		return nil
 	}
+	train, err := cachedTrain.snapshot()
+	if err != nil {
+		return b.undecodable("run", err)
+	}
+	avep, err := cachedAVEP.snapshot()
+	if err != nil {
+		return b.undecodable("ref", err)
+	}
 	start := time.Now()
-	var err error
 	if b.out.Train, _, err = Compare(train, avep); err != nil {
 		err = fmt.Errorf("core: train comparison of %s: %w", b.t.Name, err)
 		b.record(obs.UnitTrainCompare, 0, worker, start, 0, err)
@@ -833,6 +851,13 @@ func (b *benchRun) compareTrain(train, avep *profile.Snapshot, worker int) error
 	}
 	b.record(obs.UnitTrainCompare, 0, worker, start, 0, nil)
 	return tc.settle(trainCmpEntry{Train: b.out.Train, TrainRegions: b.out.TrainRegions}, worker)
+}
+
+// undecodable is the error of a unit whose cached snapshot, from the
+// entry of the given kind, passed the store's checksum but does not
+// decode.
+func (b *benchRun) undecodable(kind string, err error) error {
+	return fmt.Errorf("core: %s cache entry of %s holds a snapshot that does not decode: %w", kind, b.t.Name, err)
 }
 
 // RunBenchmark executes the full three-way study for one target: AVEP
@@ -865,7 +890,7 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 		return nil, err
 	}
 	opts.Thresholds, opts.Predictors, opts.SamplePeriods, opts.Variants, opts.Learned = nil, nil, nil, nil, &lcfg
-	b := &benchRun{t: t, opts: opts}
+	b := &benchRun{t: t, opts: opts, corpus: true}
 	entry, err := b.reference(0)
 	if err != nil {
 		return nil, err

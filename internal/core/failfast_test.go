@@ -108,8 +108,8 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 		onDone: func(*BenchmarkResult) { doneCalls.Add(1) },
 		live:   1,
 	}
-	b.avep = optimized
-	b.train = train
+	b.avep = &cachedSnapshot{snap: optimized}
+	b.train = &cachedSnapshot{snap: train}
 	// Host the comparison in a spawned unit, as the second run unit to
 	// finish does.
 	b.spawn(obs.UnitTrain, b.maybeCompareTrain)

@@ -128,7 +128,18 @@ func storedSnapshots(t *testing.T, dir string) oracleSnapshots {
 	storedValue(t, cacheEntryPath(t, dir, "ref"), &ref)
 	var train cachedSnapshot
 	storedValue(t, cacheEntryPath(t, dir, "run"), &train)
-	return oracleSnapshots{avep: ref.AVEP.Snapshot, train: train.Snapshot}
+	return oracleSnapshots{avep: decodedSnapshot(t, &ref.AVEP), train: decodedSnapshot(t, &train)}
+}
+
+// decodedSnapshot decodes a stored snapshot, failing the test when it
+// does not decode.
+func decodedSnapshot(t *testing.T, c *cachedSnapshot) *profile.Snapshot {
+	t.Helper()
+	snap, err := c.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // storedValue decodes the value of the cache entry at path into v.

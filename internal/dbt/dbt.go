@@ -439,6 +439,12 @@ func New(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
+	return newEngine(img, tape, cfg)
+}
+
+// newEngine is New over an image the caller has validated: a shared
+// trace validates its image once, not once per engine.
+func newEngine(img *guest.Image, tape interp.Tape, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -151,6 +151,9 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("dbt: RunMulti needs at least one config")
 	}
+	if err := img.Validate(); err != nil {
+		return nil, err
+	}
 	engines := make([]*Engine, len(cfgs))
 	for i, cfg := range cfgs {
 		var tp interp.Tape
@@ -162,7 +165,7 @@ func runEngines(img *guest.Image, tape interp.Tape, cfgs []Config, observers []T
 			// driver already does).
 			cfg.Interrupt = nil
 		}
-		e, err := New(img, tp, cfg)
+		e, err := newEngine(img, tp, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -144,27 +144,12 @@ const (
 
 var errBadMagic = errors.New("guest: not an SG32 image")
 
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
 func readU32(r io.Reader) (uint32, error) {
 	var buf [4]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
 }
 
 func readString(r io.Reader, maxLen uint32) (string, error) {
@@ -182,48 +167,72 @@ func readString(r io.Reader, maxLen uint32) (string, error) {
 	return string(buf), nil
 }
 
-// Save writes the image in the SG32 binary format.
+// encoder writes the SG32 byte stream through a fixed chunk buffer, so
+// a whole image costs one Write per chunk instead of one per word. The
+// first write error is kept and every later write skipped.
+type encoder struct {
+	w   io.Writer
+	err error
+	n   int
+	buf [4096]byte
+}
+
+func (e *encoder) flush() {
+	if e.err == nil && e.n > 0 {
+		_, e.err = e.w.Write(e.buf[:e.n])
+	}
+	e.n = 0
+}
+
+func (e *encoder) u32(v uint32) {
+	if e.n+4 > len(e.buf) {
+		e.flush()
+	}
+	binary.LittleEndian.PutUint32(e.buf[e.n:], v)
+	e.n += 4
+}
+
+func (e *encoder) words(ws []uint32) {
+	e.u32(uint32(len(ws)))
+	for _, w := range ws {
+		e.u32(w)
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	for len(s) > 0 {
+		if e.n == len(e.buf) {
+			e.flush()
+		}
+		c := copy(e.buf[e.n:], s)
+		e.n += c
+		s = s[c:]
+	}
+}
+
+// Save writes the image in the SG32 binary format. Symbols and jump
+// tables go in sorted order, so the stream depends only on the image's
+// content.
 func (img *Image) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, imageMagic); err != nil {
-		return err
-	}
-	for _, v := range []uint32{imageVersion, uint32(img.Entry), uint32(img.DataWords), uint32(len(img.Code))} {
-		if err := writeU32(w, v); err != nil {
-			return err
-		}
-	}
-	for _, word := range img.Code {
-		if err := writeU32(w, word); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(w, uint32(len(img.InitData))); err != nil {
-		return err
-	}
-	for _, word := range img.InitData {
-		if err := writeU32(w, word); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(w, uint32(len(img.Symbols))); err != nil {
-		return err
-	}
+	e := &encoder{w: w}
+	e.n = copy(e.buf[:], imageMagic)
+	e.u32(imageVersion)
+	e.u32(uint32(img.Entry))
+	e.u32(uint32(img.DataWords))
+	e.words(img.Code)
+	e.words(img.InitData)
+	e.u32(uint32(len(img.Symbols)))
 	names := make([]string, 0, len(img.Symbols))
 	for name := range img.Symbols {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := writeString(w, name); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(img.Symbols[name])); err != nil {
-			return err
-		}
+		e.str(name)
+		e.u32(uint32(img.Symbols[name]))
 	}
-	if err := writeU32(w, uint32(len(img.JumpTables))); err != nil {
-		return err
-	}
+	e.u32(uint32(len(img.JumpTables)))
 	pcs := make([]int, 0, len(img.JumpTables))
 	for pc := range img.JumpTables {
 		pcs = append(pcs, pc)
@@ -231,30 +240,28 @@ func (img *Image) Save(w io.Writer) error {
 	sort.Ints(pcs)
 	for _, pc := range pcs {
 		targets := img.JumpTables[pc]
-		if err := writeU32(w, uint32(pc)); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(len(targets))); err != nil {
-			return err
-		}
+		e.u32(uint32(pc))
+		e.u32(uint32(len(targets)))
 		for _, t := range targets {
-			if err := writeU32(w, uint32(t)); err != nil {
-				return err
-			}
+			e.u32(uint32(t))
 		}
 	}
-	return writeString(w, img.Name)
+	e.str(img.Name)
+	e.flush()
+	return e.err
 }
 
 // ContentHash returns the hex SHA-256 of the image's deterministic SG32
-// serialization. Save sorts symbols and jump tables, so two images with
-// the same semantic content hash identically regardless of construction
-// order; the result-cache key derivation depends on that.
+// serialization: the bytes Save writes, streamed into one digest. Save
+// sorts symbols and jump tables, so two images with the same semantic
+// content hash identically regardless of construction order; the
+// result-cache key derivation depends on that.
 func (img *Image) ContentHash() string {
 	h := sha256.New()
 	// Save only fails on writer errors and a hash never errors.
 	_ = img.Save(h)
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // Load reads an image previously written by Save and validates it.

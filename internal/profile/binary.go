@@ -98,6 +98,25 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
+// BinaryProfilingOps reads ProfilingOps from the header of an encoding
+// made by MarshalBinary without decoding its blocks or regions. A prefix
+// that holds the whole header is enough.
+func BinaryProfilingOps(data []byte) (uint64, error) {
+	d := decoder{buf: data}
+	if v := d.u8(); d.err == nil && v != binaryVersion {
+		return 0, fmt.Errorf("profile: decode snapshot: version %d, want %d", v, binaryVersion)
+	}
+	d.bytes()   // Program
+	d.bytes()   // Input
+	d.uvarint() // Threshold
+	d.flag()    // Optimized
+	ops := d.uvarint()
+	if d.err != nil {
+		return 0, fmt.Errorf("profile: decode snapshot header: %w", d.err)
+	}
+	return ops, nil
+}
+
 // UnmarshalBinary decodes an encoding made by MarshalBinary, replacing
 // the snapshot's contents. Malformed input — a bad version, varint or
 // flag byte, a count larger than the bytes left could hold, blocks out
@@ -286,18 +305,21 @@ func (d *decoder) float() float64 {
 	return v
 }
 
-func (d *decoder) str() string {
+func (d *decoder) str() string { return string(d.bytes()) }
+
+// bytes reads a length-prefixed byte string without copying it.
+func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
 		d.err = errShort
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
 }
 
 // count reads a collection length written by appendCount, rejecting

@@ -242,8 +242,14 @@ func FuzzSnapshotBinary(f *testing.F) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+64<<10 {
 			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
 		}
+		// The header read never panics, and agrees with every
+		// encoding the full decode accepts.
+		ops, opsErr := BinaryProfilingOps(data)
 		if err != nil {
 			return
+		}
+		if opsErr != nil || ops != got.ProfilingOps {
+			t.Fatalf("BinaryProfilingOps = %d, %v; the decoded snapshot has %d", ops, opsErr, got.ProfilingOps)
 		}
 		again := roundTrip(t, &got)
 		if !reflect.DeepEqual(again, &got) {

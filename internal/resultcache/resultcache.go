@@ -100,16 +100,17 @@ type Key struct {
 // the envelope, so two builds only ever share an entry when they agree
 // on every component.
 func (k Key) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|kind=%s|bench=%s|ctx=%s|img=%s|tape=%s|engine=%s",
-		SchemaVersion, k.Kind, k.Bench, k.Context, k.Image, k.Tape, k.Engine)
-	return b.String()
+	return "v" + strconv.Itoa(SchemaVersion) + "|kind=" + k.Kind + "|bench=" + k.Bench +
+		"|ctx=" + k.Context + "|img=" + k.Image + "|tape=" + k.Tape + "|engine=" + k.Engine
 }
 
 // Hash returns the content address of the key: the hex SHA-256 of its
 // fingerprint, which names the entry file.
-func (k Key) Hash() string {
-	sum := sha256.Sum256([]byte(k.Fingerprint()))
+func (k Key) Hash() string { return hashOf(k.Fingerprint()) }
+
+// hashOf is the content address of a rendered key fingerprint.
+func hashOf(fp string) string {
+	sum := sha256.Sum256([]byte(fp))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -212,21 +213,37 @@ func (s *Store) Counters() Counters {
 // are neither re-compacted on write nor scanned as part of the wrapper
 // on read: the only JSON pass over them is the final decode.
 
-// appendEntryHead appends everything an entry for k holds before the
-// value's sum: the schema version and the quoted key fingerprint.
-func appendEntryHead(dst []byte, k Key) []byte {
-	key, _ := json.Marshal(k.Fingerprint()) // a string always encodes
+// appendEntryHead appends everything an entry holds before the value's
+// sum: the schema version and the quoted key fingerprint fp.
+func appendEntryHead(dst []byte, fp string) []byte {
 	dst = append(dst, `{"schema":`...)
 	dst = strconv.AppendInt(dst, SchemaVersion, 10)
 	dst = append(dst, `,"key":`...)
-	dst = append(dst, key...)
+	dst = appendJSONString(dst, fp)
 	return append(dst, `,"sum":"`...)
+}
+
+// appendJSONString appends s as encoding/json quotes it. Printable ASCII
+// other than the five bytes json escapes is copied as is, which covers
+// every fingerprint the pipeline renders; anything else goes through
+// json.Marshal.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // envValue separates an entry's sum from its value.
 const envValue = `","value":`
 
-func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.Hash()+".json") }
+// pathOf names the entry file of the key whose hash is hash.
+func (s *Store) pathOf(hash string) string { return filepath.Join(s.dir, hash+".json") }
 
 // Lookup loads the entry for k into v (a JSON-decodable pointer) and
 // reports whether a validated entry was found. Anything wrong with the
@@ -242,7 +259,11 @@ func (s *Store) Lookup(k Key, v any) bool {
 		s.misses.Add(1)
 		return false
 	}
-	data, err := os.ReadFile(s.path(k))
+	// The fingerprint is rendered once, for the file name and the
+	// header check.
+	fp := k.Fingerprint()
+	hash := hashOf(fp)
+	data, err := os.ReadFile(s.pathOf(hash))
 	if err != nil {
 		// A missing entry is the ordinary cold-cache miss; any other
 		// read failure is an error worth counting.
@@ -252,7 +273,7 @@ func (s *Store) Lookup(k Key, v any) bool {
 		s.misses.Add(1)
 		return false
 	}
-	if err := decodeEntry(data, k, v); err != nil {
+	if err := decodeEntry(data, fp, hash, v); err != nil {
 		s.errs.Add(1)
 		s.misses.Add(1)
 		return false
@@ -261,31 +282,31 @@ func (s *Store) Lookup(k Key, v any) bool {
 	return true
 }
 
-// decodeEntry splits the envelope, checks it against k and decodes the
-// value. Every failure mode collapses to an error — the caller treats
+// decodeEntry splits the envelope, checks it against the key whose
+// fingerprint is fp and hash is hash, and decodes the value. Every failure mode collapses to an error — the caller treats
 // them all as a miss — and the cheapest guards run first. A file that
 // is not in the exact layout Put writes (a trailing newline is
 // optional) is malformed, even if it is valid JSON; a stale schema or
 // another key's fingerprint fails the same header comparison.
-func decodeEntry(data []byte, k Key, v any) error {
-	rest, ok := bytes.CutPrefix(data, appendEntryHead(nil, k))
+func decodeEntry(data []byte, fp, hash string, v any) error {
+	rest, ok := bytes.CutPrefix(data, appendEntryHead(make([]byte, 0, 64+len(fp)), fp))
 	if !ok || len(rest) < 2*sha256.Size {
-		return fmt.Errorf("resultcache: entry %s: header does not match schema %d and the key", k.Hash(), SchemaVersion)
+		return fmt.Errorf("resultcache: entry %s: header does not match schema %d and the key", hash, SchemaVersion)
 	}
 	sumHex := rest[:2*sha256.Size]
 	rest, ok = bytes.CutPrefix(rest[2*sha256.Size:], []byte(envValue))
 	value, closed := bytes.CutSuffix(bytes.TrimSuffix(rest, []byte("\n")), []byte("}"))
 	if !ok || !closed {
-		return fmt.Errorf("resultcache: entry %s: malformed envelope", k.Hash())
+		return fmt.Errorf("resultcache: entry %s: malformed envelope", hash)
 	}
 	sum := sha256.Sum256(value)
 	var want [2 * sha256.Size]byte
 	hex.Encode(want[:], sum[:])
 	if !bytes.Equal(want[:], sumHex) {
-		return fmt.Errorf("resultcache: entry %s: value checksum mismatch", k.Hash())
+		return fmt.Errorf("resultcache: entry %s: value checksum mismatch", hash)
 	}
 	if err := json.Unmarshal(value, v); err != nil {
-		return fmt.Errorf("resultcache: entry %s: value: %w", k.Hash(), err)
+		return fmt.Errorf("resultcache: entry %s: value: %w", hash, err)
 	}
 	return nil
 }
@@ -310,24 +331,26 @@ func (s *Store) Put(k Key, v any) error {
 		s.healFails.Add(1)
 		return nil
 	}
+	fp := k.Fingerprint()
+	hash := hashOf(fp)
 	value, err := json.Marshal(v)
 	if err != nil {
 		s.errs.Add(1)
-		return fmt.Errorf("resultcache: encode %s: %w", k.Hash(), err)
+		return fmt.Errorf("resultcache: encode %s: %w", hash, err)
 	}
 	sum := sha256.Sum256(value)
-	data := appendEntryHead(make([]byte, 0, len(value)+512), k)
+	data := appendEntryHead(make([]byte, 0, len(value)+len(fp)+192), fp)
 	data = hex.AppendEncode(data, sum[:])
 	data = append(data, envValue...)
 	data = append(data, value...)
 	data = append(data, "}\n"...)
-	if err := atomicio.WriteFile(s.path(k), data, 0o644); err != nil {
+	if err := atomicio.WriteFile(s.pathOf(hash), data, 0o644); err != nil {
 		s.healFails.Add(1)
 		if s.readOnly.CompareAndSwap(false, true) {
 			// First failure wins the race to report; latecomers that
 			// slipped past the gate above are demoted like the rest.
 			s.errs.Add(1)
-			return fmt.Errorf("resultcache: store %s (cache now read-only): %w", k.Hash(), err)
+			return fmt.Errorf("resultcache: store %s (cache now read-only): %w", hash, err)
 		}
 		return nil
 	}

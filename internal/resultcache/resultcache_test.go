@@ -20,6 +20,9 @@ type payload struct {
 	Inner map[string]int
 }
 
+// path names the entry file of k.
+func (s *Store) path(k Key) string { return s.pathOf(k.Hash()) }
+
 func testKey() Key {
 	return Key{
 		Kind: "run", Bench: "gzip", Context: "scale=0.001",
@@ -484,4 +487,24 @@ func FuzzStoreLookup(f *testing.F) {
 			t.Fatalf("hit served %+v, the stored value is %+v (%v)", got, want, err)
 		}
 	})
+}
+
+// TestAppendJSONStringMatchesMarshal: the entry header quotes the key
+// fingerprint exactly as json.Marshal would, for every byte and for
+// strings that need escaping.
+func TestAppendJSONStringMatchesMarshal(t *testing.T) {
+	strs := []string{"", "v6|kind=ref|engine=input=ref;t=0;perf=60,4500,1.35", "a<b>&c", "quote\"back\\slash",
+		"tab\tnew\nline", "héllo", "  ", "\xff\xfe bad utf-8"}
+	for c := 0; c < 256; c++ {
+		strs = append(strs, "x"+string(rune(c))+"y", "x"+string([]byte{byte(c)})+"y")
+	}
+	for _, s := range strs {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString([]byte("pre"), s); string(got) != "pre"+string(want) {
+			t.Errorf("appendJSONString(%q) = %s, json.Marshal %s", s, got[3:], want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/guest"
 	"repro/internal/interp"
@@ -112,7 +113,7 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 	// boundary registers and set regPhase to phase*nSites.
 	sel := make([]guest.Label, maxPhases-1)
 	for i := range sel {
-		sel[i] = gb.NewLabel(fmt.Sprintf("phase%d", i))
+		sel[i] = gb.NewLabel("phase" + strconv.Itoa(i))
 	}
 	for i := 0; i < maxPhases-1; i++ {
 		gb.Branch(isa.OpBlt, regIter, boundRegs[i], sel[i])
@@ -165,8 +166,8 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 		off := int32(i)
 		switch s.Kind {
 		case SiteBranch:
-			taken := gb.NewLabel(fmt.Sprintf("s%d_taken", i))
-			next := gb.NewLabel(fmt.Sprintf("s%d_next", i))
+			taken := gb.NewLabel(siteLabel(i, "_taken"))
+			next := gb.NewLabel(siteLabel(i, "_next"))
 			gb.In(1)
 			gb.Emit(isa.Inst{Op: isa.OpLoad, Rd: 6, Rs: regPhase, Imm: off})
 			gb.Branch(isa.OpBlt, 1, 6, taken)
@@ -176,8 +177,8 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 			filler(s.Body, s.Float)
 			gb.Bind(next)
 		case SiteDiamond:
-			takenArm := gb.NewLabel(fmt.Sprintf("s%d_t", i))
-			merge := gb.NewLabel(fmt.Sprintf("s%d_m", i))
+			takenArm := gb.NewLabel(siteLabel(i, "_t"))
+			merge := gb.NewLabel(siteLabel(i, "_m"))
 			gb.In(1)
 			gb.Emit(isa.Inst{Op: isa.OpLoad, Rd: 6, Rs: regPhase, Imm: off})
 			gb.Branch(isa.OpBlt, 1, 6, takenArm)
@@ -189,7 +190,7 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 			gb.Bind(merge)
 		case SiteGeoLoop:
 			gb.Emit(isa.Inst{Op: isa.OpLoad, Rd: 6, Rs: regPhase, Imm: off})
-			top := gb.Here(fmt.Sprintf("s%d_top", i))
+			top := gb.Here(siteLabel(i, "_top"))
 			filler(s.Body, s.Float)
 			gb.In(1)
 			gb.Branch(isa.OpBlt, 1, 6, top)
@@ -199,7 +200,7 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 			gb.Emit(isa.Inst{Op: isa.OpLoadi, Rd: 3, Imm: 7})
 			gb.Emit(isa.Inst{Op: isa.OpAnd, Rd: 1, Rs: 1, Rt: 3})
 			gb.Emit(isa.Inst{Op: isa.OpAdd, Rd: 2, Rs: 2, Rt: 1})
-			top := gb.Here(fmt.Sprintf("s%d_top", i))
+			top := gb.Here(siteLabel(i, "_top"))
 			filler(s.Body, s.Float)
 			gb.Addi(2, 2, -1)
 			gb.Branch(isa.OpBne, 2, regZero, top)
@@ -211,12 +212,12 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 			// targets live in the data segment (patched after layout,
 			// like the switch tables). The chain itself is emitted
 			// after the driver (see coldChains below).
-			enter := gb.NewLabel(fmt.Sprintf("s%d_enter", i))
-			next := gb.NewLabel(fmt.Sprintf("s%d_next", i))
-			chainStart := fmt.Sprintf("s%d_cold", i)
+			enter := gb.NewLabel(siteLabel(i, "_enter"))
+			next := gb.NewLabel(siteLabel(i, "_next"))
+			chainStart := siteLabel(i, "_cold")
 			myTbl := nextTbl
 			nextTbl += 2
-			patches = append(patches, swPatch{off: myTbl, targets: []string{chainStart, fmt.Sprintf("s%d_next", i)}})
+			patches = append(patches, swPatch{off: myTbl, targets: []string{chainStart, siteLabel(i, "_next")}})
 			gb.In(1)
 			gb.Emit(isa.Inst{Op: isa.OpLoad, Rd: 6, Rs: regPhase, Imm: off})
 			gb.Branch(isa.OpBlt, 1, 6, enter)
@@ -233,12 +234,12 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 				blocks: s.Body,
 			})
 		case SiteSwitch:
-			hot := gb.NewLabel(fmt.Sprintf("s%d_hot", i))
-			next := gb.NewLabel(fmt.Sprintf("s%d_next", i))
+			hot := gb.NewLabel(siteLabel(i, "_hot"))
+			next := gb.NewLabel(siteLabel(i, "_next"))
 			tNames := make([]string, 3)
 			targets := make([]guest.Label, 3)
 			for j := range targets {
-				tNames[j] = fmt.Sprintf("s%d_case%d", i, j)
+				tNames[j] = siteLabel(i, "_case"+strconv.Itoa(j))
 				targets[j] = gb.NewLabel(tNames[j])
 			}
 			myTbl := nextTbl
@@ -333,7 +334,9 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spec: %s: %w", b.Name, err)
 	}
-	// Patch switch tables with the resolved target addresses.
+	// Patch switch tables with the resolved target addresses. Build has
+	// validated the image, and the patch rewrites only InitData values,
+	// of which Validate checks just the length.
 	for _, p := range patches {
 		for j, name := range p.targets {
 			addr, ok := img.Symbols[name]
@@ -343,8 +346,8 @@ func generate(b *Benchmark, bh *Behavior, scale float64) (*guest.Image, error) {
 			img.InitData[p.off+j] = uint32(addr)
 		}
 	}
-	if err := img.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: %s: %w", b.Name, err)
-	}
 	return img, nil
 }
+
+// siteLabel names a label of branch site i: "s<i>" then suffix.
+func siteLabel(i int, suffix string) string { return "s" + strconv.Itoa(i) + suffix }
